@@ -86,13 +86,11 @@ func BenchmarkModelCheck(b *testing.B) { runExperiment(b, harness.ModelCheck) }
 // BenchmarkMCFingerprint measures ONE configuration-fingerprint
 // computation of the systematic model checker (internal/mc) — the
 // dominant per-node cost of exhaustive verification — on a fixed
-// crash-containing prefix of the Figure 2 target. The sub-benchmarks
-// compare the incremental pipeline (interned values, maintained memory
-// digest, rolling per-process event hashes; the default) against the
-// legacy pipeline (textual Memory.Snapshot + full trace re-walk +
-// SHA-256; kept behind mc.Options.LegacyFingerprint for parity
-// testing). The two pipelines are verdict-equivalent — see
-// FuzzFingerprintParity and TestVerdictParityAllTargets in internal/mc.
+// crash-containing prefix of the Figure 2 target: the incremental
+// pipeline of interned values, maintained memory digest and rolling
+// per-process event hashes. Its parity with the textual reference
+// pipeline internal/mc's tests keep as an oracle is asserted by
+// FuzzFingerprintParity and TestVerdictParityAllTargets.
 func BenchmarkMCFingerprint(b *testing.B) {
 	probe, err := bench.StandardFingerprintProbe()
 	if err != nil {
@@ -102,12 +100,6 @@ func BenchmarkMCFingerprint(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = probe.Incremental()
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = probe.Legacy()
 		}
 	})
 }

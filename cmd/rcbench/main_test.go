@@ -14,7 +14,7 @@ func TestListRuns(t *testing.T) {
 	if code := run([]string{"-list"}, &out); code != 0 {
 		t.Fatalf("rcbench -list exited %d:\n%s", code, out.String())
 	}
-	for _, want := range []string{"harness/E10", "mc/fingerprint-incremental", "mc/fingerprint-legacy", "sim/snapshot", "obs/counter-inc", "obs/histogram-observe"} {
+	for _, want := range []string{"harness/E10", "mc/fingerprint-incremental", "sim/snapshot", "obs/counter-inc", "obs/histogram-observe"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-list output missing %s", want)
 		}

@@ -64,13 +64,7 @@ func Registry() []Benchmark {
 			Name:  "mc/fingerprint-incremental",
 			Doc:   "incremental configuration fingerprint (interned digests) on a fixed prefix",
 			Iters: 300_000, QuickIters: 50_000,
-			Run: fingerprintRunner(false),
-		},
-		Benchmark{
-			Name:  "mc/fingerprint-legacy",
-			Doc:   "legacy Snapshot+trace+SHA-256 fingerprint on the same prefix",
-			Iters: 300_000, QuickIters: 50_000,
-			Run: fingerprintRunner(true),
+			Run: fingerprintRunner,
 		},
 		Benchmark{
 			Name:  "engine/classify-T5",
@@ -370,7 +364,7 @@ func mcCheckRunner(target string, n int, opts mc.Options, wantSafe bool) func(in
 
 // StandardFingerprintProbe builds the canonical fingerprint-benchmark
 // fixture: the Figure 2 target over S_2 at a fixed crash-containing
-// prefix. Both rcbench's mc/fingerprint-* entries and the root
+// prefix. Both rcbench's mc/fingerprint-incremental entry and the root
 // bench_test.go BenchmarkMCFingerprint measure this exact probe, so the
 // `go test -bench` view and the BENCH_*.json view stay the same
 // workload by construction.
@@ -389,23 +383,15 @@ func StandardFingerprintProbe() (*mc.FingerprintProbe, error) {
 // fingerprintRunner measures ONLY the fingerprint computation: the
 // prefix is executed once (outside the timed region's per-op cost at
 // realistic iteration counts) and then fingerprinted iters times.
-func fingerprintRunner(legacy bool) func(int) (Metrics, error) {
-	return func(iters int) (Metrics, error) {
-		probe, err := StandardFingerprintProbe()
-		if err != nil {
-			return nil, err
-		}
-		if legacy {
-			for i := 0; i < iters; i++ {
-				_ = probe.Legacy()
-			}
-		} else {
-			for i := 0; i < iters; i++ {
-				_ = probe.Incremental()
-			}
-		}
-		return nil, nil
+func fingerprintRunner(iters int) (Metrics, error) {
+	probe, err := StandardFingerprintProbe()
+	if err != nil {
+		return nil, err
 	}
+	for i := 0; i < iters; i++ {
+		_ = probe.Incremental()
+	}
+	return nil, nil
 }
 
 func memoryRunner(op func(*sim.Memory)) func(int) (Metrics, error) {

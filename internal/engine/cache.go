@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"rcons/internal/checker"
+	"rcons/internal/lru"
 )
 
 // cacheKey identifies one memoized search: 128 bits of the type's
@@ -53,19 +54,19 @@ type searchResult struct {
 // the zoo while census traffic streams thousands of one-off generated
 // types through the same engine — from evicting the hot entries: every
 // hit refreshes its key, so the one-shot census keys age out first.
-// The eviction machinery lives in the generic LRU; this wrapper only
+// The eviction machinery lives in lru.Cache; this wrapper only
 // adds the hit/miss accounting.
 type cache struct {
-	lru          *LRU[cacheKey, searchResult]
+	entries      *lru.Cache[cacheKey, searchResult]
 	hits, misses atomic.Int64
 }
 
 func newCache(max int) *cache {
-	return &cache{lru: NewLRU[cacheKey, searchResult](max)}
+	return &cache{entries: lru.New[cacheKey, searchResult](max)}
 }
 
 func (c *cache) get(key cacheKey) (searchResult, bool) {
-	r, ok := c.lru.Get(key)
+	r, ok := c.entries.Get(key)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -75,14 +76,14 @@ func (c *cache) get(key cacheKey) (searchResult, bool) {
 }
 
 func (c *cache) put(key cacheKey, r searchResult) {
-	c.lru.Put(key, r)
+	c.entries.Put(key, r)
 }
 
 func (c *cache) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
-		Entries:   c.lru.Len(),
-		Evictions: c.lru.Evictions(),
+		Entries:   c.entries.Len(),
+		Evictions: c.entries.Evictions(),
 	}
 }

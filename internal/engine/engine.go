@@ -27,6 +27,7 @@ import (
 
 	"rcons/internal/checker"
 	"rcons/internal/compile"
+	"rcons/internal/lru"
 	"rcons/internal/obs"
 	"rcons/internal/spec"
 	"rcons/internal/types"
@@ -119,7 +120,7 @@ type Engine struct {
 	// SHA-256 fingerprint per (property, level) lookup — which dominates
 	// hot serving paths like /v1/classify/batch over a warm engine. A
 	// classification hit skips all of it. nil whenever cache is nil.
-	classes                *LRU[classKey, checker.Classification]
+	classes                *lru.Cache[classKey, checker.Classification]
 	classHits, classMisses atomic.Int64
 
 	// interpreted switches verification to the parity-oracle path.
@@ -169,7 +170,7 @@ func New(opts Options) *Engine {
 	}
 	if size > 0 {
 		e.cache = newCache(size)
-		e.classes = NewLRU[classKey, checker.Classification](size)
+		e.classes = lru.New[classKey, checker.Classification](size)
 	}
 	return e
 }

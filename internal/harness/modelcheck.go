@@ -23,10 +23,9 @@ import (
 //
 // The enumeration runs on internal/mc — configuration-fingerprint
 // pruning (incremental interned digests) plus parallel root
-// partitioning — rather than the pruning-free sequential explorer it
-// originally used; mc's own tests pin the two enumerators to identical
-// verdicts, and TestPruningSoundness cross-validates the pruning against
-// the explorer oracle, so the verdict here is the same, orders of
+// partitioning. mc's TestPruningSoundness cross-validates the pruning
+// against a pruning-free sequential enumeration kept in its tests, so
+// the verdict is the one full enumeration would give, orders of
 // magnitude cheaper.
 func ModelCheck(opts Options) (*Report, error) {
 	opts = opts.filled()

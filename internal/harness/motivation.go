@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"strconv"
 
-	"rcons/internal/explore"
+	"rcons/internal/mc"
 	"rcons/internal/rc"
 	"rcons/internal/sim"
 )
@@ -26,12 +26,13 @@ import (
 //     every n.
 //
 // The pattern "discerning but not recording ⇒ breaks under recovery" is
-// the paper's characterization in miniature.
+// the paper's characterization in miniature. Each row is one exhaustive
+// internal/mc run; the nodes column is its search effort.
 func Motivation(opts Options) (*Report, error) {
 	opts = opts.filled()
 	r := &Report{
 		ID: "E11", Artifact: "§1 motivation", Title: "consensus vs recoverable consensus, executably",
-		Header: []string{"algorithm", "crash budget", "depth", "prefixes", "verdict", "expected"},
+		Header: []string{"algorithm", "crash budget", "depth", "nodes", "verdict", "expected"},
 		Pass:   true,
 	}
 	// Figure 4 with a NON-recoverable sub-consensus (test&set): safe under
@@ -65,27 +66,23 @@ func Motivation(opts Options) (*Report, error) {
 		{"figure-4[tas] (independent, open-question probe)", fig4tas(), 1, 10, false, false},
 	}
 	for _, c := range cases {
-		alg := c.alg
-		inputs := []sim.Value{"x", "y"}
-		factory := func() (*sim.Memory, []sim.Body, []sim.Value) {
-			m := sim.NewMemory()
-			alg.Setup(m)
-			bodies := make([]sim.Body, alg.N())
-			for i := range bodies {
-				bodies[i] = alg.Body(i, inputs[i])
-			}
-			return m, bodies, inputs
+		model := sim.Independent
+		if c.simultaneous {
+			model = sim.Simultaneous
 		}
-		stats, err := explore.Exhaustive(factory, explore.Options{
-			MaxDepth:     c.depth,
-			CrashBudget:  c.budget,
-			Simultaneous: c.simultaneous,
-			Check:        rc.CheckOutcome,
-		})
-		foundBug := errors.Is(err, explore.ErrViolation)
-		if err != nil && !foundBug {
+		tgt, err := mc.FromAlgorithm(c.alg, []sim.Value{"x", "y"}, model)
+		if err != nil {
 			return nil, err
 		}
+		res, err := mc.Check(context.Background(), tgt, mc.Options{
+			MaxDepth:    c.depth,
+			CrashBudget: c.budget,
+			Workers:     opts.Workers,
+		})
+		if err != nil {
+			return nil, err
+		}
+		foundBug := !res.Safe
 		verdict, expected := "safe", "safe"
 		if foundBug {
 			verdict = "violation found"
@@ -93,14 +90,16 @@ func Motivation(opts Options) (*Report, error) {
 		if c.wantBug {
 			expected = "violation found"
 		}
-		if foundBug != c.wantBug {
+		// Safe rows claim the whole bounded space, so they additionally
+		// require an exhaustive search.
+		if foundBug != c.wantBug || !(res.Exhaustive || c.wantBug) {
 			r.Pass = false
-			r.Notes = append(r.Notes, fmt.Sprintf("%s budget=%d: verdict %q, expected %q",
-				c.name, c.budget, verdict, expected))
+			r.Notes = append(r.Notes, fmt.Sprintf("%s budget=%d: verdict %q (exhaustive=%v), expected %q",
+				c.name, c.budget, verdict, res.Exhaustive, expected))
 		}
 		r.Rows = append(r.Rows, []string{
 			c.name, strconv.Itoa(c.budget), strconv.Itoa(c.depth),
-			strconv.Itoa(stats.Prefixes), verdict, expected,
+			strconv.Itoa(res.Stats.Nodes), verdict, expected,
 		})
 	}
 	r.Notes = append(r.Notes,

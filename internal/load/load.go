@@ -297,6 +297,17 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("load: BaseURL required")
 	}
 	p := &planner{opts: o, pool: buildPool(o.Types, o.Seed)}
+	// Marshal every batch body the run can send before the clock starts,
+	// so throughput measures serving, not the generator's own encoding.
+	if o.Workload != "single" {
+		n := len(p.pool)
+		if o.Requests > 0 && o.Requests < n {
+			n = o.Requests
+		}
+		for i := 0; i < n; i++ {
+			p.batch(i)
+		}
+	}
 
 	if o.Duration > 0 && o.Requests <= 0 {
 		var cancel context.CancelFunc

@@ -18,13 +18,12 @@ type Fingerprint [2]uint64
 func (f Fingerprint) String() string { return fmt.Sprintf("%016x%016x", f[0], f[1]) }
 
 // FingerprintProbe holds the executed state of one schedule prefix of a
-// target — memory, outcome, crash usage — with BOTH fingerprint inputs
-// recorded (the event trace for the legacy pipeline, the rolling digests
-// for the incremental one), so the two pipelines can be evaluated and
-// compared on exactly the same configuration. It exists for the parity
-// tests, the FuzzFingerprintParity target and the fingerprint
-// benchmarks; the search itself records only what its active pipeline
-// needs.
+// target — memory, outcome, crash usage — with both the rolling digests
+// the incremental fingerprint reads and the full event trace recorded,
+// so the parity tests and FuzzFingerprintParity can compare it with the
+// tests' textual reference fingerprint on exactly the same
+// configuration. The fingerprint benchmarks time Incremental on it; the
+// search itself records only the digests.
 type FingerprintProbe struct {
 	s       *search
 	m       *sim.Memory
@@ -72,10 +71,4 @@ func NewFingerprintProbe(tgt Target, script []sim.Action, opts Options) (*Finger
 // pipeline: Memory.Digest plus the per-process rolling event hashes.
 func (p *FingerprintProbe) Incremental() Fingerprint {
 	return p.s.incrementalFingerprint(p.out, p.m, p.crashes)
-}
-
-// Legacy computes the same configuration's fingerprint with the
-// original Snapshot+trace+SHA-256 pipeline.
-func (p *FingerprintProbe) Legacy() Fingerprint {
-	return p.s.legacyFingerprint(p.out, p.m, p.crashes)
 }

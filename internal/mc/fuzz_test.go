@@ -99,7 +99,7 @@ func FuzzFingerprintParity(f *testing.F) {
 		}
 
 		incEq := pa.Incremental() == pb.Incremental()
-		legEq := pa.Legacy() == pb.Legacy()
+		legEq := pa.legacy() == pb.legacy()
 		if incEq != legEq {
 			t.Fatalf("fingerprint parity broken on %s:\n  a=%s\n  b=%s\n  incremental equal=%v, legacy equal=%v",
 				tgt.Name,

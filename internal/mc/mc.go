@@ -1,10 +1,9 @@
 // Package mc is a bounded, parallel model checker for the recoverable
-// consensus protocols in this repository. Where package explore samples
-// one hand-wired system and package rc's tests replay hand-picked
-// schedules, mc systematically enumerates EVERY interleaving of process
-// steps and EVERY placement of crash/recovery events — under both of the
-// paper's failure models — up to a schedule depth and crash budget, and
-// checks a safety predicate on every resulting execution.
+// consensus protocols in this repository. Where package rc's tests replay
+// hand-picked schedules, mc systematically enumerates EVERY interleaving
+// of process steps and EVERY placement of crash/recovery events — under
+// both of the paper's failure models — up to a schedule depth and crash
+// budget, and checks a safety predicate on every resulting execution.
 //
 // The bounds mirror the paper's adversary definitions ("When Is
 // Recoverable Consensus Harder Than Consensus?", PODC 2022, §2):
@@ -34,6 +33,15 @@
 // means the depth bound was never hit, i.e. the WHOLE schedule space
 // within the crash budget was covered.
 //
+// Determinism: the verdict (Safe), Exhaustive, Complete, the minimized
+// counterexample schedule and its violation text depend only on the
+// target and the bounds, never on Options.Workers or core count — as long
+// as the search stays within Options.NodeBudget. Stats.Nodes and
+// Stats.Pruned are deterministic only at Workers: 1 or for safe,
+// exhaustive runs: on a violating target the parallel root search stops
+// other workers at a point that depends on scheduling, so how much of the
+// space was visited before the stop varies from run to run.
+//
 // When the exhaustive frontier exceeds Options.NodeBudget, the checker
 // degrades gracefully into deterministic "swarm" fuzzing: a fixed,
 // seed-derived fleet of randomized crash schedules is executed across the
@@ -57,8 +65,8 @@ import (
 	"rcons/internal/sim"
 )
 
-// Checker validates one finished (or prefix-halted) execution. Unlike
-// explore.Checker it also receives the run's memory, so construction-
+// Checker validates one finished (or prefix-halted) execution. It
+// receives the run's memory as well as its outcome, so construction-
 // level invariants (e.g. universal.VerifyList) can be checked alongside
 // outcome-level ones.
 type Checker func(inputs []sim.Value, m *sim.Memory, out *sim.Outcome) error
@@ -128,16 +136,13 @@ type Options struct {
 	Progress obs.Sink
 	// ProgressInterval is the progress sampling period; 0 means 1s.
 	ProgressInterval time.Duration
-	// LegacyFingerprint switches configuration-fingerprint pruning back
-	// to the original pipeline: a full textual Memory.Snapshot plus a
-	// re-walk of the entire event trace, hashed with SHA-256, at every
-	// search node. The default incremental pipeline combines digests
-	// maintained during the run (interned values, rolling per-process
-	// event hashes) in O(processes) with no allocation. Verdicts are
-	// bit-identical either way — asserted by the parity tests and
-	// FuzzFingerprintParity — so the flag exists only for those tests and
-	// for benchmarking the two pipelines against each other.
-	LegacyFingerprint bool
+
+	// fingerprintOracle, when set, replaces the incremental
+	// configuration fingerprint and makes every search run record its
+	// full event trace for it. Only this package's tests set it, to drive
+	// the search with the textual reference pipeline they keep as an
+	// oracle.
+	fingerprintOracle func(tgt Target, out *sim.Outcome, m *sim.Memory, crashesUsed int) Fingerprint
 }
 
 func (o Options) filled() Options {

@@ -3,13 +3,15 @@ package mc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
-	"rcons/internal/explore"
 	"rcons/internal/rc"
 	"rcons/internal/sim"
+	"rcons/internal/types"
+	"rcons/internal/universal"
 )
 
 func mustTarget(t *testing.T, name string, n int) Target {
@@ -32,32 +34,37 @@ func check(t *testing.T, tgt Target, opts Options) *Result {
 
 // TestExhaustiveSafeProtocols is the acceptance check: the paper's
 // protocols must survive the FULL bounded adversary — every interleaving
-// and crash placement within the depth/crash budget — for n = 2.
+// and crash placement within the depth/crash budget — for n = 2, and
+// Figure 2 over compare&swap also for n = 3 (|A| = 1, |B| = 2: the
+// non-yield branch).
 func TestExhaustiveSafeProtocols(t *testing.T) {
 	cases := []struct {
+		name   string
 		target string
+		n      int
 		opts   Options
 	}{
-		{"cas", Options{MaxDepth: 10, CrashBudget: 2}},
-		{"team-sn", Options{MaxDepth: 10, CrashBudget: 1}},
-		{"team-cas", Options{MaxDepth: 10, CrashBudget: 1}},
-		{"simultaneous", Options{MaxDepth: 8, CrashBudget: 1}},
-		{"tournament", Options{MaxDepth: 8, CrashBudget: 1}},
+		{"cas", "cas", 2, Options{MaxDepth: 10, CrashBudget: 2}},
+		{"team-sn", "team-sn", 2, Options{MaxDepth: 10, CrashBudget: 1}},
+		{"team-cas", "team-cas", 2, Options{MaxDepth: 10, CrashBudget: 1}},
+		{"team-cas-n3", "team-cas", 3, Options{MaxDepth: 10, CrashBudget: 1}},
+		{"simultaneous", "simultaneous", 2, Options{MaxDepth: 8, CrashBudget: 1}},
+		{"tournament", "tournament", 2, Options{MaxDepth: 8, CrashBudget: 1}},
 	}
 	for _, c := range cases {
-		t.Run(c.target, func(t *testing.T) {
-			res := check(t, mustTarget(t, c.target, 2), c.opts)
+		t.Run(c.name, func(t *testing.T) {
+			res := check(t, mustTarget(t, c.target, c.n), c.opts)
 			if !res.Safe {
-				t.Fatalf("%s reported unsafe:\n%s", c.target, res.CE)
+				t.Fatalf("%s reported unsafe:\n%s", c.name, res.CE)
 			}
 			if !res.Exhaustive {
-				t.Fatalf("%s fell back to swarm (nodes=%d)", c.target, res.Stats.Nodes)
+				t.Fatalf("%s fell back to swarm (nodes=%d)", c.name, res.Stats.Nodes)
 			}
 			if res.Stats.Completions == 0 {
-				t.Fatalf("%s checked no full executions", c.target)
+				t.Fatalf("%s checked no full executions", c.name)
 			}
 			t.Logf("%s: nodes=%d pruned=%d completions=%d rounds=%d complete=%v",
-				c.target, res.Stats.Nodes, res.Stats.Pruned, res.Stats.Completions,
+				c.name, res.Stats.Nodes, res.Stats.Pruned, res.Stats.Completions,
 				res.Stats.Rounds, res.Complete)
 		})
 	}
@@ -108,6 +115,79 @@ func TestUniversalDeepPrefixNoFalsePositive(t *testing.T) {
 	if !res.Exhaustive {
 		t.Fatalf("search fell back to swarm (nodes=%d)", res.Stats.Nodes)
 	}
+}
+
+// TestUniversalFetchAddDistinctResponses model-checks the universal
+// construction over fetch&add, whose responses — unlike the builtin
+// universal target's register writes — depend on the linearization
+// order: two processes each add 1, and once both have decided the list
+// must replay correctly, hold both operations, and have handed them
+// distinct responses.
+func TestUniversalFetchAddDistinctResponses(t *testing.T) {
+	u := universal.New(2, types.NewFetchAdd(100), "0", "u")
+	tgt := Target{
+		Name: "universal[fetch&add]",
+		Factory: func() (*sim.Memory, []sim.Body, []sim.Value) {
+			m := sim.NewMemory()
+			u.Setup(m)
+			bodies := make([]sim.Body, 2)
+			for i := range bodies {
+				bodies[i] = func(p *sim.Proc) sim.Value { return sim.Value(u.Invoke(p, p.ID(), 0, "add(1)")) }
+			}
+			return m, bodies, distinctInputs(2)
+		},
+		Check: func(_ []sim.Value, m *sim.Memory, out *sim.Outcome) error {
+			for _, d := range out.Decided {
+				if !d {
+					return nil // mid-append prefix: the list may be half-built
+				}
+			}
+			if err := u.VerifyList(m); err != nil {
+				return err
+			}
+			list, err := u.ListOrder(m)
+			if err != nil {
+				return err
+			}
+			if len(list) != 2 {
+				return fmt.Errorf("list holds %d operations, want 2", len(list))
+			}
+			if out.Decisions[0] == out.Decisions[1] {
+				return fmt.Errorf("duplicate fetch&add responses %v", out.Decisions)
+			}
+			return nil
+		},
+	}
+	res := check(t, tgt, Options{MaxDepth: 7, CrashBudget: 1})
+	if !res.Safe || !res.Exhaustive {
+		t.Fatalf("universal fetch&add not verified (exhaustive=%v, nodes=%d):\n%s", res.Exhaustive, res.Stats.Nodes, res.CE)
+	}
+}
+
+// TestOpenQuestionProbeDeeper pushes the paper's §5 open question (is
+// 2-recording necessary for 2-process RC?) harder than E11 does: Figure 4
+// over non-recoverable test&set consensus, independent crashes, deeper
+// schedules and two crashes. A violation here would answer the question
+// negatively for this algorithm; none has been found.
+func TestOpenQuestionProbeDeeper(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deep probe; skip in -short")
+	}
+	alg := rc.NewSimultaneousRC(2, "probe")
+	alg.Sub = rc.TASInstance{}
+	tgt, err := FromAlgorithm(alg, []sim.Value{"x", "y"}, sim.Independent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := check(t, tgt, Options{MaxDepth: 12, CrashBudget: 2})
+	if !res.Safe {
+		t.Fatalf("open question answered?!\n%s", res.CE)
+	}
+	if !res.Exhaustive {
+		t.Fatalf("search fell back to swarm (nodes=%d)", res.Stats.Nodes)
+	}
+	t.Logf("probe: nodes=%d pruned=%d completions=%d without violation",
+		res.Stats.Nodes, res.Stats.Pruned, res.Stats.Completions)
 }
 
 // TestBrokenProtocolCounterexample is the second acceptance check: the
@@ -221,9 +301,9 @@ func TestDeterministicVerdict(t *testing.T) {
 
 // TestPruningSoundness cross-validates fingerprint pruning two ways:
 // against clock-sensitive (per-event-timestamped, nearly path-unique)
-// fingerprints that defeat most pruning, and against the pruning-free
-// enumeration of package explore — neither oracle may disagree with the
-// pruned verdict.
+// fingerprints that defeat most pruning, and against enumerate, the
+// pruning-free sequential oracle — neither may disagree with the pruned
+// verdict.
 func TestPruningSoundness(t *testing.T) {
 	tgt := mustTarget(t, "unsafe-noyield", 2)
 	opts := Options{MaxDepth: 12, CrashBudget: 1}
@@ -258,32 +338,24 @@ func TestPruningSoundness(t *testing.T) {
 			b.Stats.Nodes, a.Stats.Nodes)
 	}
 
-	// Independent oracle: package explore enumerates without pruning;
+	// Independent oracle: enumerate walks every prefix without pruning;
 	// its verdict must agree on both a safe and a broken target.
 	for _, c := range []struct {
 		target  string
 		wantBug bool
 	}{{"team-sn", false}, {"unsafe-noyield", true}} {
 		ex := mustTarget(t, c.target, 2)
-		_, err := explore.Exhaustive(func() (*sim.Memory, []sim.Body, []sim.Value) {
-			return ex.Factory()
-		}, explore.Options{
-			MaxDepth:    10,
-			CrashBudget: 1,
-			Check:       rc.CheckOutcome,
-		})
-		exploreBug := errors.Is(err, explore.ErrViolation)
-		if err != nil && !exploreBug {
-			t.Fatal(err)
-		}
+		prefixes, err := enumerate(ex, 10, 1)
+		oracleBug := err != nil
 		mcRes := check(t, ex, Options{MaxDepth: 10, CrashBudget: 1})
-		if exploreBug != !mcRes.Safe {
-			t.Fatalf("%s: explore verdict (bug=%v) disagrees with mc (safe=%v)",
-				c.target, exploreBug, mcRes.Safe)
+		if oracleBug != !mcRes.Safe {
+			t.Fatalf("%s: pruning-free verdict (bug=%v: %v) disagrees with mc (safe=%v)",
+				c.target, oracleBug, err, mcRes.Safe)
 		}
-		if exploreBug != c.wantBug {
-			t.Fatalf("%s: explore oracle itself unexpected (bug=%v, want %v)", c.target, exploreBug, c.wantBug)
+		if oracleBug != c.wantBug {
+			t.Fatalf("%s: pruning-free oracle itself unexpected (bug=%v, want %v): %v", c.target, oracleBug, c.wantBug, err)
 		}
+		t.Logf("%s: oracle executed %d prefixes, mc %d nodes", c.target, prefixes, mcRes.Stats.Nodes)
 	}
 }
 

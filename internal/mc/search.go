@@ -2,10 +2,6 @@ package mc
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,8 +75,8 @@ func (s *search) snapshotStats() Stats {
 // runScript executes one scripted prefix of the target. halt selects
 // prefix enumeration (stop at script end) versus full execution (extend
 // the prefix with the deterministic crash-free fair completion). The
-// default (incremental) fingerprint pipeline records only the O(1)
-// rolling digests; the legacy pipeline needs the full event trace.
+// incremental fingerprint needs only the O(1) rolling digests; a test
+// oracle (Options.fingerprintOracle) gets the full event trace.
 func (s *search) runScript(script []sim.Action, halt bool) ([]sim.Value, *sim.Memory, *sim.Outcome, error) {
 	m, bodies, inputs := s.tgt.Factory()
 	cfg := sim.Config{
@@ -92,7 +88,7 @@ func (s *search) runScript(script []sim.Action, halt bool) ([]sim.Value, *sim.Me
 		MaxSteps:           s.opts.MaxSteps,
 	}
 	r := sim.NewRunner(m, bodies, cfg)
-	if s.opts.LegacyFingerprint {
+	if s.opts.fingerprintOracle != nil {
 		r.RecordTrace()
 	} else {
 		r.RecordDigests()
@@ -112,16 +108,15 @@ func (s *search) runScript(script []sim.Action, halt bool) ([]sim.Value, *sim.Me
 // this makes fingerprints nearly path-unique and costs most of the
 // pruning, but keeps it sound.
 //
-// The default pipeline combines digests that were maintained
-// incrementally DURING the run — Memory.Digest for the heap,
-// Outcome.EventHashes/ClockHashes for the histories — so the per-node
-// cost is O(processes) integer mixing with zero allocation. The legacy
-// pipeline (Options.LegacyFingerprint) rebuilds the textual
-// Snapshot/trace form and hashes it with SHA-256; it is kept as the
-// independent oracle for the parity tests and fuzz target.
+// It combines digests that were maintained incrementally DURING the
+// run — Memory.Digest for the heap, Outcome.EventHashes/ClockHashes for
+// the histories — so the per-node cost is O(processes) integer mixing
+// with zero allocation. The tests keep a textual Snapshot+trace+SHA-256
+// pipeline as an independent oracle and can swap it in through
+// Options.fingerprintOracle.
 func (s *search) fingerprint(out *sim.Outcome, m *sim.Memory, crashesUsed int) Fingerprint {
-	if s.opts.LegacyFingerprint {
-		return s.legacyFingerprint(out, m, crashesUsed)
+	if s.opts.fingerprintOracle != nil {
+		return s.opts.fingerprintOracle(s.tgt, out, m, crashesUsed)
 	}
 	return s.incrementalFingerprint(out, m, crashesUsed)
 }
@@ -151,41 +146,6 @@ func (s *search) incrementalFingerprint(out *sim.Outcome, m *sim.Memory, crashes
 	}
 	p = intern.MixPair(p, uint64(crashesUsed))
 	return Fingerprint{intern.MixPair(h, p), intern.MixPair(p, h)}
-}
-
-func (s *search) legacyFingerprint(out *sim.Outcome, m *sim.Memory, crashesUsed int) Fingerprint {
-	var b strings.Builder
-	b.WriteString(m.Snapshot())
-
-	n := len(out.Decided)
-	sinceCrash := make([][]string, n)
-	for pos, e := range out.Trace {
-		if e.Proc < 0 || e.Proc >= n {
-			continue
-		}
-		if e.Kind == sim.TraceCrash {
-			sinceCrash[e.Proc] = sinceCrash[e.Proc][:0]
-			continue
-		}
-		ev := e.String()
-		if s.tgt.ClockSensitive {
-			ev = fmt.Sprintf("@%d:%s", pos, ev)
-		}
-		sinceCrash[e.Proc] = append(sinceCrash[e.Proc], ev)
-	}
-	for i := 0; i < n; i++ {
-		if out.Decided[i] {
-			fmt.Fprintf(&b, "p%d=decided:%q\n", i, out.Decisions[i])
-			continue
-		}
-		fmt.Fprintf(&b, "p%d=run:%s\n", i, strings.Join(sinceCrash[i], ";"))
-	}
-	fmt.Fprintf(&b, "crashes=%d\n", crashesUsed)
-	sum := sha256.Sum256([]byte(b.String()))
-	return Fingerprint{
-		binary.LittleEndian.Uint64(sum[0:8]),
-		binary.LittleEndian.Uint64(sum[8:16]),
-	}
 }
 
 // rootDepth is the prefix length at which the search hands subtrees to

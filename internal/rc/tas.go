@@ -18,7 +18,7 @@ import (
 // property formalizes (test&set is 2-discerning but not 2-recording).
 //
 // The model-checking experiment (E11) runs this algorithm twice: with a
-// crash budget of zero the explorer proves it safe over the whole
+// crash budget of zero the model checker proves it safe over the whole
 // bounded schedule space; with a single crash allowed it finds an
 // agreement violation automatically. That pair of verdicts is the
 // paper's motivation, executable.

@@ -101,6 +101,7 @@ import (
 	"rcons/internal/engine"
 	"rcons/internal/flight"
 	"rcons/internal/jobs"
+	"rcons/internal/lru"
 	"rcons/internal/mc"
 	"rcons/internal/obs"
 	"rcons/internal/sim"
@@ -304,13 +305,13 @@ type Server struct {
 	// classification it rides along with. A bounded LRU, so a burst of
 	// one-off custom types ages entries out gradually instead of wiping
 	// the hot built-in entries with them.
-	canon *engine.LRU[string, string]
+	canon *lru.Cache[string, string]
 
 	// atlasCache memoizes encoded census summaries by request
 	// parameters; census artifacts are deterministic functions of those
 	// parameters, so cached summaries are always exact. Concurrent cold
 	// requests for the same key dedup through flights.
-	atlasCache *engine.LRU[string, []byte]
+	atlasCache *lru.Cache[string, []byte]
 
 	// items memoizes encoded classification payloads keyed by the
 	// request's own bytes (built-in name or raw table JSON, plus limit)
@@ -320,7 +321,7 @@ type Server struct {
 	// what lets a warm /v1/classify/batch stream items at memory speed
 	// instead of paying ~tens of µs of per-item bookkeeping. nil when
 	// -cache is negative (memoization disabled server-wide).
-	items *engine.LRU[string, []byte]
+	items *lru.Cache[string, []byte]
 }
 
 // canonCacheCap bounds the canonical-fingerprint memo (entries are two
@@ -347,8 +348,8 @@ func newServer(cfg config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		inflight:   make(chan struct{}, cfg.maxInflight),
-		canon:      engine.NewLRU[string, string](canonCacheCap),
-		atlasCache: engine.NewLRU[string, []byte](atlasCacheCap),
+		canon:      lru.New[string, string](canonCacheCap),
+		atlasCache: lru.New[string, []byte](atlasCacheCap),
 		reg:        obs.NewRegistry(),
 		logger:     obs.NewLogger(os.Stderr, cfg.logFormat, cfg.logLevel),
 	}
@@ -358,7 +359,7 @@ func newServer(cfg config) (*Server, error) {
 		s.limiter = newRateLimiter(cfg.rate, float64(cfg.burst))
 	}
 	if cfg.cacheSize >= 0 {
-		s.items = engine.NewLRU[string, []byte](itemCacheCap)
+		s.items = lru.New[string, []byte](itemCacheCap)
 	}
 	s.progress = obs.RegistrySink(s.reg)
 	// Interface-typed nils must stay nil interfaces, so only assign the

@@ -155,6 +155,17 @@ func TestOutcomeDigestsMatchReexecution(t *testing.T) {
 	}
 }
 
+// TestFormatScript pins the compact rendering every schedule consumer
+// (counterexamples, reports, /v1/mc) shares.
+func TestFormatScript(t *testing.T) {
+	if got := FormatScript([]Action{Step(0), Crash(1), CrashAll()}); got != "s0 c1 C*" {
+		t.Fatalf("FormatScript = %q, want %q", got, "s0 c1 C*")
+	}
+	if got := FormatScript(nil); got != "(empty)" {
+		t.Fatalf("FormatScript(nil) = %q, want %q", got, "(empty)")
+	}
+}
+
 // TestParseScriptRoundTrip checks FormatScript/ParseScript are inverses
 // on every action kind, and that garbage is rejected.
 func TestParseScriptRoundTrip(t *testing.T) {

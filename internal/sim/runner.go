@@ -89,7 +89,7 @@ type Config struct {
 	MaxStepsPerRun int
 	// HaltAtScriptEnd stops the execution (without error) once the
 	// script is exhausted instead of continuing with random scheduling.
-	// Packages explore and mc use it to enumerate schedule prefixes;
+	// The model checker (package mc) uses it to enumerate schedule prefixes;
 	// undecided processes simply have Decided[i] == false in the outcome.
 	HaltAtScriptEnd bool
 	// FairCompletion switches post-script scheduling from the seeded
@@ -110,7 +110,7 @@ type Config struct {
 	// it outputs — the window that breaks non-recoverable algorithms
 	// like test&set consensus (their lost responses cannot be
 	// reconstructed). Off by default to keep scripted step counts
-	// simple; package explore always enables it, making its bounded
+	// simple; the model checker always enables it, making its bounded
 	// exhaustive adversary strictly stronger.
 	DecideRequiresStep bool
 }

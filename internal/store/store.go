@@ -64,6 +64,7 @@ import (
 	"sync"
 	"time"
 
+	"rcons/internal/lru"
 	"rcons/internal/obs"
 )
 
@@ -139,7 +140,7 @@ type Store struct {
 	budget int64
 
 	mu    sync.Mutex
-	front *lruFront // nil when the memory front is disabled
+	front *lru.Cache[string, []byte] // nil when the memory front is disabled
 	disk  *diskIndex
 	stats Stats
 
@@ -187,9 +188,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{dir: dir, budget: opts.BudgetBytes, disk: newDiskIndex()}
 	switch {
 	case opts.CacheEntries == 0:
-		s.front = newLRUFront(1024)
+		s.front = lru.New[string, []byte](1024)
 	case opts.CacheEntries > 0:
-		s.front = newLRUFront(opts.CacheEntries)
+		s.front = lru.New[string, []byte](opts.CacheEntries)
 	}
 	if err := s.sweep(); err != nil {
 		return nil, err
@@ -462,7 +463,7 @@ func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error)
 	ck := kind + "\x00" + key
 	s.mu.Lock()
 	if s.front != nil {
-		if payload, ok := s.front.get(ck); ok {
+		if payload, ok := s.front.Get(ck); ok {
 			s.stats.MemHits++
 			s.disk.touch(path) // keep disk recency in step with the front
 			s.mu.Unlock()
@@ -508,9 +509,7 @@ func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error)
 	s.mu.Lock()
 	s.stats.DiskHits++
 	s.adoptLocked(path, int64(len(raw)))
-	if s.front != nil {
-		s.stats.Evictions += s.front.put(ck, env.Payload)
-	}
+	s.rememberLocked(ck, env.Payload)
 	s.mu.Unlock()
 	span.SetAttr("tier", "disk")
 	return append([]byte(nil), env.Payload...), true, nil
@@ -587,9 +586,7 @@ func (s *Store) Put(_ context.Context, kind, key string, payload []byte) error {
 			s.mu.Lock()
 			s.stats.PutNoops++
 			s.adoptLocked(path, int64(len(oldRaw)))
-			if s.front != nil {
-				s.stats.Evictions += s.front.put(kind+"\x00"+key, env.Payload)
-			}
+			s.rememberLocked(kind+"\x00"+key, env.Payload)
 			s.mu.Unlock()
 			return nil
 		}
@@ -600,9 +597,7 @@ func (s *Store) Put(_ context.Context, kind, key string, payload []byte) error {
 	s.mu.Lock()
 	s.stats.Puts++
 	s.adoptLocked(path, int64(len(data)))
-	if s.front != nil {
-		s.stats.Evictions += s.front.put(kind+"\x00"+key, env.Payload)
-	}
+	s.rememberLocked(kind+"\x00"+key, env.Payload)
 	s.enforceBudgetLocked(path)
 	s.mu.Unlock()
 	return nil
@@ -683,5 +678,18 @@ func (s *Store) Name() string { return "local" }
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	if s.front != nil {
+		st.Evictions = s.front.Evictions()
+	}
+	return st
+}
+
+// rememberLocked caches a private copy of payload in the memory front
+// (when enabled) under the front key ck, so later caller mutations of
+// either slice cannot reach the cache. Callers hold s.mu.
+func (s *Store) rememberLocked(ck string, payload []byte) {
+	if s.front != nil {
+		s.front.Put(ck, append([]byte(nil), payload...))
+	}
 }
