@@ -44,10 +44,8 @@ func (e OpEvent) String() string {
 }
 
 // Recorder accumulates operation events during a simulated execution.
-// It is mutex-guarded: the scheduler serializes bodies between
-// scheduling points, but the stretch of a body before its first
-// shared-memory access runs concurrently with other processes'
-// preludes, and recording happens inside those preludes.
+// The scheduler runs one body at a time; the recorder is mutex-guarded
+// only so that it stays safe for concurrent use outside the simulator.
 type Recorder struct {
 	mu     sync.Mutex
 	events map[[2]int]*OpEvent // keyed by (proc, seq)

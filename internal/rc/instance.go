@@ -24,7 +24,7 @@ type TournamentInstance struct {
 	w   checker.Witness
 	k   int
 
-	mu    sync.Mutex // guards cache: body preludes run concurrently
+	mu    sync.Mutex // guards cache for instances shared across goroutines
 	cache map[string]*Tournament
 }
 
@@ -40,10 +40,9 @@ func NewTournamentInstance(t spec.Type, w checker.Witness, k int) (*TournamentIn
 	return &TournamentInstance{typ: t, w: w, k: k, cache: map[string]*Tournament{}}, nil
 }
 
-// Decide implements Instance. The cache is mutex-guarded: the scheduler
-// serializes bodies between scheduling points, but the stretch of a body
-// before its first shared-memory access runs concurrently with other
-// processes' preludes, and Decide can be reached inside one.
+// Decide implements Instance. The scheduler runs one body at a time; the
+// cache is mutex-guarded only so that an instance stays safe if shared
+// by executions on different goroutines.
 //
 // Input pinning (the paper's Appendix F remark): a caller that crashes
 // and recovers may re-invoke Decide on the SAME instance with a

@@ -10,12 +10,12 @@
 // the model prescribes. All shared state lives in a Memory, which the
 // crash machinery never touches — that is the non-volatile heap.
 //
-// Every shared-memory access is a *scheduling point*: the calling
-// goroutine parks until the scheduler grants it a step, which makes
-// executions fully deterministic for a fixed seed or script, lets
-// adversarial schedules from the paper be replayed exactly, and
-// serializes all memory accesses (at most one process runs between a
-// grant and its next scheduling point).
+// Every process runs as a coroutine of the scheduler, and every
+// shared-memory access is a *scheduling point*: the process yields until
+// the scheduler grants it a step. At most one process runs at a time —
+// preludes before the first scheduling point run in process order — so
+// executions are fully deterministic for a fixed seed or script, and
+// adversarial schedules from the paper replay exactly.
 package sim
 
 import (
@@ -73,15 +73,12 @@ func objDigest(nameID, typeID, stateID uint32) uint64 {
 // Memory is the non-volatile shared heap: named atomic registers and
 // named atomic objects of arbitrary spec types. It survives all crashes.
 //
-// The Runner serializes all *data* access (reads, writes, applies) by
-// construction — at most one process runs between a grant and its next
-// scheduling point. Structural access (allocation, existence checks) is
-// additionally guarded by an internal mutex, because bodies legitimately
-// allocate outside grant windows: the stretch of a body before its FIRST
-// scheduling point runs concurrently with the other processes' preludes.
-// Allocation models preparing a node in non-volatile memory before any
-// pointer to it is published, so this concurrency is unobservable to the
-// algorithms — but without the lock it is a data race on the maps.
+// The Runner serializes every access made during Run by construction:
+// processes are coroutines, and only one runs at a time. Structural
+// access (allocation, existence checks) is guarded by an internal
+// mutex, because a Memory is also built, read and checked outside Run —
+// by protocol checkers, the model checker and tests, possibly from other
+// goroutines.
 //
 // Alongside the cells the memory maintains structHash, an incrementally
 // updated structural digest: the XOR of one well-mixed 64-bit word per
@@ -160,7 +157,7 @@ func (m *Memory) FreshName(prefix string) string {
 
 // EnsureRegister creates register name with the given initial value if
 // it does not exist yet. The check-and-create is atomic, so concurrent
-// body preludes ensuring the same cell cannot collide.
+// callers outside Run ensuring the same cell cannot collide.
 func (m *Memory) EnsureRegister(name string, init Value) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -6,12 +6,6 @@ import (
 	"rcons/internal/spec"
 )
 
-// grantMsg is the scheduler's reply to a parked process.
-type grantMsg struct {
-	crash bool
-	stop  bool
-}
-
 // attemptStatus reports how one run of a body ended.
 type attemptStatus int
 
@@ -27,7 +21,8 @@ const (
 type Proc struct {
 	id     int
 	runner *Runner
-	grant  chan grantMsg
+	yield  func(struct{}) bool // parks the coroutine at a scheduling point
+	crash  bool                // the pending grant is a crash, not a step
 
 	runs     int // 1 + number of crashes while undecided
 	crashes  int
@@ -51,7 +46,7 @@ func (p *Proc) Now() int { return p.runner.stepCount }
 // attempt executes one run of body, converting the crash sentinel into a
 // status. Any other panic is a bug in the body (e.g. accessing an unknown
 // cell); it is captured as an execution failure so that Run returns an
-// error instead of tearing down the whole program from a goroutine.
+// error instead of propagating the panic out of the scheduler.
 func (p *Proc) attempt(body Body) (out Value, status attemptStatus) {
 	defer func() {
 		if e := recover(); e != nil {
@@ -72,27 +67,26 @@ func (p *Proc) attempt(body Body) (out Value, status attemptStatus) {
 	return out, attemptDecided
 }
 
-// step parks until the scheduler grants a shared-memory step, panicking
-// with the crash sentinel when the grant is a crash.
+// step yields to the scheduler until it grants a shared-memory step,
+// panicking with the crash sentinel when the grant is a crash and with
+// the stop sentinel when the execution is being torn down.
 func (p *Proc) step() {
 	p.runSteps++
 	if p.runSteps > p.runner.cfg.MaxStepsPerRun {
 		p.runner.failure = ErrRunBudget
 		panic(stopSignal{})
 	}
-	p.runner.events <- procEvent{proc: p.id, kind: evParked}
-	g := <-p.grant
-	if g.stop {
+	if !p.yield(struct{}{}) {
 		panic(stopSignal{})
 	}
-	if g.crash {
+	if p.crash {
 		panic(crashSignal{})
 	}
 }
 
 // commit takes the extra decide scheduling point enabled by
 // Config.DecideRequiresStep, converting its crash/stop panics back into
-// statuses for procLoop.
+// statuses for the process coroutine.
 func (p *Proc) commit() (st attemptStatus) {
 	defer func() {
 		if e := recover(); e != nil {
@@ -147,7 +141,7 @@ func (p *Proc) ReadObject(obj string) spec.State {
 // The allocation helpers below are NOT scheduling points: preparing fresh
 // cells models initializing a node in non-volatile memory before any
 // pointer to it is published, which no other process can observe. They
-// may only be called from a body (i.e. inside a grant window).
+// may only be called from a body.
 
 // AllocRegister creates a fresh register with a unique name and the given
 // initial value, returning its name.

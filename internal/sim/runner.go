@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 )
 
@@ -181,12 +182,18 @@ type Outcome struct {
 	ClockHashes []uint64
 }
 
-// procState tracks the scheduler's view of one process.
+// procState tracks the scheduler's view of one process. The process runs
+// as a coroutine: next resumes it until its next scheduling point
+// (reporting true) or until it has decided (reporting false, with the
+// decision in out); stop unwinds it from a pending scheduling point.
 type procState struct {
 	proc    *Proc
 	body    Body
+	next    func() (struct{}, bool)
+	stop    func()
 	parked  bool
 	decided bool
+	out     Value
 }
 
 // Runner executes a set of bodies over a shared memory under a schedule.
@@ -199,9 +206,9 @@ type Runner struct {
 	// node) that never draw from it. Laziness is unobservable — the
 	// seed comes from cfg either way, and draws happen in the same
 	// order.
-	rng    *rand.Rand
-	procs  []*procState
-	events chan procEvent
+	rng   *rand.Rand
+	procs []*procState
+	live  int // processes that have not decided
 
 	trace          []TraceEvent
 	recordTrace    bool
@@ -216,19 +223,6 @@ type Runner struct {
 	crashBudget int
 	rrNext      int   // round-robin cursor for FairCompletion
 	failure     error // sticky ErrRunBudget etc.
-}
-
-type procEventKind int
-
-const (
-	evParked procEventKind = iota + 1
-	evDone
-)
-
-type procEvent struct {
-	proc int
-	kind procEventKind
-	out  Value
 }
 
 // NewRunner prepares an execution of the given bodies (one per process)
@@ -246,11 +240,10 @@ func NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
 	r := &Runner{
 		mem:         mem,
 		cfg:         cfg,
-		events:      make(chan procEvent),
 		crashBudget: cfg.MaxCrashes,
 	}
 	for i, body := range bodies {
-		p := &Proc{id: i, runner: r, grant: make(chan grantMsg)}
+		p := &Proc{id: i, runner: r}
 		r.procs = append(r.procs, &procState{proc: p, body: body})
 	}
 	return r
@@ -289,72 +282,24 @@ func (r *Runner) RecordDigests() {
 }
 
 // Run executes until every process decides, the script and budgets are
-// exhausted, or an invariant fails.
+// exhausted, or an invariant fails. Processes run one at a time, in
+// process order until each reaches its first scheduling point and then
+// as granted, so the execution is a pure function of the script and
+// seed.
 func (r *Runner) Run() (*Outcome, error) {
-	live := 0
-	for _, ps := range r.procs {
-		go r.procLoop(ps)
-		live++
-	}
-	outstanding := live // every process will report in without a grant
-
-	out := &Outcome{
-		Decisions: make([]Value, len(r.procs)),
-		Decided:   make([]bool, len(r.procs)),
-		Crashes:   make([]int, len(r.procs)),
-		Runs:      make([]int, len(r.procs)),
-	}
-
-	finish := func(err error) (*Outcome, error) {
-		// Tear down parked processes so no goroutine leaks.
-		for _, ps := range r.procs {
-			if ps.parked {
-				ps.proc.grant <- grantMsg{stop: true}
-				<-r.events // the stop acknowledgement (evDone)
-			}
-		}
-		for i, ps := range r.procs {
-			out.Crashes[i] = ps.proc.crashes
-			out.Runs[i] = ps.proc.runs
-		}
-		out.Steps = r.stepCount
-		out.Trace = r.trace
-		out.Schedule = r.schedule
-		if r.recordDigest {
-			out.EventHashes = r.evHash
-			out.ClockHashes = r.ckHash
-		}
-		if err == nil {
-			err = r.failure
-		}
-		return out, err
+	r.live = len(r.procs)
+	for id, ps := range r.procs {
+		ps.next, ps.stop = iter.Pull(r.procLoop(ps))
+		r.resume(id)
 	}
 
 	scriptPos := 0
 	for {
-		for outstanding > 0 {
-			ev := <-r.events
-			outstanding--
-			ps := r.procs[ev.proc]
-			switch ev.kind {
-			case evParked:
-				ps.parked = true
-			case evDone:
-				ps.decided = true
-				out.Decided[ev.proc] = true
-				out.Decisions[ev.proc] = ev.out
-				live--
-				r.note(TraceDecide, ev.proc, "", ev.out, "")
-			}
-		}
-		if r.failure != nil {
-			return finish(nil)
-		}
-		if live == 0 {
-			return finish(nil)
+		if r.failure != nil || r.live == 0 {
+			return r.finish(nil)
 		}
 		if r.stepCount >= r.cfg.MaxSteps {
-			return finish(ErrStepBudget)
+			return r.finish(ErrStepBudget)
 		}
 
 		var act Action
@@ -362,10 +307,10 @@ func (r *Runner) Run() (*Outcome, error) {
 			act = r.cfg.Script[scriptPos]
 			scriptPos++
 			if err := r.validateAction(act); err != nil {
-				return finish(err)
+				return r.finish(err)
 			}
 		} else if r.cfg.HaltAtScriptEnd {
-			return finish(nil)
+			return r.finish(nil)
 		} else if r.cfg.FairCompletion {
 			act = r.fairAction()
 		} else {
@@ -379,33 +324,51 @@ func (r *Runner) Run() (*Outcome, error) {
 		case ActStep:
 			r.stepCount++
 			r.grant(act.Proc, false)
-			outstanding = 1
 		case ActCrash:
 			r.grant(act.Proc, true)
-			outstanding = 1
 		case ActCrashAll:
+			// Each crashed process recovers to its next scheduling point
+			// (or decides) before the next one is crashed, so the crash
+			// is atomic with respect to steps.
 			for id, ps := range r.procs {
-				if ps.parked && !ps.decided {
+				if ps.parked {
 					r.grant(id, true)
-					// Wait for this process to re-park (or decide)
-					// before crashing the next one, so the crash is
-					// atomic with respect to steps.
-					ev := <-r.events
-					ps2 := r.procs[ev.proc]
-					switch ev.kind {
-					case evParked:
-						ps2.parked = true
-					case evDone:
-						ps2.decided = true
-						out.Decided[ev.proc] = true
-						out.Decisions[ev.proc] = ev.out
-						live--
-					}
 				}
 			}
-			outstanding = 0
 		}
 	}
+}
+
+// finish unwinds every process still parked at a scheduling point, so
+// no coroutine outlives Run, and assembles the outcome.
+func (r *Runner) finish(err error) (*Outcome, error) {
+	n := len(r.procs)
+	out := &Outcome{
+		Decisions: make([]Value, n),
+		Decided:   make([]bool, n),
+		Crashes:   make([]int, n),
+		Runs:      make([]int, n),
+		Steps:     r.stepCount,
+		Trace:     r.trace,
+		Schedule:  r.schedule,
+	}
+	for i, ps := range r.procs {
+		ps.stop()
+		if ps.decided {
+			out.Decided[i] = true
+			out.Decisions[i] = ps.out
+		}
+		out.Crashes[i] = ps.proc.crashes
+		out.Runs[i] = ps.proc.runs
+	}
+	if r.recordDigest {
+		out.EventHashes = r.evHash
+		out.ClockHashes = r.ckHash
+	}
+	if err == nil {
+		err = r.failure
+	}
+	return out, err
 }
 
 func (r *Runner) validateAction(act Action) error {
@@ -467,6 +430,8 @@ func (r *Runner) randomAction() Action {
 	return Action{Kind: ActStep, Proc: id}
 }
 
+// grant delivers a step (or a crash) to parked process id and runs it
+// until its next scheduling point or its decision.
 func (r *Runner) grant(id int, crash bool) {
 	ps := r.procs[id]
 	ps.parked = false
@@ -474,28 +439,45 @@ func (r *Runner) grant(id int, crash bool) {
 		ps.proc.crashes++
 		r.note(TraceCrash, id, "", "", "")
 	}
-	ps.proc.grant <- grantMsg{crash: crash}
+	ps.proc.crash = crash
+	r.resume(id)
 }
 
-// procLoop runs one process: body attempts separated by crash recoveries.
-func (r *Runner) procLoop(ps *procState) {
-	p := ps.proc
-	for {
-		p.runs++
-		p.runSteps = 0
-		out, status := p.attempt(ps.body)
-		if status == attemptDecided && r.cfg.DecideRequiresStep {
-			status = p.commit()
-		}
-		switch status {
-		case attemptDecided:
-			r.events <- procEvent{proc: p.id, kind: evDone, out: out}
-			return
-		case attemptCrashed:
-			continue // restart from the beginning: locals are gone
-		case attemptStopped:
-			r.events <- procEvent{proc: p.id, kind: evDone, out: None}
-			return
+// resume runs process id until it parks at a scheduling point or decides.
+func (r *Runner) resume(id int) {
+	ps := r.procs[id]
+	if _, ok := ps.next(); ok {
+		ps.parked = true
+		return
+	}
+	ps.decided = true
+	r.live--
+	r.note(TraceDecide, id, "", ps.out, "")
+}
+
+// procLoop is one process's coroutine: body attempts separated by crash
+// recoveries, yielding at every scheduling point. It returns once the
+// body decides, or is stopped (which reports the decision None).
+func (r *Runner) procLoop(ps *procState) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p := ps.proc
+		p.yield = yield
+		for {
+			p.runs++
+			p.runSteps = 0
+			out, status := p.attempt(ps.body)
+			if status == attemptDecided && r.cfg.DecideRequiresStep {
+				status = p.commit()
+			}
+			switch status {
+			case attemptDecided:
+				ps.out = out
+				return
+			case attemptStopped:
+				ps.out = None
+				return
+			}
+			// attemptCrashed: restart from the beginning, locals are gone.
 		}
 	}
 }

@@ -1,0 +1,132 @@
+package sim
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// TestCrashAllRecoveryDecisionsAreTraced is the regression test for
+// decisions reached while recovering from a simultaneous crash: they
+// must enter the trace (and so the digest event positions) like any
+// other decision.
+func TestCrashAllRecoveryDecisionsAreTraced(t *testing.T) {
+	body := func(p *Proc) Value {
+		if p.RunNumber() > 1 {
+			return "recovered" // decides without a step
+		}
+		return p.Read("R")
+	}
+	r := NewRunner(newTestMemory(), []Body{body, body}, Config{
+		Model:  Simultaneous,
+		Script: []Action{CrashAll()},
+	})
+	r.RecordTrace()
+	out, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decides []TraceEvent
+	for _, e := range out.Trace {
+		if e.Kind == TraceDecide {
+			decides = append(decides, e)
+		}
+	}
+	want := []TraceEvent{
+		{Kind: TraceDecide, Proc: 0, Detail: "recovered"},
+		{Kind: TraceDecide, Proc: 1, Detail: "recovered"},
+	}
+	if !reflect.DeepEqual(decides, want) {
+		t.Fatalf("decide events = %v, want %v; trace:\n%s", decides, want, FormatTrace(out.Trace))
+	}
+	if !out.Decided[0] || !out.Decided[1] {
+		t.Fatalf("decided = %v", out.Decided)
+	}
+}
+
+// TestScriptedRunDeterministicWithAllocatingPreludes checks that the
+// stretch of each body before its first scheduling point runs in process
+// order: allocation names, and so decisions, are a pure function of the
+// script.
+func TestScriptedRunDeterministicWithAllocatingPreludes(t *testing.T) {
+	body := func(p *Proc) Value {
+		name := p.AllocRegister("n", None)
+		p.Write(name, "x")
+		return name
+	}
+	cfg := Config{Script: []Action{Step(2), Step(0), Step(1)}, HaltAtScriptEnd: true}
+	var first []Value
+	for i := 0; i < 2000; i++ {
+		out, err := NewRunner(NewMemory(), []Body{body, body, body}, cfg).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = out.Decisions
+			if want := []Value{"n#1", "n#2", "n#3"}; !reflect.DeepEqual(first, want) {
+				t.Fatalf("decisions = %v, want %v", first, want)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(out.Decisions, first) {
+			t.Fatalf("run %d: decisions %v, first run %v", i, out.Decisions, first)
+		}
+	}
+}
+
+// TestRunLeavesNoGoroutines checks that every exit path of Run unwinds
+// all process coroutines before returning.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	reader := func(p *Proc) Value { p.Read("R"); return p.Read("R") }
+	spin := func(p *Proc) Value {
+		for {
+			p.Read("R")
+		}
+	}
+	boom := func(p *Proc) Value {
+		p.Read("R")
+		panic("boom")
+	}
+	cases := []struct {
+		name    string
+		bodies  []Body
+		cfg     Config
+		wantErr error  // nil: Run must succeed
+		errText string // substring of the error, when wantErr is nil but an error is expected
+	}{
+		{name: "all-decided", bodies: []Body{reader, reader}, cfg: Config{Seed: 1}},
+		{name: "halt-at-script-end", bodies: []Body{reader, reader},
+			cfg: Config{Script: []Action{Step(0)}, HaltAtScriptEnd: true}},
+		{name: "script-error", bodies: []Body{reader, reader},
+			cfg: Config{Script: []Action{Step(5)}}, wantErr: ErrScript},
+		{name: "step-budget", bodies: []Body{spin, spin},
+			cfg: Config{Seed: 1, MaxSteps: 10}, wantErr: ErrStepBudget},
+		{name: "run-budget", bodies: []Body{spin, reader},
+			cfg: Config{Seed: 1, MaxStepsPerRun: 10}, wantErr: ErrRunBudget},
+		{name: "body-panic", bodies: []Body{boom, reader},
+			cfg: Config{Script: []Action{Step(1), Step(0)}}, errText: "process 0 panicked: boom"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			_, err := NewRunner(newTestMemory(), tc.bodies, tc.cfg).Run()
+			switch {
+			case tc.wantErr != nil:
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+			case tc.errText != "":
+				if err == nil || !strings.Contains(err.Error(), tc.errText) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.errText)
+				}
+			case err != nil:
+				t.Fatal(err)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Fatalf("goroutines: %d before Run, %d after", before, after)
+			}
+		})
+	}
+}
