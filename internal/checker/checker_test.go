@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"reflect"
 	"testing"
 
 	"rcons/internal/spec"
@@ -428,17 +429,22 @@ func TestRSetTestAndSet(t *testing.T) {
 }
 
 func TestMultisets(t *testing.T) {
-	var got [][]int
-	multisets(2, 3, func(c []int) bool {
-		got = append(got, append([]int(nil), c...))
-		return true
-	})
-	if len(got) != 4 { // (3,0) (2,1) (1,2) (0,3)
-		t.Fatalf("multisets(2,3) produced %d vectors: %v", len(got), got)
-	}
-	for _, c := range got {
-		if c[0]+c[1] != 3 {
-			t.Errorf("multiset %v does not sum to 3", c)
+	// The order fixes which witness a search reports first.
+	for _, tc := range []struct {
+		m, k int
+		want [][]int
+	}{
+		{2, 3, [][]int{{3, 0}, {2, 1}, {1, 2}, {0, 3}}},
+		{3, 2, [][]int{{2, 0, 0}, {1, 1, 0}, {1, 0, 1}, {0, 2, 0}, {0, 1, 1}, {0, 0, 2}}},
+		{1, 2, [][]int{{2}}},
+	} {
+		var got [][]int
+		multisets(tc.m, tc.k, func(c []int) bool {
+			got = append(got, append([]int(nil), c...))
+			return true
+		})
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("multisets(%d,%d) = %v, want %v", tc.m, tc.k, got, tc.want)
 		}
 	}
 }

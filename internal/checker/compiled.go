@@ -1,6 +1,6 @@
 package checker
 
-// Compiled-table verifiers: semantically exact mirrors of
+// Compiled-table verification: semantically exact mirrors of
 // VerifyRecording / VerifyDiscerning that run on a compile.Compiled
 // table instead of interpreting spec.Type. The (state × remaining
 // counts [× j-response]) memoization graph is identical to the
@@ -8,13 +8,27 @@ package checker
 // ops and responses become uint16 indices, Apply becomes two flat array
 // reads, and the string memo keys become a mixed-radix integer (the
 // remaining-counts vector is bounded by per-op totals, so each slot is
-// a digit with radix total+1). Witnesses whose initial state or
-// operations lie outside the table, or with more processes than the
-// dense counts encoding supports, fall back to the interpreted
-// verifier on the table's source type, so the compiled VerifyFuncs are
-// total and return bit-identical verdicts everywhere.
+// a digit with radix total+1).
+//
+// One core serves both entry points. SearchShardCompiled resolves a
+// shard's operations to alphabet slots once (sorted by op string, like
+// the interpreted alphabet) and then checks each candidate directly on
+// its per-team slot count vectors, in scratch buffers drawn from a
+// sync.Pool, so the search allocates nothing per candidate: failures
+// are codes, and only the passing candidate becomes a Witness. The
+// single-witness wrappers CompiledRecording / CompiledDiscerning run
+// the same core and format a Reason only when it reports a failure.
+//
+// Shards or witnesses whose initial state or operations lie outside the
+// table, or with more processes than the dense counts encoding
+// supports, fall back to the interpreted verifier on the table's source
+// type, so both entry points are total and return bit-identical
+// verdicts everywhere.
 
 import (
+	"context"
+	"sync"
+
 	"rcons/internal/compile"
 	"rcons/internal/spec"
 )
@@ -36,7 +50,7 @@ const maxDenseBits = 1 << 25
 // are bit-identical for every witness.
 func CompiledRecording(c *compile.Compiled) VerifyFunc {
 	return func(_ spec.Type, w Witness) (Result, error) {
-		return compiledRecording(c, w)
+		return compiledVerify(c, w, true)
 	}
 }
 
@@ -44,36 +58,387 @@ func CompiledRecording(c *compile.Compiled) VerifyFunc {
 // c's flat tables, interchangeable with VerifyDiscerning.
 func CompiledDiscerning(c *compile.Compiled) VerifyFunc {
 	return func(_ spec.Type, w Witness) (Result, error) {
-		return compiledDiscerning(c, w)
+		return compiledVerify(c, w, false)
 	}
 }
 
-// CompiledVerify selects the compiled verifier for a recording
-// (recording=true) or discerning property check.
-func CompiledVerify(c *compile.Compiled, recording bool) VerifyFunc {
+// interpreted returns the interpreted verifier for a property.
+func interpreted(recording bool) VerifyFunc {
 	if recording {
-		return CompiledRecording(c)
+		return VerifyRecording
 	}
-	return CompiledDiscerning(c)
+	return VerifyDiscerning
+}
+
+// compiledVerify checks one witness on c's tables.
+func compiledVerify(c *compile.Compiled, w Witness, recording bool) (Result, error) {
+	if err := w.Validate(); err != nil {
+		return Result{}, err
+	}
+	q0, ok := c.StateIndex(w.Q0)
+	if !ok || w.N() > maxCompiledN {
+		return interpreted(recording)(c.Source(), w)
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if !sc.setAlphabet(c, w.Ops) {
+		return interpreted(recording)(c.Source(), w)
+	}
+	sc.clearCounts()
+	for i, team := range w.Teams {
+		sc.cnt[team][sc.posSlot[i]]++
+	}
+	v := sc.verify(c, q0, recording)
+	switch v.code {
+	case failShared:
+		return fail("condition 1: state %q is in both Q_A and Q_B", c.StateAt(v.state)), nil
+	case failQ0InA:
+		return fail("condition 2: q0 ∈ Q_A but |B| = %d ≠ 1", w.TeamSize(TeamB)), nil
+	case failQ0InB:
+		return fail("condition 3: q0 ∈ Q_B but |A| = %d ≠ 1", w.TeamSize(TeamA)), nil
+	case failRPair:
+		// Every process of the failing (team, op) class has the same R
+		// sets; name the first.
+		j := 0
+		for w.Teams[j] != v.team || sc.posSlot[j] != v.slot {
+			j++
+		}
+		return fail("R_{A,%d} ∩ R_{B,%d} contains (resp=%q, state=%q)",
+			j, j, c.RespAt(v.resp), c.StateAt(v.state)), nil
+	}
+	return Result{OK: true}, nil
+}
+
+// SearchShardCompiled is SearchShard on c's flat tables for the
+// recording (recording=true) or discerning property: it enumerates the
+// shard's team-B multisets in the same order, returns the same first
+// witness (nil when the shard has none) and honours ctx the same way,
+// without allocating per candidate. A shard whose initial state or
+// operations are missing from the table, with more than maxCompiledN
+// processes, or with an empty team is searched by the interpreted
+// SearchShard on c.Source() instead (which reports the empty team).
+func SearchShardCompiled(ctx context.Context, c *compile.Compiled, s Shard, recording bool) (*Witness, error) {
+	q0, ok := c.StateIndex(s.Q0)
+	aSize := 0
+	for _, k := range s.ACounts {
+		aSize += k
+	}
+	if !ok || s.N > maxCompiledN || aSize < 1 || s.teamBSize() < 1 {
+		return SearchShard(ctx, c.Source(), s, interpreted(recording))
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if !sc.setAlphabet(c, s.Ops) {
+		return SearchShard(ctx, c.Source(), s, interpreted(recording))
+	}
+	b := resize(sc.b, len(s.Ops))
+	sc.b = b
+	clear(b)
+	b[0] = s.teamBSize()
+	for {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		sc.clearCounts()
+		for k, n := range s.ACounts {
+			sc.cnt[TeamA][sc.posSlot[k]] += n
+		}
+		for k, n := range b {
+			sc.cnt[TeamB][sc.posSlot[k]] += n
+		}
+		if sc.verify(c, q0, recording).code == passed {
+			w := witnessFromCounts(s.Q0, s.Ops, s.ACounts, b)
+			return &w, nil
+		}
+		if !nextMultiset(b) {
+			return nil, nil
+		}
+	}
+}
+
+// failCode says which clause of a definition a candidate violates.
+type failCode uint8
+
+const (
+	passed     failCode = iota
+	failShared          // Definition 4 (1): a state in both Q_A and Q_B
+	failQ0InA           // Definition 4 (2): q0 ∈ Q_A but |B| ≠ 1
+	failQ0InB           // Definition 4 (3): q0 ∈ Q_B but |A| ≠ 1
+	failRPair           // Definition 2: R_{A,j} ∩ R_{B,j} ≠ ∅
+)
+
+// verdict is the core's allocation-free outcome: a failCode plus the
+// table indices a reason needs (the shared state, and for failRPair the
+// shared response and the (team, slot) class of the process j).
+type verdict struct {
+	code        failCode
+	state, resp uint16
+	team, slot  int
+}
+
+// scratchPool recycles verification scratch across candidates, shards
+// and the engine's concurrent workers; each user holds its own scratch
+// between Get and Put.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch holds every buffer one compiled verification needs. The
+// alphabet (opTab, posSlot) is fixed per shard or witness; cnt holds
+// the current candidate's per-team slot counts; layout fills totals,
+// strides, prod and fullIdx for the process multiset being explored.
+type scratch struct {
+	order   []int    // positions of the input ops, sorted by op string
+	posSlot []int    // alphabet slot per input op position
+	opTab   []uint16 // table op index per alphabet slot
+	cnt     [2][]int // per-team process count per slot
+	b       []int    // team-B multiset over shard op positions
+
+	totals  []int // per-slot process count being explored (both teams)
+	rem     []int // remaining counts during a DFS
+	strides []int // mixed-radix stride per slot
+	prod    int   // Π(totals+1): size of the counts dimension
+	fullIdx int   // radix index of the full totals vector
+
+	opJ        uint16 // table op of process j (R sets)
+	respFactor int    // NumResps+1: j-slot radix of the R-set memo key
+
+	visited    indexSet
+	outA, outB memberSet
+}
+
+// resize returns s with length n, reallocating only when it lacks the
+// capacity; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// setAlphabet resolves the distinct ops among ops, sorted by string
+// encoding exactly like the interpreted explorers, to table indices,
+// and maps each position of ops to its slot. It reports false when an
+// op is missing from the table, which forces the interpreted fallback.
+func (sc *scratch) setAlphabet(c *compile.Compiled, ops []spec.Op) bool {
+	order := resize(sc.order, len(ops))
+	sc.order = order
+	for i := range order {
+		order[i] = i
+	}
+	// Insertion sort: alphabets are small and this allocates nothing.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && ops[order[j]] < ops[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	sc.posSlot = resize(sc.posSlot, len(ops))
+	sc.opTab = sc.opTab[:0]
+	for i, pos := range order {
+		if i == 0 || ops[pos] != ops[order[i-1]] {
+			oi, ok := c.OpIndex(ops[pos])
+			if !ok {
+				return false
+			}
+			sc.opTab = append(sc.opTab, oi)
+		}
+		sc.posSlot[pos] = len(sc.opTab) - 1
+	}
+	m := len(sc.opTab)
+	sc.cnt[TeamA] = resize(sc.cnt[TeamA], m)
+	sc.cnt[TeamB] = resize(sc.cnt[TeamB], m)
+	sc.totals = resize(sc.totals, m)
+	sc.rem = resize(sc.rem, m)
+	sc.strides = resize(sc.strides, m)
+	return true
+}
+
+func (sc *scratch) clearCounts() {
+	clear(sc.cnt[TeamA])
+	clear(sc.cnt[TeamB])
+}
+
+// layout sets the mixed-radix layout for the processes of the current
+// candidate, minus one process of slot skip when skip ≥ 0 (process j,
+// which the R-set explorer tracks individually). A slot with total 0
+// has radix 1, so memo keys equal those of an alphabet without it.
+func (sc *scratch) layout(skip int) {
+	sc.prod, sc.fullIdx = 1, 0
+	for k := range sc.totals {
+		t := sc.cnt[TeamA][k] + sc.cnt[TeamB][k]
+		if k == skip {
+			t--
+		}
+		sc.totals[k] = t
+		sc.strides[k] = sc.prod
+		sc.fullIdx += t * sc.prod
+		sc.prod *= t + 1
+	}
+}
+
+func (sc *scratch) verify(c *compile.Compiled, q0 uint16, recording bool) verdict {
+	if recording {
+		return sc.recording(c, q0)
+	}
+	return sc.discerning(c, q0)
+}
+
+// recording checks the three conditions of Definition 4.
+func (sc *scratch) recording(c *compile.Compiled, q0 uint16) verdict {
+	sc.layout(-1)
+	sc.qSet(c, q0, TeamA, &sc.outA)
+	sc.qSet(c, q0, TeamB, &sc.outB)
+	for _, s := range sc.outA.members {
+		if sc.outB.has(s) {
+			return verdict{code: failShared, state: uint16(s)}
+		}
+	}
+	sizeA, sizeB := 0, 0
+	for k := range sc.totals {
+		sizeA += sc.cnt[TeamA][k]
+		sizeB += sc.cnt[TeamB][k]
+	}
+	if sc.outA.has(int(q0)) && sizeB != 1 {
+		return verdict{code: failQ0InA}
+	}
+	if sc.outB.has(int(q0)) && sizeA != 1 {
+		return verdict{code: failQ0InB}
+	}
+	return verdict{code: passed}
+}
+
+// qSet computes the Q_x set of Definition 4 into out as state indices,
+// mirroring QSet.
+func (sc *scratch) qSet(c *compile.Compiled, q0 uint16, x int, out *memberSet) {
+	sc.visited.reset(c.NumStates() * sc.prod)
+	out.reset(c.NumStates())
+	copy(sc.rem, sc.totals)
+	for k, oi := range sc.opTab {
+		if sc.cnt[x][k] == 0 {
+			continue
+		}
+		sc.rem[k]--
+		sc.qDFS(c, c.Next(q0, oi), sc.fullIdx-sc.strides[k], out)
+		sc.rem[k]++
+	}
+}
+
+func (sc *scratch) qDFS(c *compile.Compiled, si uint16, remIdx int, out *memberSet) {
+	if !sc.visited.insert(int(si)*sc.prod + remIdx) {
+		return
+	}
+	out.insert(int(si))
+	for k, oi := range sc.opTab {
+		if sc.rem[k] == 0 {
+			continue
+		}
+		sc.rem[k]--
+		sc.qDFS(c, c.Next(si, oi), remIdx-sc.strides[k], out)
+		sc.rem[k]++
+	}
+}
+
+// discerning checks Definition 2. Processes with the same team and
+// operation have identical R sets, so it checks one process j per
+// (team, slot) class rather than every process.
+func (sc *scratch) discerning(c *compile.Compiled, q0 uint16) verdict {
+	ns := c.NumStates()
+	for team := TeamA; team <= TeamB; team++ {
+		for k := range sc.opTab {
+			if sc.cnt[team][k] == 0 {
+				continue
+			}
+			sc.layout(k)
+			sc.rSet(c, q0, TeamA, team, k, &sc.outA)
+			sc.rSet(c, q0, TeamB, team, k, &sc.outB)
+			for _, p := range sc.outA.members {
+				if sc.outB.has(p) {
+					return verdict{code: failRPair, resp: uint16(p / ns), state: uint16(p % ns), team: team, slot: k}
+				}
+			}
+		}
+	}
+	return verdict{code: passed}
+}
+
+// rSet computes R_{x,j} of Definition 2 into out as
+// respIdx*NumStates + stateIdx keys, mirroring RSet, for a process j
+// of team jTeam whose op is alphabet slot jSlot. The j-tracking
+// dimension folds into the memo key as a factor of NumResps+1: slot 0
+// is "j not yet applied", slot 1+r is "j applied, returned response r".
+func (sc *scratch) rSet(c *compile.Compiled, q0 uint16, x, jTeam, jSlot int, out *memberSet) {
+	sc.opJ = sc.opTab[jSlot]
+	sc.respFactor = c.NumResps() + 1
+	sc.visited.reset(c.NumStates() * sc.prod * sc.respFactor)
+	out.reset(c.NumStates() * c.NumResps())
+	copy(sc.rem, sc.totals)
+	// Case 1: process j goes first (only admissible if j is on team x).
+	if jTeam == x {
+		ns, r := c.Apply(q0, sc.opJ)
+		sc.rDFS(c, ns, sc.fullIdx, 1+int(r), out)
+	}
+	// Case 2: another process on team x goes first.
+	for k, oi := range sc.opTab {
+		n := sc.cnt[x][k]
+		if x == jTeam && k == jSlot {
+			n--
+		}
+		if n == 0 {
+			continue
+		}
+		sc.rem[k]--
+		sc.rDFS(c, c.Next(q0, oi), sc.fullIdx-sc.strides[k], 0, out)
+		sc.rem[k]++
+	}
+}
+
+func (sc *scratch) rDFS(c *compile.Compiled, si uint16, remIdx, jSlot int, out *memberSet) {
+	if !sc.visited.insert((int(si)*sc.prod+remIdx)*sc.respFactor + jSlot) {
+		return
+	}
+	if jSlot > 0 {
+		out.insert((jSlot-1)*c.NumStates() + int(si))
+	}
+	for k, oi := range sc.opTab {
+		if sc.rem[k] == 0 {
+			continue
+		}
+		sc.rem[k]--
+		sc.rDFS(c, c.Next(si, oi), remIdx-sc.strides[k], jSlot, out)
+		sc.rem[k]++
+	}
+	if jSlot == 0 {
+		ns, r := c.Apply(si, sc.opJ)
+		sc.rDFS(c, ns, remIdx, 1+int(r), out)
+	}
 }
 
 // indexSet is a visited/membership set over dense integer keys: a flat
 // bitset when the key space is small enough, a hash set otherwise.
+// reset empties it for a key space of the given size, keeping its
+// storage.
 type indexSet struct {
-	bits []uint64
-	m    map[int]struct{}
+	dense bool
+	bits  []uint64
+	m     map[int]struct{}
 }
 
-func newIndexSet(size int) *indexSet {
-	if size <= maxDenseBits {
-		return &indexSet{bits: make([]uint64, (size+63)/64)}
+func (s *indexSet) reset(size int) {
+	s.dense = size <= maxDenseBits
+	if !s.dense {
+		if s.m == nil {
+			s.m = make(map[int]struct{}, 1024)
+		}
+		clear(s.m)
+		return
 	}
-	return &indexSet{m: make(map[int]struct{}, 1024)}
+	s.bits = resize(s.bits, (size+63)/64)
+	clear(s.bits)
 }
 
 // insert adds key and reports whether it was absent.
 func (s *indexSet) insert(key int) bool {
-	if s.bits != nil {
+	if s.dense {
 		w, b := key/64, uint64(1)<<(key%64)
 		if s.bits[w]&b != 0 {
 			return false
@@ -89,7 +454,7 @@ func (s *indexSet) insert(key int) bool {
 }
 
 func (s *indexSet) has(key int) bool {
-	if s.bits != nil {
+	if s.dense {
 		return s.bits[key/64]&(uint64(1)<<(key%64)) != 0
 	}
 	_, ok := s.m[key]
@@ -99,11 +464,14 @@ func (s *indexSet) has(key int) bool {
 // memberSet is an indexSet that also records members in insertion
 // order, for iteration (DFS order is deterministic, so so is this).
 type memberSet struct {
-	set     *indexSet
+	set     indexSet
 	members []int
 }
 
-func newMemberSet(size int) *memberSet { return &memberSet{set: newIndexSet(size)} }
+func (s *memberSet) reset(size int) {
+	s.set.reset(size)
+	s.members = s.members[:0]
+}
 
 func (s *memberSet) insert(key int) {
 	if s.set.insert(key) {
@@ -112,250 +480,3 @@ func (s *memberSet) insert(key int) {
 }
 
 func (s *memberSet) has(key int) bool { return s.set.has(key) }
-
-// cAlphabet is the compiled analogue of Witness.alphabet for a subset
-// of the witness's processes: the distinct operations (sorted by their
-// string encoding, matching the interpreted explorers exactly) resolved
-// to table indices, with per-slot totals and the mixed-radix layout of
-// the remaining-counts vector.
-type cAlphabet struct {
-	opTab   []uint16 // table op index per alphabet slot
-	totals  []int    // per-slot process count (both teams)
-	strides []int    // mixed-radix stride per slot
-	prod    int      // Π(totals+1): size of the counts dimension
-	fullIdx int      // radix index of the full totals vector
-}
-
-// buildAlphabet resolves the distinct ops of the selected witness
-// processes (include(i) true) against the table. ok is false when any
-// op is missing from the table, which forces the interpreted fallback.
-func buildAlphabet(c *compile.Compiled, w Witness, include func(i int) bool) (a cAlphabet, slotOf map[spec.Op]int, ok bool) {
-	set := map[spec.Op]bool{}
-	for i, op := range w.Ops {
-		if include(i) {
-			set[op] = true
-		}
-	}
-	ops := make([]spec.Op, 0, len(set))
-	for op := range set {
-		ops = append(ops, op)
-	}
-	// Insertion sort keeps this allocation-free for the tiny alphabets
-	// (≤ n distinct ops) seen here, and matches the interpreted sort.
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j] < ops[j-1]; j-- {
-			ops[j], ops[j-1] = ops[j-1], ops[j]
-		}
-	}
-	a.opTab = make([]uint16, len(ops))
-	slotOf = make(map[spec.Op]int, len(ops))
-	for k, op := range ops {
-		oi, found := c.OpIndex(op)
-		if !found {
-			return cAlphabet{}, nil, false
-		}
-		a.opTab[k] = oi
-		slotOf[op] = k
-	}
-	a.totals = make([]int, len(ops))
-	for i, op := range w.Ops {
-		if include(i) {
-			a.totals[slotOf[op]]++
-		}
-	}
-	a.strides = make([]int, len(ops))
-	a.prod = 1
-	for k, t := range a.totals {
-		a.strides[k] = a.prod
-		a.prod *= t + 1
-	}
-	for k, t := range a.totals {
-		a.fullIdx += t * a.strides[k]
-	}
-	return a, slotOf, true
-}
-
-// cqExplorer mirrors qExplorer on table indices.
-type cqExplorer struct {
-	c       *compile.Compiled
-	a       cAlphabet
-	visited *indexSet
-	out     *memberSet
-}
-
-func (e *cqExplorer) dfs(si uint16, rem []int, remIdx int) {
-	if !e.visited.insert(int(si)*e.a.prod + remIdx) {
-		return
-	}
-	e.out.insert(int(si))
-	for k := range rem {
-		if rem[k] == 0 {
-			continue
-		}
-		ns := e.c.Next(si, e.a.opTab[k])
-		rem[k]--
-		e.dfs(ns, rem, remIdx-e.a.strides[k])
-		rem[k]++
-	}
-}
-
-// compiledQSet computes the Q_x set of Definition 4 as a memberSet of
-// state indices, mirroring QSet.
-func compiledQSet(c *compile.Compiled, q0 uint16, a cAlphabet, countsX []int) *memberSet {
-	e := &cqExplorer{
-		c:       c,
-		a:       a,
-		visited: newIndexSet(c.NumStates() * a.prod),
-		out:     newMemberSet(c.NumStates()),
-	}
-	merged := append([]int(nil), a.totals...)
-	for k := range a.opTab {
-		if countsX[k] == 0 {
-			continue
-		}
-		ns := c.Next(q0, a.opTab[k])
-		merged[k]--
-		e.dfs(ns, merged, a.fullIdx-a.strides[k])
-		merged[k]++
-	}
-	return e.out
-}
-
-func compiledRecording(c *compile.Compiled, w Witness) (Result, error) {
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	q0, ok := c.StateIndex(w.Q0)
-	if !ok || w.N() > maxCompiledN {
-		return VerifyRecording(c.Source(), w)
-	}
-	a, slotOf, ok := buildAlphabet(c, w, func(int) bool { return true })
-	if !ok {
-		return VerifyRecording(c.Source(), w)
-	}
-	counts := [2][]int{make([]int, len(a.opTab)), make([]int, len(a.opTab))}
-	for i, op := range w.Ops {
-		counts[w.Teams[i]][slotOf[op]]++
-	}
-	qa := compiledQSet(c, q0, a, counts[TeamA])
-	qb := compiledQSet(c, q0, a, counts[TeamB])
-	for _, s := range qa.members {
-		if qb.has(s) {
-			return fail("condition 1: state %q is in both Q_A and Q_B", c.StateAt(uint16(s))), nil
-		}
-	}
-	if qa.has(int(q0)) && w.TeamSize(TeamB) != 1 {
-		return fail("condition 2: q0 ∈ Q_A but |B| = %d ≠ 1", w.TeamSize(TeamB)), nil
-	}
-	if qb.has(int(q0)) && w.TeamSize(TeamA) != 1 {
-		return fail("condition 3: q0 ∈ Q_B but |A| = %d ≠ 1", w.TeamSize(TeamA)), nil
-	}
-	return Result{OK: true}, nil
-}
-
-// crExplorer mirrors rExplorer on table indices. The j-tracking
-// dimension folds into the memo key as a factor of NumResps+1: slot 0
-// is "j not yet applied", slot 1+r is "j applied, returned response r".
-type crExplorer struct {
-	c          *compile.Compiled
-	a          cAlphabet
-	opJ        uint16
-	respFactor int
-	visited    *indexSet
-	out        *memberSet // keys: respIdx*NumStates + stateIdx
-}
-
-func (e *crExplorer) dfs(si uint16, rem []int, remIdx, jSlot int) {
-	if !e.visited.insert((int(si)*e.a.prod+remIdx)*e.respFactor + jSlot) {
-		return
-	}
-	if jSlot > 0 {
-		e.out.insert((jSlot-1)*e.c.NumStates() + int(si))
-	}
-	for k := range rem {
-		if rem[k] == 0 {
-			continue
-		}
-		ns := e.c.Next(si, e.a.opTab[k])
-		rem[k]--
-		e.dfs(ns, rem, remIdx-e.a.strides[k], jSlot)
-		rem[k]++
-	}
-	if jSlot == 0 {
-		ns, r := e.c.Apply(si, e.opJ)
-		e.dfs(ns, rem, remIdx, 1+int(r))
-	}
-}
-
-// compiledRSet computes R_{x,j} of Definition 2 as a memberSet of
-// (response, state) index pairs, mirroring RSet. ok is false when some
-// operation is outside the table.
-func compiledRSet(c *compile.Compiled, w Witness, q0 uint16, x, j int) (*memberSet, bool) {
-	a, slotOf, ok := buildAlphabet(c, w, func(i int) bool { return i != j })
-	if !ok {
-		return nil, false
-	}
-	opJ, ok := c.OpIndex(w.Ops[j])
-	if !ok {
-		return nil, false
-	}
-	countsX := make([]int, len(a.opTab))
-	for i, op := range w.Ops {
-		if i != j && w.Teams[i] == x {
-			countsX[slotOf[op]]++
-		}
-	}
-	e := &crExplorer{
-		c:          c,
-		a:          a,
-		opJ:        opJ,
-		respFactor: c.NumResps() + 1,
-		visited:    newIndexSet(c.NumStates() * a.prod * (c.NumResps() + 1)),
-		out:        newMemberSet(c.NumStates() * c.NumResps()),
-	}
-	merged := append([]int(nil), a.totals...)
-	// Case 1: process j goes first (only admissible if j is on team x).
-	if w.Teams[j] == x {
-		ns, r := c.Apply(q0, opJ)
-		e.dfs(ns, merged, a.fullIdx, 1+int(r))
-	}
-	// Case 2: another process on team x goes first.
-	for k := range a.opTab {
-		if countsX[k] == 0 {
-			continue
-		}
-		ns := c.Next(q0, a.opTab[k])
-		merged[k]--
-		e.dfs(ns, merged, a.fullIdx-a.strides[k], 0)
-		merged[k]++
-	}
-	return e.out, true
-}
-
-func compiledDiscerning(c *compile.Compiled, w Witness) (Result, error) {
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	q0, ok := c.StateIndex(w.Q0)
-	if !ok || w.N() > maxCompiledN {
-		return VerifyDiscerning(c.Source(), w)
-	}
-	for j := 0; j < w.N(); j++ {
-		ra, ok := compiledRSet(c, w, q0, TeamA, j)
-		if !ok {
-			return VerifyDiscerning(c.Source(), w)
-		}
-		rb, ok := compiledRSet(c, w, q0, TeamB, j)
-		if !ok {
-			return VerifyDiscerning(c.Source(), w)
-		}
-		for _, p := range ra.members {
-			if rb.has(p) {
-				ri, si := p/c.NumStates(), p%c.NumStates()
-				return fail("R_{A,%d} ∩ R_{B,%d} contains (resp=%q, state=%q)",
-					j, j, c.RespAt(uint16(ri)), c.StateAt(uint16(si))), nil
-			}
-		}
-	}
-	return Result{OK: true}, nil
-}

@@ -45,32 +45,45 @@ func (o *SearchOptions) fill(t spec.Type, n int) ([]spec.State, []spec.Op) {
 type VerifyFunc func(spec.Type, Witness) (Result, error)
 
 // multisets enumerates all multisets of size k over m symbols, invoking
-// yield with a count vector of length m for each. yield must not retain
-// the slice. It returns false if yield returned false (early stop).
+// yield with a count vector of length m for each, in nextMultiset's
+// order. yield must not retain the slice. It returns false if yield
+// returned false (early stop).
 func multisets(m, k int, yield func(counts []int) bool) bool {
-	counts := make([]int, m)
-	var rec func(pos, left int) bool
-	rec = func(pos, left int) bool {
-		if pos == m-1 {
-			counts[pos] = left
-			ok := yield(counts)
-			counts[pos] = 0
-			return ok
-		}
-		for c := left; c >= 0; c-- {
-			counts[pos] = c
-			if !rec(pos+1, left-c) {
-				counts[pos] = 0
-				return false
-			}
-		}
-		counts[pos] = 0
-		return true
-	}
 	if m == 0 {
 		return k != 0 || yield(nil)
 	}
-	return rec(0, k)
+	counts := make([]int, m)
+	counts[0] = k
+	for {
+		if !yield(counts) {
+			return false
+		}
+		if !nextMultiset(counts) {
+			return true
+		}
+	}
+}
+
+// nextMultiset advances counts to the next multiset of the same size,
+// in the order that starts with everything in slot 0 and counts each
+// slot down before the slots after it, like nested loops over slots
+// 0 … m−2 with the last slot taking the remainder: for m = 3, k = 2
+// that is (2,0,0) (1,1,0) (1,0,1) (0,2,0) (0,1,1) (0,0,2). It reports
+// false, leaving counts unchanged, after the last one.
+func nextMultiset(counts []int) bool {
+	last := len(counts) - 1
+	for p := last - 1; p >= 0; p-- {
+		if counts[p] > 0 {
+			// Slots p+1 … last−1 are empty: move one from p, and the
+			// last slot's remainder, to p+1.
+			r := counts[last] + 1
+			counts[p]--
+			counts[last] = 0
+			counts[p+1] = r
+			return true
+		}
+	}
+	return false
 }
 
 // witnessFromCounts materializes a concrete witness from per-team

@@ -295,10 +295,15 @@ func (e *Engine) Search(ctx context.Context, t spec.Type, p Property, n int) (*c
 	span.SetAttr("n", strconv.Itoa(n))
 	defer span.End()
 	comp := e.compiledFor(t, n, key, haveKey)
-	if comp != nil {
-		verify = checker.CompiledVerify(comp, p == Recording)
+	searchShard := func(ctx context.Context, s checker.Shard) (*checker.Witness, error) {
+		return checker.SearchShard(ctx, t, s, verify)
 	}
-	w, err := e.searchParallel(sctx, t, n, verify, comp)
+	if comp != nil {
+		searchShard = func(ctx context.Context, s checker.Shard) (*checker.Witness, error) {
+			return checker.SearchShardCompiled(ctx, comp, s, p == Recording)
+		}
+	}
+	w, err := e.searchParallel(sctx, t, n, searchShard, comp)
 	if err != nil {
 		span.MarkError()
 		return nil, err
@@ -447,7 +452,13 @@ func pruneSymmetricShards(shards []checker.Shard, c *compile.Compiled) []checker
 // stop claiming shards past it, in-flight later shards are cancelled
 // through their contexts, and earlier in-flight shards run to completion
 // because they could still yield the canonical (first-in-order) witness.
-func (e *Engine) searchParallel(ctx context.Context, t spec.Type, n int, verify checker.VerifyFunc, comp *compile.Compiled) (*checker.Witness, error) {
+// searchShard searches one shard; comp, when non-nil, is the table it
+// runs on, whose symmetries prune the shard list.
+func (e *Engine) searchParallel(
+	ctx context.Context, t spec.Type, n int,
+	searchShard func(context.Context, checker.Shard) (*checker.Witness, error),
+	comp *compile.Compiled,
+) (*checker.Witness, error) {
 	shards, err := checker.Shards(t, n, nil)
 	if err != nil || len(shards) == 0 {
 		return nil, err
@@ -459,7 +470,7 @@ func (e *Engine) searchParallel(ctx context.Context, t spec.Type, n int, verify 
 	if workers <= 1 {
 		for _, s := range shards {
 			e.sem <- struct{}{}
-			w, err := checker.SearchShard(ctx, t, s, verify)
+			w, err := searchShard(ctx, s)
 			<-e.sem
 			if err != nil {
 				return nil, err
@@ -497,7 +508,7 @@ func (e *Engine) searchParallel(ctx context.Context, t spec.Type, n int, verify 
 				mu.Unlock()
 
 				e.sem <- struct{}{}
-				w, err := checker.SearchShard(sctx, t, shards[i], verify)
+				w, err := searchShard(sctx, shards[i])
 				<-e.sem
 
 				mu.Lock()
