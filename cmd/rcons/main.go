@@ -277,8 +277,8 @@ func runModelCheck(target string, n, depth, crashes, nodeBudget int, progress ob
 	fmt.Printf("target:      %s (n=%d, %s crashes)\n", res.Target, n, res.Model)
 	fmt.Printf("bounds:      depth ≤ %d, crashes ≤ %d\n", res.MaxDepth, res.CrashBudget)
 	fmt.Printf("mode:        %s\n", mode)
-	fmt.Printf("effort:      %d prefixes, %d pruned, %d completions, %d swarm runs, %d rounds\n",
-		res.Stats.Nodes, res.Stats.Pruned, res.Stats.Completions, res.Stats.SwarmRuns, res.Stats.Rounds)
+	fmt.Printf("effort:      %d prefixes, %d pruned, %d replays, %d completions, %d swarm runs, %d rounds\n",
+		res.Stats.Nodes, res.Stats.Pruned, res.Stats.Replays, res.Stats.Completions, res.Stats.SwarmRuns, res.Stats.Rounds)
 	if res.Safe {
 		fmt.Println("verdict:     SAFE")
 		return nil

@@ -1,0 +1,328 @@
+package mc
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"rcons/internal/sim"
+)
+
+// continuationTargets are the systems the continuation parity checks
+// run on: every fuzz target, plus universal, whose bodies read the
+// global step clock (sim.Proc.Now) and so depend on when they ran.
+func continuationTargets(t testing.TB) []Target {
+	uni, err := TargetByName("universal", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uni.ClockSensitive = true
+	return append(append([]Target(nil), fuzzTargetList(t)...), uni)
+}
+
+// runState is everything the continuation parity checks compare
+// between a continued and a fresh execution.
+type runState struct {
+	Decided     []bool
+	Decisions   []sim.Value
+	Crashes     []int
+	Runs        []int
+	Steps       int
+	Schedule    []sim.Action
+	EventHashes []uint64
+	ClockHashes []uint64
+	Digest      uint64
+	Trace       []sim.TraceEvent
+	Err         string
+}
+
+// stateOf copies an execution's state, so that comparing it later with
+// the same outcome detects changes. The memory digest must be read
+// before the execution takes another action: memory is live.
+func stateOf(out *sim.Outcome, m *sim.Memory, err error) runState {
+	st := runState{
+		Decided:     slices.Clone(out.Decided),
+		Decisions:   slices.Clone(out.Decisions),
+		Crashes:     slices.Clone(out.Crashes),
+		Runs:        slices.Clone(out.Runs),
+		Steps:       out.Steps,
+		Schedule:    slices.Clone(out.Schedule),
+		EventHashes: slices.Clone(out.EventHashes),
+		ClockHashes: slices.Clone(out.ClockHashes),
+		Digest:      m.Digest(),
+		Trace:       slices.Clone(out.Trace),
+	}
+	if err != nil {
+		st.Err = err.Error()
+	}
+	return st
+}
+
+// freshState is freshRun's state, memoized per (script, halt) when memo
+// is non-nil.
+func freshState(tgt Target, script []sim.Action, halt bool, memo map[string]runState) runState {
+	key := sim.FormatScript(script)
+	if !halt {
+		key += " +fair"
+	}
+	if st, ok := memo[key]; ok {
+		return st
+	}
+	_, m, out, err := freshRun(tgt, script, halt)
+	st := stateOf(out, m, err)
+	if memo != nil {
+		memo[key] = st
+	}
+	return st
+}
+
+// checkContinuation starts tgt's empty prefix, extends it by script one
+// action at a time, and requires every pause to equal a fresh
+// HaltAtScriptEnd run of the same prefix. If every Extend succeeded, it
+// then requires Run from the last pause to equal a fresh FairCompletion
+// run of script. Finally it re-checks every snapshot taken on the way,
+// since later actions must not have changed them.
+func checkContinuation(t testing.TB, tgt Target, script []sim.Action, memo map[string]runState) {
+	t.Helper()
+	m, bodies, _ := tgt.Factory()
+	r := sim.NewRunner(m, bodies, sim.Config{
+		Model:              tgt.Model,
+		FairCompletion:     true,
+		DecideRequiresStep: true,
+		MaxSteps:           Options{}.filled().MaxSteps,
+	})
+	defer r.Close()
+	r.RecordTrace()
+	r.RecordDigests()
+	r.RecordSchedule()
+
+	type pause struct {
+		out   *sim.Outcome
+		state runState
+	}
+	var pauses []pause
+	compare := func(what string, got, want runState) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s of %s differs from a fresh run:\ncontinued: %+v\nfresh:     %+v",
+				tgt.Name, what, sim.FormatScript(script), got, want)
+		}
+	}
+
+	out, err := r.Start()
+	for i := 0; ; i++ {
+		got := stateOf(out, m, err)
+		want := freshState(tgt, script[:i], true, memo)
+		compare("pause after "+sim.FormatScript(script[:i]), got, want)
+		pauses = append(pauses, pause{out: out, state: got})
+		if err != nil {
+			break
+		}
+		if i == len(script) {
+			out, err = r.Run()
+			compare("Run", stateOf(out, m, err), freshState(tgt, script, false, memo))
+			break
+		}
+		out, err = r.Extend(script[i])
+	}
+	for _, p := range pauses {
+		again := stateOf(p.out, m, nil)
+		// Memory is live and the error is not part of the outcome: only
+		// the outcome snapshot must be unchanged.
+		again.Digest, again.Err = p.state.Digest, p.state.Err
+		compare("snapshot", again, p.state)
+	}
+}
+
+// TestContinuedRunMatchesReplay is the soundness check for the search's
+// continued executions: on every continuation target, for every
+// admissible script up to length 6, a run started at the empty prefix
+// and extended one action at a time reaches exactly the outcome, trace,
+// digests and memory of a fresh run of each prefix, and Run from any
+// pause equals a fresh fair-completion run.
+func TestContinuedRunMatchesReplay(t *testing.T) {
+	const maxLen = 6
+	for _, tgt := range continuationTargets(t) {
+		t.Run(tgt.Name, func(t *testing.T) {
+			alphabet := []sim.Action{sim.Step(0), sim.Step(1)}
+			if tgt.Model == sim.Simultaneous {
+				alphabet = append(alphabet, sim.CrashAll())
+			} else {
+				alphabet = append(alphabet, sim.Crash(0), sim.Crash(1))
+			}
+			memo := map[string]runState{}
+			scripts := 0
+			// walk checks script and, while it is admissible, shorter
+			// than maxLen and leaves a process undecided, every
+			// one-action extension. An inadmissible extension is checked
+			// too: Extend must fail on it exactly as the fresh run does.
+			var walk func(script []sim.Action)
+			walk = func(script []sim.Action) {
+				scripts++
+				checkContinuation(t, tgt, script, memo)
+				st := freshState(tgt, script, true, memo)
+				if st.Err != "" || len(script) == maxLen || !slices.Contains(st.Decided, false) {
+					return
+				}
+				for _, a := range alphabet {
+					walk(appendAction(script, a))
+				}
+			}
+			walk(nil)
+			t.Logf("%d scripts", scripts)
+		})
+	}
+}
+
+// FuzzContinuationParity runs checkContinuation on random schedules of
+// every continuation target. Inadmissible schedules are checked too: the
+// continued run must fail at the same action, with the same error, as
+// the fresh run.
+func FuzzContinuationParity(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 3, 6, 0, 3})
+	f.Add(uint8(1), []byte{0, 0, 1, 7, 3, 3})
+	f.Add(uint8(4), []byte{0, 6, 3, 0, 3, 0})
+	f.Add(uint8(5), []byte{3, 0, 3, 0, 0, 3, 6, 0, 3})
+	f.Fuzz(func(t *testing.T, tgtSel uint8, raw []byte) {
+		tgts := continuationTargets(t)
+		tgt := tgts[int(tgtSel)%len(tgts)]
+		checkContinuation(t, tgt, decodeSchedule(raw, tgt.Model), nil)
+	})
+}
+
+// TestReplaysDeterministicAcrossWorkers checks the Replays count on a
+// safe exhaustive search: equal at every worker count, like Nodes and
+// Pruned, and below Nodes because first extensions and depth-bound
+// completions continue their parent's execution.
+func TestReplaysDeterministicAcrossWorkers(t *testing.T) {
+	tgt := mustTarget(t, "team-sn", 2)
+	var first *Result
+	for _, workers := range []int{1, 2, 4} {
+		res := check(t, tgt, Options{MaxDepth: 9, CrashBudget: 1, Workers: workers})
+		if !res.Safe || !res.Exhaustive {
+			t.Fatalf("workers=%d: team-sn not verified: safe=%v exhaustive=%v", workers, res.Safe, res.Exhaustive)
+		}
+		// The node counts the benchmark records for this check.
+		if res.Stats.Nodes != 1966 || res.Stats.Pruned != 700 {
+			t.Fatalf("workers=%d: nodes=%d pruned=%d, want 1966 and 700", workers, res.Stats.Nodes, res.Stats.Pruned)
+		}
+		if res.Stats.Replays <= 0 || res.Stats.Replays >= res.Stats.Nodes {
+			t.Fatalf("workers=%d: replays=%d, want 0 < replays < nodes=%d", workers, res.Stats.Replays, res.Stats.Nodes)
+		}
+		if first == nil {
+			first = res
+		} else if res.Stats.Replays != first.Stats.Replays {
+			t.Fatalf("replays depend on worker count: %d at 1 worker, %d at %d", first.Stats.Replays, res.Stats.Replays, workers)
+		}
+	}
+	t.Logf("team-sn depth 9: %d nodes, %d replays", first.Stats.Nodes, first.Stats.Replays)
+}
+
+// TestCheckLeavesNoGoroutines checks that every way a search can end
+// closes each paused execution it held, so no process coroutine
+// outlives Check.
+var errRejected = errors.New("prefix rejected with a live process")
+
+func wantRejected(res *Result, err error) error {
+	if err != nil || res.Safe || res.CE.Violation != errRejected.Error() {
+		return fmt.Errorf("want the rejected prefix reported, got %+v, %v", res, err)
+	}
+	return nil
+}
+
+func TestCheckLeavesNoGoroutines(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name   string
+		tgt    Target
+		opts   Options
+		cancel int // > 0: cancel the search from inside its cancel-th checker call
+		// reject, when set, makes the checker reject every execution
+		// whose schedule it matches while a process is undecided.
+		reject func([]sim.Action) bool
+		verify func(*Result, error) error
+	}{
+		{name: "safe", tgt: mustTarget(t, "team-sn", 2), opts: Options{MaxDepth: 9, CrashBudget: 1},
+			verify: func(res *Result, err error) error {
+				if err != nil || !res.Safe || !res.Exhaustive {
+					return fmt.Errorf("want a safe exhaustive result, got %+v, %v", res, err)
+				}
+				return nil
+			}},
+		{name: "violation", tgt: mustTarget(t, "unsafe-noyield", 2), opts: Options{MaxDepth: 12, CrashBudget: 1},
+			verify: func(res *Result, err error) error {
+				if err != nil || res.Safe {
+					return fmt.Errorf("want a violation, got %+v, %v", res, err)
+				}
+				return nil
+			}},
+		// The checker rejects a prefix while processes are still parked:
+		// in root enumeration, in a worker's dfs on a run continued from
+		// the parent, and on a fresh later sibling (a crash extension is
+		// never a first child).
+		{name: "violation-live-root", tgt: mustTarget(t, "team-sn", 2), opts: Options{MaxDepth: 9, CrashBudget: 1},
+			reject: func(s []sim.Action) bool { return len(s) == 1 }, verify: wantRejected},
+		{name: "violation-live-continued", tgt: mustTarget(t, "team-sn", 2), opts: Options{MaxDepth: 9, CrashBudget: 1},
+			reject: func(s []sim.Action) bool { return len(s) == 4 }, verify: wantRejected},
+		{name: "violation-live-sibling", tgt: mustTarget(t, "team-sn", 2), opts: Options{MaxDepth: 9, CrashBudget: 1},
+			reject: func(s []sim.Action) bool { return len(s) == 4 && s[3].Kind == sim.ActCrash }, verify: wantRejected},
+		{name: "node-budget", tgt: mustTarget(t, "team-sn", 2),
+			opts: Options{MaxDepth: 10, CrashBudget: 1, NodeBudget: 300, SwarmSchedules: 64},
+			verify: func(res *Result, err error) error {
+				if err != nil || res.Exhaustive || res.Stats.SwarmRuns == 0 {
+					return fmt.Errorf("want a swarm fallback, got %+v, %v", res, err)
+				}
+				return nil
+			}},
+		{name: "cancelled", tgt: mustTarget(t, "team-sn", 2), opts: Options{MaxDepth: 9, CrashBudget: 1},
+			cancel: 500,
+			verify: func(_ *Result, err error) error {
+				if !errors.Is(err, context.Canceled) {
+					return fmt.Errorf("want context.Canceled, got %v", err)
+				}
+				return nil
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := ctx
+			tgt := tc.tgt
+			if tc.cancel > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(ctx)
+				defer cancel()
+				var calls atomic.Int64
+				check := tgt.Check
+				tgt.Check = func(inputs []sim.Value, m *sim.Memory, out *sim.Outcome) error {
+					if calls.Add(1) == int64(tc.cancel) {
+						cancel()
+					}
+					return check(inputs, m, out)
+				}
+			}
+			if tc.reject != nil {
+				check := tgt.Check
+				tgt.Check = func(inputs []sim.Value, m *sim.Memory, out *sim.Outcome) error {
+					if tc.reject(out.Schedule) && slices.Contains(out.Decided, false) {
+						return errRejected
+					}
+					return check(inputs, m, out)
+				}
+			}
+			tc.opts.Workers = 2
+			before := runtime.NumGoroutine()
+			res, err := Check(ctx, tgt, tc.opts)
+			if verr := tc.verify(res, err); verr != nil {
+				t.Fatal(verr)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Fatalf("goroutines: %d before Check, %d after", before, after)
+			}
+		})
+	}
+}

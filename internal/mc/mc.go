@@ -80,8 +80,9 @@ func OutcomeCheck(check func(inputs []sim.Value, out *sim.Outcome) error) Checke
 }
 
 // Target is a system under check: a fresh-instance factory (the checker
-// re-executes from scratch for every explored prefix), the failure model
-// the adversary plays, and the safety predicate.
+// starts executions from it and replays prefixes on fresh instances, so
+// every instance must behave identically), the failure model the
+// adversary plays, and the safety predicate.
 type Target struct {
 	// Name identifies the target in reports and API responses.
 	Name string
@@ -184,6 +185,12 @@ type Stats struct {
 	// Pruned counts prefixes skipped by configuration-fingerprint
 	// pruning.
 	Pruned int `json:"pruned"`
+	// Replays is the number of executions the exhaustive search started
+	// from a fresh Factory instance, root-deduplication probes included.
+	// The other nodes continued their parent's paused execution. Like
+	// Nodes and Pruned it is deterministic for safe, exhaustive runs at
+	// any worker count. Swarm executions are counted by SwarmRuns.
+	Replays int `json:"replays"`
 	// Completions is the number of full executions checked.
 	Completions int `json:"completions"`
 	// BoundaryHits counts leaves that hit the depth bound with live

@@ -68,17 +68,40 @@ func withLegacyPipeline(opts Options) Options {
 	return opts
 }
 
+// freshRun executes script against a new instance of tgt in a single
+// sim.Runner.Run, configured as the search configures its executions:
+// halted at the script's end, or extended by the fair completion. It
+// never pauses or continues a run, so the oracles built on it stay
+// independent of the search's continued executions. Trace, schedule and
+// digests are all recorded.
+func freshRun(tgt Target, script []sim.Action, halt bool) ([]sim.Value, *sim.Memory, *sim.Outcome, error) {
+	m, bodies, inputs := tgt.Factory()
+	r := sim.NewRunner(m, bodies, sim.Config{
+		Model:              tgt.Model,
+		Script:             script,
+		HaltAtScriptEnd:    halt,
+		FairCompletion:     !halt,
+		DecideRequiresStep: true,
+		MaxSteps:           Options{}.filled().MaxSteps,
+	})
+	r.RecordTrace()
+	r.RecordDigests()
+	r.RecordSchedule()
+	out, err := r.Run()
+	return inputs, m, out, err
+}
+
 // enumerate is the pruning-free oracle for the search: a sequential
 // depth-first walk over EVERY schedule prefix of tgt up to maxDepth with
 // at most crashBudget crash events — no fingerprints, no root
-// partitioning, no iterative deepening. Each prefix is executed and
-// checked as a search node is (runScript); one that reaches maxDepth with
-// live processes is extended by its fair completion. It returns the
-// number of prefixes executed and the first violation.
+// partitioning, no iterative deepening, no continued executions. Each
+// prefix is executed from scratch (freshRun) and checked as a search
+// node is; one that reaches maxDepth with live processes is extended by
+// its fair completion. It returns the number of prefixes executed and
+// the first violation.
 func enumerate(tgt Target, maxDepth, crashBudget int) (prefixes int, err error) {
-	s := &search{tgt: tgt, opts: Options{}.filled()}
 	run := func(script []sim.Action, halt bool) (*sim.Outcome, error) {
-		inputs, m, out, err := s.runScript(script, halt)
+		inputs, m, out, err := freshRun(tgt, script, halt)
 		if err == nil {
 			err = tgt.Check(inputs, m, out)
 		}

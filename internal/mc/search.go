@@ -26,6 +26,7 @@ type search struct {
 
 	nodes        atomic.Int64
 	pruned       atomic.Int64
+	replays      atomic.Int64
 	completions  atomic.Int64
 	boundaryHits atomic.Int64
 	swarmRuns    atomic.Int64
@@ -64,6 +65,7 @@ func (s *search) snapshotStats() Stats {
 	return Stats{
 		Nodes:        int(s.nodes.Load()),
 		Pruned:       int(s.pruned.Load()),
+		Replays:      int(s.replays.Load()),
 		Completions:  int(s.completions.Load()),
 		BoundaryHits: int(s.boundaryHits.Load()),
 		SwarmRuns:    int(s.swarmRuns.Load()),
@@ -72,18 +74,30 @@ func (s *search) snapshotStats() Stats {
 	}
 }
 
-// runScript executes one scripted prefix of the target. halt selects
-// prefix enumeration (stop at script end) versus full execution (extend
-// the prefix with the deterministic crash-free fair completion). The
-// incremental fingerprint needs only the O(1) rolling digests; a test
-// oracle (Options.fingerprintOracle) gets the full event trace.
-func (s *search) runScript(script []sim.Action, halt bool) ([]sim.Value, *sim.Memory, *sim.Outcome, error) {
+// execution is one run of the target, paused at the end of its script:
+// the inputs and memory the checker reads, and the runner that extends
+// it by one more action or finishes it with the fair completion.
+type execution struct {
+	inputs []sim.Value
+	m      *sim.Memory
+	r      *sim.Runner
+}
+
+// fresh executes script against a new instance of the target and
+// pauses it at the script's end (sim.Runner.Start). It is the search's
+// only way to begin an execution, and the executions it begins are what
+// Stats.Replays counts. Run on the paused runner extends the prefix with
+// the deterministic crash-free fair completion. The incremental
+// fingerprint needs only the O(1) rolling digests; a test oracle
+// (Options.fingerprintOracle) gets the full event trace. On an error
+// the runner has already been torn down.
+func (s *search) fresh(script []sim.Action) (*execution, *sim.Outcome, error) {
+	s.replays.Add(1)
 	m, bodies, inputs := s.tgt.Factory()
 	cfg := sim.Config{
 		Model:              s.tgt.Model,
 		Script:             script,
-		HaltAtScriptEnd:    halt,
-		FairCompletion:     !halt,
+		FairCompletion:     true,
 		DecideRequiresStep: true,
 		MaxSteps:           s.opts.MaxSteps,
 	}
@@ -94,8 +108,21 @@ func (s *search) runScript(script []sim.Action, halt bool) ([]sim.Value, *sim.Me
 		r.RecordDigests()
 	}
 	r.RecordSchedule()
-	out, err := r.Run()
-	return inputs, m, out, err
+	out, err := r.Start()
+	return &execution{inputs: inputs, m: m, r: r}, out, err
+}
+
+// violation reports how ex failed to reach out: a simulator error, or
+// else the target's checker rejecting the outcome. It returns nil for a
+// correct execution.
+func (s *search) violation(ex *execution, out *sim.Outcome, err error) *violation {
+	if err == nil {
+		err = s.tgt.Check(ex.inputs, ex.m, out)
+	}
+	if err != nil {
+		return &violation{schedule: out.Schedule, err: err}
+	}
+	return nil
 }
 
 // fingerprint hashes the configuration a prefix reached: the non-volatile
@@ -195,7 +222,7 @@ func (s *search) enumerateRoots(ctx context.Context, depth int) ([]node, *violat
 	for level := 0; level < min(rootDepth, depth); level++ {
 		var next []node
 		for _, nd := range frontier {
-			ext, viol, err := s.expand(ctx, nd, depth)
+			ext, viol, err := s.expand(ctx, nd)
 			if err != nil || viol != nil {
 				return nil, viol, err
 			}
@@ -208,30 +235,55 @@ func (s *search) enumerateRoots(ctx context.Context, depth int) ([]node, *violat
 
 // expand executes one prefix, checks it, and returns its enabled
 // one-action extensions (empty when all processes decided or the node
-// was pruned — roots are never pruned, see dfs).
-func (s *search) expand(ctx context.Context, nd node, depth int) ([]node, *violation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+// budget ran out — roots are never pruned, see dfs).
+func (s *search) expand(ctx context.Context, nd node) ([]node, *violation, error) {
+	ex, out, v, err := s.visit(ctx, nd, nil)
+	if ex == nil || v != nil {
+		return nil, v, err
 	}
-	if s.nodes.Add(1) > int64(s.opts.NodeBudget) {
-		s.exceeded.Store(true)
-		return nil, nil, nil
-	}
-	s.observeDepth(len(nd.script))
-
-	inputs, m, out, err := s.runScript(nd.script, true)
-	if err != nil {
-		return nil, &violation{schedule: out.Schedule, err: err}, nil
-	}
-	if cerr := s.tgt.Check(inputs, m, out); cerr != nil {
-		return nil, &violation{schedule: out.Schedule, err: cerr}, nil
-	}
+	ex.r.Close()
 	live := liveProcs(out)
 	if len(live) == 0 {
 		s.completions.Add(1)
 		return nil, nil, nil
 	}
 	return s.extensions(nd, live), nil, nil
+}
+
+// visit counts one search node, executes its prefix and checks it. The
+// execution continues parent — paused at nd's prefix minus its last
+// action — by that action, or starts fresh when parent is nil. It
+// returns a nil execution when the node is not executed (context done,
+// node budget exhausted). With a violation the runner is already
+// closed; otherwise the caller owns the returned execution and must
+// close its runner.
+func (s *search) visit(ctx context.Context, nd node, parent *execution) (*execution, *sim.Outcome, *violation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+	if s.nodes.Add(1) > int64(s.opts.NodeBudget) {
+		s.exceeded.Store(true)
+		return nil, nil, nil, nil
+	}
+	s.observeDepth(len(nd.script))
+
+	ex := parent
+	var (
+		out *sim.Outcome
+		err error
+	)
+	if ex != nil {
+		out, err = ex.r.Extend(nd.script[len(nd.script)-1])
+	} else {
+		ex, out, err = s.fresh(nd.script)
+	}
+	v := s.violation(ex, out, err)
+	if v != nil {
+		// A violation ends the branch, and the checker may reject a
+		// prefix while processes are still parked.
+		ex.r.Close()
+	}
+	return ex, out, v, nil
 }
 
 // extensions lists nd's one-action continuations in canonical order:
@@ -306,14 +358,15 @@ func (s *search) dedupRoots(ctx context.Context, roots []node) ([]node, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		_, m, o, err := s.runScript(nd.script, true)
+		ex, o, err := s.fresh(nd.script)
+		ex.r.Close()
 		if err != nil {
 			// A violating root must survive to be (re)discovered and
 			// reported by dfs in canonical order.
 			out = append(out, nd)
 			continue
 		}
-		key := rootKey{fp: s.fingerprint(o, m, nd.crashes), crashes: nd.crashes}
+		key := rootKey{fp: s.fingerprint(o, ex.m, nd.crashes), crashes: nd.crashes}
 		if seen[key] {
 			s.pruned.Add(1)
 			continue
@@ -381,7 +434,7 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 				mu.Unlock()
 
 				visited := map[Fingerprint]uint64{}
-				v, err := s.dfs(rctx, roots[i], depth, visited)
+				v, err := s.dfs(rctx, roots[i], depth, visited, nil)
 				s.frontier.Add(-1)
 
 				mu.Lock()
@@ -431,23 +484,23 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 // execution set is literally a replay. With ≥-matching the twin's leaf
 // completions start at different round-robin offsets, and the pruned
 // leaf's exact completion might never be simulated.
-func (s *search) dfs(ctx context.Context, nd node, depth int, visited map[Fingerprint]uint64) (*violation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+//
+// The search does not replay every prefix from scratch. nd's execution
+// continues parent's paused run by nd's last action when parent is
+// non-nil; nd hands its own paused run to its first extension, and a
+// depth-bound leaf finishes it with the fair completion. Later siblings
+// start fresh. This is sound for the same reason pruning is: an
+// execution is a pure function of its script, so a continued run
+// reaches exactly the configuration and outcome a fresh replay would
+// (TestContinuedRunMatchesReplay). Every dfs closes the runner it used
+// on return; a child continuing it closes it too, and Close is
+// idempotent.
+func (s *search) dfs(ctx context.Context, nd node, depth int, visited map[Fingerprint]uint64, parent *execution) (*violation, error) {
+	ex, out, v, err := s.visit(ctx, nd, parent)
+	if ex == nil || v != nil {
+		return v, err
 	}
-	if s.nodes.Add(1) > int64(s.opts.NodeBudget) {
-		s.exceeded.Store(true)
-		return nil, nil
-	}
-	s.observeDepth(len(nd.script))
-
-	inputs, m, out, err := s.runScript(nd.script, true)
-	if err != nil {
-		return &violation{schedule: out.Schedule, err: err}, nil
-	}
-	if cerr := s.tgt.Check(inputs, m, out); cerr != nil {
-		return &violation{schedule: out.Schedule, err: cerr}, nil
-	}
+	defer ex.r.Close()
 	live := liveProcs(out)
 	if len(live) == 0 {
 		s.completions.Add(1)
@@ -455,7 +508,7 @@ func (s *search) dfs(ctx context.Context, nd node, depth int, visited map[Finger
 	}
 
 	remaining := depth - len(nd.script)
-	fp := s.fingerprint(out, m, nd.crashes)
+	fp := s.fingerprint(out, ex.m, nd.crashes)
 	// visited holds a bitmask of remaining depths already explored for
 	// each configuration (remaining < 64 always: depths are small).
 	bit := uint64(1) << uint(remaining)
@@ -467,30 +520,20 @@ func (s *search) dfs(ctx context.Context, nd node, depth int, visited map[Finger
 
 	if remaining <= 0 {
 		s.boundaryHits.Add(1)
-		return s.checkCompletion(nd)
+		s.completions.Add(1)
+		out, err := ex.r.Run()
+		return s.violation(ex, out, err), nil
 	}
+	cont := ex
 	for _, ext := range s.extensions(nd, live) {
-		v, err := s.dfs(ctx, ext, depth, visited)
+		v, err := s.dfs(ctx, ext, depth, visited, cont)
 		if err != nil || v != nil {
 			return v, err
 		}
 		if s.exceeded.Load() {
 			return nil, nil
 		}
-	}
-	return nil, nil
-}
-
-// checkCompletion extends a depth-bound leaf with the deterministic fair
-// completion and checks the resulting full execution.
-func (s *search) checkCompletion(nd node) (*violation, error) {
-	inputs, m, out, err := s.runScript(nd.script, false)
-	s.completions.Add(1)
-	if err != nil {
-		return &violation{schedule: out.Schedule, err: err}, nil
-	}
-	if cerr := s.tgt.Check(inputs, m, out); cerr != nil {
-		return &violation{schedule: out.Schedule, err: cerr}, nil
+		cont = nil
 	}
 	return nil, nil
 }

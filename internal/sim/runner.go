@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"slices"
 )
 
 // Body is the code of one process: it computes a decision value using the
@@ -90,15 +91,16 @@ type Config struct {
 	MaxStepsPerRun int
 	// HaltAtScriptEnd stops the execution (without error) once the
 	// script is exhausted instead of continuing with random scheduling.
-	// The model checker (package mc) uses it to enumerate schedule prefixes;
-	// undecided processes simply have Decided[i] == false in the outcome.
+	// Replays of recorded schedules use it; undecided processes simply
+	// have Decided[i] == false in the outcome. (Runner.Start always stops
+	// at the script's end; this field governs Run.)
 	HaltAtScriptEnd bool
 	// FairCompletion switches post-script scheduling from the seeded
 	// random scheduler to a deterministic round-robin over the live
 	// undecided processes, with no crash injection. The model checker
-	// uses it to extend every explored prefix into a full execution that
-	// is a pure function of the script — so a recorded schedule replays
-	// byte-identically. Ignored when HaltAtScriptEnd is set.
+	// uses it to extend every depth-bound prefix into a full execution
+	// that is a pure function of the script — so a recorded schedule
+	// replays byte-identically. Ignored when HaltAtScriptEnd is set.
 	FairCompletion bool
 	// Source, when non-nil, replaces the Seed-derived RNG driving random
 	// scheduling and crash injection. It lets callers inject any
@@ -185,7 +187,9 @@ type Outcome struct {
 // procState tracks the scheduler's view of one process. The process runs
 // as a coroutine: next resumes it until its next scheduling point
 // (reporting true) or until it has decided (reporting false, with the
-// decision in out); stop unwinds it from a pending scheduling point.
+// decision in out); stop unwinds it from a pending scheduling point. The
+// coroutine lives from the runner's start until it finishes (Run, an
+// error, or Close), across any number of Extend calls in between.
 type procState struct {
 	proc    *Proc
 	body    Body
@@ -202,10 +206,9 @@ type Runner struct {
 	cfg Config
 	// rng is built lazily on the first random scheduling decision:
 	// seeding a rand.Source costs microseconds, which dominates fully
-	// scripted executions (the model checker replays one per search
-	// node) that never draw from it. Laziness is unobservable — the
-	// seed comes from cfg either way, and draws happen in the same
-	// order.
+	// scripted executions (every model-checker node) that never draw
+	// from it. Laziness is unobservable — the seed comes from cfg either
+	// way, and draws happen in the same order.
 	rng   *rand.Rand
 	procs []*procState
 	live  int // processes that have not decided
@@ -219,6 +222,9 @@ type Runner struct {
 	ckHash         []uint64 // position-mixed variant for clock-sensitive bodies
 	eventPos       int      // global event counter, aligned with trace indices
 
+	started     bool // the coroutines exist (start ran)
+	finished    bool // the coroutines are gone (finish or Close ran)
+	scriptPos   int  // next action of cfg.Script to execute
 	stepCount   int
 	crashBudget int
 	rrNext      int   // round-robin cursor for FairCompletion
@@ -226,7 +232,7 @@ type Runner struct {
 }
 
 // NewRunner prepares an execution of the given bodies (one per process)
-// over mem. The runner owns mem for the duration of Run.
+// over mem. The runner owns mem until the execution finishes.
 func NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
 	if cfg.Model == 0 {
 		cfg.Model = Independent
@@ -237,6 +243,9 @@ func NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
 	if cfg.MaxStepsPerRun == 0 {
 		cfg.MaxStepsPerRun = 100_000
 	}
+	// Extend appends to the script; clipping makes the first append copy
+	// it, so the runner never writes into the caller's slice.
+	cfg.Script = slices.Clip(cfg.Script)
 	r := &Runner{
 		mem:         mem,
 		cfg:         cfg,
@@ -262,7 +271,7 @@ func (r *Runner) rand() *rand.Rand {
 }
 
 // RecordTrace enables trace capture (off by default to keep stress tests
-// allocation-light).
+// allocation-light). Call before Start or Run.
 func (r *Runner) RecordTrace() { r.recordTrace = true }
 
 // RecordSchedule enables capture of the executed scheduler actions into
@@ -272,7 +281,8 @@ func (r *Runner) RecordSchedule() { r.recordSchedule = true }
 // RecordDigests enables incremental per-process event digests
 // (Outcome.EventHashes / ClockHashes). Unlike RecordTrace it allocates
 // nothing per event — each event folds into two uint64s — so the model
-// checker keeps it on for every explored prefix. Call before Run.
+// checker keeps it on for every explored prefix. Call before Start or
+// Run.
 func (r *Runner) RecordDigests() {
 	r.recordDigest = true
 	if r.evHash == nil {
@@ -282,66 +292,156 @@ func (r *Runner) RecordDigests() {
 }
 
 // Run executes until every process decides, the script and budgets are
-// exhausted, or an invariant fails. Processes run one at a time, in
-// process order until each reaches its first scheduling point and then
-// as granted, so the execution is a pure function of the script and
-// seed.
+// exhausted, or an invariant fails, and then tears the execution down:
+// no process coroutine outlives it. On a new runner it starts the
+// processes first; on a runner paused by Start or Extend it continues
+// from the pause, so the result equals a single Run of the whole
+// script. Processes run one at a time, in process order until each
+// reaches its first scheduling point and then as granted, so the
+// execution is a pure function of the script and seed.
 func (r *Runner) Run() (*Outcome, error) {
+	if r.finished {
+		panic("sim: Run on a finished runner")
+	}
+	if !r.started {
+		r.start()
+	}
+	return r.finish(r.loop(r.cfg.HaltAtScriptEnd))
+}
+
+// Start starts the processes and executes the whole script — whatever
+// HaltAtScriptEnd says — then pauses with every undecided process parked
+// at a scheduling point. The outcome is a snapshot: later actions do not
+// change it. A paused runner is continued by Extend, finished by Run
+// (which applies the post-script policy of the Config) or torn down by
+// Close. On an error the execution is torn down exactly as Run would,
+// and its outcome and error are returned.
+func (r *Runner) Start() (*Outcome, error) {
+	if r.started {
+		panic("sim: Start on a runner that already started")
+	}
+	r.start()
+	return r.pause(r.loop(true))
+}
+
+// Extend executes one more action on a paused runner and pauses again.
+// The action is validated and executed exactly as if the script had
+// ended with it, so the snapshot equals a HaltAtScriptEnd run of the
+// extended script on a fresh instance; errors tear the execution down
+// as in Start.
+func (r *Runner) Extend(act Action) (*Outcome, error) {
+	if !r.started || r.finished {
+		panic("sim: Extend on a runner that is not paused")
+	}
+	r.cfg.Script = append(r.cfg.Script, act)
+	return r.pause(r.loop(true))
+}
+
+// Close tears down a paused runner, unwinding every parked process. It
+// does nothing on a runner that never started or already finished, so
+// it may be deferred unconditionally.
+func (r *Runner) Close() {
+	if r.started && !r.finished {
+		r.stop()
+	}
+}
+
+// start turns every body into a coroutine and runs each, in process
+// order, to its first scheduling point or its decision.
+func (r *Runner) start() {
+	r.started = true
 	r.live = len(r.procs)
 	for id, ps := range r.procs {
 		ps.next, ps.stop = iter.Pull(r.procLoop(ps))
 		r.resume(id)
 	}
+}
 
-	scriptPos := 0
-	for {
-		if r.failure != nil || r.live == 0 {
-			return r.finish(nil)
-		}
+// loop is the runner's one execution loop, shared by Run, Start and
+// Extend. It executes scheduler actions until every process has decided,
+// a budget or invariant fails, or — with halt set — the script is
+// exhausted. After the script it draws actions from the fair completion
+// or the seeded random scheduler.
+func (r *Runner) loop(halt bool) error {
+	for r.failure == nil && r.live > 0 {
 		if r.stepCount >= r.cfg.MaxSteps {
-			return r.finish(ErrStepBudget)
+			return ErrStepBudget
 		}
-
 		var act Action
-		if scriptPos < len(r.cfg.Script) {
-			act = r.cfg.Script[scriptPos]
-			scriptPos++
+		switch {
+		case r.scriptPos < len(r.cfg.Script):
+			act = r.cfg.Script[r.scriptPos]
+			r.scriptPos++
 			if err := r.validateAction(act); err != nil {
-				return r.finish(err)
+				return err
 			}
-		} else if r.cfg.HaltAtScriptEnd {
-			return r.finish(nil)
-		} else if r.cfg.FairCompletion {
+		case halt:
+			return nil
+		case r.cfg.FairCompletion:
 			act = r.fairAction()
-		} else {
+		default:
 			act = r.randomAction()
 		}
+		r.exec(act)
+	}
+	return nil
+}
 
-		if r.recordSchedule {
-			r.schedule = append(r.schedule, act)
-		}
-		switch act.Kind {
-		case ActStep:
-			r.stepCount++
-			r.grant(act.Proc, false)
-		case ActCrash:
-			r.grant(act.Proc, true)
-		case ActCrashAll:
-			// Each crashed process recovers to its next scheduling point
-			// (or decides) before the next one is crashed, so the crash
-			// is atomic with respect to steps.
-			for id, ps := range r.procs {
-				if ps.parked {
-					r.grant(id, true)
-				}
+// exec executes one validated scheduler action.
+func (r *Runner) exec(act Action) {
+	if r.recordSchedule {
+		r.schedule = append(r.schedule, act)
+	}
+	switch act.Kind {
+	case ActStep:
+		r.stepCount++
+		r.grant(act.Proc, false)
+	case ActCrash:
+		r.grant(act.Proc, true)
+	case ActCrashAll:
+		// Each crashed process recovers to its next scheduling point
+		// (or decides) before the next one is crashed, so the crash
+		// is atomic with respect to steps.
+		for id, ps := range r.procs {
+			if ps.parked {
+				r.grant(id, true)
 			}
 		}
 	}
 }
 
-// finish unwinds every process still parked at a scheduling point, so
-// no coroutine outlives Run, and assembles the outcome.
+// pause ends Start and Extend: a failed execution is torn down, a
+// healthy one stays parked and reports a snapshot.
+func (r *Runner) pause(err error) (*Outcome, error) {
+	if err != nil || r.failure != nil {
+		return r.finish(err)
+	}
+	return r.outcome(), nil
+}
+
+// finish tears the execution down and assembles the outcome.
 func (r *Runner) finish(err error) (*Outcome, error) {
+	r.stop()
+	if err == nil {
+		err = r.failure
+	}
+	return r.outcome(), err
+}
+
+// stop unwinds every process still parked at a scheduling point, so no
+// coroutine outlives the execution.
+func (r *Runner) stop() {
+	r.finished = true
+	for _, ps := range r.procs {
+		ps.stop()
+	}
+}
+
+// outcome assembles the execution's outcome so far. It shares nothing
+// the runner mutates: per-process slices are copied, and Schedule and
+// Trace are cut at their current length and capacity, so the appends of
+// later actions never show through.
+func (r *Runner) outcome() *Outcome {
 	n := len(r.procs)
 	out := &Outcome{
 		Decisions: make([]Value, n),
@@ -349,11 +449,10 @@ func (r *Runner) finish(err error) (*Outcome, error) {
 		Crashes:   make([]int, n),
 		Runs:      make([]int, n),
 		Steps:     r.stepCount,
-		Trace:     r.trace,
-		Schedule:  r.schedule,
+		Trace:     r.trace[:len(r.trace):len(r.trace)],
+		Schedule:  r.schedule[:len(r.schedule):len(r.schedule)],
 	}
 	for i, ps := range r.procs {
-		ps.stop()
 		if ps.decided {
 			out.Decided[i] = true
 			out.Decisions[i] = ps.out
@@ -362,13 +461,10 @@ func (r *Runner) finish(err error) (*Outcome, error) {
 		out.Runs[i] = ps.proc.runs
 	}
 	if r.recordDigest {
-		out.EventHashes = r.evHash
-		out.ClockHashes = r.ckHash
+		out.EventHashes = slices.Clone(r.evHash)
+		out.ClockHashes = slices.Clone(r.ckHash)
 	}
-	if err == nil {
-		err = r.failure
-	}
-	return out, err
+	return out
 }
 
 func (r *Runner) validateAction(act Action) error {
@@ -395,7 +491,7 @@ func (r *Runner) validateAction(act Action) error {
 // fairAction implements Config.FairCompletion: a deterministic
 // round-robin over the live undecided processes, never crashing. All
 // undecided processes are parked when the scheduler picks an action, so
-// the cursor scan below always finds one (Run guarantees live > 0).
+// the cursor scan below always finds one (loop guarantees live > 0).
 func (r *Runner) fairAction() Action {
 	n := len(r.procs)
 	for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -76,8 +77,9 @@ func TestScriptedRunDeterministicWithAllocatingPreludes(t *testing.T) {
 	}
 }
 
-// TestRunLeavesNoGoroutines checks that every exit path of Run unwinds
-// all process coroutines before returning.
+// TestRunLeavesNoGoroutines checks that every exit path of an execution
+// unwinds all process coroutines before returning: Run on its own, and
+// the paused path (Start, Extend, then Run or Close).
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	reader := func(p *Proc) Value { p.Read("R"); return p.Read("R") }
 	spin := func(p *Proc) Value {
@@ -89,12 +91,24 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		p.Read("R")
 		panic("boom")
 	}
+	// paused starts the runner and extends it by act. A failed Start is
+	// reported without wrapping, so it never passes for the error the
+	// case expects of Extend.
+	paused := func(act Action) func(*Runner) (*Outcome, error) {
+		return func(r *Runner) (*Outcome, error) {
+			if _, err := r.Start(); err != nil {
+				return nil, fmt.Errorf("Start: %v", err)
+			}
+			return r.Extend(act)
+		}
+	}
 	cases := []struct {
 		name    string
 		bodies  []Body
 		cfg     Config
-		wantErr error  // nil: Run must succeed
-		errText string // substring of the error, when wantErr is nil but an error is expected
+		drive   func(*Runner) (*Outcome, error) // nil: Run
+		wantErr error                           // nil: the execution must succeed
+		errText string                          // substring of the error, when wantErr is nil but an error is expected
 	}{
 		{name: "all-decided", bodies: []Body{reader, reader}, cfg: Config{Seed: 1}},
 		{name: "halt-at-script-end", bodies: []Body{reader, reader},
@@ -107,11 +121,35 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			cfg: Config{Seed: 1, MaxStepsPerRun: 10}, wantErr: ErrRunBudget},
 		{name: "body-panic", bodies: []Body{boom, reader},
 			cfg: Config{Script: []Action{Step(1), Step(0)}}, errText: "process 0 panicked: boom"},
+		{name: "start-close", bodies: []Body{reader, reader},
+			cfg: Config{Script: []Action{Step(0)}},
+			drive: func(r *Runner) (*Outcome, error) {
+				out, err := r.Start()
+				r.Close()
+				return out, err
+			}},
+		{name: "start-extend-run", bodies: []Body{reader, reader},
+			cfg: Config{Script: []Action{Step(0)}, FairCompletion: true},
+			drive: func(r *Runner) (*Outcome, error) {
+				if _, err := paused(Step(1))(r); err != nil {
+					return nil, err
+				}
+				return r.Run()
+			}},
+		{name: "extend-script-error", bodies: []Body{reader, reader},
+			drive: paused(Step(5)), wantErr: ErrScript},
+		{name: "extend-step-budget", bodies: []Body{spin, spin},
+			cfg:   Config{Script: []Action{Step(0)}, MaxSteps: 2},
+			drive: paused(Step(1)), wantErr: ErrStepBudget},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			drive := tc.drive
+			if drive == nil {
+				drive = (*Runner).Run
+			}
 			before := runtime.NumGoroutine()
-			_, err := NewRunner(newTestMemory(), tc.bodies, tc.cfg).Run()
+			_, err := drive(NewRunner(newTestMemory(), tc.bodies, tc.cfg))
 			switch {
 			case tc.wantErr != nil:
 				if !errors.Is(err, tc.wantErr) {
@@ -125,7 +163,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 			if after := runtime.NumGoroutine(); after != before {
-				t.Fatalf("goroutines: %d before Run, %d after", before, after)
+				t.Fatalf("goroutines: %d before the execution, %d after", before, after)
 			}
 		})
 	}
