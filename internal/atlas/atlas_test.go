@@ -1,6 +1,7 @@
 package atlas
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -189,6 +190,14 @@ func TestTableSpecType(t *testing.T) {
 	}
 	if _, _, err := tbl.Apply("s0", "oX"); err == nil {
 		t.Fatal("Apply accepted a bad op")
+	}
+	// Labels are shared across Tables of every size; one past this
+	// table's dimensions must still be rejected.
+	if _, _, err := tbl.Apply("s2", "o0"); !errors.Is(err, spec.ErrBadState) {
+		t.Fatalf("Apply(s2, o0) on a 2-state table: %v", err)
+	}
+	if _, _, err := tbl.Apply("s0", "o2"); !errors.Is(err, spec.ErrBadOp) {
+		t.Fatalf("Apply(s0, o2) on a 2-op table: %v", err)
 	}
 	if !types.Readable(tbl) {
 		t.Fatal("Tables must be readable")

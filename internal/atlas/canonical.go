@@ -2,7 +2,6 @@ package atlas
 
 import (
 	"encoding/hex"
-	"fmt"
 	"sync"
 )
 
@@ -45,122 +44,151 @@ func (t *Table) CanonicalKey() (string, bool) {
 
 // CanonicalWithKey returns the canonical representative and its key
 // from a single minimization pass — the states!×ops! scan dominates
-// canonicalization, so hot paths that need both (Enumerate, the census)
-// should call this rather than Canonical + CanonicalKey.
+// canonicalization, so hot paths that need both (the census) should
+// call this rather than Canonical + CanonicalKey.
 func (t *Table) CanonicalWithKey() (*Table, string, bool) {
 	enc, ok := t.canonicalBytes()
 	if !ok {
 		return nil, "", false
 	}
-	c, err := decodeCanonical(enc)
-	if err != nil {
-		// Unreachable: canonicalBytes emits well-formed encodings.
-		panic(fmt.Sprintf("atlas: canonical decode: %v", err))
-	}
-	return c, hex.EncodeToString(enc), true
+	return fromCanonical(enc), hex.EncodeToString(enc), true
 }
 
 // canonicalBytes computes the minimal encoding over all relabelings.
 func (t *Table) canonicalBytes() ([]byte, bool) {
-	if t.states > CanonMaxStates || t.ops > CanonMaxOps {
+	var c canonicalizer
+	return c.minimize(t.states, t.ops, t.resps, t.next, t.resp)
+}
+
+// canonicalizer is the one canonicalization routine: it minimizes raw
+// next/resp arrays, so Enumerate runs it on its odometer's arrays
+// without building a Table, and the Table methods run it on theirs.
+// Its scratch is reused across calls; a canonicalizer is not safe for
+// concurrent use.
+type canonicalizer struct {
+	buf, best []byte
+	ren       [MaxStates]uint8
+}
+
+// minimize returns the canonical encoding of the table with S states, O
+// operations and R responses whose transitions are next/resp (indexed
+// s*O + o): the lexicographically minimal encoding over every state ×
+// operation relabeling. The result aliases the scratch and is valid
+// until the next call. ok is false when S or O exceeds the permutation
+// caps.
+func (c *canonicalizer) minimize(S, O, R int, next, resp []uint8) ([]byte, bool) {
+	if S > CanonMaxStates || O > CanonMaxOps {
 		return nil, false
 	}
-	var best []byte
-	buf := make([]byte, 3+2*t.states*t.ops)
-	ren := make([]int, t.resps)
-	for _, ps := range permutations(t.states) {
-		for _, po := range permutations(t.ops) {
-			t.encodePerm(ps, po, buf, ren)
-			if best == nil || lessBytes(buf, best) {
-				best = append(best[:0], buf...)
+	n := 3 + 2*S*O
+	if cap(c.buf) < n {
+		c.buf, c.best = make([]byte, n), make([]byte, n)
+	}
+	c.buf, c.best = c.buf[:n], c.best[:n]
+	first := true
+	var ps [CanonMaxStates]uint8
+	for _, qs := range permutations(S) {
+		for k, old := range qs {
+			ps[old] = uint8(k)
+		}
+		for _, qo := range permutations(O) {
+			if c.encode(S, O, R, next, resp, qs, qo, ps[:S], first) {
+				c.buf, c.best = c.best, c.buf
+				first = false
 			}
 		}
 	}
-	return best, true
+	return c.best, true
 }
 
-// encodePerm writes the encoding of t relabeled by ps (old state → new
-// state) and po (old op → new op) into buf: [S, O, R', next…, resp…],
-// with responses renamed by first occurrence in the relabeled row-major
-// order. buf must have length 3+2*S*O; ren must have length t.resps.
-func (t *Table) encodePerm(ps, po []int, buf []byte, ren []int) {
-	S, O := t.states, t.ops
-	next := buf[3 : 3+S*O]
-	resp := buf[3+S*O:]
-	for s := 0; s < S; s++ {
-		for o := 0; o < O; o++ {
-			i := s*O + o
-			j := ps[s]*O + po[o]
-			next[j] = byte(ps[t.next[i]])
-			resp[j] = t.resp[i]
+// encode writes into c.buf the encoding of the table relabeled so that
+// new state k is old state qs[k] and new operation k is old operation
+// qo[k] (ps is the inverse of qs: old state → new state): [S, O, R',
+// next…, resp…] in row-major order, with responses renamed by first
+// occurrence, R' being the number of responses used. It reports whether
+// the encoding is less than c.best — always, when first — and stops as
+// soon as it is known not to be. R' is the same for every relabeling,
+// so the header never decides a comparison.
+func (c *canonicalizer) encode(S, O, R int, next, resp []uint8, qs, qo []int, ps []uint8, first bool) bool {
+	buf, best := c.buf, c.best
+	less := first
+	k := 3
+	for _, s := range qs {
+		row := next[s*O : s*O+O]
+		for _, o := range qo {
+			v := ps[row[o]]
+			if !less {
+				if v > best[k] {
+					return false
+				}
+				less = v < best[k]
+			}
+			buf[k] = v
+			k++
 		}
 	}
+	ren := c.ren[:R]
 	for r := range ren {
-		ren[r] = -1
+		ren[r] = 0xff
 	}
-	used := 0
-	for i := range resp {
-		if ren[resp[i]] < 0 {
-			ren[resp[i]] = used
-			used++
+	used := uint8(0)
+	for _, s := range qs {
+		row := resp[s*O : s*O+O]
+		for _, o := range qo {
+			r := row[o]
+			if ren[r] == 0xff {
+				ren[r] = used
+				used++
+			}
+			v := ren[r]
+			if !less {
+				if v > best[k] {
+					return false
+				}
+				less = v < best[k]
+			}
+			buf[k] = v
+			k++
 		}
-		resp[i] = byte(ren[resp[i]])
 	}
-	buf[0], buf[1], buf[2] = byte(S), byte(O), byte(used)
+	buf[0], buf[1], buf[2] = byte(S), byte(O), used
+	return less
 }
 
-// decodeCanonical rebuilds a Table from a canonical encoding.
-func decodeCanonical(enc []byte) (*Table, error) {
-	if len(enc) < 3 {
-		return nil, fmt.Errorf("atlas: canonical encoding too short (%d bytes)", len(enc))
-	}
+// fromCanonical builds the unlabeled Table a canonical encoding (as
+// minimize returns it) describes.
+func fromCanonical(enc []byte) *Table {
 	S, O, R := int(enc[0]), int(enc[1]), int(enc[2])
-	if len(enc) != 3+2*S*O {
-		return nil, fmt.Errorf("atlas: canonical encoding length %d does not match dims %dx%d", len(enc), S, O)
-	}
-	return NewTable(S, O, R, enc[3:3+S*O], enc[3+S*O:])
-}
-
-// lessBytes reports a < b lexicographically (equal lengths by
-// construction: encodings within one minimization share dimensions).
-func lessBytes(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return newTable(S, O, R, enc[3:3+S*O], enc[3+S*O:])
 }
 
 // Permutations returns all permutations of 0..k-1 in lexicographic
-// order. The returned slices are shared and memoized process-wide for
-// small k — callers must not mutate them. Exposed for the compiled
-// core's automorphism-group search (internal/compile), which reuses the
-// same relabeling machinery as canonicalization.
+// order. The returned slices are shared process-wide for small k —
+// callers must not mutate them. Exposed for the compiled core's
+// automorphism-group search (internal/compile), which reuses the same
+// relabeling machinery as canonicalization.
 func Permutations(k int) [][]int {
 	return permutations(k)
 }
 
 // permutations returns all permutations of 0..k-1 in lexicographic
-// order. k is capped by CanonMaxStates/CanonMaxOps; results are memoized
-// process-wide since the same small k values recur millions of times
-// during enumeration.
+// order. For k ≤ CanonMaxStates (which covers CanonMaxOps) the tables
+// are built once and then only read, so the millions of calls an
+// enumeration makes take no lock; larger k is built fresh.
 func permutations(k int) [][]int {
 	if k <= CanonMaxStates {
-		permMu.Lock()
-		defer permMu.Unlock()
-		if permCache[k] == nil {
-			permCache[k] = buildPermutations(k)
-		}
-		return permCache[k]
+		return permTables()[k]
 	}
 	return buildPermutations(k)
 }
 
-var (
-	permMu    sync.Mutex
-	permCache [CanonMaxStates + 1][][]int
-)
+var permTables = sync.OnceValue(func() [][][]int {
+	t := make([][][]int, CanonMaxStates+1)
+	for k := range t {
+		t[k] = buildPermutations(k)
+	}
+	return t
+})
 
 func buildPermutations(k int) [][]int {
 	base := make([]int, k)

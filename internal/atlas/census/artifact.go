@@ -6,6 +6,11 @@
 // witnesses — types in rcons bands no zoo type occupies, and types with
 // a proven cons > rcons gap, the paper's title phenomenon.
 //
+// Generation dedups on canonical bytes: exhaustive enumeration
+// minimizes each raw table in place and names a Table only per kept
+// class, and a type's transition-table JSON is encoded on demand, only
+// for the gallery entries that carry it.
+//
 // Determinism: generation is single-threaded and seed-driven,
 // classification is engine-deterministic (the engine returns the same
 // witness regardless of worker count), and aggregation is keyed by

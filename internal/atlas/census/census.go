@@ -89,7 +89,6 @@ type item struct {
 	source string
 	dims   string
 	typ    spec.Type
-	table  json.RawMessage // Custom JSON for the gallery
 }
 
 // Run executes the census: generate (single-threaded, deterministic),
@@ -294,18 +293,31 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 		art.RconsBands[r.Rcons.Display]++
 		art.ConsBands[r.Cons.Display]++
 		art.Levels[r.levelKey()]++
-		if it, ok := tables[key]; ok {
-			entry := Entry{
-				Key: key, Name: r.Name, Source: r.Source,
-				Cons: r.Cons.Display, Rcons: r.Rcons.Display,
-				Table: it.table,
-			}
-			if _, have := art.Extremal.PerRconsBand[r.Rcons.Display]; !have {
-				art.Extremal.PerRconsBand[r.Rcons.Display] = entry
-			}
-			if r.Rcons.Hi != UnboundedHi && r.Cons.Lo > r.Rcons.Hi && len(art.Extremal.Gaps) < GapCap {
-				art.Extremal.Gaps = append(art.Extremal.Gaps, entry)
-			}
+		it, ok := tables[key]
+		if !ok {
+			continue
+		}
+		_, haveBand := art.Extremal.PerRconsBand[r.Rcons.Display]
+		gap := r.Rcons.Hi != UnboundedHi && r.Cons.Lo > r.Rcons.Hi && len(art.Extremal.Gaps) < GapCap
+		if haveBand && !gap {
+			continue
+		}
+		// Only gallery entries carry a type's JSON, so it is encoded
+		// here, for the few types that become one.
+		tj, err := marshalTable(it.typ)
+		if err != nil {
+			return nil, err
+		}
+		entry := Entry{
+			Key: key, Name: r.Name, Source: r.Source,
+			Cons: r.Cons.Display, Rcons: r.Rcons.Display,
+			Table: tj,
+		}
+		if !haveBand {
+			art.Extremal.PerRconsBand[r.Rcons.Display] = entry
+		}
+		if gap {
+			art.Extremal.Gaps = append(art.Extremal.Gaps, entry)
 		}
 	}
 	for band := range art.RconsBands {
@@ -333,36 +345,14 @@ func generate(o Options) (items []item, raw, dups int, err error) {
 		seen[it.key] = true
 		items = append(items, it)
 	}
-	marshalTable := func(t spec.Type) (json.RawMessage, error) {
-		var c *types.Custom
-		switch v := t.(type) {
-		case *atlas.Table:
-			c = v.Custom()
-		case *types.Custom:
-			c = v
-		default:
-			return nil, fmt.Errorf("census: cannot marshal %T", t)
-		}
-		return json.Marshal(c)
-	}
-
 	zero := atlas.Bounds{}
 	if o.Bounds != zero {
-		var yieldErr error
 		r, _, eerr := atlas.Enumerate(o.Bounds, func(key string, t *atlas.Table) bool {
-			tj, merr := marshalTable(t)
-			if merr != nil {
-				yieldErr = merr
-				return false
-			}
-			add(item{key: key, source: "enum", dims: t.Dims(), typ: t, table: tj})
+			add(item{key: key, source: "enum", dims: t.Dims(), typ: t})
 			return true
 		})
 		if eerr != nil {
 			return nil, 0, 0, eerr
-		}
-		if yieldErr != nil {
-			return nil, 0, 0, yieldErr
 		}
 		raw = r
 	}
@@ -380,11 +370,7 @@ func generate(o Options) (items []item, raw, dups int, err error) {
 				return nil, 0, 0, fmt.Errorf("census: random table %s not canonicalizable", t.Dims())
 			}
 			canon = canon.WithLabel("atlas:" + key)
-			tj, merr := marshalTable(canon)
-			if merr != nil {
-				return nil, 0, 0, merr
-			}
-			add(item{key: key, source: "random", dims: canon.Dims(), typ: canon, table: tj})
+			add(item{key: key, source: "random", dims: canon.Dims(), typ: canon})
 		}
 	}
 
@@ -402,15 +388,26 @@ func generate(o Options) (items []item, raw, dups int, err error) {
 					continue
 				}
 				mut.TypeName = fmt.Sprintf("%s~m%d", zt.Name(), m)
-				tj, merr := marshalTable(mut)
-				if merr != nil {
-					return nil, 0, 0, merr
-				}
-				add(item{key: key, source: "mutant", typ: mut, table: tj})
+				add(item{key: key, source: "mutant", typ: mut})
 			}
 		}
 	}
 	return items, raw, dups, nil
+}
+
+// marshalTable encodes a generated type's transition table for the
+// gallery.
+func marshalTable(t spec.Type) (json.RawMessage, error) {
+	var c *types.Custom
+	switch v := t.(type) {
+	case *atlas.Table:
+		c = v.Custom()
+	case *types.Custom:
+		c = v
+	default:
+		return nil, fmt.Errorf("census: cannot marshal %T", t)
+	}
+	return json.Marshal(c)
 }
 
 // mutantKey derives the dedup key of a mutated transition table: the

@@ -217,3 +217,16 @@ func TestCensusSaveLoad(t *testing.T) {
 		t.Fatal("artifact changed through save/load")
 	}
 }
+
+// BenchmarkGenerate runs the census's generation stage on the workload
+// the census benchmark uses: the exhaustive 3-state, 2-op, 2-response
+// block plus 300 seeded random tables.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	o := Options{Bounds: atlas.Bounds{States: 3, Ops: 2, Resps: 2}, Random: 300, RandomBounds: DefaultRandomBounds, Seed: 3}
+	for b.Loop() {
+		if _, _, _, err := generate(o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

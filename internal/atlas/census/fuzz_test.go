@@ -1,10 +1,14 @@
 package census
 
 import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"rcons/internal/atlas"
 	"rcons/internal/checker"
+	"rcons/internal/spec"
 	"rcons/internal/types"
 )
 
@@ -36,11 +40,90 @@ func decodeFuzzTable(data []byte) (*atlas.Table, bool) {
 	return t, true
 }
 
+// rawArrays reads a Table's flat next/resp arrays back through its
+// spec.Type methods (states, operations and responses are named s<i>,
+// o<i> and r<i>).
+func rawArrays(t *testing.T, tbl *atlas.Table) (next, resp []uint8) {
+	states := tbl.InitialStates()
+	stateIdx := map[spec.State]uint8{}
+	for i, s := range states {
+		stateIdx[s] = uint8(i)
+	}
+	respIdx := map[spec.Response]uint8{}
+	for r := 0; r < tbl.NumResps(); r++ {
+		respIdx[spec.Response(fmt.Sprintf("r%d", r))] = uint8(r)
+	}
+	for _, s := range states {
+		for _, op := range tbl.Ops() {
+			ns, r, err := tbl.Apply(s, op)
+			if err != nil {
+				t.Fatalf("Apply(%s, %s): %v", s, op, err)
+			}
+			next = append(next, stateIdx[ns])
+			resp = append(resp, respIdx[r])
+		}
+	}
+	return next, resp
+}
+
+// referenceKey is the canonical key by its definition: the hex of the
+// lexicographically least encoding [S, O, R', next…, resp…] over every
+// state and operation relabeling of the raw arrays, with responses
+// renamed by first occurrence. It shares no code with package atlas.
+func referenceKey(S, O int, next, resp []uint8) string {
+	var best []byte
+	for _, ps := range perms(S) {
+		for _, po := range perms(O) {
+			enc := make([]byte, 3+2*S*O)
+			ren := map[uint8]byte{}
+			for s := 0; s < S; s++ {
+				for o := 0; o < O; o++ {
+					enc[3+ps[s]*O+po[o]] = byte(ps[next[s*O+o]])
+				}
+			}
+			pr := enc[3+S*O:]
+			for s := 0; s < S; s++ {
+				for o := 0; o < O; o++ {
+					pr[ps[s]*O+po[o]] = resp[s*O+o]
+				}
+			}
+			for i, r := range pr {
+				if _, ok := ren[r]; !ok {
+					ren[r] = byte(len(ren))
+				}
+				pr[i] = ren[r]
+			}
+			enc[0], enc[1], enc[2] = byte(S), byte(O), byte(len(ren))
+			if best == nil || bytes.Compare(enc, best) < 0 {
+				best = enc
+			}
+		}
+	}
+	return hex.EncodeToString(best)
+}
+
+// perms lists every permutation of 0..k-1.
+func perms(k int) [][]int {
+	if k == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range perms(k - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int{}, p[:at]...), k-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
 // FuzzAtlasDecode feeds arbitrary bytes through both decode paths of
 // the atlas pipeline — Custom JSON import and the dense generator
 // spec — and checks the invariants the census relies on: valid inputs
-// validate, classify at n = 2 without panicking, and canonical dedup is
-// idempotent (the canonical form of a canonical form is itself).
+// validate, classify at n = 2 without panicking, the canonical key is
+// the brute-force minimum over the table's raw arrays, and canonical
+// dedup is idempotent (the canonical form of a canonical form is
+// itself).
 func FuzzAtlasDecode(f *testing.F) {
 	// JSON seeds: a valid two-state table, a non-readable variant, and
 	// near-miss malformed inputs.
@@ -86,6 +169,10 @@ func FuzzAtlasDecode(f *testing.F) {
 		key, ok := tbl.CanonicalKey()
 		if !ok {
 			t.Skip() // above the canonicalization caps
+		}
+		next, resp := rawArrays(t, tbl)
+		if want := referenceKey(tbl.NumStates(), tbl.NumOps(), next, resp); key != want {
+			t.Fatalf("%s: CanonicalKey %s, brute-force minimum of the raw arrays %s", typ.Name(), key, want)
 		}
 		canon, ok := tbl.Canonical()
 		if !ok {

@@ -1,7 +1,9 @@
 package atlas
 
 import (
+	"encoding/hex"
 	"fmt"
+	"slices"
 )
 
 // Bounds delimits an enumeration block: every table with at most States
@@ -100,9 +102,11 @@ func rgsCount(m, r int) int64 {
 // exactly once up to relabeling: it iterates all raw transition tables
 // (next assignments as a base-s odometer, response assignments as
 // restricted-growth strings so response relabelings are never generated
-// in the first place), canonicalizes each, and yields the canonical
-// representative — labeled "atlas:<key-prefix>" — the first time its
-// canonical key appears. Iteration order is deterministic.
+// in the first place), canonicalizes each raw next/resp pair in reused
+// scratch, and dedups on the canonical bytes. Only the first table of a
+// class becomes a Table: the canonical representative, labeled
+// "atlas:<key>" with its full canonical key. Iteration order is
+// deterministic.
 //
 // yield returns false to stop early. Enumerate reports the raw and
 // canonical (yielded) counts.
@@ -110,37 +114,34 @@ func Enumerate(b Bounds, yield func(key string, t *Table) bool) (raw, kept int, 
 	if err := b.Valid(); err != nil {
 		return 0, 0, err
 	}
+	var c canonicalizer
 	seen := make(map[string]struct{})
-	stopped := false
-	for s := 1; s <= b.States && !stopped; s++ {
-		for o := 1; o <= b.Ops && !stopped; o++ {
+	for s := 1; s <= b.States; s++ {
+		for o := 1; o <= b.Ops; o++ {
 			cells := s * o
 			next := make([]uint8, cells)
 			resp := make([]uint8, cells)
 			for {
 				// All response assignments for this next vector, in
 				// restricted-growth order.
-				ok := rgsVisit(resp, b.Resps, func(used int) bool {
+				clear(resp)
+				for {
 					raw++
-					t, err2 := NewTable(s, o, used, next, resp)
-					if err2 != nil {
-						err = err2
-						return false
+					used := int(slices.Max(resp)) + 1            // classes in the restricted-growth string
+					enc, _ := c.minimize(s, o, used, next, resp) // dims within caps by Valid
+					if _, dup := seen[string(enc)]; !dup {
+						seen[string(enc)] = struct{}{}
+						kept++
+						key := hex.EncodeToString(enc)
+						t := fromCanonical(enc)
+						t.label = labelForKey(key)
+						if !yield(key, t) {
+							return raw, kept, nil
+						}
 					}
-					canon, key, _ := t.CanonicalWithKey() // dims within caps by Valid
-					if _, dup := seen[key]; dup {
-						return true
+					if !rgsNext(resp, b.Resps) {
+						break
 					}
-					seen[key] = struct{}{}
-					kept++
-					return yield(key, canon.WithLabel(labelForKey(key)))
-				})
-				if err != nil {
-					return raw, kept, err
-				}
-				if !ok {
-					stopped = true
-					break
 				}
 				// Advance the next-state odometer.
 				i := 0
@@ -167,34 +168,17 @@ func labelForKey(key string) string {
 	return "atlas:" + key
 }
 
-// rgsVisit enumerates all restricted-growth strings over resp (in
-// place): resp[0] = 0 and resp[i] ≤ max(resp[:i])+1, capped at rmax
-// classes. visit receives the number of classes used and returns false
-// to stop; rgsVisit returns false if stopped early.
-func rgsVisit(resp []uint8, rmax int, visit func(used int) bool) bool {
-	var rec func(i, used int) bool
-	rec = func(i, used int) bool {
-		if i == len(resp) {
-			return visit(used)
+// rgsNext advances resp, a restricted-growth string (resp[0] = 0 and
+// resp[i] ≤ max(resp[:i])+1) with at most rmax classes, to its
+// lexicographic successor in place, and reports false when resp was the
+// last one. Starting from all zeros, it visits every such string once.
+func rgsNext(resp []uint8, rmax int) bool {
+	for i := len(resp) - 1; i > 0; i-- {
+		if int(resp[i]) < rmax-1 && resp[i] <= slices.Max(resp[:i]) {
+			resp[i]++
+			clear(resp[i+1:])
+			return true
 		}
-		hi := used
-		if hi >= rmax {
-			hi = rmax - 1
-		}
-		for v := 0; v <= hi; v++ {
-			resp[i] = uint8(v)
-			nu := used
-			if v == used {
-				nu++
-			}
-			if !rec(i+1, nu) {
-				return false
-			}
-		}
-		return true
 	}
-	if len(resp) == 0 {
-		return visit(0)
-	}
-	return rec(0, 0)
+	return false
 }

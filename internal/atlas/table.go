@@ -24,6 +24,7 @@ package atlas
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"rcons/internal/spec"
 	"rcons/internal/types"
@@ -48,12 +49,35 @@ type Table struct {
 	states, ops, resps int
 	next, resp         []uint8
 	label              string
+}
 
-	stateNames []spec.State
-	opNames    []spec.Op
-	respNames  []spec.Response
-	stateIdx   map[spec.State]int
-	opIdx      map[spec.Op]int
+// The labels of every index a Table can use, rendered once: a Table's
+// states, operations and responses are prefixes of these slices, and
+// Apply resolves labels through the shared index maps. Nothing writes
+// them after package initialization, so Tables share them freely and
+// constructing one formats no names.
+var (
+	stateNames = indexNames[spec.State]("s")
+	opNames    = indexNames[spec.Op]("o")
+	respNames  = indexNames[spec.Response]("r")
+	stateIndex = nameIndex(stateNames)
+	opIndex    = nameIndex(opNames)
+)
+
+func indexNames[N ~string](prefix string) []N {
+	out := make([]N, MaxStates)
+	for i := range out {
+		out[i] = N(prefix + strconv.Itoa(i))
+	}
+	return out
+}
+
+func nameIndex[N comparable](names []N) map[N]int {
+	idx := make(map[N]int, len(names))
+	for i, n := range names {
+		idx[n] = i
+	}
+	return idx
 }
 
 var _ spec.Type = (*Table)(nil)
@@ -83,34 +107,17 @@ func NewTable(states, ops, resps int, next, resp []uint8) (*Table, error) {
 			return nil, fmt.Errorf("atlas: resp[%d]=%d out of range (resps=%d)", i, resp[i], resps)
 		}
 	}
-	t := &Table{
-		states: states, ops: ops, resps: resps,
-		next: append([]uint8(nil), next...),
-		resp: append([]uint8(nil), resp...),
-	}
-	t.buildNames()
-	return t, nil
+	return newTable(states, ops, resps, next, resp), nil
 }
 
-func (t *Table) buildNames() {
-	t.stateNames = make([]spec.State, t.states)
-	t.stateIdx = make(map[spec.State]int, t.states)
-	for s := 0; s < t.states; s++ {
-		name := spec.State(fmt.Sprintf("s%d", s))
-		t.stateNames[s] = name
-		t.stateIdx[name] = s
-	}
-	t.opNames = make([]spec.Op, t.ops)
-	t.opIdx = make(map[spec.Op]int, t.ops)
-	for o := 0; o < t.ops; o++ {
-		name := spec.Op(fmt.Sprintf("o%d", o))
-		t.opNames[o] = name
-		t.opIdx[name] = o
-	}
-	t.respNames = make([]spec.Response, t.resps)
-	for r := 0; r < t.resps; r++ {
-		t.respNames[r] = spec.Response(fmt.Sprintf("r%d", r))
-	}
+// newTable copies next and resp into one fresh backing array; the
+// caller has validated them.
+func newTable(states, ops, resps int, next, resp []uint8) *Table {
+	cells := states * ops
+	buf := make([]uint8, 2*cells)
+	copy(buf, next)
+	copy(buf[cells:], resp)
+	return &Table{states: states, ops: ops, resps: resps, next: buf[:cells:cells], resp: buf[cells:]}
 }
 
 // Random draws a table with transition and response entries uniform over
@@ -154,7 +161,9 @@ func (t *Table) NumOps() int { return t.ops }
 func (t *Table) NumResps() int { return t.resps }
 
 // Dims renders the dimensions compactly, e.g. "3s2o1r".
-func (t *Table) Dims() string { return fmt.Sprintf("%ds%do%dr", t.states, t.ops, t.resps) }
+func (t *Table) Dims() string {
+	return strconv.Itoa(t.states) + "s" + strconv.Itoa(t.ops) + "o" + strconv.Itoa(t.resps) + "r"
+}
 
 // Name implements spec.Type.
 func (t *Table) Name() string {
@@ -166,26 +175,26 @@ func (t *Table) Name() string {
 
 // InitialStates implements spec.Type: every state is a candidate.
 func (t *Table) InitialStates() []spec.State {
-	return append([]spec.State(nil), t.stateNames...)
+	return append([]spec.State(nil), stateNames[:t.states]...)
 }
 
 // Ops implements spec.Type.
 func (t *Table) Ops() []spec.Op {
-	return append([]spec.Op(nil), t.opNames...)
+	return append([]spec.Op(nil), opNames[:t.ops]...)
 }
 
 // Apply implements spec.Type.
 func (t *Table) Apply(s spec.State, op spec.Op) (spec.State, spec.Response, error) {
-	si, ok := t.stateIdx[s]
-	if !ok {
+	si, ok := stateIndex[s]
+	if !ok || si >= t.states {
 		return "", "", fmt.Errorf("%w: %q", spec.ErrBadState, s)
 	}
-	oi, ok := t.opIdx[op]
-	if !ok {
+	oi, ok := opIndex[op]
+	if !ok || oi >= t.ops {
 		return "", "", fmt.Errorf("%w: %q", spec.ErrBadOp, op)
 	}
 	i := si*t.ops + oi
-	return t.stateNames[t.next[i]], t.respNames[t.resp[i]], nil
+	return stateNames[t.next[i]], respNames[t.resp[i]], nil
 }
 
 // Custom converts the table to an equivalent types.Custom transition
@@ -196,16 +205,16 @@ func (t *Table) Custom() *types.Custom {
 		row := make(map[string]types.CustomEdge, t.ops)
 		for o := 0; o < t.ops; o++ {
 			i := s*t.ops + o
-			row[string(t.opNames[o])] = types.CustomEdge{
-				Next: string(t.stateNames[t.next[i]]),
-				Resp: string(t.respNames[t.resp[i]]),
+			row[string(opNames[o])] = types.CustomEdge{
+				Next: string(stateNames[t.next[i]]),
+				Resp: string(respNames[t.resp[i]]),
 			}
 		}
-		tr[string(t.stateNames[s])] = row
+		tr[string(stateNames[s])] = row
 	}
 	initial := make([]string, t.states)
 	for s := 0; s < t.states; s++ {
-		initial[s] = string(t.stateNames[s])
+		initial[s] = string(stateNames[s])
 	}
 	return &types.Custom{TypeName: t.Name(), Initial: initial, Transitions: tr}
 }

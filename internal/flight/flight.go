@@ -50,9 +50,11 @@ type Group[V any] struct {
 // one in becomes the new leader. A follower whose ctx is done while
 // waiting returns ctx.Err() without waiting further.
 //
-// fn itself is responsible for honouring the leader's context; Do does
-// not abort a running fn when followers leave.
-func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, shared bool, err error) {
+// fn receives the leader's context, carrying the flight.lead span, so
+// spans fn starts are children of flight.lead. fn itself is responsible
+// for honouring that context; Do does not abort a running fn when
+// followers leave.
+func (g *Group[V]) Do(ctx context.Context, key string, fn func(ctx context.Context) (V, error)) (v V, shared bool, err error) {
 	for {
 		g.mu.Lock()
 		if g.calls == nil {
@@ -64,11 +66,12 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 			g.calls[key] = c
 			g.mu.Unlock()
 
-			// Leader: the computation runs on this caller's trace. The
-			// span makes "this request paid for the work" visible next
-			// to the followers' flight.wait spans.
-			_, span := obs.StartSpan(ctx, "flight.lead")
-			c.val, c.err = fn()
+			// Leader: the computation runs on this caller's trace, under
+			// the flight.lead span. The span makes "this request paid
+			// for the work" visible next to the followers' flight.wait
+			// spans, and its self time excludes the work's own spans.
+			lctx, span := obs.StartSpan(ctx, "flight.lead")
+			c.val, c.err = fn(lctx)
 			if c.err != nil {
 				span.MarkError()
 			}

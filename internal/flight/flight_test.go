@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rcons/internal/obs"
 )
 
 // TestCoalesce: followers that arrive while the leader runs share its
@@ -24,7 +26,7 @@ func TestCoalesce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, shared, err := g.Do(context.Background(), "k", func() (string, error) {
+		v, shared, err := g.Do(context.Background(), "k", func(context.Context) (string, error) {
 			computes.Add(1)
 			close(leaderIn)
 			<-release
@@ -41,7 +43,7 @@ func TestCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := g.Do(context.Background(), "k", func() (string, error) {
+			v, shared, err := g.Do(context.Background(), "k", func(context.Context) (string, error) {
 				computes.Add(1)
 				return "follower-computed", nil
 			})
@@ -87,7 +89,7 @@ func TestLeaderFailureFollowersRecompute(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := g.Do(context.Background(), "k", func() (int, error) {
+		_, _, err := g.Do(context.Background(), "k", func(context.Context) (int, error) {
 			close(leaderIn)
 			<-fail
 			return 0, bang
@@ -105,7 +107,7 @@ func TestLeaderFailureFollowersRecompute(t *testing.T) {
 	var recomputes atomic.Int64
 	for i := 0; i < followers; i++ {
 		go func() {
-			v, _, err := g.Do(context.Background(), "k", func() (int, error) {
+			v, _, err := g.Do(context.Background(), "k", func(context.Context) (int, error) {
 				recomputes.Add(1)
 				return 42, nil
 			})
@@ -137,7 +139,7 @@ func TestLeaderFailureFollowersRecompute(t *testing.T) {
 		t.Fatalf("recomputes = %d, want 1..%d", n, followers)
 	}
 	// The error was not cached: a fresh call computes normally.
-	if v, shared, err := g.Do(context.Background(), "k", func() (int, error) { return 7, nil }); err != nil || shared || v != 7 {
+	if v, shared, err := g.Do(context.Background(), "k", func(context.Context) (int, error) { return 7, nil }); err != nil || shared || v != 7 {
 		t.Fatalf("post-failure call = (%d, %v, %v), want (7, false, nil)", v, shared, err)
 	}
 }
@@ -150,7 +152,7 @@ func TestFollowerCancel(t *testing.T) {
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _, _ = g.Do(context.Background(), "k", func() (string, error) {
+		_, _, _ = g.Do(context.Background(), "k", func(context.Context) (string, error) {
 			close(leaderIn)
 			<-release
 			return "late", nil
@@ -161,7 +163,7 @@ func TestFollowerCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := g.Do(ctx, "k", func() (string, error) { return "", nil })
+		_, _, err := g.Do(ctx, "k", func(context.Context) (string, error) { return "", nil })
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -178,7 +180,7 @@ func TestFollowerCancel(t *testing.T) {
 	// A patient follower still gets the leader's value.
 	got := make(chan string, 1)
 	go func() {
-		v, _, _ := g.Do(context.Background(), "k", func() (string, error) { return "", nil })
+		v, _, _ := g.Do(context.Background(), "k", func(context.Context) (string, error) { return "", nil })
 		got <- v
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -201,7 +203,7 @@ func TestConcurrentCancelStorm(t *testing.T) {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+i%7)*time.Millisecond)
 				defer cancel()
-				_, _, err := g.Do(ctx, "storm", func() (int, error) {
+				_, _, err := g.Do(ctx, "storm", func(context.Context) (int, error) {
 					select {
 					case <-time.After(3 * time.Millisecond):
 					case <-ctx.Done():
@@ -231,7 +233,7 @@ func TestDistinctKeys(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i)
-			v, shared, err := g.Do(context.Background(), key, func() (string, error) {
+			v, shared, err := g.Do(context.Background(), key, func(context.Context) (string, error) {
 				computes.Add(1)
 				time.Sleep(5 * time.Millisecond)
 				return key, nil
@@ -244,5 +246,40 @@ func TestDistinctKeys(t *testing.T) {
 	wg.Wait()
 	if got := computes.Load(); got != 8 {
 		t.Fatalf("computations = %d, want 8", got)
+	}
+}
+
+// TestLeaderSpanParentsWork: fn runs under the flight.lead span, so a
+// span fn starts is its child, not its sibling, and flight.lead's self
+// time excludes the work.
+func TestLeaderSpanParentsWork(t *testing.T) {
+	rec := obs.NewRecorder(4)
+	ctx, root := obs.NewTracer(1, rec).StartTrace(context.Background(), "request", "trace1", false)
+	var g Group[int]
+	if _, _, err := g.Do(ctx, "k", func(ctx context.Context) (int, error) {
+		_, work := obs.StartSpan(ctx, "work")
+		work.End()
+		return 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	tr := rec.Lookup("trace1")
+	if tr == nil {
+		t.Fatal("trace not recorded")
+	}
+	byName := map[string]obs.SpanData{}
+	for _, sp := range tr.Spans {
+		byName[sp.Name] = sp
+	}
+	lead, work := byName["flight.lead"], byName["work"]
+	if lead.ID == 0 || work.ID == 0 {
+		t.Fatalf("missing spans: %+v", tr.Spans)
+	}
+	if lead.Parent != byName["request"].ID {
+		t.Errorf("flight.lead parent = %d, want the request span %d", lead.Parent, byName["request"].ID)
+	}
+	if work.Parent != lead.ID {
+		t.Errorf("work span parent = %d, want flight.lead %d", work.Parent, lead.ID)
 	}
 }

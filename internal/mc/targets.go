@@ -138,7 +138,7 @@ var builtins = map[string]targetBuilder{
 		},
 	},
 	"universal": {
-		doc: "RUniversal (Figure 7): each process appends one register write; list verified",
+		doc:   "RUniversal (Figure 7): each process appends one register write; list verified",
 		build: universalTarget,
 	},
 	"unsafe-noyield": {

@@ -17,7 +17,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}{
 		{0, 0},
 		{0.5, 0},
-		{1, 0},    // on the bound: le semantics include it
+		{1, 0}, // on the bound: le semantics include it
 		{1.001, 1},
 		{5, 1},
 		{7, 2},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -94,8 +95,8 @@ func (s *Server) handleAtlas(w http.ResponseWriter, r *http.Request) {
 		writeRawJSON(w, http.StatusOK, cached)
 		return
 	}
-	s.coalesced(w, r, "/v1/atlas", key, func() ([]byte, error) {
-		a, err := census.Run(r.Context(), census.Options{
+	s.coalesced(w, r, "/v1/atlas", key, func(ctx context.Context) ([]byte, error) {
+		a, err := census.Run(ctx, census.Options{
 			Bounds:        bounds,
 			Random:        random,
 			MutantsPerZoo: mutants,

@@ -703,8 +703,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		t = tt
 	}
-	compute := func() ([]byte, error) {
-		c, err := s.eng.Classify(r.Context(), t, limit)
+	compute := func(ctx context.Context) ([]byte, error) {
+		c, err := s.eng.Classify(ctx, t, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -723,7 +723,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// coalescing entirely.
 	key, ok := engine.Fingerprint(t, limit)
 	if !ok {
-		payload, err := compute()
+		payload, err := compute(r.Context())
 		if err != nil {
 			s.writeEngineError(w, r, err)
 			return
@@ -761,8 +761,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Built-in types are identified by their display name, which is
 	// stable across aliases, so the name is an exact coalescing key.
 	key := fmt.Sprintf("%s|%s|%d", t.Name(), prop.String(), n)
-	s.coalesced(w, r, "/v1/search", key, func() ([]byte, error) {
-		witness, err := s.eng.Search(r.Context(), t, prop, n)
+	s.coalesced(w, r, "/v1/search", key, func(ctx context.Context) ([]byte, error) {
+		witness, err := s.eng.Search(ctx, t, prop, n)
 		if err != nil {
 			return nil, err
 		}
@@ -794,8 +794,8 @@ func (s *Server) handleZoo(w http.ResponseWriter, r *http.Request) {
 		writeRawJSON(w, http.StatusOK, payload)
 		return
 	}
-	s.coalesced(w, r, "/v1/zoo", strconv.Itoa(limit), func() ([]byte, error) {
-		cs, err := s.eng.Scan(r.Context(), limit)
+	s.coalesced(w, r, "/v1/zoo", strconv.Itoa(limit), func(ctx context.Context) ([]byte, error) {
+		cs, err := s.eng.Scan(ctx, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -891,8 +891,8 @@ func (s *Server) handleModelCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("%s|%d|%d|%d", target, n, depth, crashes)
-	s.coalesced(w, r, "/v1/mc", key, func() ([]byte, error) {
-		res, err := mc.Check(r.Context(), tgt, mc.Options{
+	s.coalesced(w, r, "/v1/mc", key, func(ctx context.Context) ([]byte, error) {
+		res, err := mc.Check(ctx, tgt, mc.Options{
 			MaxDepth:    depth,
 			CrashBudget: crashes,
 			NodeBudget:  mcNodeBudget,

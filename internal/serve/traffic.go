@@ -8,6 +8,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,8 +33,10 @@ import (
 // client hung up, the search errored) reports only to itself —
 // waiting followers elect a new leader and recompute rather than
 // inheriting the error, and a follower whose own context ends stops
-// waiting immediately. compute must capture the caller's own request
-// context so a re-elected leader runs under a live deadline.
+// waiting immediately. compute runs under the context it is given: the
+// leading request's context with its flight.lead span, so a re-elected
+// leader runs under a live deadline and the work's spans nest under
+// flight.lead.
 //
 // Keys are prefixed by the route, so equal parameter strings on
 // different endpoints never collide. Note the key-granularity choice
@@ -41,7 +44,7 @@ import (
 // fingerprint" is deliberately narrowed to the exact fingerprint,
 // because responses embed concrete state/op labels (witness schedules,
 // type names) that differ between isomorphic-but-relabeled tables.
-func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, path, key string, compute func() ([]byte, error)) {
+func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, path, key string, compute func(ctx context.Context) ([]byte, error)) {
 	payload, shared, err := s.flights.Do(r.Context(), path+"|"+key, compute)
 	if err != nil {
 		s.writeEngineError(w, r, err)
