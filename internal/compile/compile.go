@@ -11,15 +11,18 @@
 // from a compiled run — verdicts, witnesses, fingerprints,
 // counterexamples — is byte-identical to the interpreted output.
 //
-// A Compiled table is built once per (type, n) via spec.Reachable and
-// shared across shards, memo probes and model-checking runs. Its
-// optional automorphism group (see auto.go) powers search-time symmetry
+// A Compiled table is built by one breadth-first walk per (type, n)
+// (see Table). The engine derives its memo and store keys from the
+// table and shares it across the shards of both property scans at that
+// n; the model checker shares it across runs. Its optional
+// automorphism group (see auto.go) powers search-time symmetry
 // reduction.
 package compile
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"rcons/internal/spec"
@@ -48,6 +51,7 @@ type Compiled struct {
 	opIdx    map[spec.Op]uint16
 	nextTab  []uint16
 	respTab  []uint16
+	initSeq  []uint16 // indices of src.InitialStates(), in its order
 	inits    []uint16 // sorted unique indices of src.InitialStates()
 	readable bool
 
@@ -56,102 +60,157 @@ type Compiled struct {
 }
 
 // Compile lowers t to a dense transition table for searches among n
-// processes. The operation alphabet is spec.CandidateOps(t, n) — the
-// same alphabet checker.Shards enumerates — and the state universe is
-// the union of spec.Reachable closures from every initial state, so the
-// table is closed: Apply never leaves it.
-//
-// Compile fails when an operation encoding is malformed (ParseOp), the
-// alphabet contains duplicates, or the reachable state space exceeds
-// StateCap; callers are expected to fall back to the interpreted path.
+// processes: Table's walk plus the checks only the compiled search
+// needs (see Searchable). Callers that get an error are expected to
+// fall back to the interpreted path.
 func Compile(t spec.Type, n int) (*Compiled, error) {
+	c, err := Table(t, n)
+	if err == nil {
+		err = c.Searchable()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Table builds the dense transition table of t among n processes. The
+// operation alphabet is spec.CandidateOps(t, n) — the same alphabet
+// checker.Shards enumerates, kept in candidate order with any
+// duplicates — and the state universe is every state reachable from
+// t's initial states under it, so the table is closed: Apply never
+// leaves it.
+//
+// One breadth-first walk applies each op once per discovered state and
+// records the row; the states are then sorted and the rows remapped
+// through the sorted ranks, and responses are numbered by first
+// occurrence in sorted row-major order. Table fails only when an Apply
+// fails or the reachable states exceed StateCap, so it succeeds on
+// every type whose fingerprint is defined — including tables the
+// compiled search rejects.
+func Table(t spec.Type, n int) (*Compiled, error) {
 	ops := spec.CandidateOps(t, n)
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("compile %s: type has no update operations", t.Name())
-	}
-	opIdx := make(map[spec.Op]uint16, len(ops))
-	for i, op := range ops {
-		if _, _, err := spec.ParseOp(op); err != nil {
-			return nil, fmt.Errorf("compile %s: %w", t.Name(), err)
+	initial := t.InitialStates()
+	// bfs lists the states in discovery order and idx numbers them so;
+	// each expanded state appends its row to nexts and rs.
+	idx := make(map[spec.State]uint16, len(initial))
+	bfs := make([]spec.State, 0, len(initial))
+	visit := func(s spec.State) (uint16, error) {
+		if i, ok := idx[s]; ok {
+			return i, nil
 		}
-		if _, dup := opIdx[op]; dup {
-			return nil, fmt.Errorf("compile %s: duplicate operation %q in candidate alphabet", t.Name(), op)
+		if len(bfs) >= StateCap {
+			return 0, fmt.Errorf("compile %s: reachable states exceed cap %d", t.Name(), StateCap)
 		}
-		opIdx[op] = uint16(i)
+		idx[s] = uint16(len(bfs))
+		bfs = append(bfs, s)
+		return uint16(len(bfs) - 1), nil
 	}
-
-	inits := t.InitialStates()
-	if len(inits) == 0 {
-		return nil, fmt.Errorf("compile %s: type has no initial states", t.Name())
-	}
-	union := map[spec.State]bool{}
-	for _, q0 := range inits {
-		reach, err := spec.Reachable(t, q0, ops, StateCap)
+	initSeq := make([]uint16, len(initial))
+	for i, q0 := range initial {
+		j, err := visit(q0)
 		if err != nil {
-			return nil, fmt.Errorf("compile %s: %w", t.Name(), err)
+			return nil, err
 		}
-		for _, s := range reach {
-			union[s] = true
+		initSeq[i] = j
+	}
+	w := len(ops)
+	nexts := make([]uint16, 0, w*len(bfs))
+	rs := make([]spec.Response, 0, w*len(bfs))
+	for i := 0; i < len(bfs); i++ {
+		for _, op := range ops {
+			ns, r, err := t.Apply(bfs[i], op)
+			if err != nil {
+				return nil, fmt.Errorf("compile %s: apply %s to %q: %w", t.Name(), op, bfs[i], err)
+			}
+			j, err := visit(ns)
+			if err != nil {
+				return nil, err
+			}
+			nexts = append(nexts, j)
+			rs = append(rs, r)
 		}
 	}
-	if len(union) > StateCap {
-		return nil, fmt.Errorf("compile %s: %d reachable states exceed cap %d", t.Name(), len(union), StateCap)
-	}
-	states := make([]spec.State, 0, len(union))
-	for s := range union {
-		states = append(states, s)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
 
+	// order[k] is the discovery index of the k-th smallest state, and
+	// rank its inverse.
+	order := make([]uint16, len(bfs))
+	for i := range order {
+		order[i] = uint16(i)
+	}
+	slices.SortFunc(order, func(a, b uint16) int { return strings.Compare(string(bfs[a]), string(bfs[b])) })
+	rank := make([]uint16, len(bfs))
+	states := make([]spec.State, len(bfs))
+	for k, i := range order {
+		rank[i] = uint16(k)
+		states[k] = bfs[i]
+	}
+	for s, i := range idx {
+		idx[s] = rank[i]
+	}
 	c := &Compiled{
 		src:      t,
 		n:        n,
 		states:   states,
 		ops:      ops,
-		stateIdx: make(map[spec.State]uint16, len(states)),
-		opIdx:    opIdx,
-		nextTab:  make([]uint16, len(states)*len(ops)),
-		respTab:  make([]uint16, len(states)*len(ops)),
+		stateIdx: idx,
+		opIdx:    make(map[spec.Op]uint16, w),
+		nextTab:  make([]uint16, len(nexts)),
+		respTab:  make([]uint16, len(nexts)),
+		initSeq:  initSeq,
 		readable: types.Readable(t),
 	}
-	for i, s := range states {
-		c.stateIdx[s] = uint16(i)
+	for i := w - 1; i >= 0; i-- {
+		c.opIdx[ops[i]] = uint16(i) // the first of any duplicates wins
 	}
 	// Responses are interned by first occurrence in row-major table
 	// order — deterministic because the state list is sorted and the op
 	// list is the fixed candidate order.
 	respIdx := map[spec.Response]uint16{}
-	for si, s := range states {
-		for oi, op := range ops {
-			ns, r, err := t.Apply(s, op)
-			if err != nil {
-				return nil, fmt.Errorf("compile %s: apply %s to %q: %w", t.Name(), op, s, err)
-			}
-			ni, ok := c.stateIdx[ns]
-			if !ok {
-				// Unreachable: the state set is a Reachable closure.
-				return nil, fmt.Errorf("compile %s: successor %q of (%q, %s) escapes the reachable closure", t.Name(), ns, s, op)
-			}
-			ri, ok := respIdx[r]
+	for k, i := range order {
+		for o := range w {
+			cell := int(i)*w + o
+			ri, ok := respIdx[rs[cell]]
 			if !ok {
 				ri = uint16(len(c.resps))
-				respIdx[r] = ri
-				c.resps = append(c.resps, r)
+				respIdx[rs[cell]] = ri
+				c.resps = append(c.resps, rs[cell])
 			}
-			c.nextTab[si*len(ops)+oi] = ni
-			c.respTab[si*len(ops)+oi] = ri
+			c.nextTab[k*w+o] = rank[nexts[cell]]
+			c.respTab[k*w+o] = ri
 		}
 	}
-	seenInit := map[uint16]bool{}
-	for _, q0 := range inits {
-		i := c.stateIdx[q0] // present: Reachable includes its seed
-		if !seenInit[i] {
-			seenInit[i] = true
-			c.inits = append(c.inits, i)
-		}
+	for i, j := range initSeq {
+		initSeq[i] = rank[j]
 	}
-	sort.Slice(c.inits, func(i, j int) bool { return c.inits[i] < c.inits[j] })
+	c.inits = slices.Clone(initSeq)
+	slices.Sort(c.inits)
+	c.inits = slices.Compact(c.inits)
 	return c, nil
+}
+
+// Searchable reports why the compiled search cannot run on c, or nil
+// when it can: the alphabet must be non-empty, free of duplicates and
+// made of operations spec.ParseOp accepts, and the type must have an
+// initial state. A table that fails these still renders fingerprints;
+// its searches run interpreted.
+func (c *Compiled) Searchable() error {
+	name := c.src.Name()
+	if len(c.ops) == 0 {
+		return fmt.Errorf("compile %s: type has no update operations", name)
+	}
+	if len(c.inits) == 0 {
+		return fmt.Errorf("compile %s: type has no initial states", name)
+	}
+	for i, op := range c.ops {
+		if _, _, err := spec.ParseOp(op); err != nil {
+			return fmt.Errorf("compile %s: %w", name, err)
+		}
+		if c.opIdx[op] != uint16(i) {
+			return fmt.Errorf("compile %s: duplicate operation %q in candidate alphabet", name, op)
+		}
+	}
+	return nil
 }
 
 // Source returns the interpreted type the table was compiled from.
@@ -205,6 +264,15 @@ func (c *Compiled) Apply(si, oi uint16) (next, resp uint16) {
 // InitIndices returns the (sorted, deduplicated) table indices of the
 // source type's initial states. Callers must not mutate the slice.
 func (c *Compiled) InitIndices() []uint16 { return c.inits }
+
+// InitSeq returns the table index of each of the source type's initial
+// states, in InitialStates order with any duplicates kept. Callers must
+// not mutate the slice.
+func (c *Compiled) InitSeq() []uint16 { return c.initSeq }
+
+// Readable reports types.Readable of the source type, observed when the
+// table was built.
+func (c *Compiled) Readable() bool { return c.readable }
 
 // Type returns a spec.Type view of the table: Apply resolves both
 // arguments through the index maps and answers from the flat arrays,

@@ -8,7 +8,7 @@ import (
 )
 
 // cacheKey identifies one memoized search: 128 bits of the type's
-// canonical fingerprint (already a SHA-256; folding it keeps the
+// exact fingerprint (already a SHA-256; folding it keeps the
 // collision probability negligible), the property, and the process
 // count. A comparable struct of machine words keys the map with no
 // per-lookup allocation or string building. Deliberately NOT routed

@@ -3,9 +3,11 @@
 // n-recording / n-discerning, and what cons/rcons bands follow?" — but
 // partitions each exhaustive witness search into independent shards
 // (checker.Shards), verifies the shards on a worker pool with early
-// cancellation once a witness is found, and memoizes results behind a
-// canonical type fingerprint so repeated queries (CLI runs, zoo scans,
-// rcserve traffic) are served from cache.
+// cancellation once a witness is found, and memoizes results behind an
+// exact type fingerprint so repeated queries (CLI runs, zoo scans,
+// rcserve traffic) are served from cache. Each (type, n) is walked once
+// per call: its compiled table (package compile) supplies the memo,
+// store and symmetry-pruning keys and the search itself.
 //
 // Determinism: the pool tracks the lowest-indexed shard that produced a
 // witness and cancels only shards that enumerate later, so the engine
@@ -114,42 +116,19 @@ type Engine struct {
 	persist Persist // nil when no persistent store is attached
 	pstats  persistStats
 
-	// classes memoizes whole classifications keyed by exact fingerprint
-	// and limit. The search memo alone leaves a cached Classify paying
-	// ~100µs of pure bookkeeping — two goroutine fan-outs plus one
-	// SHA-256 fingerprint per (property, level) lookup — which dominates
-	// hot serving paths like /v1/classify/batch over a warm engine. A
-	// classification hit skips all of it. nil whenever cache is nil.
+	// classes memoizes whole classifications keyed by exact
+	// fingerprint, limit and readability. The search memo alone leaves
+	// a cached Classify paying ~100µs of pure bookkeeping — two
+	// goroutine fan-outs plus one table walk per level — which
+	// dominates hot serving paths like /v1/classify/batch over a warm
+	// engine. A classification hit skips all but the walk at the limit.
+	// nil whenever cache is nil.
 	classes                *lru.Cache[classKey, checker.Classification]
 	classHits, classMisses atomic.Int64
 
 	// interpreted switches verification to the parity-oracle path.
 	interpreted bool
-	// compiled caches one dense transition table per (type, n), shared
-	// by every shard and memo probe of every search on that type. A nil
-	// entry value records that compilation failed (e.g. the state space
-	// exceeds compile.StateCap) so the failure is not retried per search.
-	cmu      sync.Mutex
-	compiled map[compiledKey]*compiledEntry
 }
-
-// compiledKey identifies a compiled table by folded type fingerprint
-// and process count.
-type compiledKey struct {
-	fp [2]uint64
-	n  int
-}
-
-// compiledEntry delays compilation until the first search needs the
-// table; concurrent searches share the one compile.
-type compiledEntry struct {
-	once sync.Once
-	c    *compile.Compiled
-}
-
-// compiledCacheCap bounds the compiled-table cache; on overflow an
-// arbitrary entry is evicted (tables are cheap to rebuild).
-const compiledCacheCap = 4096
 
 // New builds an Engine from opts.
 func New(opts Options) *Engine {
@@ -162,7 +141,6 @@ func New(opts Options) *Engine {
 		sem:         make(chan struct{}, w),
 		persist:     opts.Persist,
 		interpreted: opts.Interpreted,
-		compiled:    map[compiledKey]*compiledEntry{},
 	}
 	size := opts.CacheSize
 	if size == 0 {
@@ -177,11 +155,13 @@ func New(opts Options) *Engine {
 
 // classKey identifies one memoized classification: the folded exact
 // fingerprint at n = limit (which hashes the type's name, alphabet and
-// full reachable transition table, so equal keys imply identical
-// classifications including TypeName) plus the limit itself.
+// full reachable transition table), the limit itself, and readability,
+// which the fingerprint does not cover but checker.Derive reads. Equal
+// keys imply identical classifications including TypeName.
 type classKey struct {
-	fp    [2]uint64
-	limit int
+	fp       [2]uint64
+	limit    int
+	readable bool
 }
 
 // cloneClassification deep-copies the witness pointers inside a
@@ -255,29 +235,73 @@ func (e *Engine) PublishProgress(interval time.Duration, sink obs.Sink, trace st
 // are memoized under the type's fingerprint, and — with a persistent
 // store attached — written through to disk, so they survive restarts.
 func (e *Engine) Search(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
+	return e.search(ctx, t, p, n, e.buildLevel(t, n))
+}
+
+// level is one process count's compiled table and, when the engine
+// memoizes or persists results, its exact fingerprint. tab is nil when
+// the type has no table (the state space exceeds compile.StateCap or a
+// transition fails); fp is "" whenever results go unkeyed.
+type level struct {
+	tab *compile.Compiled
+	fp  string
+}
+
+// buildLevel builds (t, n)'s level: the one walk a search at n pays.
+func (e *Engine) buildLevel(t spec.Type, n int) level {
+	tab, err := compile.Table(t, n)
+	if err != nil {
+		return level{}
+	}
+	l := level{tab: tab}
+	if e.cache != nil || e.persist != nil {
+		l.fp = fingerprint(tab)
+	}
+	return l
+}
+
+// levelTables holds one Classify or Max call's levels for n = 2 …
+// limit; at builds each on first use and shares it with every scan
+// after.
+type levelTables struct {
+	e  *Engine
+	t  spec.Type
+	lv []lazyLevel
+}
+
+type lazyLevel struct {
+	once sync.Once
+	l    level
+}
+
+func (e *Engine) levels(t spec.Type, limit int) levelTables {
+	return levelTables{e: e, t: t, lv: make([]lazyLevel, max(limit+1, 0))}
+}
+
+// at returns the level at n, building it once.
+func (lt levelTables) at(n int) level {
+	x := &lt.lv[n]
+	x.once.Do(func() { x.l = lt.e.buildLevel(lt.t, n) })
+	return x.l
+}
+
+// search is Search on an already built level l of (t, n). A computed
+// search runs on l's table unless the engine is interpreted or the
+// table fails compile's search checks; then it verifies interpreted.
+func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l level) (*checker.Witness, error) {
 	verify, err := p.verify()
 	if err != nil {
 		return nil, err
 	}
-	var (
-		key     cacheKey
-		fp      string
-		haveKey bool
-	)
-	if e.cache != nil || e.persist != nil {
-		if f, ok := Fingerprint(t, n); ok {
-			fp = f
-			key = cacheKey{fp: foldFingerprint(fp), prop: p, n: n}
-			haveKey = true
-		}
-	}
+	haveKey := l.fp != ""
+	key := cacheKey{fp: foldFingerprint(l.fp), prop: p, n: n}
 	if haveKey && e.cache != nil {
 		if r, ok := e.cache.get(key); ok {
 			return resultWitness(r), nil
 		}
 	}
 	if haveKey && e.persist != nil {
-		if r, ok := e.persistGet(ctx, fp, p, n); ok {
+		if r, ok := e.persistGet(ctx, l.fp, p, n); ok {
 			// Promote to the memo cache so the disk is read once.
 			if e.cache != nil {
 				e.cache.put(key, r)
@@ -287,14 +311,15 @@ func (e *Engine) Search(ctx context.Context, t spec.Type, p Property, n int) (*c
 	}
 	// A genuinely computed search is the expensive stage worth its own
 	// span; memo and persist hits returned above (persistGet spans
-	// itself). Only computed searches pay for compilation either. A nil
-	// table (interpreted mode, or the type exceeds the compiler's caps)
-	// falls back to the interpreted verifier.
+	// itself).
 	sctx, span := obs.StartSpan(ctx, "engine.search")
 	span.SetAttr("property", p.String())
 	span.SetAttr("n", strconv.Itoa(n))
 	defer span.End()
-	comp := e.compiledFor(t, n, key, haveKey)
+	comp := l.tab
+	if comp != nil && (e.interpreted || comp.Searchable() != nil) {
+		comp = nil
+	}
 	searchShard := func(ctx context.Context, s checker.Shard) (*checker.Witness, error) {
 		return checker.SearchShard(ctx, t, s, verify)
 	}
@@ -321,7 +346,7 @@ func (e *Engine) Search(ctx context.Context, t spec.Type, p Property, n int) (*c
 			e.cache.put(key, r)
 		}
 		if e.persist != nil {
-			e.persistPut(sctx, fp, p, n, r)
+			e.persistPut(sctx, l.fp, p, n, r)
 		}
 	}
 	return w, nil
@@ -337,7 +362,7 @@ func resultWitness(r searchResult) *checker.Witness {
 	return &w
 }
 
-// foldFingerprint packs the leading 128 bits of a canonical fingerprint
+// foldFingerprint packs the leading 128 bits of an exact fingerprint
 // (64 hex characters of SHA-256) into the cache key. Malformed input
 // cannot occur — Fingerprint always hex-encodes — but is still mapped
 // injectively enough for a cache (worst case: a shared bucket).
@@ -365,38 +390,6 @@ func cloneWitness(w checker.Witness) checker.Witness {
 		Teams: append([]int(nil), w.Teams...),
 		Ops:   append([]spec.Op(nil), w.Ops...),
 	}
-}
-
-// compiledFor returns the dense transition table for (t, n), compiling
-// and caching it on first use, or nil when the engine runs interpreted
-// or the type cannot be compiled (caps exceeded, malformed ops). The
-// cache key reuses the already-folded search fingerprint; searches
-// without one (memoization disabled and no store) compile fresh, which
-// costs one Apply per table cell.
-func (e *Engine) compiledFor(t spec.Type, n int, key cacheKey, haveKey bool) *compile.Compiled {
-	if e.interpreted {
-		return nil
-	}
-	if !haveKey {
-		c, _ := compile.Compile(t, n)
-		return c
-	}
-	ck := compiledKey{fp: key.fp, n: n}
-	e.cmu.Lock()
-	ent := e.compiled[ck]
-	if ent == nil {
-		if len(e.compiled) >= compiledCacheCap {
-			for k := range e.compiled {
-				delete(e.compiled, k)
-				break
-			}
-		}
-		ent = &compiledEntry{}
-		e.compiled[ck] = ent
-	}
-	e.cmu.Unlock()
-	ent.once.Do(func() { ent.c, _ = compile.Compile(t, n) })
-	return ent.c
 }
 
 // pruneSymmetricShards drops witness-search shards that are relabelings
@@ -557,9 +550,14 @@ func (e *Engine) searchParallel(
 // / MaxDiscerning (including the downward-closure early stop) but with
 // each level's search sharded and memoized.
 func (e *Engine) Max(ctx context.Context, t spec.Type, p Property, limit int) (checker.MaxLevel, error) {
+	return e.maxLevel(ctx, t, p, limit, e.levels(t, limit))
+}
+
+// maxLevel is Max over the levels lt.
+func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit int, lt levelTables) (checker.MaxLevel, error) {
 	out := checker.MaxLevel{Max: 1, Limit: limit}
 	for n := 2; n <= limit; n++ {
-		w, err := e.Search(ctx, t, p, n)
+		w, err := e.search(ctx, t, p, n, lt.at(n))
 		if err != nil {
 			return checker.MaxLevel{}, err
 		}
@@ -575,7 +573,9 @@ func (e *Engine) Max(ctx context.Context, t spec.Type, p Property, limit int) (c
 
 // Classify derives type t's cons/rcons bands exactly like
 // checker.Classify, with the two property scans running concurrently and
-// every level search sharded over the worker pool.
+// every level search sharded over the worker pool. Each level's table
+// is built once and shared by both scans; the one at limit also keys
+// the whole-classification memo.
 func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.Classification, error) {
 	if limit < 2 {
 		return checker.Classification{}, fmt.Errorf("checker: classification limit must be ≥ 2, got %d", limit)
@@ -584,13 +584,14 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 	span.SetAttr("type", t.Name())
 	span.SetAttr("limit", strconv.Itoa(limit))
 	defer span.End()
+	lt := e.levels(t, limit)
 	var (
 		ckey    classKey
 		haveKey bool
 	)
 	if e.classes != nil {
-		if fp, ok := Fingerprint(t, limit); ok {
-			ckey = classKey{fp: foldFingerprint(fp), limit: limit}
+		if l := lt.at(limit); l.fp != "" {
+			ckey = classKey{fp: foldFingerprint(l.fp), limit: limit, readable: l.tab.Readable()}
 			haveKey = true
 			if c, ok := e.classes.Get(ckey); ok {
 				e.classHits.Add(1)
@@ -609,11 +610,11 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		disc, dErr = e.Max(ctx, t, Discerning, limit)
+		disc, dErr = e.maxLevel(ctx, t, Discerning, limit, lt)
 	}()
 	go func() {
 		defer wg.Done()
-		rec, rErr = e.Max(ctx, t, Recording, limit)
+		rec, rErr = e.maxLevel(ctx, t, Recording, limit, lt)
 	}()
 	wg.Wait()
 	if dErr != nil {

@@ -1,118 +1,103 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 
+	"rcons/internal/atlas"
+	"rcons/internal/compile"
 	"rcons/internal/spec"
 )
 
-// fingerprintStateCap bounds the reachable-state exploration during
-// fingerprinting; types whose state space exceeds it are not memoized.
-const fingerprintStateCap = 1 << 14
-
-// Fingerprint computes a canonical identity for the search problem
+// Fingerprint computes an exact identity for the search problem
 // "(property of) type t among n processes": a hash over the type's name,
 // candidate initial states, the candidate operation alphabet for n, and
 // the full transition table restricted to states reachable from the
 // initial states under that alphabet. Two spec.Type values with equal
 // fingerprints produce identical witness-search results, which is what
 // makes the engine's cache sound for arbitrary (including user-supplied
-// custom) types. ok is false when the type cannot be fingerprinted — an
-// oversized state space or a transition error — in which case results
-// for it are simply not cached.
+// custom) types. ok is false when the type cannot be fingerprinted —
+// the state space exceeds compile.StateCap or a transition fails — in
+// which case results for it are simply not cached.
 func Fingerprint(t spec.Type, n int) (fp string, ok bool) {
-	// This sits on the hot path of every memoized engine call (one
-	// fingerprint per cache probe), so the hash input is assembled with
-	// strconv appends into a reused buffer instead of fmt — the byte
-	// stream is identical to the fmt.Fprintf formulation this replaces
-	// (%q on the spec string kinds is strconv.Quote), which keeps
-	// fingerprints stable across releases for the persistent store.
+	c, err := compile.Table(t, n)
+	if err != nil {
+		return "", false
+	}
+	return fingerprint(c), true
+}
+
+// fingerprint renders Fingerprint's byte stream from the compiled table
+// of (t, n): the header lists t's initial states and candidate ops in
+// their own order, then one line per table cell in sorted state order.
+// The stream is byte-identical to the fmt.Fprintf formulation it
+// replaced (%q on the spec string kinds is strconv.Quote), which keeps
+// fingerprints stable across releases for the persistent store.
+func fingerprint(c *compile.Compiled) string {
+	// Every label is quoted once into one slab: state s is
+	// lab[at[s]:at[s+1]], and op o's `/"op"->` and response r's
+	// `/"r"` + newline segments follow at offsets opAt and respAt.
+	nStates, nOps, nResps := c.NumStates(), c.NumOps(), c.NumResps()
+	at := make([]int, 0, nStates+nOps+nResps+1)
+	lab := make([]byte, 0, 16*cap(at))
+	for s := range nStates {
+		at = append(at, len(lab))
+		lab = appendQuoted(lab, string(c.StateAt(uint16(s))))
+	}
+	opAt := len(at)
+	for o := range nOps {
+		at = append(at, len(lab))
+		lab = append(lab, '/')
+		lab = appendQuoted(lab, string(c.OpAt(uint16(o))))
+		lab = append(lab, '-', '>')
+	}
+	respAt := len(at)
+	for r := range nResps {
+		at = append(at, len(lab))
+		lab = append(lab, '/')
+		lab = appendQuoted(lab, string(c.RespAt(uint16(r))))
+		lab = append(lab, '\n')
+	}
+	at = append(at, len(lab))
+
+	// The stream is hashed in chunks of about half the buffer.
+	const chunk = 1 << 10
 	h := sha256.New()
-	buf := make([]byte, 0, 512)
+	buf := make([]byte, 0, chunk)
 	buf = append(buf, "name="...)
-	buf = append(buf, t.Name()...)
+	buf = append(buf, c.Source().Name()...)
 	buf = append(buf, "\nn="...)
-	buf = strconv.AppendInt(buf, int64(n), 10)
+	buf = strconv.AppendInt(buf, int64(c.N()), 10)
 	buf = append(buf, '\n')
-	states := t.InitialStates()
-	for _, s := range states {
+	for _, i := range c.InitSeq() {
 		buf = append(buf, "init="...)
-		buf = appendQuoted(buf, string(s))
+		buf = append(buf, lab[at[i]:at[i+1]]...)
 		buf = append(buf, '\n')
 	}
-	ops := spec.CandidateOps(t, n)
-	for _, op := range ops {
+	for o := range nOps {
 		buf = append(buf, "op="...)
-		buf = appendQuoted(buf, string(op))
+		buf = append(buf, lab[at[opAt+o]+1:at[opAt+o+1]-2]...)
 		buf = append(buf, '\n')
+	}
+	for s := range nStates {
+		st := lab[at[s]:at[s+1]]
+		for o := range nOps {
+			ns, r := c.Apply(uint16(s), uint16(o))
+			buf = append(buf, st...)
+			buf = append(buf, lab[at[opAt+o]:at[opAt+o+1]]...)
+			buf = append(buf, lab[at[ns]:at[ns+1]]...)
+			buf = append(buf, lab[at[respAt+int(r)]:at[respAt+int(r)+1]]...)
+		}
+		if len(buf) >= chunk/2 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
 	h.Write(buf)
-
-	// Explore every state reachable from any initial state, capturing
-	// each state's transition row as it is discovered, and hash the
-	// induced table in canonical (sorted) order. Capturing during the
-	// walk halves the t.Apply calls of the old explore-then-rehash
-	// two-pass shape.
-	type edge struct {
-		ns spec.State
-		r  spec.Response
-	}
-	seen := map[spec.State]bool{}
-	// Rows live in one flat slab (len(ops) edges per expanded state,
-	// rowAt mapping each state to its slab offset) instead of one slice
-	// allocation per state.
-	rowAt := make(map[spec.State]int)
-	edges := make([]edge, 0, 16*len(ops))
-	var frontier []spec.State
-	for _, s := range states {
-		if !seen[s] {
-			seen[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	var all []spec.State
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		all = append(all, s)
-		rowAt[s] = len(edges)
-		for _, op := range ops {
-			ns, r, err := t.Apply(s, op)
-			if err != nil {
-				return "", false
-			}
-			edges = append(edges, edge{ns: ns, r: r})
-			if !seen[ns] {
-				if len(seen) >= fingerprintStateCap {
-					return "", false
-				}
-				seen[ns] = true
-				frontier = append(frontier, ns)
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	for _, s := range all {
-		row := edges[rowAt[s] : rowAt[s]+len(ops)]
-		buf = buf[:0]
-		for i, op := range ops {
-			buf = appendQuoted(buf, string(s))
-			buf = append(buf, '/')
-			buf = appendQuoted(buf, string(op))
-			buf = append(buf, '-', '>')
-			buf = appendQuoted(buf, string(row[i].ns))
-			buf = append(buf, '/')
-			buf = appendQuoted(buf, string(row[i].r))
-			buf = append(buf, '\n')
-		}
-		h.Write(buf)
-	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // appendQuoted appends the strconv.Quote encoding of s. Labels are
@@ -162,80 +147,75 @@ const (
 // space, a transition error, or more operations/initial states than the
 // permutation caps allow.
 func CanonicalFingerprint(t spec.Type, n int) (fp string, ok bool) {
-	ops := spec.CandidateOps(t, n)
-	inits := t.InitialStates()
-	if len(ops) == 0 || len(inits) == 0 ||
-		len(ops) > canonicalOpCap || len(inits) > canonicalInitCap {
+	c, err := compile.Table(t, n)
+	if err != nil {
 		return "", false
 	}
-	if factorial(len(ops))*factorial(len(inits)) > canonicalComboCap {
+	inits := c.InitSeq()
+	nOps := c.NumOps()
+	if nOps == 0 || len(inits) == 0 ||
+		nOps > canonicalOpCap || len(inits) > canonicalInitCap {
 		return "", false
 	}
-	best := ""
-	for _, opPerm := range permutations(len(ops)) {
-		permOps := make([]spec.Op, len(ops))
-		for i, j := range opPerm {
-			permOps[i] = ops[j]
+	if factorial(nOps)*factorial(len(inits)) > canonicalComboCap {
+		return "", false
+	}
+	stateID := make([]int32, c.NumStates())   // discovery number, -1 if unseen
+	respID := make([]int32, c.NumResps())     // first-occurrence number, -1 if unseen
+	order := make([]uint16, 0, c.NumStates()) // states in discovery order
+	intern := func(s uint16) int64 {
+		if stateID[s] < 0 {
+			stateID[s] = int32(len(order))
+			order = append(order, s)
 		}
-		for _, initPerm := range permutations(len(inits)) {
-			permInits := make([]spec.State, len(inits))
-			for i, j := range initPerm {
-				permInits[i] = inits[j]
+		return int64(stateID[s])
+	}
+	var enc, best []byte
+	for _, opPerm := range atlas.Permutations(nOps) {
+		for _, initPerm := range atlas.Permutations(len(inits)) {
+			// Render the table reachable from the initial states in
+			// initPerm's order under the ops in opPerm's order, using only
+			// discovery indices: no label survives into the encoding.
+			for i := range stateID {
+				stateID[i] = -1
 			}
-			enc, ok := canonicalEncoding(t, permInits, permOps)
-			if !ok {
-				return "", false
+			for i := range respID {
+				respID[i] = -1
 			}
-			if best == "" || enc < best {
-				best = enc
+			order = order[:0]
+			resps := int32(0)
+			enc = append(enc[:0], "n_ops="...)
+			enc = strconv.AppendInt(enc, int64(nOps), 10)
+			enc = append(enc, "\ninit="...)
+			for _, j := range initPerm {
+				enc = strconv.AppendInt(enc, intern(inits[j]), 10)
+				enc = append(enc, ',')
+			}
+			enc = append(enc, '\n')
+			for i := 0; i < len(order); i++ { // order grows as states are discovered
+				for j, o := range opPerm {
+					ns, r := c.Apply(order[i], uint16(o))
+					if respID[r] < 0 {
+						respID[r] = resps
+						resps++
+					}
+					enc = strconv.AppendInt(enc, int64(i), 10)
+					enc = append(enc, '.')
+					enc = strconv.AppendInt(enc, int64(j), 10)
+					enc = append(enc, '-', '>')
+					enc = strconv.AppendInt(enc, intern(ns), 10)
+					enc = append(enc, '/')
+					enc = strconv.AppendInt(enc, int64(respID[r]), 10)
+					enc = append(enc, '\n')
+				}
+			}
+			if best == nil || bytes.Compare(enc, best) < 0 {
+				best = append(best[:0], enc...)
 			}
 		}
 	}
-	sum := sha256.Sum256([]byte(best))
+	sum := sha256.Sum256(best)
 	return hex.EncodeToString(sum[:]), true
-}
-
-// canonicalEncoding renders the transition table reachable from inits
-// (in order) under ops (in order) using only discovery indices — no
-// state, operation or response label survives into the encoding.
-func canonicalEncoding(t spec.Type, inits []spec.State, ops []spec.Op) (string, bool) {
-	var b strings.Builder
-	stateID := map[spec.State]int{}
-	respID := map[spec.Response]int{}
-	var order []spec.State
-	intern := func(s spec.State) int {
-		if id, ok := stateID[s]; ok {
-			return id
-		}
-		id := len(stateID)
-		stateID[s] = id
-		order = append(order, s)
-		return id
-	}
-	fmt.Fprintf(&b, "n_ops=%d\ninit=", len(ops))
-	for _, s := range inits {
-		fmt.Fprintf(&b, "%d,", intern(s))
-	}
-	b.WriteString("\n")
-	for i := 0; i < len(order); i++ { // order grows as states are discovered
-		if len(order) > fingerprintStateCap {
-			return "", false
-		}
-		s := order[i]
-		for j, op := range ops {
-			ns, r, err := t.Apply(s, op)
-			if err != nil {
-				return "", false
-			}
-			rid, ok := respID[r]
-			if !ok {
-				rid = len(respID)
-				respID[r] = rid
-			}
-			fmt.Fprintf(&b, "%d.%d->%d/%d\n", i, j, intern(ns), rid)
-		}
-	}
-	return b.String(), true
 }
 
 func factorial(k int) int {
@@ -243,28 +223,5 @@ func factorial(k int) int {
 	for i := 2; i <= k; i++ {
 		out *= i
 	}
-	return out
-}
-
-// permutations returns all permutations of 0..k-1 (k small, capped by
-// the canonical* constants).
-func permutations(k int) [][]int {
-	base := make([]int, k)
-	for i := range base {
-		base[i] = i
-	}
-	var out [][]int
-	var rec func(prefix []int, rest []int)
-	rec = func(prefix, rest []int) {
-		if len(rest) == 0 {
-			out = append(out, append([]int(nil), prefix...))
-			return
-		}
-		for i := range rest {
-			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
-			rec(append(prefix, rest[i]), next)
-		}
-	}
-	rec(nil, base)
 	return out
 }

@@ -4,9 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
+	"rcons/internal/atlas"
+	"rcons/internal/compile"
 	"rcons/internal/spec"
 	"rcons/internal/types"
 )
@@ -45,7 +50,7 @@ func referenceFingerprint(t spec.Type, n int) (string, bool) {
 				return "", false
 			}
 			if !seen[ns] {
-				if len(seen) >= fingerprintStateCap {
+				if len(seen) >= compile.StateCap {
 					return "", false
 				}
 				seen[ns] = true
@@ -66,6 +71,110 @@ func referenceFingerprint(t spec.Type, n int) (string, bool) {
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 
+// referenceCanonicalFingerprint is the Apply-driven CanonicalFingerprint
+// that rendered the canonical identity before it was read off the
+// compiled table, kept verbatim as an oracle: rcserve reports the
+// canonical fingerprint, so its text must not drift.
+func referenceCanonicalFingerprint(t spec.Type, n int) (fp string, ok bool) {
+	ops := spec.CandidateOps(t, n)
+	inits := t.InitialStates()
+	if len(ops) == 0 || len(inits) == 0 ||
+		len(ops) > canonicalOpCap || len(inits) > canonicalInitCap {
+		return "", false
+	}
+	if factorial(len(ops))*factorial(len(inits)) > canonicalComboCap {
+		return "", false
+	}
+	best := ""
+	for _, opPerm := range referencePermutations(len(ops)) {
+		permOps := make([]spec.Op, len(ops))
+		for i, j := range opPerm {
+			permOps[i] = ops[j]
+		}
+		for _, initPerm := range referencePermutations(len(inits)) {
+			permInits := make([]spec.State, len(inits))
+			for i, j := range initPerm {
+				permInits[i] = inits[j]
+			}
+			enc, ok := referenceCanonicalEncoding(t, permInits, permOps)
+			if !ok {
+				return "", false
+			}
+			if best == "" || enc < best {
+				best = enc
+			}
+		}
+	}
+	sum := sha256.Sum256([]byte(best))
+	return hex.EncodeToString(sum[:]), true
+}
+
+// referenceCanonicalEncoding renders the transition table reachable from inits
+// (in order) under ops (in order) using only discovery indices — no
+// state, operation or response label survives into the encoding.
+func referenceCanonicalEncoding(t spec.Type, inits []spec.State, ops []spec.Op) (string, bool) {
+	var b strings.Builder
+	stateID := map[spec.State]int{}
+	respID := map[spec.Response]int{}
+	var order []spec.State
+	intern := func(s spec.State) int {
+		if id, ok := stateID[s]; ok {
+			return id
+		}
+		id := len(stateID)
+		stateID[s] = id
+		order = append(order, s)
+		return id
+	}
+	fmt.Fprintf(&b, "n_ops=%d\ninit=", len(ops))
+	for _, s := range inits {
+		fmt.Fprintf(&b, "%d,", intern(s))
+	}
+	b.WriteString("\n")
+	for i := 0; i < len(order); i++ { // order grows as states are discovered
+		if len(order) > compile.StateCap {
+			return "", false
+		}
+		s := order[i]
+		for j, op := range ops {
+			ns, r, err := t.Apply(s, op)
+			if err != nil {
+				return "", false
+			}
+			rid, ok := respID[r]
+			if !ok {
+				rid = len(respID)
+				respID[r] = rid
+			}
+			fmt.Fprintf(&b, "%d.%d->%d/%d\n", i, j, intern(ns), rid)
+		}
+	}
+	return b.String(), true
+}
+
+// referencePermutations returns all permutations of 0..k-1 (k small, capped by
+// the canonical* constants).
+func referencePermutations(k int) [][]int {
+	base := make([]int, k)
+	for i := range base {
+		base[i] = i
+	}
+	var out [][]int
+	var rec func(prefix []int, rest []int)
+	rec = func(prefix, rest []int) {
+		if len(rest) == 0 {
+			out = append(out, append([]int(nil), prefix...))
+			return
+		}
+		for i := range rest {
+			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
+			rec(append(prefix, rest[i]), next)
+		}
+	}
+	rec(nil, base)
+	return out
+}
+
 // TestFingerprintMatchesReference locks the optimized Fingerprint to
 // the fmt-based byte stream it replaced, over the whole zoo at several
 // process counts.
@@ -79,6 +188,149 @@ func TestFingerprintMatchesReference(t *testing.T) {
 					typ.Name(), n, got, gotOK, want, wantOK)
 			}
 		}
+	}
+}
+
+// dupOps offers its type's alphabet with the first op repeated.
+type dupOps struct{ spec.Type }
+
+func (d dupOps) OpsFor(n int) []spec.Op {
+	ops := spec.CandidateOps(d.Type, n)
+	return append(ops, ops[0])
+}
+
+// noInits reports no initial states.
+type noInits struct{ spec.Type }
+
+func (noInits) InitialStates() []spec.State { return nil }
+
+// failAt fails one transition of its type.
+type failAt struct {
+	spec.Type
+	s  spec.State
+	op spec.Op
+}
+
+func (f failAt) Apply(s spec.State, op spec.Op) (spec.State, spec.Response, error) {
+	if s == f.s && op == f.op {
+		return "", "", spec.ErrBadOp
+	}
+	return f.Type.Apply(s, op)
+}
+
+// unbounded is a counter with no largest state: every state space walk
+// over it runs into the state cap.
+type unbounded struct{}
+
+func (unbounded) Name() string                { return "unbounded" }
+func (unbounded) InitialStates() []spec.State { return []spec.State{"0"} }
+func (unbounded) Ops() []spec.Op              { return []spec.Op{"inc"} }
+func (unbounded) Apply(s spec.State, _ spec.Op) (spec.State, spec.Response, error) {
+	i, err := strconv.Atoi(string(s))
+	return spec.State(strconv.Itoa(i + 1)), "ack", err
+}
+
+// wideCustom builds a custom table with the given number of states and
+// ops (state i's op j leads to state (i+j) mod states), listing every
+// state as initial when allInit is set.
+func wideCustom(name string, states, ops int, allInit bool) *types.Custom {
+	c := &types.Custom{TypeName: name, Transitions: map[string]map[string]types.CustomEdge{}}
+	for i := 0; i < states; i++ {
+		row := map[string]types.CustomEdge{}
+		for j := 0; j < ops; j++ {
+			row[fmt.Sprintf("op%d", j)] = types.CustomEdge{Next: fmt.Sprintf("s%d", (i+j)%states), Resp: fmt.Sprintf("r%d", j%2)}
+		}
+		c.Transitions[fmt.Sprintf("s%d", i)] = row
+	}
+	if !allInit {
+		c.Initial = []string{"s0"}
+	}
+	return c
+}
+
+// fingerprintCorpus is the oracle battery for both fingerprints: the
+// zoo, random tables, and every edge the table-rendered fingerprints
+// must treat exactly like the Apply-driven references.
+func fingerprintCorpus() []spec.Type {
+	corpus := types.Zoo()
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 60; i++ {
+		corpus = append(corpus, atlas.Random(rng, 3, 2, 2))
+	}
+	for i := 0; i < 30; i++ {
+		corpus = append(corpus, atlas.Random(rng, 4, 3, 3))
+	}
+	twoState := func(name string) *types.Custom {
+		return &types.Custom{
+			TypeName: name,
+			Transitions: map[string]map[string]types.CustomEdge{
+				"a": {"f": {Next: "b", Resp: "x"}, "g": {Next: "a", Resp: "y"}},
+				"b": {"f": {Next: "a", Resp: "y"}, "g": {Next: "b", Resp: "x"}},
+			},
+		}
+	}
+	dupInit := twoState("dup-init")
+	dupInit.Initial = []string{"b", "a", "b"}
+	badOp := &types.Custom{
+		TypeName: "badop",
+		Initial:  []string{"q"},
+		Transitions: map[string]map[string]types.CustomEdge{
+			"q": {"f(a": {Next: "q", Resp: "ack"}, "g": {Next: "p", Resp: "\"quoted\""}},
+			"p": {"f(a": {Next: "q", Resp: "ack"}, "g": {Next: "p", Resp: "é"}},
+		},
+	}
+	broken := twoState("broken")
+	broken.Initial = []string{"a"}
+	return append(corpus,
+		dupInit,
+		badOp,
+		failAt{broken, "b", "g"},
+		dupOps{twoState("dup-ops")},
+		noInits{twoState("no-inits")},
+		wideCustom("op-cap", 2, 6, false),         // 6 ops > canonicalOpCap
+		wideCustom("init-cap", 7, 1, true),        // 7 initial states > canonicalInitCap
+		wideCustom("combo-cap", 6, 5, true),       // 5! × 6! > canonicalComboCap
+		wideCustom("under-combo-cap", 5, 5, true), // 5! × 5! is within every cap
+		unbounded{},
+	)
+}
+
+// TestFingerprintsMatchReferences locks both table-rendered
+// fingerprints to their Apply-driven references — digest and ok alike —
+// over fingerprintCorpus at n = 2..5.
+func TestFingerprintsMatchReferences(t *testing.T) {
+	corpus := fingerprintCorpus()
+	for _, typ := range corpus {
+		for n := 2; n <= 5; n++ {
+			checkFingerprints(t, typ, n)
+		}
+	}
+	// The corpus must reach both outcomes of both fingerprints.
+	var exactFail, canonOK, canonFail bool
+	for _, typ := range corpus {
+		_, ok := Fingerprint(typ, 2)
+		exactFail = exactFail || !ok
+		_, ok = CanonicalFingerprint(typ, 2)
+		canonOK, canonFail = canonOK || ok, canonFail || !ok
+	}
+	if !exactFail || !canonOK || !canonFail {
+		t.Fatalf("corpus misses an outcome: exact failure %v, canonical success %v / failure %v", exactFail, canonOK, canonFail)
+	}
+}
+
+// checkFingerprints compares Fingerprint and CanonicalFingerprint of
+// (typ, n) with their references.
+func checkFingerprints(t *testing.T, typ spec.Type, n int) {
+	t.Helper()
+	got, gotOK := Fingerprint(typ, n)
+	want, wantOK := referenceFingerprint(typ, n)
+	if gotOK != wantOK || got != want {
+		t.Fatalf("Fingerprint(%s, %d) = %q, %v; reference = %q, %v", typ.Name(), n, got, gotOK, want, wantOK)
+	}
+	got, gotOK = CanonicalFingerprint(typ, n)
+	want, wantOK = referenceCanonicalFingerprint(typ, n)
+	if gotOK != wantOK || got != want {
+		t.Fatalf("CanonicalFingerprint(%s, %d) = %q, %v; reference = %q, %v", typ.Name(), n, got, gotOK, want, wantOK)
 	}
 }
 
@@ -111,6 +363,19 @@ func BenchmarkFingerprintZoo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, t := range zoo {
 			Fingerprint(t, 3)
+		}
+	}
+}
+
+// BenchmarkCanonicalFingerprintZoo tracks the cost of the canonical
+// fingerprint rcserve stamps on every computed classification.
+func BenchmarkCanonicalFingerprintZoo(b *testing.B) {
+	zoo := types.Zoo()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range zoo {
+			CanonicalFingerprint(t, 3)
 		}
 	}
 }

@@ -90,7 +90,9 @@ func permFromByte(b byte, k int) []int {
 
 // FuzzFingerprint checks the canonical fingerprint's defining property:
 // invariance under consistent relabeling of states, operations and
-// responses. It also pins down determinism of both fingerprint flavours.
+// responses. It also pins down determinism of both fingerprint flavours
+// and checks both against their Apply-driven references, on the
+// original table and on the relabeled one.
 func FuzzFingerprint(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("\x01\x01\x01\x00\x01\x00\x00\x01\x01\x01\x01\x00"))
@@ -129,6 +131,8 @@ func FuzzFingerprint(f *testing.F) {
 		}
 
 		const n = 2
+		checkFingerprints(t, orig, n)
+		checkFingerprints(t, relabeled, n)
 		fpO, okO := CanonicalFingerprint(orig, n)
 		fpR, okR := CanonicalFingerprint(relabeled, n)
 		if okO != okR {

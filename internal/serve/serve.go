@@ -298,15 +298,6 @@ type Server struct {
 	// rate limiting is disabled.
 	limiter *rateLimiter
 
-	// canon memoizes CanonicalFingerprint results keyed by the exact
-	// (label-sensitive) fingerprint: the canonical form is a pure
-	// function of the transition structure, and its permutation
-	// minimization is orders of magnitude costlier than the cache-hit
-	// classification it rides along with. A bounded LRU, so a burst of
-	// one-off custom types ages entries out gradually instead of wiping
-	// the hot built-in entries with them.
-	canon *lru.Cache[string, string]
-
 	// atlasCache memoizes encoded census summaries by request
 	// parameters; census artifacts are deterministic functions of those
 	// parameters, so cached summaries are always exact. Concurrent cold
@@ -317,16 +308,16 @@ type Server struct {
 	// request's own bytes (built-in name or raw table JSON, plus limit)
 	// — see classifyItemKey. A classification is a pure function of
 	// that key, so entries can never go stale, and a hit skips JSON
-	// parsing, fingerprinting and engine dispatch entirely: this is
+	// parsing, table walks and engine dispatch entirely: this is
 	// what lets a warm /v1/classify/batch stream items at memory speed
 	// instead of paying ~tens of µs of per-item bookkeeping. nil when
 	// -cache is negative (memoization disabled server-wide).
 	items *lru.Cache[string, []byte]
-}
 
-// canonCacheCap bounds the canonical-fingerprint memo (entries are two
-// short hashes; the cap only guards against unbounded custom-type spam).
-const canonCacheCap = 4096
+	// parseTable decodes the custom table a /v1/classify POST carries;
+	// tests substitute it to observe the type a request classifies.
+	parseTable func(body []byte) (spec.Type, error)
+}
 
 // itemCacheCap bounds the encoded-classification memo; entries carry a
 // full response payload (~KB), so it is kept smaller than the hash-
@@ -348,8 +339,8 @@ func newServer(cfg config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		inflight:   make(chan struct{}, cfg.maxInflight),
-		canon:      lru.New[string, string](canonCacheCap),
 		atlasCache: lru.New[string, []byte](atlasCacheCap),
+		parseTable: func(body []byte) (spec.Type, error) { return types.NewCustomFromJSON(body) },
 		reg:        obs.NewRegistry(),
 		logger:     obs.NewLogger(os.Stderr, cfg.logFormat, cfg.logLevel),
 	}
@@ -441,24 +432,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-s.inflight
 	}
 	return s.drainJobs(ctx)
-}
-
-// canonicalFingerprint returns the memoized canonical fingerprint of t
-// at limit ("" when the type is not canonicalizable).
-func (s *Server) canonicalFingerprint(t spec.Type, limit int) string {
-	exact, ok := engine.Fingerprint(t, limit)
-	if !ok {
-		// Not exactly fingerprintable ⇒ compute (uncached) if possible.
-		fp, _ := engine.CanonicalFingerprint(t, limit)
-		return fp
-	}
-	key := exact + "|" + strconv.Itoa(limit)
-	if fp, hit := s.canon.Get(key); hit {
-		return fp
-	}
-	fp, _ := engine.CanonicalFingerprint(t, limit)
-	s.canon.Put(key, fp)
-	return fp
 }
 
 // handler builds the route table. Every route passes through instrument
@@ -610,12 +583,13 @@ func encodeClassification(c checker.Classification) classificationJSON {
 }
 
 // encodeClassificationWithFP is the one encoder every classification
-// response flows through: it stamps the memoized canonical fingerprint
-// of t at limit, so /v1/classify, /v1/classify/batch, /v1/zoo,
-// /v1/atlas/type and the zoo job all expose the same identity field.
+// response flows through: it stamps the canonical fingerprint of t at
+// limit ("" when the type is not canonicalizable), so /v1/classify,
+// /v1/classify/batch, /v1/zoo, /v1/atlas/type and the zoo job all
+// expose the same identity field.
 func (s *Server) encodeClassificationWithFP(c checker.Classification, t spec.Type, limit int) classificationJSON {
 	enc := encodeClassification(c)
-	enc.CanonicalFingerprint = s.canonicalFingerprint(t, limit)
+	enc.CanonicalFingerprint, _ = engine.CanonicalFingerprint(t, limit)
 	return enc
 }
 
@@ -696,7 +670,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		t = tt
 	} else {
-		tt, err := types.NewCustomFromJSON(body)
+		tt, err := s.parseTable(body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -715,23 +689,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		s.itemPut(itemKey, payload)
 		return payload, nil
 	}
-	// Coalesce on the exact (label-sensitive) fingerprint, not the
-	// canonical one: the response embeds concrete state/op labels
-	// (witnesses, the type name), so only byte-identical tables may
-	// share a payload — isomorphic-but-relabeled uploads must not
-	// inherit the leader's labels. Unfingerprintable types skip
-	// coalescing entirely.
-	key, ok := engine.Fingerprint(t, limit)
-	if !ok {
-		payload, err := compute(r.Context())
-		if err != nil {
-			s.writeEngineError(w, r, err)
-			return
-		}
-		writeRawJSON(w, http.StatusOK, payload)
-		return
-	}
-	s.coalesced(w, r, "/v1/classify", key+"|"+strconv.Itoa(limit), compute)
+	// Coalesce on the request key the memo above uses: the response
+	// embeds concrete state/op labels (witnesses, the type name), so
+	// only requests that send the same bytes may share a payload —
+	// isomorphic-but-relabeled uploads must not inherit the leader's
+	// labels.
+	s.coalesced(w, r, "/v1/classify", itemKey, compute)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {

@@ -32,6 +32,13 @@ func testServerFromConfig(t *testing.T, cfg config) (*Server, *httptest.Server) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, startTestServer(t, s)
+}
+
+// startTestServer serves s over httptest until the test ends, then
+// drains its jobs.
+func startTestServer(t *testing.T, s *Server) *httptest.Server {
+	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() {
@@ -39,7 +46,7 @@ func testServerFromConfig(t *testing.T, cfg config) (*Server, *httptest.Server) 
 		defer cancel()
 		_ = s.drainJobs(ctx)
 	})
-	return s, ts
+	return ts
 }
 
 func getJSON(t *testing.T, url string, wantStatus int, out any) {

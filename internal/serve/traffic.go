@@ -39,11 +39,11 @@ import (
 // flight.lead.
 //
 // Keys are prefixed by the route, so equal parameter strings on
-// different endpoints never collide. Note the key-granularity choice
-// for classification: the ISSUE-level idea "share by canonical
-// fingerprint" is deliberately narrowed to the exact fingerprint,
-// because responses embed concrete state/op labels (witness schedules,
-// type names) that differ between isomorphic-but-relabeled tables.
+// different endpoints never collide. /v1/classify keys on the request
+// itself (see classifyItemKey), not on any type fingerprint: responses
+// embed concrete state/op labels (witness schedules, type names) and
+// readability, which differ between requests whose tables share a
+// fingerprint.
 func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, path, key string, compute func(ctx context.Context) ([]byte, error)) {
 	payload, shared, err := s.flights.Do(r.Context(), path+"|"+key, compute)
 	if err != nil {
