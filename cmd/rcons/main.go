@@ -20,7 +20,7 @@
 // lines — nodes explored, nodes/sec, depth, memoization hit rates — are
 // printed to stderr at that interval, plus one final line on completion.
 //
-// With -parallel and -store DIR, memoized search results are read from
+// With -parallel and -store DIR, per-level search results are read from
 // and written through to the same crash-safe content-addressed store
 // rcatlas and rcserve use, so a classification computed once — by any
 // of the three binaries — is never recomputed.
@@ -101,9 +101,9 @@ func run(args []string) error {
 	specFile := fs.String("spec", "", "classify a custom type from a JSON transition table instead of a built-in")
 	limit := fs.Int("limit", 6, "scan the properties for n = 2..limit")
 	parallel := fs.Int("parallel", 0, "classify on the sharded engine with this many workers (-1 = all CPUs, 0 = sequential)")
-	storeDir := fs.String("store", "", "with -parallel: persist memoized searches in this store directory")
+	storeDir := fs.String("store", "", "with -parallel: persist search results in this store directory")
 	storeBudget := fs.String("store-budget", "", "disk budget for -store, e.g. 256M (empty = unlimited)")
-	storePeer := fs.String("store-peer", "", "with -parallel: comma-separated peer rcserve base URLs to read memoized searches through")
+	storePeer := fs.String("store-peer", "", "with -parallel: comma-separated peer rcserve base URLs to read search results through")
 	peerTimeout := fs.Duration("store-peer-timeout", 2*time.Second, "per-fetch deadline for -store-peer reads")
 	witness := fs.Bool("witness", false, "print the maximal recording/discerning witnesses")
 	diagram := fs.Bool("diagram", false, "print the type's transition diagram")

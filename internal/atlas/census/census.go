@@ -92,7 +92,8 @@ type item struct {
 }
 
 // Run executes the census: generate (single-threaded, deterministic),
-// dedup by canonical fingerprint, classify with bounded concurrency and
+// dedup on the atlas canonical key (and, for zoo mutants, on the exact
+// engine fingerprint — see mutantKey), classify with bounded concurrency and
 // per-type timeouts, then aggregate into an Artifact. See the package
 // comment for the determinism guarantees.
 func Run(ctx context.Context, o Options) (*Artifact, error) {

@@ -3,11 +3,13 @@
 // n-recording / n-discerning, and what cons/rcons bands follow?" — but
 // partitions each exhaustive witness search into independent shards
 // (checker.Shards), verifies the shards on a worker pool with early
-// cancellation once a witness is found, and memoizes results behind an
-// exact type fingerprint so repeated queries (CLI runs, zoo scans,
-// rcserve traffic) are served from cache. Each (type, n) is walked once
-// per call: its compiled table (package compile) supplies the memo,
-// store and symmetry-pruning keys and the search itself.
+// cancellation once a witness is found, and memoizes whole
+// classifications behind an exact type fingerprint so repeated queries
+// (CLI runs, zoo scans, rcserve traffic) are served from memory. With a
+// persistent store attached, every per-(property, n) search result is
+// read from and written through to it. Each (type, n) is walked once
+// per call: its compiled table (package compile) supplies the memo and
+// store keys, the symmetry-pruning group and the search itself.
 //
 // Determinism: the pool tracks the lowest-indexed shard that produced a
 // witness and cancels only shards that enumerate later, so the engine
@@ -80,18 +82,19 @@ func (p Property) verify() (checker.VerifyFunc, error) {
 }
 
 // Options configures an Engine. The zero value gives one worker per CPU
-// and a 4096-entry cache.
+// and a 4096-entry classification memo.
 type Options struct {
 	// Workers is the number of concurrent shard verifications per
 	// search; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheSize bounds the number of memoized search results (LRU);
+	// CacheSize bounds the number of memoized classifications (LRU);
 	// 0 means 4096, negative disables in-memory memoization entirely.
 	CacheSize int
-	// Persist, when non-nil, backs the memo cache with a persistent
-	// result store: cache misses consult it before searching, and every
-	// computed result is written through — so classifications survive
-	// restarts and are shared by every binary opening the same store.
+	// Persist, when non-nil, is a persistent result store for the
+	// per-(property, n) searches: each search consults it before
+	// computing, and every computed result is written through — so
+	// search results survive restarts and are shared by every binary
+	// opening the same store.
 	Persist Persist
 	// Interpreted disables the compiled fast path: searches verify
 	// witnesses by interpreting spec.Type directly instead of compiling
@@ -101,9 +104,9 @@ type Options struct {
 	Interpreted bool
 }
 
-// Engine runs sharded, memoized witness searches. It is safe for
-// concurrent use; one Engine is meant to be shared (e.g. by all rcserve
-// requests) so that the cache actually accumulates.
+// Engine runs sharded witness searches and memoized classifications.
+// It is safe for concurrent use; one Engine is meant to be shared (e.g.
+// by all rcserve requests) so that the memo actually accumulates.
 type Engine struct {
 	workers int
 	// sem globally bounds busy shard verifications: concurrent searches
@@ -112,17 +115,15 @@ type Engine struct {
 	// hold a slot and burn CPU at any instant, so nested fan-out cannot
 	// oversubscribe the machine quadratically.
 	sem     chan struct{}
-	cache   *cache  // nil when memoization is disabled
 	persist Persist // nil when no persistent store is attached
 	pstats  persistStats
 
-	// classes memoizes whole classifications keyed by exact
-	// fingerprint, limit and readability. The search memo alone leaves
-	// a cached Classify paying ~100µs of pure bookkeeping — two
-	// goroutine fan-outs plus one table walk per level — which
-	// dominates hot serving paths like /v1/classify/batch over a warm
-	// engine. A classification hit skips all but the walk at the limit.
-	// nil whenever cache is nil.
+	// classes, the engine's one in-memory memo, holds whole
+	// classifications keyed by exact fingerprint, limit and
+	// readability. A hit costs one table walk at the limit and skips
+	// both property scans. Searches keep no memo of their own: with
+	// a store attached they read through it. nil when memoization is
+	// disabled.
 	classes                *lru.Cache[classKey, checker.Classification]
 	classHits, classMisses atomic.Int64
 
@@ -147,21 +148,40 @@ func New(opts Options) *Engine {
 		size = 4096
 	}
 	if size > 0 {
-		e.cache = newCache(size)
 		e.classes = lru.New[classKey, checker.Classification](size)
 	}
 	return e
 }
 
-// classKey identifies one memoized classification: the folded exact
+// classKey identifies one memoized classification: the exact
 // fingerprint at n = limit (which hashes the type's name, alphabet and
 // full reachable transition table), the limit itself, and readability,
 // which the fingerprint does not cover but checker.Derive reads. Equal
 // keys imply identical classifications including TypeName.
 type classKey struct {
-	fp       [2]uint64
+	fp       string
 	limit    int
 	readable bool
+}
+
+// CacheStats reports the classification memo's cumulative behavior and
+// the persistent store's search counters.
+type CacheStats struct {
+	// Hits and Misses count classification-memo lookups that did / did
+	// not find an entry.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Entries is the current number of memoized classifications.
+	Entries int `json:"entries"`
+	// Evictions counts entries dropped to respect the size bound.
+	Evictions int64 `json:"evictions"`
+	// PersistHits / PersistMisses count searches that were / were not
+	// answered by the persistent result store (zero without one);
+	// PersistErrors counts store reads or writes that failed (the search
+	// proceeds regardless).
+	PersistHits   int64 `json:"persistHits"`
+	PersistMisses int64 `json:"persistMisses"`
+	PersistErrors int64 `json:"persistErrors"`
 }
 
 // cloneClassification deep-copies the witness pointers inside a
@@ -182,28 +202,30 @@ func cloneClassification(c checker.Classification) checker.Classification {
 // Workers returns the configured worker-pool width.
 func (e *Engine) Workers() int { return e.workers }
 
-// Stats returns cumulative cache statistics (zero values when the cache
-// is disabled) merged with the persistent-store counters.
+// Stats returns the classification memo's cumulative statistics (zero
+// values when memoization is disabled) merged with the persistent-store
+// counters.
 func (e *Engine) Stats() CacheStats {
-	var s CacheStats
-	if e.cache != nil {
-		s = e.cache.Stats()
+	s := CacheStats{
+		Hits:          e.classHits.Load(),
+		Misses:        e.classMisses.Load(),
+		PersistHits:   e.pstats.hits.Load(),
+		PersistMisses: e.pstats.misses.Load(),
+		PersistErrors: e.pstats.errors.Load(),
 	}
-	// Whole-classification memo hits are cache hits too: they answer a
-	// Classify without any search-level lookups at all.
-	s.Hits += e.classHits.Load()
-	s.Misses += e.classMisses.Load()
-	s.PersistHits = e.pstats.hits.Load()
-	s.PersistMisses = e.pstats.misses.Load()
-	s.PersistErrors = e.pstats.errors.Load()
+	if e.classes != nil {
+		s.Entries = e.classes.Len()
+		s.Evictions = e.classes.Evictions()
+	}
 	return s
 }
 
 // PublishProgress starts periodic publication of the engine's
-// cumulative counters (lookups as the work unit, memo and persist hit
-// ratios) to sink, tagged with the given trace ID. The returned stop
-// function flushes one final sample and waits for the publisher to
-// exit; a nil sink makes both no-ops. interval ≤ 0 means 1s.
+// cumulative counters (classification-memo lookups as the work unit,
+// memo and persist hit ratios) to sink, tagged with the given trace
+// ID. The returned stop function flushes one final sample and waits for
+// the publisher to exit; a nil sink makes both no-ops. interval ≤ 0
+// means 1s.
 func (e *Engine) PublishProgress(interval time.Duration, sink obs.Sink, trace string) (stop func()) {
 	start := time.Now()
 	return obs.PublishEvery(interval, sink, func() obs.Progress {
@@ -231,38 +253,39 @@ func (e *Engine) PublishProgress(interval time.Duration, sink obs.Sink, trace st
 // Search looks for a witness of property p for type t among n processes,
 // verifying enumeration shards concurrently. It returns nil when no
 // witness exists over the candidate sets — the same exhaustive guarantee
-// as the sequential checker searches. Results (including negative ones)
-// are memoized under the type's fingerprint, and — with a persistent
-// store attached — written through to disk, so they survive restarts.
+// as the sequential checker searches. With a persistent store attached,
+// results (including negative ones) are read from and written through
+// to it under the type's exact fingerprint, so they survive restarts;
+// Search itself memoizes nothing.
 func (e *Engine) Search(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
-	return e.search(ctx, t, p, n, e.buildLevel(t, n))
+	return e.search(ctx, t, p, n, buildLevel(t, n, e.persist != nil))
 }
 
-// level is one process count's compiled table and, when the engine
-// memoizes or persists results, its exact fingerprint. tab is nil when
-// the type has no table (the state space exceeds compile.StateCap or a
-// transition fails); fp is "" whenever results go unkeyed.
+// level is one process count's compiled table and, when a key needs
+// it, its exact fingerprint. tab is nil when the type has no table (the
+// state space exceeds compile.StateCap or a transition fails); fp is ""
+// whenever nothing is keyed on it.
 type level struct {
 	tab *compile.Compiled
 	fp  string
 }
 
-// buildLevel builds (t, n)'s level: the one walk a search at n pays.
-func (e *Engine) buildLevel(t spec.Type, n int) level {
+// buildLevel builds (t, n)'s level: the one walk a search at n pays,
+// plus the fingerprint when keyed.
+func buildLevel(t spec.Type, n int, keyed bool) level {
 	tab, err := compile.Table(t, n)
 	if err != nil {
 		return level{}
 	}
 	l := level{tab: tab}
-	if e.cache != nil || e.persist != nil {
+	if keyed {
 		l.fp = fingerprint(tab)
 	}
 	return l
 }
 
-// levelTables holds one Classify or Max call's levels for n = 2 …
-// limit; at builds each on first use and shares it with every scan
-// after.
+// levelTables holds one Classify call's levels for n = 2 … limit; at
+// builds each on first use and shares it with every scan after.
 type levelTables struct {
 	e  *Engine
 	t  spec.Type
@@ -278,10 +301,15 @@ func (e *Engine) levels(t spec.Type, limit int) levelTables {
 	return levelTables{e: e, t: t, lv: make([]lazyLevel, max(limit+1, 0))}
 }
 
-// at returns the level at n, building it once.
+// at returns the level at n, building it once. A level is keyed when
+// the store needs its search keys, or when it is the limit's and the
+// class memo needs its key.
 func (lt levelTables) at(n int) level {
 	x := &lt.lv[n]
-	x.once.Do(func() { x.l = lt.e.buildLevel(lt.t, n) })
+	x.once.Do(func() {
+		keyed := lt.e.persist != nil || (n == len(lt.lv)-1 && lt.e.classes != nil)
+		x.l = buildLevel(lt.t, n, keyed)
+	})
 	return x.l
 }
 
@@ -293,25 +321,14 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	if err != nil {
 		return nil, err
 	}
-	haveKey := l.fp != ""
-	key := cacheKey{fp: foldFingerprint(l.fp), prop: p, n: n}
-	if haveKey && e.cache != nil {
-		if r, ok := e.cache.get(key); ok {
-			return resultWitness(r), nil
-		}
-	}
-	if haveKey && e.persist != nil {
-		if r, ok := e.persistGet(ctx, l.fp, p, n); ok {
-			// Promote to the memo cache so the disk is read once.
-			if e.cache != nil {
-				e.cache.put(key, r)
-			}
-			return resultWitness(r), nil
+	persisted := e.persist != nil && l.fp != ""
+	if persisted {
+		if w, ok := e.persistGet(ctx, l.fp, p, n); ok {
+			return w, nil
 		}
 	}
 	// A genuinely computed search is the expensive stage worth its own
-	// span; memo and persist hits returned above (persistGet spans
-	// itself).
+	// span; persist hits returned above (persistGet spans itself).
 	sctx, span := obs.StartSpan(ctx, "engine.search")
 	span.SetAttr("property", p.String())
 	span.SetAttr("n", strconv.Itoa(n))
@@ -333,53 +350,14 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 		span.MarkError()
 		return nil, err
 	}
-	// Cached paths return above untouched; only genuinely computed
+	// Persist hits return above untouched; only genuinely computed
 	// searches are worth a (debug-level, usually discarded) log line.
 	obs.LoggerFrom(ctx).Debug("engine search computed",
 		"type", t.Name(), "property", p.String(), "n", n, "witness", w != nil)
-	if haveKey {
-		r := searchResult{found: w != nil}
-		if w != nil {
-			r.witness = cloneWitness(*w)
-		}
-		if e.cache != nil {
-			e.cache.put(key, r)
-		}
-		if e.persist != nil {
-			e.persistPut(sctx, l.fp, p, n, r)
-		}
+	if persisted {
+		e.persistPut(sctx, l.fp, p, n, w)
 	}
 	return w, nil
-}
-
-// resultWitness converts a cached/stored result back into the Search
-// return convention, deep-copying so callers cannot corrupt the cache.
-func resultWitness(r searchResult) *checker.Witness {
-	if !r.found {
-		return nil
-	}
-	w := cloneWitness(r.witness)
-	return &w
-}
-
-// foldFingerprint packs the leading 128 bits of an exact fingerprint
-// (64 hex characters of SHA-256) into the cache key. Malformed input
-// cannot occur — Fingerprint always hex-encodes — but is still mapped
-// injectively enough for a cache (worst case: a shared bucket).
-func foldFingerprint(fp string) [2]uint64 {
-	var out [2]uint64
-	for i := 0; i < 32 && i < len(fp); i++ {
-		c := fp[i]
-		var v uint64
-		switch {
-		case c >= '0' && c <= '9':
-			v = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			v = uint64(c-'a') + 10
-		}
-		out[i/16] = out[i/16]<<4 | v
-	}
-	return out
 }
 
 // cloneWitness deep-copies a witness so cached entries are immune to
@@ -546,14 +524,9 @@ func (e *Engine) searchParallel(
 	return bestW, nil
 }
 
-// Max scans property p for n = 2 … limit, mirroring checker.MaxRecording
-// / MaxDiscerning (including the downward-closure early stop) but with
-// each level's search sharded and memoized.
-func (e *Engine) Max(ctx context.Context, t spec.Type, p Property, limit int) (checker.MaxLevel, error) {
-	return e.maxLevel(ctx, t, p, limit, e.levels(t, limit))
-}
-
-// maxLevel is Max over the levels lt.
+// maxLevel scans property p for n = 2 … limit over the levels lt,
+// mirroring checker.MaxRecording / MaxDiscerning (including the
+// downward-closure early stop) with each level's search sharded.
 func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit int, lt levelTables) (checker.MaxLevel, error) {
 	out := checker.MaxLevel{Max: 1, Limit: limit}
 	for n := 2; n <= limit; n++ {
@@ -591,7 +564,7 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 	)
 	if e.classes != nil {
 		if l := lt.at(limit); l.fp != "" {
-			ckey = classKey{fp: foldFingerprint(l.fp), limit: limit, readable: l.tab.Readable()}
+			ckey = classKey{fp: l.fp, limit: limit, readable: l.tab.Readable()}
 			haveKey = true
 			if c, ok := e.classes.Get(ckey); ok {
 				e.classHits.Add(1)

@@ -12,7 +12,7 @@ import (
 )
 
 // Persist is the narrow persistent-cache surface the engine writes
-// memoized search results through. Every store.Backend satisfies it —
+// search results through. Every store.Backend satisfies it —
 // *store.Store (local disk), *store.Peer (read-through to another
 // replica's /v1/store routes) and *store.Chain (tiered composition with
 // write-back healing) — and the engine deliberately depends only on
@@ -22,9 +22,9 @@ import (
 // Get's ok=false means "not stored" (never an integrity failure — the
 // store quarantines locally and re-verifies peer envelopes on receipt);
 // errors are operational (I/O, a down or slow peer) and the engine
-// treats them as misses and recomputes. A persist hit is promoted to
-// the memo cache, so a result fetched from a warm peer costs zero
-// search work here and zero further peer traffic.
+// treats them as misses and recomputes. A persist hit costs zero search
+// work; a result fetched from a warm peer is healed into the local
+// tier by store.Chain, so later reads stay local.
 // The context is passed through so peer-backed stores can propagate
 // the request's trace ID over the wire and hang their tier spans off
 // the search's span.
@@ -37,7 +37,7 @@ type Persist interface {
 const persistKind = "search"
 
 // persistStats are the engine's store-interaction counters, separate
-// from the cache because persistence works with the memo cache disabled.
+// from the class memo's because persistence works with it disabled.
 type persistStats struct {
 	hits, misses, errors atomic.Int64
 }
@@ -51,8 +51,9 @@ func persistKey(fp string, p Property, n int) string {
 }
 
 // persistedWitness / persistedSearch are the stored JSON form of a
-// search outcome. A stored found=false is as valuable as a witness: it
-// is the exhaustive proof of absence, which is the expensive half.
+// search outcome (a *checker.Witness, nil when none exists). A stored
+// found=false is as valuable as a witness: it is the exhaustive proof
+// of absence, which is the expensive half.
 type persistedWitness struct {
 	Q0    string   `json:"q0"`
 	Teams []int    `json:"teams"`
@@ -64,73 +65,75 @@ type persistedSearch struct {
 	Witness *persistedWitness `json:"witness,omitempty"`
 }
 
-func encodeSearchResult(r searchResult) ([]byte, error) {
-	out := persistedSearch{Found: r.found}
-	if r.found {
-		ops := make([]string, len(r.witness.Ops))
-		for i, op := range r.witness.Ops {
+func encodeSearchResult(w *checker.Witness) ([]byte, error) {
+	out := persistedSearch{Found: w != nil}
+	if w != nil {
+		ops := make([]string, len(w.Ops))
+		for i, op := range w.Ops {
 			ops[i] = string(op)
 		}
 		out.Witness = &persistedWitness{
-			Q0:    string(r.witness.Q0),
-			Teams: append([]int{}, r.witness.Teams...),
+			Q0:    string(w.Q0),
+			Teams: append([]int{}, w.Teams...),
 			Ops:   ops,
 		}
 	}
 	return json.Marshal(out)
 }
 
-func decodeSearchResult(data []byte) (searchResult, bool) {
+// decodeSearchResult parses a stored search outcome; ok is false for
+// an undecodable entry.
+func decodeSearchResult(data []byte) (w *checker.Witness, ok bool) {
 	var p persistedSearch
 	if json.Unmarshal(data, &p) != nil {
-		return searchResult{}, false
+		return nil, false
 	}
 	if !p.Found {
-		return searchResult{found: false}, true
+		return nil, true
 	}
 	if p.Witness == nil || len(p.Witness.Teams) != len(p.Witness.Ops) {
-		return searchResult{}, false
+		return nil, false
 	}
-	w := checker.Witness{Q0: spec.State(p.Witness.Q0), Teams: p.Witness.Teams}
+	w = &checker.Witness{Q0: spec.State(p.Witness.Q0), Teams: p.Witness.Teams}
 	for _, op := range p.Witness.Ops {
 		w.Ops = append(w.Ops, spec.Op(op))
 	}
-	return searchResult{found: true, witness: w}, true
+	return w, true
 }
 
 // persistGet consults the store for a previously computed search
 // result. Undecodable or erroring entries are treated as misses; the
 // search simply recomputes and persistPut heals the entry.
-func (e *Engine) persistGet(ctx context.Context, fp string, p Property, n int) (searchResult, bool) {
+func (e *Engine) persistGet(ctx context.Context, fp string, p Property, n int) (*checker.Witness, bool) {
 	ctx, span := obs.StartSpan(ctx, "engine.persist")
 	defer span.End()
 	data, ok, err := e.persist.Get(ctx, persistKind, persistKey(fp, p, n))
 	if err != nil {
 		e.pstats.errors.Add(1)
 		span.MarkError()
-		return searchResult{}, false
+		return nil, false
 	}
 	if !ok {
 		e.pstats.misses.Add(1)
 		span.SetAttr("hit", "false")
-		return searchResult{}, false
+		return nil, false
 	}
-	r, ok := decodeSearchResult(data)
+	w, ok := decodeSearchResult(data)
 	if !ok {
 		e.pstats.misses.Add(1)
 		span.SetAttr("hit", "false")
-		return searchResult{}, false
+		return nil, false
 	}
 	e.pstats.hits.Add(1)
 	span.SetAttr("hit", "true")
-	return r, true
+	return w, true
 }
 
 // persistPut writes a computed search result through to the store.
 // Failures are counted but never fail the search: persistence is an
 // accelerator, not a correctness dependency.
-func (e *Engine) persistPut(ctx context.Context, fp string, p Property, n int, r searchResult) {
-	data, err := encodeSearchResult(r)
+func (e *Engine) persistPut(ctx context.Context, fp string, p Property, n int, w *checker.Witness) {
+	data, err := encodeSearchResult(w)
 	if err != nil {
 		e.pstats.errors.Add(1)
 		return

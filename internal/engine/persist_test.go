@@ -52,7 +52,7 @@ func (f *fakePersist) Put(_ context.Context, kind, key string, payload []byte) e
 // TestPersistWriteThroughAndRestart: engine 1 computes and persists;
 // engine 2 (a "restarted process" sharing the store) answers from disk
 // without searching. The sentinel proves no recomputation: engine 2's
-// memo cache is disabled and the stored entry is the only possible
+// class memo is disabled and the stored entry is the only possible
 // source of the exact bytes it returns.
 func TestPersistWriteThroughAndRestart(t *testing.T) {
 	ctx := context.Background()
@@ -120,14 +120,17 @@ func TestPersistServesStoredResult(t *testing.T) {
 	if string(w.Q0) != "sentinel-state" {
 		t.Fatalf("engine recomputed instead of serving the store: %s", w)
 	}
-	// The hit was promoted to the memo cache: a second search must not
-	// re-read the store.
+	// A repeated classification is a class-memo hit: it must not read
+	// the store at all.
+	if _, err := e.Classify(ctx, typ, 3); err != nil {
+		t.Fatal(err)
+	}
 	gets := p.gets
-	if _, err := e.Search(ctx, typ, Recording, 3); err != nil {
+	if _, err := e.Classify(ctx, typ, 3); err != nil {
 		t.Fatal(err)
 	}
 	if p.gets != gets {
-		t.Fatal("memo-cached search re-read the store")
+		t.Fatalf("memoized classification read the store %d times", p.gets-gets)
 	}
 }
 
@@ -170,8 +173,7 @@ func TestPersistCorruptEntryIsMiss(t *testing.T) {
 	if !ok {
 		t.Fatal("write-through did not heal the entry")
 	}
-	r, ok := decodeSearchResult(healed)
-	if !ok || !r.found {
+	if r, ok := decodeSearchResult(healed); !ok || r == nil {
 		t.Fatalf("healed entry undecodable: %s", healed)
 	}
 }
@@ -245,11 +247,7 @@ func TestSearchResultCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s n=%d: %v", typ.Name(), prop, n, err)
 				}
-				r := searchResult{found: w != nil}
-				if w != nil {
-					r.witness = cloneWitness(*w)
-				}
-				data, err := encodeSearchResult(r)
+				data, err := encodeSearchResult(w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -257,9 +255,9 @@ func TestSearchResultCodecRoundTrip(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s %s n=%d: round-trip decode failed: %s", typ.Name(), prop, n, data)
 				}
-				if back.found != r.found || (r.found && !reflect.DeepEqual(back.witness, r.witness)) {
+				if !reflect.DeepEqual(back, w) {
 					t.Fatalf("%s %s n=%d: round trip changed the result:\n%+v\nvs\n%+v",
-						typ.Name(), prop, n, back, r)
+						typ.Name(), prop, n, back, w)
 				}
 			}
 		}
@@ -276,7 +274,7 @@ func TestDecodeSearchResultRejectsGarbage(t *testing.T) {
 			t.Errorf("decoded garbage %s", bad)
 		}
 	}
-	if r, ok := decodeSearchResult([]byte(`{"found":false}`)); !ok || r.found {
+	if w, ok := decodeSearchResult([]byte(`{"found":false}`)); !ok || w != nil {
 		t.Error("negative result failed to decode")
 	}
 }

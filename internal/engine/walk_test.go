@@ -37,8 +37,8 @@ func walk(t *testing.T, typ spec.Type, n int) int64 {
 }
 
 // TestClassifyWalksEachLevelOnce: a cold Classify at limit 3 walks
-// levels 2 and 3 once each — the class-memo key, both property scans,
-// the search-memo keys and the compiled searches all share the walks —
+// levels 2 and 3 once each — the class-memo key, both property scans
+// and the compiled searches all share the walks —
 // and a class-memo hit costs one walk at the limit.
 func TestClassifyWalksEachLevelOnce(t *testing.T) {
 	ctx := context.Background()

@@ -7,7 +7,7 @@
 // gauges, and fixed-bucket histograms (quantiles derivable client-side
 // or via Histogram.Quantile) — each optionally split by a small set of
 // labels. Subsystems that already maintain their own atomic counters
-// (engine memo cache, store, job manager) re-publish them through
+// (engine classification memo, store, job manager) re-publish them through
 // CounterFunc/GaugeFunc callbacks sampled at collection time, so the
 // subsystem's counter stays the single source of truth: /metrics and
 // any JSON view built from Registry.Value can never drift apart.

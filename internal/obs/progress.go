@@ -27,7 +27,7 @@ type Progress struct {
 	Depth int
 	// Frontier is the number of in-flight roots/branches (mc).
 	Frontier int64
-	// MemoHits/MemoMisses are engine memo-cache counters.
+	// MemoHits/MemoMisses are engine classification-memo counters.
 	MemoHits, MemoMisses int64
 	// PersistHits/PersistMisses are engine persistent-store counters.
 	PersistHits, PersistMisses int64

@@ -1,8 +1,8 @@
 package serve
 
 // Telemetry wiring: every rcserve instance owns one obs.Registry. HTTP
-// middleware feeds the rc_http_* series directly; the engine memo
-// cache, persistent store and job manager are re-published through
+// middleware feeds the rc_http_* series directly; the engine's
+// classification memo, persistent store and job manager are re-published through
 // func-backed metrics that sample each subsystem's own Stats() atomics
 // at collection time — the subsystem counter stays the single source of
 // truth, and /healthz (rebuilt from the same registry reads) can never
@@ -90,24 +90,24 @@ func (s *Server) setupMetrics() {
 		s.m.stage.With(stage).Observe(seconds)
 	})
 
-	// Engine memo cache + persistent-store counters.
+	// Engine classification-memo + persistent-store counters.
 	eng := s.eng
 	ctrf := func(name, help string, f func(engine.CacheStats) int64) {
 		r.CounterFunc(name, help, func() float64 { return float64(f(eng.Stats())) })
 	}
-	ctrf("rc_engine_memo_hits_total", "Engine memo-cache hits.",
+	ctrf("rc_engine_memo_hits_total", "Engine classification-memo hits.",
 		func(c engine.CacheStats) int64 { return c.Hits })
-	ctrf("rc_engine_memo_misses_total", "Engine memo-cache misses.",
+	ctrf("rc_engine_memo_misses_total", "Engine classification-memo misses.",
 		func(c engine.CacheStats) int64 { return c.Misses })
-	ctrf("rc_engine_memo_evictions_total", "Engine memo-cache evictions.",
+	ctrf("rc_engine_memo_evictions_total", "Engine classification-memo evictions.",
 		func(c engine.CacheStats) int64 { return c.Evictions })
-	ctrf("rc_engine_persist_hits_total", "Engine persistent-store hits.",
+	ctrf("rc_engine_persist_hits_total", "Engine searches answered by the persistent store.",
 		func(c engine.CacheStats) int64 { return c.PersistHits })
-	ctrf("rc_engine_persist_misses_total", "Engine persistent-store misses.",
+	ctrf("rc_engine_persist_misses_total", "Engine searches the persistent store could not answer.",
 		func(c engine.CacheStats) int64 { return c.PersistMisses })
 	ctrf("rc_engine_persist_errors_total", "Engine persistent-store errors.",
 		func(c engine.CacheStats) int64 { return c.PersistErrors })
-	r.GaugeFunc("rc_engine_memo_entries", "Engine memo-cache entries.",
+	r.GaugeFunc("rc_engine_memo_entries", "Classifications in the engine memo.",
 		func() float64 { return float64(eng.Stats().Entries) })
 
 	// Job-manager lifecycle counters and queue gauges.

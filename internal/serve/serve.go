@@ -33,8 +33,8 @@
 //	POST /v1/store/compact               run the store compaction pass
 //	GET  /healthz                        liveness + cache/store/queue statistics
 //
-// One engine (and therefore one memoization cache) is shared by all
-// requests, so repeated and overlapping queries are served from cache.
+// One engine (and therefore one classification memo) is shared by all
+// requests, so repeated and overlapping queries are served from memory.
 // Requests are bounded: limits/levels are capped, request bodies are
 // size-limited, each request gets a deadline, and an in-flight cap sheds
 // load with 503 instead of queueing unboundedly. Work that outlives a
@@ -46,7 +46,7 @@
 // expensive routes (/v1/classify, /v1/search, /v1/zoo, /v1/mc,
 // /v1/atlas) coalesce onto one computation and share byte-identical
 // response bytes (rc_http_coalesced_total), a bounded response memo
-// answers repeated classify/zoo requests without re-entering the
+// answers repeated classify/zoo/search requests without re-entering the
 // engine, and -rate/-burst give each client (keyed by remote host) a
 // token bucket — over-budget requests get 429 with Retry-After
 // (rc_http_rate_limited_total), distinct from 503 shedding, which
@@ -55,7 +55,7 @@
 // the regression gate.
 //
 // With -store DIR, results persist in a crash-safe content-addressed
-// store under DIR: the engine's memoized searches, census rows and
+// store under DIR: the engine's search results, census rows and
 // finished job results all survive restarts, and a resubmitted job is
 // answered from disk without recomputation. The same directory can be
 // warmed offline with `rcatlas census -store DIR`. -store-budget caps
@@ -140,7 +140,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8372", "listen address")
 	fs.IntVar(&cfg.workers, "workers", 0, "shard-verification workers per search (0 = all CPUs)")
 	fs.IntVar(&cfg.maxLimit, "max-limit", 6, "cap on the limit/n request parameters")
-	fs.IntVar(&cfg.cacheSize, "cache", 4096, "memoized search results to keep (negative disables)")
+	fs.IntVar(&cfg.cacheSize, "cache", 4096, "memoized classifications to keep (negative disables memoization, response memo included)")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request deadline")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", 64, "concurrent requests before shedding with 503")
 	fs.StringVar(&cfg.storeDir, "store", "", "persist results in a content-addressed store under this directory")
@@ -304,14 +304,16 @@ type Server struct {
 	// requests for the same key dedup through flights.
 	atlasCache *lru.Cache[string, []byte]
 
-	// items memoizes encoded classification payloads keyed by the
-	// request's own bytes (built-in name or raw table JSON, plus limit)
-	// — see classifyItemKey. A classification is a pure function of
-	// that key, so entries can never go stale, and a hit skips JSON
-	// parsing, table walks and engine dispatch entirely: this is
-	// what lets a warm /v1/classify/batch stream items at memory speed
-	// instead of paying ~tens of µs of per-item bookkeeping. nil when
-	// -cache is negative (memoization disabled server-wide).
+	// items is the response memo: encoded classification, zoo and
+	// search payloads, each keyed by the request's own parameters
+	// (for a classification its built-in name or raw table JSON, plus
+	// limit — see classifyItemKey; "z|" and "s|" prefix the zoo and
+	// search keys). Every payload is a pure function of its key, so
+	// entries can never go stale, and a hit skips JSON parsing, table
+	// walks and engine dispatch entirely: this is what lets a warm
+	// /v1/classify/batch stream items at memory speed instead of paying
+	// ~tens of µs of per-item bookkeeping. nil when -cache is negative
+	// (memoization disabled server-wide).
 	items *lru.Cache[string, []byte]
 
 	// parseTable decodes the custom table a /v1/classify POST carries;
@@ -607,8 +609,8 @@ func classifyItemKey(name string, table []byte, limit int) string {
 	return "t|" + strconv.Itoa(limit) + "|" + string(table)
 }
 
-// itemGet / itemPut guard the optional encoded-classification memo
-// (nil when -cache is negative).
+// itemGet / itemPut guard the optional response memo (nil when -cache
+// is negative).
 func (s *Server) itemGet(key string) ([]byte, bool) {
 	if s.items == nil {
 		return nil, false
@@ -722,20 +724,32 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Built-in types are identified by their display name, which is
-	// stable across aliases, so the name is an exact coalescing key.
+	// stable across aliases, so the name is an exact coalescing key —
+	// and, like the zoo's, the payload is a pure function of it, so
+	// repeats are served straight from the response memo.
 	key := fmt.Sprintf("%s|%s|%d", t.Name(), prop.String(), n)
+	searchKey := "s|" + key
+	if payload, hit := s.itemGet(searchKey); hit {
+		writeRawJSON(w, http.StatusOK, payload)
+		return
+	}
 	s.coalesced(w, r, "/v1/search", key, func(ctx context.Context) ([]byte, error) {
 		witness, err := s.eng.Search(ctx, t, prop, n)
 		if err != nil {
 			return nil, err
 		}
-		return marshalJSON(map[string]any{
+		payload, err := marshalJSON(map[string]any{
 			"type":     t.Name(),
 			"property": prop.String(),
 			"n":        n,
 			"found":    witness != nil,
 			"witness":  encodeWitness(witness),
 		})
+		if err != nil {
+			return nil, err
+		}
+		s.itemPut(searchKey, payload)
+		return payload, nil
 	})
 }
 

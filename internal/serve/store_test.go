@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -181,6 +182,55 @@ func TestPeerDownDegradesToCompute(t *testing.T) {
 	// Local results still persisted; the dead tier cost nothing but time.
 	if st := sB.store.Stats(); st.Puts == 0 {
 		t.Fatalf("local store not written: %+v", st)
+	}
+}
+
+// TestSearchResponseMemo: a repeated /v1/search is answered from the
+// response memo — byte-identical and without reading the store — while
+// under -cache -1 every repeat re-enters the engine, whose search reads
+// through the store.
+func TestSearchResponseMemo(t *testing.T) {
+	const path = "/v1/search?type=S_3&property=recording&n=3"
+	get := func(ts *httptest.Server) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v: %s", path, resp.StatusCode, err, body)
+		}
+		return string(body)
+	}
+
+	s, ts := testServer(t, "-store", t.TempDir())
+	first := get(ts)
+	var found struct{ Found bool }
+	if err := json.Unmarshal([]byte(first), &found); err != nil || !found.Found {
+		t.Fatalf("S_3 is 3-recording, got %s (%v)", first, err)
+	}
+	if st := s.eng.Stats(); st.PersistHits != 0 || st.PersistMisses != 1 {
+		t.Fatalf("cold search: %+v, want exactly one persist miss", st)
+	}
+	if n := s.items.Len(); n != 1 {
+		t.Fatalf("response memo holds %d payloads after one search, want 1", n)
+	}
+	if again := get(ts); again != first {
+		t.Fatalf("warm search body differs:\n%s\nvs\n%s", again, first)
+	}
+	if st := s.eng.Stats(); st.PersistHits+st.PersistMisses != 1 {
+		t.Fatalf("warm search re-entered the engine: %+v", st)
+	}
+
+	s, ts = testServer(t, "-store", t.TempDir(), "-cache", "-1")
+	if again := get(ts); again != first {
+		t.Fatalf("unmemoized cold search body differs:\n%s\nvs\n%s", again, first)
+	}
+	get(ts)
+	if st := s.eng.Stats(); st.PersistHits != 1 || st.PersistMisses != 1 {
+		t.Fatalf("unmemoized repeat: %+v, want one persist miss then one hit", st)
 	}
 }
 

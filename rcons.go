@@ -78,11 +78,14 @@ type (
 
 // Engine types: the concurrent, memoizing classification engine.
 type (
-	// Engine runs sharded parallel witness searches with result caching.
+	// Engine runs sharded parallel witness searches and memoizes
+	// classifications.
 	Engine = engine.Engine
-	// EngineOptions sets the worker-pool width and cache bound.
+	// EngineOptions sets the worker-pool width, the classification-memo
+	// bound and an optional persistent store.
 	EngineOptions = engine.Options
-	// EngineCacheStats reports engine cache hits/misses/evictions.
+	// EngineCacheStats reports classification-memo hits/misses/evictions
+	// and persistent-store counters.
 	EngineCacheStats = engine.CacheStats
 	// Property selects n-recording or n-discerning for engine searches.
 	Property = engine.Property
@@ -156,13 +159,13 @@ func Classify(t Type, limit int) (Classification, error) {
 
 // NewEngine builds a concurrent classification engine; its Classify,
 // ClassifyAll, Scan and Search methods produce results identical to the
-// sequential functions above, sharded over a worker pool and memoized
-// behind canonical type fingerprints.
+// sequential functions above, sharded over a worker pool, with whole
+// classifications memoized behind exact type fingerprints.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // ClassifyParallel classifies t on a throwaway engine with one worker
 // per CPU — the one-call parallel counterpart of Classify. Reuse a
-// NewEngine instance instead when classifying repeatedly, so the cache
+// NewEngine instance instead when classifying repeatedly, so the memo
 // accumulates.
 func ClassifyParallel(ctx context.Context, t Type, limit int) (Classification, error) {
 	return engine.New(engine.Options{}).Classify(ctx, t, limit)
