@@ -42,7 +42,11 @@ func TestConcurrentInternAgree(t *testing.T) {
 			defer wg.Done()
 			ids[g] = make([]uint32, words)
 			for w := 0; w < words; w++ {
-				ids[g][w] = ID(fmt.Sprintf("intern-test-race-%d", w))
+				word := fmt.Sprintf("intern-test-race-%d", w)
+				ids[g][w] = ID(word)
+				if got := String(ids[g][w]); got != word {
+					t.Errorf("String(ID(%q)) = %q", word, got)
+				}
 			}
 		}()
 	}

@@ -83,15 +83,16 @@ type execution struct {
 	r      *sim.Runner
 }
 
-// fresh executes script against a new instance of the target and
-// pauses it at the script's end (sim.Runner.Start). It is the search's
-// only way to begin an execution, and the executions it begins are what
-// Stats.Replays counts. Run on the paused runner extends the prefix with
-// the deterministic crash-free fair completion. The incremental
+// fresh executes script against a new instance of the target, on
+// coroutines from pool, and pauses it at the script's end
+// (sim.Runner.Start). It is the search's only way to begin an
+// execution, and the executions it begins are what Stats.Replays
+// counts. Run on the paused runner extends the prefix with the
+// deterministic crash-free fair completion. The incremental
 // fingerprint needs only the O(1) rolling digests; a test oracle
 // (Options.fingerprintOracle) gets the full event trace. On an error
 // the runner has already been torn down.
-func (s *search) fresh(script []sim.Action) (*execution, *sim.Outcome, error) {
+func (s *search) fresh(pool *sim.Pool, script []sim.Action) (*execution, *sim.Outcome, error) {
 	s.replays.Add(1)
 	m, bodies, inputs := s.tgt.Factory()
 	cfg := sim.Config{
@@ -101,7 +102,7 @@ func (s *search) fresh(script []sim.Action) (*execution, *sim.Outcome, error) {
 		DecideRequiresStep: true,
 		MaxSteps:           s.opts.MaxSteps,
 	}
-	r := sim.NewRunner(m, bodies, cfg)
+	r := pool.NewRunner(m, bodies, cfg)
 	if s.opts.fingerprintOracle != nil {
 		r.RecordTrace()
 	} else {
@@ -187,17 +188,12 @@ func (s *search) round(ctx context.Context, depth int) (*violation, bool, error)
 	s.rounds++
 	hitsBefore := s.boundaryHits.Load()
 
-	roots, viol, err := s.enumerateRoots(ctx, depth)
+	roots, viol, err := s.rootPrefixes(ctx, depth)
 	if err != nil || viol != nil {
 		return viol, false, err
 	}
 	if s.exceeded.Load() {
 		return nil, false, nil
-	}
-
-	roots, err = s.dedupRoots(ctx, roots)
-	if err != nil {
-		return nil, false, err
 	}
 
 	viol, err = s.searchRoots(ctx, roots, depth)
@@ -214,15 +210,29 @@ type node struct {
 	crashes int
 }
 
+// rootPrefixes is the round's sequential pass: it enumerates the root
+// prefixes and drops the duplicates, running both on one pool of
+// coroutines that it closes before the worker pool starts.
+func (s *search) rootPrefixes(ctx context.Context, depth int) ([]node, *violation, error) {
+	pool := new(sim.Pool)
+	defer pool.Close()
+	roots, viol, err := s.enumerateRoots(ctx, pool, depth)
+	if err != nil || viol != nil || s.exceeded.Load() {
+		return nil, viol, err
+	}
+	roots, err = s.dedupRoots(ctx, pool, roots)
+	return roots, nil, err
+}
+
 // enumerateRoots explores the first rootDepth levels sequentially (in
 // canonical order, so violations found here are deterministic) and
 // returns the live frontier prefixes to be partitioned across workers.
-func (s *search) enumerateRoots(ctx context.Context, depth int) ([]node, *violation, error) {
+func (s *search) enumerateRoots(ctx context.Context, pool *sim.Pool, depth int) ([]node, *violation, error) {
 	frontier := []node{{}}
 	for level := 0; level < min(rootDepth, depth); level++ {
 		var next []node
 		for _, nd := range frontier {
-			ext, viol, err := s.expand(ctx, nd)
+			ext, viol, err := s.expand(ctx, pool, nd)
 			if err != nil || viol != nil {
 				return nil, viol, err
 			}
@@ -236,8 +246,8 @@ func (s *search) enumerateRoots(ctx context.Context, depth int) ([]node, *violat
 // expand executes one prefix, checks it, and returns its enabled
 // one-action extensions (empty when all processes decided or the node
 // budget ran out — roots are never pruned, see dfs).
-func (s *search) expand(ctx context.Context, nd node) ([]node, *violation, error) {
-	ex, out, v, err := s.visit(ctx, nd, nil)
+func (s *search) expand(ctx context.Context, pool *sim.Pool, nd node) ([]node, *violation, error) {
+	ex, out, v, err := s.visit(ctx, pool, nd, nil)
 	if ex == nil || v != nil {
 		return nil, v, err
 	}
@@ -252,12 +262,12 @@ func (s *search) expand(ctx context.Context, nd node) ([]node, *violation, error
 
 // visit counts one search node, executes its prefix and checks it. The
 // execution continues parent — paused at nd's prefix minus its last
-// action — by that action, or starts fresh when parent is nil. It
-// returns a nil execution when the node is not executed (context done,
-// node budget exhausted). With a violation the runner is already
+// action — by that action, or starts fresh on pool when parent is nil.
+// It returns a nil execution when the node is not executed (context
+// done, node budget exhausted). With a violation the runner is already
 // closed; otherwise the caller owns the returned execution and must
 // close its runner.
-func (s *search) visit(ctx context.Context, nd node, parent *execution) (*execution, *sim.Outcome, *violation, error) {
+func (s *search) visit(ctx context.Context, pool *sim.Pool, nd node, parent *execution) (*execution, *sim.Outcome, *violation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -275,7 +285,7 @@ func (s *search) visit(ctx context.Context, nd node, parent *execution) (*execut
 	if ex != nil {
 		out, err = ex.r.Extend(nd.script[len(nd.script)-1])
 	} else {
-		ex, out, err = s.fresh(nd.script)
+		ex, out, err = s.fresh(pool, nd.script)
 	}
 	v := s.violation(ex, out, err)
 	if v != nil {
@@ -344,7 +354,7 @@ func (s *search) observeDepth(d int) {
 // too), and within it the canonical first-in-order violation is
 // unchanged. Dropped roots are counted as pruned; the probe executions
 // are root-enumeration bookkeeping, not search nodes.
-func (s *search) dedupRoots(ctx context.Context, roots []node) ([]node, error) {
+func (s *search) dedupRoots(ctx context.Context, pool *sim.Pool, roots []node) ([]node, error) {
 	if len(roots) < 2 {
 		return roots, nil
 	}
@@ -358,7 +368,7 @@ func (s *search) dedupRoots(ctx context.Context, roots []node) ([]node, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ex, o, err := s.fresh(nd.script)
+		ex, o, err := s.fresh(pool, nd.script)
 		ex.r.Close()
 		if err != nil {
 			// A violating root must survive to be (re)discovered and
@@ -413,6 +423,10 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each worker runs its executions on its own coroutines,
+			// which grow their stacks once for the whole round.
+			pool := new(sim.Pool)
+			defer pool.Close()
 			for {
 				mu.Lock()
 				i := next
@@ -434,7 +448,7 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 				mu.Unlock()
 
 				visited := map[Fingerprint]uint64{}
-				v, err := s.dfs(rctx, roots[i], depth, visited, nil)
+				v, err := s.dfs(rctx, pool, roots[i], depth, visited, nil)
 				s.frontier.Add(-1)
 
 				mu.Lock()
@@ -489,14 +503,14 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 // continues parent's paused run by nd's last action when parent is
 // non-nil; nd hands its own paused run to its first extension, and a
 // depth-bound leaf finishes it with the fair completion. Later siblings
-// start fresh. This is sound for the same reason pruning is: an
+// start fresh on pool. This is sound for the same reason pruning is: an
 // execution is a pure function of its script, so a continued run
 // reaches exactly the configuration and outcome a fresh replay would
 // (TestContinuedRunMatchesReplay). Every dfs closes the runner it used
 // on return; a child continuing it closes it too, and Close is
 // idempotent.
-func (s *search) dfs(ctx context.Context, nd node, depth int, visited map[Fingerprint]uint64, parent *execution) (*violation, error) {
-	ex, out, v, err := s.visit(ctx, nd, parent)
+func (s *search) dfs(ctx context.Context, pool *sim.Pool, nd node, depth int, visited map[Fingerprint]uint64, parent *execution) (*violation, error) {
+	ex, out, v, err := s.visit(ctx, pool, nd, parent)
 	if ex == nil || v != nil {
 		return v, err
 	}
@@ -526,7 +540,7 @@ func (s *search) dfs(ctx context.Context, nd node, depth int, visited map[Finger
 	}
 	cont := ex
 	for _, ext := range s.extensions(nd, live) {
-		v, err := s.dfs(ctx, ext, depth, visited, cont)
+		v, err := s.dfs(ctx, pool, ext, depth, visited, cont)
 		if err != nil || v != nil {
 			return v, err
 		}

@@ -27,6 +27,8 @@ func (s *search) swarm(ctx context.Context) (*violation, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pool := new(sim.Pool)
+			defer pool.Close()
 			for {
 				mu.Lock()
 				i := next
@@ -40,7 +42,7 @@ func (s *search) swarm(ctx context.Context) (*violation, error) {
 					return
 				}
 
-				v := s.swarmOne(int64(i))
+				v := s.swarmOne(pool, int64(i))
 				s.swarmRuns.Add(1)
 
 				if v != nil {
@@ -60,9 +62,9 @@ func (s *search) swarm(ctx context.Context) (*violation, error) {
 	return best, nil
 }
 
-// swarmOne executes one randomized schedule and returns its violation,
-// if any.
-func (s *search) swarmOne(idx int64) *violation {
+// swarmOne executes one randomized schedule on coroutines from pool and
+// returns its violation, if any.
+func (s *search) swarmOne(pool *sim.Pool, idx int64) *violation {
 	m, bodies, inputs := s.tgt.Factory()
 	cfg := sim.Config{
 		Seed:               s.opts.SwarmSeed + idx,
@@ -72,7 +74,7 @@ func (s *search) swarmOne(idx int64) *violation {
 		DecideRequiresStep: true,
 		MaxSteps:           s.opts.MaxSteps,
 	}
-	r := sim.NewRunner(m, bodies, cfg)
+	r := pool.NewRunner(m, bodies, cfg)
 	r.RecordSchedule()
 	out, err := r.Run()
 	if err != nil {

@@ -15,7 +15,8 @@
 // the scheduler grants it a step. At most one process runs at a time —
 // preludes before the first scheduling point run in process order — so
 // executions are fully deterministic for a fixed seed or script, and
-// adversarial schedules from the paper replay exactly.
+// adversarial schedules from the paper replay exactly. A Pool lets
+// executions run one after another reuse those coroutines.
 package sim
 
 import (

@@ -21,8 +21,11 @@ const (
 type Proc struct {
 	id     int
 	runner *Runner
-	yield  func(struct{}) bool // parks the coroutine at a scheduling point
-	crash  bool                // the pending grant is a crash, not a step
+	yield  func(bool) bool // parks the coroutine at a scheduling point
+	// interrupt is what the pending grant raises at the scheduling
+	// point: nil for a step, crashSignal{} for a crash, stopSignal{}
+	// when the execution is being torn down.
+	interrupt any
 
 	runs     int // 1 + number of crashes while undecided
 	crashes  int
@@ -76,11 +79,11 @@ func (p *Proc) step() {
 		p.runner.failure = ErrRunBudget
 		panic(stopSignal{})
 	}
-	if !p.yield(struct{}{}) {
+	if !p.yield(true) {
 		panic(stopSignal{})
 	}
-	if p.crash {
-		panic(crashSignal{})
+	if p.interrupt != nil {
+		panic(p.interrupt)
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"math/rand"
 	"slices"
 )
@@ -185,16 +184,17 @@ type Outcome struct {
 }
 
 // procState tracks the scheduler's view of one process. The process runs
-// as a coroutine: next resumes it until its next scheduling point
-// (reporting true) or until it has decided (reporting false, with the
-// decision in out); stop unwinds it from a pending scheduling point. The
-// coroutine lives from the runner's start until it finishes (Run, an
-// error, or Close), across any number of Extend calls in between.
+// on a coroutine from the runner's pool: resuming the coroutine runs the
+// process until its next scheduling point or until it has decided (with
+// the decision in out), and a stop grant unwinds it from a pending
+// scheduling point. The process holds its coroutine from the runner's
+// start until the execution finishes (Run, an error, or Close), across
+// any number of Extend calls in between, and then gives it back to the
+// pool.
 type procState struct {
 	proc    *Proc
 	body    Body
-	next    func() (struct{}, bool)
-	stop    func()
+	co      *coro
 	parked  bool
 	decided bool
 	out     Value
@@ -202,8 +202,9 @@ type procState struct {
 
 // Runner executes a set of bodies over a shared memory under a schedule.
 type Runner struct {
-	mem *Memory
-	cfg Config
+	mem  *Memory
+	cfg  Config
+	pool *Pool // lends the process coroutines
 	// rng is built lazily on the first random scheduling decision:
 	// seeding a rand.Source costs microseconds, which dominates fully
 	// scripted executions (every model-checker node) that never draw
@@ -222,8 +223,8 @@ type Runner struct {
 	ckHash         []uint64 // position-mixed variant for clock-sensitive bodies
 	eventPos       int      // global event counter, aligned with trace indices
 
-	started     bool // the coroutines exist (start ran)
-	finished    bool // the coroutines are gone (finish or Close ran)
+	started     bool // the processes hold coroutines (start ran)
+	finished    bool // the coroutines went back to the pool (finish or Close ran)
 	scriptPos   int  // next action of cfg.Script to execute
 	stepCount   int
 	crashBudget int
@@ -232,8 +233,17 @@ type Runner struct {
 }
 
 // NewRunner prepares an execution of the given bodies (one per process)
-// over mem. The runner owns mem until the execution finishes.
+// over mem. The runner owns mem until the execution finishes. Its
+// coroutines are its own: they end when the execution finishes, as if
+// the runner came from a pool that is already closed.
 func NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
+	return (&Pool{closed: true}).NewRunner(mem, bodies, cfg)
+}
+
+// NewRunner prepares an execution as the package-level NewRunner does,
+// but its processes run on coroutines from pl, and the runner gives them
+// back to pl when the execution finishes or is closed.
+func (pl *Pool) NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
 	if cfg.Model == 0 {
 		cfg.Model = Independent
 	}
@@ -249,6 +259,7 @@ func NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
 	r := &Runner{
 		mem:         mem,
 		cfg:         cfg,
+		pool:        pl,
 		crashBudget: cfg.MaxCrashes,
 	}
 	for i, body := range bodies {
@@ -293,7 +304,8 @@ func (r *Runner) RecordDigests() {
 
 // Run executes until every process decides, the script and budgets are
 // exhausted, or an invariant fails, and then tears the execution down:
-// no process coroutine outlives it. On a new runner it starts the
+// every process is unwound and its coroutine goes back to the pool, so
+// no coroutine outlives its pool. On a new runner it starts the
 // processes first; on a runner paused by Start or Extend it continues
 // from the pause, so the result equals a single Run of the whole
 // script. Processes run one at a time, in process order until each
@@ -337,22 +349,24 @@ func (r *Runner) Extend(act Action) (*Outcome, error) {
 	return r.pause(r.loop(true))
 }
 
-// Close tears down a paused runner, unwinding every parked process. It
-// does nothing on a runner that never started or already finished, so
-// it may be deferred unconditionally.
+// Close tears down a paused runner, unwinding every parked process and
+// giving the coroutines back to the pool. It does nothing on a runner
+// that never started or already finished, so it may be deferred
+// unconditionally.
 func (r *Runner) Close() {
 	if r.started && !r.finished {
 		r.stop()
 	}
 }
 
-// start turns every body into a coroutine and runs each, in process
-// order, to its first scheduling point or its decision.
+// start gives every process a coroutine from the pool and runs each, in
+// process order, to its first scheduling point or its decision.
 func (r *Runner) start() {
 	r.started = true
 	r.live = len(r.procs)
 	for id, ps := range r.procs {
-		ps.next, ps.stop = iter.Pull(r.procLoop(ps))
+		ps.co = r.pool.get()
+		ps.co.ps = ps
 		r.resume(id)
 	}
 }
@@ -428,12 +442,18 @@ func (r *Runner) finish(err error) (*Outcome, error) {
 	return r.outcome(), err
 }
 
-// stop unwinds every process still parked at a scheduling point, so no
-// coroutine outlives the execution.
+// stop unwinds every process still parked at a scheduling point with
+// the stop sentinel, which leaves its coroutine idle, and gives every
+// coroutine back to the pool.
 func (r *Runner) stop() {
 	r.finished = true
 	for _, ps := range r.procs {
-		ps.stop()
+		if ps.parked {
+			ps.proc.interrupt = stopSignal{}
+			ps.co.next()
+		}
+		r.pool.put(ps.co)
+		ps.co = nil
 	}
 }
 
@@ -531,18 +551,19 @@ func (r *Runner) randomAction() Action {
 func (r *Runner) grant(id int, crash bool) {
 	ps := r.procs[id]
 	ps.parked = false
+	ps.proc.interrupt = nil
 	if crash {
 		ps.proc.crashes++
+		ps.proc.interrupt = crashSignal{}
 		r.note(TraceCrash, id, "", "", "")
 	}
-	ps.proc.crash = crash
 	r.resume(id)
 }
 
 // resume runs process id until it parks at a scheduling point or decides.
 func (r *Runner) resume(id int) {
 	ps := r.procs[id]
-	if _, ok := ps.next(); ok {
+	if parked, _ := ps.co.next(); parked {
 		ps.parked = true
 		return
 	}
@@ -551,29 +572,28 @@ func (r *Runner) resume(id int) {
 	r.note(TraceDecide, id, "", ps.out, "")
 }
 
-// procLoop is one process's coroutine: body attempts separated by crash
-// recoveries, yielding at every scheduling point. It returns once the
-// body decides, or is stopped (which reports the decision None).
-func (r *Runner) procLoop(ps *procState) iter.Seq[struct{}] {
-	return func(yield func(struct{}) bool) {
-		p := ps.proc
-		p.yield = yield
-		for {
-			p.runs++
-			p.runSteps = 0
-			out, status := p.attempt(ps.body)
-			if status == attemptDecided && r.cfg.DecideRequiresStep {
-				status = p.commit()
-			}
-			switch status {
-			case attemptDecided:
-				ps.out = out
-				return
-			case attemptStopped:
-				ps.out = None
-				return
-			}
-			// attemptCrashed: restart from the beginning, locals are gone.
+// procLoop is one process's life on its coroutine: body attempts
+// separated by crash recoveries, yielding true at every scheduling
+// point. It returns once the body decides, or is stopped (which reports
+// the decision None).
+func (ps *procState) procLoop(yield func(bool) bool) {
+	p := ps.proc
+	p.yield = yield
+	for {
+		p.runs++
+		p.runSteps = 0
+		out, status := p.attempt(ps.body)
+		if status == attemptDecided && p.runner.cfg.DecideRequiresStep {
+			status = p.commit()
 		}
+		switch status {
+		case attemptDecided:
+			ps.out = out
+			return
+		case attemptStopped:
+			ps.out = None
+			return
+		}
+		// attemptCrashed: restart from the beginning, locals are gone.
 	}
 }

@@ -77,10 +77,20 @@ func TestScriptedRunDeterministicWithAllocatingPreludes(t *testing.T) {
 	}
 }
 
-// TestRunLeavesNoGoroutines checks that every exit path of an execution
-// unwinds all process coroutines before returning: Run on its own, and
-// the paused path (Start, Extend, then Run or Close).
-func TestRunLeavesNoGoroutines(t *testing.T) {
+// teardownCase is one way an execution can end: the bodies, the
+// config, and how the runner is driven (nil: Run).
+type teardownCase struct {
+	name    string
+	bodies  []Body
+	cfg     Config
+	drive   func(*Runner) (*Outcome, error) // nil: Run
+	wantErr error                           // nil: the execution must succeed
+	errText string                          // substring of the error, when wantErr is nil but an error is expected
+}
+
+// teardownCases covers every exit path of an execution: Run on its own,
+// and the paused path (Start, Extend, then Run or Close).
+func teardownCases() []teardownCase {
 	reader := func(p *Proc) Value { p.Read("R"); return p.Read("R") }
 	spin := func(p *Proc) Value {
 		for {
@@ -102,14 +112,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			return r.Extend(act)
 		}
 	}
-	cases := []struct {
-		name    string
-		bodies  []Body
-		cfg     Config
-		drive   func(*Runner) (*Outcome, error) // nil: Run
-		wantErr error                           // nil: the execution must succeed
-		errText string                          // substring of the error, when wantErr is nil but an error is expected
-	}{
+	return []teardownCase{
 		{name: "all-decided", bodies: []Body{reader, reader}, cfg: Config{Seed: 1}},
 		{name: "halt-at-script-end", bodies: []Body{reader, reader},
 			cfg: Config{Script: []Action{Step(0)}, HaltAtScriptEnd: true}},
@@ -142,14 +145,30 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			cfg:   Config{Script: []Action{Step(0)}, MaxSteps: 2},
 			drive: paused(Step(1)), wantErr: ErrStepBudget},
 	}
-	for _, tc := range cases {
+}
+
+// run builds the case's runner with newRunner and drives it.
+func (tc teardownCase) run(newRunner func(*Memory, []Body, Config) *Runner, record bool) (*Outcome, error) {
+	r := newRunner(newTestMemory(), tc.bodies, tc.cfg)
+	if record {
+		r.RecordTrace()
+		r.RecordSchedule()
+		r.RecordDigests()
+	}
+	if tc.drive == nil {
+		return r.Run()
+	}
+	return tc.drive(r)
+}
+
+// TestRunLeavesNoGoroutines checks that every exit path of an execution
+// unwinds all process coroutines before returning: Run on its own, and
+// the paused path (Start, Extend, then Run or Close).
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	for _, tc := range teardownCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			drive := tc.drive
-			if drive == nil {
-				drive = (*Runner).Run
-			}
 			before := runtime.NumGoroutine()
-			_, err := drive(NewRunner(newTestMemory(), tc.bodies, tc.cfg))
+			_, err := tc.run(NewRunner, false)
 			switch {
 			case tc.wantErr != nil:
 				if !errors.Is(err, tc.wantErr) {
@@ -166,5 +185,43 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				t.Fatalf("goroutines: %d before the execution, %d after", before, after)
 			}
 		})
+	}
+}
+
+// TestPooledRunsMatchFreshRuns runs every teardown case back to back on
+// one Pool, twice over, so each case runs on coroutines that earlier
+// executions left idle after a decision, a stop, a budget failure or a
+// body panic. Each outcome and error must equal the same case on a
+// runner of its own. The pool may hold only the coroutines one
+// execution needs, and Close must end all of them.
+func TestPooledRunsMatchFreshRuns(t *testing.T) {
+	cases := teardownCases()
+	most := 0
+	for _, tc := range cases {
+		most = max(most, len(tc.bodies))
+	}
+	base := runtime.NumGoroutine()
+	pool := new(Pool)
+	for round := range 2 {
+		for _, tc := range cases {
+			want, wantErr := tc.run(NewRunner, true)
+			got, gotErr := tc.run(pool.NewRunner, true)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("round %d, %s: pooled err %v, fresh err %v", round, tc.name, gotErr, wantErr)
+			}
+			if (got == nil) != (want == nil) {
+				t.Fatalf("round %d, %s: pooled outcome %v, fresh outcome %v", round, tc.name, got, want)
+			}
+			if got != nil && !reflect.DeepEqual(*got, *want) {
+				t.Fatalf("round %d, %s: pooled outcome\n%+v\nfresh outcome\n%+v", round, tc.name, *got, *want)
+			}
+			if n := runtime.NumGoroutine(); n > base+most {
+				t.Fatalf("round %d, %s: %d goroutines with the pool open, want at most %d + %d", round, tc.name, n, base, most)
+			}
+		}
+	}
+	pool.Close()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("goroutines: %d before the pool, %d after Close", base, n)
 	}
 }
