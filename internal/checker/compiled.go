@@ -10,23 +10,26 @@ package checker
 // remaining-counts vector is bounded by per-op totals, so each slot is
 // a digit with radix total+1).
 //
-// One core serves both entry points. SearchShardCompiled resolves a
-// shard's operations to alphabet slots once (sorted by op string, like
-// the interpreted alphabet) and then checks each candidate directly on
-// its per-team slot count vectors, in scratch buffers drawn from a
-// sync.Pool, so the search allocates nothing per candidate: failures
-// are codes, and only the passing candidate becomes a Witness. The
-// single-witness wrappers CompiledRecording / CompiledDiscerning run
-// the same core and format a Reason only when it reports a failure.
+// One core serves every entry point. Its alphabet slots are the
+// table's op indices, and it checks each candidate directly on its
+// per-team slot count vectors, in scratch buffers drawn from a
+// sync.Pool, so a search allocates nothing per candidate: failures are
+// codes, and only the passing candidate becomes a Witness. IndexSearch
+// runs the index shards ShardCursor yields, with no strings at all;
+// SearchShardCompiled resolves a string Shard's operations to table
+// indices once and runs the same loop; the single-witness wrappers
+// CompiledRecording / CompiledDiscerning run one candidate and format a
+// Reason only when it reports a failure.
 //
 // Shards or witnesses whose initial state or operations lie outside the
-// table, or with more processes than the dense counts encoding
-// supports, fall back to the interpreted verifier on the table's source
-// type, so both entry points are total and return bit-identical
-// verdicts everywhere.
+// table, with an empty team, or with more processes than the dense
+// counts encoding supports, fall back to the interpreted verifier on
+// the table's source type, so every entry point is total and returns
+// bit-identical verdicts everywhere.
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"rcons/internal/compile"
@@ -119,11 +122,7 @@ func compiledVerify(c *compile.Compiled, w Witness, recording bool) (Result, err
 // SearchShard on c.Source() instead (which reports the empty team).
 func SearchShardCompiled(ctx context.Context, c *compile.Compiled, s Shard, recording bool) (*Witness, error) {
 	q0, ok := c.StateIndex(s.Q0)
-	aSize := 0
-	for _, k := range s.ACounts {
-		aSize += k
-	}
-	if !ok || s.N > maxCompiledN || aSize < 1 || s.teamBSize() < 1 {
+	if !ok || !compiledShape(s.N, s.ACounts) {
 		return SearchShard(ctx, c.Source(), s, interpreted(recording))
 	}
 	sc := scratchPool.Get().(*scratch)
@@ -131,31 +130,86 @@ func SearchShardCompiled(ctx context.Context, c *compile.Compiled, s Shard, reco
 	if !sc.setAlphabet(c, s.Ops) {
 		return SearchShard(ctx, c.Source(), s, interpreted(recording))
 	}
-	b := resize(sc.b, len(s.Ops))
-	sc.b = b
-	clear(b)
-	b[0] = s.teamBSize()
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	found, stopped := sc.search(c, q0, s.ACounts, s.N, recording, func() bool { return ctx != nil && ctx.Err() != nil })
+	switch {
+	case stopped:
+		return nil, ctx.Err()
+	case !found:
+		return nil, nil
+	}
+	w := witnessFromCounts(s.Q0, s.Ops, s.ACounts, sc.b)
+	return &w, nil
+}
+
+// compiledShape reports whether the core can search a shard of n
+// processes whose team A has the given counts: n within the counts
+// encoding, and both teams non-empty.
+func compiledShape(n int, aCounts []int) bool {
+	a := 0
+	for _, k := range aCounts {
+		a += k
+	}
+	return n <= maxCompiledN && a >= 1 && a < n
+}
+
+// IndexSearch searches the index shards of one compiled table for one
+// property: the shards ShardCursor yields, each an initial-state index
+// and a team-A count per table op index, with team B taking the rest of
+// the table's N processes. It holds pooled scratch from NewIndexSearch
+// to Close, so once that scratch is warm a witness-free shard allocates
+// nothing. An IndexSearch is used by one goroutine at a time.
+type IndexSearch struct {
+	c         *compile.Compiled
+	recording bool
+	sc        *scratch
+}
+
+// NewIndexSearch returns a searcher over c for the recording
+// (recording=true) or discerning property. c must pass Searchable.
+func NewIndexSearch(c *compile.Compiled, recording bool) *IndexSearch {
+	sc := scratchPool.Get().(*scratch)
+	sc.setTable(c)
+	return &IndexSearch{c: c, recording: recording, sc: sc}
+}
+
+// Close returns the searcher's scratch to the pool; the searcher must
+// not be used after.
+func (s *IndexSearch) Close() {
+	scratchPool.Put(s.sc)
+	s.sc = nil
+}
+
+// errStopped ends an interpreted fallback search when stop fires.
+var errStopped = errors.New("checker: shard search stopped")
+
+// Search returns the first witness of the shard (q0, aCounts) in
+// SearchShard's enumeration order, or nil when it has none: the same
+// witness SearchShardCompiled returns for the equivalent string Shard.
+// It polls stop before each candidate and, once stop reports true,
+// abandons the shard and returns (nil, nil): the caller that decided to
+// stop knows the result is void. A shard of more than maxCompiledN
+// processes runs on the interpreted verifier, exactly.
+func (s *IndexSearch) Search(q0 uint16, aCounts []int, stop func() bool) (*Witness, error) {
+	c, n := s.c, s.c.N()
+	if !compiledShape(n, aCounts) {
+		verify := interpreted(s.recording)
+		sh := Shard{Q0: c.StateAt(q0), Ops: c.Alphabet(), ACounts: aCounts, N: n}
+		w, err := SearchShard(context.Background(), c.Source(), sh, func(t spec.Type, w Witness) (Result, error) {
+			if stop() {
+				return Result{}, errStopped
 			}
-		}
-		sc.clearCounts()
-		for k, n := range s.ACounts {
-			sc.cnt[TeamA][sc.posSlot[k]] += n
-		}
-		for k, n := range b {
-			sc.cnt[TeamB][sc.posSlot[k]] += n
-		}
-		if sc.verify(c, q0, recording).code == passed {
-			w := witnessFromCounts(s.Q0, s.Ops, s.ACounts, b)
-			return &w, nil
-		}
-		if !nextMultiset(b) {
+			return verify(t, w)
+		})
+		if errors.Is(err, errStopped) {
 			return nil, nil
 		}
+		return w, err
 	}
+	if found, _ := s.sc.search(c, q0, aCounts, n, s.recording, stop); !found {
+		return nil, nil
+	}
+	w := witnessFromCounts(c.StateAt(q0), c.Alphabet(), aCounts, s.sc.b)
+	return &w, nil
 }
 
 // failCode says which clause of a definition a candidate violates.
@@ -183,16 +237,15 @@ type verdict struct {
 // between Get and Put.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// scratch holds every buffer one compiled verification needs. The
-// alphabet (opTab, posSlot) is fixed per shard or witness; cnt holds
-// the current candidate's per-team slot counts; layout fills totals,
-// strides, prod and fullIdx for the process multiset being explored.
+// scratch holds every buffer one compiled verification needs. Alphabet
+// slots are table op indices; posSlot, fixed per shard or witness, maps
+// each input op position to its slot. cnt holds the current candidate's
+// per-team slot counts; layout fills totals, strides, prod and fullIdx
+// for the process multiset being explored.
 type scratch struct {
-	order   []int    // positions of the input ops, sorted by op string
 	posSlot []int    // alphabet slot per input op position
-	opTab   []uint16 // table op index per alphabet slot
 	cnt     [2][]int // per-team process count per slot
-	b       []int    // team-B multiset over shard op positions
+	b       []int    // team-B multiset over input op positions
 
 	totals  []int // per-slot process count being explored (both teams)
 	rem     []int // remaining counts during a DFS
@@ -216,46 +269,78 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// setAlphabet resolves the distinct ops among ops, sorted by string
-// encoding exactly like the interpreted explorers, to table indices,
-// and maps each position of ops to its slot. It reports false when an
-// op is missing from the table, which forces the interpreted fallback.
+// setTable sizes the slot buffers for c's alphabet and makes input
+// positions the table's op indices, as index shards use them.
+func (sc *scratch) setTable(c *compile.Compiled) {
+	m := c.NumOps()
+	sc.posSlot = resize(sc.posSlot, m)
+	for k := range sc.posSlot {
+		sc.posSlot[k] = k
+	}
+	sc.size(m)
+}
+
+// setAlphabet maps each position of ops to its table op index. It
+// reports false when an op is missing from the table, which forces the
+// interpreted fallback.
 func (sc *scratch) setAlphabet(c *compile.Compiled, ops []spec.Op) bool {
-	order := resize(sc.order, len(ops))
-	sc.order = order
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort: alphabets are small and this allocates nothing.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && ops[order[j]] < ops[order[j-1]]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
 	sc.posSlot = resize(sc.posSlot, len(ops))
-	sc.opTab = sc.opTab[:0]
-	for i, pos := range order {
-		if i == 0 || ops[pos] != ops[order[i-1]] {
-			oi, ok := c.OpIndex(ops[pos])
-			if !ok {
-				return false
-			}
-			sc.opTab = append(sc.opTab, oi)
+	for i, op := range ops {
+		oi, ok := c.OpIndex(op)
+		if !ok {
+			return false
 		}
-		sc.posSlot[pos] = len(sc.opTab) - 1
+		sc.posSlot[i] = int(oi)
 	}
-	m := len(sc.opTab)
+	sc.size(c.NumOps())
+	return true
+}
+
+// size sizes the per-slot buffers for an alphabet of m slots.
+func (sc *scratch) size(m int) {
 	sc.cnt[TeamA] = resize(sc.cnt[TeamA], m)
 	sc.cnt[TeamB] = resize(sc.cnt[TeamB], m)
 	sc.totals = resize(sc.totals, m)
 	sc.rem = resize(sc.rem, m)
 	sc.strides = resize(sc.strides, m)
-	return true
 }
 
 func (sc *scratch) clearCounts() {
 	clear(sc.cnt[TeamA])
 	clear(sc.cnt[TeamB])
+}
+
+// search runs one shard of n processes: team A fixed at aCounts (per
+// input position, mapped to slots by posSlot), team B taking every
+// multiset of the remaining processes over the same positions in
+// nextMultiset order. It polls stop before each candidate and reports
+// whether a candidate passed, its team-B counts left in sc.b, or stop
+// ended the search first.
+func (sc *scratch) search(c *compile.Compiled, q0 uint16, aCounts []int, n int, recording bool, stop func() bool) (found, stopped bool) {
+	sc.clearCounts()
+	for k, a := range aCounts {
+		sc.cnt[TeamA][sc.posSlot[k]] += a
+		n -= a
+	}
+	b := resize(sc.b, len(aCounts))
+	sc.b = b
+	clear(b)
+	b[0] = n
+	for {
+		if stop() {
+			return false, true
+		}
+		clear(sc.cnt[TeamB])
+		for k, m := range b {
+			sc.cnt[TeamB][sc.posSlot[k]] += m
+		}
+		if sc.verify(c, q0, recording).code == passed {
+			return true, false
+		}
+		if !nextMultiset(b) {
+			return false, false
+		}
+	}
 }
 
 // layout sets the mixed-radix layout for the processes of the current
@@ -313,12 +398,12 @@ func (sc *scratch) qSet(c *compile.Compiled, q0 uint16, x int, out *memberSet) {
 	sc.visited.reset(c.NumStates() * sc.prod)
 	out.reset(c.NumStates())
 	copy(sc.rem, sc.totals)
-	for k, oi := range sc.opTab {
+	for k := range sc.rem {
 		if sc.cnt[x][k] == 0 {
 			continue
 		}
 		sc.rem[k]--
-		sc.qDFS(c, c.Next(q0, oi), sc.fullIdx-sc.strides[k], out)
+		sc.qDFS(c, c.Next(q0, uint16(k)), sc.fullIdx-sc.strides[k], out)
 		sc.rem[k]++
 	}
 }
@@ -328,12 +413,12 @@ func (sc *scratch) qDFS(c *compile.Compiled, si uint16, remIdx int, out *memberS
 		return
 	}
 	out.insert(int(si))
-	for k, oi := range sc.opTab {
-		if sc.rem[k] == 0 {
+	for k, r := range sc.rem {
+		if r == 0 {
 			continue
 		}
 		sc.rem[k]--
-		sc.qDFS(c, c.Next(si, oi), remIdx-sc.strides[k], out)
+		sc.qDFS(c, c.Next(si, uint16(k)), remIdx-sc.strides[k], out)
 		sc.rem[k]++
 	}
 }
@@ -344,8 +429,8 @@ func (sc *scratch) qDFS(c *compile.Compiled, si uint16, remIdx int, out *memberS
 func (sc *scratch) discerning(c *compile.Compiled, q0 uint16) verdict {
 	ns := c.NumStates()
 	for team := TeamA; team <= TeamB; team++ {
-		for k := range sc.opTab {
-			if sc.cnt[team][k] == 0 {
+		for k, cnt := range sc.cnt[team] {
+			if cnt == 0 {
 				continue
 			}
 			sc.layout(k)
@@ -367,7 +452,7 @@ func (sc *scratch) discerning(c *compile.Compiled, q0 uint16) verdict {
 // dimension folds into the memo key as a factor of NumResps+1: slot 0
 // is "j not yet applied", slot 1+r is "j applied, returned response r".
 func (sc *scratch) rSet(c *compile.Compiled, q0 uint16, x, jTeam, jSlot int, out *memberSet) {
-	sc.opJ = sc.opTab[jSlot]
+	sc.opJ = uint16(jSlot)
 	sc.respFactor = c.NumResps() + 1
 	sc.visited.reset(c.NumStates() * sc.prod * sc.respFactor)
 	out.reset(c.NumStates() * c.NumResps())
@@ -378,8 +463,7 @@ func (sc *scratch) rSet(c *compile.Compiled, q0 uint16, x, jTeam, jSlot int, out
 		sc.rDFS(c, ns, sc.fullIdx, 1+int(r), out)
 	}
 	// Case 2: another process on team x goes first.
-	for k, oi := range sc.opTab {
-		n := sc.cnt[x][k]
+	for k, n := range sc.cnt[x] {
 		if x == jTeam && k == jSlot {
 			n--
 		}
@@ -387,7 +471,7 @@ func (sc *scratch) rSet(c *compile.Compiled, q0 uint16, x, jTeam, jSlot int, out
 			continue
 		}
 		sc.rem[k]--
-		sc.rDFS(c, c.Next(q0, oi), sc.fullIdx-sc.strides[k], 0, out)
+		sc.rDFS(c, c.Next(q0, uint16(k)), sc.fullIdx-sc.strides[k], 0, out)
 		sc.rem[k]++
 	}
 }
@@ -399,12 +483,12 @@ func (sc *scratch) rDFS(c *compile.Compiled, si uint16, remIdx, jSlot int, out *
 	if jSlot > 0 {
 		out.insert((jSlot-1)*c.NumStates() + int(si))
 	}
-	for k, oi := range sc.opTab {
-		if sc.rem[k] == 0 {
+	for k, r := range sc.rem {
+		if r == 0 {
 			continue
 		}
 		sc.rem[k]--
-		sc.rDFS(c, c.Next(si, oi), remIdx-sc.strides[k], jSlot, out)
+		sc.rDFS(c, c.Next(si, uint16(k)), remIdx-sc.strides[k], jSlot, out)
 		sc.rem[k]++
 	}
 	if jSlot == 0 {

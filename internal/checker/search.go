@@ -138,9 +138,13 @@ func (s Shard) teamBSize() int {
 // first, then team-A size 1 … n−1, then team-A multisets in the
 // enumeration order of multisets. An empty slice (with nil error) means
 // the type has no update operations and therefore no witness.
+//
+// String shards serve the interpreted searches, the parity oracle. The
+// compiled search enumerates the same shards in the same order as table
+// indices through ShardCursor, and builds no Shard.
 func Shards(t spec.Type, n int, opts *SearchOptions) ([]Shard, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("checker: the properties are defined for n ≥ 2, got %d", n)
+	if err := checkN(n); err != nil {
+		return nil, err
 	}
 	states, ops := opts.fill(t, n)
 	if len(ops) == 0 {

@@ -240,6 +240,11 @@ func (c *Compiled) OpIndex(op spec.Op) (uint16, bool) {
 	return i, ok
 }
 
+// Alphabet returns the operations by table index: spec.CandidateOps
+// of the source type at N, in candidate order. Callers must not mutate
+// the slice.
+func (c *Compiled) Alphabet() []spec.Op { return c.ops }
+
 // StateAt returns the interned state string for a table index.
 func (c *Compiled) StateAt(i uint16) spec.State { return c.states[i] }
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"rcons/internal/spec"
@@ -59,5 +61,43 @@ func TestClassifyEachPerItemErrors(t *testing.T) {
 
 	if _, err := eng.ClassifyAll(context.Background(), ts, 3); err == nil {
 		t.Fatal("ClassifyAll swallowed the per-item error")
+	}
+}
+
+// peakType is a one-state type whose Apply records the most goroutines
+// alive during any of its calls.
+type peakType struct{ peak *atomic.Int64 }
+
+func (peakType) Name() string                { return "peak-type" }
+func (peakType) InitialStates() []spec.State { return []spec.State{"q"} }
+func (peakType) Ops() []spec.Op              { return []spec.Op{"op"} }
+func (p peakType) Apply(spec.State, spec.Op) (spec.State, spec.Response, error) {
+	n := int64(runtime.NumGoroutine())
+	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
+	}
+	return "q", "ok", nil
+}
+
+// TestClassifyEachBoundsGoroutines: a batch runs on at most Workers
+// goroutines, not one per item, so a large batch parks nothing. Each
+// classification may add a second scan and each search its helpers,
+// but those take the engine's Workers slots.
+func TestClassifyEachBoundsGoroutines(t *testing.T) {
+	const workers, items = 2, 500
+	var peak atomic.Int64
+	ts := make([]spec.Type, items)
+	for i := range ts {
+		ts[i] = peakType{&peak}
+	}
+	eng := New(Options{Workers: workers, CacheSize: -1})
+	base := int64(settledGoroutines())
+	_, errs := eng.ClassifyEach(context.Background(), ts, 2)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	if limit := base + 3*workers; peak.Load() > limit {
+		t.Fatalf("%d goroutines ran during a %d-item batch on %d workers; want ≤ %d", peak.Load(), items, workers, limit)
 	}
 }

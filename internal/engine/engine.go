@@ -2,20 +2,26 @@
 // package checker. It answers the same questions — "is type T
 // n-recording / n-discerning, and what cons/rcons bands follow?" — but
 // partitions each exhaustive witness search into independent shards
-// (checker.Shards), verifies the shards on a worker pool with early
-// cancellation once a witness is found, and memoizes whole
-// classifications behind an exact type fingerprint so repeated queries
-// (CLI runs, zoo scans, rcserve traffic) are served from memory. With a
-// persistent store attached, every per-(property, n) search result is
-// read from and written through to it. Each (type, n) is walked once
-// per call: its compiled table (package compile) supplies the memo and
-// store keys, the symmetry-pruning group and the search itself.
+// (checker.ShardCursor over a compiled table, checker.Shards on the
+// interpreted path), searches them on the calling goroutine plus
+// helpers for idle worker slots, stopping early once a witness is
+// found, and memoizes whole classifications behind an exact type
+// fingerprint so repeated queries (CLI runs, zoo scans, rcserve
+// traffic) are served from memory. With a persistent store attached,
+// every per-(property, n) search result is read from and written
+// through to it. Each (type, n) is walked once per call: its compiled
+// table (package compile) supplies the memo and store keys, the
+// symmetry-pruning group and the search itself.
 //
-// Determinism: the pool tracks the lowest-indexed shard that produced a
-// witness and cancels only shards that enumerate later, so the engine
-// returns exactly the witness the sequential search would, independent
-// of worker count and scheduling. Classification results are therefore
-// byte-identical to checker.Classify (asserted over the whole zoo by
+// Determinism: a search's goroutines claim shards in enumeration order
+// and share one atomic bound, the index of the lowest shard known to
+// end the search (with a witness or an error). Shards past the bound
+// are not claimed and running ones abandon themselves at their next
+// candidate, while earlier shards run to completion because they could
+// still yield the first witness in order. So the engine returns exactly
+// the witness the sequential search would, independent of worker count
+// and scheduling. Classification results are therefore byte-identical
+// to checker.Classify (asserted over the whole zoo by
 // TestEngineMatchesSequentialZoo).
 package engine
 
@@ -23,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -84,8 +91,11 @@ func (p Property) verify() (checker.VerifyFunc, error) {
 // Options configures an Engine. The zero value gives one worker per CPU
 // and a 4096-entry classification memo.
 type Options struct {
-	// Workers is the number of concurrent shard verifications per
-	// search; ≤ 0 means runtime.GOMAXPROCS(0).
+	// Workers is the engine-wide number of worker slots, shared by all
+	// concurrent searches; ≤ 0 means runtime.GOMAXPROCS(0). A search
+	// runs on its calling goroutine, which takes a slot when one is
+	// free, plus a helper for each further slot free when it starts.
+	// ClassifyEach runs up to Workers classifications at once.
 	Workers int
 	// CacheSize bounds the number of memoized classifications (LRU);
 	// 0 means 4096, negative disables in-memory memoization entirely.
@@ -109,11 +119,14 @@ type Options struct {
 // by all rcserve requests) so that the memo actually accumulates.
 type Engine struct {
 	workers int
-	// sem globally bounds busy shard verifications: concurrent searches
-	// (two property scans per Classify, many classifications per batch)
-	// each spawn their own goroutines, but at most `workers` of them
-	// hold a slot and burn CPU at any instant, so nested fan-out cannot
-	// oversubscribe the machine quadratically.
+	// sem holds the engine-wide worker slots; the bound covers every
+	// search at once, not each one. A search's caller takes a slot if
+	// one is free and searches either way, and helpers start only on
+	// slots free at that moment, so the goroutines searching never
+	// exceed the callers plus `workers`, and a busy engine (a census, a
+	// batch) runs each search on its caller alone. An empty sem means
+	// an idle engine, which is when Classify scans its two properties
+	// concurrently.
 	sem     chan struct{}
 	persist Persist // nil when no persistent store is attached
 	pstats  persistStats
@@ -333,19 +346,12 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	span.SetAttr("property", p.String())
 	span.SetAttr("n", strconv.Itoa(n))
 	defer span.End()
-	comp := l.tab
-	if comp != nil && (e.interpreted || comp.Searchable() != nil) {
-		comp = nil
+	var w *checker.Witness
+	if comp := l.tab; comp != nil && !e.interpreted && comp.Searchable() == nil {
+		w, err = e.searchCompiled(sctx, comp, p == Recording)
+	} else {
+		w, err = e.searchInterpreted(sctx, t, n, verify)
 	}
-	searchShard := func(ctx context.Context, s checker.Shard) (*checker.Witness, error) {
-		return checker.SearchShard(ctx, t, s, verify)
-	}
-	if comp != nil {
-		searchShard = func(ctx context.Context, s checker.Shard) (*checker.Witness, error) {
-			return checker.SearchShardCompiled(ctx, comp, s, p == Recording)
-		}
-	}
-	w, err := e.searchParallel(sctx, t, n, searchShard, comp)
 	if err != nil {
 		span.MarkError()
 		return nil, err
@@ -370,158 +376,219 @@ func cloneWitness(w checker.Witness) checker.Witness {
 	}
 }
 
-// pruneSymmetricShards drops witness-search shards that are relabelings
-// of earlier ones under the table's automorphism group, keeping the
-// first shard of each orbit. Keeping first occurrences preserves the
-// search verdict AND the canonical witness: if the lowest-indexed
-// witness-containing shard were pruned as the orbit-mate of an earlier
-// kept shard, that earlier shard would contain the relabeled witness —
-// contradicting minimality — so it is never pruned, and every shard
-// before it is witness-free with or without pruning.
-//
-// The reduction only fires when the shard alphabet is exactly the
-// compiled alphabet (it is, for searches with default candidate sets:
-// both come from spec.CandidateOps) and the group is nontrivial.
-func pruneSymmetricShards(shards []checker.Shard, c *compile.Compiled) []checker.Shard {
-	if len(shards) == 0 {
-		return shards
-	}
-	g := c.Automorphisms()
-	if !g.Nontrivial() {
-		return shards
-	}
-	ops := shards[0].Ops
-	if len(ops) != c.NumOps() {
-		return shards
-	}
-	for k, op := range ops {
-		if c.OpAt(uint16(k)) != op {
-			return shards
-		}
-	}
-	seen := make(map[string]bool, len(shards))
-	out := shards[:0]
-	for _, s := range shards {
-		q0, ok := c.StateIndex(s.Q0)
-		if !ok {
-			out = append(out, s)
-			continue
-		}
-		key := g.CanonicalShardKey(q0, s.ACounts)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, s)
-	}
-	return out
+// shardRun is one level search's shared state. Its goroutines claim
+// shard indices in enumeration order; best is the index of the lowest
+// shard known to end the search, with a witness or an error. A shard
+// past best is never claimed, and a running one abandons itself at its
+// next candidate, while shards before best run on: they could still
+// hold the first witness in order.
+type shardRun struct {
+	ctx  context.Context
+	done <-chan struct{}
+	best atomic.Int64
+
+	mu   sync.Mutex // guards next, the claimed source and the result
+	next int64
+	w    *checker.Witness // shard best's witness
+	err  error            // shard best's error
 }
 
-// searchParallel fans the enumeration shards for (t, n) out over the
-// worker pool. To keep the result identical to the sequential search it
-// tracks the lowest shard index that has produced a witness: workers
-// stop claiming shards past it, in-flight later shards are cancelled
-// through their contexts, and earlier in-flight shards run to completion
-// because they could still yield the canonical (first-in-order) witness.
-// searchShard searches one shard; comp, when non-nil, is the table it
-// runs on, whose symmetries prune the shard list.
-func (e *Engine) searchParallel(
-	ctx context.Context, t spec.Type, n int,
-	searchShard func(context.Context, checker.Shard) (*checker.Witness, error),
-	comp *compile.Compiled,
-) (*checker.Witness, error) {
+func newShardRun(ctx context.Context) *shardRun {
+	r := &shardRun{ctx: ctx, done: ctx.Done()}
+	r.best.Store(math.MaxInt64)
+	return r
+}
+
+// obsolete reports whether shard i can no longer change the result: a
+// lower shard has ended the search, or ctx is done.
+func (r *shardRun) obsolete(i int64) bool {
+	return r.best.Load() < i || closed(r.done)
+}
+
+// claim reserves the next shard index, calling advance under the lock
+// to move the caller's shard source to it; advance reports false when
+// the source is exhausted.
+func (r *shardRun) claim(advance func() bool) (int64, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.next >= r.best.Load() || closed(r.done) || !advance() {
+		return 0, false
+	}
+	r.next++
+	return r.next - 1, true
+}
+
+// finish records that shard i ended the search with w or err, unless a
+// lower shard already has.
+func (r *shardRun) finish(i int64, w *checker.Witness, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i < r.best.Load() {
+		r.best.Store(i)
+		r.w, r.err = w, err
+	}
+}
+
+// closed reports whether done is closed; a nil channel never is.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// runShards drives one level search of at most count shards: work
+// claims and searches shards until none is left. The calling goroutine
+// takes a sem slot when one is free and works either way; a helper
+// starts for each further slot free at this moment, up to count−1. So
+// a busy engine runs the search on its caller's goroutine, whose stack
+// is already grown, and an idle one fans it out.
+func (e *Engine) runShards(r *shardRun, count int, work func()) (*checker.Witness, error) {
+	held := false
+	select {
+	case e.sem <- struct{}{}:
+		held = true
+	default:
+	}
+	var wg sync.WaitGroup
+helpers:
+	for h := 1; h < count; h++ {
+		select {
+		case e.sem <- struct{}{}:
+		default:
+			break helpers
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+			<-e.sem
+		}()
+	}
+	work()
+	if held {
+		<-e.sem
+	}
+	wg.Wait()
+	if err := r.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return r.w, r.err
+}
+
+// searchCompiled searches c's index shards, keeping only the first
+// shard of each symmetry orbit.
+func (e *Engine) searchCompiled(ctx context.Context, c *compile.Compiled, recording bool) (*checker.Witness, error) {
+	cur, err := checker.NewShardCursor(c)
+	if err != nil {
+		return nil, err
+	}
+	r := newShardRun(ctx)
+	orbits := newOrbitFilter(c)
+	return e.runShards(r, cur.Len(), func() {
+		s := checker.NewIndexSearch(c, recording)
+		defer s.Close()
+		var (
+			i      int64
+			q0     uint16
+			counts = make([]int, c.NumOps())
+		)
+		advance := func() bool {
+			for cur.Next() {
+				if orbits.first(cur.Q0(), cur.ACounts()) {
+					q0 = cur.Q0()
+					copy(counts, cur.ACounts())
+					return true
+				}
+			}
+			return false
+		}
+		stop := func() bool { return r.obsolete(i) }
+		for {
+			var ok bool
+			if i, ok = r.claim(advance); !ok {
+				return
+			}
+			if w, err := s.Search(q0, counts, stop); w != nil || err != nil {
+				r.finish(i, w, err)
+			}
+		}
+	})
+}
+
+// errObsolete abandons an interpreted shard search that can no longer
+// change the result.
+var errObsolete = errors.New("engine: shard obsolete")
+
+// searchInterpreted searches the string shards of (t, n) with verify.
+func (e *Engine) searchInterpreted(ctx context.Context, t spec.Type, n int, verify checker.VerifyFunc) (*checker.Witness, error) {
 	shards, err := checker.Shards(t, n, nil)
 	if err != nil || len(shards) == 0 {
 		return nil, err
 	}
-	if comp != nil {
-		shards = pruneSymmetricShards(shards, comp)
-	}
-	workers := min(e.workers, len(shards))
-	if workers <= 1 {
-		for _, s := range shards {
-			e.sem <- struct{}{}
-			w, err := searchShard(ctx, s)
-			<-e.sem
-			if err != nil {
-				return nil, err
+	r := newShardRun(ctx)
+	return e.runShards(r, len(shards), func() {
+		var i int64
+		advance := func() bool { return r.next < int64(len(shards)) }
+		v := func(t spec.Type, w checker.Witness) (checker.Result, error) {
+			if r.obsolete(i) {
+				return checker.Result{}, errObsolete
 			}
-			if w != nil {
-				return w, nil
+			return verify(t, w)
+		}
+		for {
+			var ok bool
+			if i, ok = r.claim(advance); !ok {
+				return
+			}
+			w, err := checker.SearchShard(ctx, t, shards[i], v)
+			if errors.Is(err, errObsolete) {
+				continue
+			}
+			if w != nil || err != nil {
+				r.finish(i, w, err)
 			}
 		}
-		return nil, nil
-	}
+	})
+}
 
-	var (
-		mu       sync.Mutex
-		bestIdx  = len(shards)
-		bestW    *checker.Witness
-		firstErr error
-		active   = map[int]context.CancelFunc{}
-		next     int
-	)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				if i >= len(shards) || i >= bestIdx || firstErr != nil {
-					mu.Unlock()
-					return
-				}
-				sctx, cancel := context.WithCancel(ctx)
-				active[i] = cancel
-				mu.Unlock()
+// orbitFilter keeps the first index shard of each orbit under a
+// table's automorphism group and drops its relabelings. Keeping first
+// occurrences preserves the search verdict AND the canonical witness:
+// if the lowest-indexed witness-containing shard were dropped as the
+// orbit-mate of an earlier kept shard, that earlier shard would
+// contain the relabeled witness — contradicting minimality — so it is
+// never dropped, and every shard before it is witness-free with or
+// without pruning.
+type orbitFilter struct {
+	g    *compile.Group
+	seen map[string]struct{}
+}
 
-				e.sem <- struct{}{}
-				w, err := searchShard(sctx, shards[i])
-				<-e.sem
+// newOrbitFilter returns c's filter, or nil when c's group is trivial
+// and every shard is kept.
+func newOrbitFilter(c *compile.Compiled) *orbitFilter {
+	g := c.Automorphisms()
+	if !g.Nontrivial() {
+		return nil
+	}
+	return &orbitFilter{g: g, seen: map[string]struct{}{}}
+}
 
-				mu.Lock()
-				delete(active, i)
-				cancel()
-				switch {
-				case err != nil:
-					// A cancellation we triggered ourselves (the shard
-					// became obsolete after a lower-indexed witness) is
-					// not a search failure; everything else is.
-					if errors.Is(err, context.Canceled) && ctx.Err() == nil {
-						mu.Unlock()
-						continue
-					}
-					if firstErr == nil {
-						firstErr = err
-						for _, c := range active {
-							c()
-						}
-					}
-					mu.Unlock()
-					return
-				case w != nil && i < bestIdx:
-					bestIdx, bestW = i, w
-					for j, c := range active {
-						if j > i {
-							c()
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}()
+// first reports whether shard (q0, counts) is the first of its orbit
+// the filter has seen, recording it.
+func (f *orbitFilter) first(q0 uint16, counts []int) bool {
+	if f == nil {
+		return true
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	key := f.g.CanonicalShardKey(q0, counts)
+	if _, ok := f.seen[key]; ok {
+		return false
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return bestW, nil
+	f.seen[key] = struct{}{}
+	return true
 }
 
 // maxLevel scans property p for n = 2 … limit over the levels lt,
@@ -545,10 +612,12 @@ func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit in
 }
 
 // Classify derives type t's cons/rcons bands exactly like
-// checker.Classify, with the two property scans running concurrently and
-// every level search sharded over the worker pool. Each level's table
-// is built once and shared by both scans; the one at limit also keys
-// the whole-classification memo.
+// checker.Classify, with every level search sharded over the worker
+// slots. The two property scans run concurrently when the engine is
+// idle, with the recording scan on a second goroutine, and one after
+// the other on the caller's goroutine otherwise. Each level's table is
+// built once and shared by both scans; the one at limit also keys the
+// whole-classification memo.
 func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.Classification, error) {
 	if limit < 2 {
 		return checker.Classification{}, fmt.Errorf("checker: classification limit must be ≥ 2, got %d", limit)
@@ -576,20 +645,23 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 		}
 	}
 	var (
-		wg         sync.WaitGroup
 		disc, rec  checker.MaxLevel
 		dErr, rErr error
 	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
+	if e.workers > 1 && len(e.sem) == 0 {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rec, rErr = e.maxLevel(ctx, t, Recording, limit, lt)
+		}()
 		disc, dErr = e.maxLevel(ctx, t, Discerning, limit, lt)
-	}()
-	go func() {
-		defer wg.Done()
-		rec, rErr = e.maxLevel(ctx, t, Recording, limit, lt)
-	}()
-	wg.Wait()
+		<-done
+	} else {
+		disc, dErr = e.maxLevel(ctx, t, Discerning, limit, lt)
+		if dErr == nil {
+			rec, rErr = e.maxLevel(ctx, t, Recording, limit, lt)
+		}
+	}
 	if dErr != nil {
 		span.MarkError()
 		return checker.Classification{}, fmt.Errorf("classify %s: %w", t.Name(), dErr)
@@ -605,28 +677,35 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 	return c, err
 }
 
-// ClassifyEach classifies every type in ts, running up to Workers
-// classifications concurrently, and reports each item's outcome
-// independently: errs[i] is non-nil exactly when out[i] is not valid.
-// One bad item (a table a theorem rejects, a per-item failure) does not
-// poison the rest of the batch — this is the per-item contract behind
-// rcserve's POST /v1/classify/batch. Both slices keep the order of ts.
+// ClassifyEach classifies every type in ts on up to Workers goroutines,
+// each claiming the next unclassified item, and reports each item's
+// outcome independently: errs[i] is non-nil exactly when out[i] is not
+// valid. One bad item (a table a theorem rejects, a per-item failure)
+// does not poison the rest of the batch — this is the per-item contract
+// behind rcserve's POST /v1/classify/batch. Both slices keep the order
+// of ts.
 func (e *Engine) ClassifyEach(ctx context.Context, ts []spec.Type, limit int) (out []checker.Classification, errs []error) {
 	out = make([]checker.Classification, len(ts))
 	errs = make([]error, len(ts))
-	sem := make(chan struct{}, max(e.workers, 1))
-	var wg sync.WaitGroup
-	for i, t := range ts {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(e.workers, len(ts)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				errs[i] = ctx.Err()
-				return
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(ts) {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					errs[i] = err
+					continue
+				}
+				out[i], errs[i] = e.Classify(ctx, ts[i], limit)
 			}
-			out[i], errs[i] = e.Classify(ctx, t, limit)
 		}()
 	}
 	wg.Wait()

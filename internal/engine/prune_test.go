@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rcons/internal/checker"
@@ -25,10 +26,35 @@ func symType() *types.Custom {
 	}
 }
 
+// indexShard is one shard a ShardCursor yielded, copied out.
+type indexShard struct {
+	q0     uint16
+	counts []int
+}
+
+// cursorShards lists c's index shards in cursor order: all of them, and
+// the ones an orbitFilter over c keeps.
+func cursorShards(t *testing.T, c *compile.Compiled) (all, kept []indexShard) {
+	t.Helper()
+	cur, err := checker.NewShardCursor(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orbits := newOrbitFilter(c)
+	for cur.Next() {
+		s := indexShard{q0: cur.Q0(), counts: slices.Clone(cur.ACounts())}
+		all = append(all, s)
+		if orbits.first(s.q0, s.counts) {
+			kept = append(kept, s)
+		}
+	}
+	return all, kept
+}
+
 // TestPruneSymmetricShards checks the reduction itself: on a type with
-// a nontrivial automorphism group the shard list shrinks, every kept
-// shard is the first of its orbit, and on a trivial group the list is
-// returned untouched.
+// a nontrivial automorphism group the cursor's shards shrink, every
+// kept shard is the first of its orbit, and on a trivial group every
+// shard is kept.
 func TestPruneSymmetricShards(t *testing.T) {
 	typ := symType()
 	const n = 3
@@ -39,12 +65,7 @@ func TestPruneSymmetricShards(t *testing.T) {
 	if !c.Automorphisms().Nontrivial() {
 		t.Fatal("expected a nontrivial automorphism group")
 	}
-	shards, err := checker.Shards(typ, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := append([]checker.Shard(nil), shards...)
-	pruned := pruneSymmetricShards(shards, c)
+	orig, pruned := cursorShards(t, c)
 	if len(pruned) >= len(orig) {
 		t.Fatalf("pruning kept %d of %d shards; expected a strict reduction", len(pruned), len(orig))
 	}
@@ -63,7 +84,7 @@ func TestPruneSymmetricShards(t *testing.T) {
 		}
 	}
 
-	// A trivial group must leave the list untouched.
+	// A trivial group must keep every shard.
 	asym := &types.Custom{
 		TypeName: "prune-asym",
 		Initial:  []string{"a"},
@@ -79,12 +100,8 @@ func TestPruneSymmetricShards(t *testing.T) {
 	if ca.Automorphisms().Nontrivial() {
 		t.Fatal("asym type unexpectedly has symmetry")
 	}
-	shards2, err := checker.Shards(asym, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pruneSymmetricShards(shards2, ca); len(got) != len(shards2) {
-		t.Fatalf("trivial group pruned %d shards", len(shards2)-len(got))
+	if all, kept := cursorShards(t, ca); len(kept) != len(all) {
+		t.Fatalf("trivial group pruned %d shards", len(all)-len(kept))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rcons/internal/sim"
 )
@@ -315,14 +316,50 @@ func TestCheckLeavesNoGoroutines(t *testing.T) {
 				}
 			}
 			tc.opts.Workers = 2
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			res, err := Check(ctx, tgt, tc.opts)
 			if verr := tc.verify(res, err); verr != nil {
 				t.Fatal(verr)
 			}
-			if after := runtime.NumGoroutine(); after != before {
+			if after := goroutinesReach(before); after != before {
 				t.Fatalf("goroutines: %d before Check, %d after", before, after)
 			}
 		})
 	}
+}
+
+// A goroutine that has signalled its exit to a WaitGroup may not have
+// exited yet when the waiter returns, so goroutine counts around a
+// call are polled rather than read once. settleFor is how long the
+// count must hold still to count as settled; settleDeadline bounds
+// every poll.
+const (
+	settleFor      = 50 * time.Millisecond
+	settleDeadline = 5 * time.Second
+)
+
+// settledGoroutines returns runtime.NumGoroutine once it has held still
+// for settleFor, or its last reading at settleDeadline.
+func settledGoroutines() int {
+	deadline := time.Now().Add(settleDeadline)
+	n, since := runtime.NumGoroutine(), time.Now()
+	for time.Since(since) < settleFor && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
+// goroutinesReach polls runtime.NumGoroutine until it equals want and
+// returns it, or returns the last reading at settleDeadline.
+func goroutinesReach(want int) int {
+	deadline := time.Now().Add(settleDeadline)
+	n := runtime.NumGoroutine()
+	for n != want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }

@@ -138,7 +138,7 @@ func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("rcserve", flag.ContinueOnError)
 	cfg := config{maxBody: 1 << 20}
 	fs.StringVar(&cfg.addr, "addr", ":8372", "listen address")
-	fs.IntVar(&cfg.workers, "workers", 0, "shard-verification workers per search (0 = all CPUs)")
+	fs.IntVar(&cfg.workers, "workers", 0, "engine worker slots, shared by all searches (0 = all CPUs)")
 	fs.IntVar(&cfg.maxLimit, "max-limit", 6, "cap on the limit/n request parameters")
 	fs.IntVar(&cfg.cacheSize, "cache", 4096, "memoized classifications to keep (negative disables memoization, response memo included)")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request deadline")

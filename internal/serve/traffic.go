@@ -183,7 +183,7 @@ type batchResult struct {
 //	{"limit": 4, "items": [{"type": "S_3"}, {"table": {...}}, ...]}
 //
 // Built-in names and custom tables mix freely. Items run concurrently
-// on the engine's worker pool, so a batch of B types costs far less
+// on the engine's worker slots, so a batch of B types costs far less
 // than B round trips; each item reports its own error or its
 // classification (canonical fingerprint included).
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {

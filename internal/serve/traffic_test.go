@@ -88,7 +88,13 @@ func TestClientCancelCounted(t *testing.T) {
 		}
 		close(done)
 	}()
-	time.Sleep(50 * time.Millisecond) // let the scan start
+	// Cancel once the scan is in flight. A fixed sleep raced the scan,
+	// which can finish first on a fast engine.
+	for deadline := time.Now().Add(5 * time.Second); !s.flights.Pending("/v1/zoo|6"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the zoo scan never started")
+		}
+	}
 	cancel()
 	<-done
 
