@@ -1,11 +1,10 @@
-// Benchmarks regenerating every figure-level artifact of the paper (one
-// benchmark per experiment in harness.All), plus micro-benchmarks and
-// ablations for the core machinery. The paper reports no wall-clock
-// numbers — it is a solvability paper — so the benches measure this
-// reproduction's own cost of (a) mechanically re-verifying each claim
-// and (b) executing each algorithm under crash injection; the boolean
-// outcomes (who can solve what) are asserted to match the paper on every
-// iteration.
+// Micro-benchmarks and ablations for the core machinery. The paper
+// reports no wall-clock numbers — it is a solvability paper — so the
+// benches measure this reproduction's own cost of (a) mechanically
+// re-verifying its claims and (b) executing each algorithm under crash
+// injection. The figure-level experiments (harness.All) and the model
+// checker's fingerprint are timed by cmd/rcbench, as its harness/E* and
+// mc/fingerprint-incremental entries.
 package rcons_test
 
 import (
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"rcons"
-	"rcons/internal/bench"
 	"rcons/internal/checker"
 	"rcons/internal/engine"
 	"rcons/internal/harness"
@@ -24,94 +22,6 @@ import (
 	"rcons/internal/types"
 	"rcons/internal/universal"
 )
-
-// benchOpts keeps per-iteration work bounded.
-func benchOpts() harness.Options { return harness.Options{Seeds: 10, MaxN: 4, Limit: 5} }
-
-func runExperiment(b *testing.B, run func(harness.Options) (*harness.Report, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := run(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Pass {
-			b.Fatalf("experiment failed:\n%s", rep)
-		}
-	}
-}
-
-// BenchmarkFig1Implications regenerates Figure 1 (the implication diagram
-// between n-recording, n-discerning and solvability) over the type zoo.
-func BenchmarkFig1Implications(b *testing.B) { runExperiment(b, harness.Fig1Implications) }
-
-// BenchmarkFig2TeamConsensus regenerates Figure 2: recoverable team
-// consensus executions under randomized independent crashes for every
-// readable type with a recording witness.
-func BenchmarkFig2TeamConsensus(b *testing.B) { runExperiment(b, harness.Fig2TeamConsensus) }
-
-// BenchmarkFig4Simultaneous regenerates Figure 4 / Theorem 1: RC from
-// consensus under simultaneous crashes.
-func BenchmarkFig4Simultaneous(b *testing.B) { runExperiment(b, harness.Fig4Simultaneous) }
-
-// BenchmarkFig5Tn regenerates Figure 5 / Proposition 19: T_n is
-// n-discerning but not (n-1)-recording.
-func BenchmarkFig5Tn(b *testing.B) { runExperiment(b, harness.Fig5Tn) }
-
-// BenchmarkFig6Sn regenerates Figure 6 / Proposition 21:
-// rcons(S_n) = cons(S_n) = n.
-func BenchmarkFig6Sn(b *testing.B) { runExperiment(b, harness.Fig6Sn) }
-
-// BenchmarkFig7Universal regenerates Figure 7: the recoverable universal
-// construction under crash injection with linearizability checking.
-func BenchmarkFig7Universal(b *testing.B) { runExperiment(b, harness.Fig7Universal) }
-
-// BenchmarkFig8Stack regenerates Figure 8 / Appendix H: the mechanical
-// ingredients of rcons(stack) = 1 plus Herlihy's stack consensus.
-func BenchmarkFig8Stack(b *testing.B) { runExperiment(b, harness.Fig8Stack) }
-
-// BenchmarkHierarchyTable regenerates the implicit hierarchy table:
-// cons/rcons bands for the whole zoo.
-func BenchmarkHierarchyTable(b *testing.B) { runExperiment(b, harness.HierarchyTable) }
-
-// BenchmarkThm22Sets regenerates the Theorem 22 table: RC power of sets
-// of readable types.
-func BenchmarkThm22Sets(b *testing.B) { runExperiment(b, harness.Thm22Sets) }
-
-// BenchmarkModelCheck runs E10: bounded exhaustive model checking of
-// Figure 2 (every interleaving + crash placement in bounds) plus the
-// rediscovery of both §3.1 counterexamples on the broken variants.
-func BenchmarkModelCheck(b *testing.B) { runExperiment(b, harness.ModelCheck) }
-
-// BenchmarkMCFingerprint measures ONE configuration-fingerprint
-// computation of the systematic model checker (internal/mc) — the
-// dominant per-node cost of exhaustive verification — on a fixed
-// crash-containing prefix of the Figure 2 target: the incremental
-// pipeline of interned values, maintained memory digest and rolling
-// per-process event hashes. Its parity with the textual reference
-// pipeline internal/mc's tests keep as an oracle is asserted by
-// FuzzFingerprintParity and TestVerdictParityAllTargets.
-func BenchmarkMCFingerprint(b *testing.B) {
-	probe, err := bench.StandardFingerprintProbe()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = probe.Incremental()
-		}
-	})
-}
-
-// BenchmarkMotivation runs E11: test&set consensus vs CAS consensus with
-// and without crash recovery — the paper's opening gap, found
-// exhaustively.
-func BenchmarkMotivation(b *testing.B) { runExperiment(b, harness.Motivation) }
-
-// BenchmarkScaling runs E12: step-cost growth of the constructions with
-// process count, crash-free vs crash-injected.
-func BenchmarkScaling(b *testing.B) { runExperiment(b, harness.Scaling) }
 
 // ---- Micro-benchmarks for the core machinery. ----
 

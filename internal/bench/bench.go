@@ -2,10 +2,9 @@
 // of named benchmarks with fixed iteration budgets, a measurement
 // harness producing machine-readable results (ns/op, allocs/op, custom
 // rates like nodes/sec), and a baseline comparator with a configurable
-// regression threshold. bench_test.go at the repository root remains the
-// `go test -bench` view of the same workloads; this package exists so a
-// plain binary can run them with deterministic budgets and emit
-// BENCH_*.json artifacts that successive PRs are compared against.
+// regression threshold. It exists so a plain binary can run the
+// workloads with deterministic budgets and emit BENCH_*.json artifacts
+// that successive PRs are compared against.
 package bench
 
 import (

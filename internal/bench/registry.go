@@ -15,8 +15,8 @@ import (
 	"rcons/internal/types"
 )
 
-// harnessOpts mirrors the budgets of the root bench_test.go experiment
-// benchmarks; quickOpts trims the sampling dimensions further for CI.
+// harnessOpts gives the experiment entries their budgets; quick mode
+// trims the sampling dimensions further for CI.
 func harnessOpts(quick bool) harness.Options {
 	if quick {
 		return harness.Options{Seeds: 4, MaxN: 3, Limit: 4}
@@ -25,7 +25,7 @@ func harnessOpts(quick bool) harness.Options {
 }
 
 // Registry returns every registered benchmark: the harness experiment
-// suite (the same workloads as the root bench_test.go), the model
+// suite (one harness/E* entry per experiment in harness.All), the model
 // checker's search and fingerprint micro-benchmarks, the classification
 // engine, and the simulator/memory primitives.
 func Registry() []Benchmark {
@@ -362,13 +362,10 @@ func mcCheckRunner(target string, n int, opts mc.Options, wantSafe bool) func(in
 	}
 }
 
-// StandardFingerprintProbe builds the canonical fingerprint-benchmark
+// standardFingerprintProbe builds the mc/fingerprint-incremental
 // fixture: the Figure 2 target over S_2 at a fixed crash-containing
-// prefix. Both rcbench's mc/fingerprint-incremental entry and the root
-// bench_test.go BenchmarkMCFingerprint measure this exact probe, so the
-// `go test -bench` view and the BENCH_*.json view stay the same
-// workload by construction.
-func StandardFingerprintProbe() (*mc.FingerprintProbe, error) {
+// prefix.
+func standardFingerprintProbe() (*mc.FingerprintProbe, error) {
 	tgt, err := mc.TargetByName("team-sn", 2)
 	if err != nil {
 		return nil, err
@@ -384,7 +381,7 @@ func StandardFingerprintProbe() (*mc.FingerprintProbe, error) {
 // prefix is executed once (outside the timed region's per-op cost at
 // realistic iteration counts) and then fingerprinted iters times.
 func fingerprintRunner(iters int) (Metrics, error) {
-	probe, err := StandardFingerprintProbe()
+	probe, err := standardFingerprintProbe()
 	if err != nil {
 		return nil, err
 	}

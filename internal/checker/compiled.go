@@ -10,22 +10,15 @@ package checker
 // remaining-counts vector is bounded by per-op totals, so each slot is
 // a digit with radix total+1).
 //
-// One core serves every entry point. Its alphabet slots are the
-// table's op indices, and it checks each candidate directly on its
-// per-team slot count vectors, in scratch buffers drawn from a
-// sync.Pool, so a search allocates nothing per candidate: failures are
-// codes, and only the passing candidate becomes a Witness. IndexSearch
-// runs the index shards ShardCursor yields, with no strings at all;
-// SearchShardCompiled resolves a string Shard's operations to table
-// indices once and runs the same loop; the single-witness wrappers
-// CompiledRecording / CompiledDiscerning run one candidate and format a
-// Reason only when it reports a failure.
-//
-// Shards or witnesses whose initial state or operations lie outside the
-// table, with an empty team, or with more processes than the dense
-// counts encoding supports, fall back to the interpreted verifier on
-// the table's source type, so every entry point is total and returns
-// bit-identical verdicts everywhere.
+// IndexSearch is the one entry point. Its alphabet slots are the
+// table's op indices, and it checks each candidate of an index shard
+// (as ShardCursor yields them) directly on its per-team slot count
+// vectors, in scratch buffers drawn from a sync.Pool, so a search
+// allocates nothing per candidate: a candidate only passes or fails,
+// and only the passing one becomes a Witness. A shard with more
+// processes than the dense counts encoding supports, or with an empty
+// team, runs on the interpreted verifier on the table's source type,
+// so the search is total and its verdicts are bit-identical everywhere.
 
 import (
 	"context"
@@ -47,98 +40,12 @@ const maxCompiledN = 15
 // still allocation-light compared to the interpreted string keys.
 const maxDenseBits = 1 << 25
 
-// CompiledRecording returns a VerifyFunc that checks Definition 4 on
-// c's flat tables. It ignores the spec.Type argument (the table already
-// fixes the type) and is interchangeable with VerifyRecording: verdicts
-// are bit-identical for every witness.
-func CompiledRecording(c *compile.Compiled) VerifyFunc {
-	return func(_ spec.Type, w Witness) (Result, error) {
-		return compiledVerify(c, w, true)
-	}
-}
-
-// CompiledDiscerning returns a VerifyFunc that checks Definition 2 on
-// c's flat tables, interchangeable with VerifyDiscerning.
-func CompiledDiscerning(c *compile.Compiled) VerifyFunc {
-	return func(_ spec.Type, w Witness) (Result, error) {
-		return compiledVerify(c, w, false)
-	}
-}
-
 // interpreted returns the interpreted verifier for a property.
 func interpreted(recording bool) VerifyFunc {
 	if recording {
 		return VerifyRecording
 	}
 	return VerifyDiscerning
-}
-
-// compiledVerify checks one witness on c's tables.
-func compiledVerify(c *compile.Compiled, w Witness, recording bool) (Result, error) {
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	q0, ok := c.StateIndex(w.Q0)
-	if !ok || w.N() > maxCompiledN {
-		return interpreted(recording)(c.Source(), w)
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	if !sc.setAlphabet(c, w.Ops) {
-		return interpreted(recording)(c.Source(), w)
-	}
-	sc.clearCounts()
-	for i, team := range w.Teams {
-		sc.cnt[team][sc.posSlot[i]]++
-	}
-	v := sc.verify(c, q0, recording)
-	switch v.code {
-	case failShared:
-		return fail("condition 1: state %q is in both Q_A and Q_B", c.StateAt(v.state)), nil
-	case failQ0InA:
-		return fail("condition 2: q0 ∈ Q_A but |B| = %d ≠ 1", w.TeamSize(TeamB)), nil
-	case failQ0InB:
-		return fail("condition 3: q0 ∈ Q_B but |A| = %d ≠ 1", w.TeamSize(TeamA)), nil
-	case failRPair:
-		// Every process of the failing (team, op) class has the same R
-		// sets; name the first.
-		j := 0
-		for w.Teams[j] != v.team || sc.posSlot[j] != v.slot {
-			j++
-		}
-		return fail("R_{A,%d} ∩ R_{B,%d} contains (resp=%q, state=%q)",
-			j, j, c.RespAt(v.resp), c.StateAt(v.state)), nil
-	}
-	return Result{OK: true}, nil
-}
-
-// SearchShardCompiled is SearchShard on c's flat tables for the
-// recording (recording=true) or discerning property: it enumerates the
-// shard's team-B multisets in the same order, returns the same first
-// witness (nil when the shard has none) and honours ctx the same way,
-// without allocating per candidate. A shard whose initial state or
-// operations are missing from the table, with more than maxCompiledN
-// processes, or with an empty team is searched by the interpreted
-// SearchShard on c.Source() instead (which reports the empty team).
-func SearchShardCompiled(ctx context.Context, c *compile.Compiled, s Shard, recording bool) (*Witness, error) {
-	q0, ok := c.StateIndex(s.Q0)
-	if !ok || !compiledShape(s.N, s.ACounts) {
-		return SearchShard(ctx, c.Source(), s, interpreted(recording))
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	if !sc.setAlphabet(c, s.Ops) {
-		return SearchShard(ctx, c.Source(), s, interpreted(recording))
-	}
-	found, stopped := sc.search(c, q0, s.ACounts, s.N, recording, func() bool { return ctx != nil && ctx.Err() != nil })
-	switch {
-	case stopped:
-		return nil, ctx.Err()
-	case !found:
-		return nil, nil
-	}
-	w := witnessFromCounts(s.Q0, s.Ops, s.ACounts, sc.b)
-	return &w, nil
 }
 
 // compiledShape reports whether the core can search a shard of n
@@ -184,7 +91,7 @@ var errStopped = errors.New("checker: shard search stopped")
 
 // Search returns the first witness of the shard (q0, aCounts) in
 // SearchShard's enumeration order, or nil when it has none: the same
-// witness SearchShardCompiled returns for the equivalent string Shard.
+// witness SearchShard returns for the equivalent string Shard.
 // It polls stop before each candidate and, once stop reports true,
 // abandons the shard and returns (nil, nil): the caller that decided to
 // stop knows the result is void. A shard of more than maxCompiledN
@@ -205,31 +112,11 @@ func (s *IndexSearch) Search(q0 uint16, aCounts []int, stop func() bool) (*Witne
 		}
 		return w, err
 	}
-	if found, _ := s.sc.search(c, q0, aCounts, n, s.recording, stop); !found {
+	if !s.sc.search(c, q0, aCounts, n, s.recording, stop) {
 		return nil, nil
 	}
-	w := witnessFromCounts(c.StateAt(q0), c.Alphabet(), aCounts, s.sc.b)
+	w := witnessFromCounts(c.StateAt(q0), c.Alphabet(), aCounts, s.sc.cnt[TeamB])
 	return &w, nil
-}
-
-// failCode says which clause of a definition a candidate violates.
-type failCode uint8
-
-const (
-	passed     failCode = iota
-	failShared          // Definition 4 (1): a state in both Q_A and Q_B
-	failQ0InA           // Definition 4 (2): q0 ∈ Q_A but |B| ≠ 1
-	failQ0InB           // Definition 4 (3): q0 ∈ Q_B but |A| ≠ 1
-	failRPair           // Definition 2: R_{A,j} ∩ R_{B,j} ≠ ∅
-)
-
-// verdict is the core's allocation-free outcome: a failCode plus the
-// table indices a reason needs (the shared state, and for failRPair the
-// shared response and the (team, slot) class of the process j).
-type verdict struct {
-	code        failCode
-	state, resp uint16
-	team, slot  int
 }
 
 // scratchPool recycles verification scratch across candidates, shards
@@ -238,14 +125,11 @@ type verdict struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // scratch holds every buffer one compiled verification needs. Alphabet
-// slots are table op indices; posSlot, fixed per shard or witness, maps
-// each input op position to its slot. cnt holds the current candidate's
+// slots are table op indices. cnt holds the current candidate's
 // per-team slot counts; layout fills totals, strides, prod and fullIdx
 // for the process multiset being explored.
 type scratch struct {
-	posSlot []int    // alphabet slot per input op position
-	cnt     [2][]int // per-team process count per slot
-	b       []int    // team-B multiset over input op positions
+	cnt [2][]int // per-team process count per slot
 
 	totals  []int // per-slot process count being explored (both teams)
 	rem     []int // remaining counts during a DFS
@@ -269,35 +153,9 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// setTable sizes the slot buffers for c's alphabet and makes input
-// positions the table's op indices, as index shards use them.
+// setTable sizes the slot buffers for c's alphabet.
 func (sc *scratch) setTable(c *compile.Compiled) {
 	m := c.NumOps()
-	sc.posSlot = resize(sc.posSlot, m)
-	for k := range sc.posSlot {
-		sc.posSlot[k] = k
-	}
-	sc.size(m)
-}
-
-// setAlphabet maps each position of ops to its table op index. It
-// reports false when an op is missing from the table, which forces the
-// interpreted fallback.
-func (sc *scratch) setAlphabet(c *compile.Compiled, ops []spec.Op) bool {
-	sc.posSlot = resize(sc.posSlot, len(ops))
-	for i, op := range ops {
-		oi, ok := c.OpIndex(op)
-		if !ok {
-			return false
-		}
-		sc.posSlot[i] = int(oi)
-	}
-	sc.size(c.NumOps())
-	return true
-}
-
-// size sizes the per-slot buffers for an alphabet of m slots.
-func (sc *scratch) size(m int) {
 	sc.cnt[TeamA] = resize(sc.cnt[TeamA], m)
 	sc.cnt[TeamB] = resize(sc.cnt[TeamB], m)
 	sc.totals = resize(sc.totals, m)
@@ -305,40 +163,28 @@ func (sc *scratch) size(m int) {
 	sc.strides = resize(sc.strides, m)
 }
 
-func (sc *scratch) clearCounts() {
-	clear(sc.cnt[TeamA])
-	clear(sc.cnt[TeamB])
-}
-
 // search runs one shard of n processes: team A fixed at aCounts (per
-// input position, mapped to slots by posSlot), team B taking every
-// multiset of the remaining processes over the same positions in
-// nextMultiset order. It polls stop before each candidate and reports
-// whether a candidate passed, its team-B counts left in sc.b, or stop
-// ended the search first.
-func (sc *scratch) search(c *compile.Compiled, q0 uint16, aCounts []int, n int, recording bool, stop func() bool) (found, stopped bool) {
-	sc.clearCounts()
-	for k, a := range aCounts {
-		sc.cnt[TeamA][sc.posSlot[k]] += a
+// slot), team B taking every multiset of the remaining processes over
+// the slots in nextMultiset order. It polls stop before each candidate
+// and reports whether a candidate passed, its team-B counts left in
+// sc.cnt[TeamB]; it reports false when stop ended the search first.
+func (sc *scratch) search(c *compile.Compiled, q0 uint16, aCounts []int, n int, recording bool, stop func() bool) bool {
+	copy(sc.cnt[TeamA], aCounts)
+	for _, a := range aCounts {
 		n -= a
 	}
-	b := resize(sc.b, len(aCounts))
-	sc.b = b
+	b := sc.cnt[TeamB]
 	clear(b)
 	b[0] = n
 	for {
 		if stop() {
-			return false, true
+			return false
 		}
-		clear(sc.cnt[TeamB])
-		for k, m := range b {
-			sc.cnt[TeamB][sc.posSlot[k]] += m
-		}
-		if sc.verify(c, q0, recording).code == passed {
-			return true, false
+		if sc.verify(c, q0, recording) {
+			return true
 		}
 		if !nextMultiset(b) {
-			return false, false
+			return false
 		}
 	}
 }
@@ -361,7 +207,9 @@ func (sc *scratch) layout(skip int) {
 	}
 }
 
-func (sc *scratch) verify(c *compile.Compiled, q0 uint16, recording bool) verdict {
+// verify reports whether the candidate in sc.cnt passes the recording
+// or the discerning definition.
+func (sc *scratch) verify(c *compile.Compiled, q0 uint16, recording bool) bool {
 	if recording {
 		return sc.recording(c, q0)
 	}
@@ -369,13 +217,13 @@ func (sc *scratch) verify(c *compile.Compiled, q0 uint16, recording bool) verdic
 }
 
 // recording checks the three conditions of Definition 4.
-func (sc *scratch) recording(c *compile.Compiled, q0 uint16) verdict {
+func (sc *scratch) recording(c *compile.Compiled, q0 uint16) bool {
 	sc.layout(-1)
 	sc.qSet(c, q0, TeamA, &sc.outA)
 	sc.qSet(c, q0, TeamB, &sc.outB)
 	for _, s := range sc.outA.members {
 		if sc.outB.has(s) {
-			return verdict{code: failShared, state: uint16(s)}
+			return false // (1): a state in both Q_A and Q_B
 		}
 	}
 	sizeA, sizeB := 0, 0
@@ -383,13 +231,8 @@ func (sc *scratch) recording(c *compile.Compiled, q0 uint16) verdict {
 		sizeA += sc.cnt[TeamA][k]
 		sizeB += sc.cnt[TeamB][k]
 	}
-	if sc.outA.has(int(q0)) && sizeB != 1 {
-		return verdict{code: failQ0InA}
-	}
-	if sc.outB.has(int(q0)) && sizeA != 1 {
-		return verdict{code: failQ0InB}
-	}
-	return verdict{code: passed}
+	// (2) q0 ∈ Q_A forces |B| = 1, and (3) q0 ∈ Q_B forces |A| = 1.
+	return !(sc.outA.has(int(q0)) && sizeB != 1) && !(sc.outB.has(int(q0)) && sizeA != 1)
 }
 
 // qSet computes the Q_x set of Definition 4 into out as state indices,
@@ -426,8 +269,7 @@ func (sc *scratch) qDFS(c *compile.Compiled, si uint16, remIdx int, out *memberS
 // discerning checks Definition 2. Processes with the same team and
 // operation have identical R sets, so it checks one process j per
 // (team, slot) class rather than every process.
-func (sc *scratch) discerning(c *compile.Compiled, q0 uint16) verdict {
-	ns := c.NumStates()
+func (sc *scratch) discerning(c *compile.Compiled, q0 uint16) bool {
 	for team := TeamA; team <= TeamB; team++ {
 		for k, cnt := range sc.cnt[team] {
 			if cnt == 0 {
@@ -438,12 +280,12 @@ func (sc *scratch) discerning(c *compile.Compiled, q0 uint16) verdict {
 			sc.rSet(c, q0, TeamB, team, k, &sc.outB)
 			for _, p := range sc.outA.members {
 				if sc.outB.has(p) {
-					return verdict{code: failRPair, resp: uint16(p / ns), state: uint16(p % ns), team: team, slot: k}
+					return false // R_{A,j} ∩ R_{B,j} ≠ ∅
 				}
 			}
 		}
 	}
-	return verdict{code: passed}
+	return true
 }
 
 // rSet computes R_{x,j} of Definition 2 into out as

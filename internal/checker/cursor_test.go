@@ -197,9 +197,9 @@ func TestIndexSearchStops(t *testing.T) {
 
 // TestIndexSearchAllocs: once an index search's scratch is warm,
 // searching a witness-free shard allocates nothing, however many
-// candidates it checks — the budget TestCompiledShardSearchAllocs
-// holds the string entry to. The searcher keeps its scratch between
-// shards, so unlike that test this one holds under the race detector.
+// candidates it checks. The searcher keeps its scratch between shards,
+// so this holds under the race detector too, where sync.Pool drops
+// items at random.
 func TestIndexSearchAllocs(t *testing.T) {
 	const n = 3
 	for _, recording := range []bool{true, false} {

@@ -13,15 +13,16 @@
 // table (package compile) supplies the memo and store keys, the
 // symmetry-pruning group and the search itself.
 //
-// Determinism: a search's goroutines claim shards in enumeration order
-// and share one atomic bound, the index of the lowest shard known to
-// end the search (with a witness or an error). Shards past the bound
-// are not claimed and running ones abandon themselves at their next
-// candidate, while earlier shards run to completion because they could
-// still yield the first witness in order. So the engine returns exactly
-// the witness the sequential search would, independent of worker count
-// and scheduling. Classification results are therefore byte-identical
-// to checker.Classify (asserted over the whole zoo by
+// Determinism: a search runs on an ordered.Run, one item per shard. Its
+// goroutines claim shards in enumeration order and share one atomic
+// bound, the index of the lowest shard known to end the search (with a
+// witness or an error). Shards past the bound are not claimed and
+// running ones abandon themselves at their next candidate, while
+// earlier shards run to completion because they could still yield the
+// first witness in order. So the engine returns exactly the witness the
+// sequential search would, independent of worker count and scheduling.
+// Classification results are therefore byte-identical to
+// checker.Classify (asserted over the whole zoo by
 // TestEngineMatchesSequentialZoo).
 package engine
 
@@ -29,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -40,6 +40,7 @@ import (
 	"rcons/internal/compile"
 	"rcons/internal/lru"
 	"rcons/internal/obs"
+	"rcons/internal/ordered"
 	"rcons/internal/spec"
 	"rcons/internal/types"
 )
@@ -376,76 +377,13 @@ func cloneWitness(w checker.Witness) checker.Witness {
 	}
 }
 
-// shardRun is one level search's shared state. Its goroutines claim
-// shard indices in enumeration order; best is the index of the lowest
-// shard known to end the search, with a witness or an error. A shard
-// past best is never claimed, and a running one abandons itself at its
-// next candidate, while shards before best run on: they could still
-// hold the first witness in order.
-type shardRun struct {
-	ctx  context.Context
-	done <-chan struct{}
-	best atomic.Int64
-
-	mu   sync.Mutex // guards next, the claimed source and the result
-	next int64
-	w    *checker.Witness // shard best's witness
-	err  error            // shard best's error
-}
-
-func newShardRun(ctx context.Context) *shardRun {
-	r := &shardRun{ctx: ctx, done: ctx.Done()}
-	r.best.Store(math.MaxInt64)
-	return r
-}
-
-// obsolete reports whether shard i can no longer change the result: a
-// lower shard has ended the search, or ctx is done.
-func (r *shardRun) obsolete(i int64) bool {
-	return r.best.Load() < i || closed(r.done)
-}
-
-// claim reserves the next shard index, calling advance under the lock
-// to move the caller's shard source to it; advance reports false when
-// the source is exhausted.
-func (r *shardRun) claim(advance func() bool) (int64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.next >= r.best.Load() || closed(r.done) || !advance() {
-		return 0, false
-	}
-	r.next++
-	return r.next - 1, true
-}
-
-// finish records that shard i ended the search with w or err, unless a
-// lower shard already has.
-func (r *shardRun) finish(i int64, w *checker.Witness, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i < r.best.Load() {
-		r.best.Store(i)
-		r.w, r.err = w, err
-	}
-}
-
-// closed reports whether done is closed; a nil channel never is.
-func closed(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
 // runShards drives one level search of at most count shards: work
 // claims and searches shards until none is left. The calling goroutine
 // takes a sem slot when one is free and works either way; a helper
 // starts for each further slot free at this moment, up to count−1. So
 // a busy engine runs the search on its caller's goroutine, whose stack
 // is already grown, and an idle one fans it out.
-func (e *Engine) runShards(r *shardRun, count int, work func()) (*checker.Witness, error) {
+func (e *Engine) runShards(r *ordered.Run[*checker.Witness], count int, work func()) (*checker.Witness, error) {
 	held := false
 	select {
 	case e.sem <- struct{}{}:
@@ -472,10 +410,7 @@ helpers:
 		<-e.sem
 	}
 	wg.Wait()
-	if err := r.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.w, r.err
+	return r.Result()
 }
 
 // searchCompiled searches c's index shards, keeping only the first
@@ -485,17 +420,17 @@ func (e *Engine) searchCompiled(ctx context.Context, c *compile.Compiled, record
 	if err != nil {
 		return nil, err
 	}
-	r := newShardRun(ctx)
+	r := ordered.New[*checker.Witness](ctx)
 	orbits := newOrbitFilter(c)
 	return e.runShards(r, cur.Len(), func() {
 		s := checker.NewIndexSearch(c, recording)
 		defer s.Close()
 		var (
-			i      int64
+			i      int
 			q0     uint16
 			counts = make([]int, c.NumOps())
 		)
-		advance := func() bool {
+		advance := func(int) bool {
 			for cur.Next() {
 				if orbits.first(cur.Q0(), cur.ACounts()) {
 					q0 = cur.Q0()
@@ -505,14 +440,14 @@ func (e *Engine) searchCompiled(ctx context.Context, c *compile.Compiled, record
 			}
 			return false
 		}
-		stop := func() bool { return r.obsolete(i) }
+		stop := func() bool { return r.Obsolete(i) }
 		for {
 			var ok bool
-			if i, ok = r.claim(advance); !ok {
+			if i, ok = r.Claim(advance); !ok {
 				return
 			}
 			if w, err := s.Search(q0, counts, stop); w != nil || err != nil {
-				r.finish(i, w, err)
+				r.Finish(i, w, err)
 			}
 		}
 	})
@@ -528,19 +463,19 @@ func (e *Engine) searchInterpreted(ctx context.Context, t spec.Type, n int, veri
 	if err != nil || len(shards) == 0 {
 		return nil, err
 	}
-	r := newShardRun(ctx)
+	r := ordered.New[*checker.Witness](ctx)
 	return e.runShards(r, len(shards), func() {
-		var i int64
-		advance := func() bool { return r.next < int64(len(shards)) }
+		var i int
+		advance := func(k int) bool { return k < len(shards) }
 		v := func(t spec.Type, w checker.Witness) (checker.Result, error) {
-			if r.obsolete(i) {
+			if r.Obsolete(i) {
 				return checker.Result{}, errObsolete
 			}
 			return verify(t, w)
 		}
 		for {
 			var ok bool
-			if i, ok = r.claim(advance); !ok {
+			if i, ok = r.Claim(advance); !ok {
 				return
 			}
 			w, err := checker.SearchShard(ctx, t, shards[i], v)
@@ -548,7 +483,7 @@ func (e *Engine) searchInterpreted(ctx context.Context, t spec.Type, n int, veri
 				continue
 			}
 			if w != nil || err != nil {
-				r.finish(i, w, err)
+				r.Finish(i, w, err)
 			}
 		}
 	})

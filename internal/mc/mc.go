@@ -36,7 +36,11 @@
 // Determinism: the verdict (Safe), Exhaustive, Complete, the minimized
 // counterexample schedule and its violation text depend only on the
 // target and the bounds, never on Options.Workers or core count — as long
-// as the search stays within Options.NodeBudget. Stats.Nodes and
+// as the search stays within Options.NodeBudget. The parallel root search
+// and the swarm fallback below both run on an ordered.Run, the same
+// lowest-index-wins runner as the engine's witness searches: workers
+// claim items (root subtrees, random schedules) in canonical order, and
+// the first violating item in that order wins. Stats.Nodes and
 // Stats.Pruned are deterministic only at Workers: 1 or for safe,
 // exhaustive runs: on a violating target the parallel root search stops
 // other workers at a point that depends on scheduling, so how much of the
@@ -197,7 +201,10 @@ type Stats struct {
 	// processes (zero at the final depth ⇒ the space is Complete).
 	BoundaryHits int `json:"boundaryHits"`
 	// SwarmRuns is the number of randomized schedules executed by the
-	// swarm fallback (zero unless the node budget was exceeded).
+	// swarm fallback (zero unless the node budget was exceeded). When
+	// the swarm finds a violation it varies with worker count and
+	// scheduling, as Nodes does: schedules past the first violating one
+	// may already be running when it is found.
 	SwarmRuns int `json:"swarmRuns"`
 	// Rounds is the number of iterative-deepening rounds run.
 	Rounds int `json:"rounds"`

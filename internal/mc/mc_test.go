@@ -299,6 +299,36 @@ func TestDeterministicVerdict(t *testing.T) {
 	}
 }
 
+// TestSwarmDeterministicAcrossWorkers is TestDeterministicVerdict for the
+// swarm fallback: a node budget of 10 forces it on the broken protocol,
+// and the counterexample must not depend on the worker count.
+func TestSwarmDeterministicAcrossWorkers(t *testing.T) {
+	tgt := mustTarget(t, "unsafe-noyield", 2)
+	var first *Result
+	for _, workers := range []int{1, 2, 8} {
+		res := check(t, tgt, Options{MaxDepth: 12, CrashBudget: 1, NodeBudget: 10, Workers: workers})
+		if res.Exhaustive || res.Stats.SwarmRuns == 0 {
+			t.Fatalf("workers=%d: node budget 10 did not force the swarm fallback (exhaustive=%v, swarm runs %d)",
+				workers, res.Exhaustive, res.Stats.SwarmRuns)
+		}
+		if res.Safe || res.CE == nil {
+			t.Fatalf("workers=%d: swarm missed the known agreement violation", workers)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if !reflect.DeepEqual(res.CE.Schedule, first.CE.Schedule) {
+			t.Fatalf("swarm counterexample depends on worker count:\n1 worker:  %s\n%d workers: %s",
+				sim.FormatScript(first.CE.Schedule), workers, sim.FormatScript(res.CE.Schedule))
+		}
+		if res.CE.Violation != first.CE.Violation {
+			t.Fatalf("swarm violation depends on worker count: %q vs %q (workers=%d)",
+				first.CE.Violation, res.CE.Violation, workers)
+		}
+	}
+}
+
 // TestPruningSoundness cross-validates fingerprint pruning two ways:
 // against clock-sensitive (per-event-timestamped, nearly path-unique)
 // fingerprints that defeat most pruning, and against enumerate, the

@@ -2,12 +2,14 @@ package mc
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rcons/internal/intern"
 	"rcons/internal/obs"
+	"rcons/internal/ordered"
 	"rcons/internal/sim"
 )
 
@@ -247,7 +249,7 @@ func (s *search) enumerateRoots(ctx context.Context, pool *sim.Pool, depth int) 
 // one-action extensions (empty when all processes decided or the node
 // budget ran out — roots are never pruned, see dfs).
 func (s *search) expand(ctx context.Context, pool *sim.Pool, nd node) ([]node, *violation, error) {
-	ex, out, v, err := s.visit(ctx, pool, nd, nil)
+	ex, out, v, err := s.visit(ctx.Err, pool, nd, nil)
 	if ex == nil || v != nil {
 		return nil, v, err
 	}
@@ -263,12 +265,13 @@ func (s *search) expand(ctx context.Context, pool *sim.Pool, nd node) ([]node, *
 // visit counts one search node, executes its prefix and checks it. The
 // execution continues parent — paused at nd's prefix minus its last
 // action — by that action, or starts fresh on pool when parent is nil.
-// It returns a nil execution when the node is not executed (context
-// done, node budget exhausted). With a violation the runner is already
-// closed; otherwise the caller owns the returned execution and must
-// close its runner.
-func (s *search) visit(ctx context.Context, pool *sim.Pool, nd node, parent *execution) (*execution, *sim.Outcome, *violation, error) {
-	if err := ctx.Err(); err != nil {
+// It returns a nil execution when the node is not executed: with stop's
+// error when stop reports one (the context died, or the root became
+// obsolete), with none when the node budget is exhausted. With a
+// violation the runner is already closed; otherwise the caller owns the
+// returned execution and must close its runner.
+func (s *search) visit(stop func() error, pool *sim.Pool, nd node, parent *execution) (*execution, *sim.Outcome, *violation, error) {
+	if err := stop(); err != nil {
 		return nil, nil, nil, err
 	}
 	if s.nodes.Add(1) > int64(s.opts.NodeBudget) {
@@ -387,12 +390,13 @@ func (s *search) dedupRoots(ctx context.Context, pool *sim.Pool, roots []node) (
 	return out, nil
 }
 
-// searchRoots fans the root subtrees out over the worker pool. To keep
-// the reported violation independent of worker count and scheduling, the
-// pool tracks the lowest root index that produced a violation, stops
-// claiming later roots, and cancels later in-flight subtrees; earlier
-// subtrees run to completion because they could still yield the
-// canonical (first-in-order) violation.
+// searchRoots fans the root subtrees out over the worker pool as the
+// items of an ordered.Run: workers claim roots in canonical order, and
+// the lowest root whose subtree violates wins. A later root's dfs polls
+// the run at every node and abandons its subtree once a lower root has
+// violated, while earlier subtrees run to completion because they could
+// still yield the canonical (first-in-order) violation. So the reported
+// violation is independent of worker count and scheduling.
 //
 // Determinism caveat: the guarantee holds only while the search stays
 // within NodeBudget. Near the budget, workers race the shared node
@@ -404,88 +408,62 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 		return nil, nil
 	}
 	// The frontier gauge counts roots not yet finished this round. Every
-	// root leaves it exactly once: when its subtree search returns, when
-	// a worker claims-and-skips it after a lower root's violation made it
-	// obsolete, or in the post-wait sweep for roots no worker claimed
-	// (budget-exhausted early exits). No blanket reset hides an
-	// accounting miss, so a nonzero final frontier is a real leak.
+	// root leaves it exactly once: when its subtree search returns, or in
+	// the post-wait sweep for roots no worker claimed (past a lower root's
+	// violation, or left when the node budget tripped or the context
+	// died). No blanket reset hides an accounting miss, so a nonzero final
+	// frontier is a real leak.
 	s.frontier.Store(int64(len(roots)))
-	workers := min(s.opts.Workers, len(roots))
-	var (
-		mu      sync.Mutex
-		next    int
-		bestIdx = len(roots)
-		viols   = make([]*violation, len(roots))
-		active  = map[int]context.CancelFunc{}
-	)
+	run := ordered.New[*violation](ctx)
+	advance := func(i int) bool { return i < len(roots) }
+	fanOut(min(s.opts.Workers, len(roots)), func(pool *sim.Pool) {
+		for {
+			i, ok := run.Claim(advance)
+			if !ok {
+				return
+			}
+			stop := func() error {
+				if run.Obsolete(i) {
+					return errObsolete
+				}
+				return nil
+			}
+			// dfs fails only when stop fires: the root became obsolete,
+			// which is not a failure, or the context died, which Result
+			// reports.
+			v, _ := s.dfs(stop, pool, roots[i], depth, map[Fingerprint]uint64{}, nil)
+			s.frontier.Add(-1)
+			if v != nil {
+				run.Finish(i, v, nil)
+			}
+			if s.exceeded.Load() {
+				return
+			}
+		}
+	})
+	s.frontier.Add(-int64(len(roots) - run.Claimed()))
+	return run.Result()
+}
+
+// errObsolete abandons a root subtree that can no longer change the
+// round's result.
+var errObsolete = errors.New("mc: root obsolete")
+
+// fanOut runs work on the given number of goroutines, each on its own
+// pool of coroutines, whose stacks grow once for the whole search, and
+// returns once every goroutine has closed its pool.
+func fanOut(workers int, work func(pool *sim.Pool)) {
 	var wg sync.WaitGroup
 	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker runs its executions on its own coroutines,
-			// which grow their stacks once for the whole round.
 			pool := new(sim.Pool)
 			defer pool.Close()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				if i >= len(roots) {
-					mu.Unlock()
-					return
-				}
-				if i >= bestIdx {
-					// Obsolete root: a lower-indexed subtree already
-					// produced the canonical violation. Claim it so it
-					// leaves the frontier, and keep draining.
-					mu.Unlock()
-					s.frontier.Add(-1)
-					continue
-				}
-				rctx, cancel := context.WithCancel(ctx)
-				active[i] = cancel
-				mu.Unlock()
-
-				visited := map[Fingerprint]uint64{}
-				v, err := s.dfs(rctx, pool, roots[i], depth, visited, nil)
-				s.frontier.Add(-1)
-
-				mu.Lock()
-				delete(active, i)
-				cancel()
-				// A cancellation we triggered ourselves (the subtree
-				// became obsolete) is not a failure; real context
-				// cancellation surfaces via ctx.Err() after Wait.
-				if err == nil && v != nil && i < bestIdx {
-					bestIdx = i
-					viols[i] = v
-					for j, c := range active {
-						if j > i {
-							c()
-						}
-					}
-				}
-				mu.Unlock()
-				if s.exceeded.Load() {
-					return
-				}
-			}
+			work(pool)
 		}()
 	}
 	wg.Wait()
-	// Workers exit without draining when the node budget trips (or the
-	// context dies); account for the roots nobody claimed.
-	if next < len(roots) {
-		s.frontier.Add(-int64(len(roots) - next))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if bestIdx < len(roots) {
-		return viols[bestIdx], nil
-	}
-	return nil, nil
 }
 
 // dfs exhaustively explores all continuations of nd up to the depth
@@ -509,8 +487,8 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 // (TestContinuedRunMatchesReplay). Every dfs closes the runner it used
 // on return; a child continuing it closes it too, and Close is
 // idempotent.
-func (s *search) dfs(ctx context.Context, pool *sim.Pool, nd node, depth int, visited map[Fingerprint]uint64, parent *execution) (*violation, error) {
-	ex, out, v, err := s.visit(ctx, pool, nd, parent)
+func (s *search) dfs(stop func() error, pool *sim.Pool, nd node, depth int, visited map[Fingerprint]uint64, parent *execution) (*violation, error) {
+	ex, out, v, err := s.visit(stop, pool, nd, parent)
 	if ex == nil || v != nil {
 		return v, err
 	}
@@ -540,7 +518,7 @@ func (s *search) dfs(ctx context.Context, pool *sim.Pool, nd node, depth int, vi
 	}
 	cont := ex
 	for _, ext := range s.extensions(nd, live) {
-		v, err := s.dfs(ctx, pool, ext, depth, visited, cont)
+		v, err := s.dfs(stop, pool, ext, depth, visited, cont)
 		if err != nil || v != nil {
 			return v, err
 		}

@@ -2,8 +2,8 @@ package mc
 
 import (
 	"context"
-	"sync"
 
+	"rcons/internal/ordered"
 	"rcons/internal/sim"
 )
 
@@ -13,53 +13,26 @@ import (
 // injection (seed = SwarmSeed + index, so the whole fleet is
 // deterministic and any violation it reports is reproducible). Schedules
 // are recorded, so a violating run yields a replayable script exactly
-// like the exhaustive search. The first violation in seed order wins,
-// independent of worker count.
+// like the exhaustive search. The schedules are the items of an
+// ordered.Run, so the first violation in seed order wins, independent
+// of worker count.
 func (s *search) swarm(ctx context.Context) (*violation, error) {
-	var (
-		mu      sync.Mutex
-		next    int
-		bestIdx = s.opts.SwarmSchedules
-		best    *violation
-	)
-	var wg sync.WaitGroup
-	for range min(s.opts.Workers, s.opts.SwarmSchedules) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pool := new(sim.Pool)
-			defer pool.Close()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				if i >= s.opts.SwarmSchedules || i >= bestIdx {
-					mu.Unlock()
-					return
-				}
-				mu.Unlock()
-				if ctx.Err() != nil {
-					return
-				}
-
-				v := s.swarmOne(pool, int64(i))
-				s.swarmRuns.Add(1)
-
-				if v != nil {
-					mu.Lock()
-					if i < bestIdx {
-						bestIdx, best = i, v
-					}
-					mu.Unlock()
-				}
+	run := ordered.New[*violation](ctx)
+	advance := func(i int) bool { return i < s.opts.SwarmSchedules }
+	fanOut(min(s.opts.Workers, s.opts.SwarmSchedules), func(pool *sim.Pool) {
+		for {
+			i, ok := run.Claim(advance)
+			if !ok {
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return best, nil
+			v := s.swarmOne(pool, int64(i))
+			s.swarmRuns.Add(1)
+			if v != nil {
+				run.Finish(i, v, nil)
+			}
+		}
+	})
+	return run.Result()
 }
 
 // swarmOne executes one randomized schedule on coroutines from pool and
