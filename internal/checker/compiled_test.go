@@ -2,6 +2,7 @@ package checker
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"rcons/internal/compile"
@@ -73,6 +74,134 @@ func TestCompiledVerifierMatchesInterpreted(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCompiledShardSearchMatchesInterpreted compares whole-shard
+// searches as the engine runs them: for every type of the corpus at
+// n = 2..3, one IndexSearch walks the ShardCursor's shards and, on each,
+// must return the same witness as the interpreted search of the string
+// shard Shards lists at that position, or nil on both sides, for both
+// properties.
+func TestCompiledShardSearchMatchesInterpreted(t *testing.T) {
+	ctx := context.Background()
+	searched := 0
+	for _, typ := range shardCorpus(t) {
+		for n := 2; n <= 3; n++ {
+			c, err := compile.Compile(typ, n)
+			if err != nil {
+				continue
+			}
+			shards, err := Shards(typ, n, nil)
+			if err != nil {
+				t.Fatalf("%s n=%d: Shards: %v", typ.Name(), n, err)
+			}
+			for _, recording := range []bool{true, false} {
+				cur, err := NewShardCursor(c)
+				if err != nil {
+					t.Fatalf("%s n=%d: NewShardCursor: %v", typ.Name(), n, err)
+				}
+				s := NewIndexSearch(c, recording)
+				for i := 0; cur.Next(); i++ {
+					if i >= len(shards) {
+						t.Fatalf("%s n=%d: cursor yields more than %d shards", typ.Name(), n, len(shards))
+					}
+					want, err := SearchShard(ctx, typ, shards[i], interpreted(recording))
+					if err != nil {
+						t.Fatalf("%s n=%d: SearchShard: %v", typ.Name(), n, err)
+					}
+					got, err := s.Search(cur.Q0(), cur.ACounts(), never)
+					if err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s n=%d shard %d %+v (recording=%v): compiled (%v, %v), interpreted %v",
+							typ.Name(), n, i, shards[i], recording, got, err, want)
+					}
+					searched++
+				}
+				s.Close()
+			}
+		}
+	}
+	if searched == 0 {
+		t.Fatal("no shard was searched")
+	}
+}
+
+// TestCompiledVerifierFallback drives the index search with shards the
+// compiled core does not take, an empty team A and an empty team B;
+// it must fall back to the interpreted search of the same string shard
+// and agree with it rather than erroring out differently, and a stop
+// that fires at once must abandon the fallback too.
+func TestCompiledVerifierFallback(t *testing.T) {
+	const n = 3
+	cas := types.NewCAS()
+	c, err := compile.Compile(cas, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q0, ok := c.StateIndex(spec.State(types.Bottom))
+	if !ok {
+		t.Fatal("initial state missing from the table")
+	}
+	empty := make([]int, c.NumOps())
+	full := make([]int, c.NumOps())
+	full[0] = n
+	for _, aCounts := range [][]int{empty, full} {
+		if compiledShape(n, aCounts) {
+			t.Fatalf("team-A counts %v take the compiled path", aCounts)
+		}
+		sh := Shard{Q0: c.StateAt(q0), Ops: c.Alphabet(), ACounts: aCounts, N: n}
+		for _, recording := range []bool{true, false} {
+			want, errw := SearchShard(context.Background(), cas, sh, interpreted(recording))
+			s := NewIndexSearch(c, recording)
+			got, errg := s.Search(q0, aCounts, never)
+			if (errw == nil) != (errg == nil) || (errw != nil && errw.Error() != errg.Error()) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("fallback diverged on team-A counts %v (recording=%v): interpreted (%v, %v), compiled (%v, %v)",
+					aCounts, recording, want, errw, got, errg)
+			}
+			if w, err := s.Search(q0, aCounts, func() bool { return true }); w != nil || err != nil {
+				t.Fatalf("stopped fallback on team-A counts %v returned (%v, %v)", aCounts, w, err)
+			}
+			s.Close()
+		}
+	}
+}
+
+// TestCompiledShardSearchAllocs guards the search path's allocation
+// budget over a whole table: with a warm searcher, walking every shard
+// of a witness-free table allocates no more than creating the cursor
+// does, however many shards and candidates it checks.
+func TestCompiledShardSearchAllocs(t *testing.T) {
+	const n = 3
+	reg := types.NewRegister()
+	c, err := compile.Compile(reg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, recording := range []bool{true, false} {
+		s := NewIndexSearch(c, recording)
+		pass := func() {
+			cur, err := NewShardCursor(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cur.Next() {
+				if w, _ := s.Search(cur.Q0(), cur.ACounts(), never); w != nil {
+					t.Fatalf("%s n=%d (recording=%v) has a witness %v", reg.Name(), n, recording, w)
+				}
+			}
+		}
+		pass()
+		cursorAllocs := testing.AllocsPerRun(20, func() {
+			if _, err := NewShardCursor(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		allocs := testing.AllocsPerRun(20, pass)
+		s.Close()
+		if allocs > cursorAllocs {
+			t.Errorf("%s n=%d (recording=%v): %v allocations per table pass, the cursor alone makes %v",
+				reg.Name(), n, recording, allocs, cursorAllocs)
 		}
 	}
 }
