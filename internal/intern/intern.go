@@ -16,6 +16,13 @@
 // The table is append-only and read-mostly: after the first execution of
 // a system, every lookup hits the read path. A sync.RWMutex keeps the
 // fast path a shared lock acquisition plus one map read.
+//
+// Even that shared lock is a contended atomic when several goroutines
+// intern at once, so a goroutine that interns the same few strings over
+// and over — a model-checker worker, through its sim.Pool — puts a Cache
+// in front of the table: a plain map, owned by that one goroutine, that
+// answers repeats without touching the table's lock. A Cache hands out
+// the table's ids, so ids from a cache and from ID are interchangeable.
 package intern
 
 import "sync"
@@ -28,23 +35,60 @@ var tab = struct {
 
 // ID returns the id for s, assigning the next free id on first sight.
 func ID(s string) uint32 {
+	id, _ := lookup(s)
+	return id
+}
+
+// lookup returns the id for s and the table's own copy of s, assigning
+// the next free id on first sight.
+func lookup(s string) (uint32, string) {
 	tab.mu.RLock()
 	id, ok := tab.ids[s]
+	var owned string
+	if ok {
+		owned = tab.strs[id]
+	}
 	tab.mu.RUnlock()
 	if ok {
-		return id
+		return id, owned
 	}
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	if id, ok := tab.ids[s]; ok {
-		return id
+		return id, tab.strs[id]
 	}
 	id = uint32(len(tab.strs))
 	// strings.Clone semantics: s may be a slice of a larger buffer
 	// (e.g. a fuzz input); copying detaches the table from it.
-	owned := string(append([]byte(nil), s...))
+	owned = string(append([]byte(nil), s...))
 	tab.ids[owned] = id
 	tab.strs = append(tab.strs, owned)
+	return id, owned
+}
+
+// Cache remembers the ids its owner looked up, in a map with no lock:
+// one goroutine at a time may use it. A miss goes to the table. The
+// zero Cache is ready to use; a nil *Cache looks every string up in the
+// table.
+type Cache struct {
+	ids map[string]uint32
+}
+
+// ID returns the table's id for s, as the package-level ID does.
+func (c *Cache) ID(s string) uint32 {
+	if c == nil {
+		return ID(s)
+	}
+	if id, ok := c.ids[s]; ok {
+		return id
+	}
+	id, owned := lookup(s)
+	if c.ids == nil {
+		c.ids = make(map[string]uint32)
+	}
+	// Keyed by the table's copy, so the cache, like the table, never
+	// keeps a caller's buffer alive.
+	c.ids[owned] = id
 	return id
 }
 

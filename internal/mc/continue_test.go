@@ -38,13 +38,15 @@ type runState struct {
 	EventHashes []uint64
 	ClockHashes []uint64
 	Digest      uint64
+	Snapshot    string
 	Trace       []sim.TraceEvent
 	Err         string
 }
 
 // stateOf copies an execution's state, so that comparing it later with
-// the same outcome detects changes. The memory digest must be read
-// before the execution takes another action: memory is live.
+// the same outcome detects changes. The memory digest and snapshot must
+// be read before the execution takes another action: memory is live. A
+// nil m leaves them out.
 func stateOf(out *sim.Outcome, m *sim.Memory, err error) runState {
 	st := runState{
 		Decided:     slices.Clone(out.Decided),
@@ -55,8 +57,10 @@ func stateOf(out *sim.Outcome, m *sim.Memory, err error) runState {
 		Schedule:    slices.Clone(out.Schedule),
 		EventHashes: slices.Clone(out.EventHashes),
 		ClockHashes: slices.Clone(out.ClockHashes),
-		Digest:      m.Digest(),
 		Trace:       slices.Clone(out.Trace),
+	}
+	if m != nil {
+		st.Digest, st.Snapshot = m.Digest(), m.Snapshot()
 	}
 	if err != nil {
 		st.Err = err.Error()
@@ -82,16 +86,54 @@ func freshState(tgt Target, script []sim.Action, halt bool, memo map[string]runS
 	return st
 }
 
-// checkContinuation starts tgt's empty prefix, extends it by script one
-// action at a time, and requires every pause to equal a fresh
-// HaltAtScriptEnd run of the same prefix. If every Extend succeeded, it
-// then requires Run from the last pause to equal a fresh FairCompletion
-// run of script. Finally it re-checks every snapshot taken on the way,
-// since later actions must not have changed them.
+// checkContinuation runs script continued (continueScript) twice on one
+// instance of tgt, and requires both runs to equal fresh runs on new
+// instances. The first run is on the instance as Factory built it. The
+// second is on the instance reset after it ran a different script to
+// its end, as a search worker reuses its instance, on a pool of
+// coroutines the different script's runner used first.
 func checkContinuation(t testing.TB, tgt Target, script []sim.Action, memo map[string]runState) {
 	t.Helper()
 	m, bodies, _ := tgt.Factory()
-	r := sim.NewRunner(m, bodies, sim.Config{
+	m.Mark()
+	continueScript(t, tgt, m, bodies, script, memo, "fresh instance", sim.NewRunner)
+
+	m.Reset()
+	pool := new(sim.Pool)
+	defer pool.Close()
+	// other mirrors script's processes behind an extra step of p1, so it
+	// differs from script even when the mirror does not.
+	other := []sim.Action{sim.Step(1)}
+	for _, a := range script {
+		if a.Kind != sim.ActCrashAll {
+			a.Proc = 1 - a.Proc
+		}
+		other = append(other, a)
+	}
+	// Its outcome does not matter, only that it ran: it may be
+	// inadmissible, and it may violate the target's checker.
+	_, _ = pool.NewRunner(m, bodies, sim.Config{
+		Model:              tgt.Model,
+		Script:             other,
+		FairCompletion:     true,
+		DecideRequiresStep: true,
+		MaxSteps:           Options{}.filled().MaxSteps,
+	}).Run()
+	m.Reset()
+	continueScript(t, tgt, m, bodies, script, memo, "reset instance", pool.NewRunner)
+}
+
+// continueScript starts script's empty prefix on the instance (m,
+// bodies) with a runner from newRunner, extends it by script one action
+// at a time, and requires every pause to equal a fresh HaltAtScriptEnd
+// run of the same prefix. If every Extend succeeded, it then requires
+// Run from the last pause to equal a fresh FairCompletion run of script.
+// Finally it re-checks every snapshot taken on the way, since later
+// actions must not have changed them.
+func continueScript(t testing.TB, tgt Target, m *sim.Memory, bodies []sim.Body, script []sim.Action, memo map[string]runState,
+	instance string, newRunner func(*sim.Memory, []sim.Body, sim.Config) *sim.Runner) {
+	t.Helper()
+	r := newRunner(m, bodies, sim.Config{
 		Model:              tgt.Model,
 		FairCompletion:     true,
 		DecideRequiresStep: true,
@@ -110,8 +152,8 @@ func checkContinuation(t testing.TB, tgt Target, script []sim.Action, memo map[s
 	compare := func(what string, got, want runState) {
 		t.Helper()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: %s of %s differs from a fresh run:\ncontinued: %+v\nfresh:     %+v",
-				tgt.Name, what, sim.FormatScript(script), got, want)
+			t.Fatalf("%s, %s: %s of %s differs from a fresh run:\ncontinued: %+v\nfresh:     %+v",
+				tgt.Name, instance, what, sim.FormatScript(script), got, want)
 		}
 	}
 
@@ -132,20 +174,21 @@ func checkContinuation(t testing.TB, tgt Target, script []sim.Action, memo map[s
 		out, err = r.Extend(script[i])
 	}
 	for _, p := range pauses {
-		again := stateOf(p.out, m, nil)
+		again := stateOf(p.out, nil, nil)
 		// Memory is live and the error is not part of the outcome: only
 		// the outcome snapshot must be unchanged.
-		again.Digest, again.Err = p.state.Digest, p.state.Err
+		again.Digest, again.Snapshot, again.Err = p.state.Digest, p.state.Snapshot, p.state.Err
 		compare("snapshot", again, p.state)
 	}
 }
 
 // TestContinuedRunMatchesReplay is the soundness check for the search's
-// continued executions: on every continuation target, for every
-// admissible script up to length 6, a run started at the empty prefix
-// and extended one action at a time reaches exactly the outcome, trace,
-// digests and memory of a fresh run of each prefix, and Run from any
-// pause equals a fresh fair-completion run.
+// continued executions and reused instances: on every continuation
+// target, for every admissible script up to length 6, a run started at
+// the empty prefix and extended one action at a time — on a new
+// instance, and on one reset after a different execution — reaches
+// exactly the outcome, trace, digests and memory of a fresh run of each
+// prefix, and Run from any pause equals a fresh fair-completion run.
 func TestContinuedRunMatchesReplay(t *testing.T) {
 	const maxLen = 6
 	for _, tgt := range continuationTargets(t) {
@@ -194,6 +237,44 @@ func FuzzContinuationParity(f *testing.F) {
 		tgt := tgts[int(tgtSel)%len(tgts)]
 		checkContinuation(t, tgt, decodeSchedule(raw, tgt.Model), nil)
 	})
+}
+
+// TestWarmIDCacheKeepsDigests checks that a pool's id cache changes no
+// digest: on every continuation target, an execution on a pool whose
+// cache is warm from every other target records the same memory digest
+// and event and clock hashes as the same execution on a new pool.
+func TestWarmIDCacheKeepsDigests(t *testing.T) {
+	tgts := continuationTargets(t)
+	raw := []byte{0, 3, 6, 0, 3, 7, 0, 3}
+	run := func(pool *sim.Pool, tgt Target) runState {
+		m, bodies, _ := tgt.Factory()
+		r := pool.NewRunner(m, bodies, sim.Config{
+			Model:              tgt.Model,
+			Script:             decodeSchedule(raw, tgt.Model),
+			FairCompletion:     true,
+			DecideRequiresStep: true,
+			MaxSteps:           Options{}.filled().MaxSteps,
+		})
+		r.RecordDigests()
+		out, err := r.Run()
+		return stateOf(out, m, err)
+	}
+	for i, tgt := range tgts {
+		warm := new(sim.Pool)
+		for j, other := range tgts {
+			if j != i {
+				run(warm, other)
+			}
+		}
+		got := run(warm, tgt)
+		warm.Close()
+		cold := new(sim.Pool)
+		want := run(cold, tgt)
+		cold.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: execution on a warm pool differs from one on a new pool:\nwarm: %+v\nnew:  %+v", tgt.Name, got, want)
+		}
+	}
 }
 
 // TestReplaysDeterministicAcrossWorkers checks the Replays count on a

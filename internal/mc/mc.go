@@ -83,8 +83,8 @@ func OutcomeCheck(check func(inputs []sim.Value, out *sim.Outcome) error) Checke
 	}
 }
 
-// Target is a system under check: a fresh-instance factory (the checker
-// starts executions from it and replays prefixes on fresh instances, so
+// Target is a system under check: an instance factory (the checker
+// starts executions from its instances and replays prefixes on them, so
 // every instance must behave identically), the failure model the
 // adversary plays, and the safety predicate.
 type Target struct {
@@ -92,7 +92,15 @@ type Target struct {
 	Name string
 	// Model selects the failure model; zero means sim.Independent.
 	Model sim.FailureModel
-	// Factory returns an equivalent fresh instance on every call.
+	// Factory returns an equivalent fresh instance on every call: a
+	// memory, one body per process and the inputs. The search calls it
+	// once per worker goroutine (and once per root pass), marks the
+	// memory (sim.Memory.Mark) and runs every later execution of that
+	// worker on the same instance, reset in place (sim.Memory.Reset)
+	// with the same bodies and inputs. So bodies must hold no state
+	// across invocations: state that outlives a run belongs in the
+	// memory, as the model's non-volatile memory does, and a body's Go
+	// locals are its volatile memory. Calls may run concurrently.
 	Factory func() (*sim.Memory, []sim.Body, []sim.Value)
 	// Check is the safety predicate; it must not be nil.
 	Check Checker
@@ -190,8 +198,10 @@ type Stats struct {
 	// pruning.
 	Pruned int `json:"pruned"`
 	// Replays is the number of executions the exhaustive search started
-	// from a fresh Factory instance, root-deduplication probes included.
-	// The other nodes continued their parent's paused execution. Like
+	// from the beginning, root-deduplication probes included: fresh
+	// executions, not Factory calls (each worker resets one instance
+	// for all of its executions). The other nodes continued their
+	// parent's paused execution. Like
 	// Nodes and Pruned it is deterministic for safe, exhaustive runs at
 	// any worker count. Swarm executions are counted by SwarmRuns.
 	Replays int `json:"replays"`

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"rcons/internal/compile"
 	"rcons/internal/rc"
 	"rcons/internal/sim"
+	"rcons/internal/spec"
 	"rcons/internal/types"
 	"rcons/internal/universal"
 )
@@ -325,6 +327,70 @@ func TestSwarmDeterministicAcrossWorkers(t *testing.T) {
 		if res.CE.Violation != first.CE.Violation {
 			t.Fatalf("swarm violation depends on worker count: %q vs %q (workers=%d)",
 				first.CE.Violation, res.CE.Violation, workers)
+		}
+	}
+}
+
+// TestNodeBudgetBoundsNodes checks that Stats.Nodes counts only the
+// prefixes the search executed: a node the budget refuses is not
+// counted, at any worker count, even when workers race past the budget
+// together.
+func TestNodeBudgetBoundsNodes(t *testing.T) {
+	const budget = 10
+	tgt := mustTarget(t, "unsafe-noyield", 2)
+	for _, workers := range []int{1, 2, 8} {
+		for range 5 {
+			res := check(t, tgt, Options{MaxDepth: 12, CrashBudget: 1, NodeBudget: budget, Workers: workers})
+			if res.Exhaustive || res.Stats.SwarmRuns == 0 {
+				t.Fatalf("workers=%d: node budget %d did not force the swarm fallback (exhaustive=%v, swarm runs %d)",
+					workers, budget, res.Exhaustive, res.Stats.SwarmRuns)
+			}
+			if res.Stats.Nodes > budget {
+				t.Fatalf("workers=%d: %d nodes counted under a node budget of %d", workers, res.Stats.Nodes, budget)
+			}
+		}
+	}
+}
+
+// TestCASBuiltinsStayInCompiledTable checks that every operation the
+// compare&swap builtins apply is in compare&swap's compiled alphabet for
+// their process count, so no step of theirs falls back from the dense
+// table to the interpreted Apply.
+func TestCASBuiltinsStayInCompiledTable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"cas", 2}, {"team-cas", 2}, {"unsafe-yieldalways", 3}} {
+		tgt := mustTarget(t, c.name, c.n)
+		table, err := compile.Compile(types.NewCAS(), c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied := map[spec.Op]bool{}
+		for seed := range 64 {
+			m, bodies, _ := tgt.Factory()
+			r := sim.NewRunner(m, bodies, sim.Config{
+				Seed: int64(seed), Model: tgt.Model, CrashProb: 0.25, MaxCrashes: 2, DecideRequiresStep: true,
+			})
+			r.RecordTrace()
+			out, err := r.Run()
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+			}
+			for _, e := range out.Trace {
+				if e.Kind == sim.TraceApply {
+					op, _, _ := strings.Cut(e.Detail, "->")
+					applied[spec.Op(op)] = true
+				}
+			}
+		}
+		if len(applied) == 0 {
+			t.Fatalf("%s: no operation applied", c.name)
+		}
+		for op := range applied {
+			if _, ok := table.OpIndex(op); !ok {
+				t.Errorf("%s applies %s, which is not in the compiled alphabet %v", c.name, op, table.Alphabet())
+			}
 		}
 	}
 }

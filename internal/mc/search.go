@@ -85,18 +85,44 @@ type execution struct {
 	r      *sim.Runner
 }
 
-// fresh executes script against a new instance of the target, on
-// coroutines from pool, and pauses it at the script's end
-// (sim.Runner.Start). It is the search's only way to begin an
-// execution, and the executions it begins are what Stats.Replays
-// counts. Run on the paused runner extends the prefix with the
-// deterministic crash-free fair completion. The incremental
+// worker is what one search goroutine keeps across the executions it
+// starts: its pool of coroutines, and the one instance of the target it
+// builds with Target.Factory on its first execution and resets for
+// every later one.
+type worker struct {
+	pool   sim.Pool
+	m      *sim.Memory
+	bodies []sim.Body
+	inputs []sim.Value
+}
+
+// instance returns the worker's target instance, ready for a new
+// execution: built and marked on first use, reset to the mark after.
+// The worker runs one execution at a time — dfs closes every run before
+// a later sibling starts fresh — and Memory.Reset checks that rather
+// than trusting it, panicking while the previous execution is paused.
+func (w *worker) instance(tgt Target) (*sim.Memory, []sim.Body, []sim.Value) {
+	if w.m == nil {
+		w.m, w.bodies, w.inputs = tgt.Factory()
+		w.m.Mark()
+	} else {
+		w.m.Reset()
+	}
+	return w.m, w.bodies, w.inputs
+}
+
+// fresh executes script from the start on w's target instance, reset
+// to its initial contents, on coroutines from w's pool, and pauses it at
+// the script's end (sim.Runner.Start). It is the search's only way to
+// begin an execution, and the executions it begins are what
+// Stats.Replays counts. Run on the paused runner extends the prefix
+// with the deterministic crash-free fair completion. The incremental
 // fingerprint needs only the O(1) rolling digests; a test oracle
 // (Options.fingerprintOracle) gets the full event trace. On an error
 // the runner has already been torn down.
-func (s *search) fresh(pool *sim.Pool, script []sim.Action) (*execution, *sim.Outcome, error) {
+func (s *search) fresh(w *worker, script []sim.Action) (*execution, *sim.Outcome, error) {
 	s.replays.Add(1)
-	m, bodies, inputs := s.tgt.Factory()
+	m, bodies, inputs := w.instance(s.tgt)
 	cfg := sim.Config{
 		Model:              s.tgt.Model,
 		Script:             script,
@@ -104,7 +130,7 @@ func (s *search) fresh(pool *sim.Pool, script []sim.Action) (*execution, *sim.Ou
 		DecideRequiresStep: true,
 		MaxSteps:           s.opts.MaxSteps,
 	}
-	r := pool.NewRunner(m, bodies, cfg)
+	r := w.pool.NewRunner(m, bodies, cfg)
 	if s.opts.fingerprintOracle != nil {
 		r.RecordTrace()
 	} else {
@@ -213,28 +239,28 @@ type node struct {
 }
 
 // rootPrefixes is the round's sequential pass: it enumerates the root
-// prefixes and drops the duplicates, running both on one pool of
-// coroutines that it closes before the worker pool starts.
+// prefixes and drops the duplicates, running both on one worker whose
+// pool it closes before the search's workers start.
 func (s *search) rootPrefixes(ctx context.Context, depth int) ([]node, *violation, error) {
-	pool := new(sim.Pool)
-	defer pool.Close()
-	roots, viol, err := s.enumerateRoots(ctx, pool, depth)
+	w := new(worker)
+	defer w.pool.Close()
+	roots, viol, err := s.enumerateRoots(ctx, w, depth)
 	if err != nil || viol != nil || s.exceeded.Load() {
 		return nil, viol, err
 	}
-	roots, err = s.dedupRoots(ctx, pool, roots)
+	roots, err = s.dedupRoots(ctx, w, roots)
 	return roots, nil, err
 }
 
 // enumerateRoots explores the first rootDepth levels sequentially (in
 // canonical order, so violations found here are deterministic) and
 // returns the live frontier prefixes to be partitioned across workers.
-func (s *search) enumerateRoots(ctx context.Context, pool *sim.Pool, depth int) ([]node, *violation, error) {
+func (s *search) enumerateRoots(ctx context.Context, w *worker, depth int) ([]node, *violation, error) {
 	frontier := []node{{}}
 	for level := 0; level < min(rootDepth, depth); level++ {
 		var next []node
 		for _, nd := range frontier {
-			ext, viol, err := s.expand(ctx, pool, nd)
+			ext, viol, err := s.expand(ctx, w, nd)
 			if err != nil || viol != nil {
 				return nil, viol, err
 			}
@@ -248,8 +274,8 @@ func (s *search) enumerateRoots(ctx context.Context, pool *sim.Pool, depth int) 
 // expand executes one prefix, checks it, and returns its enabled
 // one-action extensions (empty when all processes decided or the node
 // budget ran out — roots are never pruned, see dfs).
-func (s *search) expand(ctx context.Context, pool *sim.Pool, nd node) ([]node, *violation, error) {
-	ex, out, v, err := s.visit(ctx.Err, pool, nd, nil)
+func (s *search) expand(ctx context.Context, w *worker, nd node) ([]node, *violation, error) {
+	ex, out, v, err := s.visit(ctx.Err, w, nd, nil)
 	if ex == nil || v != nil {
 		return nil, v, err
 	}
@@ -264,17 +290,19 @@ func (s *search) expand(ctx context.Context, pool *sim.Pool, nd node) ([]node, *
 
 // visit counts one search node, executes its prefix and checks it. The
 // execution continues parent — paused at nd's prefix minus its last
-// action — by that action, or starts fresh on pool when parent is nil.
+// action — by that action, or starts fresh on w when parent is nil.
 // It returns a nil execution when the node is not executed: with stop's
 // error when stop reports one (the context died, or the root became
-// obsolete), with none when the node budget is exhausted. With a
-// violation the runner is already closed; otherwise the caller owns the
-// returned execution and must close its runner.
-func (s *search) visit(stop func() error, pool *sim.Pool, nd node, parent *execution) (*execution, *sim.Outcome, *violation, error) {
+// obsolete), with none when the node budget is exhausted. A node the
+// budget refuses is not counted. With a violation the runner is already
+// closed; otherwise the caller owns the returned execution and must
+// close its runner.
+func (s *search) visit(stop func() error, w *worker, nd node, parent *execution) (*execution, *sim.Outcome, *violation, error) {
 	if err := stop(); err != nil {
 		return nil, nil, nil, err
 	}
 	if s.nodes.Add(1) > int64(s.opts.NodeBudget) {
+		s.nodes.Add(-1)
 		s.exceeded.Store(true)
 		return nil, nil, nil, nil
 	}
@@ -288,7 +316,7 @@ func (s *search) visit(stop func() error, pool *sim.Pool, nd node, parent *execu
 	if ex != nil {
 		out, err = ex.r.Extend(nd.script[len(nd.script)-1])
 	} else {
-		ex, out, err = s.fresh(pool, nd.script)
+		ex, out, err = s.fresh(w, nd.script)
 	}
 	v := s.violation(ex, out, err)
 	if v != nil {
@@ -357,7 +385,7 @@ func (s *search) observeDepth(d int) {
 // too), and within it the canonical first-in-order violation is
 // unchanged. Dropped roots are counted as pruned; the probe executions
 // are root-enumeration bookkeeping, not search nodes.
-func (s *search) dedupRoots(ctx context.Context, pool *sim.Pool, roots []node) ([]node, error) {
+func (s *search) dedupRoots(ctx context.Context, w *worker, roots []node) ([]node, error) {
 	if len(roots) < 2 {
 		return roots, nil
 	}
@@ -371,7 +399,7 @@ func (s *search) dedupRoots(ctx context.Context, pool *sim.Pool, roots []node) (
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ex, o, err := s.fresh(pool, nd.script)
+		ex, o, err := s.fresh(w, nd.script)
 		ex.r.Close()
 		if err != nil {
 			// A violating root must survive to be (re)discovered and
@@ -416,7 +444,7 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 	s.frontier.Store(int64(len(roots)))
 	run := ordered.New[*violation](ctx)
 	advance := func(i int) bool { return i < len(roots) }
-	fanOut(min(s.opts.Workers, len(roots)), func(pool *sim.Pool) {
+	fanOut(min(s.opts.Workers, len(roots)), func(w *worker) {
 		for {
 			i, ok := run.Claim(advance)
 			if !ok {
@@ -431,7 +459,7 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 			// dfs fails only when stop fires: the root became obsolete,
 			// which is not a failure, or the context died, which Result
 			// reports.
-			v, _ := s.dfs(stop, pool, roots[i], depth, map[Fingerprint]uint64{}, nil)
+			v, _ := s.dfs(stop, w, roots[i], depth, map[Fingerprint]uint64{}, nil)
 			s.frontier.Add(-1)
 			if v != nil {
 				run.Finish(i, v, nil)
@@ -449,18 +477,19 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 // round's result.
 var errObsolete = errors.New("mc: root obsolete")
 
-// fanOut runs work on the given number of goroutines, each on its own
-// pool of coroutines, whose stacks grow once for the whole search, and
-// returns once every goroutine has closed its pool.
-func fanOut(workers int, work func(pool *sim.Pool)) {
+// fanOut runs work on the given number of goroutines, each with its own
+// worker: a pool of coroutines, whose stacks grow once for the whole
+// search, and one target instance. It returns once every goroutine has
+// closed its pool.
+func fanOut(workers int, work func(w *worker)) {
 	var wg sync.WaitGroup
 	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := new(sim.Pool)
-			defer pool.Close()
-			work(pool)
+			w := new(worker)
+			defer w.pool.Close()
+			work(w)
 		}()
 	}
 	wg.Wait()
@@ -481,14 +510,14 @@ func fanOut(workers int, work func(pool *sim.Pool)) {
 // continues parent's paused run by nd's last action when parent is
 // non-nil; nd hands its own paused run to its first extension, and a
 // depth-bound leaf finishes it with the fair completion. Later siblings
-// start fresh on pool. This is sound for the same reason pruning is: an
+// start fresh on w. This is sound for the same reason pruning is: an
 // execution is a pure function of its script, so a continued run
 // reaches exactly the configuration and outcome a fresh replay would
 // (TestContinuedRunMatchesReplay). Every dfs closes the runner it used
 // on return; a child continuing it closes it too, and Close is
 // idempotent.
-func (s *search) dfs(stop func() error, pool *sim.Pool, nd node, depth int, visited map[Fingerprint]uint64, parent *execution) (*violation, error) {
-	ex, out, v, err := s.visit(stop, pool, nd, parent)
+func (s *search) dfs(stop func() error, w *worker, nd node, depth int, visited map[Fingerprint]uint64, parent *execution) (*violation, error) {
+	ex, out, v, err := s.visit(stop, w, nd, parent)
 	if ex == nil || v != nil {
 		return v, err
 	}
@@ -518,7 +547,7 @@ func (s *search) dfs(stop func() error, pool *sim.Pool, nd node, depth int, visi
 	}
 	cont := ex
 	for _, ext := range s.extensions(nd, live) {
-		v, err := s.dfs(stop, pool, ext, depth, visited, cont)
+		v, err := s.dfs(stop, w, ext, depth, visited, cont)
 		if err != nil || v != nil {
 			return v, err
 		}

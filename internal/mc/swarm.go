@@ -19,13 +19,13 @@ import (
 func (s *search) swarm(ctx context.Context) (*violation, error) {
 	run := ordered.New[*violation](ctx)
 	advance := func(i int) bool { return i < s.opts.SwarmSchedules }
-	fanOut(min(s.opts.Workers, s.opts.SwarmSchedules), func(pool *sim.Pool) {
+	fanOut(min(s.opts.Workers, s.opts.SwarmSchedules), func(w *worker) {
 		for {
 			i, ok := run.Claim(advance)
 			if !ok {
 				return
 			}
-			v := s.swarmOne(pool, int64(i))
+			v := s.swarmOne(w, int64(i))
 			s.swarmRuns.Add(1)
 			if v != nil {
 				run.Finish(i, v, nil)
@@ -35,10 +35,10 @@ func (s *search) swarm(ctx context.Context) (*violation, error) {
 	return run.Result()
 }
 
-// swarmOne executes one randomized schedule on coroutines from pool and
+// swarmOne executes one randomized schedule on w's target instance and
 // returns its violation, if any.
-func (s *search) swarmOne(pool *sim.Pool, idx int64) *violation {
-	m, bodies, inputs := s.tgt.Factory()
+func (s *search) swarmOne(w *worker, idx int64) *violation {
+	m, bodies, inputs := w.instance(s.tgt)
 	cfg := sim.Config{
 		Seed:               s.opts.SwarmSeed + idx,
 		Model:              s.tgt.Model,
@@ -47,7 +47,7 @@ func (s *search) swarmOne(pool *sim.Pool, idx int64) *violation {
 		DecideRequiresStep: true,
 		MaxSteps:           s.opts.MaxSteps,
 	}
-	r := pool.NewRunner(m, bodies, cfg)
+	r := w.pool.NewRunner(m, bodies, cfg)
 	r.RecordSchedule()
 	out, err := r.Run()
 	if err != nil {

@@ -28,8 +28,9 @@ func compiledSpec(t spec.Type, n int) spec.Type {
 	return t
 }
 
-// FromAlgorithm wraps an rc.Algorithm as a model-checking target: fresh
-// memory + bodies per explored prefix, validated by rc.CheckOutcome.
+// FromAlgorithm wraps an rc.Algorithm as a model-checking target: each
+// Factory call sets the algorithm up in a new memory and builds its
+// bodies, and rc.CheckOutcome validates every execution.
 func FromAlgorithm(alg rc.Algorithm, inputs []sim.Value, model sim.FailureModel) (Target, error) {
 	if len(inputs) != alg.N() {
 		return Target{}, fmt.Errorf("mc: %s wants %d inputs, got %d", alg.Name(), alg.N(), len(inputs))
@@ -63,18 +64,36 @@ func snWitness(n int) checker.Witness {
 }
 
 // casWitness is the canonical n-recording compare&swap witness: the
-// first a processes form team A, every process proposes a distinct value.
+// first a processes form team A, and process i applies the i-th
+// operation of the type's n-process alphabet, cas(⊥, i), so every
+// process proposes a distinct value and every step stays inside the
+// compiled table (compiledSpec).
 func casWitness(a, n int) checker.Witness {
-	w := checker.Witness{Q0: spec.State(types.Bottom)}
+	w := checker.Witness{Q0: spec.State(types.Bottom), Ops: types.NewCAS().OpsFor(n)}
 	for i := 0; i < n; i++ {
 		team := checker.TeamA
 		if i >= a {
 			team = checker.TeamB
 		}
 		w.Teams = append(w.Teams, team)
-		w.Ops = append(w.Ops, spec.FormatOp("cas", types.Bottom, fmt.Sprintf("v%d", i)))
 	}
 	return w
+}
+
+// casInputs returns the n distinct values compare&swap's n-process
+// alphabet proposes (the v of each cas(⊥, v)), so rc.CASConsensus's
+// proposals stay inside its compiled table.
+func casInputs(n int) []sim.Value {
+	ops := types.NewCAS().OpsFor(n)
+	out := make([]sim.Value, len(ops))
+	for i, op := range ops {
+		_, args, err := spec.ParseOp(op)
+		if err != nil || len(args) != 2 {
+			panic(fmt.Sprintf("mc: compare&swap alphabet op %q is not cas(old,new)", op))
+		}
+		out[i] = args[1]
+	}
+	return out
 }
 
 // distinctInputs returns n pairwise distinct proposal values.
@@ -98,7 +117,7 @@ var builtins = map[string]targetBuilder{
 	"cas": {
 		doc: "CASConsensus baseline (independent crashes, natively recoverable)",
 		build: func(n int) (Target, error) {
-			return FromAlgorithm(rc.NewCASConsensus(n, "mc"), distinctInputs(n), sim.Independent)
+			return FromAlgorithm(rc.NewCASConsensus(n, "mc"), casInputs(n), sim.Independent)
 		},
 	},
 	"team-sn": {

@@ -23,6 +23,7 @@ package rc
 import (
 	"fmt"
 
+	"rcons/internal/compile"
 	"rcons/internal/sim"
 	"rcons/internal/spec"
 	"rcons/internal/types"
@@ -147,13 +148,27 @@ type CASConsensus struct {
 	Procs int
 	// NS namespaces the shared object so instances can coexist.
 	NS string
+
+	// typ and obj are the object's type and name, built once by
+	// NewCASConsensus; a struct literal leaves them zero, and the
+	// methods then build them on each use.
+	typ spec.Type
+	obj string
 }
 
 var _ Algorithm = (*CASConsensus)(nil)
 
-// NewCASConsensus returns a CAS-based RC algorithm for n processes.
+// NewCASConsensus returns a CAS-based RC algorithm for n processes. Its
+// object runs on compare&swap's dense transition table for n processes
+// (compile.Compile), which renders the same states and responses as the
+// interpreted type; proposals outside the table's alphabet (cas(⊥, i)
+// for i < n) fall back to the interpreted Apply.
 func NewCASConsensus(n int, ns string) *CASConsensus {
-	return &CASConsensus{Procs: n, NS: ns}
+	var typ spec.Type = types.NewCAS()
+	if c, err := compile.Compile(typ, n); err == nil {
+		typ = c.Type()
+	}
+	return &CASConsensus{Procs: n, NS: ns, typ: typ, obj: ns + "/O"}
 }
 
 // Name implements Algorithm.
@@ -162,11 +177,20 @@ func (c *CASConsensus) Name() string { return "cas-consensus" }
 // N implements Algorithm.
 func (c *CASConsensus) N() int { return c.Procs }
 
-func (c *CASConsensus) objName() string { return c.NS + "/O" }
+func (c *CASConsensus) objName() string {
+	if c.obj == "" {
+		return c.NS + "/O"
+	}
+	return c.obj
+}
 
 // Setup implements Algorithm.
 func (c *CASConsensus) Setup(m *sim.Memory) {
-	m.AddObject(c.objName(), types.NewCAS(), spec.State(types.Bottom))
+	typ := c.typ
+	if typ == nil {
+		typ = types.NewCAS()
+	}
+	m.AddObject(c.objName(), typ, spec.State(types.Bottom))
 }
 
 // Body implements Algorithm. The algorithm is naturally recoverable: the
@@ -174,8 +198,9 @@ func (c *CASConsensus) Setup(m *sim.Memory) {
 // the race (reading the established winner) or finds its own earlier
 // proposal installed.
 func (c *CASConsensus) Body(i int, input sim.Value) sim.Body {
+	obj, op := c.objName(), spec.FormatOp("cas", types.Bottom, input)
 	return func(p *sim.Proc) sim.Value {
-		p.Apply(c.objName(), spec.FormatOp("cas", types.Bottom, input))
-		return sim.Value(p.ReadObject(c.objName()))
+		p.Apply(obj, op)
+		return sim.Value(p.ReadObject(obj))
 	}
 }

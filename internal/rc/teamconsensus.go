@@ -28,7 +28,9 @@ import (
 type TeamConsensus struct {
 	typ     spec.Type
 	witness checker.Witness
-	ns      string
+	// objO, regA and regB name the shared cells O, R_A and R_B in the
+	// instance's namespace; they are built once, not on every access.
+	objO, regA, regB string
 
 	qa, qb  map[spec.State]bool // Q sets for the *role* teams (post-swap)
 	roleOf  []int               // role (roleA/roleB) of each process
@@ -67,7 +69,7 @@ func NewTeamConsensus(t spec.Type, w checker.Witness, ns string) (*TeamConsensus
 		return nil, err
 	}
 
-	tc := &TeamConsensus{typ: t, witness: w, ns: ns}
+	tc := &TeamConsensus{typ: t, witness: w, objO: ns + "/O", regA: ns + "/RA", regB: ns + "/RB"}
 	// Figure 2 assumes q0 ∉ Q_B; otherwise swap the teams' roles.
 	if qb[w.Q0] {
 		tc.swapped = true
@@ -110,16 +112,12 @@ func (tc *TeamConsensus) RoleTeams() []bool {
 	return out
 }
 
-func (tc *TeamConsensus) objO() string { return tc.ns + "/O" }
-func (tc *TeamConsensus) regA() string { return tc.ns + "/RA" }
-func (tc *TeamConsensus) regB() string { return tc.ns + "/RB" }
-
 // Setup implements Algorithm: object O in state q0, registers R_A and
 // R_B initialized to ⊥ (Figure 2 lines 1–3).
 func (tc *TeamConsensus) Setup(m *sim.Memory) {
-	m.AddObject(tc.objO(), tc.typ, tc.witness.Q0)
-	m.AddRegister(tc.regA(), sim.None)
-	m.AddRegister(tc.regB(), sim.None)
+	m.AddObject(tc.objO, tc.typ, tc.witness.Q0)
+	m.AddRegister(tc.regA, sim.None)
+	m.AddRegister(tc.regB, sim.None)
 }
 
 // EnsureCells lazily creates the algorithm's shared cells from inside a
@@ -127,9 +125,9 @@ func (tc *TeamConsensus) Setup(m *sim.Memory) {
 // dynamically — such as the universal construction's per-node next
 // pointers — run team consensus without pre-registering every instance.
 func (tc *TeamConsensus) EnsureCells(p *sim.Proc) {
-	p.EnsureObject(tc.objO(), tc.typ, tc.witness.Q0)
-	p.EnsureRegister(tc.regA(), sim.None)
-	p.EnsureRegister(tc.regB(), sim.None)
+	p.EnsureObject(tc.objO, tc.typ, tc.witness.Q0)
+	p.EnsureRegister(tc.regA, sim.None)
+	p.EnsureRegister(tc.regB, sim.None)
 }
 
 // Body implements Algorithm, dispatching on the process's role.
@@ -144,16 +142,16 @@ func (tc *TeamConsensus) Body(i int, input sim.Value) sim.Body {
 // bodyA is Figure 2 lines 4–14 (process p_i on team A).
 func (tc *TeamConsensus) bodyA(op spec.Op, v sim.Value) sim.Body {
 	return func(p *sim.Proc) sim.Value {
-		p.Write(tc.regA(), v)        // line 5:  R_A ← v
-		q := p.ReadObject(tc.objO()) // line 6:  q ← O
-		if q == tc.witness.Q0 {      // line 7:  if q = q0
-			p.Apply(tc.objO(), op)      // line 8:  apply op_i to O
-			q = p.ReadObject(tc.objO()) // line 9: q ← O
+		p.Write(tc.regA, v)        // line 5:  R_A ← v
+		q := p.ReadObject(tc.objO) // line 6:  q ← O
+		if q == tc.witness.Q0 {    // line 7:  if q = q0
+			p.Apply(tc.objO, op)      // line 8:  apply op_i to O
+			q = p.ReadObject(tc.objO) // line 9: q ← O
 		}
 		if tc.qa[q] { // line 11: if q ∈ Q_A
-			return p.Read(tc.regA())
+			return p.Read(tc.regA)
 		}
-		return p.Read(tc.regB()) // line 12
+		return p.Read(tc.regB) // line 12
 	}
 }
 
@@ -163,24 +161,24 @@ func (tc *TeamConsensus) bodyA(op spec.Op, v sim.Value) sim.Body {
 // schedules to show both halves of the rule are necessary.
 func (tc *TeamConsensus) bodyB(op spec.Op, v sim.Value) sim.Body {
 	return func(p *sim.Proc) sim.Value {
-		p.Write(tc.regB(), v)        // line 16: R_B ← v
-		q := p.ReadObject(tc.objO()) // line 17: q ← O
-		if q == tc.witness.Q0 {      // line 18: if q = q0
+		p.Write(tc.regB, v)        // line 16: R_B ← v
+		q := p.ReadObject(tc.objO) // line 17: q ← O
+		if q == tc.witness.Q0 {    // line 18: if q = q0
 			if tc.yieldApplies() {
-				if ra := p.Read(tc.regA()); ra != sim.None { // line 19
+				if ra := p.Read(tc.regA); ra != sim.None { // line 19
 					return ra // line 20: return R_A
 				}
-				p.Apply(tc.objO(), op)      // line 22
-				q = p.ReadObject(tc.objO()) // line 23
+				p.Apply(tc.objO, op)      // line 22
+				q = p.ReadObject(tc.objO) // line 23
 			} else {
-				p.Apply(tc.objO(), op)      // line 22
-				q = p.ReadObject(tc.objO()) // line 23
+				p.Apply(tc.objO, op)      // line 22
+				q = p.ReadObject(tc.objO) // line 23
 			}
 		}
 		if tc.qa[q] { // line 26: if q ∈ Q_A
-			return p.Read(tc.regA())
+			return p.Read(tc.regA)
 		}
-		return p.Read(tc.regB()) // line 27
+		return p.Read(tc.regB) // line 27
 	}
 }
 

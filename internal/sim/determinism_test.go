@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rcons/internal/intern"
 	"rcons/internal/spec"
 	"rcons/internal/types"
 )
@@ -148,7 +149,7 @@ func TestSnapshotReplaysState(t *testing.T) {
 	if a.Snapshot() != b.Snapshot() {
 		t.Fatalf("identical memories produced different snapshots:\n%s\nvs\n%s", a.Snapshot(), b.Snapshot())
 	}
-	b.write("R", "x")
+	b.write("R", "x", intern.ID("x"))
 	if a.Snapshot() == b.Snapshot() {
 		t.Fatal("snapshot did not reflect a register write")
 	}

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 
+	"rcons/internal/intern"
 	"rcons/internal/spec"
 	"rcons/internal/types"
 )
@@ -23,9 +25,9 @@ func TestMemoryDigestTracksSnapshot(t *testing.T) {
 	}
 	variants := []*Memory{
 		build(func(m *Memory) {}),
-		build(func(m *Memory) { m.write("R", "x") }),
-		build(func(m *Memory) { m.write("R", "x"); m.write("R", None) }), // back to initial
-		build(func(m *Memory) { m.apply("O", "cas(_,x)") }),
+		build(func(m *Memory) { m.write("R", "x", intern.ID("x")) }),
+		build(func(m *Memory) { m.write("R", "x", intern.ID("x")); m.write("R", None, intern.ID(None)) }), // back to initial
+		build(func(m *Memory) { m.apply("O", "cas(_,x)", nil) }),
 		build(func(m *Memory) { m.AddRegister("S", "x") }),
 		build(func(m *Memory) { m.FreshName("n") }), // only the counter differs
 		build(func(m *Memory) { m.EnsureRegister("S", "x") }),
@@ -56,7 +58,7 @@ func TestMemoryDigestIndependentOfAllocationOrder(t *testing.T) {
 	b.AddObject("o", types.NewSticky(), spec.State(types.Bottom))
 	b.AddRegister("y", None)
 	b.AddRegister("x", "1")
-	b.write("y", "2")
+	b.write("y", "2", intern.ID("2"))
 
 	if a.Snapshot() != b.Snapshot() {
 		t.Fatalf("test setup wrong: snapshots differ\n%s\n%s", a.Snapshot(), b.Snapshot())
@@ -221,5 +223,74 @@ func BenchmarkMemoryDigest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Digest()
+	}
+}
+
+// TestMemoryResetRestoresMark checks that Reset undoes every kind of
+// change an execution makes: written registers, applied objects,
+// allocated cells and fresh names. Afterwards the memory reads as it
+// did at the mark, and allocates the same fresh names again.
+func TestMemoryResetRestoresMark(t *testing.T) {
+	m := NewMemory()
+	m.AddRegister("R", None)
+	m.AddObject("O", types.NewCAS(), spec.State(types.Bottom))
+	m.Mark()
+	snap, digest := m.Snapshot(), m.Digest()
+	body := func(p *Proc) Value {
+		p.Write("R", "x")
+		p.Apply("O", "cas(_,x)")
+		reg := p.AllocRegister("n", "y")
+		p.AllocObject("o", types.NewSticky(), spec.State(types.Bottom))
+		p.EnsureRegister("E", None)
+		return reg
+	}
+	for run := range 3 {
+		out, err := NewRunner(m, []Body{body}, Config{}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Decisions[0] != "n#1" {
+			t.Fatalf("run %d allocated %q, want n#1", run, out.Decisions[0])
+		}
+		if m.Snapshot() == snap {
+			t.Fatalf("run %d changed nothing", run)
+		}
+		m.Reset()
+		if got := m.Snapshot(); got != snap {
+			t.Fatalf("run %d: snapshot after Reset:\n%s\nat the mark:\n%s", run, got, snap)
+		}
+		if m.Digest() != digest || m.HasRegister("n#1") || m.HasObject("o#2") || m.HasRegister("E") {
+			t.Fatalf("run %d: Reset left the digest or an allocated cell behind", run)
+		}
+		if !reflect.DeepEqual(m.RegisterNames(), []string{"R"}) || m.Object("O").UpdateCount() != 0 {
+			t.Fatalf("run %d: names %v, update count %d after Reset", run, m.RegisterNames(), m.Object("O").UpdateCount())
+		}
+	}
+}
+
+// TestMemoryResetGuards checks that Reset refuses a memory that was
+// never marked, and one whose execution a paused runner still holds,
+// and accepts it once the runner is closed.
+func TestMemoryResetGuards(t *testing.T) {
+	resetPanics := func(m *Memory) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		m.Reset()
+		return false
+	}
+	m := newTestMemory()
+	if !resetPanics(m) {
+		t.Fatal("Reset of an unmarked memory did not panic")
+	}
+	m.Mark()
+	r := NewRunner(m, []Body{func(p *Proc) Value { return p.Read("R") }}, Config{})
+	if _, err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if !resetPanics(m) {
+		t.Fatal("Reset under a paused execution did not panic")
+	}
+	r.Close()
+	if resetPanics(m) {
+		t.Fatal("Reset after the execution was closed panicked")
 	}
 }

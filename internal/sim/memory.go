@@ -16,7 +16,19 @@
 // preludes before the first scheduling point run in process order — so
 // executions are fully deterministic for a fixed seed or script, and
 // adversarial schedules from the paper replay exactly. A Pool lets
-// executions run one after another reuse those coroutines.
+// executions run one after another reuse those coroutines, and caches
+// the interned ids of the values, operations, responses and states its
+// runners see.
+//
+// A memory can be reused the same way. Memory.Mark records its contents
+// once it is set up; Memory.Reset returns it to them — marked cells to
+// their marked values, cells allocated since dropped, fresh-name counter,
+// Digest and Snapshot as at the mark — and panics while an execution
+// over the memory is unfinished. An execution on a reset memory is
+// indistinguishable from one on a memory built anew, provided the bodies
+// keep no state of their own from one invocation to the next: all state
+// that survives an execution must live in the Memory, as the model's
+// non-volatile memory does.
 package sim
 
 import (
@@ -36,12 +48,14 @@ type Value = string
 // None is the distinguished "unwritten" register value ⊥.
 const None Value = "_"
 
-// regCell is one register: its value plus the interned identity and
+// regCell is one register: its value plus the interned identities and
 // digest contribution kept so writes update Memory.structHash in O(1)
-// without re-hashing any strings.
+// and events carry the cell's and value's ids without re-interning any
+// strings.
 type regCell struct {
 	val    Value
 	nameID uint32
+	valID  uint32
 	digest uint64
 }
 
@@ -90,8 +104,8 @@ func objDigest(nameID, typeID, stateID uint32) uint64 {
 // hot path.
 type Memory struct {
 	mu   sync.Mutex
-	regs map[string]regCell
-	objs map[string]objCell
+	regs map[string]*regCell
+	objs map[string]*objCell
 
 	nextID int // allocation counter for fresh names (non-volatile)
 
@@ -102,27 +116,139 @@ type Memory struct {
 	// names), so steady-state snapshots stop re-sorting and reallocating.
 	sortedRegs []string
 	sortedObjs []string
+
+	mark  *mark   // what Reset restores; nil until Mark
+	owner *Runner // the runner whose execution holds the memory, if any
+}
+
+// mark is the memory's contents as Mark recorded them, and the cells
+// allocated since, which Reset drops.
+type mark struct {
+	regs       []regMark
+	objs       []objMark
+	nextID     int
+	structHash uint64
+	sortedRegs []string
+	sortedObjs []string
+
+	addedRegs []string
+	addedObjs []string
+}
+
+type regMark struct {
+	cell *regCell
+	init regCell
+}
+
+type objMark struct {
+	o  *spec.Object
+	q0 spec.State
 }
 
 // NewMemory returns an empty non-volatile heap.
 func NewMemory() *Memory {
-	return &Memory{regs: map[string]regCell{}, objs: map[string]objCell{}}
+	return &Memory{regs: map[string]*regCell{}, objs: map[string]*objCell{}}
 }
 
 func (m *Memory) addRegisterLocked(name string, init Value) {
-	nameID := intern.ID(name)
-	cell := regCell{val: init, nameID: nameID, digest: regDigest(nameID, intern.ID(init))}
+	nameID, valID := intern.ID(name), intern.ID(init)
+	cell := &regCell{val: init, nameID: nameID, valID: valID, digest: regDigest(nameID, valID)}
 	m.regs[name] = cell
 	m.structHash ^= cell.digest
 	m.sortedRegs = nil
+	if m.mark != nil {
+		m.mark.addedRegs = append(m.mark.addedRegs, name)
+	}
 }
 
 func (m *Memory) addObjectLocked(name string, t spec.Type, q0 spec.State) {
 	nameID := intern.ID(name)
 	typeID := intern.ID(t.Name())
-	m.objs[name] = objCell{o: spec.NewObject(t, q0), nameID: nameID, typeID: typeID}
+	m.objs[name] = &objCell{o: spec.NewObject(t, q0), nameID: nameID, typeID: typeID}
 	m.structHash ^= objDigest(nameID, typeID, intern.ID(string(q0)))
 	m.sortedObjs = nil
+	if m.mark != nil {
+		m.mark.addedObjs = append(m.mark.addedObjs, name)
+	}
+}
+
+// Mark records the memory's current contents as the point Reset returns
+// to, replacing any earlier mark. A caller that runs many executions over
+// one memory marks it once, right after setting it up, and resets it
+// before each execution.
+func (m *Memory) Mark() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mk := &mark{
+		regs:       make([]regMark, 0, len(m.regs)),
+		objs:       make([]objMark, 0, len(m.objs)),
+		nextID:     m.nextID,
+		structHash: m.structHash,
+		sortedRegs: m.sortedRegNamesLocked(),
+		sortedObjs: m.sortedObjNamesLocked(),
+	}
+	for _, cell := range m.regs {
+		mk.regs = append(mk.regs, regMark{cell: cell, init: *cell})
+	}
+	for _, cell := range m.objs {
+		mk.objs = append(mk.objs, objMark{o: cell.o, q0: cell.o.Read()})
+	}
+	m.mark = mk
+}
+
+// Reset returns the memory to the contents Mark recorded: every marked
+// register holds its marked value and every marked object its marked
+// state again (through spec.Object.Reset, so update counts restart at
+// zero), the cells allocated since the mark are gone, and the fresh-name
+// counter, Digest and Snapshot read as they did at the mark. A reset
+// memory is indistinguishable, to any execution and any reader, from
+// one built anew by the same setup code.
+//
+// Reset panics on a memory that was never marked, and on one whose
+// execution has started and not finished (a runner paused by Start or
+// Extend holds its memory until Run, Close or an error ends it):
+// resetting the heap under a paused execution would corrupt it.
+func (m *Memory) Reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mk := m.mark
+	switch {
+	case mk == nil:
+		panic("sim: Reset of a memory that was never marked")
+	case m.owner != nil:
+		panic("sim: Reset of a memory whose execution has not finished")
+	}
+	for _, name := range mk.addedRegs {
+		delete(m.regs, name)
+	}
+	for _, name := range mk.addedObjs {
+		delete(m.objs, name)
+	}
+	mk.addedRegs, mk.addedObjs = mk.addedRegs[:0], mk.addedObjs[:0]
+	for _, r := range mk.regs {
+		*r.cell = r.init
+	}
+	for _, o := range mk.objs {
+		o.o.Reset(o.q0)
+	}
+	m.nextID, m.structHash = mk.nextID, mk.structHash
+	m.sortedRegs, m.sortedObjs = mk.sortedRegs, mk.sortedObjs
+}
+
+// hold and release bracket the execution of r over the memory (from
+// Runner.start to Runner.stop), so Reset can refuse to run under it.
+func (m *Memory) hold(r *Runner) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.owner = r
+}
+
+func (m *Memory) release(r *Runner) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.owner == r {
+		m.owner = nil
+	}
 }
 
 // AddRegister creates register name with the given initial value. It
@@ -301,17 +427,25 @@ func (m *Memory) sortedObjNamesLocked() []string {
 	return m.sortedObjs
 }
 
-func (m *Memory) read(name string) Value {
+// The accessors below are the runner's event path. Each hands back the
+// interned id of the cell it accessed (and read the id of the value it
+// read), so the runner's event digests fold ids the cells already hold.
+
+// read returns register name's value, the register's id and the
+// value's id.
+func (m *Memory) read(name string) (v Value, nameID, valID uint32) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cell, ok := m.regs[name]
 	if !ok {
 		panic(fmt.Sprintf("sim: read of unknown register %q", name))
 	}
-	return cell.val
+	return cell.val, cell.nameID, cell.valID
 }
 
-func (m *Memory) write(name string, v Value) {
+// write stores v, whose id is valID, in register name and returns the
+// register's id.
+func (m *Memory) write(name string, v Value, valID uint32) uint32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cell, ok := m.regs[name]
@@ -319,13 +453,15 @@ func (m *Memory) write(name string, v Value) {
 		panic(fmt.Sprintf("sim: write to unknown register %q", name))
 	}
 	m.structHash ^= cell.digest
-	cell.val = v
-	cell.digest = regDigest(cell.nameID, intern.ID(v))
+	cell.val, cell.valID = v, valID
+	cell.digest = regDigest(cell.nameID, valID)
 	m.structHash ^= cell.digest
-	m.regs[name] = cell
+	return cell.nameID
 }
 
-func (m *Memory) apply(name string, op spec.Op) spec.Response {
+// apply applies op to object name and returns the response and the
+// object's id; ids interns the states of the transition.
+func (m *Memory) apply(name string, op spec.Op, ids *intern.Cache) (spec.Response, uint32) {
 	m.mu.Lock()
 	cell, ok := m.objs[name]
 	m.mu.Unlock()
@@ -341,21 +477,22 @@ func (m *Memory) apply(name string, op spec.Op) spec.Response {
 		// atomic ApplyStates). XOR deltas commute, so even applies racing
 		// from outside the simulator's serialization chain correctly:
 		// D(S0)^D(S1) ^ D(S1)^D(S2) nets to D(S0)^D(S2) in any order.
-		delta := objDigest(cell.nameID, cell.typeID, intern.ID(string(prev))) ^
-			objDigest(cell.nameID, cell.typeID, intern.ID(string(next)))
+		delta := objDigest(cell.nameID, cell.typeID, ids.ID(string(prev))) ^
+			objDigest(cell.nameID, cell.typeID, ids.ID(string(next)))
 		m.mu.Lock()
 		m.structHash ^= delta
 		m.mu.Unlock()
 	}
-	return r
+	return r, cell.nameID
 }
 
-func (m *Memory) readObj(name string) spec.State {
+// readObj returns object name's state and the object's id.
+func (m *Memory) readObj(name string) (spec.State, uint32) {
 	m.mu.Lock()
 	cell, ok := m.objs[name]
 	m.mu.Unlock()
 	if !ok {
 		panic(fmt.Sprintf("sim: read of unknown object %q", name))
 	}
-	return cell.o.Read()
+	return cell.o.Read(), cell.nameID
 }

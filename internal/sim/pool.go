@@ -1,6 +1,10 @@
 package sim
 
-import "iter"
+import (
+	"iter"
+
+	"rcons/internal/intern"
+)
 
 // Pool keeps idle process coroutines between executions. A runner built
 // by Pool.NewRunner starts its processes on coroutines from the pool and
@@ -9,14 +13,29 @@ import "iter"
 // sets up each coroutine once, and its stack grows once, instead of once
 // per process and execution.
 //
+// The pool also caches the interned ids of the values, operations,
+// responses and states its runners fold into memory and event digests
+// (an intern.Cache), so repeats skip the process-wide table's lock.
+//
 // A pool serves one goroutine at a time: the runners built from it must
 // be driven by one goroutine at a time, and its owner closes it when
 // done. Close ends every idle coroutine; after Close the pool keeps
-// nothing, so a coroutine given back to it later ends at once. Either
-// way no coroutine outlives its pool. The zero Pool is ready to use.
+// nothing, so a coroutine given back to it later ends at once and its
+// runners intern through the table directly. Either way no coroutine
+// outlives its pool. The zero Pool is ready to use.
 type Pool struct {
 	idle   []*coro
+	ids    intern.Cache
 	closed bool
+}
+
+// cache returns the pool's id cache, or nil (the process-wide table)
+// once the pool is closed.
+func (pl *Pool) cache() *intern.Cache {
+	if pl.closed {
+		return nil
+	}
+	return &pl.ids
 }
 
 // get returns an idle coroutine, or a new one when none is idle.
@@ -47,6 +66,7 @@ func (pl *Pool) Close() {
 		c.stop()
 	}
 	pl.idle = nil
+	pl.ids = intern.Cache{}
 }
 
 // coro is one process coroutine. It runs the procLoop of each process

@@ -110,24 +110,28 @@ func (p *Proc) commit() (st attemptStatus) {
 // Read atomically reads a shared register (one step).
 func (p *Proc) Read(reg string) Value {
 	p.step()
-	v := p.runner.mem.read(reg)
-	p.runner.note(TraceRead, p.id, reg, v, "")
+	r := p.runner
+	v, cellID, valID := r.mem.read(reg)
+	r.note(p.id, event{kind: TraceRead, cell: reg, cellID: cellID, d1: v, d1ID: valID})
 	return v
 }
 
 // Write atomically writes a shared register (one step).
 func (p *Proc) Write(reg string, v Value) {
 	p.step()
-	p.runner.mem.write(reg, v)
-	p.runner.note(TraceWrite, p.id, reg, v, "")
+	r := p.runner
+	valID := r.ids.ID(v)
+	cellID := r.mem.write(reg, v, valID)
+	r.note(p.id, event{kind: TraceWrite, cell: reg, cellID: cellID, d1: v, d1ID: valID})
 }
 
 // Apply atomically applies an update operation to a shared object (one
 // step) and returns its response.
 func (p *Proc) Apply(obj string, op spec.Op) spec.Response {
 	p.step()
-	resp := p.runner.mem.apply(obj, op)
-	p.runner.note(TraceApply, p.id, obj, string(op), string(resp))
+	r := p.runner
+	resp, cellID := r.mem.apply(obj, op, r.ids)
+	r.note(p.id, event{kind: TraceApply, cell: obj, cellID: cellID, d1: string(op), d2: string(resp)})
 	return resp
 }
 
@@ -136,8 +140,9 @@ func (p *Proc) Apply(obj string, op spec.Op) spec.Response {
 // reproducing results about non-readable types must not call it.
 func (p *Proc) ReadObject(obj string) spec.State {
 	p.step()
-	s := p.runner.mem.readObj(obj)
-	p.runner.note(TraceReadObj, p.id, obj, string(s), "")
+	r := p.runner
+	s, cellID := r.mem.readObj(obj)
+	r.note(p.id, event{kind: TraceReadObj, cell: obj, cellID: cellID, d1: string(s)})
 	return s
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+
+	"rcons/internal/intern"
 )
 
 // Body is the code of one process: it computes a decision value using the
@@ -204,7 +206,8 @@ type procState struct {
 type Runner struct {
 	mem  *Memory
 	cfg  Config
-	pool *Pool // lends the process coroutines
+	pool *Pool         // lends the process coroutines
+	ids  *intern.Cache // the pool's id cache; nil interns through the table
 	// rng is built lazily on the first random scheduling decision:
 	// seeding a rand.Source costs microseconds, which dominates fully
 	// scripted executions (every model-checker node) that never draw
@@ -260,6 +263,7 @@ func (pl *Pool) NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
 		mem:         mem,
 		cfg:         cfg,
 		pool:        pl,
+		ids:         pl.cache(),
 		crashBudget: cfg.MaxCrashes,
 	}
 	for i, body := range bodies {
@@ -363,6 +367,7 @@ func (r *Runner) Close() {
 // process order, to its first scheduling point or its decision.
 func (r *Runner) start() {
 	r.started = true
+	r.mem.hold(r)
 	r.live = len(r.procs)
 	for id, ps := range r.procs {
 		ps.co = r.pool.get()
@@ -455,19 +460,22 @@ func (r *Runner) stop() {
 		r.pool.put(ps.co)
 		ps.co = nil
 	}
+	r.mem.release(r)
 }
 
 // outcome assembles the execution's outcome so far. It shares nothing
 // the runner mutates: per-process slices are copied, and Schedule and
 // Trace are cut at their current length and capacity, so the appends of
-// later actions never show through.
+// later actions never show through. The per-process slices of one
+// element type share one backing array, each cut at its own capacity.
 func (r *Runner) outcome() *Outcome {
 	n := len(r.procs)
+	counts := make([]int, 2*n)
 	out := &Outcome{
 		Decisions: make([]Value, n),
 		Decided:   make([]bool, n),
-		Crashes:   make([]int, n),
-		Runs:      make([]int, n),
+		Crashes:   counts[:n:n],
+		Runs:      counts[n:],
 		Steps:     r.stepCount,
 		Trace:     r.trace[:len(r.trace):len(r.trace)],
 		Schedule:  r.schedule[:len(r.schedule):len(r.schedule)],
@@ -481,8 +489,8 @@ func (r *Runner) outcome() *Outcome {
 		out.Runs[i] = ps.proc.runs
 	}
 	if r.recordDigest {
-		out.EventHashes = slices.Clone(r.evHash)
-		out.ClockHashes = slices.Clone(r.ckHash)
+		hashes := append(append(make([]uint64, 0, 2*n), r.evHash...), r.ckHash...)
+		out.EventHashes, out.ClockHashes = hashes[:n:n], hashes[n:]
 	}
 	return out
 }
@@ -555,7 +563,7 @@ func (r *Runner) grant(id int, crash bool) {
 	if crash {
 		ps.proc.crashes++
 		ps.proc.interrupt = crashSignal{}
-		r.note(TraceCrash, id, "", "", "")
+		r.note(id, event{kind: TraceCrash})
 	}
 	r.resume(id)
 }
@@ -569,7 +577,7 @@ func (r *Runner) resume(id int) {
 	}
 	ps.decided = true
 	r.live--
-	r.note(TraceDecide, id, "", ps.out, "")
+	r.note(id, event{kind: TraceDecide, d1: ps.out})
 }
 
 // procLoop is one process's life on its coroutine: body attempts

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCrashAllRecoveryDecisionsAreTraced is the regression test for
@@ -161,13 +162,45 @@ func (tc teardownCase) run(newRunner func(*Memory, []Body, Config) *Runner, reco
 	return tc.drive(r)
 }
 
+// A goroutine that has ended its work may still be counted for a
+// moment, so the goroutine counts below are polled rather than read
+// once: settledGoroutines waits for the count to hold still for
+// settleFor, and goroutinesUntil for it to satisfy ok, each until
+// settleDeadline, and both return their last reading.
+const (
+	settleFor      = 20 * time.Millisecond
+	settleDeadline = 5 * time.Second
+)
+
+func settledGoroutines() int {
+	deadline := time.Now().Add(settleDeadline)
+	n, since := runtime.NumGoroutine(), time.Now()
+	for time.Since(since) < settleFor && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
+func goroutinesUntil(ok func(int) bool) int {
+	deadline := time.Now().Add(settleDeadline)
+	n := runtime.NumGoroutine()
+	for !ok(n) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
 // TestRunLeavesNoGoroutines checks that every exit path of an execution
 // unwinds all process coroutines before returning: Run on its own, and
 // the paused path (Start, Extend, then Run or Close).
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range teardownCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := settledGoroutines()
 			_, err := tc.run(NewRunner, false)
 			switch {
 			case tc.wantErr != nil:
@@ -181,7 +214,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			case err != nil:
 				t.Fatal(err)
 			}
-			if after := runtime.NumGoroutine(); after != before {
+			if after := goroutinesUntil(func(n int) bool { return n == before }); after != before {
 				t.Fatalf("goroutines: %d before the execution, %d after", before, after)
 			}
 		})
@@ -200,7 +233,7 @@ func TestPooledRunsMatchFreshRuns(t *testing.T) {
 	for _, tc := range cases {
 		most = max(most, len(tc.bodies))
 	}
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	pool := new(Pool)
 	for round := range 2 {
 		for _, tc := range cases {
@@ -215,13 +248,13 @@ func TestPooledRunsMatchFreshRuns(t *testing.T) {
 			if got != nil && !reflect.DeepEqual(*got, *want) {
 				t.Fatalf("round %d, %s: pooled outcome\n%+v\nfresh outcome\n%+v", round, tc.name, *got, *want)
 			}
-			if n := runtime.NumGoroutine(); n > base+most {
+			if n := goroutinesUntil(func(n int) bool { return n <= base+most }); n > base+most {
 				t.Fatalf("round %d, %s: %d goroutines with the pool open, want at most %d + %d", round, tc.name, n, base, most)
 			}
 		}
 	}
 	pool.Close()
-	if n := runtime.NumGoroutine(); n != base {
+	if n := goroutinesUntil(func(n int) bool { return n == base }); n != base {
 		t.Fatalf("goroutines: %d before the pool, %d after Close", base, n)
 	}
 }

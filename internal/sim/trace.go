@@ -142,27 +142,40 @@ func ParseScript(s string) ([]Action, error) {
 	return out, nil
 }
 
-// note records one execution event: into the trace when trace recording
-// is enabled, and into the per-process rolling digests when digest
-// recording is enabled. d1 carries the event detail; d2 is the response
-// part of an apply (trace renders it as "op->resp"). Keeping the two
-// consumers behind one entry point guarantees the digest's global event
-// positions always match trace indices — the property the model
-// checker's clock-sensitive fingerprints and their parity tests rely on.
-func (r *Runner) note(kind TraceKind, proc int, cell, d1, d2 string) {
+// event is one execution event as note receives it: the names the
+// trace renders, and the interned ids the digests fold. d1 carries the
+// event detail; d2 is the response part of an apply (the trace renders
+// it as "op->resp"). Register events carry d1's id, which the cell
+// keeps; note interns the details of apply and readobj events itself,
+// and only when it folds them.
+type event struct {
+	kind   TraceKind
+	cell   string
+	cellID uint32
+	d1, d2 string
+	d1ID   uint32
+}
+
+// note records one event of process proc: into the trace when trace
+// recording is enabled, and into the per-process rolling digests when
+// digest recording is enabled. Keeping the two consumers behind one
+// entry point guarantees the digest's global event positions always
+// match trace indices — the property the model checker's
+// clock-sensitive fingerprints and their parity tests rely on.
+func (r *Runner) note(proc int, e event) {
 	if r.recordTrace {
-		detail := d1
-		if kind == TraceApply {
-			detail = d1 + "->" + d2
+		detail := e.d1
+		if e.kind == TraceApply {
+			detail = e.d1 + "->" + e.d2
 		}
-		r.trace = append(r.trace, TraceEvent{Kind: kind, Proc: proc, Cell: cell, Detail: detail})
+		r.trace = append(r.trace, TraceEvent{Kind: e.kind, Proc: proc, Cell: e.cell, Detail: detail})
 	}
 	if !r.recordDigest {
 		return
 	}
 	pos := r.eventPos
 	r.eventPos++
-	switch kind {
+	switch e.kind {
 	case TraceCrash:
 		// The history "since the last crash" restarts empty, exactly as
 		// the legacy fingerprint clears its per-process event list.
@@ -172,9 +185,13 @@ func (r *Runner) note(kind TraceKind, proc int, cell, d1, d2 string) {
 		// Decisions enter fingerprints through Outcome.Decisions; the
 		// event still occupies a global position (it is in the trace).
 	default:
-		d := intern.MixPair(intern.MixPair(uint64(kind), uint64(intern.ID(cell))), uint64(intern.ID(d1)))
-		if kind == TraceApply {
-			d = intern.MixPair(d, uint64(intern.ID(d2)))
+		d1ID := e.d1ID
+		if e.kind == TraceApply || e.kind == TraceReadObj {
+			d1ID = r.ids.ID(e.d1)
+		}
+		d := intern.MixPair(intern.MixPair(uint64(e.kind), uint64(e.cellID)), uint64(d1ID))
+		if e.kind == TraceApply {
+			d = intern.MixPair(d, uint64(r.ids.ID(e.d2)))
 		}
 		r.evHash[proc] = intern.MixPair(r.evHash[proc], d)
 		r.ckHash[proc] = intern.MixPair(r.ckHash[proc], intern.MixPair(d, uint64(pos)))
