@@ -150,8 +150,7 @@ type CASConsensus struct {
 	NS string
 
 	// typ and obj are the object's type and name, built once by
-	// NewCASConsensus; a struct literal leaves them zero, and the
-	// methods then build them on each use.
+	// NewCASConsensus.
 	typ spec.Type
 	obj string
 }
@@ -177,20 +176,9 @@ func (c *CASConsensus) Name() string { return "cas-consensus" }
 // N implements Algorithm.
 func (c *CASConsensus) N() int { return c.Procs }
 
-func (c *CASConsensus) objName() string {
-	if c.obj == "" {
-		return c.NS + "/O"
-	}
-	return c.obj
-}
-
 // Setup implements Algorithm.
 func (c *CASConsensus) Setup(m *sim.Memory) {
-	typ := c.typ
-	if typ == nil {
-		typ = types.NewCAS()
-	}
-	m.AddObject(c.objName(), typ, spec.State(types.Bottom))
+	m.AddObject(c.obj, c.typ, spec.State(types.Bottom))
 }
 
 // Body implements Algorithm. The algorithm is naturally recoverable: the
@@ -198,7 +186,7 @@ func (c *CASConsensus) Setup(m *sim.Memory) {
 // the race (reading the established winner) or finds its own earlier
 // proposal installed.
 func (c *CASConsensus) Body(i int, input sim.Value) sim.Body {
-	obj, op := c.objName(), spec.FormatOp("cas", types.Bottom, input)
+	obj, op := c.obj, spec.FormatOp("cas", types.Bottom, input)
 	return func(p *sim.Proc) sim.Value {
 		p.Apply(obj, op)
 		return sim.Value(p.ReadObject(obj))

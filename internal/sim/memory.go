@@ -22,7 +22,8 @@
 //
 // A memory can be reused the same way. Memory.Mark records its contents
 // once it is set up; Memory.Reset returns it to them — marked cells to
-// their marked values, cells allocated since dropped, fresh-name counter,
+// their marked values (objects' update counts to zero), cells allocated
+// since dropped, fresh-name counter,
 // Digest and Snapshot as at the mark — and panics while an execution
 // over the memory is unfinished. An execution on a reset memory is
 // indistinguishable from one on a memory built anew, provided the bodies
@@ -175,7 +176,9 @@ func (m *Memory) addObjectLocked(name string, t spec.Type, q0 spec.State) {
 // Mark records the memory's current contents as the point Reset returns
 // to, replacing any earlier mark. A caller that runs many executions over
 // one memory marks it once, right after setting it up, and resets it
-// before each execution.
+// before each execution. Objects' update counts are not recorded: Reset
+// restarts them at zero, so a memory must be marked before any of its
+// objects is updated for Reset to return it to the marked contents.
 func (m *Memory) Mark() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -202,7 +205,8 @@ func (m *Memory) Mark() {
 // zero), the cells allocated since the mark are gone, and the fresh-name
 // counter, Digest and Snapshot read as they did at the mark. A reset
 // memory is indistinguishable, to any execution and any reader, from
-// one built anew by the same setup code.
+// one built anew by the same setup code, provided Mark ran before any
+// object was updated.
 //
 // Reset panics on a memory that was never marked, and on one whose
 // execution has started and not finished (a runner paused by Start or

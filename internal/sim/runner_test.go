@@ -162,11 +162,11 @@ func (tc teardownCase) run(newRunner func(*Memory, []Body, Config) *Runner, reco
 	return tc.drive(r)
 }
 
-// A goroutine that has ended its work may still be counted for a
-// moment, so the goroutine counts below are polled rather than read
-// once: settledGoroutines waits for the count to hold still for
-// settleFor, and goroutinesUntil for it to satisfy ok, each until
-// settleDeadline, and both return their last reading.
+// settledGoroutines reads the goroutine count once it has held still
+// for settleFor (or settleDeadline has passed), so a goroutine an
+// earlier test left ending is not counted in the starting count. The
+// counts after an execution are read once: a coroutine that is still
+// running when Run or Close returns is a leak.
 const (
 	settleFor      = 20 * time.Millisecond
 	settleDeadline = 5 * time.Second
@@ -180,16 +180,6 @@ func settledGoroutines() int {
 		if m := runtime.NumGoroutine(); m != n {
 			n, since = m, time.Now()
 		}
-	}
-	return n
-}
-
-func goroutinesUntil(ok func(int) bool) int {
-	deadline := time.Now().Add(settleDeadline)
-	n := runtime.NumGoroutine()
-	for !ok(n) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine()
 	}
 	return n
 }
@@ -214,7 +204,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			case err != nil:
 				t.Fatal(err)
 			}
-			if after := goroutinesUntil(func(n int) bool { return n == before }); after != before {
+			if after := runtime.NumGoroutine(); after != before {
 				t.Fatalf("goroutines: %d before the execution, %d after", before, after)
 			}
 		})
@@ -248,13 +238,13 @@ func TestPooledRunsMatchFreshRuns(t *testing.T) {
 			if got != nil && !reflect.DeepEqual(*got, *want) {
 				t.Fatalf("round %d, %s: pooled outcome\n%+v\nfresh outcome\n%+v", round, tc.name, *got, *want)
 			}
-			if n := goroutinesUntil(func(n int) bool { return n <= base+most }); n > base+most {
+			if n := runtime.NumGoroutine(); n > base+most {
 				t.Fatalf("round %d, %s: %d goroutines with the pool open, want at most %d + %d", round, tc.name, n, base, most)
 			}
 		}
 	}
 	pool.Close()
-	if n := goroutinesUntil(func(n int) bool { return n == base }); n != base {
+	if n := runtime.NumGoroutine(); n != base {
 		t.Fatalf("goroutines: %d before the pool, %d after Close", base, n)
 	}
 }
