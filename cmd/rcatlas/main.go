@@ -29,9 +29,10 @@
 //	    require a generated type outside every zoo rcons band
 //
 //	rcatlas compact -store DIR [-budget 256M]
-//	    offline store compaction: drop quarantine debris, recount the
-//	    entry population, and (with -budget) evict LRU entries until the
-//	    directory fits
+//	    offline store compaction: drop quarantine debris, rewrite the
+//	    live records of every pack whose writer has exited into one
+//	    fresh pack (reclaiming evicted, overwritten and damaged bytes),
+//	    and (with -budget) evict LRU records until the store fits
 //
 // census also accepts -store-budget (cap the store's disk usage with
 // size-aware LRU eviction) and -store-peer (read classification results
@@ -350,8 +351,9 @@ func buildStoreTiers(dir, budget, peers string, peerTimeout time.Duration) (engi
 }
 
 // runCompact is the offline compaction pass over a store directory:
-// quarantine debris is dropped, the entry population recounted, and —
-// with -budget — the disk budget applied by LRU eviction.
+// quarantine debris is dropped, the live records of exited writers'
+// packs are rewritten into one fresh pack, and — with -budget — the
+// budget is applied by LRU eviction.
 func runCompact(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rcatlas compact", flag.ContinueOnError)
 	dir := fs.String("store", "", "store directory to compact")

@@ -135,10 +135,18 @@ type CASInstance struct{}
 
 var _ Instance = CASInstance{}
 
+// casType is the object type of every CASInstance object and casPrefix
+// the input-independent part of its cas(⊥, input) proposal, both built
+// once; the type holds no per-object state, so instances share it.
+var (
+	casType   = types.NewCAS()
+	casPrefix = "cas(" + types.Bottom + ","
+)
+
 // Decide implements Instance.
 func (CASInstance) Decide(p *sim.Proc, name string, input sim.Value) sim.Value {
-	p.EnsureObject(name, types.NewCAS(), spec.State(types.Bottom))
-	p.Apply(name, spec.FormatOp("cas", types.Bottom, input))
+	p.EnsureObject(name, casType, spec.State(types.Bottom))
+	p.Apply(name, spec.Op(casPrefix+string(input)+")"))
 	return sim.Value(p.ReadObject(name))
 }
 

@@ -32,6 +32,12 @@ type SimultaneousRC struct {
 	NS string
 	// Sub supplies the per-round standard consensus instances.
 	Sub Instance
+
+	// rounds names the Round[j] registers; dPre and cPre are the name
+	// prefixes of the per-round D[r] registers and C[r] instances, whose
+	// round index is unbounded. NewSimultaneousRC builds them once.
+	rounds     []string
+	dPre, cPre string
 }
 
 var _ Algorithm = (*SimultaneousRC)(nil)
@@ -39,7 +45,11 @@ var _ Algorithm = (*SimultaneousRC)(nil)
 // NewSimultaneousRC returns the Figure 4 algorithm for n processes using
 // CAS-based consensus instances.
 func NewSimultaneousRC(n int, ns string) *SimultaneousRC {
-	return &SimultaneousRC{Procs: n, NS: ns, Sub: CASInstance{}}
+	rounds := make([]string, n)
+	for j := range rounds {
+		rounds[j] = fmt.Sprintf("%s/Round[%d]", ns, j)
+	}
+	return &SimultaneousRC{Procs: n, NS: ns, Sub: CASInstance{}, rounds: rounds, dPre: ns + "/D[", cPre: ns + "/C["}
 }
 
 // Name implements Algorithm.
@@ -48,9 +58,9 @@ func (s *SimultaneousRC) Name() string { return "simultaneous-rc" }
 // N implements Algorithm.
 func (s *SimultaneousRC) N() int { return s.Procs }
 
-func (s *SimultaneousRC) roundReg(j int) string { return fmt.Sprintf("%s/Round[%d]", s.NS, j) }
-func (s *SimultaneousRC) dReg(r int) string     { return fmt.Sprintf("%s/D[%d]", s.NS, r) }
-func (s *SimultaneousRC) consName(r int) string { return fmt.Sprintf("%s/C[%d]", s.NS, r) }
+func (s *SimultaneousRC) roundReg(j int) string { return s.rounds[j] }
+func (s *SimultaneousRC) dReg(r int) string     { return s.dPre + strconv.Itoa(r) + "]" }
+func (s *SimultaneousRC) consName(r int) string { return s.cPre + strconv.Itoa(r) + "]" }
 
 // Setup implements Algorithm: Round[1..n] registers initialized to 0
 // (line 31); the D array and the consensus instances are allocated

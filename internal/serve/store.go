@@ -57,8 +57,9 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStoreCompact runs POST /v1/store/compact: the online compaction
-// pass — drop quarantine debris, reconcile the entry count against the
-// directory, re-apply the disk budget — and reports what it did.
+// pass — drop quarantine debris, re-read every pack, re-apply the disk
+// budget, rewrite this replica's live records into a fresh pack — and
+// reports what it did.
 func (s *Server) handleStoreCompact(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		writeError(w, http.StatusNotFound, "this replica has no local store")

@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
-	"time"
 )
 
 // entrySize returns the on-disk envelope size for a payload written
@@ -20,24 +22,13 @@ func entrySize(t *testing.T, kind, key string, payload []byte) int64 {
 	return int64(len(data))
 }
 
-// diskFiles returns every entry file under dir/v1.
-func diskFiles(t *testing.T, dir string) []string {
+// liveEntries opens a fresh handle on dir and reports how many live
+// records it finds.
+func liveEntries(t *testing.T, dir string) int64 {
 	t.Helper()
-	var out []string
-	root := filepath.Join(dir, layoutDir)
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			out = append(out, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	s := mustOpen(t, dir, Options{CacheEntries: -1})
+	defer s.Close()
+	return s.Stats().Entries
 }
 
 func TestBudgetEvictsLRUOnPut(t *testing.T) {
@@ -65,22 +56,39 @@ func TestBudgetEvictsLRUOnPut(t *testing.T) {
 	if st.DiskEvictions != 1 || st.Entries != 3 || st.Bytes != 3*one {
 		t.Fatalf("stats after over-budget put: %+v", st)
 	}
-	// k1 was evicted from disk; k0, k2, k3 survive. The memory front may
-	// still answer for k1, so check the disk directly.
-	p1, _ := s.entryPath("search", "k1")
-	if _, err := os.Lstat(p1); !os.IsNotExist(err) {
-		t.Fatal("LRU victim k1 still on disk")
-	}
-	for _, k := range []string{"k0", "k2", "k3"} {
-		p, _ := s.entryPath("search", k)
-		if _, err := os.Lstat(p); err != nil {
-			t.Fatalf("%s missing after eviction: %v", k, err)
-		}
-	}
-	// A fresh handle (no warm front) confirms the evicted entry is gone.
+	// A fresh handle (no warm front) confirms k1 was evicted from disk
+	// and k0, k2, k3 survive.
 	s2 := mustOpen(t, dir, Options{CacheEntries: -1})
 	if _, ok, _ := s2.Get(context.Background(), "search", "k1"); ok {
 		t.Fatal("evicted entry served from disk")
+	}
+	for _, k := range []string{"k0", "k2", "k3"} {
+		if _, ok, _ := s2.Get(context.Background(), "search", k); !ok {
+			t.Fatalf("%s missing after eviction", k)
+		}
+	}
+}
+
+// TestEvictedOverwriteStaysDead: evicting an entry that was overwritten
+// must not bring the overwritten payload back after a restart.
+func TestEvictedOverwriteStaysDead(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte(`{"v":"0123456789abcdef"}`)
+	one := entrySize(t, "search", "k", payload)
+	s := mustOpen(t, dir, Options{BudgetBytes: one})
+	mustPut(t, s, "search", "k", `{"v":"0123456789abcdeX"}`)
+	mustPut(t, s, "search", "k", string(payload))
+	mustPut(t, s, "search", "other", string(payload)) // evicts k
+	if st := s.Stats(); st.DiskEvictions != 1 || st.Entries != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	s.Close()
+	s2 := mustOpen(t, dir, Options{CacheEntries: -1})
+	if got, ok, _ := s2.Get(context.Background(), "search", "k"); ok {
+		t.Fatalf("evicted entry came back as %s", got)
+	}
+	if st := s2.Stats(); st.Entries != 1 {
+		t.Fatalf("reopened stats: %+v", st)
 	}
 }
 
@@ -102,24 +110,18 @@ func TestBudgetNeverEvictsJustWritten(t *testing.T) {
 }
 
 // TestOpenEnforcesBudget: reopening an unbudgeted directory with a
-// budget evicts deterministically, oldest mtime first.
+// budget evicts deterministically, least recently written first.
 func TestOpenEnforcesBudget(t *testing.T) {
 	dir := t.TempDir()
 	payload := []byte(`{"v":"0123456789abcdef"}`)
 	one := entrySize(t, "search", "k0", payload)
 	s := mustOpen(t, dir, Options{})
-	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 6; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if err := s.Put(context.Background(), "search", key, payload); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes make the recovery order unambiguous: k0 oldest.
-		path, _ := s.entryPath("search", key)
-		if err := os.Chtimes(path, base.Add(time.Duration(i)*time.Minute), base.Add(time.Duration(i)*time.Minute)); err != nil {
+		if err := s.Put(context.Background(), "search", fmt.Sprintf("k%d", i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
+	s.Close() // the writer is gone: its records are the next Open's to evict
 
 	s2 := mustOpen(t, dir, Options{CacheEntries: -1, BudgetBytes: 3 * one})
 	st := s2.Stats()
@@ -136,6 +138,10 @@ func TestOpenEnforcesBudget(t *testing.T) {
 			t.Fatalf("k%d (newest) lost in the budgeted reopen", i)
 		}
 	}
+	s2.Close()
+	if n := liveEntries(t, dir); n != 3 {
+		t.Fatalf("evictions did not persist: %d live entries", n)
+	}
 }
 
 func TestOpenRejectsNegativeBudget(t *testing.T) {
@@ -144,39 +150,38 @@ func TestOpenRejectsNegativeBudget(t *testing.T) {
 	}
 }
 
-// TestCompactDropsQuarantineAndReconciles covers the two non-eviction
-// compaction duties: quarantine debris is deleted, and the Entries
-// drift between two Stores sharing one directory (each Put only counts
-// what its own handle saw) is healed by the recount — afterwards both
-// handles' Entries equal the files on disk.
+// TestCompactDropsQuarantineAndReconciles covers the non-eviction
+// compaction duties: quarantine debris is deleted, each handle's view
+// of a shared directory is rebuilt to every live record (each Put only
+// counts what its own handle wrote), this handle's dead bytes are
+// reclaimed, and another live handle's pack is left untouched.
 func TestCompactDropsQuarantineAndReconciles(t *testing.T) {
 	dir := t.TempDir()
 	a := mustOpen(t, dir, Options{CacheEntries: -1})
 	b := mustOpen(t, dir, Options{CacheEntries: -1})
 	for i := 0; i < 3; i++ {
-		if err := a.Put(context.Background(), "job", fmt.Sprintf("a%d", i), []byte(`{"w":"a"}`)); err != nil {
-			t.Fatal(err)
-		}
+		mustPut(t, a, "job", fmt.Sprintf("a%d", i), `{"w":"a"}`)
 	}
 	for i := 0; i < 2; i++ {
-		if err := b.Put(context.Background(), "job", fmt.Sprintf("b%d", i), []byte(`{"w":"b"}`)); err != nil {
-			t.Fatal(err)
-		}
+		mustPut(t, b, "job", fmt.Sprintf("b%d", i), `{"w":"b"}`)
 	}
-	// Corrupt one of A's entries and Get it so it lands in quarantine.
-	path, _ := a.entryPath("job", "a0")
-	if err := os.WriteFile(path, []byte("rotten"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Rot one of A's records and Get it so it lands in quarantine.
+	path, off, _ := frameAt(t, a, "job", "a0")
+	rewriteFile(t, path, func(d []byte) []byte { d[off+frameHeader+1] ^= 0x40; return d })
 	if _, ok, _ := a.Get(context.Background(), "job", "a0"); ok {
 		t.Fatal("rotten entry served")
 	}
-	if q, _ := os.ReadDir(filepath.Join(dir, quarantineSub)); len(q) != 1 {
+	if q := quarantined(t, dir); len(q) != 1 {
 		t.Fatalf("quarantine holds %d files, want 1", len(q))
 	}
+	bPack, _, _ := frameAt(t, b, "job", "b0")
+	bBytes, err := os.ReadFile(bPack)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Drifted views: A saw its own 3 puts minus the quarantined one,
-	// B saw only its own 2; disk holds 4 valid entries.
+	// Partial views: A holds its own 3 puts minus the quarantined one,
+	// B only its own 2; the directory holds 4 live records.
 	if st := a.Stats(); st.Entries != 2 {
 		t.Fatalf("a.Entries = %d, want 2 pre-compaction", st.Entries)
 	}
@@ -184,23 +189,29 @@ func TestCompactDropsQuarantineAndReconciles(t *testing.T) {
 		t.Fatalf("b.Entries = %d, want 2 pre-compaction", st.Entries)
 	}
 
-	for name, s := range map[string]*Store{"a": a, "b": b} {
+	for _, name := range []string{"a", "b"} {
+		s := map[string]*Store{"a": a, "b": b}[name]
 		cs, err := s.Compact(context.Background())
 		if err != nil {
 			t.Fatalf("%s.Compact: %v", name, err)
 		}
-		files := diskFiles(t, dir)
-		if st := s.Stats(); st.Entries != int64(len(files)) || st.Entries != 4 {
-			t.Fatalf("%s post-compaction Entries = %d, files on disk = %d (want 4): %+v",
-				name, st.Entries, len(files), st)
+		if st := s.Stats(); st.Entries != 4 || cs.EntriesAfter != 4 {
+			t.Fatalf("%s post-compaction: stats %+v, compact %+v (want 4 entries)", name, st, cs)
 		}
-		if cs.EntriesAfter != 4 {
-			t.Fatalf("%s CompactStats: %+v", name, cs)
+		if n := liveEntries(t, dir); n != 4 {
+			t.Fatalf("after %s.Compact a fresh handle sees %d entries, want 4", name, n)
+		}
+		if after, _ := os.ReadFile(bPack); name == "a" && !bytes.Equal(after, bBytes) {
+			t.Fatal("a's compaction rewrote b's live pack")
 		}
 	}
-	// A's compaction dropped the corpse; B's found an empty quarantine.
-	if q, _ := os.ReadDir(filepath.Join(dir, quarantineSub)); len(q) != 0 {
+	// A's compaction dropped the corpse and the rotten frame; B's found
+	// an empty quarantine.
+	if q := quarantined(t, dir); len(q) != 0 {
 		t.Fatalf("quarantine not emptied: %d files", len(q))
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("a's old pack survived its compaction")
 	}
 	// Every entry is readable through either handle after reconciliation.
 	for _, k := range []string{"a1", "a2", "b0", "b1"} {
@@ -214,10 +225,17 @@ func TestCompactDropsQuarantineAndReconciles(t *testing.T) {
 	if st := a.Stats(); st.Compactions != 1 {
 		t.Fatalf("compactions counter: %+v", st)
 	}
+	// Both keep writing to packs of their own after compaction.
+	mustPut(t, a, "job", "a3", `{"w":"a"}`)
+	mustPut(t, b, "job", "b2", `{"w":"b"}`)
+	if n := liveEntries(t, dir); n != 6 {
+		t.Fatalf("after post-compaction puts a fresh handle sees %d entries, want 6", n)
+	}
 }
 
-// TestCompactEvictsToBudget: a compaction on an over-budget store (the
-// budget was exceeded by files another writer added) evicts down to it.
+// TestCompactEvictsToBudget: a compaction evicts down to the budget, but
+// only among records it may drop — a live handle's records wait until
+// that handle is gone.
 func TestCompactEvictsToBudget(t *testing.T) {
 	dir := t.TempDir()
 	payload := []byte(`{"v":"0123456789abcdef"}`)
@@ -234,20 +252,39 @@ func TestCompactEvictsToBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := budgeted.Stats(); cs.Evicted != 0 || st.Entries != 5 {
+		t.Fatalf("compaction dropped a live handle's records: stats %+v, compact %+v", st, cs)
+	}
+
+	flooder.Close()
+	cs, err = budgeted.Compact(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := budgeted.Stats()
 	if st.Bytes > 2*one || st.Entries != 2 || cs.Evicted != 3 {
 		t.Fatalf("post-compaction: stats %+v, compact %+v", st, cs)
 	}
-	if files := diskFiles(t, dir); len(files) != 2 {
-		t.Fatalf("%d files on disk, want 2", len(files))
+	// The flooder's pack was absorbed: one pack, two live records.
+	if paths := packFiles(t, dir); len(paths) != 1 {
+		t.Fatalf("packs after absorbing the flooder's: %v", paths)
+	}
+	if n := liveEntries(t, dir); n != 2 {
+		t.Fatalf("%d live entries on disk, want 2", n)
+	}
+	// The survivors are the most recently written.
+	for i := 3; i < 5; i++ {
+		if _, ok, _ := budgeted.Get(context.Background(), "search", fmt.Sprintf("k%d", i)); !ok {
+			t.Fatalf("k%d lost", i)
+		}
 	}
 }
 
-// TestCrashMidCompactionRecovery: every mutation a compaction makes is
-// one atomic unlink (a quarantine corpse or an evicted entry), so any
-// crash point leaves a disk state that is a prefix of those unlinks.
-// This test constructs representative prefix states by hand and proves
-// a budgeted Open recovers each to a valid, budget-respecting store.
+// TestCrashMidCompactionRecovery: a compaction writes its fresh pack
+// under a temporary name, links it into place, then unlinks the packs
+// it replaced and the quarantine's files. This test builds the state a
+// crash leaves at each step by hand and proves a budgeted Open recovers
+// each to a valid, budget-respecting store.
 func TestCrashMidCompactionRecovery(t *testing.T) {
 	payload := []byte(`{"v":"0123456789abcdef"}`)
 	one := entrySize(t, "search", "k0", payload)
@@ -261,10 +298,8 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 		}
 		// Two quarantined corpses from successive corruptions of k5.
 		for range 2 {
-			p, _ := s.entryPath("search", "k5")
-			if err := os.WriteFile(p, []byte("rot"), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			path, off, _ := frameAt(t, s, "search", "k5")
+			rewriteFile(t, path, func(d []byte) []byte { d[off+frameHeader] ^= 0x08; return d })
 			if _, ok, _ := s.Get(context.Background(), "search", "k5"); ok {
 				t.Fatal("rot served")
 			}
@@ -272,7 +307,24 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		s.Close()
 		return dir
+	}
+	// compacted writes the pack a compaction of dir to 3 entries would
+	// link: the newest records, copied frame by frame.
+	compacted := func(t *testing.T, dir string) []byte {
+		s := mustOpen(t, dir, Options{CacheEntries: -1})
+		defer s.Close()
+		data, err := os.ReadFile(onlyPack(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		for _, k := range []string{"k3", "k4", "k5"} {
+			_, off, end := frameAt(t, s, "search", k)
+			out = append(out, data[off:end]...)
+		}
+		return out
 	}
 
 	crashPoints := []struct {
@@ -281,7 +333,7 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 	}{
 		{"mid-quarantine-clear", func(t *testing.T, dir string) {
 			// Compaction deleted one of the two corpses, then died.
-			q, _ := os.ReadDir(filepath.Join(dir, quarantineSub))
+			q := quarantined(t, dir)
 			if len(q) != 2 {
 				t.Fatalf("setup: quarantine has %d files", len(q))
 			}
@@ -289,20 +341,18 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"fresh-pack-unlinked", func(t *testing.T, dir string) {
+			// Died before linking its fresh pack into place.
+			tmp := filepath.Join(dir, packsSub, "new"+packExt+tmpMarker+"7")
+			data := append(append([]byte(packMagic), packVersion), compacted(t, dir)...)
+			if err := os.WriteFile(tmp, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"mid-eviction", func(t *testing.T, dir string) {
-			// Quarantine cleared, then died after evicting two entries.
-			q, _ := os.ReadDir(filepath.Join(dir, quarantineSub))
-			for _, d := range q {
-				if err := os.Remove(filepath.Join(dir, quarantineSub, d.Name())); err != nil {
-					t.Fatal(err)
-				}
-			}
-			files := diskFiles(t, dir)
-			for _, f := range files[:2] {
-				if err := os.Remove(f); err != nil {
-					t.Fatal(err)
-				}
-			}
+			// Linked its fresh pack, without the records it evicted, then
+			// died before unlinking the old pack that still holds them.
+			writePack(t, dir, 9, compacted(t, dir))
 		}},
 	}
 	for _, cp := range crashPoints {
@@ -314,18 +364,21 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 				t.Fatalf("Open after crash: %v", err)
 			}
 			st := s.Stats()
-			if st.Bytes > 3*one {
-				t.Fatalf("recovered store over budget: %+v", st)
+			if st.Bytes > 3*one || st.Entries != 3 {
+				t.Fatalf("recovered store: %+v", st)
 			}
-			files := diskFiles(t, dir)
-			if st.Entries != int64(len(files)) || st.Bytes != int64(len(files))*one {
-				t.Fatalf("recovered stats %+v do not match %d files on disk", st, len(files))
-			}
-			// Every surviving file is a valid, servable entry.
-			for _, f := range files {
-				if _, _, ok := readEnvelope(f); !ok {
-					t.Fatalf("invalid entry survived recovery: %s", f)
+			// Every record it indexes is servable, and they are the newest.
+			for i := 3; i < 6; i++ {
+				if got, ok, _ := s.Get(context.Background(), "search", fmt.Sprintf("k%d", i)); !ok || !bytes.Equal(got, payload) {
+					t.Fatalf("k%d: %s, %v", i, got, ok)
 				}
+			}
+			if matches, _ := filepath.Glob(filepath.Join(dir, packsSub, "*"+tmpMarker+"*")); len(matches) != 0 {
+				t.Fatalf("temporary files survived recovery: %v", matches)
+			}
+			s.Close()
+			if n := liveEntries(t, dir); n != 3 {
+				t.Fatalf("recovery did not persist: %d live entries", n)
 			}
 		})
 	}
@@ -355,5 +408,58 @@ func TestParseSize(t *testing.T) {
 		if _, err := ParseSize(in); err == nil {
 			t.Errorf("ParseSize(%q) accepted", in)
 		}
+	}
+}
+
+// TestCompactUnderTraffic runs compactions while other goroutines put,
+// overwrite and read through a budgeted store: every read returns the
+// payload last written for its key, or misses once the budget evicted
+// it, and a restart sees exactly the records the handle kept.
+func TestCompactUnderTraffic(t *testing.T) {
+	dir := t.TempDir()
+	payload := func(k, v int) string { return fmt.Sprintf(`{"k":%d,"v":%d}`, k, v) }
+	one := entrySize(t, "job", "k00", []byte(payload(0, 0)))
+	s := mustOpen(t, dir, Options{CacheEntries: 8, BudgetBytes: 12 * one})
+	var wg sync.WaitGroup
+	for w := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 60 {
+				k := (w*7 + i) % 20
+				key := fmt.Sprintf("k%02d", k)
+				if err := s.Put(context.Background(), "job", key, []byte(payload(k, w))); err != nil {
+					t.Error(err)
+					return
+				}
+				got, ok, err := s.Get(context.Background(), "job", fmt.Sprintf("k%02d", (k+3)%20))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok && !strings.HasPrefix(string(got), fmt.Sprintf(`{"k":%d,`, (k+3)%20)) {
+					t.Errorf("read of k%02d served %s", (k+3)%20, got)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 10 {
+			if _, err := s.Compact(context.Background()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	st := s.Stats()
+	if st.Bytes > 12*one {
+		t.Fatalf("over budget after traffic: %+v", st)
+	}
+	s.Close()
+	if n := liveEntries(t, dir); n != st.Entries {
+		t.Fatalf("restart sees %d entries, the handle kept %d", n, st.Entries)
 	}
 }

@@ -3,12 +3,9 @@ package store
 import (
 	"context"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"rcons/internal/obs"
 )
@@ -17,41 +14,49 @@ import (
 type CompactStats struct {
 	// QuarantineRemoved counts quarantined corpses deleted.
 	QuarantineRemoved int `json:"quarantineRemoved"`
-	// Entries/Bytes before and after, as reconciled against the
-	// directory — Before reflects this Store's possibly drifted view,
-	// After the recounted truth (post-eviction).
+	// Entries/Bytes before and after — Before is this Store's view going
+	// in, After the view rebuilt from every pack (post-eviction).
 	EntriesBefore int64 `json:"entriesBefore"`
 	EntriesAfter  int64 `json:"entriesAfter"`
 	BytesBefore   int64 `json:"bytesBefore"`
 	BytesAfter    int64 `json:"bytesAfter"`
-	// Evicted counts entries deleted by this pass to meet the budget.
+	// Evicted counts records this pass dropped to meet the budget.
 	Evicted int64 `json:"evicted"`
 }
 
+// scannedPack is one pack as Compact read it. mine says its records
+// are this Store's to rewrite: its own pack, or one whose writer is
+// gone (whose writer lock Compact now holds).
+type scannedPack struct {
+	p      *pack
+	mine   bool
+	data   []byte
+	frames []frame
+}
+
 // Compact is the store's compaction pass, safe to run online (it
-// briefly blocks writers) or offline (rcatlas compact):
+// blocks this Store's reads and writes while it runs) or offline
+// (rcatlas compact):
 //
 //  1. quarantine debris is deleted — corpses have served their
 //     diagnostic purpose once an operator decides to compact;
-//  2. the entry population is recounted from the directory, healing
-//     the Stats.Entries/Bytes drift that accrues when several Stores
-//     share one directory (each Put only counts what its own handle
-//     observed — see the package doc's single-writer note);
-//  3. the byte budget is re-applied by size-aware LRU eviction.
+//  2. every pack is rescanned and the index rebuilt from it, taking in
+//     whatever other handles appended;
+//  3. the byte budget is re-applied by size-aware LRU eviction;
+//  4. the live records of this Store's pack and of the packs of
+//     writers that are gone are rewritten into one fresh pack, oldest
+//     first, and those packs are unlinked: dead, damaged and torn bytes
+//     are gone. Packs other live handles hold are left as they are.
 //
-// Recency survives reconciliation: entries this Store has been serving
-// keep their LRU order, while entries discovered on disk (written by
-// another handle) enter at the cold end — ordered among themselves by
-// mtime then path, so a fleet of replicas compacting the same inputs
-// evicts the same victims. Every mutation is one atomic unlink; a
-// crash mid-pass leaves a valid store whose next Open re-sweeps,
-// recounts and finishes the eviction.
+// Recency survives the rebuild: records this Store has been serving
+// keep their LRU order, while records it had not seen enter at the cold
+// end in pack order, so handles compacting the same packs evict the same
+// victims. The fresh pack is linked into place only once complete, and
+// the old packs are unlinked after it; a crash in between leaves
+// duplicates that the next Open indexes once.
 func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	_, span := obs.StartSpan(ctx, "store.compact")
 	defer span.End()
-	// Taking every write-lock stripe freezes Puts/Gets mid-flight so the
-	// rescan can't race a rename; stripe order is fixed, so two
-	// concurrent Compacts can't deadlock each other.
 	for i := range s.writeLocks {
 		s.writeLocks[i].Lock()
 	}
@@ -60,109 +65,223 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 			s.writeLocks[i].Unlock()
 		}
 	}()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
 
 	var cs CompactStats
 	s.mu.Lock()
-	cs.EntriesBefore = s.stats.Entries
-	cs.BytesBefore = s.stats.Bytes
+	cs.EntriesBefore, cs.BytesBefore = int64(s.idx.len()), s.idx.bytes
+	known := s.idx.oldestFirst()
 	s.mu.Unlock()
 
 	// 1. Drop quarantine debris.
 	qdir := filepath.Join(s.dir, quarantineSub)
 	if names, err := os.ReadDir(qdir); err == nil {
 		for _, d := range names {
-			if d.IsDir() {
-				continue
-			}
-			if os.Remove(filepath.Join(qdir, d.Name())) == nil {
+			if !d.IsDir() && os.Remove(filepath.Join(qdir, d.Name())) == nil {
 				cs.QuarantineRemoved++
 			}
 		}
 	}
 
-	// 2. Recount the directory. Temp debris is removed and corrupt
-	// entries are quarantined afresh (kept until the next compaction),
-	// exactly like Open's sweep.
-	type onDisk struct {
-		size  int64
-		mtime time.Time
-	}
-	live := map[string]onDisk{}
-	root := filepath.Join(s.dir, layoutDir)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return fmt.Errorf("store: compact rescan %s: %w", path, err)
-		}
-		if d.IsDir() {
-			return nil
-		}
-		if strings.Contains(d.Name(), tmpMarker) {
-			if rerr := os.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
-				return fmt.Errorf("store: compact remove temp %s: %w", path, rerr)
-			}
-			return nil
-		}
-		_, raw, ok := readEnvelope(path)
-		if !ok {
-			s.quarantine(path)
-			return nil
-		}
-		var mtime time.Time
-		if info, ierr := d.Info(); ierr == nil {
-			mtime = info.ModTime()
-		}
-		live[path] = onDisk{size: int64(len(raw)), mtime: mtime}
-		return nil
-	})
+	// 2. Rescan every pack and rebuild the view.
+	packs, err := s.scanAll()
 	if err != nil {
 		return cs, err
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Drop index entries whose files are gone; true up sizes of the rest.
-	for _, path := range s.disk.paths() {
-		od, ok := live[path]
-		if !ok {
-			s.disk.remove(path)
-			continue
-		}
-		if el := s.disk.entries[path]; el.Value.(*diskEntry).size != od.size {
-			e := el.Value.(*diskEntry)
-			s.disk.bytes += od.size - e.size
-			e.size = od.size
+	release := func() {
+		for _, sp := range packs {
+			if sp.mine && !sp.p.own {
+				unlock(sp.p.f)
+			}
 		}
 	}
-	// Adopt files this handle never saw, at the cold end: newest first,
-	// so the back of the list — the first victim — is the oldest.
-	var unknown []string
-	for path := range live {
-		if !s.disk.has(path) {
-			unknown = append(unknown, path)
+	scanned := map[uint64]bool{}
+	for _, sp := range packs {
+		scanned[sp.p.seq] = true
+	}
+	scratch, dead := newIndex(), map[pos]struct{}{}
+	for _, sp := range packs {
+		for _, fr := range sp.frames {
+			applyFrame(scratch, dead, sp.p, fr)
 		}
 	}
-	sort.Slice(unknown, func(i, j int) bool {
-		ti, tj := live[unknown[i]].mtime, live[unknown[j]].mtime
-		if !ti.Equal(tj) {
-			return ti.After(tj)
+	discovered := scratch.oldestFirst()
+	var held []*rec
+	for _, r := range scratch.recs {
+		if !r.listed {
+			held = append(held, r)
 		}
-		return unknown[i] > unknown[j]
-	})
-	for _, path := range unknown {
-		s.disk.putCold(path, live[path].size)
 	}
-	s.stats.Entries = int64(s.disk.len())
-	s.stats.Bytes = s.disk.bytes
+	seen := make(map[[32]byte]bool, len(known))
+	for _, r := range known {
+		seen[r.addr] = true
+	}
+	x := newIndex()
+	for _, r := range discovered {
+		if !seen[r.addr] {
+			x.put(r) // records this Store had not seen: the cold end
+		}
+	}
+	for _, k := range known {
+		if r := scratch.get(k.addr); r != nil && !r.p.held {
+			x.put(r)
+		}
+	}
+	for _, r := range held {
+		x.put(r)
+	}
 
 	// 3. Re-apply the budget.
-	evictedBefore := s.stats.DiskEvictions
-	s.enforceBudgetLocked("")
-	cs.Evicted = s.stats.DiskEvictions - evictedBefore
+	for s.budget > 0 && x.listedBytes > s.budget {
+		x.remove(x.lru.prev) // the least recently used
+		cs.Evicted++
+	}
+
+	// 4. Rewrite what is ours into a fresh pack.
+	fresh, err := s.rewrite(packs, x)
+	if err != nil {
+		release()
+		return cs, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	open := map[uint64]*pack{}
+	for _, sp := range packs {
+		if sp.mine {
+			// A pack left behind by a failed unlink only duplicates
+			// records of the fresh pack; the next compaction takes it in.
+			_ = os.Remove(sp.p.path)
+			sp.p.f.Close()
+		} else {
+			open[sp.p.seq] = sp.p
+		}
+	}
+	for seq, p := range s.open {
+		if !scanned[seq] {
+			p.f.Close() // vanished: another handle compacted it away
+		}
+	}
+	for at := range dead {
+		if _, kept := open[at.seq]; !kept {
+			delete(dead, at)
+		}
+	}
+	s.own = fresh
+	if fresh != nil {
+		open[fresh.seq] = fresh
+	}
+	s.open, s.idx, s.dead = open, x, dead
+	s.stats.DiskEvictions += cs.Evicted
 	s.stats.Compactions++
-	cs.EntriesAfter = s.stats.Entries
-	cs.BytesAfter = s.stats.Bytes
+	cs.EntriesAfter, cs.BytesAfter = int64(x.len()), x.bytes
 	return cs, nil
+}
+
+// scanAll reads and verifies every pack in the directory, taking the
+// writer lock of each pack whose writer is gone. Packs it cannot read
+// are skipped (or quarantined, if their writer is gone). Callers hold
+// Compact's locks.
+func (s *Store) scanAll() ([]scannedPack, error) {
+	names, err := os.ReadDir(s.packs)
+	if err != nil {
+		return nil, fmt.Errorf("store: compact rescan %s: %w", s.packs, err)
+	}
+	var out []scannedPack
+	for _, d := range names {
+		name := d.Name()
+		if strings.Contains(name, tmpMarker) {
+			removeDebris(filepath.Join(s.packs, name))
+			continue
+		}
+		seq, ok := parsePackName(name)
+		if !ok {
+			continue
+		}
+		s.mu.Lock()
+		p := s.open[seq]
+		s.mu.Unlock()
+		known := p != nil
+		if !known {
+			f, err := os.Open(filepath.Join(s.packs, name))
+			if err != nil {
+				continue
+			}
+			p = &pack{seq: seq, path: filepath.Join(s.packs, name), f: f}
+		}
+		mine := p.own || tryLock(p.f)
+		s.mu.Lock()
+		p.held = !mine
+		s.mu.Unlock()
+		data, err := readFrom(p.f, 0)
+		if err != nil || !readableHeader(data) {
+			if mine && !p.own {
+				if s.quarantineFile(p.path, name) {
+					s.count(func(st *Stats) { st.Quarantined++ })
+				}
+				unlock(p.f)
+			}
+			if !known {
+				p.f.Close()
+			}
+			continue
+		}
+		var frames []frame
+		res := scanFrames(data[packHeader:], packHeader, func(fr frame) { frames = append(frames, fr) })
+		for _, dmg := range res.damaged {
+			s.saveCorpse(p, dmg[0], data[dmg[0]:dmg[1]])
+		}
+		if mine && res.tailDamaged {
+			s.saveCorpse(p, res.stop, data[res.stop:])
+		}
+		p.end = res.stop
+		out = append(out, scannedPack{p: p, mine: mine, data: data, frames: frames})
+	}
+	return out, nil
+}
+
+// rewrite writes x's evictable records (all of which sit in packs that
+// are mine) into a fresh pack, oldest first, with the tombstones of
+// those packs that kill records in packs staying behind, and points the
+// records at it. It returns nil when nothing is left to write.
+func (s *Store) rewrite(packs []scannedPack, x *index) (*pack, error) {
+	bySeq := map[uint64]scannedPack{}
+	var next uint64
+	for _, sp := range packs {
+		bySeq[sp.p.seq] = sp
+		next = max(next, sp.p.seq+1)
+	}
+	live := x.oldestFirst()
+	offs := make([]int64, len(live))
+	var body []byte
+	for i, r := range live {
+		offs[i] = int64(packHeader + len(body))
+		src := bySeq[r.p.seq].data
+		body = appendFrame(body, typeRecord, &r.addr, src[r.off+frameHeader:r.off+frameHeader+r.size])
+	}
+	for _, sp := range packs {
+		if !sp.mine {
+			continue
+		}
+		for _, fr := range sp.frames {
+			if at, ok := tombstoneTarget(fr.body); ok && fr.typ == typeTombstone {
+				if target, kept := bySeq[at.seq]; kept && !target.mine {
+					body = appendFrame(body, typeTombstone, &fr.addr, fr.body)
+				}
+			}
+		}
+	}
+	if len(body) == 0 {
+		return nil, nil
+	}
+	fresh, err := createPack(s.packs, next, body)
+	if err != nil {
+		return nil, fmt.Errorf("store: compact: %w", err)
+	}
+	for i, r := range live {
+		r.p, r.off = fresh, offs[i]
+	}
+	return fresh, nil
 }

@@ -1,105 +1,105 @@
 package store
 
-import "container/list"
-
-// diskIndex tracks the valid entry files one Store knows about, in
-// recency order, with their on-disk sizes — the bookkeeping behind the
-// disk budget. It is not safe for concurrent use on its own; the
-// Store's mutex guards it.
-//
-// The index is this Store's *view* of the directory, not necessarily
-// the whole truth: a second Store sharing the directory writes files
-// this one has never seen. Entries enter the view at Open's sweep, on
-// Put, and on any verified read (Get/GetRaw adopt entries another
-// writer left behind); Compact reconciles the view against the
-// directory wholesale.
-type diskIndex struct {
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-	bytes   int64
-}
-
-type diskEntry struct {
-	path string
+// rec locates one live record: its pack, the offset of its frame and
+// the size of its envelope (the frame's body).
+type rec struct {
+	addr [32]byte
+	p    *pack
+	off  int64
 	size int64
+	// prev and next link the record into the recency list while it is
+	// evictable, that is while its pack is not held by another live
+	// handle; listed says it is linked.
+	prev, next *rec
+	listed     bool
 }
 
-func newDiskIndex() *diskIndex {
-	return &diskIndex{entries: map[string]*list.Element{}, order: list.New()}
+func (r *rec) at() pos { return pos{r.p.seq, r.off} }
+
+// index maps each address to its live record and keeps the evictable
+// records in recency order — the bookkeeping behind Get and the disk
+// budget. It is not safe for concurrent use on its own; the Store's
+// mutex guards it.
+//
+// The index is this Store's view of the directory: it holds what Open
+// found, what this Store wrote, and what it found in other writers'
+// packs when a miss sent it looking. Compact rebuilds it from the packs.
+type index struct {
+	recs map[[32]byte]*rec
+	// lru is the recency list's sentinel: lru.next is the most recently
+	// used record, lru.prev the least.
+	lru rec
+	// bytes sums the sizes of every record, listedBytes those of the
+	// evictable ones.
+	bytes, listedBytes int64
 }
 
-// put inserts path as most recently used (or refreshes its recency and
-// size), returning the byte delta and whether the path was new.
-func (d *diskIndex) put(path string, size int64) (delta int64, inserted bool) {
-	if el, ok := d.entries[path]; ok {
-		e := el.Value.(*diskEntry)
-		delta = size - e.size
-		e.size = size
-		d.bytes += delta
-		d.order.MoveToFront(el)
-		return delta, false
+func newIndex() *index {
+	x := &index{recs: map[[32]byte]*rec{}}
+	x.lru.prev, x.lru.next = &x.lru, &x.lru
+	return x
+}
+
+func (x *index) get(a [32]byte) *rec { return x.recs[a] }
+
+// put makes r the record of its address, as the most recently used,
+// and returns the record it replaced, if any.
+func (x *index) put(r *rec) (old *rec) {
+	if old = x.recs[r.addr]; old != nil {
+		x.remove(old)
 	}
-	d.entries[path] = d.order.PushFront(&diskEntry{path: path, size: size})
-	d.bytes += size
-	return size, true
+	x.recs[r.addr] = r
+	x.bytes += r.size
+	if !r.p.held {
+		r.listed = true
+		x.listedBytes += r.size
+		x.link(r)
+	}
+	return old
 }
 
-// putCold inserts path at the least-recently-used end — used by
-// Compact for entries discovered on disk with no recency history, so
-// they are the first budget victims.
-func (d *diskIndex) putCold(path string, size int64) {
-	if _, ok := d.entries[path]; ok {
+// remove drops r if it is still the record of its address.
+func (x *index) remove(r *rec) {
+	if x.recs[r.addr] != r {
 		return
 	}
-	d.entries[path] = d.order.PushBack(&diskEntry{path: path, size: size})
-	d.bytes += size
-}
-
-// touch refreshes recency if path is tracked; unknown paths are left
-// alone (adoption is put's job, with a size in hand).
-func (d *diskIndex) touch(path string) {
-	if el, ok := d.entries[path]; ok {
-		d.order.MoveToFront(el)
+	delete(x.recs, r.addr)
+	x.bytes -= r.size
+	if r.listed {
+		x.unlink(r)
+		r.listed = false
+		x.listedBytes -= r.size
 	}
 }
 
-// remove drops path from the index, returning its recorded size.
-func (d *diskIndex) remove(path string) (size int64, ok bool) {
-	el, found := d.entries[path]
-	if !found {
-		return 0, false
+// touch makes r the most recently used record, if it is still the
+// record of its address.
+func (x *index) touch(r *rec) {
+	if r.listed && x.recs[r.addr] == r {
+		x.unlink(r)
+		x.link(r)
 	}
-	e := el.Value.(*diskEntry)
-	d.order.Remove(el)
-	delete(d.entries, path)
-	d.bytes -= e.size
-	return e.size, true
 }
 
-// victim returns the least-recently-used entry without removing it.
-func (d *diskIndex) victim() (path string, size int64, ok bool) {
-	back := d.order.Back()
-	if back == nil {
-		return "", 0, false
-	}
-	e := back.Value.(*diskEntry)
-	return e.path, e.size, true
-}
-
-// has reports whether path is tracked.
-func (d *diskIndex) has(path string) bool {
-	_, ok := d.entries[path]
-	return ok
-}
-
-// paths returns every tracked path (unordered).
-func (d *diskIndex) paths() []string {
-	out := make([]string, 0, len(d.entries))
-	for p := range d.entries {
-		out = append(out, p)
+// oldestFirst returns the evictable records from least to most
+// recently used.
+func (x *index) oldestFirst() []*rec {
+	out := make([]*rec, 0, len(x.recs))
+	for r := x.lru.prev; r != &x.lru; r = r.prev {
+		out = append(out, r)
 	}
 	return out
 }
 
-// len reports the tracked entry count.
-func (d *diskIndex) len() int { return len(d.entries) }
+func (x *index) len() int { return len(x.recs) }
+
+func (x *index) link(r *rec) {
+	r.prev, r.next = &x.lru, x.lru.next
+	r.next.prev = r
+	x.lru.next = r
+}
+
+func (x *index) unlink(r *rec) {
+	r.prev.next, r.next.prev = r.next, r.prev
+	r.prev, r.next = nil, nil
+}

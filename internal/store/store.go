@@ -6,21 +6,52 @@
 // Entries live in namespaced kinds ("search", "census-row", "job") and
 // are addressed by the SHA-256 of (kind, key) — keys are canonical
 // fingerprints or other deterministic identities, so the same
-// computation always lands in the same file regardless of which binary
-// performed it. Each entry is a versioned JSON envelope carrying the
-// kind, the full key and a SHA-256 checksum of the payload, so reads
-// verify both integrity and identity (a hash collision or a stray file
-// cannot serve the wrong result).
+// computation always lands at the same address regardless of which
+// binary performed it. Each entry is a versioned JSON envelope carrying
+// the kind, the full key and a SHA-256 checksum of the payload, so
+// reads verify both integrity and identity (a hash collision or a stray
+// record cannot serve the wrong result). The envelope is also the wire
+// form of the /v1/store peer routes (GetRaw, PutRaw).
 //
-// Crash safety: writes go to a temporary file in the entry's directory,
-// are fsynced, and are renamed into place — readers never observe a
-// partial entry. Open sweeps the store: leftover temp files from a
-// killed writer are deleted, and entries that fail to parse, whose
-// checksum does not match, or whose recorded identity does not match
-// their address are moved into a quarantine directory instead of being
-// served or silently deleted (Get does the same if an entry rots after
-// Open). A bounded in-memory LRU fronts the disk with hit/miss/eviction
-// counters.
+// Layout: DIR/packs/ holds append-only pack files, one per writing
+// Store, named by a 16-hex-digit sequence number; DIR/quarantine/ holds
+// what failed verification. A pack is a header and a run of frames
+// (pack.go has the byte layout). A record frame holds one envelope and
+// its address under a CRC-32C; a tombstone frame kills one earlier
+// record, naming it by pack and offset. A Store creates its pack on its
+// first write, not at Open, so a restart that only reads leaves no file
+// behind.
+//
+// Index: an in-memory map from address to (pack, offset, size) plus a
+// recency list. Open builds it by scanning every frame of every pack —
+// CRCs only, no JSON — in pack order: a later record of an address
+// replaces an earlier one, and a tombstoned record is dropped. A Get is
+// one pread of the indexed frame, which must pass its CRC, carry the
+// address asked for, and hold an envelope of the current version whose
+// kind, key and payload checksum match before it is served. A bounded
+// in-memory LRU front answers repeats without the pread.
+//
+// Crash safety: a pack is the recoverable log of its writer. Put
+// appends whole frames and syncs the pack before it returns, so an
+// acknowledged entry survives a crash. A writer can die at any byte:
+// Open then finds the last frame incomplete and truncates it, and
+// removes the temporary files of a pack that was never linked into
+// place (packs appear under their names only once their header, or a
+// compaction's whole output, is synced). A frame whose bytes do not
+// verify is copied into the quarantine directory — never served, never
+// silently destroyed — and the scan resumes at the next frame that
+// verifies; a frame that verifies but holds a wrong envelope (alien
+// version, identity that does not match its address) is quarantined by
+// the Get that reads it, and a tombstone keeps it dead across restarts.
+//
+// Sharing a directory: several Stores (in one process or many) may open
+// one directory. Each appends only to its own pack and holds that
+// pack's writer lock (flock) while it is open; the lock is how the
+// others tell a live writer's pack from the pack of one that has gone.
+// A Store sees what the others wrote as of its Open, and on a miss it
+// looks again: it indexes new packs and the new tails of live writers'
+// packs before reporting the miss. It only repairs (truncates) the
+// packs of writers that are gone.
 //
 // Tiering: the store is one tier of a fleet-wide cache. Backend is the
 // tier interface — *Store is the local on-disk tier, *Peer reads
@@ -29,56 +60,60 @@
 // or census shard workers share one content-addressed result pool and
 // a miss anywhere degrades to a recompute, never a failure.
 //
-// Budget: Options.BudgetBytes caps the bytes of entry files on disk.
-// The usage is counted at Open, maintained by every Put, and enforced
-// by size-aware LRU eviction — least-recently-used entries are deleted,
-// deterministically (recency order, ties at Open broken by mtime then
-// path). Compact is the offline+online compaction pass: it drops
-// quarantine debris, reconciles the index against the directory, and
-// re-applies the budget.
+// Budget: Options.BudgetBytes caps the envelope bytes of the live
+// records a Store may drop: its own and those of writers that are gone.
+// Records another live handle appended are served but are that
+// handle's to drop. Open enforces the budget on what it found, and
+// every Put keeps it by size-aware LRU eviction: least-recently-used
+// records are killed with tombstones, deterministically (recency order,
+// which Open seeds in pack order). Eviction, overwrites and quarantine
+// leave dead bytes in the packs; Compact reclaims them.
 //
-// Sharing a directory: two Stores may share one directory (writes are
-// atomic renames, reads verify), but each maintains only its own view
-// of the entry population — Stats.Entries can undercount files another
-// writer added until a read adopts them or Compact recounts. Budget
-// enforcement therefore assumes a single budgeted writer per directory;
-// run extra readers unbudgeted.
+// Compaction: Compact deletes the quarantine's files, rescans every
+// pack, and rewrites the live records of this Store's pack and of the
+// packs of writers that are gone into one fresh pack — in recency
+// order, so a restart keeps it — dropping dead, damaged and torn bytes
+// and re-applying the budget. It never drops or rewrites a record in a
+// pack another live handle holds. The fresh pack appears complete or
+// not at all; the old packs are unlinked after it, so a crash mid-pass
+// leaves duplicates that the next Open indexes once (and, with a
+// budget, evicts down again).
 //
 // Payloads must be JSON (they are embedded verbatim in the envelope);
 // Put compacts them, so logically equal payloads are byte-identical on
-// disk and re-putting an unchanged result is a no-op that never
-// rewrites the file — which keeps store-enabled runs byte-deterministic.
+// disk and re-putting an unchanged result is a no-op that writes
+// nothing — which keeps store-enabled runs byte-deterministic.
 package store
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"time"
+	"unicode/utf8"
 
 	"rcons/internal/lru"
 	"rcons/internal/obs"
 )
 
-// Version identifies the on-disk envelope schema; entries with another
+// Version identifies the envelope schema; records holding another
 // version are quarantined, not misread.
 const Version = 1
 
 const (
-	layoutDir     = "v1"
 	quarantineSub = "quarantine"
 	tmpMarker     = ".tmp"
 )
 
-// envelope is the on-disk form of one entry.
+// envelope is the stored form of one entry.
 type envelope struct {
 	Version  int             `json:"version"`
 	Kind     string          `json:"kind"`
@@ -92,87 +127,87 @@ type Options struct {
 	// CacheEntries bounds the in-memory LRU front; 0 means 1024,
 	// negative disables the front entirely (every Get reads disk).
 	CacheEntries int
-	// BudgetBytes caps the cumulative size of entry files under the
-	// store's data directory; 0 means unlimited. Open enforces it
-	// immediately (evicting least-recently-written entries of an
-	// oversized directory) and every Put maintains it by size-aware LRU
-	// eviction. A Put never evicts the entry it just wrote, so a single
-	// entry larger than the budget is kept rather than thrashed.
+	// BudgetBytes caps the envelope bytes of the live records this
+	// Store may evict (see the package doc); 0 means unlimited. Open
+	// enforces it immediately and every Put maintains it by size-aware
+	// LRU eviction. A Put never evicts the entry it just wrote, so a
+	// single entry larger than the budget is kept rather than thrashed.
 	BudgetBytes int64
 }
 
 // Stats reports a store's cumulative behavior. All counters are
 // monotone for the life of the process except Entries and Bytes, which
-// track the current valid entries this Store knows about on disk.
+// track the current live records this Store knows about.
 type Stats struct {
-	// Entries and Bytes count the valid entries (and their file bytes)
-	// in this Store's view of the directory: populated at Open,
-	// maintained by Put/eviction/quarantine, extended when a read
-	// adopts an entry another writer added, reconciled by Compact.
+	// Entries and Bytes count the live records (and their envelope
+	// bytes) in this Store's view of the directory: populated at Open,
+	// maintained by Put/eviction/quarantine, extended when a miss finds
+	// records another writer added, rebuilt by Compact.
 	Entries int64 `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 	// MemHits are Gets served by the LRU front; DiskHits read and
-	// verified a file; Misses found nothing.
+	// verified a record; Misses found nothing.
 	MemHits  int64 `json:"memHits"`
 	DiskHits int64 `json:"diskHits"`
 	Misses   int64 `json:"misses"`
 	// Puts wrote a new or changed entry; PutNoops skipped a write
-	// because an identical entry was already on disk.
+	// because an identical entry was already stored.
 	Puts     int64 `json:"puts"`
 	PutNoops int64 `json:"putNoops"`
 	// Evictions counts LRU-front entries dropped for the size bound;
-	// DiskEvictions counts entry files deleted to respect BudgetBytes.
+	// DiskEvictions counts records dropped to respect BudgetBytes.
 	Evictions     int64 `json:"evictions"`
 	DiskEvictions int64 `json:"diskEvictions"`
-	// Quarantined counts corrupt entries moved aside (at Open or Get).
+	// Quarantined counts damaged records, byte ranges and packs moved
+	// aside (at Open, Get or Compact).
 	Quarantined int64 `json:"quarantined"`
 	// Compactions counts completed Compact passes.
 	Compactions int64 `json:"compactions"`
 }
 
 // Store is a content-addressed result store rooted at one directory.
-// It is safe for concurrent use; two Stores may even share a directory
-// (writes are atomic renames), though they will not share an LRU front
-// and only one of them should enforce a byte budget (see the package
-// doc on sharing).
+// It is safe for concurrent use, and several Stores may share a
+// directory (see the package doc).
 type Store struct {
 	dir    string
+	packs  string // dir/packs
 	budget int64
 
-	mu    sync.Mutex
-	front *lru.Cache[string, []byte] // nil when the memory front is disabled
-	disk  *diskIndex
-	stats Stats
-
-	// writeLocks serialize the read-check-then-write sections per entry
-	// address (striped), so concurrent Puts of one key cannot both
-	// observe "absent" and double-count Entries, and a Get racing a Put
-	// on the same entry sees either the old or the new complete state.
+	// Lock order: a writeLocks stripe, then wmu, then rmu, then mu.
+	//
+	// writeLocks serialize the disk sections per address (striped): a
+	// Get's read and verification, a Put's check-then-append. Compact
+	// takes every stripe.
 	writeLocks [64]sync.Mutex
+	// wmu serializes appends to own and guards own.end.
+	wmu sync.Mutex
+	// rmu serializes scans of the directory and guards the end of
+	// every pack but own.
+	rmu sync.Mutex
+
+	mu    sync.Mutex
+	front *lru.Cache[[32]byte, []byte] // nil when the memory front is disabled
+	idx   *index
+	// dead holds the positions tombstones have killed.
+	dead map[pos]struct{}
+	// open holds every pack this Store has opened, by sequence number;
+	// own is the one it appends to (nil until its first write).
+	open  map[uint64]*pack
+	own   *pack
+	stats Stats
 }
 
 // writeLock returns the stripe guarding the given address.
-func (s *Store) writeLock(a string) *sync.Mutex {
-	// a is hex (lowercase); fold the first two characters into 0..63.
-	return &s.writeLocks[(hexVal(a[0])<<4|hexVal(a[1]))%64]
-}
+func (s *Store) writeLock(a *[32]byte) *sync.Mutex { return &s.writeLocks[a[0]%64] }
 
-func hexVal(c byte) int {
-	if c >= 'a' {
-		return int(c-'a') + 10
-	}
-	return int(c - '0')
-}
-
-// Open initializes dir (creating it if needed), deletes temp files left
-// by writers that died mid-write, and verifies every entry — parse
-// failures, checksum mismatches and alien versions are moved to
-// dir/quarantine rather than served later. The scan makes Open O(store
-// size); the stores this repository writes hold small JSON results, so
-// the integrity pass is cheap relative to recomputing even one of them.
+// Open initializes dir (creating it if needed) and indexes every pack in
+// it. Packs whose writers are gone are repaired: a torn tail is
+// truncated, a damaged one quarantined, and temporary files of packs
+// that were never linked into place are deleted. Damaged frames inside
+// any pack are quarantined and skipped. Open reads each pack once and
+// checks one CRC per frame, so it is O(store size) but parses no JSON.
 // With a budget, Open finishes by evicting least-recently-written
-// entries (ties broken by path, so recovery is deterministic) until the
-// directory fits — the offline half of compaction.
+// records until the store fits.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -180,171 +215,348 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.BudgetBytes < 0 {
 		return nil, fmt.Errorf("store: negative budget %d", opts.BudgetBytes)
 	}
-	for _, sub := range []string{layoutDir, quarantineSub} {
+	for _, sub := range []string{packsSub, quarantineSub} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: init %s: %w", dir, err)
 		}
 	}
-	s := &Store{dir: dir, budget: opts.BudgetBytes, disk: newDiskIndex()}
+	s := &Store{
+		dir: dir, packs: filepath.Join(dir, packsSub), budget: opts.BudgetBytes,
+		idx: newIndex(), dead: map[pos]struct{}{}, open: map[uint64]*pack{},
+	}
 	switch {
 	case opts.CacheEntries == 0:
-		s.front = lru.New[string, []byte](1024)
+		s.front = lru.New[[32]byte, []byte](1024)
 	case opts.CacheEntries > 0:
-		s.front = lru.New[string, []byte](opts.CacheEntries)
+		s.front = lru.New[[32]byte, []byte](opts.CacheEntries)
 	}
-	if err := s.sweep(); err != nil {
+	if err := s.refresh(true); err != nil {
+		s.Close()
 		return nil, err
 	}
-	s.mu.Lock()
-	s.enforceBudgetLocked("")
-	s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.evictLocked(nil, nil); err != nil {
+		s.Close()
+		return nil, err
+	}
 	return s, nil
 }
 
-// sweep is Open's integrity pass over dir/v1: it removes temp debris,
-// quarantines entries that fail verification, and seeds the disk index
-// in deterministic recency order (mtime, then path).
-func (s *Store) sweep() error {
-	root := filepath.Join(s.dir, layoutDir)
-	type swept struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var found []swept
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			// A concurrently-opened store may have swept a file first.
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return fmt.Errorf("store: sweep %s: %w", path, err)
-		}
-		if d.IsDir() {
-			return nil
-		}
-		if strings.Contains(d.Name(), tmpMarker) {
-			// A writer died between create and rename; the entry it was
-			// replacing (if any) is still intact under the final name.
-			if rerr := os.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
-				return fmt.Errorf("store: remove stale temp %s: %w", path, rerr)
-			}
-			return nil
-		}
-		_, raw, ok := readEnvelope(path)
-		if !ok {
-			s.quarantine(path)
-			return nil
-		}
-		var mtime time.Time
-		if info, ierr := d.Info(); ierr == nil {
-			mtime = info.ModTime()
-		}
-		found = append(found, swept{path: path, size: int64(len(raw)), mtime: mtime})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sort.Slice(found, func(i, j int) bool {
-		if !found[i].mtime.Equal(found[j].mtime) {
-			return found[i].mtime.Before(found[j].mtime)
-		}
-		return found[i].path < found[j].path
-	})
+// Close releases the Store's files and its pack's writer lock, after
+// which other handles may repair, absorb and evict what it wrote. A
+// closed Store must not be used.
+func (s *Store) Close() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
-	for _, f := range found {
-		s.disk.put(f.path, f.size) // oldest first ⇒ newest ends up MRU
+	defer s.mu.Unlock()
+	var first error
+	for _, p := range s.open {
+		if err := p.f.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	s.stats.Entries = int64(s.disk.len())
-	s.stats.Bytes = s.disk.bytes
-	s.mu.Unlock()
+	s.open, s.own = map[uint64]*pack{}, nil
+	return first
+}
+
+// refresh indexes what the directory holds beyond this Store's view:
+// packs it has not opened, and the new tails of packs whose writers
+// were live when it last looked. With repair (at Open) it also deletes
+// dead writers' temporary files and cuts torn or damaged tails off
+// their packs; without, it changes no pack.
+func (s *Store) refresh(repair bool) error {
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	names, err := os.ReadDir(s.packs)
+	if err != nil {
+		return fmt.Errorf("store: list %s: %w", s.packs, err)
+	}
+	for _, d := range names { // sorted by name, so by sequence number
+		name := d.Name()
+		if strings.Contains(name, tmpMarker) {
+			if repair {
+				removeDebris(filepath.Join(s.packs, name))
+			}
+			continue
+		}
+		seq, ok := parsePackName(name)
+		if !ok {
+			continue
+		}
+		s.mu.Lock()
+		p := s.open[seq]
+		s.mu.Unlock()
+		switch {
+		case p == nil:
+			if err := s.openPack(seq, repair); err != nil {
+				return err
+			}
+		case p.held:
+			if err := s.loadTail(p, false); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
-// quarantine moves a corrupt entry into dir/quarantine and reports
-// whether this call actually moved it. The destination name is the
-// entry's base name plus, when that name is already taken, a numeric
-// suffix — successive corruptions of one entry are all preserved, never
-// silently overwritten. Failures (including the file vanishing under a
-// concurrent store) are not errors: quarantine is best-effort
-// containment, and the entry is treated as absent either way.
-func (s *Store) quarantine(path string) bool {
-	base := filepath.Base(path)
+// openPack opens and indexes the pack with sequence number seq. A pack
+// whose writer lock is free belongs to a writer that is gone; with
+// repair, a bad header sends it whole to quarantine and its tail is
+// repaired.
+func (s *Store) openPack(seq uint64, repair bool) error {
+	path := filepath.Join(s.packs, packName(seq))
+	f, err := os.Open(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil // compacted away by another handle meanwhile
+		}
+		return fmt.Errorf("store: open pack: %w", err)
+	}
+	p := &pack{seq: seq, path: path, f: f}
+	gone := tryLock(f)
+	p.held = !gone
+	if gone {
+		defer unlock(f)
+	}
+	head := make([]byte, packHeader)
+	if n, _ := f.ReadAt(head, 0); !readableHeader(head[:n]) {
+		// Not a pack this version can read: a future version's, or one
+		// damaged in its header. Only a pack whose writer is gone is
+		// moved aside.
+		if gone && repair && s.quarantineFile(path, filepath.Base(path)) {
+			s.count(func(st *Stats) { st.Quarantined++ })
+		}
+		f.Close()
+		return nil
+	}
+	p.end = packHeader
+	s.mu.Lock()
+	s.open[seq] = p
+	s.mu.Unlock()
+	return s.loadTail(p, gone && repair)
+}
+
+// loadTail indexes the frames of p from p.end to the end of the file.
+// Damaged byte ranges followed by a good frame are quarantined and
+// skipped. Where verified frames end short of the file, repair (for a
+// pack whose writer is gone) quarantines a damaged tail and truncates
+// the pack there; otherwise the tail is left for a later look, since
+// its writer may be mid-append. Callers hold rmu (or Compact's locks).
+func (s *Store) loadTail(p *pack, repair bool) error {
+	data, err := readFrom(p.f, p.end)
+	if err != nil {
+		return fmt.Errorf("store: read pack %s: %w", p.path, err)
+	}
+	base := p.end
+	s.mu.Lock()
+	res := scanFrames(data, base, func(fr frame) { applyFrame(s.idx, s.dead, p, fr) })
+	p.end = res.stop
+	s.mu.Unlock()
+	for _, d := range res.damaged {
+		s.saveCorpse(p, d[0], data[d[0]-base:d[1]-base])
+	}
+	if repair && res.stop < base+int64(len(data)) {
+		if res.tailDamaged {
+			s.saveCorpse(p, res.stop, data[res.stop-base:])
+		}
+		if err := os.Truncate(p.path, res.stop); err != nil {
+			return fmt.Errorf("store: truncate torn pack %s: %w", p.path, err)
+		}
+	}
+	return nil
+}
+
+// applyFrame applies one of p's verified frames to an index and its set
+// of killed positions; a pack's frames are applied in order. A record
+// replaces an older record of its address unless a tombstone killed it,
+// and a tombstone kills its target.
+func applyFrame(x *index, dead map[pos]struct{}, p *pack, fr frame) {
+	switch fr.typ {
+	case typeRecord:
+		at := pos{p.seq, fr.off}
+		if _, killed := dead[at]; killed {
+			return
+		}
+		if old := x.get(fr.addr); old != nil && old.at().after(at) {
+			return
+		}
+		x.put(&rec{addr: fr.addr, p: p, off: fr.off, size: int64(len(fr.body))})
+	case typeTombstone:
+		at, ok := tombstoneTarget(fr.body)
+		if !ok {
+			return
+		}
+		dead[at] = struct{}{}
+		if r := x.get(fr.addr); r != nil && r.at() == at {
+			x.remove(r)
+		}
+	}
+}
+
+// removeDebris deletes a temporary pack file unless a live writer holds
+// it (it is about to link it into place).
+func removeDebris(path string) {
+	f, err := os.Open(path)
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	if tryLock(f) || !lockSupported {
+		os.Remove(path)
+	}
+}
+
+// saveCorpse copies damaged bytes found at (p, off) into the quarantine
+// directory, named after their position, and counts them once: finding
+// the same damage again (the next Open scans the same pack) neither
+// re-copies nor re-counts it. Quarantine is best-effort containment;
+// the bytes are never served either way.
+func (s *Store) saveCorpse(p *pack, off int64, b []byte) {
+	path := filepath.Join(s.dir, quarantineSub, fmt.Sprintf("%s@%d", filepath.Base(p.path), off))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return
+	}
+	_, werr := f.Write(b)
+	if cerr := f.Close(); werr != nil || cerr != nil {
+		os.Remove(path)
+		return
+	}
+	s.count(func(st *Stats) { st.Quarantined++ })
+}
+
+// quarantineFile moves path into the quarantine directory under name,
+// adding a numeric suffix when that name is taken, so successive
+// corpses are all kept.
+func (s *Store) quarantineFile(path, name string) bool {
 	for n := 0; n < 10000; n++ {
-		name := base
-		if n > 0 {
-			name = fmt.Sprintf("%s.%d", base, n)
-		}
 		dest := filepath.Join(s.dir, quarantineSub, name)
+		if n > 0 {
+			dest = fmt.Sprintf("%s.%d", dest, n)
+		}
 		if _, err := os.Lstat(dest); err == nil {
-			continue // taken by an earlier corpse; keep both
+			continue
 		}
-		if os.Rename(path, dest) == nil {
-			s.mu.Lock()
-			s.stats.Quarantined++
-			s.mu.Unlock()
-			return true
-		}
-		if _, err := os.Lstat(path); err != nil {
-			return false // source vanished under a concurrent store
-		}
+		return os.Rename(path, dest) == nil
 	}
 	return false
 }
 
-// dropTrackedLocked removes path from the disk index after a
-// quarantine or eviction. Untracked paths (written by another store
-// sharing the directory, never adopted by this one) leave the counters
-// alone — Compact reconciles any residual drift.
-func (s *Store) dropTrackedLocked(path string) {
-	if size, ok := s.disk.remove(path); ok {
-		s.stats.Bytes -= size
-		s.stats.Entries--
-	}
+func (s *Store) count(f func(*Stats)) {
+	s.mu.Lock()
+	f(&s.stats)
+	s.mu.Unlock()
 }
 
-// dropIfVanishedLocked drops a tracked path whose file is gone from
-// disk. Used when a misplaced entry reveals its true identity: the
-// envelope found at the wrong address names the home path it was moved
-// away from, whose index entry is now stale.
-func (s *Store) dropIfVanishedLocked(path string) {
-	if !s.disk.has(path) {
-		return
-	}
-	if _, err := os.Lstat(path); err != nil {
-		s.dropTrackedLocked(path)
-	}
-}
-
-// adoptLocked records path as a valid entry of the given size, as the
-// most recently used; newly seen paths extend Entries/Bytes.
-func (s *Store) adoptLocked(path string, size int64) {
-	delta, inserted := s.disk.put(path, size)
-	s.stats.Bytes += delta
-	if inserted {
-		s.stats.Entries++
-	}
-}
-
-// enforceBudgetLocked deletes least-recently-used entries until Bytes
-// fits the budget. protect (usually the path a Put just wrote) is never
-// evicted. Each eviction is one atomic unlink, so a crash mid-pass
-// leaves a valid store that the next Open finishes compacting.
-func (s *Store) enforceBudgetLocked(protect string) {
-	for s.budget > 0 && s.stats.Bytes > s.budget {
-		path, size, ok := s.disk.victim()
-		if !ok || path == protect {
-			return
+// appendLocked writes whole frames at the end of the Store's pack,
+// creating the pack on the first write, and syncs it. It returns the
+// pack and the offset of buf's first frame. Callers hold wmu.
+func (s *Store) appendLocked(buf []byte) (*pack, int64, error) {
+	if p := s.own; p != nil {
+		off := p.end
+		if _, err := p.f.WriteAt(buf, off); err != nil {
+			_ = p.f.Truncate(off)
+			return nil, 0, err
 		}
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return // unwritable directory; better over budget than spinning
+		if err := p.f.Sync(); err != nil {
+			return nil, 0, err
 		}
-		s.disk.remove(path)
-		s.stats.Bytes -= size
-		s.stats.Entries--
-		s.stats.DiskEvictions++
+		p.end += int64(len(buf))
+		return p, off, nil
 	}
+	p, err := createPack(s.packs, s.nextSeq(), buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.mu.Lock()
+	s.own, s.open[p.seq] = p, p
+	s.mu.Unlock()
+	return p, packHeader, nil
+}
+
+// nextSeq returns a sequence number above every pack in the directory
+// and every pack this Store has open.
+func (s *Store) nextSeq() uint64 {
+	var next uint64
+	if names, err := os.ReadDir(s.packs); err == nil {
+		for _, d := range names {
+			if seq, ok := parsePackName(d.Name()); ok && seq >= next {
+				next = seq + 1
+			}
+		}
+	}
+	s.mu.Lock()
+	for seq := range s.open {
+		next = max(next, seq+1)
+	}
+	s.mu.Unlock()
+	return next
+}
+
+// evictLocked keeps the budget: it chooses least-recently-used
+// evictable records until the evictable bytes fit, appends their
+// tombstones after prefix in one write, and drops them from the index.
+// For a Put, prefix is the new record's frame and put its index entry
+// (positioned here once written): its size counts toward the budget, it
+// is never a victim, and the record it replaces gets a tombstone too.
+// Callers hold wmu; the victims' stripes are not held, so a concurrent
+// Get may still serve a victim it had already found.
+func (s *Store) evictLocked(prefix []byte, put *rec) error {
+	s.mu.Lock()
+	need := s.idx.listedBytes - s.budget
+	var old *rec
+	if put != nil {
+		need += put.size
+		if old = s.idx.get(put.addr); old != nil && old.listed {
+			need -= old.size
+		}
+	}
+	var victims []*rec
+	if s.budget > 0 {
+		for r := s.idx.lru.prev; need > 0 && r != &s.idx.lru; r = r.prev {
+			if r != old {
+				victims = append(victims, r)
+				need -= r.size
+			}
+		}
+	}
+	s.mu.Unlock()
+
+	buf := prefix
+	if old != nil {
+		buf = appendTombstone(buf, old) // the overwritten record stays dead
+	}
+	for _, v := range victims {
+		buf = appendTombstone(buf, v)
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	p, off, err := s.appendLocked(buf)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if put != nil {
+		put.p, put.off = p, off
+		s.idx.put(put)
+		s.stats.Puts++
+	}
+	if old != nil {
+		s.dead[old.at()] = struct{}{}
+	}
+	for _, v := range victims {
+		s.dead[v.at()] = struct{}{}
+		if s.idx.get(v.addr) == v {
+			s.idx.remove(v)
+			s.stats.DiskEvictions++
+		}
+	}
+	return nil
 }
 
 // Addr derives the content address of (kind, key) — what the /v1/store
@@ -352,26 +564,24 @@ func (s *Store) enforceBudgetLocked(protect string) {
 // those routes can build URLs without re-implementing the hash.
 func Addr(kind, key string) string { return addr(kind, key) }
 
-// addr derives the content address of (kind, key): a SHA-256 over both,
-// hex-encoded. The kind is also a directory level and the first address
-// byte a fan-out level, keeping directories small.
+// addr is the hex form of rawAddr.
 func addr(kind, key string) string {
-	h := sha256.New()
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	return hex.EncodeToString(h.Sum(nil))
+	a := rawAddr(kind, key)
+	return hex.EncodeToString(a[:])
 }
 
-func (s *Store) entryPath(kind, key string) (string, error) {
-	if !validKind(kind) {
-		return "", fmt.Errorf("store: invalid kind %q (want lowercase [a-z0-9-])", kind)
-	}
-	a := addr(kind, key)
-	return filepath.Join(s.dir, layoutDir, kind, a[:2], a+".json"), nil
+// rawAddr derives the content address of (kind, key): a SHA-256 over
+// both. It keys the index and stands in every record's frame.
+func rawAddr(kind, key string) [32]byte {
+	var buf [256]byte
+	return sha256.Sum256(append(append(append(buf[:0], kind...), 0), key...))
 }
 
-// validKind keeps kinds usable as directory names on every platform.
+func errKind(kind string) error {
+	return fmt.Errorf("store: invalid kind %q (want lowercase [a-z0-9-])", kind)
+}
+
+// validKind keeps kinds printable and usable as URL path elements.
 func validKind(kind string) bool {
 	if kind == "" {
 		return false
@@ -385,19 +595,15 @@ func validKind(kind string) bool {
 	return true
 }
 
-// validAddr accepts exactly the addresses addr produces: 64 lowercase
+// parseAddr accepts exactly the addresses Addr produces: 64 lowercase
 // hex characters.
-func validAddr(a string) bool {
-	if len(a) != 64 {
-		return false
+func parseAddr(s string) ([32]byte, bool) {
+	var a [32]byte
+	if len(s) != 64 || strings.ToLower(s) != s {
+		return a, false
 	}
-	for i := 0; i < len(a); i++ {
-		c := a[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	_, err := hex.Decode(a[:], []byte(s))
+	return a, err == nil
 }
 
 func checksum(payload []byte) string {
@@ -407,10 +613,10 @@ func checksum(payload []byte) string {
 
 // encodeEnvelope canonicalizes payload (which must be JSON) and wraps
 // it in a versioned, checksummed envelope — the exact bytes Store.Put
-// writes and Peer.Put ships, so every tier produces identical files.
+// stores and Peer.Put ships, so every tier holds identical records.
 func encodeEnvelope(kind, key string, payload []byte) (data []byte, env envelope, err error) {
 	if !validKind(kind) {
-		return nil, env, fmt.Errorf("store: invalid kind %q (want lowercase [a-z0-9-])", kind)
+		return nil, env, errKind(kind)
 	}
 	var compact json.RawMessage
 	if err := json.Unmarshal(payload, &compact); err != nil {
@@ -428,25 +634,144 @@ func encodeEnvelope(kind, key string, payload []byte) (data []byte, env envelope
 	return data, env, nil
 }
 
-// readEnvelope loads and fully verifies one entry file, returning the
-// parsed envelope and the raw file bytes.
-func readEnvelope(path string) (*envelope, []byte, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+// decodeEnvelope parses and verifies envelope bytes: the current
+// version and a payload matching its checksum. Identity is the caller's
+// to check. Envelopes in the exact form encodeEnvelope writes skip the
+// reflective JSON decoder; anything else goes through it.
+func decodeEnvelope(data []byte) (envelope, error) {
+	env, ok := decodeCanonical(data)
+	if !ok {
+		if err := json.Unmarshal(data, &env); err != nil {
+			return env, fmt.Errorf("store: not an envelope: %w", err)
+		}
+	}
+	if env.Version != Version {
+		return env, fmt.Errorf("store: envelope has version %d, want %d", env.Version, Version)
+	}
+	if !sumMatches(env.Checksum, env.Payload) {
+		return env, fmt.Errorf("store: envelope checksum mismatch for %s/%s", env.Kind, env.Key)
+	}
+	return env, nil
+}
+
+// decodeCanonical parses an envelope laid out exactly as encodeEnvelope
+// lays it out — version 1, then kind, key, checksum and payload, with
+// strings that need no unescaping. The payload is a sub-slice of data;
+// the checksum vouches for it. ok is false for any other layout.
+func decodeCanonical(data []byte) (env envelope, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"version":1,"kind":"`))
+	var kind, key, sum []byte
+	if ok {
+		kind, rest, ok = cutPlainString(rest)
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(`,"key":"`))
+	}
+	if ok {
+		key, rest, ok = cutPlainString(rest)
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(`,"checksum":"`))
+	}
+	if ok {
+		sum, rest, ok = cutPlainString(rest)
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(`,"payload":`))
+	}
+	if !ok || len(rest) < 2 || rest[len(rest)-1] != '}' {
+		return envelope{}, false
+	}
+	return envelope{Version: Version, Kind: string(kind), Key: string(key), Checksum: string(sum), Payload: rest[:len(rest)-1]}, true
+}
+
+// cutPlainString splits b after the JSON string body it starts with,
+// provided decoding that string would not change its bytes: no escapes,
+// no control characters, valid UTF-8.
+func cutPlainString(b []byte) (s, rest []byte, ok bool) {
+	i := bytes.IndexByte(b, '"')
+	if i < 0 {
 		return nil, nil, false
 	}
-	var env envelope
-	if json.Unmarshal(data, &env) != nil {
-		return nil, nil, false
+	for _, c := range b[:i] {
+		if c < 0x20 || c == '\\' {
+			return nil, nil, false
+		}
 	}
-	if env.Version != Version || env.Checksum != checksum(env.Payload) {
-		return nil, nil, false
+	return b[:i], b[i+1:], utf8.Valid(b[:i])
+}
+
+// sumMatches reports whether sum is checksum(payload), without building
+// the string.
+func sumMatches(sum string, payload []byte) bool {
+	digest := sha256.Sum256(payload)
+	var want [64]byte
+	hex.Encode(want[:], digest[:])
+	h, ok := strings.CutPrefix(sum, "sha256:")
+	return ok && h == string(want[:])
+}
+
+// read returns the verified envelope stored at address a, and its raw
+// bytes; ok is false when there is none. A miss in the index sends the
+// Store looking for what other writers appended. A record that fails
+// verification — its frame, its address, its envelope, or match, the
+// caller's identity check — is quarantined and reported absent.
+func (s *Store) read(a *[32]byte, match func(*envelope) bool) (*rec, envelope, []byte, bool, error) {
+	wl := s.writeLock(a)
+	wl.Lock()
+	defer wl.Unlock()
+	s.mu.Lock()
+	r := s.idx.get(*a)
+	s.mu.Unlock()
+	if r == nil {
+		if err := s.refresh(false); err != nil {
+			return nil, envelope{}, nil, false, err
+		}
+		s.mu.Lock()
+		r = s.idx.get(*a)
+		s.mu.Unlock()
+		if r == nil {
+			return nil, envelope{}, nil, false, nil
+		}
 	}
-	return &env, data, true
+	buf := make([]byte, frameHeader+r.size)
+	if _, err := r.p.f.ReadAt(buf, r.off); err != nil {
+		// The frame is gone from under the index (the pack shrank or
+		// vanished): forget it and recompute.
+		s.mu.Lock()
+		s.idx.remove(r)
+		s.mu.Unlock()
+		return nil, envelope{}, nil, false, nil
+	}
+	fr, n, ok, _ := parseFrame(buf)
+	if ok && n == len(buf) && fr.typ == typeRecord && fr.addr == *a {
+		if env, err := decodeEnvelope(fr.body); err == nil && match(&env) {
+			return r, env, fr.body, true, nil
+		}
+	}
+	s.quarantineRec(r, buf)
+	return nil, envelope{}, nil, false, nil
+}
+
+// quarantineRec moves the record r aside after a read failed to verify
+// it: its frame bytes go to the quarantine directory, a tombstone keeps
+// it dead across restarts, and the index forgets it. Callers hold r's
+// stripe.
+func (s *Store) quarantineRec(r *rec, frameBytes []byte) {
+	s.saveCorpse(r.p, r.off, frameBytes)
+	s.wmu.Lock()
+	_, _, err := s.appendLocked(appendTombstone(nil, r))
+	s.wmu.Unlock()
+	s.mu.Lock()
+	if err == nil {
+		s.dead[r.at()] = struct{}{}
+	}
+	s.idx.remove(r)
+	s.mu.Unlock()
 }
 
 // Get returns the payload stored under (kind, key). ok is false when no
-// (valid) entry exists; a corrupt or misplaced entry is quarantined and
+// (valid) entry exists; a corrupt or misplaced record is quarantined and
 // reported as absent, never as an error — the caller recomputes and Put
 // heals the store. The context only feeds tracing (local I/O is never
 // cancelled mid-entry): a traced request gets a "store.local" span
@@ -455,214 +780,146 @@ func readEnvelope(path string) (*envelope, []byte, bool) {
 func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error) {
 	_, span := obs.StartSpan(ctx, "store.local")
 	defer span.End()
-	path, err := s.entryPath(kind, key)
-	if err != nil {
+	if !validKind(kind) {
 		span.MarkError()
-		return nil, false, err
+		return nil, false, errKind(kind)
 	}
-	ck := kind + "\x00" + key
-	s.mu.Lock()
+	a := rawAddr(kind, key)
 	if s.front != nil {
-		if payload, ok := s.front.Get(ck); ok {
+		s.mu.Lock()
+		if payload, ok := s.front.Get(a); ok {
 			s.stats.MemHits++
-			s.disk.touch(path) // keep disk recency in step with the front
+			if r := s.idx.get(a); r != nil {
+				s.idx.touch(r) // keep disk recency in step with the front
+			}
 			s.mu.Unlock()
 			span.SetAttr("tier", "mem")
 			return append([]byte(nil), payload...), true, nil
 		}
-	}
-	s.mu.Unlock()
-
-	wl := s.writeLock(addr(kind, key))
-	wl.Lock()
-	env, raw, ok := readEnvelope(path)
-	if ok && (env.Kind != kind || env.Key != key) {
-		// Address collision or a file moved by hand: identity must match.
-		// Quarantine it like any other corruption — leaving it in place
-		// would make every future Get re-read and re-miss it forever.
-		home, herr := s.entryPath(env.Kind, env.Key)
-		ok = false
-		if s.quarantine(path) {
-			s.mu.Lock()
-			s.dropTrackedLocked(path)
-			if herr == nil && home != path {
-				s.dropIfVanishedLocked(home)
-			}
-			s.mu.Unlock()
-		}
-	} else if !ok {
-		if _, serr := os.Lstat(path); serr == nil && s.quarantine(path) {
-			// The file exists but does not verify: corrupt entry.
-			s.mu.Lock()
-			s.dropTrackedLocked(path)
-			s.mu.Unlock()
-		}
-	}
-	wl.Unlock()
-	if !ok {
-		s.mu.Lock()
-		s.stats.Misses++
 		s.mu.Unlock()
+	}
+	r, env, _, ok, err := s.read(&a, func(env *envelope) bool { return env.Kind == kind && env.Key == key })
+	if err != nil {
+		span.MarkError()
+		return nil, false, err
+	}
+	if !ok {
+		s.count(func(st *Stats) { st.Misses++ })
 		span.SetAttr("tier", "miss")
 		return nil, false, nil
 	}
 	s.mu.Lock()
 	s.stats.DiskHits++
-	s.adoptLocked(path, int64(len(raw)))
-	s.rememberLocked(ck, env.Payload)
+	s.idx.touch(r)
+	s.rememberLocked(a, env.Payload)
 	s.mu.Unlock()
 	span.SetAttr("tier", "disk")
-	return append([]byte(nil), env.Payload...), true, nil
+	return env.Payload, true, nil
 }
 
 // GetRaw returns the verified raw envelope bytes stored at (kind,
 // address) — the wire form the /v1/store peer routes serve, so a
 // receiving replica can re-verify checksum and identity itself. Like
-// Get, a corrupt or misplaced entry is quarantined and reported absent.
+// Get, a corrupt or misplaced record is quarantined and reported absent.
 func (s *Store) GetRaw(kind, address string) ([]byte, bool, error) {
 	if !validKind(kind) {
-		return nil, false, fmt.Errorf("store: invalid kind %q (want lowercase [a-z0-9-])", kind)
+		return nil, false, errKind(kind)
 	}
-	if !validAddr(address) {
+	a, ok := parseAddr(address)
+	if !ok {
 		return nil, false, fmt.Errorf("store: invalid address %q (want 64 lowercase hex)", address)
 	}
-	path := filepath.Join(s.dir, layoutDir, kind, address[:2], address+".json")
-	wl := s.writeLock(address)
-	wl.Lock()
-	env, raw, ok := readEnvelope(path)
-	if ok && (env.Kind != kind || addr(env.Kind, env.Key) != address) {
-		home, herr := s.entryPath(env.Kind, env.Key)
-		ok = false
-		if s.quarantine(path) {
-			s.mu.Lock()
-			s.dropTrackedLocked(path)
-			if herr == nil && home != path {
-				s.dropIfVanishedLocked(home)
-			}
-			s.mu.Unlock()
-		}
-	} else if !ok {
-		if _, serr := os.Lstat(path); serr == nil && s.quarantine(path) {
-			s.mu.Lock()
-			s.dropTrackedLocked(path)
-			s.mu.Unlock()
-		}
+	r, env, raw, ok, err := s.read(&a, func(env *envelope) bool { return rawAddr(env.Kind, env.Key) == a })
+	if err != nil {
+		return nil, false, err
 	}
-	wl.Unlock()
-	if !ok {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
+	if !ok || env.Kind != kind { // a sound record of another kind is no hit
+		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false, nil
 	}
 	s.mu.Lock()
 	s.stats.DiskHits++
-	s.adoptLocked(path, int64(len(raw)))
+	s.idx.touch(r)
 	s.mu.Unlock()
 	return raw, true, nil
 }
 
-// Put stores payload (which must be valid JSON) under (kind, key),
-// atomically: a reader — or a crash — can only ever observe the old
-// complete entry or the new complete entry. Re-putting a byte-identical
-// payload is a no-op. With a budget, Put evicts least-recently-used
-// entries (never the one it just wrote) until the store fits. Like
-// Get, the context is tracing-only; local writes always complete.
+// Put stores payload (which must be valid JSON) under (kind, key): it
+// builds the envelope, appends it as one frame and syncs the pack, so a
+// crash keeps either the old entry or the new one. Re-putting a
+// byte-identical payload is a no-op. With a budget, Put evicts
+// least-recently-used records (never the one it just wrote) until the
+// store fits, in the same write. Like Get, the context is tracing-only;
+// local writes always complete.
 func (s *Store) Put(_ context.Context, kind, key string, payload []byte) error {
-	path, err := s.entryPath(kind, key)
-	if err != nil {
-		return err
-	}
+	return s.put(rawAddr(kind, key), kind, key, payload)
+}
+
+// put is Put with the address of (kind, key) already derived.
+func (s *Store) put(a [32]byte, kind, key string, payload []byte) error {
 	data, env, err := encodeEnvelope(kind, key, payload)
 	if err != nil {
 		return err
 	}
-
-	wl := s.writeLock(addr(kind, key))
+	if uint64(len(data)) > 1<<32-1 {
+		return fmt.Errorf("store: entry %s/%s is %d bytes, over a frame's 4 GiB", kind, key, len(data))
+	}
+	wl := s.writeLock(&a)
 	wl.Lock()
 	defer wl.Unlock()
-	if old, oldRaw, ok := readEnvelope(path); ok {
-		if old.Kind == kind && old.Key == key && old.Checksum == env.Checksum {
-			s.mu.Lock()
+	s.mu.Lock()
+	old := s.idx.get(a)
+	s.mu.Unlock()
+	if old != nil && old.size == int64(len(data)) && s.holds(old, data) {
+		s.mu.Lock()
+		if s.idx.get(a) == old { // not evicted meanwhile
 			s.stats.PutNoops++
-			s.adoptLocked(path, int64(len(oldRaw)))
-			s.rememberLocked(kind+"\x00"+key, env.Payload)
+			s.idx.touch(old)
+			s.rememberLocked(a, env.Payload)
 			s.mu.Unlock()
 			return nil
 		}
+		s.mu.Unlock()
 	}
-	if err := writeAtomic(path, data); err != nil {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	r := &rec{addr: a, size: int64(len(data))}
+	if err := s.evictLocked(appendFrame(nil, typeRecord, &a, data), r); err != nil {
 		return fmt.Errorf("store: write %s/%s: %w", kind, key, err)
 	}
 	s.mu.Lock()
-	s.stats.Puts++
-	s.adoptLocked(path, int64(len(data)))
-	s.rememberLocked(kind+"\x00"+key, env.Payload)
-	s.enforceBudgetLocked(path)
+	s.rememberLocked(a, env.Payload)
 	s.mu.Unlock()
 	return nil
+}
+
+// holds reports whether the record r stores exactly the envelope data.
+func (s *Store) holds(r *rec, data []byte) bool {
+	buf := make([]byte, r.size)
+	if _, err := r.p.f.ReadAt(buf, r.off+frameHeader); err != nil {
+		return false
+	}
+	return bytes.Equal(buf, data)
 }
 
 // PutRaw verifies raw envelope bytes received from a peer (version,
 // kind, payload checksum, and — when addrHint is non-empty — that the
 // envelope's identity hashes to the address it was sent for) and stores
 // the payload under its recorded identity via the normal Put path, so
-// the file on disk is byte-identical to a locally computed one.
+// the stored record is byte-identical to a locally computed one.
 func (s *Store) PutRaw(kind, addrHint string, data []byte) error {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("store: raw entry is not an envelope: %w", err)
-	}
-	if env.Version != Version {
-		return fmt.Errorf("store: raw entry has version %d, want %d", env.Version, Version)
+	env, err := decodeEnvelope(data)
+	if err != nil {
+		return err
 	}
 	if env.Kind != kind {
 		return fmt.Errorf("store: raw entry kind %q does not match route kind %q", env.Kind, kind)
 	}
-	if env.Checksum != checksum(env.Payload) {
-		return fmt.Errorf("store: raw entry checksum mismatch for %s/%s", env.Kind, env.Key)
+	a := rawAddr(env.Kind, env.Key)
+	if hexAddr := hex.EncodeToString(a[:]); addrHint != "" && hexAddr != addrHint {
+		return fmt.Errorf("store: raw entry identity hashes to %s, not %s", hexAddr, addrHint)
 	}
-	if a := addr(env.Kind, env.Key); addrHint != "" && a != addrHint {
-		return fmt.Errorf("store: raw entry identity hashes to %s, not %s", a, addrHint)
-	}
-	return s.Put(context.Background(), env.Kind, env.Key, env.Payload)
-}
-
-// writeAtomic writes data next to path and renames it into place. The
-// temp name embeds tmpMarker so Open's sweep recognizes debris from a
-// crashed writer.
-func writeAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tmpMarker+"*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	// fsync before rename: on a crash the renamed entry must never be
-	// an empty or partial file (the checksum would catch it, but a
-	// verified write keeps the store warm across power loss too).
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return s.put(a, env.Kind, env.Key, env.Payload)
 }
 
 // Dir returns the store's root directory.
@@ -679,6 +936,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
+	st.Entries, st.Bytes = int64(s.idx.len()), s.idx.bytes
 	if s.front != nil {
 		st.Evictions = s.front.Evictions()
 	}
@@ -686,10 +944,10 @@ func (s *Store) Stats() Stats {
 }
 
 // rememberLocked caches a private copy of payload in the memory front
-// (when enabled) under the front key ck, so later caller mutations of
-// either slice cannot reach the cache. Callers hold s.mu.
-func (s *Store) rememberLocked(ck string, payload []byte) {
+// (when enabled) under address a, so later caller mutations of either
+// slice cannot reach the cache. Callers hold s.mu.
+func (s *Store) rememberLocked(a [32]byte, payload []byte) {
 	if s.front != nil {
-		s.front.Put(ck, append([]byte(nil), payload...))
+		s.front.Put(a, append([]byte(nil), payload...))
 	}
 }

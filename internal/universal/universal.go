@@ -41,20 +41,32 @@ type Universal struct {
 	// Rec, when non-nil, records the operation history for
 	// linearizability checking.
 	Rec *history.Recorder
+
+	// announces and heads name the Announce[i] and Head[i] registers;
+	// slotPre[i] is the name prefix of process i's slot[i][k] registers,
+	// whose operation index k is unbounded. New builds them once.
+	announces, heads, slotPre []string
 }
 
 // New returns a universal construction for n processes implementing an
 // object of type t initialized to q0.
 func New(n int, t spec.Type, q0 spec.State, ns string) *Universal {
-	return &Universal{N: n, Typ: t, Init: q0, NS: ns, RC: rc.CASInstance{}}
+	u := &Universal{N: n, Typ: t, Init: q0, NS: ns, RC: rc.CASInstance{},
+		announces: make([]string, n), heads: make([]string, n), slotPre: make([]string, n)}
+	for i := range n {
+		u.announces[i] = fmt.Sprintf("%s/Announce[%d]", ns, i)
+		u.heads[i] = fmt.Sprintf("%s/Head[%d]", ns, i)
+		u.slotPre[i] = fmt.Sprintf("%s/slot[%d][", ns, i)
+	}
+	return u
 }
 
 // Shared cell names. A "node" nd is a name prefix; its fields are the
 // registers nd.seq / nd.op / nd.state / nd.resp, and its next pointer is
 // the RC instance named nd.next.
-func (u *Universal) announce(i int) string { return fmt.Sprintf("%s/Announce[%d]", u.NS, i) }
-func (u *Universal) head(i int) string     { return fmt.Sprintf("%s/Head[%d]", u.NS, i) }
-func (u *Universal) slot(i, k int) string  { return fmt.Sprintf("%s/slot[%d][%d]", u.NS, i, k) }
+func (u *Universal) announce(i int) string { return u.announces[i] }
+func (u *Universal) head(i int) string     { return u.heads[i] }
+func (u *Universal) slot(i, k int) string  { return u.slotPre[i] + strconv.Itoa(k) + "]" }
 func (u *Universal) dummy() string         { return u.NS + "/node0" }
 
 func fieldSeq(nd string) string   { return nd + ".seq" }
