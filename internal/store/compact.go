@@ -1,10 +1,12 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"rcons/internal/obs"
@@ -24,27 +26,17 @@ type CompactStats struct {
 	Evicted int64 `json:"evicted"`
 }
 
-// scannedPack is one pack as Compact read it. mine says its records
-// are this Store's to rewrite: its own pack, or one whose writer is
-// gone (whose writer lock Compact now holds).
-type scannedPack struct {
-	p      *pack
-	mine   bool
-	data   []byte
-	frames []frame
-}
-
 // Compact is the store's compaction pass, safe to run online (it
 // blocks this Store's reads and writes while it runs) or offline
 // (rcatlas compact):
 //
 //  1. quarantine debris is deleted — corpses have served their
 //     diagnostic purpose once an operator decides to compact;
-//  2. every pack is rescanned and the index rebuilt from it, taking in
-//     whatever other handles appended;
+//  2. every pack is read again and the index rebuilt from them, taking
+//     in whatever other handles appended;
 //  3. the byte budget is re-applied by size-aware LRU eviction;
 //  4. the live records of this Store's pack and of the packs of
-//     writers that are gone are rewritten into one fresh pack, oldest
+//     writers that are gone are copied into one fresh pack, oldest
 //     first, and those packs are unlinked: dead, damaged and torn bytes
 //     are gone. Packs other live handles hold are left as they are.
 //
@@ -86,47 +78,39 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 		}
 	}
 
-	// 2. Rescan every pack and rebuild the view.
-	packs, err := s.scanAll()
-	if err != nil {
-		return cs, err
-	}
-	release := func() {
-		for _, sp := range packs {
-			if sp.mine && !sp.p.own {
-				unlock(sp.p.f)
+	// 2. Read every pack again into a fresh view. The packs this Store
+	// may rewrite are its own and those whose writer lock it can take.
+	scratch, dead := newIndex(), map[pos][32]byte{}
+	mine, kept, err := s.reload(scratch, dead)
+	fail := func(err error) (CompactStats, error) {
+		for _, p := range mine {
+			if !p.own {
+				unlock(p.f)
 			}
 		}
+		return cs, err
 	}
-	scanned := map[uint64]bool{}
-	for _, sp := range packs {
-		scanned[sp.p.seq] = true
+	if err != nil {
+		return fail(err)
 	}
-	scratch, dead := newIndex(), map[pos]struct{}{}
-	for _, sp := range packs {
-		for _, fr := range sp.frames {
-			applyFrame(scratch, dead, sp.p, fr)
-		}
+	x := newIndex()
+	seen := make(map[[32]byte]bool, len(known))
+	for _, r := range known {
+		seen[r.addr] = true
 	}
-	discovered := scratch.oldestFirst()
 	var held []*rec
 	for _, r := range scratch.recs {
 		if !r.listed {
 			held = append(held, r)
 		}
 	}
-	seen := make(map[[32]byte]bool, len(known))
-	for _, r := range known {
-		seen[r.addr] = true
-	}
-	x := newIndex()
-	for _, r := range discovered {
+	for _, r := range scratch.oldestFirst() {
 		if !seen[r.addr] {
 			x.put(r) // records this Store had not seen: the cold end
 		}
 	}
 	for _, k := range known {
-		if r := scratch.get(k.addr); r != nil && !r.p.held {
+		if r := scratch.get(k.addr); r != nil && r.listed {
 			x.put(r)
 		}
 	}
@@ -140,56 +124,50 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 		cs.Evicted++
 	}
 
-	// 4. Rewrite what is ours into a fresh pack.
-	fresh, err := s.rewrite(packs, x)
+	// 4. Copy what is ours into a fresh pack.
+	for at := range dead {
+		if _, stays := kept[at.seq]; !stays {
+			delete(dead, at)
+		}
+	}
+	fresh, err := s.rewrite(x, dead)
 	if err != nil {
-		release()
-		return cs, err
+		return fail(err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	open := map[uint64]*pack{}
-	for _, sp := range packs {
-		if sp.mine {
-			// A pack left behind by a failed unlink only duplicates
-			// records of the fresh pack; the next compaction takes it in.
-			_ = os.Remove(sp.p.path)
-			sp.p.f.Close()
-		} else {
-			open[sp.p.seq] = sp.p
-		}
+	for _, p := range mine {
+		// A pack left behind by a failed unlink only duplicates records
+		// of the fresh pack; the next compaction takes it in.
+		_ = os.Remove(p.path)
+		p.f.Close()
 	}
 	for seq, p := range s.open {
-		if !scanned[seq] {
+		if _, stays := kept[seq]; !stays && !slices.Contains(mine, p) {
 			p.f.Close() // vanished: another handle compacted it away
-		}
-	}
-	for at := range dead {
-		if _, kept := open[at.seq]; !kept {
-			delete(dead, at)
 		}
 	}
 	s.own = fresh
 	if fresh != nil {
-		open[fresh.seq] = fresh
+		kept[fresh.seq] = fresh
 	}
-	s.open, s.idx, s.dead = open, x, dead
+	s.open, s.idx, s.dead = kept, x, dead
 	s.stats.DiskEvictions += cs.Evicted
 	s.stats.Compactions++
 	cs.EntriesAfter, cs.BytesAfter = int64(x.len()), x.bytes
 	return cs, nil
 }
 
-// scanAll reads and verifies every pack in the directory, taking the
-// writer lock of each pack whose writer is gone. Packs it cannot read
-// are skipped (or quarantined, if their writer is gone). Callers hold
-// Compact's locks.
-func (s *Store) scanAll() ([]scannedPack, error) {
+// reload reads every pack in the directory into x and dead. It returns
+// the packs this Store may rewrite (mine: its own, and each pack whose
+// writer lock it could take, now held) and the ones it must leave (kept,
+// by sequence number). Callers hold Compact's locks.
+func (s *Store) reload(x *index, dead map[pos][32]byte) (mine []*pack, kept map[uint64]*pack, err error) {
+	kept = map[uint64]*pack{}
 	names, err := os.ReadDir(s.packs)
 	if err != nil {
-		return nil, fmt.Errorf("store: compact rescan %s: %w", s.packs, err)
+		return nil, nil, fmt.Errorf("store: compact rescan %s: %w", s.packs, err)
 	}
-	var out []scannedPack
 	for _, d := range names {
 		name := d.Name()
 		if strings.Contains(name, tmpMarker) {
@@ -203,85 +181,75 @@ func (s *Store) scanAll() ([]scannedPack, error) {
 		s.mu.Lock()
 		p := s.open[seq]
 		s.mu.Unlock()
-		known := p != nil
-		if !known {
-			f, err := os.Open(filepath.Join(s.packs, name))
-			if err != nil {
+		var gone bool
+		if p == nil {
+			if p, gone, err = s.openPack(seq, true); err != nil {
+				return mine, nil, err
+			}
+			if p == nil {
 				continue
 			}
-			p = &pack{seq: seq, path: filepath.Join(s.packs, name), f: f}
+		} else {
+			gone = p.own || tryLock(p.f)
 		}
-		mine := p.own || tryLock(p.f)
 		s.mu.Lock()
-		p.held = !mine
+		p.held = !gone
 		s.mu.Unlock()
-		data, err := readFrom(p.f, 0)
-		if err != nil || !readableHeader(data) {
-			if mine && !p.own {
-				if s.quarantineFile(p.path, name) {
-					s.count(func(st *Stats) { st.Quarantined++ })
-				}
-				unlock(p.f)
-			}
-			if !known {
-				p.f.Close()
-			}
-			continue
+		if gone {
+			mine = append(mine, p)
+		} else {
+			kept[seq] = p
 		}
-		var frames []frame
-		res := scanFrames(data[packHeader:], packHeader, func(fr frame) { frames = append(frames, fr) })
-		for _, dmg := range res.damaged {
-			s.saveCorpse(p, dmg[0], data[dmg[0]:dmg[1]])
+		if err := s.load(p, packHeader, x, dead, gone); err != nil {
+			return mine, nil, err
 		}
-		if mine && res.tailDamaged {
-			s.saveCorpse(p, res.stop, data[res.stop:])
-		}
-		p.end = res.stop
-		out = append(out, scannedPack{p: p, mine: mine, data: data, frames: frames})
 	}
-	return out, nil
+	return mine, kept, nil
 }
 
-// rewrite writes x's evictable records (all of which sit in packs that
-// are mine) into a fresh pack, oldest first, with the tombstones of
-// those packs that kill records in packs staying behind, and points the
-// records at it. It returns nil when nothing is left to write.
-func (s *Store) rewrite(packs []scannedPack, x *index) (*pack, error) {
-	bySeq := map[uint64]scannedPack{}
-	var next uint64
-	for _, sp := range packs {
-		bySeq[sp.p.seq] = sp
-		next = max(next, sp.p.seq+1)
-	}
+// rewrite copies x's evictable records — all in packs that are mine —
+// into a fresh pack, oldest first, frame by frame, followed by a
+// tombstone for each position in dead, and points the records at it. A
+// frame that no longer verifies is dropped. It returns nil when there is
+// nothing to write.
+func (s *Store) rewrite(x *index, dead map[pos][32]byte) (*pack, error) {
 	live := x.oldestFirst()
 	offs := make([]int64, len(live))
 	var body []byte
 	for i, r := range live {
-		offs[i] = int64(packHeader + len(body))
-		src := bySeq[r.p.seq].data
-		body = appendFrame(body, typeRecord, &r.addr, src[r.off+frameHeader:r.off+frameHeader+r.size])
-	}
-	for _, sp := range packs {
-		if !sp.mine {
+		start := len(body)
+		body = slices.Grow(body, frameHeader+int(r.size))[:start+frameHeader+int(r.size)]
+		fr := body[start:]
+		if _, err := r.p.f.ReadAt(fr, r.off); err != nil {
+			return nil, fmt.Errorf("store: compact: read %s: %w", r.p.path, err)
+		}
+		if got, n, ok, _ := parseFrame(fr); !ok || n != len(fr) || got.addr != r.addr {
+			body = body[:start]
+			x.remove(r)
+			offs[i] = -1
 			continue
 		}
-		for _, fr := range sp.frames {
-			if at, ok := tombstoneTarget(fr.body); ok && fr.typ == typeTombstone {
-				if target, kept := bySeq[at.seq]; kept && !target.mine {
-					body = appendFrame(body, typeTombstone, &fr.addr, fr.body)
-				}
-			}
-		}
+		offs[i] = int64(packHeader + start)
+	}
+	ats := make([]pos, 0, len(dead))
+	for at := range dead {
+		ats = append(ats, at)
+	}
+	slices.SortFunc(ats, func(a, b pos) int { return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.off, b.off)) })
+	for _, at := range ats {
+		body = appendTombstone(body, dead[at], at)
 	}
 	if len(body) == 0 {
 		return nil, nil
 	}
-	fresh, err := createPack(s.packs, next, body)
+	fresh, err := createPack(s.packs, s.nextSeq(), body)
 	if err != nil {
 		return nil, fmt.Errorf("store: compact: %w", err)
 	}
 	for i, r := range live {
-		r.p, r.off = fresh, offs[i]
+		if offs[i] >= 0 {
+			r.p, r.off = fresh, offs[i]
+		}
 	}
 	return fresh, nil
 }

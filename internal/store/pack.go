@@ -101,12 +101,13 @@ func appendFrame(buf []byte, typ byte, a *[32]byte, body []byte) []byte {
 	return append(buf, body...)
 }
 
-// appendTombstone appends a tombstone killing the record r.
-func appendTombstone(buf []byte, r *rec) []byte {
+// appendTombstone appends a tombstone killing the record of address a
+// at position at.
+func appendTombstone(buf []byte, a [32]byte, at pos) []byte {
 	var body [tombstoneBody]byte
-	binary.LittleEndian.PutUint64(body[:8], r.p.seq)
-	binary.LittleEndian.PutUint64(body[8:], uint64(r.off))
-	return appendFrame(buf, typeTombstone, &r.addr, body[:])
+	binary.LittleEndian.PutUint64(body[:8], at.seq)
+	binary.LittleEndian.PutUint64(body[8:], uint64(at.off))
+	return appendFrame(buf, typeTombstone, &a, body[:])
 }
 
 // tombstoneTarget decodes the position a tombstone's body names.

@@ -188,8 +188,9 @@ type Store struct {
 	mu    sync.Mutex
 	front *lru.Cache[[32]byte, []byte] // nil when the memory front is disabled
 	idx   *index
-	// dead holds the positions tombstones have killed.
-	dead map[pos]struct{}
+	// dead maps the positions tombstones have killed to the addresses
+	// of the records they held.
+	dead map[pos][32]byte
 	// open holds every pack this Store has opened, by sequence number;
 	// own is the one it appends to (nil until its first write).
 	open  map[uint64]*pack
@@ -222,7 +223,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		dir: dir, packs: filepath.Join(dir, packsSub), budget: opts.BudgetBytes,
-		idx: newIndex(), dead: map[pos]struct{}{}, open: map[uint64]*pack{},
+		idx: newIndex(), dead: map[pos][32]byte{}, open: map[uint64]*pack{},
 	}
 	switch {
 	case opts.CacheEntries == 0:
@@ -290,11 +291,25 @@ func (s *Store) refresh(repair bool) error {
 		s.mu.Unlock()
 		switch {
 		case p == nil:
-			if err := s.openPack(seq, repair); err != nil {
+			p, gone, err := s.openPack(seq, repair)
+			if err != nil {
+				return err
+			}
+			if p == nil {
+				continue
+			}
+			s.mu.Lock()
+			s.open[seq] = p
+			s.mu.Unlock()
+			err = s.load(p, packHeader, s.idx, s.dead, gone && repair)
+			if gone {
+				unlock(p.f)
+			}
+			if err != nil {
 				return err
 			}
 		case p.held:
-			if err := s.loadTail(p, false); err != nil {
+			if err := s.load(p, p.end, s.idx, s.dead, false); err != nil {
 				return err
 			}
 		}
@@ -302,65 +317,56 @@ func (s *Store) refresh(repair bool) error {
 	return nil
 }
 
-// openPack opens and indexes the pack with sequence number seq. A pack
-// whose writer lock is free belongs to a writer that is gone; with
-// repair, a bad header sends it whole to quarantine and its tail is
-// repaired.
-func (s *Store) openPack(seq uint64, repair bool) error {
+// openPack opens the pack with sequence number seq. gone says its
+// writer lock was free — its writer has exited — and that the caller
+// now holds that lock. It returns a nil pack for one that vanished
+// (compacted away meanwhile) or that this version cannot read: a future
+// version's, or one damaged in its header; with repair, such a pack
+// whose writer is gone is moved whole into quarantine.
+func (s *Store) openPack(seq uint64, repair bool) (p *pack, gone bool, err error) {
 	path := filepath.Join(s.packs, packName(seq))
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil // compacted away by another handle meanwhile
+			return nil, false, nil
 		}
-		return fmt.Errorf("store: open pack: %w", err)
+		return nil, false, fmt.Errorf("store: open pack: %w", err)
 	}
-	p := &pack{seq: seq, path: path, f: f}
-	gone := tryLock(f)
-	p.held = !gone
-	if gone {
-		defer unlock(f)
-	}
+	gone = tryLock(f)
 	head := make([]byte, packHeader)
 	if n, _ := f.ReadAt(head, 0); !readableHeader(head[:n]) {
-		// Not a pack this version can read: a future version's, or one
-		// damaged in its header. Only a pack whose writer is gone is
-		// moved aside.
 		if gone && repair && s.quarantineFile(path, filepath.Base(path)) {
 			s.count(func(st *Stats) { st.Quarantined++ })
 		}
 		f.Close()
-		return nil
+		return nil, false, nil
 	}
-	p.end = packHeader
-	s.mu.Lock()
-	s.open[seq] = p
-	s.mu.Unlock()
-	return s.loadTail(p, gone && repair)
+	return &pack{seq: seq, path: path, f: f, held: !gone, end: packHeader}, gone, nil
 }
 
-// loadTail indexes the frames of p from p.end to the end of the file.
-// Damaged byte ranges followed by a good frame are quarantined and
-// skipped. Where verified frames end short of the file, repair (for a
-// pack whose writer is gone) quarantines a damaged tail and truncates
-// the pack there; otherwise the tail is left for a later look, since
-// its writer may be mid-append. Callers hold rmu (or Compact's locks).
-func (s *Store) loadTail(p *pack, repair bool) error {
-	data, err := readFrom(p.f, p.end)
+// load applies the frames of p from offset from to the end of the file
+// to the index x and its killed positions, and records where verified
+// frames end as p.end. Damaged byte ranges followed by a good frame are
+// quarantined and skipped. Where verified frames end short of the file,
+// repair (for a pack whose writer lock the caller holds) quarantines a
+// damaged tail and truncates the pack there; otherwise the tail is left
+// for a later look, since its writer may be mid-append. Callers hold rmu
+// (or Compact's locks).
+func (s *Store) load(p *pack, from int64, x *index, dead map[pos][32]byte, repair bool) error {
+	data, err := readFrom(p.f, from)
 	if err != nil {
 		return fmt.Errorf("store: read pack %s: %w", p.path, err)
 	}
-	base := p.end
 	s.mu.Lock()
-	res := scanFrames(data, base, func(fr frame) { applyFrame(s.idx, s.dead, p, fr) })
+	res := scanFrames(data, from, func(fr frame) { applyFrame(x, dead, p, fr) })
 	p.end = res.stop
 	s.mu.Unlock()
 	for _, d := range res.damaged {
-		s.saveCorpse(p, d[0], data[d[0]-base:d[1]-base])
+		s.saveCorpse(p, d[0], data[d[0]-from:d[1]-from])
 	}
-	if repair && res.stop < base+int64(len(data)) {
+	if repair && res.stop < from+int64(len(data)) {
 		if res.tailDamaged {
-			s.saveCorpse(p, res.stop, data[res.stop-base:])
+			s.saveCorpse(p, res.stop, data[res.stop-from:])
 		}
 		if err := os.Truncate(p.path, res.stop); err != nil {
 			return fmt.Errorf("store: truncate torn pack %s: %w", p.path, err)
@@ -373,7 +379,7 @@ func (s *Store) loadTail(p *pack, repair bool) error {
 // of killed positions; a pack's frames are applied in order. A record
 // replaces an older record of its address unless a tombstone killed it,
 // and a tombstone kills its target.
-func applyFrame(x *index, dead map[pos]struct{}, p *pack, fr frame) {
+func applyFrame(x *index, dead map[pos][32]byte, p *pack, fr frame) {
 	switch fr.typ {
 	case typeRecord:
 		at := pos{p.seq, fr.off}
@@ -389,7 +395,7 @@ func applyFrame(x *index, dead map[pos]struct{}, p *pack, fr frame) {
 		if !ok {
 			return
 		}
-		dead[at] = struct{}{}
+		dead[at] = fr.addr
 		if r := x.get(fr.addr); r != nil && r.at() == at {
 			x.remove(r)
 		}
@@ -527,10 +533,10 @@ func (s *Store) evictLocked(prefix []byte, put *rec) error {
 
 	buf := prefix
 	if old != nil {
-		buf = appendTombstone(buf, old) // the overwritten record stays dead
+		buf = appendTombstone(buf, old.addr, old.at()) // the overwritten record stays dead
 	}
 	for _, v := range victims {
-		buf = appendTombstone(buf, v)
+		buf = appendTombstone(buf, v.addr, v.at())
 	}
 	if len(buf) == 0 {
 		return nil
@@ -547,10 +553,10 @@ func (s *Store) evictLocked(prefix []byte, put *rec) error {
 		s.stats.Puts++
 	}
 	if old != nil {
-		s.dead[old.at()] = struct{}{}
+		s.dead[old.at()] = old.addr
 	}
 	for _, v := range victims {
-		s.dead[v.at()] = struct{}{}
+		s.dead[v.at()] = v.addr
 		if s.idx.get(v.addr) == v {
 			s.idx.remove(v)
 			s.stats.DiskEvictions++
@@ -760,11 +766,11 @@ func (s *Store) read(a *[32]byte, match func(*envelope) bool) (*rec, envelope, [
 func (s *Store) quarantineRec(r *rec, frameBytes []byte) {
 	s.saveCorpse(r.p, r.off, frameBytes)
 	s.wmu.Lock()
-	_, _, err := s.appendLocked(appendTombstone(nil, r))
+	_, _, err := s.appendLocked(appendTombstone(nil, r.addr, r.at()))
 	s.wmu.Unlock()
 	s.mu.Lock()
 	if err == nil {
-		s.dead[r.at()] = struct{}{}
+		s.dead[r.at()] = r.addr
 	}
 	s.idx.remove(r)
 	s.mu.Unlock()
