@@ -248,6 +248,13 @@ func TestCompactEvictsToBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A miss makes the budgeted handle index the flooder's pack.
+	if _, ok, _ := budgeted.Get(context.Background(), "search", "k0"); !ok {
+		t.Fatal("flooder's record not found")
+	}
+	if st := budgeted.Stats(); st.DiskEvictions != 0 || st.Entries != 5 {
+		t.Fatalf("a live handle's records were evicted: %+v", st)
+	}
 	cs, err := budgeted.Compact(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -461,5 +468,57 @@ func TestCompactUnderTraffic(t *testing.T) {
 	s.Close()
 	if n := liveEntries(t, dir); n != st.Entries {
 		t.Fatalf("restart sees %d entries, the handle kept %d", n, st.Entries)
+	}
+}
+
+// TestStaleTombstoneSparesNewPack: a live writer's tombstone names a
+// position in a pack that a compaction then absorbs and empties. A pack
+// created afterwards must not take that pack's sequence number, or the
+// tombstone would kill the new record at the same offset.
+func TestStaleTombstoneSparesNewPack(t *testing.T) {
+	if !lockSupported {
+		t.Skip("needs writer locks")
+	}
+	dir := t.TempDir()
+	dead := pos{1, packHeader}
+	live := writePack(t, dir, 0, appendTombstone(nil, rawAddr("job", "old"), dead))
+	f, err := os.Open(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !tryLock(f) {
+		t.Fatal("cannot lock the live writer's pack")
+	}
+	writePack(t, dir, 1, recordFrame("job", "old", envelopeOf(t, "job", "old", `{}`)))
+
+	s := mustOpen(t, dir, Options{})
+	if _, err := s.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, "job", "new", `{"n":1}`)
+	_, off, _ := frameAt(t, s, "job", "new")
+	s.Close()
+	if off != dead.off {
+		t.Fatalf("setup: new record at offset %d, want %d", off, dead.off)
+	}
+	r := mustOpen(t, dir, Options{})
+	if got, ok, _ := r.Get(context.Background(), "job", "new"); !ok || string(got) != `{"n":1}` {
+		t.Fatalf("record killed by a stale tombstone: %s, %v", got, ok)
+	}
+}
+
+// TestTouchIgnoresStaleRecord: a Get that found a record before a
+// compaction swapped in a rebuilt index touches it afterwards; the stale
+// record must not be linked into the new index's recency list.
+func TestTouchIgnoresStaleRecord(t *testing.T) {
+	p := &pack{}
+	before, after := newIndex(), newIndex()
+	stale := &rec{addr: rawAddr("job", "k"), p: p, size: 1}
+	before.put(stale)
+	after.put(&rec{addr: stale.addr, p: p, size: 1})
+	after.touch(stale)
+	if n := len(after.oldestFirst()); n != 1 || after.listedBytes != 1 {
+		t.Fatalf("stale touch changed the rebuilt index: %d listed, %d bytes", n, after.listedBytes)
 	}
 }

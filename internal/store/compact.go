@@ -130,9 +130,11 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 			delete(dead, at)
 		}
 	}
-	fresh, err := s.rewrite(x, dead)
-	if err != nil {
-		return fail(err)
+	var fresh *pack
+	if len(mine) > 0 {
+		if fresh, err = s.rewrite(x, dead); err != nil {
+			return fail(err)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -210,8 +212,9 @@ func (s *Store) reload(x *index, dead map[pos][32]byte) (mine []*pack, kept map[
 // rewrite copies x's evictable records — all in packs that are mine —
 // into a fresh pack, oldest first, frame by frame, followed by a
 // tombstone for each position in dead, and points the records at it. A
-// frame that no longer verifies is dropped. It returns nil when there is
-// nothing to write.
+// frame that no longer verifies is dropped. The pack is created even
+// when empty: its sequence number stays above the packs it replaces, so
+// no later pack reuses one that a live writer's tombstone may name.
 func (s *Store) rewrite(x *index, dead map[pos][32]byte) (*pack, error) {
 	live := x.oldestFirst()
 	offs := make([]int64, len(live))
@@ -238,9 +241,6 @@ func (s *Store) rewrite(x *index, dead map[pos][32]byte) (*pack, error) {
 	slices.SortFunc(ats, func(a, b pos) int { return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.off, b.off)) })
 	for _, at := range ats {
 		body = appendTombstone(body, dead[at], at)
-	}
-	if len(body) == 0 {
-		return nil, nil
 	}
 	fresh, err := createPack(s.packs, s.nextSeq(), body)
 	if err != nil {

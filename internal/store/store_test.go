@@ -312,8 +312,9 @@ func TestBitFlipNeverServed(t *testing.T) {
 // TestCorruptEntryQuarantineOnOpen covers every way the last record of
 // a pack can go bad: cut short (a torn tail: truncated), its payload
 // rotted (its CRC fails: quarantined and truncated at Open), or a frame
-// that verifies holding an envelope of an alien version or no envelope
-// at all (quarantined by the first Get). None is ever served, and a
+// that verifies holding an envelope whose payload does not match its
+// checksum, of an alien version, or no envelope at all (quarantined by
+// the first Get). None is ever served, and a
 // re-put heals the entry.
 func TestCorruptEntryQuarantineOnOpen(t *testing.T) {
 	reframe := func(t *testing.T, edit func([]byte) []byte) func([]byte, int64) []byte {
@@ -336,6 +337,9 @@ func TestCorruptEntryQuarantineOnOpen(t *testing.T) {
 			}
 			return out
 		}, 1},
+		{"checksum-mismatch", reframe(t, func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"payload":{"v":1`), []byte(`"payload":{"v":9`), 1)
+		}), 1},
 		{"future-version", reframe(t, func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"version":1`), []byte(`"version":99`), 1)
 		}), 1},
@@ -663,5 +667,45 @@ func TestEnvelopeOnDiskShape(t *testing.T) {
 	raw, ok, err := s.GetRaw("job", Addr("job", "the-key"))
 	if err != nil || !ok || !bytes.Equal(raw, body) {
 		t.Fatalf("GetRaw = %s, %v, %v; want the frame body", raw, ok, err)
+	}
+}
+
+// TestOverwriteAcrossPacks: a handle that overwrites a record another
+// writer's pack holds kills that record, so a restart serves the
+// overwrite even though the other pack sorts later.
+func TestOverwriteAcrossPacks(t *testing.T) {
+	dir := t.TempDir()
+	a := mustOpen(t, dir, Options{CacheEntries: -1})
+	mustPut(t, a, "job", "first", `{}`) // a's pack sorts first
+	b := mustOpen(t, dir, Options{CacheEntries: -1})
+	mustPut(t, b, "job", "k", `{"v":"old"}`)
+	if _, ok, _ := a.Get(context.Background(), "job", "k"); !ok {
+		t.Fatal("a does not see b's record")
+	}
+	mustPut(t, a, "job", "k", `{"v":"new"}`)
+	r := mustOpen(t, dir, Options{CacheEntries: -1})
+	if got, ok, _ := r.Get(context.Background(), "job", "k"); !ok || string(got) != `{"v":"new"}` {
+		t.Fatalf("after the overwrite a fresh handle reads %s, %v", got, ok)
+	}
+}
+
+// TestMissKeepsPackOrder: records a miss finds in another writer's new
+// tail take their place in pack order, so a handle's view of an address
+// matches what a fresh Open would index.
+func TestMissKeepsPackOrder(t *testing.T) {
+	dir := t.TempDir()
+	a := mustOpen(t, dir, Options{CacheEntries: -1})
+	mustPut(t, a, "job", "first", `{}`) // a's pack sorts first
+	b := mustOpen(t, dir, Options{CacheEntries: -1})
+	mustPut(t, b, "job", "k", `{"v":"b"}`)
+	r := mustOpen(t, dir, Options{CacheEntries: -1})
+	mustPut(t, a, "job", "k", `{"v":"a"}`) // unaware of b's record
+	if _, ok, _ := r.Get(context.Background(), "job", "absent"); ok {
+		t.Fatal("absent key served")
+	}
+	fresh := mustOpen(t, dir, Options{CacheEntries: -1})
+	want, _, _ := fresh.Get(context.Background(), "job", "k")
+	if got, ok, _ := r.Get(context.Background(), "job", "k"); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("after a miss re-read the packs: %s, %v; a fresh handle reads %s", got, ok, want)
 	}
 }
