@@ -73,7 +73,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: rcatlas <enumerate|sample|census|verify> [flags]")
+		return fmt.Errorf("usage: rcatlas <enumerate|sample|census|verify|compact> [flags]")
 	}
 	switch args[0] {
 	case "enumerate":
@@ -357,7 +357,7 @@ func buildStoreTiers(dir, budget, peers string, peerTimeout time.Duration) (engi
 func runCompact(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("rcatlas compact", flag.ContinueOnError)
 	dir := fs.String("store", "", "store directory to compact")
-	budget := fs.String("budget", "", "disk budget to enforce, e.g. 256M (empty = keep everything valid)")
+	budget := fs.String("budget", "", "budget on the live records' bytes, e.g. 256M; least recently written records beyond it are dropped (empty = keep every live record)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
