@@ -42,10 +42,10 @@ func newIndex() *index {
 
 func (x *index) get(a [32]byte) *rec { return x.recs[a] }
 
-// put makes r the record of its address, as the most recently used,
-// and returns the record it replaced, if any.
-func (x *index) put(r *rec) (old *rec) {
-	if old = x.recs[r.addr]; old != nil {
+// put makes r the record of its address, replacing any other, as the
+// most recently used.
+func (x *index) put(r *rec) {
+	if old := x.recs[r.addr]; old != nil {
 		x.remove(old)
 	}
 	x.recs[r.addr] = r
@@ -55,7 +55,6 @@ func (x *index) put(r *rec) (old *rec) {
 		x.listedBytes += r.size
 		x.link(r)
 	}
-	return old
 }
 
 // remove drops r if it is still the record of its address.

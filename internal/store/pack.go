@@ -259,10 +259,21 @@ func createPack(dir string, seq uint64, body []byte) (*pack, error) {
 		path := filepath.Join(dir, packName(seq))
 		err := os.Link(tmp, path)
 		if err == nil {
+			syncDir(dir) // the name must survive a crash as the frames do
 			return &pack{seq: seq, path: path, f: f, own: true, end: int64(len(data))}, nil
 		}
 		if !errors.Is(err, fs.ErrExist) {
 			return fail(err)
 		}
+	}
+}
+
+// syncDir makes the entries of dir durable. Some filesystems cannot sync
+// a directory; there the error is dropped and a crash right after a
+// pack's creation may lose the pack's name.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
 	}
 }
