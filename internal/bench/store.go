@@ -31,6 +31,7 @@ func withTempStore(fn func(*store.Store) (Metrics, error)) (Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer st.Close()
 	return fn(st)
 }
 
@@ -93,6 +94,7 @@ func storeEvictRunner() func(int) (Metrics, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer st.Close()
 		// Pre-fill past the budget so every measured put evicts.
 		for i := 0; i < 100; i++ {
 			if err := st.Put(context.Background(), "census-row", fmt.Sprintf("prefill-%08d", i), payload); err != nil {

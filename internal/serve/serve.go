@@ -243,6 +243,7 @@ func Run(args []string) error {
 		sctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 		defer cancel()
 		_ = srv.drainJobs(sctx)
+		srv.closeStore()
 		return err
 	case <-sigc:
 		// Graceful shutdown: stop accepting, let in-flight limited
@@ -412,11 +413,23 @@ func (s *Server) drainJobs(ctx context.Context) error {
 	return err
 }
 
-// drain completes a graceful shutdown: it waits until every in-flight
+// closeStore releases the local store's files and its pack's writer
+// lock, so later handles on the directory (a restarted server in the
+// same process, rcatlas compact) may repair, evict from and compact
+// what this server wrote.
+func (s *Server) closeStore() {
+	if s.store != nil {
+		_ = s.store.Close()
+	}
+}
+
+// Drain completes a graceful shutdown: it waits until every in-flight
 // limited handler has released its slot (acquiring all of them proves
-// none is held), then drains the job manager. Jobs that outlive ctx are
-// cancelled by the manager.
+// none is held), drains the job manager and closes the local store.
+// Jobs that outlive ctx are cancelled by the manager. The server must
+// not be used afterwards.
 func (s *Server) Drain(ctx context.Context) error {
+	defer s.closeStore()
 	acquired := 0
 	for ; acquired < cap(s.inflight); acquired++ {
 		select {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"rcons/internal/store"
 )
@@ -65,6 +66,31 @@ func TestStoreRoutes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("tampered PUT accepted: %d", resp.StatusCode)
+	}
+}
+
+// TestDrainClosesStore: a drained server releases its store, so a
+// later handle on the directory may evict what it wrote.
+func TestDrainClosesStore(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := testServer(t, "-store", dir)
+	for i := 0; i < 4; i++ {
+		if err := s.store.Put(context.Background(), "search", fmt.Sprint(i), []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{BudgetBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.Stats(); got.DiskEvictions != 4 || got.Entries != 0 {
+		t.Fatalf("the drained server's records were not evictable: %+v", got)
 	}
 }
 

@@ -522,3 +522,123 @@ func TestTouchIgnoresStaleRecord(t *testing.T) {
 		t.Fatalf("stale touch changed the rebuilt index: %d listed, %d bytes", n, after.listedBytes)
 	}
 }
+
+// TestKillAfterAnotherHandleCompacts: a handle indexed an exited
+// writer's records, then another handle compacted them into a fresh
+// pack, which sorts after the first handle's own, and exited. The first
+// handle's overwrite and evictions must kill the compacted copies, so a
+// restart serves the overwrite and keeps the evictions.
+func TestKillAfterAnotherHandleCompacts(t *testing.T) {
+	if !lockSupported {
+		t.Skip("needs writer locks")
+	}
+	dir := t.TempDir()
+	p := mustOpen(t, dir, Options{})
+	mustPut(t, p, "job", "k", `{"v":"old"}`)
+	mustPut(t, p, "job", "j", `{"v":"j"}`)
+	p.Close()
+
+	newK := fmt.Sprintf(`{"v":"new","pad":%q}`, strings.Repeat("x", 200))
+	fits := int64(len(envelopeOf(t, "job", "k", `{"v":"old"}`)) + len(envelopeOf(t, "job", "j", `{"v":"j"}`)) +
+		len(envelopeOf(t, "job", "first", `{}`)))
+	a := mustOpen(t, dir, Options{CacheEntries: -1, BudgetBytes: fits})
+	mustPut(t, a, "job", "first", `{}`) // a's pack sorts before the compacted one
+
+	c := mustOpen(t, dir, Options{})
+	if _, err := c.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	// The larger overwrite evicts both other records to fit the budget.
+	mustPut(t, a, "job", "k", newK)
+	for _, h := range []*Store{a, mustOpen(t, dir, Options{CacheEntries: -1})} {
+		if got, ok, _ := h.Get(context.Background(), "job", "k"); !ok || string(got) != newK {
+			t.Fatalf("k reads %s, %v; want the overwrite", got, ok)
+		}
+		for _, key := range []string{"j", "first"} {
+			if got, ok, _ := h.Get(context.Background(), "job", key); ok {
+				t.Fatalf("evicted %s served: %s", key, got)
+			}
+		}
+	}
+}
+
+// TestClosedStore: a closed Store holds no files, misses every Get
+// (also what its memory front holds), and refuses writes and
+// compaction; its pack is then another handle's to evict.
+func TestClosedStore(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	mustPut(t, s, "job", "k", `{}`)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if got, ok, _ := s.Get(context.Background(), "job", "k"); ok {
+		t.Fatalf("closed store served %s", got)
+	}
+	if err := s.Put(context.Background(), "job", "k2", []byte(`{}`)); err == nil {
+		t.Fatal("closed store accepted a Put")
+	}
+	if _, err := s.Compact(context.Background()); err == nil {
+		t.Fatal("closed store compacted")
+	}
+	if n := len(packFiles(t, dir)); n != 1 {
+		t.Fatalf("%d packs after Close, want 1", n)
+	}
+	if lockSupported {
+		r := mustOpen(t, dir, Options{BudgetBytes: 1})
+		if st := r.Stats(); st.Entries != 0 || st.DiskEvictions != 1 {
+			t.Fatalf("the closed store's record was not evictable: %+v", st)
+		}
+	}
+}
+
+// TestOverwritesDuringCompaction: one handle overwrites an exited
+// writer's records while other handles compact them into fresh packs,
+// which sort after the first handle's. Every overwrite must survive a
+// restart.
+func TestOverwritesDuringCompaction(t *testing.T) {
+	if !lockSupported {
+		t.Skip("needs writer locks")
+	}
+	dir := t.TempDir()
+	const n = 60
+	p := mustOpen(t, dir, Options{})
+	for i := 0; i < n; i++ {
+		mustPut(t, p, "job", fmt.Sprint(i), `{"v":"old"}`)
+	}
+	p.Close()
+	a := mustOpen(t, dir, Options{CacheEntries: -1})
+	mustPut(t, a, "job", "first", `{}`)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 4; i++ {
+			c, err := Open(dir, Options{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := c.Compact(context.Background()); err != nil {
+				t.Error(err)
+			}
+			c.Close()
+		}
+	}()
+	for i := 0; i < n; i++ {
+		mustPut(t, a, "job", fmt.Sprint(i), `{"v":"new"}`)
+	}
+	wg.Wait()
+	r := mustOpen(t, dir, Options{CacheEntries: -1})
+	for i := 0; i < n; i++ {
+		if got, ok, _ := r.Get(context.Background(), "job", fmt.Sprint(i)); !ok || string(got) != `{"v":"new"}` {
+			t.Fatalf("record %d reads %s, %v after a restart; want the overwrite", i, got, ok)
+		}
+	}
+}

@@ -61,6 +61,14 @@ func (s *Store) Compact(ctx context.Context) (CompactStats, error) {
 	defer s.wmu.Unlock()
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
+	if s.closed {
+		return CompactStats{}, errClosed
+	}
+	// Other handles append no tombstone naming another writer's pack
+	// while this lock is held (see lockTargets), so none can name a
+	// record between this pass's scan and its removal of the old packs.
+	lockExclusive(s.packsDir)
+	defer unlock(s.packsDir)
 
 	var cs CompactStats
 	s.mu.Lock()

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -93,9 +92,8 @@ func TestGetRawIsTheEnvelope(t *testing.T) {
 	}
 }
 
-// TestEscapedKeysRoundTrip: keys whose JSON form needs escapes take the
-// general envelope decoder rather than the canonical fast path, and
-// must round-trip through a restart all the same.
+// TestEscapedKeysRoundTrip: keys whose JSON form needs escapes
+// round-trip through a restart.
 func TestEscapedKeysRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	keys := []string{"plain", `quote"d`, `back\slash`, "<tag>&amp", "tab\there", "ünïcødé", "line\nbreak\u2028"}
@@ -112,28 +110,6 @@ func TestEscapedKeysRoundTrip(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Quarantined != 0 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-// TestDecodeCanonicalAgreesWithJSON: wherever the canonical fast path
-// accepts an envelope, it decodes exactly what encoding/json does.
-func TestDecodeCanonicalAgreesWithJSON(t *testing.T) {
-	for _, key := range []string{"k", "fp:3:recording:2", `q"uote`, "<>&", "ünï", "ctl\x01"} {
-		for _, payload := range []string{`{}`, `{"a":[1,2,{"b":"}"}]}`, `"str}"`, `12`, `null`} {
-			data := envelopeOf(t, "search", key, payload)
-			var want envelope
-			if err := json.Unmarshal(data, &want); err != nil {
-				t.Fatal(err)
-			}
-			got, ok := decodeCanonical(data)
-			if ok && (got.Version != want.Version || got.Kind != want.Kind || got.Key != want.Key ||
-				got.Checksum != want.Checksum || !bytes.Equal(got.Payload, want.Payload)) {
-				t.Fatalf("key %q payload %s: canonical %+v, json %+v", key, payload, got, want)
-			}
-			if env, err := decodeEnvelope(data); err != nil || env.Key != key {
-				t.Fatalf("key %q payload %s: decodeEnvelope = %+v, %v", key, payload, env, err)
-			}
-		}
 	}
 }
 

@@ -12,3 +12,10 @@ const lockSupported = false
 func tryLock(*os.File) bool { return false }
 
 func unlock(*os.File) {}
+
+func lockShared(*os.File) {}
+
+func lockExclusive(*os.File) {}
+
+// unlinked is false: a Compact never removes another writer's pack here.
+func unlinked(*os.File) bool { return false }

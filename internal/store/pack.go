@@ -235,6 +235,24 @@ func readFrom(f *os.File, off int64) ([]byte, error) {
 // after the header, and the file is synced before it appears under its
 // name, so other handles only ever see a complete, locked pack.
 func createPack(dir string, seq uint64, body []byte) (*pack, error) {
+	data := append(append([]byte(packMagic), packVersion), body...)
+	for try := 1; ; try++ {
+		p, err := linkPack(dir, seq, data)
+		if !errors.Is(err, errLostTemp) || try == 10 {
+			return p, err
+		}
+	}
+}
+
+// errLostTemp reports a temporary pack that another handle took for a
+// dead writer's debris before its lock was held: removeDebris locked it
+// first, or deleted it.
+var errLostTemp = errors.New("temporary pack taken for debris")
+
+// linkPack writes data to a new temporary file under the writer lock,
+// syncs it and links it into place as the pack numbered seq or the
+// first free number above.
+func linkPack(dir string, seq uint64, data []byte) (*pack, error) {
 	f, err := os.CreateTemp(dir, "new"+packExt+tmpMarker+"*")
 	if err != nil {
 		return nil, err
@@ -246,9 +264,8 @@ func createPack(dir string, seq uint64, body []byte) (*pack, error) {
 		return nil, err
 	}
 	if !tryLock(f) && lockSupported {
-		return fail(errors.New("cannot lock a new pack"))
+		return fail(errLostTemp)
 	}
-	data := append(append([]byte(packMagic), packVersion), body...)
 	if _, err := f.Write(data); err != nil {
 		return fail(err)
 	}
@@ -261,6 +278,9 @@ func createPack(dir string, seq uint64, body []byte) (*pack, error) {
 		if err == nil {
 			syncDir(dir) // the name must survive a crash as the frames do
 			return &pack{seq: seq, path: path, f: f, own: true, end: int64(len(data))}, nil
+		}
+		if errors.Is(err, fs.ErrNotExist) {
+			return fail(errLostTemp)
 		}
 		if !errors.Is(err, fs.ErrExist) {
 			return fail(err)

@@ -51,7 +51,8 @@
 // A Store sees what the others wrote as of its Open, and on a miss it
 // looks again: it indexes new packs and the new tails of live writers'
 // packs before reporting the miss. It only repairs (truncates) the
-// packs of writers that are gone.
+// packs of writers that are gone. Close releases the writer lock; a
+// process that exits releases it too.
 //
 // Tiering: the store is one tier of a fleet-wide cache. Backend is the
 // tier interface — *Store is the local on-disk tier, *Peer reads
@@ -77,7 +78,13 @@
 // pack another live handle holds. The fresh pack appears complete or
 // not at all; the old packs are unlinked after it, so a crash mid-pass
 // leaves duplicates that the next Open indexes once (and, with a
-// budget, evicts down again).
+// budget, evicts down again). A compaction holds the packs directory's
+// lock (flock) exclusively from its scan to its unlinking, and another
+// handle appends a tombstone naming a record outside its own pack only
+// under that lock, shared, after checking that the record's pack still
+// has its name. So the compaction either reads the tombstone, or the
+// handle finds the pack gone, takes in the fresh pack and names the
+// copy: a copy sorts after the handle's own pack but stays dead.
 //
 // Payloads must be JSON (they are embedded verbatim in the envelope);
 // Put compacts them, so logically equal payloads are byte-identical on
@@ -96,9 +103,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"rcons/internal/lru"
 	"rcons/internal/obs"
@@ -172,6 +179,11 @@ type Store struct {
 	dir    string
 	packs  string // dir/packs
 	budget int64
+	// packsDir is the open packs directory. Its lock orders tombstones
+	// against compactions: a Compact holds it exclusively, and a
+	// tombstone naming a record in another writer's pack is appended
+	// under it shared (see lockTargets).
+	packsDir *os.File
 
 	// Lock order: a writeLocks stripe, then wmu, then rmu, then mu.
 	//
@@ -196,7 +208,11 @@ type Store struct {
 	open  map[uint64]*pack
 	own   *pack
 	stats Stats
+	// closed is set by Close (under wmu and mu).
+	closed bool
 }
+
+var errClosed = errors.New("store: closed")
 
 // writeLock returns the stripe guarding the given address.
 func (s *Store) writeLock(a *[32]byte) *sync.Mutex { return &s.writeLocks[a[0]%64] }
@@ -225,6 +241,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir: dir, packs: filepath.Join(dir, packsSub), budget: opts.BudgetBytes,
 		idx: newIndex(), dead: map[pos][32]byte{}, open: map[uint64]*pack{},
 	}
+	var err error
+	if s.packsDir, err = os.Open(s.packs); err != nil {
+		return nil, fmt.Errorf("store: init %s: %w", dir, err)
+	}
 	switch {
 	case opts.CacheEntries == 0:
 		s.front = lru.New[[32]byte, []byte](1024)
@@ -245,20 +265,24 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // Close releases the Store's files and its pack's writer lock, after
-// which other handles may repair, absorb and evict what it wrote. A
-// closed Store must not be used.
+// which other handles may repair, absorb and evict what it wrote. After
+// Close, Get, Put and Compact fail or miss; a second Close is a no-op.
 func (s *Store) Close() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var first error
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	first := s.packsDir.Close()
 	for _, p := range s.open {
 		if err := p.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	s.open, s.own = map[uint64]*pack{}, nil
+	s.open, s.own, s.idx = map[uint64]*pack{}, nil, newIndex()
 	return first
 }
 
@@ -270,6 +294,12 @@ func (s *Store) Close() error {
 func (s *Store) refresh(repair bool) error {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return errClosed
+	}
 	names, err := os.ReadDir(s.packs)
 	if err != nil {
 		return fmt.Errorf("store: list %s: %w", s.packs, err)
@@ -461,6 +491,9 @@ func (s *Store) count(f func(*Stats)) {
 // creating the pack on the first write, and syncs it. It returns the
 // pack and the offset of buf's first frame. Callers hold wmu.
 func (s *Store) appendLocked(buf []byte) (*pack, int64, error) {
+	if s.closed {
+		return nil, 0, errClosed
+	}
 	if p := s.own; p != nil {
 		off := p.end
 		if _, err := p.f.WriteAt(buf, off); err != nil {
@@ -511,16 +544,49 @@ func (s *Store) nextSeq() uint64 {
 // Callers hold wmu; the victims' stripes are not held, so a concurrent
 // Get may still serve a victim it had already found.
 func (s *Store) evictLocked(prefix []byte, put *rec) error {
+	for {
+		old, victims := s.chooseVictims(put)
+		kill := victims
+		if old != nil {
+			kill = append(kill, old) // the overwritten record stays dead
+		}
+		release, ok, err := s.lockTargets(kill)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue // a compaction moved some of them: choose again
+		}
+		err = s.appendKilling(prefix, put, kill)
+		release()
+		if err != nil {
+			return err
+		}
+		s.mu.Lock()
+		for _, v := range victims {
+			if s.idx.get(v.addr) == v {
+				s.idx.remove(v)
+				s.stats.DiskEvictions++
+			}
+		}
+		s.mu.Unlock()
+		return nil
+	}
+}
+
+// chooseVictims returns the record put replaces, if any, and the
+// least-recently-used evictable records whose removal brings the store
+// within its budget.
+func (s *Store) chooseVictims(put *rec) (old *rec, victims []*rec) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	need := s.idx.listedBytes - s.budget
-	var old *rec
 	if put != nil {
 		need += put.size
 		if old = s.idx.get(put.addr); old != nil && old.listed {
 			need -= old.size
 		}
 	}
-	var victims []*rec
 	if s.budget > 0 {
 		for r := s.idx.lru.prev; need > 0 && r != &s.idx.lru; r = r.prev {
 			if r != old {
@@ -529,14 +595,17 @@ func (s *Store) evictLocked(prefix []byte, put *rec) error {
 			}
 		}
 	}
-	s.mu.Unlock()
+	return old, victims
+}
 
+// appendKilling appends prefix followed by a tombstone for each record
+// of kill, records the kills, and indexes put (when not nil) at the
+// position prefix was written to. The index keeps the killed records;
+// the caller drops them. Callers hold wmu.
+func (s *Store) appendKilling(prefix []byte, put *rec, kill []*rec) error {
 	buf := prefix
-	if old != nil {
-		buf = appendTombstone(buf, old.addr, old.at()) // the overwritten record stays dead
-	}
-	for _, v := range victims {
-		buf = appendTombstone(buf, v.addr, v.at())
+	for _, r := range kill {
+		buf = appendTombstone(buf, r.addr, r.at())
 	}
 	if len(buf) == 0 {
 		return nil
@@ -552,17 +621,63 @@ func (s *Store) evictLocked(prefix []byte, put *rec) error {
 		s.idx.put(put)
 		s.stats.Puts++
 	}
-	if old != nil {
-		s.dead[old.at()] = old.addr
-	}
-	for _, v := range victims {
-		s.dead[v.at()] = v.addr
-		if s.idx.get(v.addr) == v {
-			s.idx.remove(v)
-			s.stats.DiskEvictions++
-		}
+	for _, r := range kill {
+		s.dead[r.at()] = r.addr
 	}
 	return nil
+}
+
+// lockTargets makes it safe to name recs in tombstones. A compaction
+// may copy a record of another writer's pack into a fresh pack, which
+// sorts later, and then remove the old pack; a tombstone naming the old
+// position would then leave the copy alive after a restart. So when any
+// of recs lies in another writer's pack, lockTargets takes the packs
+// directory's lock shared — a Compact holds it exclusively from its
+// scan to its removals — and checks that none of those packs has been
+// removed: either a compaction that has not yet scanned will read the
+// tombstones, or there is none. It returns the lock's release. If a
+// pack was removed, it returns ok false having taken in what the
+// directory now holds (the copies replace the records of the removed
+// packs, and the records the compaction dropped are forgotten); the
+// caller then chooses its targets again. Callers hold wmu.
+func (s *Store) lockTargets(recs []*rec) (release func(), ok bool, err error) {
+	var others []*pack
+	s.mu.Lock()
+	for _, r := range recs {
+		if r.p != s.own && !slices.Contains(others, r.p) {
+			others = append(others, r.p)
+		}
+	}
+	s.mu.Unlock()
+	if len(others) == 0 {
+		return func() {}, true, nil
+	}
+	lockShared(s.packsDir)
+	var removed []*pack
+	for _, p := range others {
+		if unlinked(p.f) {
+			removed = append(removed, p)
+		}
+	}
+	if len(removed) == 0 {
+		return func() { unlock(s.packsDir) }, true, nil
+	}
+	unlock(s.packsDir)
+	if err := s.refresh(false); err != nil {
+		return nil, false, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.idx.recs {
+		if slices.Contains(removed, r.p) {
+			s.idx.remove(r)
+		}
+	}
+	for _, p := range removed {
+		delete(s.open, p.seq)
+		p.f.Close()
+	}
+	return nil, false, nil
 }
 
 // Addr derives the content address of (kind, key) — what the /v1/store
@@ -642,79 +757,19 @@ func encodeEnvelope(kind, key string, payload []byte) (data []byte, env envelope
 
 // decodeEnvelope parses and verifies envelope bytes: the current
 // version and a payload matching its checksum. Identity is the caller's
-// to check. Envelopes in the exact form encodeEnvelope writes skip the
-// reflective JSON decoder; anything else goes through it.
+// to check.
 func decodeEnvelope(data []byte) (envelope, error) {
-	env, ok := decodeCanonical(data)
-	if !ok {
-		if err := json.Unmarshal(data, &env); err != nil {
-			return env, fmt.Errorf("store: not an envelope: %w", err)
-		}
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return env, fmt.Errorf("store: not an envelope: %w", err)
 	}
 	if env.Version != Version {
 		return env, fmt.Errorf("store: envelope has version %d, want %d", env.Version, Version)
 	}
-	if !sumMatches(env.Checksum, env.Payload) {
+	if env.Checksum != checksum(env.Payload) {
 		return env, fmt.Errorf("store: envelope checksum mismatch for %s/%s", env.Kind, env.Key)
 	}
 	return env, nil
-}
-
-// decodeCanonical parses an envelope laid out exactly as encodeEnvelope
-// lays it out — version 1, then kind, key, checksum and payload, with
-// strings that need no unescaping. The payload is a sub-slice of data;
-// the checksum vouches for it. ok is false for any other layout.
-func decodeCanonical(data []byte) (env envelope, ok bool) {
-	rest, ok := bytes.CutPrefix(data, []byte(`{"version":1,"kind":"`))
-	var kind, key, sum []byte
-	if ok {
-		kind, rest, ok = cutPlainString(rest)
-	}
-	if ok {
-		rest, ok = bytes.CutPrefix(rest, []byte(`,"key":"`))
-	}
-	if ok {
-		key, rest, ok = cutPlainString(rest)
-	}
-	if ok {
-		rest, ok = bytes.CutPrefix(rest, []byte(`,"checksum":"`))
-	}
-	if ok {
-		sum, rest, ok = cutPlainString(rest)
-	}
-	if ok {
-		rest, ok = bytes.CutPrefix(rest, []byte(`,"payload":`))
-	}
-	if !ok || len(rest) < 2 || rest[len(rest)-1] != '}' {
-		return envelope{}, false
-	}
-	return envelope{Version: Version, Kind: string(kind), Key: string(key), Checksum: string(sum), Payload: rest[:len(rest)-1]}, true
-}
-
-// cutPlainString splits b after the JSON string body it starts with,
-// provided decoding that string would not change its bytes: no escapes,
-// no control characters, valid UTF-8.
-func cutPlainString(b []byte) (s, rest []byte, ok bool) {
-	i := bytes.IndexByte(b, '"')
-	if i < 0 {
-		return nil, nil, false
-	}
-	for _, c := range b[:i] {
-		if c < 0x20 || c == '\\' {
-			return nil, nil, false
-		}
-	}
-	return b[:i], b[i+1:], utf8.Valid(b[:i])
-}
-
-// sumMatches reports whether sum is checksum(payload), without building
-// the string.
-func sumMatches(sum string, payload []byte) bool {
-	digest := sha256.Sum256(payload)
-	var want [64]byte
-	hex.Encode(want[:], digest[:])
-	h, ok := strings.CutPrefix(sum, "sha256:")
-	return ok && h == string(want[:])
 }
 
 // read returns the verified envelope stored at address a, and its raw
@@ -761,17 +816,20 @@ func (s *Store) read(a *[32]byte, match func(*envelope) bool) (*rec, envelope, [
 
 // quarantineRec moves the record r aside after a read failed to verify
 // it: its frame bytes go to the quarantine directory, a tombstone keeps
-// it dead across restarts, and the index forgets it. Callers hold r's
-// stripe.
+// it dead across restarts, and the index forgets it. If a compaction
+// has moved r meanwhile, the index now holds the copy instead, which
+// its first read verifies in turn. Callers hold r's stripe.
 func (s *Store) quarantineRec(r *rec, frameBytes []byte) {
 	s.saveCorpse(r.p, r.off, frameBytes)
 	s.wmu.Lock()
-	_, _, err := s.appendLocked(appendTombstone(nil, r.addr, r.at()))
+	if release, ok, err := s.lockTargets([]*rec{r}); err == nil && ok {
+		// Without its tombstone a restart indexes r again, and its
+		// first read quarantines it again.
+		_ = s.appendKilling(nil, nil, []*rec{r})
+		release()
+	}
 	s.wmu.Unlock()
 	s.mu.Lock()
-	if err == nil {
-		s.dead[r.at()] = r.addr
-	}
 	s.idx.remove(r)
 	s.mu.Unlock()
 }
@@ -793,7 +851,7 @@ func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error)
 	a := rawAddr(kind, key)
 	if s.front != nil {
 		s.mu.Lock()
-		if payload, ok := s.front.Get(a); ok {
+		if payload, ok := s.front.Get(a); ok && !s.closed {
 			s.stats.MemHits++
 			if r := s.idx.get(a); r != nil {
 				s.idx.touch(r) // keep disk recency in step with the front

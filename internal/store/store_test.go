@@ -709,3 +709,32 @@ func TestMissKeepsPackOrder(t *testing.T) {
 		t.Fatalf("after a miss re-read the packs: %s, %v; a fresh handle reads %s", got, ok, want)
 	}
 }
+
+// TestFirstWriteSurvivesDebrisSweeps: Open and Compact delete the
+// temporary packs whose lock they can take, and a new pack's temporary
+// file is unlocked for a moment after its creation. A sweep in that
+// moment must not fail the write that creates the pack.
+func TestFirstWriteSurvivesDebrisSweeps(t *testing.T) {
+	dir := t.TempDir()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tmps, _ := filepath.Glob(filepath.Join(dir, packsSub, "*"+tmpMarker+"*"))
+			for _, path := range tmps {
+				removeDebris(path)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 100; i++ {
+		s := mustOpen(t, dir, Options{})
+		mustPut(t, s, "job", fmt.Sprint(i), `{}`)
+		s.Close()
+	}
+}
