@@ -182,7 +182,9 @@ type Store struct {
 	// packsDir is the open packs directory. Its lock orders tombstones
 	// against compactions: a Compact holds it exclusively, and a
 	// tombstone naming a record in another writer's pack is appended
-	// under it shared (see lockTargets).
+	// under it shared (see lockTargets). It is taken only under wmu, so
+	// one Store's Compact (rmu, then the lock) and lockTargets (the
+	// lock, then rmu) never wait on each other.
 	packsDir *os.File
 
 	// Lock order: a writeLocks stripe, then wmu, then rmu, then mu.
@@ -636,10 +638,10 @@ func (s *Store) appendKilling(prefix []byte, put *rec, kill []*rec) error {
 // scan to its removals — and checks that none of those packs has been
 // removed: either a compaction that has not yet scanned will read the
 // tombstones, or there is none. It returns the lock's release. If a
-// pack was removed, it returns ok false having taken in what the
-// directory now holds (the copies replace the records of the removed
-// packs, and the records the compaction dropped are forgotten); the
-// caller then chooses its targets again. Callers hold wmu.
+// pack was removed, it takes in what the directory now holds (the
+// copies replace the records of the removed packs, and the records the
+// compaction dropped are forgotten), releases the lock and returns ok
+// false; the caller then chooses its targets again. Callers hold wmu.
 func (s *Store) lockTargets(recs []*rec) (release func(), ok bool, err error) {
 	var others []*pack
 	s.mu.Lock()
@@ -662,7 +664,9 @@ func (s *Store) lockTargets(recs []*rec) (release func(), ok bool, err error) {
 	if len(removed) == 0 {
 		return func() { unlock(s.packsDir) }, true, nil
 	}
-	unlock(s.packsDir)
+	// No compaction runs while the lock is held, so the listing refresh
+	// reads holds the fresh pack of every compaction that removed one.
+	defer unlock(s.packsDir)
 	if err := s.refresh(false); err != nil {
 		return nil, false, err
 	}
