@@ -131,22 +131,6 @@ func BenchmarkClassifyParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifyParallelCached shares one engine across iterations —
-// the rcserve steady state, where repeated queries hit the memoization
-// cache instead of re-searching.
-func BenchmarkClassifyParallelCached(b *testing.B) {
-	eng := engine.New(engine.Options{})
-	for _, t := range classifyBenchCases() {
-		b.Run(t.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Classify(context.Background(), t, 5); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkClassifyZooParallel is the batch counterpart of
 // BenchmarkClassifyZoo: the whole zoo at limit 5 through engine.Scan,
 // cache cold each iteration.

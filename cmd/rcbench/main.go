@@ -138,17 +138,6 @@ func run(args []string, stdout io.Writer) int {
 		return 1
 	}
 	bench.SortResults(results)
-	// Tear down fixtures that outlive their measurement (the serve/*
-	// warm servers) before any confirmation re-measurements below —
-	// their live heap would tax every later allocating benchmark's GC.
-	bench.RunCleanups()
-
-	gates := map[string][]string{}
-	for _, bm := range registry {
-		if len(bm.GateMetrics) > 0 {
-			gates[bm.Name] = bm.GateMetrics
-		}
-	}
 	baseResults := gateBaseline(stdout, base, mode, registry)
 
 	// A single timed sample against a 25% gate makes millisecond-scale
@@ -158,8 +147,7 @@ func run(args []string, stdout io.Writer) int {
 	// survive, and genuine ones fail exactly as before.
 	for attempt := 0; attempt < 2 && baseResults != nil; attempt++ {
 		regressed := map[string]bool{}
-		for _, d := range append(bench.Compare(baseResults, results, *threshold),
-			bench.CompareMetrics(baseResults, results, *threshold, gates)...) {
+		for _, d := range bench.Compare(baseResults, results, *threshold) {
 			if d.Regressed {
 				regressed[d.Name] = true
 			}
@@ -187,9 +175,9 @@ func run(args []string, stdout io.Writer) int {
 
 	if outPath != "" {
 		f := bench.NewFile(mode, results)
-		// The runners published their work totals (mc nodes, census
-		// rows, ...) through the process-wide registry; freeze them
-		// into the artifact.
+		// The runners published their work totals (mc runs and nodes)
+		// through the process-wide registry; freeze them into the
+		// artifact.
 		f.Telemetry = obs.Default().Snapshot()
 		if err := f.WriteJSON(outPath); err != nil {
 			fmt.Fprintf(stdout, "rcbench: writing artifact: %v\n", err)
@@ -202,7 +190,6 @@ func run(args []string, stdout io.Writer) int {
 		return 0
 	}
 	deltas := bench.Compare(baseResults, results, *threshold)
-	deltas = append(deltas, bench.CompareMetrics(baseResults, results, *threshold, gates)...)
 	regressed := false
 	for _, d := range deltas {
 		tag := "  "
@@ -213,12 +200,7 @@ func run(args []string, stdout io.Writer) int {
 		case d.Ratio < 0.8:
 			tag = "++"
 		}
-		label, unit := d.Name, "ns/op"
-		if d.Metric != "" {
-			label = d.Name + " [" + d.Metric + "]"
-			unit = d.Metric
-		}
-		fmt.Fprintf(stdout, "%s %-32s %8.2fx  (%g -> %g %s)\n", tag, label, d.Ratio, d.OldNs, d.NewNs, unit)
+		fmt.Fprintf(stdout, "%s %-32s %8.2fx  (%g -> %g ns/op)\n", tag, d.Name, d.Ratio, d.OldNs, d.NewNs)
 	}
 	if regressed {
 		fmt.Fprintf(stdout, "rcbench: REGRESSION beyond %.0f%% vs %s\n", *threshold*100, basePath)

@@ -17,8 +17,9 @@
 //	rcons -mc-list
 //
 // With -progress DURATION (and -parallel or -mc), live search-progress
-// lines — nodes explored, nodes/sec, depth, memoization hit rates — are
-// printed to stderr at that interval, plus one final line on completion.
+// lines — nodes explored, nodes/sec, depth, and with -store the store
+// hit rate — are printed to stderr at that interval, plus one final
+// line on completion.
 //
 // With -parallel and -store DIR, per-level search results are read from
 // and written through to the same crash-safe content-addressed store

@@ -204,8 +204,6 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 			NodesPerSec:   rate,
 			RowsDone:      done,
 			RowsTotal:     int64(len(items)),
-			MemoHits:      es.Hits,
-			MemoMisses:    es.Misses,
 			PersistHits:   es.PersistHits,
 			PersistMisses: es.PersistMisses,
 			Elapsed:       elapsed,

@@ -38,12 +38,6 @@ type Benchmark struct {
 	// mode is incomparable with the other, so the regression gate skips
 	// them when the baseline was recorded in a different mode.
 	WorkloadVaries bool
-	// GateMetrics lists custom metric keys (after Measure's _per_op /
-	// _per_sec suffixing, e.g. "p99_seconds_per_op") that the regression
-	// gate checks in addition to ns/op. Gated metrics must be
-	// lower-is-better quantities (latencies, sizes): a value more than
-	// threshold above the baseline regresses.
-	GateMetrics []string
 	// Run executes iters iterations.
 	Run func(iters int) (Metrics, error)
 }
@@ -101,26 +95,6 @@ func Measure(bm Benchmark, iters int) (Result, error) {
 	return res, nil
 }
 
-// cleanups collects teardown for benchmark fixtures that outlive their
-// measurement (the serve/* entries keep a warm in-process server across
-// calls). rcbench runs them once the measurement sweep is done, BEFORE
-// any regression-confirming re-measurement: a leaked fixture inflates
-// the live heap, and with it the GC cost every later allocating
-// benchmark pays.
-var cleanups []func()
-
-// RegisterCleanup schedules f for RunCleanups.
-func RegisterCleanup(f func()) { cleanups = append(cleanups, f) }
-
-// RunCleanups tears down registered fixtures (idempotent).
-func RunCleanups() {
-	for _, f := range cleanups {
-		f()
-	}
-	cleanups = nil
-	runtime.GC()
-}
-
 // BestOf merges two measurements of the SAME benchmark into the most
 // favorable observation per quantity: minimum ns/op, allocs, bytes and
 // *_per_op metrics (costs), maximum *_per_sec metrics (rates). rcbench
@@ -151,10 +125,7 @@ func BestOf(a, b Result) Result {
 // Delta is one baseline-vs-current comparison row.
 type Delta struct {
 	Name string
-	// Metric is the gated custom metric key, or "" for the ns/op row.
-	Metric string
-	// OldNs and NewNs are the baseline and current values (ns/op for the
-	// default rows, the metric's own unit for metric rows).
+	// OldNs and NewNs are the baseline and current ns/op.
 	OldNs, NewNs float64
 	// Ratio is NewNs/OldNs (>1 is slower).
 	Ratio float64
@@ -180,36 +151,6 @@ func Compare(baseline, current []Result, threshold float64) []Delta {
 		d := Delta{Name: r.Name, OldNs: b.NsPerOp, NewNs: r.NsPerOp, Ratio: r.NsPerOp / b.NsPerOp}
 		d.Regressed = d.Ratio > 1+threshold
 		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
-	return out
-}
-
-// CompareMetrics extends the gate to explicitly opted-in custom metrics
-// (Benchmark.GateMetrics): gates maps benchmark name to the metric keys
-// to check. Like Compare, pairs are matched by name, and a metric
-// missing on either side is skipped — this is how serve/p99 puts tail
-// latency (p99_seconds_per_op) under the same threshold as ns/op.
-func CompareMetrics(baseline, current []Result, threshold float64, gates map[string][]string) []Delta {
-	old := map[string]Result{}
-	for _, r := range baseline {
-		old[r.Name] = r
-	}
-	var out []Delta
-	for _, r := range current {
-		b, ok := old[r.Name]
-		if !ok {
-			continue
-		}
-		for _, key := range gates[r.Name] {
-			ov, cv := b.Metrics[key], r.Metrics[key]
-			if ov <= 0 || cv <= 0 {
-				continue
-			}
-			d := Delta{Name: r.Name, Metric: key, OldNs: ov, NewNs: cv, Ratio: cv / ov}
-			d.Regressed = d.Ratio > 1+threshold
-			out = append(out, d)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
 	return out

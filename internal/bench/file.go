@@ -23,7 +23,7 @@ type File struct {
 	Results []Result `json:"results"`
 	// Telemetry is a snapshot of the process-wide obs registry taken
 	// after the run: the counters the benchmark runners published
-	// (total mc nodes, census rows, ...), keyed by metric name. It
+	// (mc runs and nodes), keyed by metric name. It
 	// records how much work the run actually did, complementing the
 	// per-benchmark rates above.
 	Telemetry map[string]float64 `json:"telemetry,omitempty"`

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rcons/internal/atlas"
-	"rcons/internal/atlas/census"
 	"rcons/internal/compile"
 	"rcons/internal/engine"
 	"rcons/internal/harness"
@@ -42,18 +41,6 @@ func Registry() []Benchmark {
 	}
 
 	out = append(out,
-		Benchmark{
-			Name:  "mc/check-team-sn",
-			Doc:   "exhaustive model check of Figure 2 over S_2 (depth 9, 1 crash)",
-			Iters: 3, QuickIters: 3,
-			Run: mcCheckRunner("team-sn", 2, mc.Options{MaxDepth: 9, CrashBudget: 1}, true),
-		},
-		Benchmark{
-			Name:  "mc/check-cas-deep",
-			Doc:   "exhaustive model check of CAS consensus (depth 12, 2 crashes)",
-			Iters: 3, QuickIters: 3,
-			Run: mcCheckRunner("cas", 2, mc.Options{MaxDepth: 12, CrashBudget: 2}, true),
-		},
 		Benchmark{
 			Name:  "mc/counterexample-noyield",
 			Doc:   "find+minimize the §3.1 no-yield agreement violation (depth 12)",
@@ -131,24 +118,6 @@ func Registry() []Benchmark {
 				}
 				_ = sink
 				return Metrics{"applies": float64(iters)}, nil
-			},
-		},
-		Benchmark{
-			Name:  "engine/classify-cached",
-			Doc:   "steady-state classification served from the memoization cache",
-			Iters: 20_000, QuickIters: 5_000,
-			Run: func(iters int) (Metrics, error) {
-				eng := engine.New(engine.Options{})
-				t := types.NewSn(3)
-				if _, err := eng.Classify(context.Background(), t, 5); err != nil {
-					return nil, err
-				}
-				for i := 0; i < iters; i++ {
-					if _, err := eng.Classify(context.Background(), t, 5); err != nil {
-						return nil, err
-					}
-				}
-				return nil, nil
 			},
 		},
 		Benchmark{
@@ -263,35 +232,7 @@ func Registry() []Benchmark {
 				return Metrics{"tables": tables}, nil
 			},
 		},
-		Benchmark{
-			Name:  "atlas/census-small",
-			Doc:   "cold census of the ≤2-state ≤2-op universe + 100 random types at limit 3",
-			Iters: 3, QuickIters: 1,
-			Run: func(iters int) (Metrics, error) {
-				rows := obs.Default().Counter("rc_bench_census_rows_total", "census rows classified by rcbench").With()
-				classified := 0.0
-				for i := 0; i < iters; i++ {
-					a, err := census.Run(context.Background(), census.Options{
-						Bounds: atlas.Bounds{States: 2, Ops: 2, Resps: 2},
-						Random: 100,
-						Seed:   1,
-						Limit:  3,
-						Engine: engine.New(engine.Options{}),
-					})
-					if err != nil {
-						return nil, err
-					}
-					if len(a.Skipped) > 0 {
-						return nil, fmt.Errorf("census skipped %d types", len(a.Skipped))
-					}
-					rows.Add(int64(a.Types))
-					classified += float64(a.Types)
-				}
-				return Metrics{"types": classified}, nil
-			},
-		},
 	)
-	out = append(out, serveBenchmarks()...)
 	return out
 }
 

@@ -28,8 +28,8 @@ func TestCompiledParity(t *testing.T) {
 		samples = 15
 	}
 
-	compiled := engine.New(engine.Options{Workers: 4, CacheSize: -1})
-	interp := engine.New(engine.Options{Workers: 4, CacheSize: -1, Interpreted: true})
+	compiled := engine.New(engine.Options{Workers: 4})
+	interp := engine.New(engine.Options{Workers: 4, Interpreted: true})
 	ctx := context.Background()
 
 	targets := types.Zoo()

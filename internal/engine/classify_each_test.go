@@ -89,7 +89,7 @@ func TestClassifyEachBoundsGoroutines(t *testing.T) {
 	for i := range ts {
 		ts[i] = peakType{&peak}
 	}
-	eng := New(Options{Workers: workers, CacheSize: -1})
+	eng := New(Options{Workers: workers})
 	base := int64(settledGoroutines())
 	_, errs := eng.ClassifyEach(context.Background(), ts, 2)
 	for i, err := range errs {

@@ -5,13 +5,12 @@
 // (checker.ShardCursor over a compiled table, checker.Shards on the
 // interpreted path), searches them on the calling goroutine plus
 // helpers for idle worker slots, stopping early once a witness is
-// found, and memoizes whole classifications behind an exact type
-// fingerprint so repeated queries (CLI runs, zoo scans, rcserve
-// traffic) are served from memory. With a persistent store attached,
-// every per-(property, n) search result is read from and written
-// through to it. Each (type, n) is walked once per call: its compiled
-// table (package compile) supplies the memo and store keys, the
-// symmetry-pruning group and the search itself.
+// found. The engine keeps no memo of its own: callers that repeat
+// queries keep their answers (rcserve's response memo). With a
+// persistent store attached, every per-(property, n) search result is
+// read from and written through to it. Each (type, n) a scan reaches is
+// walked once per call: its compiled table (package compile) supplies
+// the store key, the symmetry-pruning group and the search itself.
 //
 // Determinism: a search runs on an ordered.Run, one item per shard. Its
 // goroutines claim shards in enumeration order and share one atomic
@@ -38,7 +37,6 @@ import (
 
 	"rcons/internal/checker"
 	"rcons/internal/compile"
-	"rcons/internal/lru"
 	"rcons/internal/obs"
 	"rcons/internal/ordered"
 	"rcons/internal/spec"
@@ -89,8 +87,7 @@ func (p Property) verify() (checker.VerifyFunc, error) {
 	return nil, fmt.Errorf("engine: invalid property %d", int(p))
 }
 
-// Options configures an Engine. The zero value gives one worker per CPU
-// and a 4096-entry classification memo.
+// Options configures an Engine. The zero value gives one worker per CPU.
 type Options struct {
 	// Workers is the engine-wide number of worker slots, shared by all
 	// concurrent searches; ≤ 0 means runtime.GOMAXPROCS(0). A search
@@ -98,9 +95,6 @@ type Options struct {
 	// free, plus a helper for each further slot free when it starts.
 	// ClassifyEach runs up to Workers classifications at once.
 	Workers int
-	// CacheSize bounds the number of memoized classifications (LRU);
-	// 0 means 4096, negative disables in-memory memoization entirely.
-	CacheSize int
 	// Persist, when non-nil, is a persistent result store for the
 	// per-(property, n) searches: each search consults it before
 	// computing, and every computed result is written through — so
@@ -115,9 +109,9 @@ type Options struct {
 	Interpreted bool
 }
 
-// Engine runs sharded witness searches and memoized classifications.
-// It is safe for concurrent use; one Engine is meant to be shared (e.g.
-// by all rcserve requests) so that the memo actually accumulates.
+// Engine runs sharded witness searches and classifications. It is safe
+// for concurrent use; one Engine is meant to be shared (e.g. by all
+// rcserve requests) so that its worker slots bound them all.
 type Engine struct {
 	workers int
 	// sem holds the engine-wide worker slots; the bound covers every
@@ -131,15 +125,8 @@ type Engine struct {
 	sem     chan struct{}
 	persist Persist // nil when no persistent store is attached
 	pstats  persistStats
-
-	// classes, the engine's one in-memory memo, holds whole
-	// classifications keyed by exact fingerprint, limit and
-	// readability. A hit costs one table walk at the limit and skips
-	// both property scans. Searches keep no memo of their own: with
-	// a store attached they read through it. nil when memoization is
-	// disabled.
-	classes                *lru.Cache[classKey, checker.Classification]
-	classHits, classMisses atomic.Int64
+	// classified counts the classifications Classify has derived.
+	classified atomic.Int64
 
 	// interpreted switches verification to the parity-oracle path.
 	interpreted bool
@@ -151,44 +138,19 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{
+	return &Engine{
 		workers:     w,
 		sem:         make(chan struct{}, w),
 		persist:     opts.Persist,
 		interpreted: opts.Interpreted,
 	}
-	size := opts.CacheSize
-	if size == 0 {
-		size = 4096
-	}
-	if size > 0 {
-		e.classes = lru.New[classKey, checker.Classification](size)
-	}
-	return e
 }
 
-// classKey identifies one memoized classification: the exact
-// fingerprint at n = limit (which hashes the type's name, alphabet and
-// full reachable transition table), the limit itself, and readability,
-// which the fingerprint does not cover but checker.Derive reads. Equal
-// keys imply identical classifications including TypeName.
-type classKey struct {
-	fp       string
-	limit    int
-	readable bool
-}
-
-// CacheStats reports the classification memo's cumulative behavior and
+// CacheStats reports the engine's cumulative classification count and
 // the persistent store's search counters.
 type CacheStats struct {
-	// Hits and Misses count classification-memo lookups that did / did
-	// not find an entry.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Entries is the current number of memoized classifications.
-	Entries int `json:"entries"`
-	// Evictions counts entries dropped to respect the size bound.
-	Evictions int64 `json:"evictions"`
+	// Classifications counts the classifications Classify has derived.
+	Classifications int64 `json:"classifications"`
 	// PersistHits / PersistMisses count searches that were / were not
 	// answered by the persistent result store (zero without one);
 	// PersistErrors counts store reads or writes that failed (the search
@@ -198,53 +160,29 @@ type CacheStats struct {
 	PersistErrors int64 `json:"persistErrors"`
 }
 
-// cloneClassification deep-copies the witness pointers inside a
-// classification so cached entries are immune to caller mutation (the
-// value itself is copied by assignment; only MaxLevel.Witness aliases).
-func cloneClassification(c checker.Classification) checker.Classification {
-	if c.Discerning.Witness != nil {
-		w := cloneWitness(*c.Discerning.Witness)
-		c.Discerning.Witness = &w
-	}
-	if c.Recording.Witness != nil {
-		w := cloneWitness(*c.Recording.Witness)
-		c.Recording.Witness = &w
-	}
-	return c
-}
-
 // Workers returns the configured worker-pool width.
 func (e *Engine) Workers() int { return e.workers }
 
-// Stats returns the classification memo's cumulative statistics (zero
-// values when memoization is disabled) merged with the persistent-store
-// counters.
+// Stats returns the engine's cumulative counters.
 func (e *Engine) Stats() CacheStats {
-	s := CacheStats{
-		Hits:          e.classHits.Load(),
-		Misses:        e.classMisses.Load(),
-		PersistHits:   e.pstats.hits.Load(),
-		PersistMisses: e.pstats.misses.Load(),
-		PersistErrors: e.pstats.errors.Load(),
+	return CacheStats{
+		Classifications: e.classified.Load(),
+		PersistHits:     e.pstats.hits.Load(),
+		PersistMisses:   e.pstats.misses.Load(),
+		PersistErrors:   e.pstats.errors.Load(),
 	}
-	if e.classes != nil {
-		s.Entries = e.classes.Len()
-		s.Evictions = e.classes.Evictions()
-	}
-	return s
 }
 
 // PublishProgress starts periodic publication of the engine's
-// cumulative counters (classification-memo lookups as the work unit,
-// memo and persist hit ratios) to sink, tagged with the given trace
-// ID. The returned stop function flushes one final sample and waits for
-// the publisher to exit; a nil sink makes both no-ops. interval ≤ 0
-// means 1s.
+// cumulative counters (classifications as the work unit, the persist
+// hit ratio) to sink, tagged with the given trace ID. The returned stop
+// function flushes one final sample and waits for the publisher to
+// exit; a nil sink makes both no-ops. interval ≤ 0 means 1s.
 func (e *Engine) PublishProgress(interval time.Duration, sink obs.Sink, trace string) (stop func()) {
 	start := time.Now()
 	return obs.PublishEvery(interval, sink, func() obs.Progress {
 		s := e.Stats()
-		nodes := s.Hits + s.Misses
+		nodes := s.Classifications
 		elapsed := time.Since(start)
 		var rate float64
 		if secs := elapsed.Seconds(); secs > 0 {
@@ -255,8 +193,6 @@ func (e *Engine) PublishProgress(interval time.Duration, sink obs.Sink, trace st
 			TraceID:       trace,
 			Nodes:         nodes,
 			NodesPerSec:   rate,
-			MemoHits:      s.Hits,
-			MemoMisses:    s.Misses,
 			PersistHits:   s.PersistHits,
 			PersistMisses: s.PersistMisses,
 			Elapsed:       elapsed,
@@ -299,11 +235,12 @@ func buildLevel(t spec.Type, n int, keyed bool) level {
 }
 
 // levelTables holds one Classify call's levels for n = 2 … limit; at
-// builds each on first use and shares it with every scan after.
+// builds each on first use and shares it with every scan after. keyed
+// says a store is attached, so each level needs its fingerprint.
 type levelTables struct {
-	e  *Engine
-	t  spec.Type
-	lv []lazyLevel
+	t     spec.Type
+	keyed bool
+	lv    []lazyLevel
 }
 
 type lazyLevel struct {
@@ -312,18 +249,13 @@ type lazyLevel struct {
 }
 
 func (e *Engine) levels(t spec.Type, limit int) levelTables {
-	return levelTables{e: e, t: t, lv: make([]lazyLevel, max(limit+1, 0))}
+	return levelTables{t: t, keyed: e.persist != nil, lv: make([]lazyLevel, max(limit+1, 0))}
 }
 
-// at returns the level at n, building it once. A level is keyed when
-// the store needs its search keys, or when it is the limit's and the
-// class memo needs its key.
+// at returns the level at n, building it once.
 func (lt levelTables) at(n int) level {
 	x := &lt.lv[n]
-	x.once.Do(func() {
-		keyed := lt.e.persist != nil || (n == len(lt.lv)-1 && lt.e.classes != nil)
-		x.l = buildLevel(lt.t, n, keyed)
-	})
+	x.once.Do(func() { x.l = buildLevel(lt.t, n, lt.keyed) })
 	return x.l
 }
 
@@ -365,16 +297,6 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 		e.persistPut(sctx, l.fp, p, n, w)
 	}
 	return w, nil
-}
-
-// cloneWitness deep-copies a witness so cached entries are immune to
-// caller mutation.
-func cloneWitness(w checker.Witness) checker.Witness {
-	return checker.Witness{
-		Q0:    w.Q0,
-		Teams: append([]int(nil), w.Teams...),
-		Ops:   append([]spec.Op(nil), w.Ops...),
-	}
 }
 
 // runShards drives one level search of at most count shards: work
@@ -551,8 +473,7 @@ func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit in
 // slots. The two property scans run concurrently when the engine is
 // idle, with the recording scan on a second goroutine, and one after
 // the other on the caller's goroutine otherwise. Each level's table is
-// built once and shared by both scans; the one at limit also keys the
-// whole-classification memo.
+// built once, when a scan first reaches it, and shared by both scans.
 func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.Classification, error) {
 	if limit < 2 {
 		return checker.Classification{}, fmt.Errorf("checker: classification limit must be ≥ 2, got %d", limit)
@@ -562,23 +483,6 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 	span.SetAttr("limit", strconv.Itoa(limit))
 	defer span.End()
 	lt := e.levels(t, limit)
-	var (
-		ckey    classKey
-		haveKey bool
-	)
-	if e.classes != nil {
-		if l := lt.at(limit); l.fp != "" {
-			ckey = classKey{fp: l.fp, limit: limit, readable: l.tab.Readable()}
-			haveKey = true
-			if c, ok := e.classes.Get(ckey); ok {
-				e.classHits.Add(1)
-				span.SetAttr("memo", "hit")
-				return cloneClassification(c), nil
-			}
-			e.classMisses.Add(1)
-			span.SetAttr("memo", "miss")
-		}
-	}
 	var (
 		disc, rec  checker.MaxLevel
 		dErr, rErr error
@@ -606,8 +510,8 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 		return checker.Classification{}, fmt.Errorf("classify %s: %w", t.Name(), rErr)
 	}
 	c, err := checker.Derive(t, disc, rec)
-	if err == nil && haveKey {
-		e.classes.Put(ckey, cloneClassification(c))
+	if err == nil {
+		e.classified.Add(1)
 	}
 	return c, err
 }

@@ -76,142 +76,7 @@ func TestSearchMatchesSequentialWitness(t *testing.T) {
 	}
 }
 
-// TestCacheHitMiss: the class memo answers a repeated Classify with an
-// equal classification, memoizes negative bands (S_3's recording scan
-// at limit 4 stops at 3 without a 4-witness), keys on the limit, and
-// isolates its entries from caller mutation.
-func TestCacheHitMiss(t *testing.T) {
-	e := New(Options{Workers: 2})
-	ctx := context.Background()
-	typ := types.NewSn(3)
-
-	if s := e.Stats(); s != (CacheStats{}) {
-		t.Fatalf("fresh engine has stats %+v", s)
-	}
-	c1, err := e.Classify(ctx, typ, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.Recording.Max != 3 || c1.Recording.AtLimit || c1.Recording.Witness == nil {
-		t.Fatalf("S_3 at limit 4: recording %+v, want a 3-witness and no 4-witness", c1.Recording)
-	}
-	if s := e.Stats(); s.Hits != 0 || s.Misses != 1 || s.Entries != 1 {
-		t.Fatalf("after miss: %+v", s)
-	}
-	c2, err := e.Classify(ctx, typ, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("after hit: %+v", s)
-	}
-	if !reflect.DeepEqual(c1, c2) {
-		t.Fatalf("memo returned a different classification:\n%+v\nvs\n%+v", c1, c2)
-	}
-
-	// Memoized entries must be isolated from caller mutation.
-	c1.Recording.Witness.Ops[0] = "corrupted"
-	c3, err := e.Classify(ctx, typ, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(c2, c3) {
-		t.Fatal("mutating a returned witness corrupted the memo")
-	}
-
-	// Distinct limits use distinct keys.
-	if _, err := e.Classify(ctx, typ, 3); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Hits != 2 || s.Misses != 2 || s.Entries != 2 {
-		t.Fatalf("limit should not share memo keys: %+v", s)
-	}
-}
-
-// TestCacheDisabled: CacheSize -1 memoizes nothing and counts nothing.
-func TestCacheDisabled(t *testing.T) {
-	e := New(Options{Workers: 2, CacheSize: -1})
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := e.Classify(ctx, types.NewSn(2), 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := e.Stats(); s != (CacheStats{}) {
-		t.Fatalf("disabled cache reported %+v", s)
-	}
-}
-
-// TestCacheEviction: at CacheSize 1 a second classification evicts the
-// first, which is then recomputed (a miss) to the same result.
-func TestCacheEviction(t *testing.T) {
-	e := New(Options{Workers: 2, CacheSize: 1})
-	ctx := context.Background()
-	first, err := e.Classify(ctx, types.NewSn(2), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Classify(ctx, types.NewSn(3), 3); err != nil {
-		t.Fatal(err)
-	}
-	s := e.Stats()
-	if s.Entries != 1 || s.Evictions != 1 {
-		t.Fatalf("eviction stats: %+v", s)
-	}
-	again, err := e.Classify(ctx, types.NewSn(2), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Hits != 0 || s.Misses != 3 {
-		t.Fatalf("post-eviction stats: %+v", s)
-	}
-	if !reflect.DeepEqual(first, again) {
-		t.Fatalf("recomputed classification differs:\n%+v\nvs\n%+v", first, again)
-	}
-}
-
-// TestMemoStatsCountClassifications: every memo field of CacheStats
-// describes the one class memo — one lookup per Classify and one entry
-// per distinct classification, however many levels each one searched.
-func TestMemoStatsCountClassifications(t *testing.T) {
-	ctx := context.Background()
-	calls := []struct {
-		typ   spec.Type
-		limit int
-	}{{types.NewSn(2), 4}, {types.NewSn(3), 3}, {types.NewSn(3), 4}}
-	k := int64(len(calls))
-	const r = 2
-
-	e := New(Options{Workers: 2})
-	for _, c := range calls {
-		if _, err := e.Classify(ctx, c.typ, c.limit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := e.Stats(); s.Misses != k || s.Entries != int(k) || s.Hits != 0 || s.Evictions != 0 {
-		t.Fatalf("after %d distinct classifications: %+v", k, s)
-	}
-	for range r {
-		if _, err := e.Classify(ctx, calls[0].typ, calls[0].limit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := e.Stats(); s.Hits != r || s.Misses != k || s.Entries != int(k) {
-		t.Fatalf("after %d repeats: %+v", r, s)
-	}
-
-	small := New(Options{Workers: 2, CacheSize: 1})
-	for _, c := range calls {
-		if _, err := small.Classify(ctx, c.typ, c.limit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := small.Stats(); s.Evictions != k-1 || s.Entries != 1 || s.Misses != k {
-		t.Fatalf("CacheSize 1 after %d classifications: %+v", k, s)
-	}
-}
-
-// TestFingerprintIdentity checks that the cache key identifies the
+// TestFingerprintIdentity checks that the store key identifies the
 // transition table, not the Go value: structurally equal types share a
 // fingerprint, and any semantic difference separates them.
 func TestFingerprintIdentity(t *testing.T) {

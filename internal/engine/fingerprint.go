@@ -17,11 +17,11 @@ import (
 // the full transition table restricted to states reachable from the
 // initial states under that alphabet. Two spec.Type values with equal
 // fingerprints produce identical witness-search results, which is what
-// makes the engine's memo and store keys sound for arbitrary (including
+// makes the engine's store keys sound for arbitrary (including
 // user-supplied custom) types. ok is false when the type cannot be
 // fingerprinted — the state space exceeds compile.StateCap or a
 // transition fails — in which case results for it are simply not
-// memoized or stored.
+// stored.
 func Fingerprint(t spec.Type, n int) (fp string, ok bool) {
 	c, err := compile.Table(t, n)
 	if err != nil {
@@ -137,12 +137,12 @@ const (
 // labels) share a canonical fingerprint even though their exact
 // Fingerprints differ.
 //
-// It deliberately does NOT replace Fingerprint as the engine's memo
-// and store key: memoized witnesses name concrete states and operations, so serving
+// It deliberately does NOT replace Fingerprint as the engine's store
+// key: stored witnesses name concrete states and operations, so serving
 // a witness computed for an isomorphic-but-differently-labelled type
 // would hand the caller op strings its type does not accept. Canonical
 // fingerprints are an identity for humans and APIs (rcserve reports
-// them), not a memoization key.
+// them), not a cache key.
 //
 // ok is false when the type cannot be canonicalized: an oversized state
 // space, a transition error, or more operations/initial states than the

@@ -356,7 +356,7 @@ func TestFingerprintStable(t *testing.T) {
 }
 
 // BenchmarkFingerprintZoo tracks the cost of the exact fingerprint —
-// the per-call key computation on every memoized engine path.
+// the per-level key computation on every store-backed engine path.
 func BenchmarkFingerprintZoo(b *testing.B) {
 	zoo := types.Zoo()
 	b.ResetTimer()

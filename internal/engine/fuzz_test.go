@@ -154,9 +154,8 @@ func FuzzFingerprint(f *testing.F) {
 	})
 }
 
-// parityEngine is shared across fuzz iterations so its memoization cache
-// is exercised too — cache keys include the full transition table, so
-// distinct fuzz tables cannot collide.
+// parityEngine is shared across fuzz iterations, as rcserve shares one
+// engine across requests.
 var parityEngine = New(Options{Workers: 4})
 
 // FuzzClassifyParity checks the engine's core contract on arbitrary

@@ -36,8 +36,7 @@ type Persist interface {
 // persistKind namespaces search results inside the shared store.
 const persistKind = "search"
 
-// persistStats are the engine's store-interaction counters, separate
-// from the class memo's because persistence works with it disabled.
+// persistStats are the engine's store-interaction counters.
 type persistStats struct {
 	hits, misses, errors atomic.Int64
 }

@@ -51,9 +51,9 @@ func (f *fakePersist) Put(_ context.Context, kind, key string, payload []byte) e
 
 // TestPersistWriteThroughAndRestart: engine 1 computes and persists;
 // engine 2 (a "restarted process" sharing the store) answers from disk
-// without searching. The sentinel proves no recomputation: engine 2's
-// class memo is disabled and the stored entry is the only possible
-// source of the exact bytes it returns.
+// without searching: engine 2 keeps no memo, so the stored entries are
+// the only possible source of its answers, and its persist hits count
+// them.
 func TestPersistWriteThroughAndRestart(t *testing.T) {
 	ctx := context.Background()
 	p := newFakePersist()
@@ -75,7 +75,7 @@ func TestPersistWriteThroughAndRestart(t *testing.T) {
 		t.Fatalf("negative search: %v, %v", w, err)
 	}
 
-	e2 := New(Options{Workers: 2, CacheSize: -1, Persist: p})
+	e2 := New(Options{Workers: 2, Persist: p})
 	w2, err := e2.Search(ctx, typ, Recording, 3)
 	if err != nil || w2 == nil {
 		t.Fatalf("restart search: %v, %v", w2, err)
@@ -119,18 +119,6 @@ func TestPersistServesStoredResult(t *testing.T) {
 	}
 	if string(w.Q0) != "sentinel-state" {
 		t.Fatalf("engine recomputed instead of serving the store: %s", w)
-	}
-	// A repeated classification is a class-memo hit: it must not read
-	// the store at all.
-	if _, err := e.Classify(ctx, typ, 3); err != nil {
-		t.Fatal(err)
-	}
-	gets := p.gets
-	if _, err := e.Classify(ctx, typ, 3); err != nil {
-		t.Fatal(err)
-	}
-	if p.gets != gets {
-		t.Fatalf("memoized classification read the store %d times", p.gets-gets)
 	}
 }
 
@@ -210,7 +198,7 @@ func TestPersistChainReadThrough(t *testing.T) {
 	flaky.fail = true
 	chain := store.NewChain(local, namedPersist{flaky}, warm)
 
-	e2 := New(Options{Workers: 2, CacheSize: -1, Persist: chain})
+	e2 := New(Options{Workers: 2, Persist: chain})
 	w2, err := e2.Search(ctx, typ, Recording, 3)
 	if err != nil || w2 == nil {
 		t.Fatalf("chained search: %v, %v", w2, err)
@@ -226,7 +214,7 @@ func TestPersistChainReadThrough(t *testing.T) {
 		t.Fatalf("write-back did not heal the local tier: %+v", st)
 	}
 	// A third process over just the healed local tier hits immediately.
-	e3 := New(Options{Workers: 2, CacheSize: -1, Persist: local})
+	e3 := New(Options{Workers: 2, Persist: local})
 	if w3, err := e3.Search(ctx, typ, Recording, 3); err != nil || w3 == nil {
 		t.Fatalf("healed-tier search: %v, %v", w3, err)
 	}

@@ -111,8 +111,8 @@ func TestPruneSymmetricShards(t *testing.T) {
 // interpreted engine, which enumerates every shard.
 func TestPrunedSearchMatchesInterpreted(t *testing.T) {
 	typ := symType()
-	fast := New(Options{Workers: 4, CacheSize: -1})
-	slow := New(Options{Workers: 4, CacheSize: -1, Interpreted: true})
+	fast := New(Options{Workers: 4})
+	slow := New(Options{Workers: 4, Interpreted: true})
 	ctx := context.Background()
 	for n := 2; n <= 4; n++ {
 		for _, p := range []Property{Recording, Discerning} {

@@ -31,9 +31,9 @@ func TestSearchWitnessAcrossWorkers(t *testing.T) {
 		}
 		engines := map[string]*Engine{}
 		for _, w := range []int{1, 2, 3, 8} {
-			engines["workers="+strconv.Itoa(w)] = New(Options{Workers: w, CacheSize: -1, Interpreted: interp})
+			engines["workers="+strconv.Itoa(w)] = New(Options{Workers: w, Interpreted: interp})
 		}
-		held := New(Options{Workers: 3, CacheSize: -1, Interpreted: interp})
+		held := New(Options{Workers: 3, Interpreted: interp})
 		for range cap(held.sem) {
 			held.sem <- struct{}{}
 		}
@@ -94,7 +94,7 @@ func goroutinesReach(want int) int {
 func TestSearchCancelledMidway(t *testing.T) {
 	typ := types.NewRegister()
 	for _, interp := range []bool{false, true} {
-		e := New(Options{Workers: 4, CacheSize: -1, Interpreted: interp})
+		e := New(Options{Workers: 4, Interpreted: interp})
 		before := settledGoroutines()
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(20*time.Millisecond, cancel)

@@ -36,31 +36,51 @@ func walk(t *testing.T, typ spec.Type, n int) int64 {
 	return int64(c.NumStates() * c.NumOps())
 }
 
-// TestClassifyWalksEachLevelOnce: a cold Classify at limit 3 walks
-// levels 2 and 3 once each — the class-memo key, both property scans
-// and the compiled searches all share the walks —
-// and a class-memo hit costs one walk at the limit.
+// reached is the highest level a scan that found max stops at: the
+// first level without a witness, or the limit.
+func reached(m checker.MaxLevel) int { return min(m.Max+1, m.Limit) }
+
+// TestClassifyWalksEachLevelOnce: a cold Classify walks each level its
+// scans reach exactly once — both property scans and the compiled
+// searches share the walks — and no level above them, the limit's
+// included. A repeat walks them again: the engine keeps no memo.
 func TestClassifyWalksEachLevelOnce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
+	const limit = 4
+	short, full := 0, 0
 	for i := 0; i < 10; i++ {
 		raw := atlas.Random(rng, 3, 2, 2)
+		want, err := checker.Classify(raw, limit, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := max(reached(want.Discerning), reached(want.Recording))
+		if top < limit {
+			short++
+		} else {
+			full++
+		}
+		var levels int64
+		for n := 2; n <= top; n++ {
+			levels += walk(t, raw, n)
+		}
 		var applies atomic.Int64
 		typ := countingType{raw, &applies}
 		e := New(Options{Workers: 2})
-		if _, err := e.Classify(ctx, typ, 3); err != nil {
-			t.Fatal(err)
+		for round := range 2 {
+			applies.Store(0)
+			if _, err := e.Classify(ctx, typ, limit); err != nil {
+				t.Fatal(err)
+			}
+			if got := applies.Load(); got != levels {
+				t.Fatalf("%s round %d: Classify made %d Apply calls, want %d (one walk of each level 2…%d)",
+					raw.Name(), round, got, levels, top)
+			}
 		}
-		if got, want := applies.Load(), walk(t, raw, 2)+walk(t, raw, 3); got != want {
-			t.Fatalf("%s: cold Classify made %d Apply calls, want %d (one walk per level)", raw.Name(), got, want)
-		}
-		applies.Store(0)
-		if _, err := e.Classify(ctx, typ, 3); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := applies.Load(), walk(t, raw, 3); got != want {
-			t.Fatalf("%s: class-memo hit made %d Apply calls, want %d (one walk at the limit)", raw.Name(), got, want)
-		}
+	}
+	if short == 0 || full == 0 {
+		t.Fatalf("%d types stopped below the limit and %d reached it; the sample must hold both", short, full)
 	}
 }
 
@@ -83,7 +103,7 @@ func readabilityPair(t *testing.T) (readable, nonReadable *types.Custom) {
 // TestClassMemoKeysReadability: readability is not part of the
 // fingerprint but decides the bands, so one engine classifying the same
 // table readable and non-readable, in either order, must match
-// checker.Classify both times.
+// checker.Classify both times — whatever the engine keeps between calls.
 func TestClassMemoKeysReadability(t *testing.T) {
 	r, nr := readabilityPair(t)
 	want := map[spec.Type]checker.Classification{}

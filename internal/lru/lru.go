@@ -1,6 +1,6 @@
 // Package lru is the repository's one bounded least-recently-used cache.
-// The engine's memo tables, rcserve's small memos and the result store's
-// in-memory front all use it.
+// rcserve's response and atlas memos and the result store's in-memory
+// front use it.
 package lru
 
 import (

@@ -10,7 +10,7 @@ import (
 
 // Progress is one sample of a long-running search's state. Producers
 // fill the fields that make sense for them (mc fills depth and
-// frontier, census fills rows, the engine fills memo/persist counters);
+// frontier, census fills rows, the engine fills persist counters);
 // zero-valued fields mean "not applicable" and sinks skip them.
 type Progress struct {
 	// Task names the producer: "mc", "census", "engine".
@@ -27,8 +27,6 @@ type Progress struct {
 	Depth int
 	// Frontier is the number of in-flight roots/branches (mc).
 	Frontier int64
-	// MemoHits/MemoMisses are engine classification-memo counters.
-	MemoHits, MemoMisses int64
 	// PersistHits/PersistMisses are engine persistent-store counters.
 	PersistHits, PersistMisses int64
 	// RowsDone/RowsTotal are census row progress (RowsTotal 0 when the
@@ -85,9 +83,6 @@ func NewLineSink(w io.Writer) Sink {
 		}
 		if p.Frontier > 0 {
 			fmt.Fprintf(&b, " frontier=%d", p.Frontier)
-		}
-		if hits, misses := p.MemoHits, p.MemoMisses; hits+misses > 0 {
-			fmt.Fprintf(&b, " memo=%.1f%%", 100*float64(hits)/float64(hits+misses))
 		}
 		if hits, misses := p.PersistHits, p.PersistMisses; hits+misses > 0 {
 			fmt.Fprintf(&b, " persist=%.1f%%", 100*float64(hits)/float64(hits+misses))

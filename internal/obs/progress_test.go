@@ -79,13 +79,13 @@ func TestLineSink(t *testing.T) {
 	sink := NewLineSink(syncWriter{&mu, &buf})
 	sink.Publish(Progress{
 		Task: "mc", TraceID: "t1", Nodes: 100, NodesPerSec: 50,
-		Depth: 7, Frontier: 3, MemoHits: 3, MemoMisses: 1,
+		Depth: 7, Frontier: 3, PersistHits: 3, PersistMisses: 1,
 		RowsDone: 5, RowsTotal: 10, Elapsed: 2 * time.Second, Final: true,
 	})
 	line := buf.String()
 	for _, want := range []string{
 		"task=mc", "trace=t1", "nodes=100", "nodes/s=50", "depth=7",
-		"frontier=3", "memo=75.0%", "rows=5/10", "elapsed=2s", "final=true",
+		"frontier=3", "persist=75.0%", "rows=5/10", "elapsed=2s", "final=true",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("line missing %q: %s", want, line)
@@ -99,7 +99,7 @@ func TestLineSink(t *testing.T) {
 	buf.Reset()
 	sink.Publish(Progress{Task: "engine", Nodes: 1})
 	line = buf.String()
-	for _, absent := range []string{"depth=", "frontier=", "rows=", "trace=", "memo="} {
+	for _, absent := range []string{"depth=", "frontier=", "rows=", "trace=", "persist="} {
 		if strings.Contains(line, absent) {
 			t.Errorf("line has zero-valued field %q: %s", absent, line)
 		}

@@ -130,7 +130,9 @@ func (s *Server) handleAtlas(w http.ResponseWriter, r *http.Request) {
 //	GET /v1/atlas/type?seed=42&states=3&ops=2&resps=2&limit=4
 //
 // The response carries the full transition table (re-POSTable to
-// /v1/classify), the atlas canonical key, and the classification.
+// /v1/classify), the atlas canonical key, and the classification. It
+// is a pure function of the parameters, so repeats are served from the
+// response memo.
 func (s *Server) handleAtlasType(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
@@ -156,24 +158,34 @@ func (s *Server) handleAtlasType(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	key := fmt.Sprintf("a|%d|%d|%d|%d|%d", seed, states, ops, resps, limit)
+	if payload, hit := s.itemGet(key); hit {
+		writeRawJSON(w, http.StatusOK, payload)
+		return
+	}
 	t := atlas.Random(rand.New(rand.NewSource(seed)), states, ops, resps)
-	canon, key, canonOK := t.CanonicalWithKey()
+	canon, canonKey, canonOK := t.CanonicalWithKey()
 	if canonOK {
-		t = canon.WithLabel("atlas:" + key)
+		t = canon.WithLabel("atlas:" + canonKey)
 	}
 	c, err := s.eng.Classify(r.Context(), t, limit)
 	if err != nil {
 		s.writeEngineError(w, r, err)
 		return
 	}
-	enc := s.encodeClassificationWithFP(c, t, limit)
-	writeJSON(w, http.StatusOK, map[string]any{
+	payload, err := marshalJSON(map[string]any{
 		"seed":           seed,
 		"dims":           t.Dims(),
-		"key":            key,
+		"key":            canonKey,
 		"table":          t.Custom(),
-		"classification": enc,
+		"classification": s.encodeClassificationWithFP(c, t, limit),
 	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	s.itemPut(key, payload)
+	writeRawJSON(w, http.StatusOK, payload)
 }
 
 // seedParam parses the optional int64 seed parameter (default 1).

@@ -129,9 +129,10 @@ func TestAtlasConcurrentColdRequests(t *testing.T) {
 
 // TestAtlasTypeEndpoint: /v1/atlas/type returns a re-importable table
 // whose classification matches re-classifying that table directly, and
-// the same seed always returns the same type.
+// the same seed always returns the same type, the repeat from the
+// response memo.
 func TestAtlasTypeEndpoint(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 	url := ts.URL + "/v1/atlas/type?seed=42&states=3&ops=2&resps=2&limit=3"
 	var got struct {
 		Seed           int64              `json:"seed"`
@@ -159,6 +160,9 @@ func TestAtlasTypeEndpoint(t *testing.T) {
 	getJSON(t, url, http.StatusOK, &again)
 	if again.Key != got.Key {
 		t.Fatalf("same seed, different type: %s vs %s", got.Key, again.Key)
+	}
+	if n := s.eng.Stats().Classifications; n != 1 {
+		t.Fatalf("two identical requests made %d classifications, want 1", n)
 	}
 
 	// Round trip: POSTing the returned table to /v1/classify yields the

@@ -37,7 +37,7 @@ func postClassify(url, body string) (classificationJSON, error) {
 
 // TestClassifyReadabilityBodies: the readable and non-readable uploads
 // of one table must each get checker.Classify's answer, whether they
-// arrive one after the other (one engine's class memo sees both) or
+// arrive one after the other (one engine classifies both) or
 // concurrently (request coalescing sees both).
 func TestClassifyReadabilityBodies(t *testing.T) {
 	want := make([]classificationJSON, len(readabilityBodies))
@@ -104,9 +104,10 @@ func (c countingType) Apply(s spec.State, op spec.Op) (spec.State, spec.Response
 	return c.Type.Apply(s, op)
 }
 
-// TestClassifyPostWalks: a cold POST /v1/classify at limit 3 walks the
-// table once per level for the engine and once more for the canonical
-// fingerprint; a repeat is served from the response memo with no walk.
+// TestClassifyPostWalks: a cold POST /v1/classify walks the table once
+// per level the engine's scans reach — this table's stop at 2, below
+// the limit — and once at the limit for the canonical fingerprint; a
+// repeat is served from the response memo with no walk.
 func TestClassifyPostWalks(t *testing.T) {
 	const body = `{"name":"W","initial":["a"],"transitions":{` +
 		`"a":{"f":{"next":"b","resp":"0"},"g":{"next":"a","resp":"1"}},` +
@@ -116,14 +117,27 @@ func TestClassifyPostWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var walk [4]int64
-	for n := 2; n <= 3; n++ {
+	const limit = 3
+	want, err := checker.Classify(raw, limit, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := max(min(want.Discerning.Max+1, limit), min(want.Recording.Max+1, limit))
+	if top >= limit {
+		t.Fatalf("the scans reach level %d; this test needs a table whose scans stop below the limit %d", top, limit)
+	}
+	walk := func(n int) int64 {
 		c, err := compile.Table(raw, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		walk[n] = int64(c.NumStates() * c.NumOps())
+		return int64(c.NumStates() * c.NumOps())
 	}
+	var cold int64
+	for n := 2; n <= top; n++ {
+		cold += walk(n)
+	}
+	cold += walk(limit)
 
 	var applies atomic.Int64
 	cfg, err := parseFlags([]string{"-workers", "4", "-log-level", "error"})
@@ -145,13 +159,13 @@ func TestClassifyPostWalks(t *testing.T) {
 	if _, err := postClassify(ts.URL, body); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := applies.Load(), walk[2]+walk[3]+walk[3]; got != want {
-		t.Fatalf("cold POST made %d Apply calls, want %d (levels 2 and 3, then the canonical fingerprint at 3)", got, want)
+	if got := applies.Load(); got != cold {
+		t.Fatalf("cold POST made %d Apply calls, want %d (levels 2…%d, then the canonical fingerprint at %d)", got, cold, top, limit)
 	}
 	if _, err := postClassify(ts.URL, body); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := applies.Load(), walk[2]+2*walk[3]; got != want {
-		t.Fatalf("repeated POST made %d more Apply calls, want 0", got-want)
+	if got := applies.Load(); got != cold {
+		t.Fatalf("repeated POST made %d more Apply calls, want 0", got-cold)
 	}
 }

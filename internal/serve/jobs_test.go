@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rcons/internal/jobs"
+	"rcons/internal/types"
 )
 
 // leakCheck snapshots the goroutine count and, after every cleanup
@@ -340,7 +341,7 @@ func TestJobsSurviveRestart(t *testing.T) {
 	}
 	// No recomputation: the engine never ran a search for it.
 	after := s2.eng.Stats()
-	if after.Misses != engineSearches.Misses || after.PersistMisses != engineSearches.PersistMisses {
+	if after.Classifications != engineSearches.Classifications || after.PersistMisses != engineSearches.PersistMisses {
 		t.Fatalf("restarted submission recomputed: %+v vs %+v", after, engineSearches)
 	}
 	// And the store-backed /healthz shows the store.
@@ -413,15 +414,14 @@ func TestHealthzJobStats(t *testing.T) {
 			Submitted int64 `json:"submitted"`
 		} `json:"jobs"`
 		Cache struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
+			Classifications int64 `json:"classifications"`
 		} `json:"cache"`
 	}
 	getJSON(t, ts.URL+"/healthz", http.StatusOK, &health)
 	if health.Jobs == nil || health.Jobs.Workers != 2 || health.Jobs.Done == 0 || health.Jobs.Submitted == 0 {
 		t.Fatalf("healthz jobs: %+v", health.Jobs)
 	}
-	if health.Cache.Misses == 0 {
-		t.Fatalf("healthz cache counters missing: %+v", health.Cache)
+	if health.Cache.Classifications != int64(len(types.Zoo())) {
+		t.Fatalf("healthz cache counters after one zoo job: %+v, want %d classifications", health.Cache, len(types.Zoo()))
 	}
 }

@@ -90,25 +90,19 @@ func (s *Server) setupMetrics() {
 		s.m.stage.With(stage).Observe(seconds)
 	})
 
-	// Engine classification-memo + persistent-store counters.
+	// Engine classification + persistent-store counters.
 	eng := s.eng
 	ctrf := func(name, help string, f func(engine.CacheStats) int64) {
 		r.CounterFunc(name, help, func() float64 { return float64(f(eng.Stats())) })
 	}
-	ctrf("rc_engine_memo_hits_total", "Engine classification-memo hits.",
-		func(c engine.CacheStats) int64 { return c.Hits })
-	ctrf("rc_engine_memo_misses_total", "Engine classification-memo misses.",
-		func(c engine.CacheStats) int64 { return c.Misses })
-	ctrf("rc_engine_memo_evictions_total", "Engine classification-memo evictions.",
-		func(c engine.CacheStats) int64 { return c.Evictions })
+	ctrf("rc_engine_classifications_total", "Classifications the engine derived.",
+		func(c engine.CacheStats) int64 { return c.Classifications })
 	ctrf("rc_engine_persist_hits_total", "Engine searches answered by the persistent store.",
 		func(c engine.CacheStats) int64 { return c.PersistHits })
 	ctrf("rc_engine_persist_misses_total", "Engine searches the persistent store could not answer.",
 		func(c engine.CacheStats) int64 { return c.PersistMisses })
 	ctrf("rc_engine_persist_errors_total", "Engine persistent-store errors.",
 		func(c engine.CacheStats) int64 { return c.PersistErrors })
-	r.GaugeFunc("rc_engine_memo_entries", "Classifications in the engine memo.",
-		func() float64 { return float64(eng.Stats().Entries) })
 
 	// Job-manager lifecycle counters and queue gauges.
 	jm := s.jobs
@@ -216,13 +210,10 @@ func (s *Server) recordCensusRun(a *census.Artifact) {
 func (s *Server) cacheStatsFromRegistry() engine.CacheStats {
 	v := s.reg.Value
 	return engine.CacheStats{
-		Hits:          int64(v("rc_engine_memo_hits_total")),
-		Misses:        int64(v("rc_engine_memo_misses_total")),
-		Entries:       int(v("rc_engine_memo_entries")),
-		Evictions:     int64(v("rc_engine_memo_evictions_total")),
-		PersistHits:   int64(v("rc_engine_persist_hits_total")),
-		PersistMisses: int64(v("rc_engine_persist_misses_total")),
-		PersistErrors: int64(v("rc_engine_persist_errors_total")),
+		Classifications: int64(v("rc_engine_classifications_total")),
+		PersistHits:     int64(v("rc_engine_persist_hits_total")),
+		PersistMisses:   int64(v("rc_engine_persist_misses_total")),
+		PersistErrors:   int64(v("rc_engine_persist_errors_total")),
 	}
 }
 

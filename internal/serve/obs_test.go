@@ -43,8 +43,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE rc_http_request_duration_seconds histogram",
 		`rc_http_request_duration_seconds_count{path="/v1/classify"} 2`,
 		"rc_http_in_flight 0",
-		"# TYPE rc_engine_memo_hits_total counter",
-		"rc_engine_memo_misses_total",
+		"# TYPE rc_engine_classifications_total counter",
+		"rc_engine_classifications_total 1",
 		"rc_jobs_done_total 0",
 		"rc_jobs_workers 2",
 	} {
@@ -70,15 +70,13 @@ func TestHealthzMatchesMetrics(t *testing.T) {
 		Jobs  jobs.Stats        `json:"jobs"`
 	}
 	getJSON(t, ts.URL+"/healthz", http.StatusOK, &health)
-	if health.Cache.Misses == 0 {
-		t.Fatal("expected engine misses after classification traffic")
+	// The repeat is served from the response memo: one classification.
+	if health.Cache.Classifications != 1 {
+		t.Fatalf("healthz classifications = %d after one distinct classification, want 1", health.Cache.Classifications)
 	}
 
-	if got := int64(s.reg.Value("rc_engine_memo_hits_total")); got != health.Cache.Hits {
-		t.Errorf("registry hits %d != healthz hits %d", got, health.Cache.Hits)
-	}
-	if got := int64(s.reg.Value("rc_engine_memo_misses_total")); got != health.Cache.Misses {
-		t.Errorf("registry misses %d != healthz misses %d", got, health.Cache.Misses)
+	if got := int64(s.reg.Value("rc_engine_classifications_total")); got != health.Cache.Classifications {
+		t.Errorf("registry classifications %d != healthz classifications %d", got, health.Cache.Classifications)
 	}
 	if got := int(s.reg.Value("rc_jobs_workers")); got != health.Jobs.Workers {
 		t.Errorf("registry workers %d != healthz workers %d", got, health.Jobs.Workers)

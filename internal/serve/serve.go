@@ -72,7 +72,7 @@
 //
 // Usage:
 //
-//	rcserve [-addr :8372] [-workers 0] [-max-limit 6] [-cache 4096]
+//	rcserve [-addr :8372] [-workers 0] [-max-limit 6] [-cache 2048]
 //	        [-timeout 30s] [-max-inflight 64] [-store DIR]
 //	        [-store-budget 256M] [-store-peer URL[,URL]] [-store-peer-timeout 2s]
 //	        [-job-workers 2] [-job-timeout 10m] [-drain 30s]
@@ -140,7 +140,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8372", "listen address")
 	fs.IntVar(&cfg.workers, "workers", 0, "engine worker slots, shared by all searches (0 = all CPUs)")
 	fs.IntVar(&cfg.maxLimit, "max-limit", 6, "cap on the limit/n request parameters")
-	fs.IntVar(&cfg.cacheSize, "cache", 4096, "memoized classifications to keep (negative disables memoization, response memo included)")
+	fs.IntVar(&cfg.cacheSize, "cache", 2048, "encoded responses the response memo keeps (0 or negative disables it)")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request deadline")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", 64, "concurrent requests before shedding with 503")
 	fs.StringVar(&cfg.storeDir, "store", "", "persist results in a content-addressed store under this directory")
@@ -308,24 +308,20 @@ type Server struct {
 	// items is the response memo: encoded classification, zoo and
 	// search payloads, each keyed by the request's own parameters
 	// (for a classification its built-in name or raw table JSON, plus
-	// limit — see classifyItemKey; "z|" and "s|" prefix the zoo and
-	// search keys). Every payload is a pure function of its key, so
-	// entries can never go stale, and a hit skips JSON parsing, table
-	// walks and engine dispatch entirely: this is what lets a warm
-	// /v1/classify/batch stream items at memory speed instead of paying
-	// ~tens of µs of per-item bookkeeping. nil when -cache is negative
-	// (memoization disabled server-wide).
+	// limit — see classifyItemKey; "z|", "s|" and "a|" prefix the zoo,
+	// search and atlas-type keys). Every payload is a pure function of
+	// its key, so entries can never go stale, and a hit skips JSON
+	// parsing, table walks and engine dispatch entirely: this is what
+	// lets a warm /v1/classify/batch stream items at memory speed
+	// instead of paying ~tens of µs of per-item bookkeeping. It is the
+	// server's only memo of classifications (the engine keeps none),
+	// sized by -cache; nil when -cache is not positive.
 	items *lru.Cache[string, []byte]
 
 	// parseTable decodes the custom table a /v1/classify POST carries;
 	// tests substitute it to observe the type a request classifies.
 	parseTable func(body []byte) (spec.Type, error)
 }
-
-// itemCacheCap bounds the encoded-classification memo; entries carry a
-// full response payload (~KB), so it is kept smaller than the hash-
-// sized memos.
-const itemCacheCap = 2048
 
 // NewFromFlags builds a Server from rcserve command-line flags without
 // binding a listener: callers drive Handler() directly (httptest, the
@@ -352,13 +348,13 @@ func newServer(cfg config) (*Server, error) {
 	if cfg.rate > 0 {
 		s.limiter = newRateLimiter(cfg.rate, float64(cfg.burst))
 	}
-	if cfg.cacheSize >= 0 {
-		s.items = lru.New[string, []byte](itemCacheCap)
+	if cfg.cacheSize > 0 {
+		s.items = lru.New[string, []byte](cfg.cacheSize)
 	}
 	s.progress = obs.RegistrySink(s.reg)
 	// Interface-typed nils must stay nil interfaces, so only assign the
 	// store once it exists.
-	engOpts := engine.Options{Workers: cfg.workers, CacheSize: cfg.cacheSize}
+	engOpts := engine.Options{Workers: cfg.workers}
 	jobOpts := jobs.Options{
 		Workers: cfg.jobWorkers,
 		Timeout: cfg.jobTimeout,
@@ -623,7 +619,7 @@ func classifyItemKey(name string, table []byte, limit int) string {
 }
 
 // itemGet / itemPut guard the optional response memo (nil when -cache
-// is negative).
+// is not positive).
 func (s *Server) itemGet(key string) ([]byte, bool) {
 	if s.items == nil {
 		return nil, false

@@ -182,12 +182,15 @@ func TestZooEndpoint(t *testing.T) {
 	if got.Results[0].Type != types.Zoo()[0].Name() {
 		t.Fatalf("zoo order: first is %q", got.Results[0].Type)
 	}
-	// A second scan must be served from a cache (the encoded-response
-	// memo, or on its miss the engine memos): no new engine misses.
-	before := s.eng.Stats().Misses
+	// A second scan must be served from the response memo: no new
+	// classifications.
+	before := s.eng.Stats().Classifications
+	if before != int64(len(types.Zoo())) {
+		t.Fatalf("cold zoo scan made %d classifications, want %d", before, len(types.Zoo()))
+	}
 	getJSON(t, ts.URL+"/v1/zoo?limit=3", http.StatusOK, &got)
-	if after := s.eng.Stats().Misses; after > before {
-		t.Fatalf("repeated zoo scan recomputed instead of hitting a cache (misses %d → %d)", before, after)
+	if after := s.eng.Stats().Classifications; after != before {
+		t.Fatalf("repeated zoo scan recomputed instead of hitting the response memo (classifications %d → %d)", before, after)
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -560,6 +561,49 @@ func TestKillAfterAnotherHandleCompacts(t *testing.T) {
 			if got, ok, _ := h.Get(context.Background(), "job", key); ok {
 				t.Fatalf("evicted %s served: %s", key, got)
 			}
+		}
+	}
+}
+
+// TestMissReleasesCompactedPack: when another handle compacts an
+// exited writer's pack away, a live handle's next miss lets go of the
+// old pack — its descriptor is closed, so the disk space is freed — and
+// its Gets are served from the compacted copy.
+func TestMissReleasesCompactedPack(t *testing.T) {
+	if !lockSupported {
+		t.Skip("needs writer locks")
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{})
+	mustPut(t, w, "job", "k", `{"v":"k"}`)
+	mustPut(t, w, "job", "j", `{"v":"j"}`)
+	w.Close()
+
+	a := mustOpen(t, dir, Options{CacheEntries: -1})
+	old := a.idx.get(rawAddr("job", "k")).p
+	b := mustOpen(t, dir, Options{})
+	if _, err := b.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+
+	if got, ok, err := a.Get(ctx, "job", "absent"); ok || err != nil {
+		t.Fatalf("absent key: %s, %v, %v", got, ok, err)
+	}
+	if a.open[old.seq] != nil {
+		t.Fatal("the compacted pack is still open after a miss")
+	}
+	if _, err := old.f.Stat(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("the compacted pack's descriptor is not closed: %v", err)
+	}
+	for _, key := range []string{"k", "j"} {
+		if got, ok, _ := a.Get(ctx, "job", key); !ok || string(got) != fmt.Sprintf(`{"v":%q}`, key) {
+			t.Fatalf("%s reads %s, %v after the compaction", key, got, ok)
+		}
+		r := a.idx.get(rawAddr("job", key))
+		if r == nil || r.p == old || a.open[r.p.seq] != r.p {
+			t.Fatalf("%s is not served from the compacted pack", key)
 		}
 	}
 }

@@ -253,7 +253,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	case opts.CacheEntries > 0:
 		s.front = lru.New[[32]byte, []byte](opts.CacheEntries)
 	}
-	if err := s.refresh(true); err != nil {
+	if _, err := s.refresh(true); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -292,20 +292,22 @@ func (s *Store) Close() error {
 // packs it has not opened, and the new tails of packs whose writers
 // were live when it last looked. With repair (at Open) it also deletes
 // dead writers' temporary files and cuts torn or damaged tails off
-// their packs; without, it changes no pack.
-func (s *Store) refresh(repair bool) error {
+// their packs; without, it changes no pack. It returns the opened packs
+// whose names are gone: another handle compacted them away.
+func (s *Store) refresh(repair bool) (removed []*pack, err error) {
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return errClosed
+		return nil, errClosed
 	}
 	names, err := os.ReadDir(s.packs)
 	if err != nil {
-		return fmt.Errorf("store: list %s: %w", s.packs, err)
+		return nil, fmt.Errorf("store: list %s: %w", s.packs, err)
 	}
+	listed := make(map[uint64]bool, len(names))
 	for _, d := range names { // sorted by name, so by sequence number
 		name := d.Name()
 		if strings.Contains(name, tmpMarker) {
@@ -318,6 +320,7 @@ func (s *Store) refresh(repair bool) error {
 		if !ok {
 			continue
 		}
+		listed[seq] = true
 		s.mu.Lock()
 		p := s.open[seq]
 		s.mu.Unlock()
@@ -325,7 +328,7 @@ func (s *Store) refresh(repair bool) error {
 		case p == nil:
 			p, gone, err := s.openPack(seq, repair)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if p == nil {
 				continue
@@ -338,13 +341,60 @@ func (s *Store) refresh(repair bool) error {
 				unlock(p.f)
 			}
 			if err != nil {
-				return err
+				return nil, err
 			}
 		case p.held:
 			if err := s.load(p, p.end, s.idx, s.dead, false); err != nil {
-				return err
+				return nil, err
 			}
 		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for seq, p := range s.open {
+		if !listed[seq] {
+			removed = append(removed, p)
+		}
+	}
+	return removed, nil
+}
+
+// lookAgain is refresh for a miss. When it finds packs compacted away,
+// it lets go of them under the packs directory's lock (see
+// releaseRemoved). Callers hold an address stripe and no other lock.
+func (s *Store) lookAgain() error {
+	removed, err := s.refresh(false)
+	if err != nil || len(removed) == 0 {
+		return err
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	lockShared(s.packsDir)
+	defer unlock(s.packsDir)
+	return s.releaseRemoved()
+}
+
+// releaseRemoved reads the directory again, then closes and forgets
+// every opened pack whose name is gone. The caller holds the packs
+// directory's lock, so no compaction is half done: the listing holds
+// the fresh pack of every compaction that removed one, whose copies
+// replace the removed packs' records, and the records the compaction
+// dropped are forgotten. Callers hold wmu.
+func (s *Store) releaseRemoved() error {
+	removed, err := s.refresh(false)
+	if err != nil || len(removed) == 0 {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.idx.recs {
+		if slices.Contains(removed, r.p) {
+			s.idx.remove(r)
+		}
+	}
+	for _, p := range removed {
+		delete(s.open, p.seq)
+		p.f.Close()
 	}
 	return nil
 }
@@ -638,10 +688,9 @@ func (s *Store) appendKilling(prefix []byte, put *rec, kill []*rec) error {
 // scan to its removals — and checks that none of those packs has been
 // removed: either a compaction that has not yet scanned will read the
 // tombstones, or there is none. It returns the lock's release. If a
-// pack was removed, it takes in what the directory now holds (the
-// copies replace the records of the removed packs, and the records the
-// compaction dropped are forgotten), releases the lock and returns ok
-// false; the caller then chooses its targets again. Callers hold wmu.
+// pack was removed, it lets go of the removed packs (releaseRemoved),
+// releases the lock and returns ok false; the caller then chooses its
+// targets again. Callers hold wmu.
 func (s *Store) lockTargets(recs []*rec) (release func(), ok bool, err error) {
 	var others []*pack
 	s.mu.Lock()
@@ -655,33 +704,11 @@ func (s *Store) lockTargets(recs []*rec) (release func(), ok bool, err error) {
 		return func() {}, true, nil
 	}
 	lockShared(s.packsDir)
-	var removed []*pack
-	for _, p := range others {
-		if unlinked(p.f) {
-			removed = append(removed, p)
-		}
-	}
-	if len(removed) == 0 {
+	if !slices.ContainsFunc(others, func(p *pack) bool { return unlinked(p.f) }) {
 		return func() { unlock(s.packsDir) }, true, nil
 	}
-	// No compaction runs while the lock is held, so the listing refresh
-	// reads holds the fresh pack of every compaction that removed one.
 	defer unlock(s.packsDir)
-	if err := s.refresh(false); err != nil {
-		return nil, false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.idx.recs {
-		if slices.Contains(removed, r.p) {
-			s.idx.remove(r)
-		}
-	}
-	for _, p := range removed {
-		delete(s.open, p.seq)
-		p.f.Close()
-	}
-	return nil, false, nil
+	return nil, false, s.releaseRemoved()
 }
 
 // Addr derives the content address of (kind, key) — what the /v1/store
@@ -789,7 +816,7 @@ func (s *Store) read(a *[32]byte, match func(*envelope) bool) (*rec, envelope, [
 	r := s.idx.get(*a)
 	s.mu.Unlock()
 	if r == nil {
-		if err := s.refresh(false); err != nil {
+		if err := s.lookAgain(); err != nil {
 			return nil, envelope{}, nil, false, err
 		}
 		s.mu.Lock()

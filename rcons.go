@@ -28,7 +28,7 @@
 //     (internal/history);
 //   - an experiment harness regenerating every figure-level artifact
 //     (internal/harness), exposed here via RunExperiments;
-//   - a sharded, memoizing, worker-pool-parallel classification engine
+//   - a sharded, worker-pool-parallel classification engine
 //     (internal/engine) exposed here via NewEngine, and served over HTTP
 //     by cmd/rcserve.
 //
@@ -76,16 +76,15 @@ type (
 	SearchOptions = checker.SearchOptions
 )
 
-// Engine types: the concurrent, memoizing classification engine.
+// Engine types: the concurrent classification engine.
 type (
-	// Engine runs sharded parallel witness searches and memoizes
-	// classifications.
+	// Engine runs sharded parallel witness searches and classifications.
 	Engine = engine.Engine
-	// EngineOptions sets the worker-pool width, the classification-memo
-	// bound and an optional persistent store.
+	// EngineOptions sets the worker-pool width and an optional
+	// persistent store.
 	EngineOptions = engine.Options
-	// EngineCacheStats reports classification-memo hits/misses/evictions
-	// and persistent-store counters.
+	// EngineCacheStats reports the classifications derived and the
+	// persistent-store counters.
 	EngineCacheStats = engine.CacheStats
 	// Property selects n-recording or n-discerning for engine searches.
 	Property = engine.Property
@@ -159,14 +158,15 @@ func Classify(t Type, limit int) (Classification, error) {
 
 // NewEngine builds a concurrent classification engine; its Classify,
 // ClassifyAll, Scan and Search methods produce results identical to the
-// sequential functions above, sharded over a worker pool, with whole
-// classifications memoized behind exact type fingerprints.
+// sequential functions above, sharded over a worker pool. With a
+// persistent store, search results are read from and written through to
+// it under exact type fingerprints.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // ClassifyParallel classifies t on a throwaway engine with one worker
 // per CPU — the one-call parallel counterpart of Classify. Reuse a
-// NewEngine instance instead when classifying repeatedly, so the memo
-// accumulates.
+// NewEngine instance instead when classifying concurrently, so one
+// worker pool bounds every search.
 func ClassifyParallel(ctx context.Context, t Type, limit int) (Classification, error) {
 	return engine.New(engine.Options{}).Classify(ctx, t, limit)
 }
