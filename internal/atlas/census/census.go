@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,7 +52,7 @@ type Options struct {
 	// there at the same Limit are reused instead of re-classified.
 	Prior *Artifact
 	// Progress, when non-nil, receives periodic samples of rows done vs
-	// total (plus the engine's memo/persist hit ratios) every
+	// total (plus the engine's persist hits and misses) every
 	// ProgressInterval during the classification stage, and one final
 	// flush when the run ends. Publishing samples atomics off the worker
 	// hot path; artifacts are byte-identical with or without a sink.
@@ -95,7 +96,9 @@ type item struct {
 // dedup on the atlas canonical key (and, for zoo mutants, on the exact
 // engine fingerprint — see mutantKey), classify with bounded concurrency and
 // per-type timeouts, then aggregate into an Artifact. See the package
-// comment for the determinism guarantees.
+// comment for the determinism guarantees. The first classification
+// error ends the run with that error; once ctx is done, Run returns
+// ctx.Err().
 func Run(ctx context.Context, o Options) (*Artifact, error) {
 	ctx, span := obs.StartSpan(ctx, "census.run")
 	defer span.End()
@@ -140,13 +143,14 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 		NovelRconsBands: []string{},
 		Skipped:         []string{},
 		Extremal:        Extremal{PerRconsBand: map[string]Entry{}, Gaps: []Entry{}},
-	}, Rows: map[string]Row{}}
+	}}
 
 	items, raw, dups, err := generate(o)
 	if err != nil {
 		return nil, err
 	}
 	art.Raw = raw
+	art.Rows = make(map[string]Row, len(items))
 	art.Generated = len(items) + dups
 	art.Duplicates = dups
 
@@ -162,7 +166,7 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 			_ = o.Store.Put(ctx, rowStoreKind, rowStoreKey(key, o.Limit), data)
 		}
 	}
-	var todo []item
+	todo := make([]item, 0, len(items))
 	for _, it := range items {
 		if o.Prior != nil && o.Prior.Limit == o.Limit {
 			if row, ok := o.Prior.Rows[it.key]; ok {
@@ -211,24 +215,31 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 	})
 	defer stopProgress()
 
+	// Workers claim todo[i] through one atomic index, and stop at the
+	// first error or once ctx is done.
 	var (
 		mu       sync.Mutex
 		skipped  []string
 		firstErr error
+		next     atomic.Int64
 		wg       sync.WaitGroup
-		ch       = make(chan item)
 	)
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(todo)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for it := range ch {
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(todo) {
+					return
+				}
 				mu.Lock()
 				stop := firstErr != nil
 				mu.Unlock()
 				if stop || ctx.Err() != nil {
-					continue
+					return
 				}
+				it := todo[i]
 				ictx, cancel := context.WithTimeout(ctx, o.Timeout)
 				c, err := eng.Classify(ictx, it.typ, o.Limit)
 				cancel()
@@ -253,16 +264,12 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 			}
 		}()
 	}
-	for _, it := range todo {
-		ch <- it
-	}
-	close(ch)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	sort.Strings(skipped)
 	art.Skipped = skipped
@@ -283,27 +290,21 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 	}
 
 	// Aggregates, all in deterministic (sorted-key) order.
-	tables := make(map[string]item, len(items))
-	for _, it := range items {
-		tables[it.key] = it
-	}
 	for _, key := range sortedKeys(art.Rows) {
 		r := art.Rows[key]
 		art.RconsBands[r.Rcons.Display]++
 		art.ConsBands[r.Cons.Display]++
 		art.Levels[r.levelKey()]++
-		it, ok := tables[key]
-		if !ok {
-			continue
-		}
 		_, haveBand := art.Extremal.PerRconsBand[r.Rcons.Display]
 		gap := r.Rcons.Hi != UnboundedHi && r.Cons.Lo > r.Rcons.Hi && len(art.Extremal.Gaps) < GapCap
 		if haveBand && !gap {
 			continue
 		}
-		// Only gallery entries carry a type's JSON, so it is encoded
-		// here, for the few types that become one.
-		tj, err := marshalTable(it.typ)
+		// Only gallery entries carry a type's JSON, so it is looked up
+		// and encoded here, for the few types that become one. Every
+		// row's key is an item's.
+		i := slices.IndexFunc(items, func(it item) bool { return it.key == key })
+		tj, err := marshalTable(items[i].typ)
 		if err != nil {
 			return nil, err
 		}

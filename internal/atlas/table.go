@@ -197,6 +197,14 @@ func (t *Table) Apply(s spec.State, op spec.Op) (spec.State, spec.Response, erro
 	return stateNames[t.next[i]], respNames[t.resp[i]], nil
 }
 
+// DenseTable returns the labels of t's states, operations and
+// responses by index, and its transition arrays, indexed s*ops + o.
+// The slices are shared; callers must not mutate them. It lets the
+// compiler (package compile) read t without walking Apply.
+func (t *Table) DenseTable() (states []spec.State, ops []spec.Op, resps []spec.Response, next, resp []uint8) {
+	return stateNames[:t.states:t.states], opNames[:t.ops:t.ops], respNames[:t.resps:t.resps], t.next, t.resp
+}
+
 // Custom converts the table to an equivalent types.Custom transition
 // table (all states initial, readable), e.g. for JSON export.
 func (t *Table) Custom() *types.Custom {

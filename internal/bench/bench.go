@@ -17,8 +17,7 @@ import (
 
 // Metrics carries benchmark-specific counters TOTALLED over all
 // iterations of one measurement (e.g. search nodes executed). Measure
-// derives per-op figures from them, and per-second rates from every
-// key except durations (keys ending in "_seconds").
+// derives per-op figures and per-second rates from them.
 type Metrics map[string]float64
 
 // Benchmark is one registered workload. Run must execute exactly iters
@@ -84,10 +83,7 @@ func Measure(bm Benchmark, iters int) (Result, error) {
 		res.Metrics = map[string]float64{}
 		for k, total := range metrics {
 			res.Metrics[k+"_per_op"] = total / float64(iters)
-			// A rate is only meaningful for counts: a duration per
-			// second ("p99_seconds_per_sec") is not a throughput, and
-			// BestOf would keep its largest value as the best.
-			if secs := elapsed.Seconds(); secs > 0 && !strings.HasSuffix(k, "_seconds") {
+			if secs := elapsed.Seconds(); secs > 0 {
 				res.Metrics[k+"_per_sec"] = total / secs
 			}
 		}

@@ -162,7 +162,7 @@ func Registry() []Benchmark {
 		},
 		Benchmark{
 			Name:  "store/put",
-			Doc:   "crash-safe store write (temp file + fsync + rename), distinct keys",
+			Doc:   "crash-safe store write (one frame appended to the pack, then fsync), distinct keys",
 			Iters: 2_000, QuickIters: 500,
 			Run: storePutRunner(),
 		},

@@ -55,10 +55,10 @@ func storeGetHitRunner() func(int) (Metrics, error) {
 	}
 }
 
-// storePutRunner measures the full crash-safe write path — temp file,
-// fsync, rename — with a distinct key per iteration (the realistic
-// census/job write pattern; identical keys would short-circuit into the
-// idempotence no-op).
+// storePutRunner measures the full crash-safe write path — one frame
+// appended to the writer's pack, then fsync — with a distinct key per
+// iteration (the realistic census/job write pattern; identical keys
+// would short-circuit into the idempotence no-op).
 func storePutRunner() func(int) (Metrics, error) {
 	return func(iters int) (Metrics, error) {
 		return withTempStore(func(st *store.Store) (Metrics, error) {

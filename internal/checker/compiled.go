@@ -59,24 +59,26 @@ func compiledShape(n int, aCounts []int) bool {
 	return n <= maxCompiledN && a >= 1 && a < n
 }
 
-// IndexSearch searches the index shards of one compiled table for one
-// property: the shards ShardCursor yields, each an initial-state index
-// and a team-A count per table op index, with team B taking the rest of
-// the table's N processes. It holds pooled scratch from NewIndexSearch
+// IndexSearch searches the index shards of one compiled table among n
+// processes for one property: the shards ShardCursor yields, each an
+// initial-state index and a team-A count per table op index, with team
+// B taking the rest of the n processes. It holds pooled scratch from NewIndexSearch
 // to Close, so once that scratch is warm a witness-free shard allocates
 // nothing. An IndexSearch is used by one goroutine at a time.
 type IndexSearch struct {
 	c         *compile.Compiled
+	n         int
 	recording bool
 	sc        *scratch
 }
 
-// NewIndexSearch returns a searcher over c for the recording
-// (recording=true) or discerning property. c must pass Searchable.
-func NewIndexSearch(c *compile.Compiled, recording bool) *IndexSearch {
+// NewIndexSearch returns a searcher over c among n processes for the
+// recording (recording=true) or discerning property. c must pass
+// Searchable and be the table of the alphabet at n.
+func NewIndexSearch(c *compile.Compiled, n int, recording bool) *IndexSearch {
 	sc := scratchPool.Get().(*scratch)
 	sc.setTable(c)
-	return &IndexSearch{c: c, recording: recording, sc: sc}
+	return &IndexSearch{c: c, n: n, recording: recording, sc: sc}
 }
 
 // Close returns the searcher's scratch to the pool; the searcher must
@@ -97,7 +99,7 @@ var errStopped = errors.New("checker: shard search stopped")
 // stop knows the result is void. A shard of more than maxCompiledN
 // processes runs on the interpreted verifier, exactly.
 func (s *IndexSearch) Search(q0 uint16, aCounts []int, stop func() bool) (*Witness, error) {
-	c, n := s.c, s.c.N()
+	c, n := s.c, s.n
 	if !compiledShape(n, aCounts) {
 		verify := interpreted(s.recording)
 		sh := Shard{Q0: c.StateAt(q0), Ops: c.Alphabet(), ACounts: aCounts, N: n}

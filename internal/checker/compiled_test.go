@@ -98,11 +98,11 @@ func TestCompiledShardSearchMatchesInterpreted(t *testing.T) {
 				t.Fatalf("%s n=%d: Shards: %v", typ.Name(), n, err)
 			}
 			for _, recording := range []bool{true, false} {
-				cur, err := NewShardCursor(c)
+				cur, err := NewShardCursor(c, n)
 				if err != nil {
 					t.Fatalf("%s n=%d: NewShardCursor: %v", typ.Name(), n, err)
 				}
-				s := NewIndexSearch(c, recording)
+				s := NewIndexSearch(c, n, recording)
 				for i := 0; cur.Next(); i++ {
 					if i >= len(shards) {
 						t.Fatalf("%s n=%d: cursor yields more than %d shards", typ.Name(), n, len(shards))
@@ -153,7 +153,7 @@ func TestCompiledVerifierFallback(t *testing.T) {
 		sh := Shard{Q0: c.StateAt(q0), Ops: c.Alphabet(), ACounts: aCounts, N: n}
 		for _, recording := range []bool{true, false} {
 			want, errw := SearchShard(context.Background(), cas, sh, interpreted(recording))
-			s := NewIndexSearch(c, recording)
+			s := NewIndexSearch(c, n, recording)
 			got, errg := s.Search(q0, aCounts, never)
 			if (errw == nil) != (errg == nil) || (errw != nil && errw.Error() != errg.Error()) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("fallback diverged on team-A counts %v (recording=%v): interpreted (%v, %v), compiled (%v, %v)",
@@ -179,9 +179,9 @@ func TestCompiledShardSearchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, recording := range []bool{true, false} {
-		s := NewIndexSearch(c, recording)
+		s := NewIndexSearch(c, n, recording)
 		pass := func() {
-			cur, err := NewShardCursor(c)
+			cur, err := NewShardCursor(c, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func TestCompiledShardSearchAllocs(t *testing.T) {
 		}
 		pass()
 		cursorAllocs := testing.AllocsPerRun(20, func() {
-			if _, err := NewShardCursor(c); err != nil {
+			if _, err := NewShardCursor(c, n); err != nil {
 				t.Fatal(err)
 			}
 		})

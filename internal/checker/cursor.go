@@ -8,7 +8,7 @@ import (
 )
 
 // ShardCursor enumerates the shards of the compiled search lazily, in
-// exactly the order Shards lists them for c's source type at c.N()
+// exactly the order Shards lists them for c's source type at n
 // processes with the default candidate sets: initial states in
 // InitialStates order, then team-A size 1 … n−1, then team-A multisets
 // in nextMultiset order. Each shard is the index form of a Shard: the
@@ -25,12 +25,13 @@ type ShardCursor struct {
 }
 
 // NewShardCursor returns a cursor positioned before the first shard of
-// c's search. Like Shards, it rejects process counts below 2.
-func NewShardCursor(c *compile.Compiled) (*ShardCursor, error) {
-	if err := checkN(c.N()); err != nil {
+// c's search among n processes; c must be the table of the alphabet at
+// n. Like Shards, it rejects process counts below 2.
+func NewShardCursor(c *compile.Compiled, n int) (*ShardCursor, error) {
+	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	return &ShardCursor{inits: c.InitSeq(), n: c.N(), counts: make([]int, c.NumOps())}, nil
+	return &ShardCursor{inits: c.InitSeq(), n: n, counts: make([]int, c.NumOps())}, nil
 }
 
 func checkN(n int) error {

@@ -55,7 +55,7 @@ func TestShardCursorMatchesShards(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s n=%d: Shards: %v", typ.Name(), n, err)
 			}
-			cur, err := NewShardCursor(c)
+			cur, err := NewShardCursor(c, n)
 			if err != nil {
 				t.Fatalf("%s n=%d: NewShardCursor: %v", typ.Name(), n, err)
 			}
@@ -87,7 +87,7 @@ func TestShardCursorMatchesShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardCursor(c); err == nil {
+	if _, err := NewShardCursor(c, 1); err == nil {
 		t.Fatal("cursor accepted n = 1")
 	}
 }
@@ -111,7 +111,7 @@ func TestIndexSearchMatchesInterpreted(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, recording := range []bool{true, false} {
-				s := NewIndexSearch(c, recording)
+				s := NewIndexSearch(c, n, recording)
 				for _, sh := range shards {
 					want, err := SearchShard(ctx, typ, sh, interpreted(recording))
 					if err != nil {
@@ -151,7 +151,7 @@ func TestIndexSearchBeyondCompiledN(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, recording := range []bool{true, false} {
-		s := NewIndexSearch(c, recording)
+		s := NewIndexSearch(c, n, recording)
 		for _, sh := range shards[:3] {
 			want, err := SearchShard(context.Background(), typ, sh, interpreted(recording))
 			if err != nil {
@@ -176,11 +176,11 @@ func TestIndexSearchStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := NewShardCursor(c)
+	cur, err := NewShardCursor(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewIndexSearch(c, true)
+	s := NewIndexSearch(c, 2, true)
 	defer s.Close()
 	for cur.Next() {
 		if w, _ := s.Search(cur.Q0(), cur.ACounts(), never); w == nil {
@@ -206,7 +206,7 @@ func TestIndexSearchAllocs(t *testing.T) {
 		typ, c, sh := witnessFreeShard(t, n, recording, 3)
 		q0, _ := c.StateIndex(sh.Q0)
 		counts := indexCounts(t, c, sh)
-		s := NewIndexSearch(c, recording)
+		s := NewIndexSearch(c, n, recording)
 		if _, err := s.Search(q0, counts, never); err != nil {
 			t.Fatal(err)
 		}

@@ -11,12 +11,15 @@
 // from a compiled run — verdicts, witnesses, fingerprints,
 // counterexamples — is byte-identical to the interpreted output.
 //
-// A Compiled table is built by one breadth-first walk per (type, n)
-// (see Table). The engine derives its memo and store keys from the
-// table and shares it across the shards of both property scans at that
-// n; the model checker shares it across runs. Its optional
-// automorphism group (see auto.go) powers search-time symmetry
-// reduction.
+// A Compiled table holds no process count: n only chooses the
+// alphabet, so a type without spec.OpsForN has one table at every n
+// (see Table). A Dense type, such as an atlas table, is read from its
+// arrays; any other type is built by one breadth-first walk per
+// alphabet. The engine derives its store keys from the table and
+// shares it across the shards of both property scans and, for a type
+// without OpsForN, across levels; the model checker shares it across
+// runs. Its optional automorphism group (see auto.go) powers
+// search-time symmetry reduction.
 package compile
 
 import (
@@ -25,6 +28,7 @@ import (
 	"strings"
 	"sync"
 
+	"rcons/internal/atlas"
 	"rcons/internal/spec"
 	"rcons/internal/types"
 )
@@ -43,12 +47,9 @@ const StateCap = 1 << 14
 // Compiled value is safe for concurrent use.
 type Compiled struct {
 	src      spec.Type
-	n        int
 	states   []spec.State
 	ops      []spec.Op
 	resps    []spec.Response
-	stateIdx map[spec.State]uint16
-	opIdx    map[spec.Op]uint16
 	nextTab  []uint16
 	respTab  []uint16
 	initSeq  []uint16 // indices of src.InitialStates(), in its order
@@ -57,12 +58,18 @@ type Compiled struct {
 
 	autoOnce sync.Once
 	auto     *Group
+
+	// stateIdx and opIdx resolve labels to indices. The searches never
+	// need them, so index builds them on first use.
+	indexOnce sync.Once
+	stateIdx  map[spec.State]uint16
+	opIdx     map[spec.Op]uint16
 }
 
 // Compile lowers t to a dense transition table for searches among n
-// processes: Table's walk plus the checks only the compiled search
-// needs (see Searchable). Callers that get an error are expected to
-// fall back to the interpreted path.
+// processes: Table plus the checks only the compiled search needs (see
+// Searchable). Callers that get an error are expected to fall back to
+// the interpreted path.
 func Compile(t spec.Type, n int) (*Compiled, error) {
 	c, err := Table(t, n)
 	if err == nil {
@@ -74,25 +81,49 @@ func Compile(t spec.Type, n int) (*Compiled, error) {
 	return c, nil
 }
 
-// Table builds the dense transition table of t among n processes. The
-// operation alphabet is spec.CandidateOps(t, n) — the same alphabet
-// checker.Shards enumerates, kept in candidate order with any
-// duplicates — and the state universe is every state reachable from
-// t's initial states under it, so the table is closed: Apply never
-// leaves it.
+// Dense is implemented by a spec.Type that already is a dense
+// transition table, such as atlas.Table. Its InitialStates are all of
+// its states in index order, its Ops are its operations in index order,
+// and it does not implement spec.OpsForN, so its alphabet is the same
+// at every n.
+type Dense interface {
+	// DenseTable returns the labels of the states, operations and
+	// responses by index, and the transitions: next[s*len(ops)+o] is the
+	// successor of state s under op o and resp[s*len(ops)+o] its
+	// response. Callers must not mutate the slices.
+	DenseTable() (states []spec.State, ops []spec.Op, resps []spec.Response, next, resp []uint8)
+}
+
+var _ Dense = (*atlas.Table)(nil)
+
+// Table builds the dense transition table of t among n processes; n
+// only chooses the alphabet. The operation alphabet is
+// spec.CandidateOps(t, n) — the same alphabet checker.Shards
+// enumerates, kept in candidate order with any duplicates — and the
+// state universe is every state reachable from t's initial states under
+// it, so the table is closed: Apply never leaves it. A type without
+// spec.OpsForN therefore has one table at every n.
 //
-// One breadth-first walk applies each op once per discovered state and
-// records the row; the states are then sorted and the rows remapped
+// A Dense type's table is read from its arrays. Any other type is
+// walked breadth-first, applying each op once per discovered state.
+// Either way the states are then sorted by label and the rows remapped
 // through the sorted ranks, and responses are numbered by first
-// occurrence in sorted row-major order. Table fails only when an Apply
-// fails or the reachable states exceed StateCap, so it succeeds on
-// every type whose fingerprint is defined — including tables the
-// compiled search rejects.
+// occurrence in sorted row-major order, so both builds of one table are
+// equal. Table fails only when an Apply fails or the reachable states
+// exceed StateCap, so it succeeds on every type whose fingerprint is
+// defined — including tables the compiled search rejects.
 func Table(t spec.Type, n int) (*Compiled, error) {
+	if d, ok := t.(Dense); ok {
+		if _, hasN := t.(spec.OpsForN); !hasN {
+			states, ops, resps, next, resp := d.DenseTable()
+			return assemble(t, states, ops, next, resp, resps, nil), nil
+		}
+	}
 	ops := spec.CandidateOps(t, n)
 	initial := t.InitialStates()
 	// bfs lists the states in discovery order and idx numbers them so;
-	// each expanded state appends its row to nexts and rs.
+	// each expanded state appends its row to nexts and rids, with
+	// responses numbered by discovery too.
 	idx := make(map[spec.State]uint16, len(initial))
 	bfs := make([]spec.State, 0, len(initial))
 	visit := func(s spec.State) (uint16, error) {
@@ -116,7 +147,9 @@ func Table(t spec.Type, n int) (*Compiled, error) {
 	}
 	w := len(ops)
 	nexts := make([]uint16, 0, w*len(bfs))
-	rs := make([]spec.Response, 0, w*len(bfs))
+	rids := make([]uint16, 0, w*len(bfs))
+	var resps []spec.Response
+	respIdx := map[spec.Response]uint16{}
 	for i := 0; i < len(bfs); i++ {
 		for _, op := range ops {
 			ns, r, err := t.Apply(bfs[i], op)
@@ -127,66 +160,80 @@ func Table(t spec.Type, n int) (*Compiled, error) {
 			if err != nil {
 				return nil, err
 			}
+			ri, ok := respIdx[r]
+			if !ok {
+				ri = uint16(len(resps))
+				respIdx[r] = ri
+				resps = append(resps, r)
+			}
 			nexts = append(nexts, j)
-			rs = append(rs, r)
+			rids = append(rids, ri)
 		}
 	}
+	return assemble(t, bfs, ops, nexts, rids, resps, initSeq), nil
+}
 
-	// order[k] is the discovery index of the k-th smallest state, and
-	// rank its inverse.
-	order := make([]uint16, len(bfs))
+// assemble builds t's Compiled from a table whose states are numbered
+// in any order: labels[i] names state i, and nexts/rids hold its row
+// (width len(ops)) of successors and response ids, which index
+// respLabels. initSeq numbers t's initial states, in their order; nil
+// means every state, in index order.
+//
+// The states are sorted by label, and responses renumbered by first
+// occurrence in the sorted row-major order, so the result depends only
+// on the table, not on the order it was numbered in.
+func assemble[I uint8 | uint16](t spec.Type, labels []spec.State, ops []spec.Op, nexts, rids []I,
+	respLabels []spec.Response, initSeq []uint16) *Compiled {
+	// order[k] is the number of the k-th smallest state, and rank its
+	// inverse.
+	order := make([]uint16, len(labels))
 	for i := range order {
 		order[i] = uint16(i)
 	}
-	slices.SortFunc(order, func(a, b uint16) int { return strings.Compare(string(bfs[a]), string(bfs[b])) })
-	rank := make([]uint16, len(bfs))
-	states := make([]spec.State, len(bfs))
+	slices.SortFunc(order, func(a, b uint16) int { return strings.Compare(string(labels[a]), string(labels[b])) })
+	rank := make([]uint16, len(labels))
+	states := make([]spec.State, len(labels))
 	for k, i := range order {
 		rank[i] = uint16(k)
-		states[k] = bfs[i]
+		states[k] = labels[i]
 	}
-	for s, i := range idx {
-		idx[s] = rank[i]
+	if initSeq == nil {
+		initSeq = rank
+	} else {
+		for i, j := range initSeq {
+			initSeq[i] = rank[j]
+		}
 	}
+	w, cells := len(ops), len(labels)*len(ops)
+	tabs := make([]uint16, 2*cells)
 	c := &Compiled{
 		src:      t,
-		n:        n,
 		states:   states,
 		ops:      ops,
-		stateIdx: idx,
-		opIdx:    make(map[spec.Op]uint16, w),
-		nextTab:  make([]uint16, len(nexts)),
-		respTab:  make([]uint16, len(nexts)),
+		nextTab:  tabs[:cells:cells],
+		respTab:  tabs[cells:],
 		initSeq:  initSeq,
 		readable: types.Readable(t),
 	}
-	for i := w - 1; i >= 0; i-- {
-		c.opIdx[ops[i]] = uint16(i) // the first of any duplicates wins
-	}
-	// Responses are interned by first occurrence in row-major table
-	// order — deterministic because the state list is sorted and the op
-	// list is the fixed candidate order.
-	respIdx := map[spec.Response]uint16{}
+	// renum[r] is response r's new number plus one, or 0 before its
+	// first occurrence.
+	renum := make([]uint16, len(respLabels))
 	for k, i := range order {
 		for o := range w {
 			cell := int(i)*w + o
-			ri, ok := respIdx[rs[cell]]
-			if !ok {
-				ri = uint16(len(c.resps))
-				respIdx[rs[cell]] = ri
-				c.resps = append(c.resps, rs[cell])
+			r := rids[cell]
+			if renum[r] == 0 {
+				c.resps = append(c.resps, respLabels[r])
+				renum[r] = uint16(len(c.resps))
 			}
 			c.nextTab[k*w+o] = rank[nexts[cell]]
-			c.respTab[k*w+o] = ri
+			c.respTab[k*w+o] = renum[r] - 1
 		}
-	}
-	for i, j := range initSeq {
-		initSeq[i] = rank[j]
 	}
 	c.inits = slices.Clone(initSeq)
 	slices.Sort(c.inits)
 	c.inits = slices.Compact(c.inits)
-	return c, nil
+	return c
 }
 
 // Searchable reports why the compiled search cannot run on c, or nil
@@ -202,22 +249,37 @@ func (c *Compiled) Searchable() error {
 	if len(c.inits) == 0 {
 		return fmt.Errorf("compile %s: type has no initial states", name)
 	}
-	for i, op := range c.ops {
+	for _, op := range c.ops {
 		if _, _, err := spec.ParseOp(op); err != nil {
 			return fmt.Errorf("compile %s: %w", name, err)
 		}
-		if c.opIdx[op] != uint16(i) {
-			return fmt.Errorf("compile %s: duplicate operation %q in candidate alphabet", name, op)
+	}
+	sorted := slices.Clone(c.ops)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return fmt.Errorf("compile %s: duplicate operation %q in candidate alphabet", name, sorted[i])
 		}
 	}
 	return nil
 }
 
+// index builds the label maps once.
+func (c *Compiled) index() {
+	c.indexOnce.Do(func() {
+		c.stateIdx = make(map[spec.State]uint16, len(c.states))
+		for i, s := range c.states {
+			c.stateIdx[s] = uint16(i)
+		}
+		c.opIdx = make(map[spec.Op]uint16, len(c.ops))
+		for i := len(c.ops) - 1; i >= 0; i-- {
+			c.opIdx[c.ops[i]] = uint16(i) // the first of any duplicates wins
+		}
+	})
+}
+
 // Source returns the interpreted type the table was compiled from.
 func (c *Compiled) Source() spec.Type { return c.src }
-
-// N returns the process count the candidate alphabet was built for.
-func (c *Compiled) N() int { return c.n }
 
 // NumStates returns the number of states in the table.
 func (c *Compiled) NumStates() int { return len(c.states) }
@@ -230,19 +292,21 @@ func (c *Compiled) NumResps() int { return len(c.resps) }
 
 // StateIndex resolves a state string to its table index.
 func (c *Compiled) StateIndex(s spec.State) (uint16, bool) {
+	c.index()
 	i, ok := c.stateIdx[s]
 	return i, ok
 }
 
 // OpIndex resolves an operation string to its table index.
 func (c *Compiled) OpIndex(op spec.Op) (uint16, bool) {
+	c.index()
 	i, ok := c.opIdx[op]
 	return i, ok
 }
 
 // Alphabet returns the operations by table index: spec.CandidateOps
-// of the source type at N, in candidate order. Callers must not mutate
-// the slice.
+// of the source type at the n the table was built for, in candidate
+// order. Callers must not mutate the slice.
 func (c *Compiled) Alphabet() []spec.Op { return c.ops }
 
 // StateAt returns the interned state string for a table index.
@@ -320,6 +384,7 @@ func (w wrapped) Ops() []spec.Op { return w.c.src.Ops() }
 // Apply implements spec.Type via the flat tables, falling back to the
 // source for inputs outside the compiled universe.
 func (w wrapped) Apply(s spec.State, op spec.Op) (spec.State, spec.Response, error) {
+	w.c.index()
 	si, ok := w.c.stateIdx[s]
 	if !ok {
 		return w.c.src.Apply(s, op)

@@ -58,7 +58,6 @@ func referenceCompile(t spec.Type, n int) (*Compiled, error) {
 
 	c := &Compiled{
 		src:      t,
-		n:        n,
 		states:   states,
 		ops:      ops,
 		stateIdx: make(map[spec.State]uint16, len(states)),
@@ -135,6 +134,7 @@ func TestCompileMatchesReference(t *testing.T) {
 				continue
 			}
 			compiled++
+			got.index()
 			for _, f := range []struct {
 				name      string
 				got, want any

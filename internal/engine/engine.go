@@ -8,9 +8,12 @@
 // found. The engine keeps no memo of its own: callers that repeat
 // queries keep their answers (rcserve's response memo). With a
 // persistent store attached, every per-(property, n) search result is
-// read from and written through to it. Each (type, n) a scan reaches is
-// walked once per call: its compiled table (package compile) supplies
-// the store key, the symmetry-pruning group and the search itself.
+// read from and written through to it. A Classify call builds each
+// compiled table (package compile) it needs once: one per level its
+// scans reach for a type with spec.OpsForN, and one shared by every
+// level for any other type, whose alphabet is the same at every n. The
+// table supplies the store key, the symmetry-pruning group and the
+// search itself.
 //
 // Determinism: a search runs on an ordered.Run, one item per shard. Its
 // goroutines claim shards in enumeration order and share one atomic
@@ -208,7 +211,8 @@ func (e *Engine) PublishProgress(interval time.Duration, sink obs.Sink, trace st
 // to it under the type's exact fingerprint, so they survive restarts;
 // Search itself memoizes nothing.
 func (e *Engine) Search(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
-	return e.search(ctx, t, p, n, buildLevel(t, n, e.persist != nil))
+	tab, _ := compile.Table(t, n)
+	return e.search(ctx, t, p, n, newLevel(tab, n, e.persist != nil))
 }
 
 // level is one process count's compiled table and, when a key needs
@@ -220,16 +224,12 @@ type level struct {
 	fp  string
 }
 
-// buildLevel builds (t, n)'s level: the one walk a search at n pays,
-// plus the fingerprint when keyed.
-func buildLevel(t spec.Type, n int, keyed bool) level {
-	tab, err := compile.Table(t, n)
-	if err != nil {
-		return level{}
-	}
+// newLevel is the level of table tab at n; tab is nil when the type
+// has no table.
+func newLevel(tab *compile.Compiled, n int, keyed bool) level {
 	l := level{tab: tab}
-	if keyed {
-		l.fp = fingerprint(tab)
+	if keyed && tab != nil {
+		l.fp = fingerprint(tab, n)
 	}
 	return l
 }
@@ -252,10 +252,21 @@ func (e *Engine) levels(t spec.Type, limit int) levelTables {
 	return levelTables{t: t, keyed: e.persist != nil, lv: make([]lazyLevel, max(limit+1, 0))}
 }
 
-// at returns the level at n, building it once.
+// at returns the level at n, building it once. A type without
+// spec.OpsForN has the same alphabet, so the same table, at every n:
+// its levels above 2 share level 2's table, and with it one
+// automorphism group, each under its own fingerprint.
 func (lt levelTables) at(n int) level {
 	x := &lt.lv[n]
-	x.once.Do(func() { x.l = buildLevel(lt.t, n, lt.keyed) })
+	x.once.Do(func() {
+		var tab *compile.Compiled
+		if _, hasN := lt.t.(spec.OpsForN); hasN || n == 2 {
+			tab, _ = compile.Table(lt.t, n)
+		} else {
+			tab = lt.at(2).tab
+		}
+		x.l = newLevel(tab, n, lt.keyed)
+	})
 	return x.l
 }
 
@@ -281,7 +292,7 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	defer span.End()
 	var w *checker.Witness
 	if comp := l.tab; comp != nil && !e.interpreted && comp.Searchable() == nil {
-		w, err = e.searchCompiled(sctx, comp, p == Recording)
+		w, err = e.searchCompiled(sctx, comp, n, p == Recording)
 	} else {
 		w, err = e.searchInterpreted(sctx, t, n, verify)
 	}
@@ -335,17 +346,17 @@ helpers:
 	return r.Result()
 }
 
-// searchCompiled searches c's index shards, keeping only the first
-// shard of each symmetry orbit.
-func (e *Engine) searchCompiled(ctx context.Context, c *compile.Compiled, recording bool) (*checker.Witness, error) {
-	cur, err := checker.NewShardCursor(c)
+// searchCompiled searches c's index shards among n processes, keeping
+// only the first shard of each symmetry orbit.
+func (e *Engine) searchCompiled(ctx context.Context, c *compile.Compiled, n int, recording bool) (*checker.Witness, error) {
+	cur, err := checker.NewShardCursor(c, n)
 	if err != nil {
 		return nil, err
 	}
 	r := ordered.New[*checker.Witness](ctx)
 	orbits := newOrbitFilter(c)
 	return e.runShards(r, cur.Len(), func() {
-		s := checker.NewIndexSearch(c, recording)
+		s := checker.NewIndexSearch(c, n, recording)
 		defer s.Close()
 		var (
 			i      int
@@ -472,8 +483,9 @@ func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit in
 // checker.Classify, with every level search sharded over the worker
 // slots. The two property scans run concurrently when the engine is
 // idle, with the recording scan on a second goroutine, and one after
-// the other on the caller's goroutine otherwise. Each level's table is
-// built once, when a scan first reaches it, and shared by both scans.
+// the other on the caller's goroutine otherwise. Each table is built
+// once, when a scan first needs it, and shared by both scans (see
+// levelTables.at).
 func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.Classification, error) {
 	if limit < 2 {
 		return checker.Classification{}, fmt.Errorf("checker: classification limit must be ≥ 2, got %d", limit)

@@ -27,16 +27,17 @@ func Fingerprint(t spec.Type, n int) (fp string, ok bool) {
 	if err != nil {
 		return "", false
 	}
-	return fingerprint(c), true
+	return fingerprint(c, n), true
 }
 
 // fingerprint renders Fingerprint's byte stream from the compiled table
-// of (t, n): the header lists t's initial states and candidate ops in
-// their own order, then one line per table cell in sorted state order.
+// c of (t, n): the header lists n, t's initial states and candidate ops
+// in their own order, then one line per table cell in sorted state
+// order.
 // The stream is byte-identical to the fmt.Fprintf formulation it
 // replaced (%q on the spec string kinds is strconv.Quote), which keeps
 // fingerprints stable across releases for the persistent store.
-func fingerprint(c *compile.Compiled) string {
+func fingerprint(c *compile.Compiled, n int) string {
 	// Every label is quoted once into one slab: state s is
 	// lab[at[s]:at[s+1]], and op o's `/"op"->` and response r's
 	// `/"r"` + newline segments follow at offsets opAt and respAt.
@@ -70,7 +71,7 @@ func fingerprint(c *compile.Compiled) string {
 	buf = append(buf, "name="...)
 	buf = append(buf, c.Source().Name()...)
 	buf = append(buf, "\nn="...)
-	buf = strconv.AppendInt(buf, int64(c.N()), 10)
+	buf = strconv.AppendInt(buf, int64(n), 10)
 	buf = append(buf, '\n')
 	for _, i := range c.InitSeq() {
 		buf = append(buf, "init="...)

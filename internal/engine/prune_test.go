@@ -32,11 +32,11 @@ type indexShard struct {
 	counts []int
 }
 
-// cursorShards lists c's index shards in cursor order: all of them, and
-// the ones an orbitFilter over c keeps.
-func cursorShards(t *testing.T, c *compile.Compiled) (all, kept []indexShard) {
+// cursorShards lists c's index shards among n processes in cursor
+// order: all of them, and the ones an orbitFilter over c keeps.
+func cursorShards(t *testing.T, c *compile.Compiled, n int) (all, kept []indexShard) {
 	t.Helper()
-	cur, err := checker.NewShardCursor(c)
+	cur, err := checker.NewShardCursor(c, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPruneSymmetricShards(t *testing.T) {
 	if !c.Automorphisms().Nontrivial() {
 		t.Fatal("expected a nontrivial automorphism group")
 	}
-	orig, pruned := cursorShards(t, c)
+	orig, pruned := cursorShards(t, c, n)
 	if len(pruned) >= len(orig) {
 		t.Fatalf("pruning kept %d of %d shards; expected a strict reduction", len(pruned), len(orig))
 	}
@@ -100,7 +100,7 @@ func TestPruneSymmetricShards(t *testing.T) {
 	if ca.Automorphisms().Nontrivial() {
 		t.Fatal("asym type unexpectedly has symmetry")
 	}
-	if all, kept := cursorShards(t, ca); len(kept) != len(all) {
+	if all, kept := cursorShards(t, ca, n); len(kept) != len(all) {
 		t.Fatalf("trivial group pruned %d shards", len(all)-len(kept))
 	}
 }

@@ -14,7 +14,9 @@ import (
 	"rcons/internal/types"
 )
 
-// countingType counts the Apply calls made on the type it wraps.
+// countingType counts the Apply calls made on the type it wraps. It
+// hides every method of the wrapped type but spec.Type's, so the
+// compiler walks it even when the wrapped type is compile.Dense.
 type countingType struct {
 	spec.Type
 	applies *atomic.Int64
@@ -24,6 +26,11 @@ func (c countingType) Apply(s spec.State, op spec.Op) (spec.State, spec.Response
 	c.applies.Add(1)
 	return c.Type.Apply(s, op)
 }
+
+// countingOpsType is a countingType that keeps its type's spec.OpsForN.
+type countingOpsType struct{ countingType }
+
+func (c countingOpsType) OpsFor(n int) []spec.Op { return c.Type.(spec.OpsForN).OpsFor(n) }
 
 // walk is the number of Apply calls one reachability walk of (t, n)
 // makes: each candidate op once per reachable state.
@@ -40,12 +47,30 @@ func walk(t *testing.T, typ spec.Type, n int) int64 {
 // first level without a witness, or the limit.
 func reached(m checker.MaxLevel) int { return min(m.Max+1, m.Limit) }
 
-// TestClassifyWalksEachLevelOnce: a cold Classify walks each level its
-// scans reach exactly once — both property scans and the compiled
-// searches share the walks — and no level above them, the limit's
-// included. A repeat walks them again: the engine keeps no memo.
+// classifyApplies classifies typ twice on one engine and requires each
+// Classify to make want Apply calls: the engine keeps no memo, so a
+// repeat walks again.
+func classifyApplies(t *testing.T, typ spec.Type, applies *atomic.Int64, limit int, want int64) {
+	t.Helper()
+	e := New(Options{Workers: 2})
+	for round := range 2 {
+		applies.Store(0)
+		if _, err := e.Classify(context.Background(), typ, limit); err != nil {
+			t.Fatal(err)
+		}
+		if got := applies.Load(); got != want {
+			t.Fatalf("%s round %d: Classify made %d Apply calls, want %d", typ.Name(), round, got, want)
+		}
+	}
+}
+
+// TestClassifyWalksEachLevelOnce: a type without spec.OpsForN has one
+// alphabet, so one table, at every level, and a cold Classify walks it
+// once however many levels its scans reach; both property scans and
+// every level's compiled search share the walk. A type with OpsForN
+// has a table per level: Classify walks each level its scans reach
+// exactly once, and no level above them, the limit's included.
 func TestClassifyWalksEachLevelOnce(t *testing.T) {
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
 	const limit = 4
 	short, full := 0, 0
@@ -55,32 +80,35 @@ func TestClassifyWalksEachLevelOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		top := max(reached(want.Discerning), reached(want.Recording))
-		if top < limit {
+		if max(reached(want.Discerning), reached(want.Recording)) < limit {
 			short++
 		} else {
 			full++
 		}
-		var levels int64
-		for n := 2; n <= top; n++ {
-			levels += walk(t, raw, n)
-		}
 		var applies atomic.Int64
-		typ := countingType{raw, &applies}
-		e := New(Options{Workers: 2})
-		for round := range 2 {
-			applies.Store(0)
-			if _, err := e.Classify(ctx, typ, limit); err != nil {
-				t.Fatal(err)
-			}
-			if got := applies.Load(); got != levels {
-				t.Fatalf("%s round %d: Classify made %d Apply calls, want %d (one walk of each level 2…%d)",
-					raw.Name(), round, got, levels, top)
-			}
-		}
+		classifyApplies(t, countingType{raw, &applies}, &applies, limit, walk(t, raw, 2))
 	}
 	if short == 0 || full == 0 {
 		t.Fatalf("%d types stopped below the limit and %d reached it; the sample must hold both", short, full)
+	}
+
+	// swap's scans stop below the limit, compare&swap's reach it; both
+	// alphabets grow with n.
+	for _, typ := range []spec.Type{types.NewSwap(), types.NewCAS()} {
+		want, err := checker.Classify(typ, limit, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := max(reached(want.Discerning), reached(want.Recording))
+		var levels int64
+		for n := 2; n <= top; n++ {
+			levels += walk(t, typ, n)
+		}
+		if walk(t, typ, 2) == walk(t, typ, 3) {
+			t.Fatalf("%s: levels 2 and 3 walk alike; the test cannot tell one walk from one per level", typ.Name())
+		}
+		var applies atomic.Int64
+		classifyApplies(t, countingOpsType{countingType{typ, &applies}}, &applies, limit, levels)
 	}
 }
 
