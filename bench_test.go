@@ -71,7 +71,7 @@ func BenchmarkVerifyDiscerning(b *testing.B) {
 func BenchmarkSearchRecordingNegative(b *testing.B) {
 	t := types.NewTn(5)
 	for i := 0; i < b.N; i++ {
-		w, err := checker.SearchRecording(t, 4, nil)
+		w, err := checker.SearchRecording(t, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func BenchmarkSearchRecordingNegative(b *testing.B) {
 func BenchmarkClassifyZoo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, t := range types.Zoo() {
-			if _, err := checker.Classify(t, 5, nil); err != nil {
+			if _, err := checker.Classify(t, 5); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -106,7 +106,7 @@ func BenchmarkClassifySequential(b *testing.B) {
 	for _, t := range classifyBenchCases() {
 		b.Run(t.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := checker.Classify(t, 5, nil); err != nil {
+				if _, err := checker.Classify(t, 5); err != nil {
 					b.Fatal(err)
 				}
 			}

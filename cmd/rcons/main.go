@@ -208,7 +208,7 @@ func run(args []string) error {
 	case progressSink != nil:
 		return fmt.Errorf("-progress needs a publishing search: pass -parallel N or -mc TARGET")
 	default:
-		c, err = checker.Classify(t, *limit, nil)
+		c, err = checker.Classify(t, *limit)
 	}
 	if err != nil {
 		root.MarkError()

@@ -145,7 +145,7 @@ func FuzzAtlasDecode(f *testing.F) {
 			if len(c.Transitions) > 16 || len(c.Ops()) > 6 {
 				t.Skip()
 			}
-			if _, err := checker.Classify(c, 2, nil); err != nil {
+			if _, err := checker.Classify(c, 2); err != nil {
 				t.Fatalf("validated Custom failed to classify: %v", err)
 			}
 			dense, err := atlas.FromType(c, 2, 64)
@@ -159,7 +159,7 @@ func FuzzAtlasDecode(f *testing.F) {
 			if !ok {
 				t.Skip()
 			}
-			if _, err := checker.Classify(dense, 2, nil); err != nil {
+			if _, err := checker.Classify(dense, 2); err != nil {
 				t.Fatalf("generated table failed to classify: %v", err)
 			}
 			tbl = dense

@@ -103,11 +103,11 @@ func TestMetamorphicRelabelingZoo(t *testing.T) {
 		if err := rel.Validate(); err != nil {
 			t.Fatalf("%s: relabeling broke the table: %v", zt.Name(), err)
 		}
-		cb, err := checker.Classify(base, limit, nil)
+		cb, err := checker.Classify(base, limit)
 		if err != nil {
 			t.Fatalf("%s: %v", zt.Name(), err)
 		}
-		cr, err := checker.Classify(rel, limit, nil)
+		cr, err := checker.Classify(rel, limit)
 		if err != nil {
 			t.Fatalf("%s relabeled: %v", zt.Name(), err)
 		}
@@ -131,11 +131,11 @@ func TestMetamorphicRelabelingGenerated(t *testing.T) {
 		tbl := atlas.Random(rng, 2+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3))
 		base := tbl.Custom()
 		rel := relabelCustom(rng, base)
-		cb, err := checker.Classify(base, limit, nil)
+		cb, err := checker.Classify(base, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cr, err := checker.Classify(rel, limit, nil)
+		cr, err := checker.Classify(rel, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +161,11 @@ func TestMetamorphicCanonicalization(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: %s not canonicalizable", trial, tbl.Dims())
 		}
-		cb, err := checker.Classify(tbl, limit, nil)
+		cb, err := checker.Classify(tbl, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, err := checker.Classify(canon, limit, nil)
+		cc, err := checker.Classify(canon, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +198,11 @@ func TestMetamorphicCanonicalZooTables(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not canonicalizable", zt.Name())
 		}
-		c1, err := checker.Classify(tbl, limit, nil)
+		c1, err := checker.Classify(tbl, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c2, err := checker.Classify(canon, limit, nil)
+		c2, err := checker.Classify(canon, limit)
 		if err != nil {
 			t.Fatal(err)
 		}

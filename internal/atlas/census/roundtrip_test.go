@@ -113,11 +113,11 @@ func TestZooRoundTripDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		c1, err := checker.Classify(original, goldenN, nil)
+		c1, err := checker.Classify(original, goldenN)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		c2, err := checker.Classify(reimported, goldenN, nil)
+		c2, err := checker.Classify(reimported, goldenN)
 		if err != nil {
 			t.Fatalf("%s reimported: %v", name, err)
 		}

@@ -147,11 +147,11 @@ func TestFigure1ImplicationsOnRandomTypes(t *testing.T) {
 		typ := newRandomType(rng, 2+rng.Intn(3), 1+rng.Intn(2))
 		has := map[[2]int]bool{} // (level, 0=rec/1=disc)
 		for n := 2; n <= 4; n++ {
-			wr, err := SearchRecording(typ, n, nil)
+			wr, err := SearchRecording(typ, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wd, err := SearchDiscerning(typ, n, nil)
+			wd, err := SearchDiscerning(typ, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -98,14 +98,14 @@ func TestSnExactLevels(t *testing.T) {
 	// rcons(S_n) = cons(S_n) = n.
 	for n := 2; n <= 5; n++ {
 		sn := types.NewSn(n)
-		rec, err := MaxRecording(sn, n+2, nil)
+		rec, err := MaxRecording(sn, n+2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rec.Max != n || rec.AtLimit {
 			t.Errorf("MaxRecording(S_%d) = %s, want %d", n, rec, n)
 		}
-		disc, err := MaxDiscerning(sn, n+2, nil)
+		disc, err := MaxDiscerning(sn, n+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,14 +119,14 @@ func TestTnProposition19(t *testing.T) {
 	// Proposition 19: T_n is n-discerning but not (n-1)-recording.
 	for n := 4; n <= 6; n++ {
 		tn := types.NewTn(n)
-		w, err := SearchDiscerning(tn, n, nil)
+		w, err := SearchDiscerning(tn, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if w == nil {
 			t.Errorf("T_%d: no %d-discerning witness found", n, n)
 		}
-		w, err = SearchRecording(tn, n-1, nil)
+		w, err = SearchRecording(tn, n-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestTnIsNMinus2Recording(t *testing.T) {
 	// check the checker finds the witness for T_n.
 	for n := 4; n <= 6; n++ {
 		tn := types.NewTn(n)
-		w, err := SearchRecording(tn, n-2, nil)
+		w, err := SearchRecording(tn, n-2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestTnIsNMinus2Recording(t *testing.T) {
 }
 
 func TestCASRecordingAtEveryLevel(t *testing.T) {
-	rec, err := MaxRecording(types.NewCAS(), 6, nil)
+	rec, err := MaxRecording(types.NewCAS(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +187,14 @@ func TestCASRecordingAtEveryLevel(t *testing.T) {
 
 func TestStickyAndConsensusUnbounded(t *testing.T) {
 	for _, typ := range []spec.Type{types.NewSticky(), types.NewConsensus()} {
-		rec, err := MaxRecording(typ, 5, nil)
+		rec, err := MaxRecording(typ, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rec.AtLimit {
 			t.Errorf("MaxRecording(%s) = %s, want ≥5", typ.Name(), rec)
 		}
-		disc, err := MaxDiscerning(typ, 5, nil)
+		disc, err := MaxDiscerning(typ, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,14 +206,14 @@ func TestStickyAndConsensusUnbounded(t *testing.T) {
 
 func TestRegisterIsWeak(t *testing.T) {
 	reg := types.NewRegister()
-	disc, err := MaxDiscerning(reg, 4, nil)
+	disc, err := MaxDiscerning(reg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disc.Max != 1 {
 		t.Errorf("MaxDiscerning(register) = %s, want 1 (cons(register)=1)", disc)
 	}
-	rec, err := MaxRecording(reg, 4, nil)
+	rec, err := MaxRecording(reg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRegisterIsWeak(t *testing.T) {
 
 func TestWeakTypesNotDiscerning(t *testing.T) {
 	for _, typ := range []spec.Type{types.NewCounter(8), types.NewMaxRegister()} {
-		disc, err := MaxDiscerning(typ, 3, nil)
+		disc, err := MaxDiscerning(typ, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,14 +236,14 @@ func TestWeakTypesNotDiscerning(t *testing.T) {
 
 func TestTestAndSetLevels(t *testing.T) {
 	tas := types.TestAndSet{}
-	disc, err := MaxDiscerning(tas, 4, nil)
+	disc, err := MaxDiscerning(tas, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disc.Max != 2 || disc.AtLimit {
 		t.Errorf("MaxDiscerning(test&set) = %s, want 2 (cons=2)", disc)
 	}
-	rec, err := MaxRecording(tas, 4, nil)
+	rec, err := MaxRecording(tas, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPlainStackRecordingButNotReadable(t *testing.T) {
 		t.Fatal("plain stack must be non-readable")
 	}
 	for n := 2; n <= 4; n++ {
-		w, err := SearchRecording(st, n, nil)
+		w, err := SearchRecording(st, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestPlainStackRecordingButNotReadable(t *testing.T) {
 			t.Errorf("plain stack: expected an %d-recording witness (readability, not recording, is what fails)", n)
 		}
 	}
-	c, err := Classify(st, 4, nil)
+	c, err := Classify(st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestPlainStackRecordingButNotReadable(t *testing.T) {
 
 func TestReadableStackIsStrong(t *testing.T) {
 	st := &types.Stack{Cap: 6, Values: []string{"0", "1"}, AllowRead: true}
-	rec, err := MaxRecording(st, 5, nil)
+	rec, err := MaxRecording(st, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestObservation5RecordingImpliesDiscerning(t *testing.T) {
 	// the whole zoo at n = 2..4.
 	for _, typ := range types.Zoo() {
 		for n := 2; n <= 4; n++ {
-			w, err := SearchRecording(typ, n, nil)
+			w, err := SearchRecording(typ, n)
 			if err != nil {
 				t.Fatalf("%s: %v", typ.Name(), err)
 			}
@@ -323,7 +323,7 @@ func TestObservation6DropProcess(t *testing.T) {
 	// process from the larger team yields an (n-1)-recording witness.
 	for _, typ := range types.Zoo() {
 		for n := 3; n <= 4; n++ {
-			w, err := SearchRecording(typ, n, nil)
+			w, err := SearchRecording(typ, n)
 			if err != nil {
 				t.Fatalf("%s: %v", typ.Name(), err)
 			}
@@ -366,14 +366,14 @@ func TestTheorem16DiscerningImpliesNMinus2Recording(t *testing.T) {
 			continue
 		}
 		for n := 4; n <= 5; n++ {
-			wd, err := SearchDiscerning(typ, n, nil)
+			wd, err := SearchDiscerning(typ, n)
 			if err != nil {
 				t.Fatalf("%s: %v", typ.Name(), err)
 			}
 			if wd == nil {
 				continue
 			}
-			wr, err := SearchRecording(typ, n-2, nil)
+			wr, err := SearchRecording(typ, n-2)
 			if err != nil {
 				t.Fatalf("%s: %v", typ.Name(), err)
 			}
@@ -390,14 +390,14 @@ func TestProposition18ThreeDiscerningImpliesTwoRecording(t *testing.T) {
 		if !types.Readable(typ) {
 			continue
 		}
-		wd, err := SearchDiscerning(typ, 3, nil)
+		wd, err := SearchDiscerning(typ, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", typ.Name(), err)
 		}
 		if wd == nil {
 			continue
 		}
-		wr, err := SearchRecording(typ, 2, nil)
+		wr, err := SearchRecording(typ, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", typ.Name(), err)
 		}
@@ -461,13 +461,13 @@ func TestMultisetsEarlyStop(t *testing.T) {
 }
 
 func TestSearchRejectsTinyN(t *testing.T) {
-	if _, err := SearchRecording(types.NewCAS(), 1, nil); err == nil {
+	if _, err := SearchRecording(types.NewCAS(), 1); err == nil {
 		t.Error("SearchRecording accepted n = 1")
 	}
 }
 
 func TestReadOnlyHasNoWitness(t *testing.T) {
-	w, err := SearchRecording(types.ReadOnly{}, 2, nil)
+	w, err := SearchRecording(types.ReadOnly{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,14 +481,14 @@ func TestPeekQueueUnboundedLevels(t *testing.T) {
 	// enq-only witnesses make it n-recording (and n-discerning) for every
 	// n — the classical cons(queue+peek) = ∞ carries over to rcons.
 	q := types.NewPeekQueue(6)
-	rec, err := MaxRecording(q, 5, nil)
+	rec, err := MaxRecording(q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rec.AtLimit {
 		t.Errorf("MaxRecording(peek-queue) = %s, want ≥5", rec)
 	}
-	disc, err := MaxDiscerning(q, 4, nil)
+	disc, err := MaxDiscerning(q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,15 +35,15 @@ type Classification struct {
 
 // Classify scans type t up to the given process-count limit and derives
 // the consensus and recoverable-consensus bands.
-func Classify(t spec.Type, limit int, opts *SearchOptions) (Classification, error) {
+func Classify(t spec.Type, limit int) (Classification, error) {
 	if limit < 2 {
 		return Classification{}, fmt.Errorf("checker: classification limit must be ≥ 2, got %d", limit)
 	}
-	disc, err := MaxDiscerning(t, limit, opts)
+	disc, err := MaxDiscerning(t, limit)
 	if err != nil {
 		return Classification{}, fmt.Errorf("classify %s: %w", t.Name(), err)
 	}
-	rec, err := MaxRecording(t, limit, opts)
+	rec, err := MaxRecording(t, limit)
 	if err != nil {
 		return Classification{}, fmt.Errorf("classify %s: %w", t.Name(), err)
 	}

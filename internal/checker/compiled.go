@@ -18,7 +18,9 @@ package checker
 // and only the passing one becomes a Witness. A shard with more
 // processes than the dense counts encoding supports, or with an empty
 // team, runs on the interpreted verifier on the table's source type,
-// so the search is total and its verdicts are bit-identical everywhere.
+// and so does every shard of a searcher from NewInterpretedSearch (the
+// compiled core's parity oracle), so the search is total and its
+// verdicts are bit-identical everywhere.
 
 import (
 	"context"
@@ -62,48 +64,60 @@ func compiledShape(n int, aCounts []int) bool {
 // IndexSearch searches the index shards of one compiled table among n
 // processes for one property: the shards ShardCursor yields, each an
 // initial-state index and a team-A count per table op index, with team
-// B taking the rest of the n processes. It holds pooled scratch from NewIndexSearch
-// to Close, so once that scratch is warm a witness-free shard allocates
-// nothing. An IndexSearch is used by one goroutine at a time.
+// B taking the rest of the n processes. A compiled searcher holds
+// pooled scratch from NewIndexSearch to Close, so once that scratch is
+// warm a witness-free shard allocates nothing; an interpreted one holds
+// none. An IndexSearch is used by one goroutine at a time.
 type IndexSearch struct {
 	c         *compile.Compiled
 	n         int
 	recording bool
-	sc        *scratch
+	sc        *scratch // nil for an interpreted searcher
 }
 
-// NewIndexSearch returns a searcher over c among n processes for the
-// recording (recording=true) or discerning property. c must pass
-// Searchable and be the table of the alphabet at n.
+// NewIndexSearch returns a compiled searcher over c among n processes
+// for the recording (recording=true) or discerning property. c must
+// pass Searchable and be the table of the alphabet at n.
 func NewIndexSearch(c *compile.Compiled, n int, recording bool) *IndexSearch {
 	sc := scratchPool.Get().(*scratch)
 	sc.setTable(c)
 	return &IndexSearch{c: c, n: n, recording: recording, sc: sc}
 }
 
+// NewInterpretedSearch returns a searcher like NewIndexSearch's that
+// checks every shard with the interpreted verifier on c's source type,
+// so no compiled verification runs: the parity oracle that the
+// compiled core is checked against.
+func NewInterpretedSearch(c *compile.Compiled, n int, recording bool) *IndexSearch {
+	return &IndexSearch{c: c, n: n, recording: recording}
+}
+
 // Close returns the searcher's scratch to the pool; the searcher must
 // not be used after.
 func (s *IndexSearch) Close() {
-	scratchPool.Put(s.sc)
-	s.sc = nil
+	if s.sc != nil {
+		scratchPool.Put(s.sc)
+		s.sc = nil
+	}
 }
 
 // errStopped ends an interpreted fallback search when stop fires.
 var errStopped = errors.New("checker: shard search stopped")
 
 // Search returns the first witness of the shard (q0, aCounts) in
-// SearchShard's enumeration order, or nil when it has none: the same
-// witness SearchShard returns for the equivalent string Shard.
+// Search's enumeration order, or nil when it has none: the same witness
+// the sequential search finds first in the equivalent string shard.
 // It polls stop before each candidate and, once stop reports true,
 // abandons the shard and returns (nil, nil): the caller that decided to
-// stop knows the result is void. A shard of more than maxCompiledN
-// processes runs on the interpreted verifier, exactly.
+// stop knows the result is void. An interpreted searcher, or a shard of
+// more than maxCompiledN processes, runs on the interpreted verifier,
+// exactly.
 func (s *IndexSearch) Search(q0 uint16, aCounts []int, stop func() bool) (*Witness, error) {
 	c, n := s.c, s.n
-	if !compiledShape(n, aCounts) {
+	if s.sc == nil || !compiledShape(n, aCounts) {
 		verify := interpreted(s.recording)
-		sh := Shard{Q0: c.StateAt(q0), Ops: c.Alphabet(), ACounts: aCounts, N: n}
-		w, err := SearchShard(context.Background(), c.Source(), sh, func(t spec.Type, w Witness) (Result, error) {
+		sh := shard{q0: c.StateAt(q0), ops: c.Alphabet(), aCounts: aCounts, n: n}
+		w, err := searchShard(context.Background(), c.Source(), sh, func(t spec.Type, w Witness) (Result, error) {
 			if stop() {
 				return Result{}, errStopped
 			}

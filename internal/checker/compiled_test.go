@@ -62,15 +62,15 @@ func TestCompiledVerifierMatchesInterpreted(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			shards, err := Shards(typ, n, nil)
+			all, err := shards(typ, n)
 			if err != nil {
 				t.Fatalf("%s n=%d: Shards: %v", typ.Name(), n, err)
 			}
 			for _, recording := range []bool{true, false} {
 				verify := dualVerify(t, typ, c, recording)
-				for _, s := range shards {
-					if _, err := SearchShard(ctx, typ, s, verify); err != nil {
-						t.Fatalf("%s n=%d: SearchShard: %v", typ.Name(), n, err)
+				for _, s := range all {
+					if _, err := searchShard(ctx, typ, s, verify); err != nil {
+						t.Fatalf("%s n=%d: searchShard: %v", typ.Name(), n, err)
 					}
 				}
 			}
@@ -93,7 +93,7 @@ func TestCompiledShardSearchMatchesInterpreted(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			shards, err := Shards(typ, n, nil)
+			all, err := shards(typ, n)
 			if err != nil {
 				t.Fatalf("%s n=%d: Shards: %v", typ.Name(), n, err)
 			}
@@ -104,17 +104,17 @@ func TestCompiledShardSearchMatchesInterpreted(t *testing.T) {
 				}
 				s := NewIndexSearch(c, n, recording)
 				for i := 0; cur.Next(); i++ {
-					if i >= len(shards) {
-						t.Fatalf("%s n=%d: cursor yields more than %d shards", typ.Name(), n, len(shards))
+					if i >= len(all) {
+						t.Fatalf("%s n=%d: cursor yields more than %d shards", typ.Name(), n, len(all))
 					}
-					want, err := SearchShard(ctx, typ, shards[i], interpreted(recording))
+					want, err := searchShard(ctx, typ, all[i], interpreted(recording))
 					if err != nil {
-						t.Fatalf("%s n=%d: SearchShard: %v", typ.Name(), n, err)
+						t.Fatalf("%s n=%d: searchShard: %v", typ.Name(), n, err)
 					}
 					got, err := s.Search(cur.Q0(), cur.ACounts(), never)
 					if err != nil || !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s n=%d shard %d %+v (recording=%v): compiled (%v, %v), interpreted %v",
-							typ.Name(), n, i, shards[i], recording, got, err, want)
+							typ.Name(), n, i, all[i], recording, got, err, want)
 					}
 					searched++
 				}
@@ -150,9 +150,9 @@ func TestCompiledVerifierFallback(t *testing.T) {
 		if compiledShape(n, aCounts) {
 			t.Fatalf("team-A counts %v take the compiled path", aCounts)
 		}
-		sh := Shard{Q0: c.StateAt(q0), Ops: c.Alphabet(), ACounts: aCounts, N: n}
+		sh := shard{q0: c.StateAt(q0), ops: c.Alphabet(), aCounts: aCounts, n: n}
 		for _, recording := range []bool{true, false} {
-			want, errw := SearchShard(context.Background(), cas, sh, interpreted(recording))
+			want, errw := searchShard(context.Background(), cas, sh, interpreted(recording))
 			s := NewIndexSearch(c, n, recording)
 			got, errg := s.Search(q0, aCounts, never)
 			if (errw == nil) != (errg == nil) || (errw != nil && errw.Error() != errg.Error()) || !reflect.DeepEqual(got, want) {
@@ -209,31 +209,31 @@ func TestCompiledShardSearchAllocs(t *testing.T) {
 // witnessFreeShard returns the first zoo type and shard at n processes
 // whose interpreted search finds no witness for the property among at
 // least minCandidates candidates.
-func witnessFreeShard(t *testing.T, n int, recording bool, minCandidates int) (spec.Type, *compile.Compiled, Shard) {
+func witnessFreeShard(t *testing.T, n int, recording bool, minCandidates int) (spec.Type, *compile.Compiled, shard) {
 	t.Helper()
 	for _, typ := range types.Zoo() {
 		c, err := compile.Compile(typ, n)
 		if err != nil {
 			continue
 		}
-		shards, err := Shards(typ, n, nil)
+		all, err := shards(typ, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range shards {
+		for _, s := range all {
 			candidates := 0
-			multisets(len(s.Ops), s.teamBSize(), func([]int) bool {
+			multisets(len(s.ops), s.teamBSize(), func([]int) bool {
 				candidates++
 				return true
 			})
 			if candidates < minCandidates {
 				continue
 			}
-			if w, err := SearchShard(context.Background(), typ, s, interpreted(recording)); err == nil && w == nil {
+			if w, err := searchShard(context.Background(), typ, s, interpreted(recording)); err == nil && w == nil {
 				return typ, c, s
 			}
 		}
 	}
 	t.Fatalf("no witness-free shard with %d candidates at n=%d", minCandidates, n)
-	return nil, nil, Shard{}
+	return nil, nil, shard{}
 }

@@ -8,14 +8,13 @@ import (
 )
 
 // ShardCursor enumerates the shards of the compiled search lazily, in
-// exactly the order Shards lists them for c's source type at n
-// processes with the default candidate sets: initial states in
-// InitialStates order, then team-A size 1 … n−1, then team-A multisets
-// in nextMultiset order. Each shard is the index form of a Shard: the
-// position of its initial state in c.InitSeq() and a team-A count per
-// table op index. The table's alphabet is spec.CandidateOps in
-// candidate order, so op index k is Shard position k, and the cursor
-// builds no strings. A ShardCursor is used by one goroutine at a time.
+// exactly the order Search visits them for c's source type at n
+// processes: initial states in InitialStates order, then team-A size
+// 1 … n−1, then team-A multisets in nextMultiset order. Each shard is
+// the index form of a string shard: the position of its initial state
+// in c.InitSeq() and a team-A count per table op index. The table's
+// alphabet is spec.CandidateOps in candidate order, so op index k is
+// the string shard's position k, and the cursor builds no strings. A ShardCursor is used by one goroutine at a time.
 type ShardCursor struct {
 	inits  []uint16
 	n      int
@@ -26,7 +25,7 @@ type ShardCursor struct {
 
 // NewShardCursor returns a cursor positioned before the first shard of
 // c's search among n processes; c must be the table of the alphabet at
-// n. Like Shards, it rejects process counts below 2.
+// n. Like Search, it rejects process counts below 2.
 func NewShardCursor(c *compile.Compiled, n int) (*ShardCursor, error) {
 	if err := checkN(n); err != nil {
 		return nil, err

@@ -27,21 +27,21 @@ func shardCorpus(t *testing.T) []spec.Type {
 }
 
 // indexCounts maps a string shard's team-A counts to table op indices.
-func indexCounts(t *testing.T, c *compile.Compiled, s Shard) []int {
+func indexCounts(t *testing.T, c *compile.Compiled, s shard) []int {
 	t.Helper()
 	counts := make([]int, c.NumOps())
-	for k, op := range s.Ops {
+	for k, op := range s.ops {
 		oi, ok := c.OpIndex(op)
 		if !ok {
 			t.Fatalf("op %q missing from the table", op)
 		}
-		counts[oi] += s.ACounts[k]
+		counts[oi] += s.aCounts[k]
 	}
 	return counts
 }
 
 // TestShardCursorMatchesShards: for the zoo and the enumerated tables
-// at n = 2..4, the cursor yields exactly Shards' shards, in order,
+// at n = 2..4, the cursor yields exactly the string shards, in order,
 // mapped through StateIndex and OpIndex, and Len counts them.
 func TestShardCursorMatchesShards(t *testing.T) {
 	checked := 0
@@ -51,7 +51,7 @@ func TestShardCursorMatchesShards(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			shards, err := Shards(typ, n, nil)
+			all, err := shards(typ, n)
 			if err != nil {
 				t.Fatalf("%s n=%d: Shards: %v", typ.Name(), n, err)
 			}
@@ -59,16 +59,16 @@ func TestShardCursorMatchesShards(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s n=%d: NewShardCursor: %v", typ.Name(), n, err)
 			}
-			if cur.Len() != len(shards) {
-				t.Fatalf("%s n=%d: Len %d, Shards has %d", typ.Name(), n, cur.Len(), len(shards))
+			if cur.Len() != len(all) {
+				t.Fatalf("%s n=%d: Len %d, shards has %d", typ.Name(), n, cur.Len(), len(all))
 			}
-			for i, s := range shards {
+			for i, s := range all {
 				if !cur.Next() {
-					t.Fatalf("%s n=%d: cursor ended after %d of %d shards", typ.Name(), n, i, len(shards))
+					t.Fatalf("%s n=%d: cursor ended after %d of %d shards", typ.Name(), n, i, len(all))
 				}
-				q0, ok := c.StateIndex(s.Q0)
-				if !ok || cur.Q0() != q0 || c.InitSeq()[cur.Init()] != q0 || typ.InitialStates()[cur.Init()] != s.Q0 {
-					t.Fatalf("%s n=%d shard %d: cursor q0 %d (init %d), want %q", typ.Name(), n, i, cur.Q0(), cur.Init(), s.Q0)
+				q0, ok := c.StateIndex(s.q0)
+				if !ok || cur.Q0() != q0 || c.InitSeq()[cur.Init()] != q0 || typ.InitialStates()[cur.Init()] != s.q0 {
+					t.Fatalf("%s n=%d shard %d: cursor q0 %d (init %d), want %q", typ.Name(), n, i, cur.Q0(), cur.Init(), s.q0)
 				}
 				if want := indexCounts(t, c, s); !slices.Equal(cur.ACounts(), want) {
 					t.Fatalf("%s n=%d shard %d: cursor counts %v, want %v", typ.Name(), n, i, cur.ACounts(), want)
@@ -76,7 +76,7 @@ func TestShardCursorMatchesShards(t *testing.T) {
 				checked++
 			}
 			if cur.Next() || cur.Next() {
-				t.Fatalf("%s n=%d: cursor yields more than %d shards", typ.Name(), n, len(shards))
+				t.Fatalf("%s n=%d: cursor yields more than %d shards", typ.Name(), n, len(all))
 			}
 		}
 	}
@@ -106,18 +106,18 @@ func TestIndexSearchMatchesInterpreted(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			shards, err := Shards(typ, n, nil)
+			all, err := shards(typ, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, recording := range []bool{true, false} {
 				s := NewIndexSearch(c, n, recording)
-				for _, sh := range shards {
-					want, err := SearchShard(ctx, typ, sh, interpreted(recording))
+				for _, sh := range all {
+					want, err := searchShard(ctx, typ, sh, interpreted(recording))
 					if err != nil {
 						t.Fatal(err)
 					}
-					q0, _ := c.StateIndex(sh.Q0)
+					q0, _ := c.StateIndex(sh.q0)
 					got, err := s.Search(q0, indexCounts(t, c, sh), never)
 					if err != nil || !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s n=%d shard %+v (recording=%v): index search (%v, %v), interpreted %v",
@@ -146,18 +146,18 @@ func TestIndexSearchBeyondCompiledN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := Shards(typ, n, nil)
+	all, err := shards(typ, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, recording := range []bool{true, false} {
 		s := NewIndexSearch(c, n, recording)
-		for _, sh := range shards[:3] {
-			want, err := SearchShard(context.Background(), typ, sh, interpreted(recording))
+		for _, sh := range all[:3] {
+			want, err := searchShard(context.Background(), typ, sh, interpreted(recording))
 			if err != nil {
 				t.Fatal(err)
 			}
-			q0, _ := c.StateIndex(sh.Q0)
+			q0, _ := c.StateIndex(sh.q0)
 			got, err := s.Search(q0, indexCounts(t, c, sh), never)
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d shard %+v (recording=%v): index search (%v, %v), interpreted %v",
@@ -204,7 +204,7 @@ func TestIndexSearchAllocs(t *testing.T) {
 	const n = 3
 	for _, recording := range []bool{true, false} {
 		typ, c, sh := witnessFreeShard(t, n, recording, 3)
-		q0, _ := c.StateIndex(sh.Q0)
+		q0, _ := c.StateIndex(sh.q0)
 		counts := indexCounts(t, c, sh)
 		s := NewIndexSearch(c, n, recording)
 		if _, err := s.Search(q0, counts, never); err != nil {

@@ -7,39 +7,6 @@ import (
 	"rcons/internal/spec"
 )
 
-// SearchOptions configures witness searches. The zero value means "derive
-// candidates from the type": initial states from Type.InitialStates and
-// the operation alphabet from spec.CandidateOps.
-//
-// The searches are exhaustive over the candidate sets: because processes
-// assigned the same operation on the same team are interchangeable in
-// Definitions 2 and 4, enumerating (initial state × team sizes ×
-// per-team operation multisets) covers every witness up to symmetry.
-// A negative search result is therefore a proof of "not n-recording"
-// (resp. "not n-discerning") relative to the candidate state set; for the
-// paper's finite-state families the candidate set is the full state
-// space, making the negative results unconditional.
-type SearchOptions struct {
-	// States are the candidate initial states q0.
-	States []spec.State
-	// Ops is the candidate operation alphabet.
-	Ops []spec.Op
-}
-
-func (o *SearchOptions) fill(t spec.Type, n int) ([]spec.State, []spec.Op) {
-	states := t.InitialStates()
-	ops := spec.CandidateOps(t, n)
-	if o != nil {
-		if len(o.States) > 0 {
-			states = o.States
-		}
-		if len(o.Ops) > 0 {
-			ops = o.Ops
-		}
-	}
-	return states, ops
-}
-
 // VerifyFunc is a property verifier for one candidate witness:
 // VerifyRecording or VerifyDiscerning.
 type VerifyFunc func(spec.Type, Witness) (Result, error)
@@ -105,60 +72,59 @@ func witnessFromCounts(q0 spec.State, ops []spec.Op, aCounts, bCounts []int) Wit
 	return w
 }
 
-// Shard is one independent slice of the witness enumeration space: the
+// shard is one independent slice of the witness enumeration space: the
 // initial state and team-A operation multiset are fixed, and the shard
-// spans every team-B multiset of size N − |A|. Distinct shards share no
-// candidate witness, and the shards for (t, n) jointly cover the whole
-// space, so they can be verified concurrently (package engine) or in
-// sequence (searchWitness below) with identical outcomes.
-type Shard struct {
-	// Q0 is the fixed initial state.
-	Q0 spec.State
-	// Ops is the candidate operation alphabet shared by all shards.
-	Ops []spec.Op
-	// ACounts is the fixed per-op count vector for team A
-	// (len(ACounts) == len(Ops), sum ≥ 1).
-	ACounts []int
-	// N is the total process count; team B gets N − sum(ACounts)
+// spans every team-B multiset of size n − |A|. Distinct shards share no
+// candidate witness, and the shards of (t, n) jointly cover the whole
+// space in Search's order.
+type shard struct {
+	// q0 is the fixed initial state.
+	q0 spec.State
+	// ops is the candidate operation alphabet shared by all shards.
+	ops []spec.Op
+	// aCounts is the fixed per-op count vector for team A
+	// (len(aCounts) == len(ops), sum ≥ 1).
+	aCounts []int
+	// n is the total process count; team B gets n − sum(aCounts)
 	// processes.
-	N int
+	n int
 }
 
 // teamBSize returns the number of team-B processes in the shard.
-func (s Shard) teamBSize() int {
-	b := s.N
-	for _, c := range s.ACounts {
+func (s shard) teamBSize() int {
+	b := s.n
+	for _, c := range s.aCounts {
 		b -= c
 	}
 	return b
 }
 
-// Shards partitions the (t, n, opts) search space into independent
-// shards, in exactly the order searchWitness visits them: initial states
-// first, then team-A size 1 … n−1, then team-A multisets in the
-// enumeration order of multisets. An empty slice (with nil error) means
-// the type has no update operations and therefore no witness.
+// shards partitions the (t, n) search space into independent shards, in
+// exactly the order Search visits them: initial states first, then
+// team-A size 1 … n−1, then team-A multisets in the enumeration order
+// of multisets. The candidates are every initial state of t and the
+// alphabet spec.CandidateOps(t, n). An empty slice (with nil error)
+// means the type has no update operations and therefore no witness.
 //
-// String shards serve the interpreted searches, the parity oracle. The
-// compiled search enumerates the same shards in the same order as table
-// indices through ShardCursor, and builds no Shard.
-func Shards(t spec.Type, n int, opts *SearchOptions) ([]Shard, error) {
+// ShardCursor enumerates the same shards in the same order as table
+// indices, and builds no shard.
+func shards(t spec.Type, n int) ([]shard, error) {
 	if err := checkN(n); err != nil {
 		return nil, err
 	}
-	states, ops := opts.fill(t, n)
+	ops := spec.CandidateOps(t, n)
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	var out []Shard
-	for _, q0 := range states {
+	var out []shard
+	for _, q0 := range t.InitialStates() {
 		for a := 1; a < n; a++ {
 			multisets(len(ops), a, func(aCounts []int) bool {
-				out = append(out, Shard{
-					Q0:      q0,
-					Ops:     ops,
-					ACounts: append([]int(nil), aCounts...),
-					N:       n,
+				out = append(out, shard{
+					q0:      q0,
+					ops:     ops,
+					aCounts: append([]int(nil), aCounts...),
+					n:       n,
 				})
 				return true
 			})
@@ -167,20 +133,18 @@ func Shards(t spec.Type, n int, opts *SearchOptions) ([]Shard, error) {
 	return out, nil
 }
 
-// SearchShard verifies the shard's candidate witnesses in enumeration
-// order until one passes, verify fails, or ctx is cancelled. It returns
-// nil when the shard contains no witness.
-func SearchShard(ctx context.Context, t spec.Type, s Shard, verify VerifyFunc) (*Witness, error) {
+// searchShard verifies the shard's candidate witnesses in enumeration
+// order until one passes, verify fails, or ctx is done. It returns nil
+// when the shard contains no witness.
+func searchShard(ctx context.Context, t spec.Type, s shard, verify VerifyFunc) (*Witness, error) {
 	var found *Witness
 	var searchErr error
-	multisets(len(s.Ops), s.teamBSize(), func(bCounts []int) bool {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				searchErr = err
-				return false
-			}
+	multisets(len(s.ops), s.teamBSize(), func(bCounts []int) bool {
+		if err := ctx.Err(); err != nil {
+			searchErr = err
+			return false
 		}
-		w := witnessFromCounts(s.Q0, s.Ops, s.ACounts, bCounts)
+		w := witnessFromCounts(s.q0, s.ops, s.aCounts, bCounts)
 		res, err := verify(t, w)
 		if err != nil {
 			searchErr = err
@@ -198,19 +162,27 @@ func SearchShard(ctx context.Context, t spec.Type, s Shard, verify VerifyFunc) (
 	return found, nil
 }
 
-// searchWitness runs the shared exhaustive enumeration, calling verify on
-// each candidate witness until one passes. It is the sequential driver
-// over Shards/SearchShard; package engine provides the concurrent one.
-func searchWitness(
-	t spec.Type, n int, opts *SearchOptions,
-	verify VerifyFunc,
-) (*Witness, error) {
-	shards, err := Shards(t, n, opts)
+// Search is the sequential exhaustive witness search of (t, n): it
+// calls verify on each candidate witness in enumeration order until one
+// passes, and returns nil when none does. It checks ctx before each
+// candidate and returns ctx's error once ctx is done.
+//
+// The search is exhaustive over the candidate sets, every initial state
+// of t and the alphabet spec.CandidateOps(t, n): processes assigned the
+// same operation on the same team are interchangeable in Definitions 2
+// and 4, so enumerating (initial state × team sizes × per-team
+// operation multisets) covers every witness up to symmetry. A negative
+// result is therefore a proof of "not n-recording" (resp. "not
+// n-discerning") relative to the initial states; for the paper's
+// finite-state families those are the full state space, making the
+// negative results unconditional.
+func Search(ctx context.Context, t spec.Type, n int, verify VerifyFunc) (*Witness, error) {
+	all, err := shards(t, n)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range shards {
-		w, err := SearchShard(context.Background(), t, s, verify)
+	for _, s := range all {
+		w, err := searchShard(ctx, t, s, verify)
 		if err != nil {
 			return nil, err
 		}
@@ -223,14 +195,14 @@ func searchWitness(
 
 // SearchRecording looks for an n-recording witness (Definition 4) for
 // type t. It returns nil if none exists over the candidate sets.
-func SearchRecording(t spec.Type, n int, opts *SearchOptions) (*Witness, error) {
-	return searchWitness(t, n, opts, VerifyRecording)
+func SearchRecording(t spec.Type, n int) (*Witness, error) {
+	return Search(context.Background(), t, n, VerifyRecording)
 }
 
 // SearchDiscerning looks for an n-discerning witness (Definition 2) for
 // type t. It returns nil if none exists over the candidate sets.
-func SearchDiscerning(t spec.Type, n int, opts *SearchOptions) (*Witness, error) {
-	return searchWitness(t, n, opts, VerifyDiscerning)
+func SearchDiscerning(t spec.Type, n int) (*Witness, error) {
+	return Search(context.Background(), t, n, VerifyDiscerning)
 }
 
 // MaxLevel is the result of scanning a property up to a process-count
@@ -258,7 +230,7 @@ func (m MaxLevel) String() string {
 	return fmt.Sprintf("%d", m.Max)
 }
 
-// scanMax finds the largest n ≤ limit at which search succeeds, by
+// ScanMax finds the largest n ≤ limit at which search succeeds, by
 // scanning n = 2, 3, … upward and stopping at the first level whose
 // search finds no witness. Stopping early is exact because both
 // properties are downward closed: an n-recording type is k-recording
@@ -266,18 +238,13 @@ func (m MaxLevel) String() string {
 // restricts to a (n−1)-discerning one by dropping a process from a
 // team of size ≥ 2 — so the set of levels at which a property holds is
 // always a prefix {2, …, max}, and no higher success can hide above a
-// failure. This closure argument assumes the candidate sets cover the
-// restricted witnesses, which holds for SearchOptions derived from the
-// type (the default) since dropping a process only shrinks the ops
-// used; with hand-picked candidate sets the result is still a sound
-// lower bound on the maximum.
-func scanMax(
-	t spec.Type, limit int, opts *SearchOptions,
-	search func(spec.Type, int, *SearchOptions) (*Witness, error),
-) (MaxLevel, error) {
+// failure. The closure argument needs each level's candidate sets to
+// cover the restricted witnesses, which Search's do, since dropping a
+// process only shrinks the ops used.
+func ScanMax(limit int, search func(n int) (*Witness, error)) (MaxLevel, error) {
 	out := MaxLevel{Max: 1, Limit: limit}
 	for n := 2; n <= limit; n++ {
-		w, err := search(t, n, opts)
+		w, err := search(n)
 		if err != nil {
 			return MaxLevel{}, err
 		}
@@ -292,11 +259,11 @@ func scanMax(
 }
 
 // MaxRecording scans the n-recording property for n = 2 … limit.
-func MaxRecording(t spec.Type, limit int, opts *SearchOptions) (MaxLevel, error) {
-	return scanMax(t, limit, opts, SearchRecording)
+func MaxRecording(t spec.Type, limit int) (MaxLevel, error) {
+	return ScanMax(limit, func(n int) (*Witness, error) { return SearchRecording(t, n) })
 }
 
 // MaxDiscerning scans the n-discerning property for n = 2 … limit.
-func MaxDiscerning(t spec.Type, limit int, opts *SearchOptions) (MaxLevel, error) {
-	return scanMax(t, limit, opts, SearchDiscerning)
+func MaxDiscerning(t spec.Type, limit int) (MaxLevel, error) {
+	return ScanMax(limit, func(n int) (*Witness, error) { return SearchDiscerning(t, n) })
 }

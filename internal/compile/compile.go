@@ -59,6 +59,9 @@ type Compiled struct {
 	autoOnce sync.Once
 	auto     *Group
 
+	searchOnce sync.Once
+	searchErr  error // Searchable's answer
+
 	// stateIdx and opIdx resolve labels to indices. The searches never
 	// need them, so index builds them on first use.
 	indexOnce sync.Once
@@ -69,7 +72,7 @@ type Compiled struct {
 // Compile lowers t to a dense transition table for searches among n
 // processes: Table plus the checks only the compiled search needs (see
 // Searchable). Callers that get an error are expected to fall back to
-// the interpreted path.
+// the sequential interpreted search (checker.Search).
 func Compile(t spec.Type, n int) (*Compiled, error) {
 	c, err := Table(t, n)
 	if err == nil {
@@ -98,7 +101,7 @@ var _ Dense = (*atlas.Table)(nil)
 
 // Table builds the dense transition table of t among n processes; n
 // only chooses the alphabet. The operation alphabet is
-// spec.CandidateOps(t, n) — the same alphabet checker.Shards
+// spec.CandidateOps(t, n) — the same alphabet checker.Search
 // enumerates, kept in candidate order with any duplicates — and the
 // state universe is every state reachable from t's initial states under
 // it, so the table is closed: Apply never leaves it. A type without
@@ -239,9 +242,15 @@ func assemble[I uint8 | uint16](t spec.Type, labels []spec.State, ops []spec.Op,
 // Searchable reports why the compiled search cannot run on c, or nil
 // when it can: the alphabet must be non-empty, free of duplicates and
 // made of operations spec.ParseOp accepts, and the type must have an
-// initial state. A table that fails these still renders fingerprints;
-// its searches run interpreted.
+// initial state. It decides once per table. A table that fails these
+// still renders fingerprints; the engine searches its type with the
+// sequential interpreted search (checker.Search).
 func (c *Compiled) Searchable() error {
+	c.searchOnce.Do(func() { c.searchErr = c.searchable() })
+	return c.searchErr
+}
+
+func (c *Compiled) searchable() error {
 	name := c.src.Name()
 	if len(c.ops) == 0 {
 		return fmt.Errorf("compile %s: type has no update operations", name)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rcons/internal/atlas"
+	"rcons/internal/checker"
 	"rcons/internal/compile"
 	"rcons/internal/engine"
 	"rcons/internal/spec"
@@ -15,9 +16,10 @@ import (
 
 // TestCompiledParity is the differential battery for the compiled core:
 // for every zoo type plus a sample of random tables, classify via the
-// default (compiled + symmetry-pruned) engine and via the interpreted
-// parity oracle, and require bit-identical classifications — same
-// verdicts, same levels, same canonical witnesses. CanonicalFingerprint
+// default (compiled + symmetry-pruned) engine and via the sequential
+// interpreted scan (checker.Classify), which shares no code with the
+// engine's shard loop, and require bit-identical classifications —
+// same verdicts, same levels, same canonical witnesses. CanonicalFingerprint
 // of a type and of its compiled view must also agree, since the view
 // renders the same strings.
 func TestCompiledParity(t *testing.T) {
@@ -29,7 +31,6 @@ func TestCompiledParity(t *testing.T) {
 	}
 
 	compiled := engine.New(engine.Options{Workers: 4})
-	interp := engine.New(engine.Options{Workers: 4, Interpreted: true})
 	ctx := context.Background()
 
 	targets := types.Zoo()
@@ -44,12 +45,12 @@ func TestCompiledParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compiled classify: %v", typ.Name(), err)
 		}
-		want, err := interp.Classify(ctx, typ, limit)
+		want, err := checker.Classify(typ, limit)
 		if err != nil {
-			t.Fatalf("%s: interpreted classify: %v", typ.Name(), err)
+			t.Fatalf("%s: sequential classify: %v", typ.Name(), err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: compiled %+v != interpreted %+v", typ.Name(), got, want)
+			t.Errorf("%s: compiled %+v != sequential %+v", typ.Name(), got, want)
 		}
 
 		// The compiled view must be indistinguishable at the

@@ -2,18 +2,20 @@
 // package checker. It answers the same questions — "is type T
 // n-recording / n-discerning, and what cons/rcons bands follow?" — but
 // partitions each exhaustive witness search into independent shards
-// (checker.ShardCursor over a compiled table, checker.Shards on the
-// interpreted path), searches them on the calling goroutine plus
-// helpers for idle worker slots, stopping early once a witness is
-// found. The engine keeps no memo of its own: callers that repeat
-// queries keep their answers (rcserve's response memo). With a
-// persistent store attached, every per-(property, n) search result is
-// read from and written through to it. A Classify call builds each
-// compiled table (package compile) it needs once: one per level its
-// scans reach for a type with spec.OpsForN, and one shared by every
-// level for any other type, whose alphabet is the same at every n. The
-// table supplies the store key, the symmetry-pruning group and the
-// search itself.
+// (checker.ShardCursor over a compiled table), checks them
+// (checker.IndexSearch) on the calling goroutine plus helpers for idle
+// worker slots, and stops early once a witness is found. A level
+// without a searchable table (its states exceed compile.StateCap, a
+// transition fails, or compile.Searchable rejects it, as for read-only)
+// runs checker.Search, the sequential search, on the calling goroutine.
+// The engine keeps no memo of its own: callers that repeat queries keep
+// their answers (rcserve's response memo). With a persistent store
+// attached, every per-(property, n) search result is read from and
+// written through to it. A Classify call builds each compiled table
+// (package compile) it needs once: one per level its scans reach for a
+// type with spec.OpsForN, and one shared by every level for any other
+// type, whose alphabet is the same at every n. The table supplies the
+// store key, the symmetry-pruning group and the search itself.
 //
 // Determinism: a search runs on an ordered.Run, one item per shard. Its
 // goroutines claim shards in enumeration order and share one atomic
@@ -30,7 +32,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -104,11 +105,15 @@ type Options struct {
 	// search results survive restarts and are shared by every binary
 	// opening the same store.
 	Persist Persist
-	// Interpreted disables the compiled fast path: searches verify
-	// witnesses by interpreting spec.Type directly instead of compiling
-	// it to dense transition tables first, and symmetric-shard pruning
-	// is off. This is the parity oracle — results must be bit-identical
-	// either way (asserted by the compiled-parity batteries).
+	// Interpreted checks every shard with the interpreted verifier on
+	// the type itself (checker.NewInterpretedSearch) instead of the
+	// compiled core, with symmetric-shard pruning off; the shard loop,
+	// its order and its fan-out over worker slots stay the same. It is
+	// the compiled core's parity oracle: results must be bit-identical
+	// either way. It is kept for that oracle, which the parity tests
+	// and rcperf's census-cold reference run on: a sequential
+	// checker.Classify scan would cost that reference its shard
+	// parallelism.
 	Interpreted bool
 }
 
@@ -131,7 +136,7 @@ type Engine struct {
 	// classified counts the classifications Classify has derived.
 	classified atomic.Int64
 
-	// interpreted switches verification to the parity-oracle path.
+	// interpreted checks shards with the interpreted verifier.
 	interpreted bool
 }
 
@@ -271,8 +276,8 @@ func (lt levelTables) at(n int) level {
 }
 
 // search is Search on an already built level l of (t, n). A computed
-// search runs on l's table unless the engine is interpreted or the
-// table fails compile's search checks; then it verifies interpreted.
+// search runs the shard loop on l's table, or the sequential search
+// when l has no searchable table.
 func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l level) (*checker.Witness, error) {
 	verify, err := p.verify()
 	if err != nil {
@@ -291,10 +296,10 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	span.SetAttr("n", strconv.Itoa(n))
 	defer span.End()
 	var w *checker.Witness
-	if comp := l.tab; comp != nil && !e.interpreted && comp.Searchable() == nil {
-		w, err = e.searchCompiled(sctx, comp, n, p == Recording)
+	if l.tab != nil && l.tab.Searchable() == nil {
+		w, err = e.searchShards(sctx, l.tab, n, p == Recording)
 	} else {
-		w, err = e.searchInterpreted(sctx, t, n, verify)
+		e.fanOut(1, func() { w, err = checker.Search(sctx, t, n, verify) })
 	}
 	if err != nil {
 		span.MarkError()
@@ -310,13 +315,12 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	return w, nil
 }
 
-// runShards drives one level search of at most count shards: work
-// claims and searches shards until none is left. The calling goroutine
-// takes a sem slot when one is free and works either way; a helper
-// starts for each further slot free at this moment, up to count−1. So
-// a busy engine runs the search on its caller's goroutine, whose stack
-// is already grown, and an idle one fans it out.
-func (e *Engine) runShards(r *ordered.Run[*checker.Witness], count int, work func()) (*checker.Witness, error) {
+// fanOut runs work on the calling goroutine, which takes a sem slot
+// when one is free and works either way, plus one helper for each
+// further slot free at this moment, up to count−1, and returns when
+// all have returned. So a busy engine runs a search on its caller's
+// goroutine, whose stack is already grown, and an idle one fans it out.
+func (e *Engine) fanOut(count int, work func()) {
 	held := false
 	select {
 	case e.sem <- struct{}{}:
@@ -343,20 +347,25 @@ helpers:
 		<-e.sem
 	}
 	wg.Wait()
-	return r.Result()
 }
 
-// searchCompiled searches c's index shards among n processes, keeping
-// only the first shard of each symmetry orbit.
-func (e *Engine) searchCompiled(ctx context.Context, c *compile.Compiled, n int, recording bool) (*checker.Witness, error) {
+// searchShards is the engine's shard loop: it searches c's index shards
+// among n processes on an ordered.Run. A compiled engine keeps only the
+// first shard of each symmetry orbit; an interpreted one checks every
+// shard with the interpreted verifier.
+func (e *Engine) searchShards(ctx context.Context, c *compile.Compiled, n int, recording bool) (*checker.Witness, error) {
 	cur, err := checker.NewShardCursor(c, n)
 	if err != nil {
 		return nil, err
 	}
 	r := ordered.New[*checker.Witness](ctx)
-	orbits := newOrbitFilter(c)
-	return e.runShards(r, cur.Len(), func() {
-		s := checker.NewIndexSearch(c, n, recording)
+	newSearch := checker.NewInterpretedSearch
+	var orbits *orbitFilter
+	if !e.interpreted {
+		newSearch, orbits = checker.NewIndexSearch, newOrbitFilter(c)
+	}
+	e.fanOut(cur.Len(), func() {
+		s := newSearch(c, n, recording)
 		defer s.Close()
 		var (
 			i      int
@@ -384,42 +393,7 @@ func (e *Engine) searchCompiled(ctx context.Context, c *compile.Compiled, n int,
 			}
 		}
 	})
-}
-
-// errObsolete abandons an interpreted shard search that can no longer
-// change the result.
-var errObsolete = errors.New("engine: shard obsolete")
-
-// searchInterpreted searches the string shards of (t, n) with verify.
-func (e *Engine) searchInterpreted(ctx context.Context, t spec.Type, n int, verify checker.VerifyFunc) (*checker.Witness, error) {
-	shards, err := checker.Shards(t, n, nil)
-	if err != nil || len(shards) == 0 {
-		return nil, err
-	}
-	r := ordered.New[*checker.Witness](ctx)
-	return e.runShards(r, len(shards), func() {
-		var i int
-		advance := func(k int) bool { return k < len(shards) }
-		v := func(t spec.Type, w checker.Witness) (checker.Result, error) {
-			if r.Obsolete(i) {
-				return checker.Result{}, errObsolete
-			}
-			return verify(t, w)
-		}
-		for {
-			var ok bool
-			if i, ok = r.Claim(advance); !ok {
-				return
-			}
-			w, err := checker.SearchShard(ctx, t, shards[i], v)
-			if errors.Is(err, errObsolete) {
-				continue
-			}
-			if w != nil || err != nil {
-				r.Finish(i, w, err)
-			}
-		}
-	})
+	return r.Result()
 }
 
 // orbitFilter keeps the first index shard of each orbit under a
@@ -459,24 +433,12 @@ func (f *orbitFilter) first(q0 uint16, counts []int) bool {
 	return true
 }
 
-// maxLevel scans property p for n = 2 … limit over the levels lt,
-// mirroring checker.MaxRecording / MaxDiscerning (including the
-// downward-closure early stop) with each level's search sharded.
+// maxLevel scans property p for n = 2 … limit over the levels lt, with
+// checker.ScanMax's downward-closure early stop.
 func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit int, lt levelTables) (checker.MaxLevel, error) {
-	out := checker.MaxLevel{Max: 1, Limit: limit}
-	for n := 2; n <= limit; n++ {
-		w, err := e.search(ctx, t, p, n, lt.at(n))
-		if err != nil {
-			return checker.MaxLevel{}, err
-		}
-		if w == nil {
-			return out, nil
-		}
-		out.Max = n
-		out.Witness = w
-	}
-	out.AtLimit = true
-	return out, nil
+	return checker.ScanMax(limit, func(n int) (*checker.Witness, error) {
+		return e.search(ctx, t, p, n, lt.at(n))
+	})
 }
 
 // Classify derives type t's cons/rcons bands exactly like

@@ -28,7 +28,7 @@ func TestEngineMatchesSequentialZoo(t *testing.T) {
 		limit = 5
 	}
 	for _, typ := range types.Zoo() {
-		want, err := checker.Classify(typ, limit, nil)
+		want, err := checker.Classify(typ, limit)
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", typ.Name(), err)
 		}
@@ -51,11 +51,11 @@ func TestSearchMatchesSequentialWitness(t *testing.T) {
 	ctx := context.Background()
 	for _, typ := range types.Zoo() {
 		for n := 2; n <= 4; n++ {
-			for p, seq := range map[Property]func(spec.Type, int, *checker.SearchOptions) (*checker.Witness, error){
+			for p, seq := range map[Property]func(spec.Type, int) (*checker.Witness, error){
 				Recording:  checker.SearchRecording,
 				Discerning: checker.SearchDiscerning,
 			} {
-				want, err := seq(typ, n, nil)
+				want, err := seq(typ, n)
 				if err != nil {
 					t.Fatalf("%s %s n=%d: sequential: %v", typ.Name(), p, n, err)
 				}

@@ -179,7 +179,7 @@ func FuzzClassifyParity(f *testing.F) {
 		}
 
 		const limit = 3
-		seq, seqErr := checker.Classify(typ, limit, nil)
+		seq, seqErr := checker.Classify(typ, limit)
 		par, parErr := parityEngine.Classify(context.Background(), typ, limit)
 		if (seqErr == nil) != (parErr == nil) {
 			t.Fatalf("error parity broken: sequential=%v, engine=%v", seqErr, parErr)

@@ -8,6 +8,7 @@ import (
 
 	"rcons/internal/checker"
 	"rcons/internal/compile"
+	"rcons/internal/spec"
 	"rcons/internal/types"
 )
 
@@ -107,25 +108,28 @@ func TestPruneSymmetricShards(t *testing.T) {
 
 // TestPrunedSearchMatchesInterpreted pins end-to-end soundness: the
 // default engine (compiled tables + symmetry pruning) must classify the
-// symmetric type and return witnesses bit-identically to the
-// interpreted engine, which enumerates every shard.
+// symmetric type and return witnesses bit-identically to the sequential
+// interpreted search, which enumerates every shard.
 func TestPrunedSearchMatchesInterpreted(t *testing.T) {
 	typ := symType()
 	fast := New(Options{Workers: 4})
-	slow := New(Options{Workers: 4, Interpreted: true})
+	seq := map[Property]func(spec.Type, int) (*checker.Witness, error){
+		Recording:  checker.SearchRecording,
+		Discerning: checker.SearchDiscerning,
+	}
 	ctx := context.Background()
 	for n := 2; n <= 4; n++ {
-		for _, p := range []Property{Recording, Discerning} {
+		for p, search := range seq {
 			wf, err := fast.Search(ctx, typ, p, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws, err := slow.Search(ctx, typ, p, n)
+			ws, err := search(typ, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(wf, ws) {
-				t.Fatalf("n=%d %v: pruned witness %+v != interpreted %+v", n, p, wf, ws)
+				t.Fatalf("n=%d %v: pruned witness %+v != sequential %+v", n, p, wf, ws)
 			}
 		}
 	}

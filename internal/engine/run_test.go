@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rcons/internal/checker"
+	"rcons/internal/compile"
 	"rcons/internal/spec"
 	"rcons/internal/types"
 )
@@ -20,7 +21,7 @@ import (
 // elsewhere, so the caller searches alone with no helper.
 func TestSearchWitnessAcrossWorkers(t *testing.T) {
 	ctx := context.Background()
-	seq := map[Property]func(spec.Type, int, *checker.SearchOptions) (*checker.Witness, error){
+	seq := map[Property]func(spec.Type, int) (*checker.Witness, error){
 		Recording:  checker.SearchRecording,
 		Discerning: checker.SearchDiscerning,
 	}
@@ -41,7 +42,7 @@ func TestSearchWitnessAcrossWorkers(t *testing.T) {
 		for _, typ := range types.Zoo() {
 			for n := 2; n <= maxN; n++ {
 				for p, search := range seq {
-					want, err := search(typ, n, nil)
+					want, err := search(typ, n)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,32 +91,67 @@ func goroutinesReach(want int) int {
 
 // TestSearchCancelledMidway: cancelling a long witness-free search while
 // the caller and its helpers run returns the context's error promptly
-// and leaves no goroutine behind, on both search paths.
+// and leaves no goroutine behind, on both settings of Interpreted.
 func TestSearchCancelledMidway(t *testing.T) {
-	typ := types.NewRegister()
 	for _, interp := range []bool{false, true} {
-		e := New(Options{Workers: 4, Interpreted: interp})
-		before := settledGoroutines()
-		ctx, cancel := context.WithCancel(context.Background())
-		timer := time.AfterFunc(20*time.Millisecond, cancel)
-		start := time.Now()
-		w, err := e.Search(ctx, typ, Discerning, 8)
-		elapsed := time.Since(start)
-		timer.Stop()
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("interpreted=%v: cancelled search returned (%v, %v) after %v", interp, w, err, elapsed)
-		}
-		// Uncancelled, the search runs for seconds; cancelled, it must
-		// stop within a candidate or so of the cancel.
-		if elapsed > 2*time.Second {
-			t.Fatalf("interpreted=%v: cancelled search took %v to return", interp, elapsed)
-		}
-		if after := goroutinesReach(before); after != before {
-			t.Fatalf("interpreted=%v: goroutines: %d before the search, %d after", interp, before, after)
-		}
-		if len(e.sem) != 0 {
-			t.Fatalf("interpreted=%v: %d worker slots still held", interp, len(e.sem))
-		}
+		checkCancelled(t, New(Options{Workers: 4, Interpreted: interp}), types.NewRegister(), 8)
+	}
+}
+
+// dupRegister is a register whose alphabet repeats its first write, so
+// its table fails compile.Searchable and the engine searches it on the
+// sequential path.
+type dupRegister struct{ *types.Register }
+
+func (dupRegister) Name() string { return "dup-register" }
+
+func (d dupRegister) OpsFor(n int) []spec.Op {
+	ops := d.Register.OpsFor(n)
+	return append(ops, ops[0])
+}
+
+// TestSequentialSearchCancelled: a level without a searchable table
+// runs checker.Search under the request's ctx, so cancelling it returns
+// context.Canceled promptly, with no goroutine left and no worker slot
+// held, on both settings of Interpreted.
+func TestSequentialSearchCancelled(t *testing.T) {
+	typ := dupRegister{types.NewRegister()}
+	const n = 8
+	if tab, err := compile.Table(typ, n); err != nil || tab.Searchable() == nil {
+		t.Fatalf("%s n=%d: want a table that fails Searchable, got err %v", typ.Name(), n, err)
+	}
+	for _, interp := range []bool{false, true} {
+		checkCancelled(t, New(Options{Workers: 4, Interpreted: interp}), typ, n)
+	}
+}
+
+// checkCancelled cancels e's discerning search of typ among n processes
+// 20ms in, which must be witness-free and run for seconds uncancelled.
+// The search must return context.Canceled promptly, leave no goroutine
+// behind and hold no worker slot.
+func checkCancelled(t *testing.T, e *Engine, typ spec.Type, n int) {
+	t.Helper()
+	name := typ.Name() + " interpreted=" + strconv.FormatBool(e.interpreted)
+	before := settledGoroutines()
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	w, err := e.Search(ctx, typ, Discerning, n)
+	elapsed := time.Since(start)
+	timer.Stop()
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("%s: cancelled search returned (%v, %v) after %v", name, w, err, elapsed)
+	}
+	// Uncancelled, the search runs for seconds; cancelled, it must stop
+	// within a candidate or so of the cancel.
+	if elapsed > 2*time.Second {
+		t.Fatalf("%s: cancelled search took %v to return", name, elapsed)
+	}
+	if after := goroutinesReach(before); after != before {
+		t.Fatalf("%s: goroutines: %d before the search, %d after", name, before, after)
+	}
+	if len(e.sem) != 0 {
+		t.Fatalf("%s: %d worker slots still held", name, len(e.sem))
 	}
 }

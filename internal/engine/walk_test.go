@@ -76,7 +76,7 @@ func TestClassifyWalksEachLevelOnce(t *testing.T) {
 	short, full := 0, 0
 	for i := 0; i < 10; i++ {
 		raw := atlas.Random(rng, 3, 2, 2)
-		want, err := checker.Classify(raw, limit, nil)
+		want, err := checker.Classify(raw, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestClassifyWalksEachLevelOnce(t *testing.T) {
 	// swap's scans stop below the limit, compare&swap's reach it; both
 	// alphabets grow with n.
 	for _, typ := range []spec.Type{types.NewSwap(), types.NewCAS()} {
-		want, err := checker.Classify(typ, limit, nil)
+		want, err := checker.Classify(typ, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestClassMemoKeysReadability(t *testing.T) {
 	r, nr := readabilityPair(t)
 	want := map[spec.Type]checker.Classification{}
 	for _, typ := range []spec.Type{r, nr} {
-		c, err := checker.Classify(typ, 3, nil)
+		c, err := checker.Classify(typ, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

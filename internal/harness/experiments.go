@@ -64,11 +64,11 @@ func Fig1Implications(opts Options) (*Report, error) {
 		disc := map[int]bool{}
 		row := []string{t.Name()}
 		for n := 2; n <= maxN; n++ {
-			wr, err := checker.SearchRecording(t, n, nil)
+			wr, err := checker.SearchRecording(t, n)
 			if err != nil {
 				return nil, err
 			}
-			wd, err := checker.SearchDiscerning(t, n, nil)
+			wd, err := checker.SearchDiscerning(t, n)
 			if err != nil {
 				return nil, err
 			}
@@ -116,7 +116,7 @@ func Fig2TeamConsensus(opts Options) (*Report, error) {
 			continue
 		}
 		for n := 2; n <= min(4, opts.MaxN); n++ {
-			w, err := checker.SearchRecording(t, n, nil)
+			w, err := checker.SearchRecording(t, n)
 			if err != nil {
 				return nil, err
 			}
@@ -240,11 +240,11 @@ func Fig5Tn(opts Options) (*Report, error) {
 			return nil, err
 		}
 		disc := res.OK
-		wRec1, err := checker.SearchRecording(tn, n-1, nil)
+		wRec1, err := checker.SearchRecording(tn, n-1)
 		if err != nil {
 			return nil, err
 		}
-		wRec2, err := checker.SearchRecording(tn, n-2, nil)
+		wRec2, err := checker.SearchRecording(tn, n-2)
 		if err != nil {
 			return nil, err
 		}
@@ -274,11 +274,11 @@ func Fig6Sn(opts Options) (*Report, error) {
 	}
 	for n := 2; n <= opts.MaxN; n++ {
 		sn := types.NewSn(n)
-		rec, err := checker.MaxRecording(sn, n+2, nil)
+		rec, err := checker.MaxRecording(sn, n+2)
 		if err != nil {
 			return nil, err
 		}
-		disc, err := checker.MaxDiscerning(sn, n+2, nil)
+		disc, err := checker.MaxDiscerning(sn, n+2)
 		if err != nil {
 			return nil, err
 		}
@@ -488,7 +488,7 @@ func Fig8Stack(opts Options) (*Report, error) {
 	// Classifier: the plain stack is syntactically recording (push-only
 	// witnesses) but non-readable, so no rcons lower bound follows; the
 	// valency argument of Appendix H pins rcons(stack) = 1.
-	c, err := checker.Classify(st, 4, nil)
+	c, err := checker.Classify(st, 4)
 	if err != nil {
 		return nil, err
 	}

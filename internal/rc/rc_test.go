@@ -425,7 +425,7 @@ func TestCASInstanceIdempotentAcrossCrashes(t *testing.T) {
 // searchRecordingForTest avoids importing checker in multiple test files
 // directly; it simply forwards to the checker search.
 func searchRecordingForTest(t spec.Type, n int) (*checker.Witness, error) {
-	return checker.SearchRecording(t, n, nil)
+	return checker.SearchRecording(t, n)
 }
 
 func TestTASConsensusSafeWithoutCrashes(t *testing.T) {

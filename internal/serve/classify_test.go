@@ -46,7 +46,7 @@ func TestClassifyReadabilityBodies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := checker.Classify(typ, 3, nil)
+		c, err := checker.Classify(typ, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

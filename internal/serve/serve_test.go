@@ -75,7 +75,7 @@ func TestClassifyEndToEnd(t *testing.T) {
 	var got classificationJSON
 	getJSON(t, ts.URL+"/v1/classify?type=S_3&limit=5", http.StatusOK, &got)
 
-	want, err := checker.Classify(mustType(t, "S_3"), 5, nil)
+	want, err := checker.Classify(mustType(t, "S_3"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

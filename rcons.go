@@ -72,8 +72,6 @@ type (
 	Classification = checker.Classification
 	// MaxLevel is the maximal level at which a property holds.
 	MaxLevel = checker.MaxLevel
-	// SearchOptions tunes witness searches.
-	SearchOptions = checker.SearchOptions
 )
 
 // Engine types: the concurrent classification engine.
@@ -153,7 +151,7 @@ func Readable(t Type) bool { return types.Readable(t) }
 // Classify scans t's n-recording and n-discerning levels up to limit and
 // derives its cons/rcons bands per the paper's theorems.
 func Classify(t Type, limit int) (Classification, error) {
-	return checker.Classify(t, limit, nil)
+	return checker.Classify(t, limit)
 }
 
 // NewEngine builds a concurrent classification engine; its Classify,
@@ -173,23 +171,23 @@ func ClassifyParallel(ctx context.Context, t Type, limit int) (Classification, e
 
 // MaxRecording returns the largest n ≤ limit at which t is n-recording.
 func MaxRecording(t Type, limit int) (MaxLevel, error) {
-	return checker.MaxRecording(t, limit, nil)
+	return checker.MaxRecording(t, limit)
 }
 
 // MaxDiscerning returns the largest n ≤ limit at which t is n-discerning.
 func MaxDiscerning(t Type, limit int) (MaxLevel, error) {
-	return checker.MaxDiscerning(t, limit, nil)
+	return checker.MaxDiscerning(t, limit)
 }
 
 // SearchRecording looks for an n-recording witness for t (nil if none
 // exists over the candidate sets).
 func SearchRecording(t Type, n int) (*Witness, error) {
-	return checker.SearchRecording(t, n, nil)
+	return checker.SearchRecording(t, n)
 }
 
 // SearchDiscerning looks for an n-discerning witness for t.
 func SearchDiscerning(t Type, n int) (*Witness, error) {
-	return checker.SearchDiscerning(t, n, nil)
+	return checker.SearchDiscerning(t, n)
 }
 
 // NewTeamConsensus builds the Figure 2 recoverable team consensus from a
