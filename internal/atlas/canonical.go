@@ -32,8 +32,8 @@ func (t *Table) Canonical() (*Table, bool) {
 }
 
 // CanonicalKey returns the hex encoding of t's canonical byte form — a
-// compact, relabeling-invariant identity used for dedup by Enumerate and
-// by the census. ok is false when t exceeds the permutation caps.
+// compact, relabeling-invariant identity: Enumerate's yielded keys, and
+// the census's dedup key. ok is false when t exceeds the permutation caps.
 func (t *Table) CanonicalKey() (string, bool) {
 	enc, ok := t.canonicalBytes()
 	if !ok {
@@ -60,14 +60,29 @@ func (t *Table) canonicalBytes() ([]byte, bool) {
 	return c.minimize(t.states, t.ops, t.resps, t.next, t.resp)
 }
 
-// canonicalizer is the one canonicalization routine: it minimizes raw
-// next/resp arrays, so Enumerate runs it on its odometer's arrays
-// without building a Table, and the Table methods run it on theirs.
-// Its scratch is reused across calls; a canonicalizer is not safe for
-// concurrent use.
+// canonicalizer is the one canonicalization routine. minimize runs it
+// on the raw next/resp arrays of an arbitrary table (the Table methods,
+// random tables, uploads); Enumerate only asks whether its odometer's
+// raw table is already canonical (nextMinimal, respMinimal). Both
+// compare relabelings with encode's parts. Its scratch is reused across
+// calls; a canonicalizer is not safe for concurrent use.
 type canonicalizer struct {
 	buf, best []byte
 	ren       [MaxStates]uint8
+	ties      []relabeling
+}
+
+// relabeling is one state × operation relabeling, as encode takes it:
+// new state k is old state qs[k] and new operation k is old operation
+// qo[k].
+type relabeling struct{ qs, qo []int }
+
+// size makes buf and best n bytes long, reusing their storage.
+func (c *canonicalizer) size(n int) {
+	if cap(c.buf) < n {
+		c.buf, c.best = make([]byte, n), make([]byte, n)
+	}
+	c.buf, c.best = c.buf[:n], c.best[:n]
 }
 
 // minimize returns the canonical encoding of the table with S states, O
@@ -80,11 +95,7 @@ func (c *canonicalizer) minimize(S, O, R int, next, resp []uint8) ([]byte, bool)
 	if S > CanonMaxStates || O > CanonMaxOps {
 		return nil, false
 	}
-	n := 3 + 2*S*O
-	if cap(c.buf) < n {
-		c.buf, c.best = make([]byte, n), make([]byte, n)
-	}
-	c.buf, c.best = c.buf[:n], c.best[:n]
+	c.size(3 + 2*S*O)
 	first := true
 	var ps [CanonMaxStates]uint8
 	for _, qs := range permutations(S) {
@@ -101,6 +112,45 @@ func (c *canonicalizer) minimize(S, O, R int, next, resp []uint8) ([]byte, bool)
 	return c.best, true
 }
 
+// nextMinimal reports whether no state × operation relabeling encodes
+// the next part of c.best, a raw table's own encoding, strictly
+// smaller; next must be that part. If so, it leaves in c.ties the
+// relabelings other than the identity that tie on it: every other one
+// encodes the next part, and so the whole table, strictly larger.
+func (c *canonicalizer) nextMinimal(S, O int, next []uint8) bool {
+	c.ties = c.ties[:0]
+	var ps [CanonMaxStates]uint8
+	for i, qs := range permutations(S) {
+		for k, old := range qs {
+			ps[old] = uint8(k)
+		}
+		for j, qo := range permutations(O) {
+			if i == 0 && j == 0 {
+				continue // the identity encodes the table as itself
+			}
+			switch c.encodeNext(O, next, qs, qo, ps[:S], 0) {
+			case -1:
+				return false
+			case 0:
+				c.ties = append(c.ties, relabeling{qs, qo})
+			}
+		}
+	}
+	return true
+}
+
+// respMinimal reports whether no relabeling in c.ties encodes the
+// response part of c.best strictly smaller; resp must be that part, a
+// restricted-growth string over R responses.
+func (c *canonicalizer) respMinimal(O, R int, resp []uint8) bool {
+	for _, t := range c.ties {
+		if c.encodeResp(O, R, resp, t.qs, t.qo, 0) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // encode writes into c.buf the encoding of the table relabeled so that
 // new state k is old state qs[k] and new operation k is old operation
 // qo[k] (ps is the inverse of qs: old state → new state): [S, O, R',
@@ -110,23 +160,53 @@ func (c *canonicalizer) minimize(S, O, R int, next, resp []uint8) ([]byte, bool)
 // soon as it is known not to be. R' is the same for every relabeling,
 // so the header never decides a comparison.
 func (c *canonicalizer) encode(S, O, R int, next, resp []uint8, qs, qo []int, ps []uint8, first bool) bool {
+	order := 0
+	if first {
+		order = -1
+	}
+	if order = c.encodeNext(O, next, qs, qo, ps, order); order > 0 {
+		return false
+	}
+	if order = c.encodeResp(O, R, resp, qs, qo, order); order > 0 {
+		return false
+	}
+	c.buf[0], c.buf[1] = byte(S), byte(O)
+	return order < 0
+}
+
+// encodeNext writes the next part of encode's encoding into c.buf and
+// returns its order against c.best: order is the order of the bytes
+// before it (−1 less, 0 equal), and the result is −1 if the encoding so
+// far is less, 0 if equal, and 1 — having stopped at the deciding byte
+// — if greater.
+func (c *canonicalizer) encodeNext(O int, next []uint8, qs, qo []int, ps []uint8, order int) int {
 	buf, best := c.buf, c.best
-	less := first
 	k := 3
 	for _, s := range qs {
 		row := next[s*O : s*O+O]
 		for _, o := range qo {
 			v := ps[row[o]]
-			if !less {
+			if order == 0 {
 				if v > best[k] {
-					return false
+					return 1
 				}
-				less = v < best[k]
+				if v < best[k] {
+					order = -1
+				}
 			}
 			buf[k] = v
 			k++
 		}
 	}
+	return order
+}
+
+// encodeResp is encodeNext for the response part, which follows the
+// next part: responses are renamed by first occurrence, and on
+// finishing it stores the number used in c.buf's header.
+func (c *canonicalizer) encodeResp(O, R int, resp []uint8, qs, qo []int, order int) int {
+	buf, best := c.buf, c.best
+	k := 3 + len(qs)*O
 	ren := c.ren[:R]
 	for r := range ren {
 		ren[r] = 0xff
@@ -141,18 +221,20 @@ func (c *canonicalizer) encode(S, O, R int, next, resp []uint8, qs, qo []int, ps
 				used++
 			}
 			v := ren[r]
-			if !less {
+			if order == 0 {
 				if v > best[k] {
-					return false
+					return 1
 				}
-				less = v < best[k]
+				if v < best[k] {
+					order = -1
+				}
 			}
 			buf[k] = v
 			k++
 		}
 	}
-	buf[0], buf[1], buf[2] = byte(S), byte(O), used
-	return less
+	buf[2] = used
+	return order
 }
 
 // fromCanonical builds the unlabeled Table a canonical encoding (as

@@ -14,8 +14,8 @@ type Bounds struct {
 	Resps  int `json:"resps"`
 }
 
-// Valid checks the bounds are usable by Enumerate (canonical dedup needs
-// the permutation caps).
+// Valid checks the bounds are usable by Enumerate (its canonical check
+// needs the permutation caps).
 func (b Bounds) Valid() error {
 	if b.States < 1 || b.States > CanonMaxStates {
 		return fmt.Errorf("atlas: bounds states must be in 1..%d, got %d", CanonMaxStates, b.States)
@@ -34,11 +34,12 @@ func (b Bounds) String() string {
 	return fmt.Sprintf("≤%d states, ≤%d ops, ≤%d resps", b.States, b.Ops, b.Resps)
 }
 
-// RawCount returns the number of raw tables Enumerate visits before
-// canonical dedup: for each (s, o) block, s^(s·o) next assignments times
-// the number of response assignments in restricted-growth form with at
-// most Resps classes. It overflows to a saturated math guard at 2^62 so
-// callers can budget before enumerating.
+// RawCount returns the number of raw tables a full Enumerate counts,
+// skipped blocks included: for each (s, o) block, s^(s·o) next
+// assignments times the number of response assignments in
+// restricted-growth form with at most Resps classes. It overflows to a
+// saturated math guard at 2^62 so callers can budget before
+// enumerating.
 func (b Bounds) RawCount() int64 {
 	const sat = int64(1) << 62
 	total := int64(0)
@@ -70,6 +71,7 @@ func (b Bounds) RawCount() int64 {
 // classes (= the number of partitions of m labeled cells into ≤ r
 // response classes).
 func rgsCount(m, r int) int64 {
+	r = min(r, m) // a string of length m uses at most m classes
 	// f[k] = number of partial strings using exactly k classes so far.
 	f := make([]int64, r+1)
 	f[0] = 1
@@ -99,48 +101,72 @@ func rgsCount(m, r int) int64 {
 }
 
 // Enumerate visits every deterministic readable type within bounds
-// exactly once up to relabeling: it iterates all raw transition tables
-// (next assignments as a base-s odometer, response assignments as
-// restricted-growth strings so response relabelings are never generated
-// in the first place), canonicalizes each raw next/resp pair in reused
-// scratch, and dedups on the canonical bytes. Only the first table of a
-// class becomes a Table: the canonical representative, labeled
-// "atlas:<key>" with its full canonical key. Iteration order is
-// deterministic.
+// exactly once up to relabeling. It iterates the raw transition tables
+// of each (states, ops) block in turn: next assignments as a base-s
+// odometer, and for each of them the response assignments as
+// restricted-growth strings, so response relabelings are never
+// generated in the first place. A restricted-growth string is its own
+// first-occurrence renaming, so a raw table's bytes are its encoding
+// under the identity relabeling, and each relabeling class has exactly
+// one raw table whose bytes are the class's canonical encoding.
+// Enumerate yields that table and no other: a raw table is yielded when
+// no state × operation relabeling encodes it strictly smaller. No table
+// is minimized and nothing is deduplicated.
+//
+// The encoding puts every next byte before any response byte, so each
+// next assignment is checked once: if a relabeling makes its next part
+// strictly smaller, its whole block of response assignments is skipped
+// (and still counted in raw); otherwise only the relabelings that tie
+// on the next part are tried against each response assignment.
+//
+// Each class is yielded at its canonical raw table, so classes come in
+// odometer × restricted-growth order of their canonical encodings,
+// which is deterministic. The Table is the canonical representative,
+// labeled "atlas:<key>" with its full canonical key.
 //
 // yield returns false to stop early. Enumerate reports the raw and
-// canonical (yielded) counts.
+// canonical (yielded) counts; raw counts every raw table up to the
+// stop, including those of skipped blocks, so a full run reports
+// b.RawCount().
 func Enumerate(b Bounds, yield func(key string, t *Table) bool) (raw, kept int, err error) {
 	if err := b.Valid(); err != nil {
 		return 0, 0, err
 	}
 	var c canonicalizer
-	seen := make(map[string]struct{})
 	for s := 1; s <= b.States; s++ {
 		for o := 1; o <= b.Ops; o++ {
 			cells := s * o
-			next := make([]uint8, cells)
-			resp := make([]uint8, cells)
+			block := int(rgsCount(cells, b.Resps)) // response assignments per next assignment
+			// c.best is the raw table's own encoding: the odometer
+			// advances its next and resp parts in place.
+			c.size(3 + 2*cells)
+			enc := c.best
+			clear(enc)
+			enc[0], enc[1] = byte(s), byte(o)
+			next, resp := enc[3:3+cells], enc[3+cells:]
 			for {
-				// All response assignments for this next vector, in
-				// restricted-growth order.
-				clear(resp)
-				for {
-					raw++
-					used := int(slices.Max(resp)) + 1            // classes in the restricted-growth string
-					enc, _ := c.minimize(s, o, used, next, resp) // dims within caps by Valid
-					if _, dup := seen[string(enc)]; !dup {
-						seen[string(enc)] = struct{}{}
-						kept++
-						key := hex.EncodeToString(enc)
-						t := fromCanonical(enc)
-						t.label = labelForKey(key)
-						if !yield(key, t) {
-							return raw, kept, nil
+				if !c.nextMinimal(s, o, next) {
+					raw += block
+				} else {
+					// All response assignments for this next vector, in
+					// restricted-growth order.
+					clear(resp)
+					for {
+						raw++
+						used := int(slices.Max(resp)) + 1 // classes in the restricted-growth string
+						if c.respMinimal(o, used, resp) {
+							enc[2] = byte(used)
+							kept++
+							key := hex.EncodeToString(enc)
+							t := fromCanonical(enc)
+							t.label = labelForKey(key)
+							if !yield(key, t) {
+								return raw, kept, nil
+							}
 						}
-					}
-					if !rgsNext(resp, b.Resps) {
-						break
+						if !rgsNext(resp, b.Resps) {
+							break
+						}
 					}
 				}
 				// Advance the next-state odometer.

@@ -5,36 +5,23 @@ import (
 	"encoding/json"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
-// oracleEnumerate is the enumeration loop Enumerate replaced, kept as a
-// parity oracle: it builds a named Table for every raw table, calls
-// CanonicalWithKey on it and dedups on the hex key. Its odometer and
-// its recursive restricted-growth visitor are independent of
-// Enumerate's iterative ones.
-func oracleEnumerate(b Bounds, yield func(key string, t *Table)) (raw, kept int) {
-	seen := map[string]bool{}
+// oracleRaw visits every raw table of b in odometer × restricted-growth
+// order, passing its dimensions, the number of responses it uses and
+// its arrays (valid only during the call). Its odometer and its
+// recursive restricted-growth visitor are independent of Enumerate's
+// iterative ones.
+func oracleRaw(b Bounds, visit func(s, o, used int, next, resp []uint8)) {
 	for s := 1; s <= b.States; s++ {
 		for o := 1; o <= b.Ops; o++ {
 			cells := s * o
 			next := make([]uint8, cells)
 			resp := make([]uint8, cells)
 			for {
-				oracleRGS(resp, b.Resps, func(used int) {
-					raw++
-					t, err := NewTable(s, o, used, next, resp)
-					if err != nil {
-						panic(err)
-					}
-					canon, key, _ := t.CanonicalWithKey()
-					if seen[key] {
-						return
-					}
-					seen[key] = true
-					kept++
-					yield(key, canon.WithLabel("atlas:"+key))
-				})
+				oracleRGS(resp, b.Resps, func(used int) { visit(s, o, used, next, resp) })
 				i := 0
 				for ; i < cells; i++ {
 					next[i]++
@@ -49,7 +36,48 @@ func oracleEnumerate(b Bounds, yield func(key string, t *Table)) (raw, kept int)
 			}
 		}
 	}
+}
+
+// oracleEnumerate is the enumeration loop Enumerate replaced, kept as a
+// set oracle: it builds a named Table for every raw table, calls
+// CanonicalWithKey on it and dedups on the hex key, yielding each class
+// at its first raw table.
+func oracleEnumerate(b Bounds, yield func(key string, t *Table)) (raw, kept int) {
+	seen := map[string]bool{}
+	oracleRaw(b, func(s, o, used int, next, resp []uint8) {
+		raw++
+		t, err := NewTable(s, o, used, next, resp)
+		if err != nil {
+			panic(err)
+		}
+		canon, key, _ := t.CanonicalWithKey()
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		kept++
+		yield(key, canon.WithLabel("atlas:"+key))
+	})
 	return raw, kept
+}
+
+// sequenceOracle lists, in odometer × restricted-growth order, the keys
+// of the raw tables of b whose bytes equal their brute-force canonical
+// encoding (referenceKey), stopping after stop of them (never, when
+// stop < 0). raw is the number of raw tables visited through the last
+// one listed, or all of them when there is no stop.
+func sequenceOracle(b Bounds, stop int) (keys []string, raw int) {
+	oracleRaw(b, func(s, o, used int, next, resp []uint8) {
+		if len(keys) == stop {
+			return
+		}
+		raw++
+		own := hex.EncodeToString(slices.Concat([]byte{byte(s), byte(o), byte(used)}, next, resp))
+		if referenceKey(s, o, next, resp) == own {
+			keys = append(keys, own)
+		}
+	})
+	return keys, raw
 }
 
 // oracleRGS visits every restricted-growth string over resp with at
@@ -74,41 +102,55 @@ func oracleRGS(resp []uint8, rmax int, visit func(used int)) {
 }
 
 // referenceKey minimizes a raw table by brute force with fresh buffers
-// and freshly built permutations: the definition of the canonical
+// and separately built permutations: the definition of the canonical
 // encoding, independent of the canonicalizer's scratch reuse and of the
 // shared permutation tables.
 func referenceKey(S, O int, next, resp []uint8) string {
 	var best []byte
-	for _, ps := range buildPermutations(S) {
-		for _, po := range buildPermutations(O) {
-			enc := make([]byte, 3+2*S*O)
-			pn, pr := enc[3:3+S*O], enc[3+S*O:]
+	enc := make([]byte, 3+2*S*O)
+	pn, pr := enc[3:3+S*O], enc[3+S*O:]
+	for _, ps := range referencePermutations()[S] {
+		for _, po := range referencePermutations()[O] {
 			for s := 0; s < S; s++ {
 				for o := 0; o < O; o++ {
 					pn[ps[s]*O+po[o]] = byte(ps[next[s*O+o]])
 					pr[ps[s]*O+po[o]] = resp[s*O+o]
 				}
 			}
-			ren := map[byte]byte{}
+			var ren [256]int // old response → 1 + new response; 0 while unseen
+			used := 0
 			for i, r := range pr {
-				if _, ok := ren[r]; !ok {
-					ren[r] = byte(len(ren))
+				if ren[r] == 0 {
+					used++
+					ren[r] = used
 				}
-				pr[i] = ren[r]
+				pr[i] = byte(ren[r] - 1)
 			}
-			enc[0], enc[1], enc[2] = byte(S), byte(O), byte(len(ren))
+			enc[0], enc[1], enc[2] = byte(S), byte(O), byte(used)
 			if best == nil || slices.Compare(enc, best) < 0 {
-				best = enc
+				best = slices.Clone(enc)
 			}
 		}
 	}
 	return hex.EncodeToString(best)
 }
 
-// TestEnumerateMatchesOracle: the byte-level Enumerate yields exactly
-// what the per-table loop did — the same raw and kept counts, the same
-// key sequence, and tables equal in name, dimensions and exported
-// JSON — and every key is the brute-force minimum of its table.
+// referencePermutations holds buildPermutations(k) for k ≤
+// CanonMaxStates, built apart from the shared tables permutations
+// returns.
+var referencePermutations = sync.OnceValue(func() [][][]int {
+	t := make([][][]int, CanonMaxStates+1)
+	for k := range t {
+		t[k] = buildPermutations(k)
+	}
+	return t
+})
+
+// TestEnumerateMatchesOracle: Enumerate yields the classes the
+// per-table loop did — the same raw and kept counts, the same key set,
+// and for each key a table equal in name, dimensions and exported JSON
+// — in exactly the sequence oracle's order: each class at the raw
+// table whose bytes are its brute-force canonical encoding.
 func TestEnumerateMatchesOracle(t *testing.T) {
 	for _, b := range []Bounds{
 		{States: 3, Ops: 2, Resps: 2},
@@ -116,60 +158,80 @@ func TestEnumerateMatchesOracle(t *testing.T) {
 		{States: 1, Ops: 1, Resps: 3},
 		{States: 2, Ops: 1, Resps: 3},
 		{States: 3, Ops: 1, Resps: 3},
+		{States: 3, Ops: 2, Resps: 3},
+		{States: 4, Ops: 2, Resps: 1},
+		{States: 2, Ops: 2, Resps: 4},
 	} {
-		type yielded struct {
-			key, name, dims string
-			custom          []byte
-		}
-		record := func(out *[]yielded) func(string, *Table) {
-			return func(key string, tbl *Table) {
-				custom, err := json.Marshal(tbl.Custom())
-				if err != nil {
-					t.Fatal(err)
-				}
-				*out = append(*out, yielded{key, tbl.Name(), tbl.Dims(), custom})
-				if ref := referenceKey(tbl.states, tbl.ops, tbl.next, tbl.resp); ref != key {
-					t.Fatalf("%v: key %s, brute-force minimum %s", b, key, ref)
-				}
+		type yielded struct{ name, dims, custom string }
+		describe := func(tbl *Table) yielded {
+			custom, err := json.Marshal(tbl.Custom())
+			if err != nil {
+				t.Fatal(err)
 			}
+			return yielded{tbl.Name(), tbl.Dims(), string(custom)}
 		}
-		var want, got []yielded
-		wantRaw, wantKept := oracleEnumerate(b, record(&want))
-		rec := record(&got)
+		want := map[string]yielded{}
+		wantRaw, wantKept := oracleEnumerate(b, func(key string, tbl *Table) { want[key] = describe(tbl) })
+		var got []string
 		raw, kept, err := Enumerate(b, func(key string, tbl *Table) bool {
-			rec(key, tbl)
+			w, ok := want[key]
+			if !ok {
+				t.Fatalf("%v: key %s is no class of the oracle", b, key)
+			}
+			if d := describe(tbl); d != w {
+				t.Fatalf("%v: class %s differs:\n got  %v\n want %v", b, key, d, w)
+			}
+			delete(want, key) // a second yield of the key fails above
+			got = append(got, key)
 			return true
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if raw != wantRaw || kept != wantKept {
-			t.Fatalf("%v: raw/kept = %d/%d, oracle %d/%d", b, raw, kept, wantRaw, wantKept)
+		if raw != wantRaw || kept != wantKept || len(want) != 0 {
+			t.Fatalf("%v: raw/kept = %d/%d, oracle %d/%d; %d oracle classes not yielded",
+				b, raw, kept, wantRaw, wantKept, len(want))
 		}
-		for i := range want {
-			if got[i].key != want[i].key || got[i].name != want[i].name || got[i].dims != want[i].dims ||
-				string(got[i].custom) != string(want[i].custom) {
-				t.Fatalf("%v: class %d differs:\n got  %s %s %s %s\n want %s %s %s %s", b, i,
-					got[i].key, got[i].name, got[i].dims, got[i].custom,
-					want[i].key, want[i].name, want[i].dims, want[i].custom)
-			}
+		seq, seqRaw := sequenceOracle(b, -1)
+		if seqRaw != raw || !slices.Equal(got, seq) {
+			t.Fatalf("%v: key sequence differs from the sequence oracle (raw %d vs %d, %d vs %d keys)",
+				b, raw, seqRaw, len(got), len(seq))
 		}
 	}
 }
 
 // TestEnumerateStopsEarly: a yield returning false stops the
-// enumeration at once, with the counts reached so far.
+// enumeration at once, with the counts reached so far: raw counts every
+// raw table through the stopping one, skipped blocks included.
 func TestEnumerateStopsEarly(t *testing.T) {
-	calls := 0
-	raw, kept, err := Enumerate(Bounds{States: 3, Ops: 2, Resps: 2}, func(string, *Table) bool {
-		calls++
-		return calls < 5
-	})
+	b := Bounds{States: 3, Ops: 2, Resps: 2}
+	for _, stop := range []int{1, 5, 40} {
+		calls := 0
+		raw, kept, err := Enumerate(b, func(string, *Table) bool {
+			calls++
+			return calls < stop
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, wantRaw := sequenceOracle(b, stop)
+		if calls != stop || kept != stop || len(keys) != stop || raw != wantRaw {
+			t.Fatalf("stop at %d: calls %d, raw %d, kept %d; sequence oracle raw %d over %d keys",
+				stop, calls, raw, kept, wantRaw, len(keys))
+		}
+	}
+}
+
+// TestEnumerateCounts332 pins the {3,3,2} universe: 5,064,475 raw tables
+// (Bounds.RawCount) in 144,677 relabeling classes.
+func TestEnumerateCounts332(t *testing.T) {
+	b := Bounds{States: 3, Ops: 3, Resps: 2}
+	raw, kept, err := Enumerate(b, func(string, *Table) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 5 || kept != 5 || raw < kept || raw >= 23575 {
-		t.Fatalf("stopped with calls %d, raw %d, kept %d", calls, raw, kept)
+	if raw != 5_064_475 || int64(raw) != b.RawCount() || kept != 144_677 {
+		t.Fatalf("%v: raw %d (RawCount %d), kept %d; want 5064475 raw, 144677 classes", b, raw, b.RawCount(), kept)
 	}
 }
 
@@ -215,10 +277,11 @@ func TestPermutationsShared(t *testing.T) {
 }
 
 // enumerateAllocsPerKept bounds Enumerate's allocations per canonical
-// class: about six per kept class (the dedup key, the hex key, its
-// label, the Table and its arrays) plus the map's growth. Raw tables,
-// ten times as many as classes in {3,2,2}, must allocate nothing.
-const enumerateAllocsPerKept = 10
+// class: five per kept class (the hex key's bytes and its string, the
+// label, the Table and its arrays), measured at 5.02 in {3,2,2}, plus
+// about 20% headroom. Raw tables, eleven times as many as classes
+// there, and skipped blocks must allocate nothing.
+const enumerateAllocsPerKept = 6
 
 // TestEnumerateAllocsScaleWithKept: Enumerate's allocations grow with
 // the number of kept classes, not with the number of raw tables.

@@ -3,8 +3,9 @@
 // ways —
 //
 //   - exhaustive enumeration of all small transition tables up to
-//     (states, ops, resps) bounds, deduplicated by canonical form so
-//     each relabeling class is visited exactly once (Enumerate);
+//     (states, ops, resps) bounds, yielding only the raw tables that
+//     are already their own canonical form, so each relabeling class is
+//     visited exactly once with no dedup (Enumerate);
 //   - seeded random sampling of larger tables (Random), the same
 //     generator the checker's brute-force differential tests draw from;
 //   - mutation of the hand-written zoo types (Tabulate + Mutate): edge
