@@ -84,6 +84,10 @@ func rowStoreKey(key string, limit int) string {
 // brute-force differential tests.
 var DefaultRandomBounds = atlas.Bounds{States: 4, Ops: 3, Resps: 3}
 
+// classify classifies one census item. It is a variable so that tests
+// can make a classification fail mid-run.
+var classify = (*engine.Engine).Classify
+
 // item is one generated candidate awaiting classification.
 type item struct {
 	key    string
@@ -241,7 +245,7 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 				}
 				it := todo[i]
 				ictx, cancel := context.WithTimeout(ctx, o.Timeout)
-				c, err := eng.Classify(ictx, it.typ, o.Limit)
+				c, err := classify(eng, ictx, it.typ, o.Limit)
 				cancel()
 				rowsDone.Add(1)
 				var row Row
@@ -336,7 +340,52 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 // cannot express, the exact engine fingerprint computed under a neutral
 // name plus a readability bit (prefixed "f:").
 func generate(o Options) (items []item, raw, dups int, err error) {
-	seen := map[string]bool{}
+	// dims renders each (states, ops, resps) once: every table of a
+	// block shares its string.
+	dimsOf := map[[3]int]string{}
+	dims := func(t *atlas.Table) string {
+		k := [3]int{t.NumStates(), t.NumOps(), t.NumResps()}
+		d, ok := dimsOf[k]
+		if !ok {
+			d = t.Dims()
+			dimsOf[k] = d
+		}
+		return d
+	}
+	mutants := 0
+	if o.MutantsPerZoo > 0 {
+		mutants = o.MutantsPerZoo * len(types.Zoo())
+	}
+	size := o.Random + mutants
+	zero := atlas.Bounds{}
+	if b := o.Bounds; b != zero && b.Valid() == nil {
+		// A class holds at most States!·Ops! raw tables (responses come
+		// unlabeled), so the block has at least RawCount/(States!·Ops!)
+		// classes; symmetric tables add some (7% in 3×2×2), so an
+		// eighth more is reserved.
+		perms := int64(len(atlas.Permutations(b.States)) * len(atlas.Permutations(b.Ops)))
+		size += int(min(b.RawCount()/perms/8*9, 1<<20))
+	}
+	items = make([]item, 0, size)
+	if o.Bounds != zero {
+		// Enumerate yields each class once, so its items need no dedup.
+		r, _, eerr := atlas.Enumerate(o.Bounds, func(key string, t *atlas.Table) bool {
+			items = append(items, item{key: key, source: "enum", dims: dims(t), typ: t})
+			return true
+		})
+		if eerr != nil {
+			return nil, 0, 0, eerr
+		}
+		raw = r
+	}
+	// Random tables may repeat an enumerated class; mutant keys ("f:…")
+	// never match an atlas key.
+	seen := make(map[string]bool, len(items)+o.Random+mutants)
+	if o.Random > 0 {
+		for _, it := range items {
+			seen[it.key] = true
+		}
+	}
 	add := func(it item) {
 		if seen[it.key] {
 			dups++
@@ -344,17 +393,6 @@ func generate(o Options) (items []item, raw, dups int, err error) {
 		}
 		seen[it.key] = true
 		items = append(items, it)
-	}
-	zero := atlas.Bounds{}
-	if o.Bounds != zero {
-		r, _, eerr := atlas.Enumerate(o.Bounds, func(key string, t *atlas.Table) bool {
-			add(item{key: key, source: "enum", dims: t.Dims(), typ: t})
-			return true
-		})
-		if eerr != nil {
-			return nil, 0, 0, eerr
-		}
-		raw = r
 	}
 
 	if o.Random > 0 {
@@ -370,7 +408,7 @@ func generate(o Options) (items []item, raw, dups int, err error) {
 				return nil, 0, 0, fmt.Errorf("census: random table %s not canonicalizable", t.Dims())
 			}
 			canon = canon.WithLabel("atlas:" + key)
-			add(item{key: key, source: "random", dims: canon.Dims(), typ: canon})
+			add(item{key: key, source: "random", dims: dims(canon), typ: canon})
 		}
 	}
 

@@ -230,3 +230,17 @@ func BenchmarkGenerate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRun runs whole censuses on the census benchmark's inputs:
+// the 3-state, 2-op, 2-response block plus 300 seeded random tables at
+// limit 3, each on a fresh engine.
+func BenchmarkRun(b *testing.B) {
+	b.ReportAllocs()
+	o := Options{Bounds: atlas.Bounds{States: 3, Ops: 2, Resps: 2}, Random: 300, Seed: 3, Limit: 3}
+	for b.Loop() {
+		o.Engine = engine.New(engine.Options{})
+		if _, err := Run(context.Background(), o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,15 +2,19 @@ package census
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rcons/internal/atlas"
+	"rcons/internal/checker"
 	"rcons/internal/engine"
 	"rcons/internal/obs"
+	"rcons/internal/spec"
 )
 
 // TestCensusTimeoutSkipsEveryType: a per-type deadline that has always
@@ -93,5 +97,54 @@ func TestCensusCancelledMidRun(t *testing.T) {
 	if after := settledGoroutines(); after > before {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines before Run, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestCensusStopsAtFirstError: a classification that fails mid-run
+// ends Run with its error, and a classification during which the run's
+// context is cancelled ends it with ctx.Err(); either way the workers
+// claim no further item. At one worker exactly the classifications up
+// to that one run; at three, far fewer than the items.
+func TestCensusStopsAtFirstError(t *testing.T) {
+	const failAt = 5
+	errInjected := errors.New("injected classification failure")
+	defer func(orig func(*engine.Engine, context.Context, spec.Type, int) (checker.Classification, error)) {
+		classify = orig
+	}(classify)
+	o := smallOpts()
+	items, _, _, err := generate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cancelRun := range []bool{false, true} {
+		for _, workers := range []int{1, 3} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls atomic.Int64
+			classify = func(e *engine.Engine, ctx context.Context, typ spec.Type, limit int) (checker.Classification, error) {
+				if calls.Add(1) == failAt {
+					if !cancelRun {
+						return checker.Classification{}, errInjected
+					}
+					cancel()
+				}
+				return e.Classify(context.WithoutCancel(ctx), typ, limit)
+			}
+			o.Workers = workers
+			o.Engine = engine.New(engine.Options{Workers: workers})
+			_, err := Run(ctx, o)
+			cancel()
+			want := errInjected
+			if cancelRun {
+				want = context.Canceled
+			}
+			if !errors.Is(err, want) {
+				t.Fatalf("cancel=%v workers=%d: Run returned %v, want %v", cancelRun, workers, err, want)
+			}
+			got := calls.Load()
+			if workers == 1 && got != failAt || got >= int64(len(items)) {
+				t.Fatalf("cancel=%v workers=%d: %d of %d items classified, the run ended at classification %d",
+					cancelRun, workers, got, len(items), failAt)
+			}
+		}
 	}
 }

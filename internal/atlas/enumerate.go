@@ -157,10 +157,9 @@ func Enumerate(b Bounds, yield func(key string, t *Table) bool) (raw, kept int, 
 						if c.respMinimal(o, used, resp) {
 							enc[2] = byte(used)
 							kept++
-							key := hex.EncodeToString(enc)
 							t := fromCanonical(enc)
-							t.label = labelForKey(key)
-							if !yield(key, t) {
+							t.label = labelFor(enc)
+							if !yield(t.label[len(labelPrefix):], t) {
 								return raw, kept, nil
 							}
 						}
@@ -187,11 +186,19 @@ func Enumerate(b Bounds, yield func(key string, t *Table) bool) (raw, kept int, 
 	return raw, kept, nil
 }
 
-// labelForKey derives the deterministic display name of a generated
-// type from its canonical key. The full key is used: prefixes are not
-// unique (keys share their leading dimension/transition bytes).
-func labelForKey(key string) string {
-	return "atlas:" + key
+// labelPrefix starts the display name of a generated type.
+const labelPrefix = "atlas:"
+
+// labelFor derives the deterministic display name of a generated type
+// from its canonical encoding: labelPrefix and the full canonical key
+// (the hex encoding) in one buffer, so the key is a substring of the
+// label and the two cost two allocations, the buffer and its string.
+// The full key is used: prefixes are not unique (keys share their
+// leading dimension/transition bytes).
+func labelFor(enc []byte) string {
+	buf := make([]byte, len(labelPrefix)+hex.EncodedLen(len(enc)))
+	hex.Encode(buf[copy(buf, labelPrefix):], enc)
+	return string(buf)
 }
 
 // rgsNext advances resp, a restricted-growth string (resp[0] = 0 and

@@ -277,11 +277,11 @@ func TestPermutationsShared(t *testing.T) {
 }
 
 // enumerateAllocsPerKept bounds Enumerate's allocations per canonical
-// class: five per kept class (the hex key's bytes and its string, the
-// label, the Table and its arrays), measured at 5.02 in {3,2,2}, plus
-// about 20% headroom. Raw tables, eleven times as many as classes
+// class: four per kept class (the label's buffer and its string, of
+// which the key is a substring, the Table and its arrays), measured at
+// 4.02 in {3,2,2}, plus about 20% headroom. Raw tables, eleven times as many as classes
 // there, and skipped blocks must allocate nothing.
-const enumerateAllocsPerKept = 6
+const enumerateAllocsPerKept = 5
 
 // TestEnumerateAllocsScaleWithKept: Enumerate's allocations grow with
 // the number of kept classes, not with the number of raw tables.

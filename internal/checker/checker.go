@@ -22,6 +22,7 @@ package checker
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rcons/internal/spec"
@@ -137,16 +138,19 @@ func (w Witness) alphabet() (ops []spec.Op, counts [2][]int) {
 	return ops, counts
 }
 
-// countsKey encodes a remaining-counts vector for memoization.
-func countsKey(s spec.State, rem []int, extra string) string {
-	var b strings.Builder
-	b.WriteString(string(s))
-	b.WriteByte('|')
+// appendCountsKey appends the memo key of state s, remaining-counts
+// vector rem and the explorer's extra marks to b.
+func appendCountsKey(b []byte, s spec.State, rem []int, extra ...string) []byte {
+	b = append(b, s...)
+	b = append(b, '|')
 	for _, c := range rem {
-		fmt.Fprintf(&b, "%d,", c)
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, ',')
 	}
-	b.WriteString(extra)
-	return b.String()
+	for _, x := range extra {
+		b = append(b, x...)
+	}
+	return b
 }
 
 // qExplorer computes Q_X sets by DFS over (state, remaining counts).
@@ -156,17 +160,18 @@ type qExplorer struct {
 	seen map[string]bool
 	out  map[spec.State]bool
 	err  error
+	key  []byte // memo key buffer
 }
 
 func (e *qExplorer) dfs(s spec.State, rem []int) {
 	if e.err != nil {
 		return
 	}
-	key := countsKey(s, rem, "")
-	if e.seen[key] {
+	e.key = appendCountsKey(e.key[:0], s, rem)
+	if e.seen[string(e.key)] {
 		return
 	}
-	e.seen[key] = true
+	e.seen[string(e.key)] = true
 	e.out[s] = true
 	for k := range rem {
 		if rem[k] == 0 {
@@ -272,21 +277,22 @@ type rExplorer struct {
 	seen map[string]bool
 	out  map[RPair]bool
 	err  error
+	key  []byte // memo key buffer
 }
 
 func (e *rExplorer) dfs(s spec.State, rem []int, jUsed bool, jResp spec.Response) {
 	if e.err != nil {
 		return
 	}
-	extra := "!"
 	if jUsed {
-		extra = "+" + string(jResp)
+		e.key = appendCountsKey(e.key[:0], s, rem, "+", string(jResp))
+	} else {
+		e.key = appendCountsKey(e.key[:0], s, rem, "!")
 	}
-	key := countsKey(s, rem, extra)
-	if e.seen[key] {
+	if e.seen[string(e.key)] {
 		return
 	}
-	e.seen[key] = true
+	e.seen[string(e.key)] = true
 	if jUsed {
 		e.out[RPair{Resp: jResp, State: s}] = true
 	}

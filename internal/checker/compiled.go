@@ -2,13 +2,27 @@ package checker
 
 // Compiled-table verification: semantically exact mirrors of
 // VerifyRecording / VerifyDiscerning that run on a compile.Compiled
-// table instead of interpreting spec.Type. The (state × remaining
-// counts [× j-response]) memoization graph is identical to the
-// interpreted explorers'; only the representation changes — states,
-// ops and responses become uint16 indices, Apply becomes two flat array
-// reads, and the string memo keys become a mixed-radix integer (the
-// remaining-counts vector is bounded by per-op totals, so each slot is
-// a digit with radix total+1).
+// table instead of interpreting spec.Type. States, ops and responses
+// are uint16 indices, Apply is two flat array reads, and the string
+// memo keys become a mixed-radix integer (the remaining-counts vector
+// is bounded by per-op totals, so each slot is a digit with radix
+// total+1).
+//
+// The core has two representations of a reach set, and picks one per
+// candidate from dimensions it can observe:
+//
+//   - Word masks, for a table with NumStates×NumResps ≤ 64 whose memo
+//     (NumStates × remaining-count vectors) fits maxMaskEntries. A Q
+//     set is a uint64 over states and an R set a uint64 over
+//     (response, state) pairs. The set reachable from (state, remaining
+//     counts) is memoized once per candidate, or per j-slot for the R
+//     sets, so team A's and team B's sets share every entry: Q_A and
+//     Q_B are ORs of per-slot start masks, each R set is an OR of at
+//     most m+1 of them, and one AND tests a pair of sets. An epoch
+//     counter invalidates the memo, so nothing is cleared per set.
+//   - Explicit DFS otherwise: the interpreted explorers' (state ×
+//     remaining counts [× j-response]) graph, a visited bitset and a
+//     member list per set.
 //
 // IndexSearch is the one entry point. Its alphabet slots are the
 // table's op indices, and it checks each candidate of an index shard
@@ -41,6 +55,14 @@ const maxCompiledN = 15
 // bitset is used; larger key spaces fall back to a hash set, which is
 // still allocation-light compared to the interpreted string keys.
 const maxDenseBits = 1 << 25
+
+// maxMaskCells is the largest NumStates×NumResps whose R sets, as
+// (response, state) pairs, fit one uint64 mask.
+const maxMaskCells = 64
+
+// maxMaskEntries caps the mask memo at NumStates × Π(totals+1)
+// entries; a candidate past it runs the explicit DFS.
+const maxMaskEntries = 1 << 14
 
 // interpreted returns the interpreted verifier for a property.
 func interpreted(recording bool) VerifyFunc {
@@ -158,6 +180,19 @@ type scratch struct {
 
 	visited    indexSet
 	outA, outB memberSet
+
+	words  bool   // the table fits word masks (maxMaskCells)
+	states int    // NumStates: the per-response stride of an R mask
+	epoch  uint32 // the memo entries stamped with it are valid
+	reach  []maskEntry
+	before []maskEntry
+}
+
+// maskEntry is one memoized reach mask, valid when its stamp equals
+// the scratch's epoch.
+type maskEntry struct {
+	stamp uint32
+	mask  uint64
 }
 
 // resize returns s with length n, reallocating only when it lacks the
@@ -177,6 +212,8 @@ func (sc *scratch) setTable(c *compile.Compiled) {
 	sc.totals = resize(sc.totals, m)
 	sc.rem = resize(sc.rem, m)
 	sc.strides = resize(sc.strides, m)
+	sc.states = c.NumStates()
+	sc.words = sc.states*c.NumResps() <= maxMaskCells
 }
 
 // search runs one shard of n processes: team A fixed at aCounts (per
@@ -224,17 +261,25 @@ func (sc *scratch) layout(skip int) {
 }
 
 // verify reports whether the candidate in sc.cnt passes the recording
-// or the discerning definition.
+// or the discerning definition, on word masks when the table and the
+// candidate's memo fit them and by explicit DFS otherwise.
 func (sc *scratch) verify(c *compile.Compiled, q0 uint16, recording bool) bool {
-	if recording {
+	sc.layout(-1)
+	words := sc.words && sc.states*sc.prod <= maxMaskEntries
+	switch {
+	case recording && words:
+		return sc.recordingMasks(c, q0)
+	case recording:
 		return sc.recording(c, q0)
+	case words:
+		return sc.discerningMasks(c, q0)
 	}
 	return sc.discerning(c, q0)
 }
 
-// recording checks the three conditions of Definition 4.
+// recording checks the three conditions of Definition 4 by DFS, on the
+// layout of every process that verify sets.
 func (sc *scratch) recording(c *compile.Compiled, q0 uint16) bool {
-	sc.layout(-1)
 	sc.qSet(c, q0, TeamA, &sc.outA)
 	sc.qSet(c, q0, TeamB, &sc.outB)
 	for _, s := range sc.outA.members {
@@ -282,8 +327,8 @@ func (sc *scratch) qDFS(c *compile.Compiled, si uint16, remIdx int, out *memberS
 	}
 }
 
-// discerning checks Definition 2. Processes with the same team and
-// operation have identical R sets, so it checks one process j per
+// discerning checks Definition 2 by DFS. Processes with the same team
+// and operation have identical R sets, so it checks one process j per
 // (team, slot) class rather than every process.
 func (sc *scratch) discerning(c *compile.Compiled, q0 uint16) bool {
 	for team := TeamA; team <= TeamB; team++ {
@@ -353,6 +398,135 @@ func (sc *scratch) rDFS(c *compile.Compiled, si uint16, remIdx, jSlot int, out *
 		ns, r := c.Apply(si, sc.opJ)
 		sc.rDFS(c, ns, remIdx, 1+int(r), out)
 	}
+}
+
+// newEpoch invalidates every mask memo entry and sizes the memos for
+// the current layout.
+func (sc *scratch) newEpoch() {
+	size := sc.states * sc.prod
+	sc.reach = resize(sc.reach, size)
+	sc.before = resize(sc.before, size)
+	if sc.epoch++; sc.epoch == 0 {
+		clear(sc.reach[:cap(sc.reach)])
+		clear(sc.before[:cap(sc.before)])
+		sc.epoch = 1
+	}
+}
+
+// recordingMasks checks Definition 4 on word masks, on the layout of
+// every process that verify sets.
+func (sc *scratch) recordingMasks(c *compile.Compiled, q0 uint16) bool {
+	sc.newEpoch()
+	copy(sc.rem, sc.totals)
+	var q [2]uint64
+	var size [2]int
+	for x := TeamA; x <= TeamB; x++ {
+		for k, cnt := range sc.cnt[x] {
+			if cnt == 0 {
+				continue
+			}
+			size[x] += cnt
+			sc.rem[k]--
+			q[x] |= sc.reachMask(c, c.Next(q0, uint16(k)), sc.fullIdx-sc.strides[k])
+			sc.rem[k]++
+		}
+	}
+	at := uint64(1) << q0
+	// (1) Q_A ∩ Q_B = ∅; (2) q0 ∈ Q_A forces |B| = 1, and (3) q0 ∈ Q_B
+	// forces |A| = 1.
+	return q[TeamA]&q[TeamB] == 0 &&
+		!(q[TeamA]&at != 0 && size[TeamB] != 1) && !(q[TeamB]&at != 0 && size[TeamA] != 1)
+}
+
+// reachMask returns the states reachable from si by the processes
+// left in sc.rem (remIdx their radix index), si itself included.
+func (sc *scratch) reachMask(c *compile.Compiled, si uint16, remIdx int) uint64 {
+	i := int(si)*sc.prod + remIdx
+	if e := sc.reach[i]; e.stamp == sc.epoch {
+		return e.mask
+	}
+	m := uint64(1) << si
+	for k, r := range sc.rem {
+		if r == 0 {
+			continue
+		}
+		sc.rem[k]--
+		m |= sc.reachMask(c, c.Next(si, uint16(k)), remIdx-sc.strides[k])
+		sc.rem[k]++
+	}
+	sc.reach[i] = maskEntry{sc.epoch, m}
+	return m
+}
+
+// discerningMasks checks Definition 2 on word masks. Every process j
+// of slot k sees the same layout (the others' counts), so one memo
+// epoch per slot serves both j-classes (A,k) and (B,k) and both teams'
+// R sets.
+func (sc *scratch) discerningMasks(c *compile.Compiled, q0 uint16) bool {
+	for k := range sc.totals {
+		if sc.cnt[TeamA][k]+sc.cnt[TeamB][k] == 0 {
+			continue
+		}
+		sc.layout(k)
+		sc.newEpoch()
+		sc.opJ = uint16(k)
+		copy(sc.rem, sc.totals)
+		for team := TeamA; team <= TeamB; team++ {
+			if sc.cnt[team][k] == 0 {
+				continue
+			}
+			if sc.rMask(c, q0, TeamA, team)&sc.rMask(c, q0, TeamB, team) != 0 {
+				return false // R_{A,j} ∩ R_{B,j} ≠ ∅
+			}
+		}
+	}
+	return true
+}
+
+// rMask returns R_{x,j} of Definition 2 as a mask over
+// respIdx*NumStates + stateIdx bits, for a process j of team jTeam
+// whose op is slot sc.opJ.
+func (sc *scratch) rMask(c *compile.Compiled, q0 uint16, x, jTeam int) uint64 {
+	var m uint64
+	// Case 1: process j goes first (only admissible if j is on team x).
+	if jTeam == x {
+		ns, r := c.Apply(q0, sc.opJ)
+		m = sc.reachMask(c, ns, sc.fullIdx) << (int(r) * sc.states)
+	}
+	// Case 2: another process on team x goes first.
+	for k, n := range sc.cnt[x] {
+		if x == jTeam && k == int(sc.opJ) {
+			n--
+		}
+		if n == 0 {
+			continue
+		}
+		sc.rem[k]--
+		m |= sc.beforeMask(c, c.Next(q0, uint16(k)), sc.fullIdx-sc.strides[k])
+		sc.rem[k]++
+	}
+	return m
+}
+
+// beforeMask returns the (response, state) pairs j's op can produce
+// from si, j not yet applied, with the processes left in sc.rem.
+func (sc *scratch) beforeMask(c *compile.Compiled, si uint16, remIdx int) uint64 {
+	i := int(si)*sc.prod + remIdx
+	if e := sc.before[i]; e.stamp == sc.epoch {
+		return e.mask
+	}
+	ns, r := c.Apply(si, sc.opJ)
+	m := sc.reachMask(c, ns, remIdx) << (int(r) * sc.states)
+	for k, n := range sc.rem {
+		if n == 0 {
+			continue
+		}
+		sc.rem[k]--
+		m |= sc.beforeMask(c, c.Next(si, uint16(k)), remIdx-sc.strides[k])
+		sc.rem[k]++
+	}
+	sc.before[i] = maskEntry{sc.epoch, m}
+	return m
 }
 
 // indexSet is a visited/membership set over dense integer keys: a flat

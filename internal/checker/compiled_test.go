@@ -2,78 +2,35 @@ package checker
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"rcons/internal/atlas"
 	"rcons/internal/compile"
 	"rcons/internal/spec"
 	"rcons/internal/types"
 )
 
-// dualVerify returns a VerifyFunc that runs every candidate through
-// both the interpreted verifier and the compiled core and fails the test
-// on any disagreement over whether it passes. The core is driven
-// directly: the scratch's per-team counts are filled from the table op
-// index of each process's operation, and scratch.verify runs on them.
-func dualVerify(t *testing.T, typ spec.Type, c *compile.Compiled, recording bool) VerifyFunc {
-	t.Helper()
-	interp := interpreted(recording)
-	sc := new(scratch)
-	sc.setTable(c)
-	return func(_ spec.Type, w Witness) (Result, error) {
-		r, err := interp(typ, w)
-		if err != nil {
-			t.Fatalf("%s %v: interpreted verifier: %v", typ.Name(), w, err)
-		}
-		q0, ok := c.StateIndex(w.Q0)
-		if !ok {
-			t.Fatalf("%s: initial state %q missing from the table", typ.Name(), w.Q0)
-		}
-		clear(sc.cnt[TeamA])
-		clear(sc.cnt[TeamB])
-		for i, op := range w.Ops {
-			k, ok := c.OpIndex(op)
-			if !ok {
-				t.Fatalf("%s: op %q missing from the table", typ.Name(), op)
-			}
-			sc.cnt[w.Teams[i]][k]++
-		}
-		if got := sc.verify(c, q0, recording); got != r.OK {
-			t.Fatalf("%s %v (recording=%v): interpreted OK=%v (%q), compiled OK=%v",
-				typ.Name(), w, recording, r.OK, r.Reason, got)
-		}
-		return r, nil
-	}
-}
-
-// TestCompiledVerifierMatchesInterpreted sweeps the full shard
-// enumeration for every compilable zoo type at n = 2..3 and checks the
-// compiled core and the interpreted verifier agree candidate by
-// candidate, for both properties.
+// TestCompiledVerifierMatchesInterpreted sweeps every candidate of
+// every compilable zoo type at n = 2..3 and checks that the compiled
+// core's kernels and the interpreted verifier agree candidate by
+// candidate, for both properties (kernelParity). The queue, stack and
+// peek-queue tables exceed a mask word, so their candidates run the DFS
+// alone.
 func TestCompiledVerifierMatchesInterpreted(t *testing.T) {
 	maxN := 3
 	if testing.Short() {
 		maxN = 2
 	}
-	ctx := context.Background()
+	sc := new(scratch)
 	for _, typ := range types.Zoo() {
 		for n := 2; n <= maxN; n++ {
 			c, err := compile.Compile(typ, n)
 			if err != nil {
 				continue
 			}
-			all, err := shards(typ, n)
-			if err != nil {
-				t.Fatalf("%s n=%d: Shards: %v", typ.Name(), n, err)
-			}
-			for _, recording := range []bool{true, false} {
-				verify := dualVerify(t, typ, c, recording)
-				for _, s := range all {
-					if _, err := searchShard(ctx, typ, s, verify); err != nil {
-						t.Fatalf("%s n=%d: searchShard: %v", typ.Name(), n, err)
-					}
-				}
-			}
+			kernelParity(t, typ, c, n, sc)
 		}
 	}
 }
@@ -236,4 +193,120 @@ func witnessFreeShard(t *testing.T, n int, recording bool, minCandidates int) (s
 	}
 	t.Fatalf("no witness-free shard with %d candidates at n=%d", minCandidates, n)
 	return nil, nil, shard{}
+}
+
+// kernelParity runs every candidate of c among n processes through the
+// compiled core's kernels and the interpreted verifier, for both
+// properties: the word-mask kernel (when c fits words), the explicit
+// DFS and scratch.verify's own choice must all agree with the
+// interpreted verdict. It returns the number of candidates checked.
+func kernelParity(t *testing.T, typ spec.Type, c *compile.Compiled, n int, sc *scratch) int {
+	t.Helper()
+	cur, err := NewShardCursor(c, n)
+	if err != nil {
+		t.Fatalf("%s n=%d: NewShardCursor: %v", typ.Name(), n, err)
+	}
+	sc.setTable(c)
+	checked := 0
+	for cur.Next() {
+		q0 := cur.Q0()
+		copy(sc.cnt[TeamA], cur.ACounts())
+		b := sc.cnt[TeamB]
+		clear(b)
+		b[0] = n
+		for _, a := range sc.cnt[TeamA] {
+			b[0] -= a
+		}
+		for {
+			w := witnessFromCounts(c.StateAt(q0), c.Alphabet(), sc.cnt[TeamA], b)
+			for _, recording := range []bool{true, false} {
+				r, err := interpreted(recording)(typ, w)
+				if err != nil {
+					t.Fatalf("%s %v: interpreted verifier: %v", typ.Name(), w, err)
+				}
+				dfs, masks := sc.recording, sc.recordingMasks
+				if !recording {
+					dfs, masks = sc.discerning, sc.discerningMasks
+				}
+				sc.layout(-1)
+				dfsOK := dfs(c, q0)
+				masksOK := dfsOK
+				if sc.words {
+					sc.layout(-1)
+					masksOK = masks(c, q0)
+				}
+				chosen := sc.verify(c, q0, recording)
+				if dfsOK != r.OK || masksOK != r.OK || chosen != r.OK {
+					t.Fatalf("%s n=%d %v (recording=%v): interpreted %v (%q), DFS %v, masks %v, verify %v",
+						typ.Name(), n, w, recording, r.OK, r.Reason, dfsOK, masksOK, chosen)
+				}
+			}
+			checked++
+			if !nextMultiset(b) {
+				break
+			}
+		}
+	}
+	return checked
+}
+
+// TestKernelParity checks the word-mask kernel, the explicit DFS and
+// the interpreted verifier candidate by candidate at n = 2..4: on the
+// 3×2×2 atlas block, on 2,000 seeded random tables up to 4×3×3, on
+// fetch&add(mod=8), whose 8 states × 8 responses fill the mask word
+// exactly, and on a 6-state, 11-response table just past it, which
+// must take the DFS. The block and the random tables run as two
+// parallel subtests.
+func TestKernelParity(t *testing.T) {
+	tables := 2000
+	if testing.Short() {
+		tables = 200
+	}
+	var block []spec.Type
+	if _, _, err := atlas.Enumerate(atlas.Bounds{States: 3, Ops: 2, Resps: 2}, func(_ string, tb *atlas.Table) bool {
+		block = append(block, tb)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	next, resp := make([]uint8, 12), make([]uint8, 12)
+	for i := range next {
+		next[i], resp[i] = uint8((5*i+1)%6), uint8(i%11)
+	}
+	wide, err := atlas.NewTable(6, 2, 11, next, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var random []spec.Type
+	rng := rand.New(rand.NewSource(29))
+	for range tables {
+		random = append(random, atlas.Random(rng, 2+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3)))
+	}
+	for _, group := range []struct {
+		name string
+		typs []spec.Type
+	}{
+		{"block+edges", append(block, types.NewFetchAdd(8), wide)},
+		{"random", random},
+	} {
+		t.Run(group.name, func(t *testing.T) {
+			t.Parallel()
+			sc := new(scratch)
+			checked := 0
+			for _, typ := range group.typs {
+				for n := 2; n <= 4; n++ {
+					c, err := compile.Compile(typ, n)
+					if err != nil {
+						t.Fatalf("%s n=%d: %v", typ.Name(), n, err)
+					}
+					checked += kernelParity(t, typ, c, n, sc)
+					if want := c.NumStates()*c.NumResps() <= maxMaskCells; sc.words != want || want != (typ != wide) {
+						t.Fatalf("%s: %d states × %d responses took word masks: %v",
+							typ.Name(), c.NumStates(), c.NumResps(), sc.words)
+					}
+				}
+			}
+			t.Logf("%d tables, %d candidates", len(group.typs), checked)
+		})
+	}
 }

@@ -17,6 +17,13 @@
 // type, whose alphabet is the same at every n. The table supplies the
 // store key, the symmetry-pruning group and the search itself.
 //
+// Classify runs its two scans one after the other, the discerning scan
+// first. An n-recording type is n-discerning (Observation 5 of the
+// paper), so the recording scan searches only the levels up to the
+// discerning maximum and answers every level above it "no witness"
+// without a search or a store read. Each search still fans out over
+// the worker slots free when it starts.
+//
 // Determinism: a search runs on an ordered.Run, one item per shard. Its
 // goroutines claim shards in enumeration order and share one atomic
 // bound, the index of the lowest shard known to end the search (with a
@@ -127,9 +134,7 @@ type Engine struct {
 	// one is free and searches either way, and helpers start only on
 	// slots free at that moment, so the goroutines searching never
 	// exceed the callers plus `workers`, and a busy engine (a census, a
-	// batch) runs each search on its caller alone. An empty sem means
-	// an idle engine, which is when Classify scans its two properties
-	// concurrently.
+	// batch) runs each search on its caller alone.
 	sem     chan struct{}
 	persist Persist // nil when no persistent store is attached
 	pstats  persistStats
@@ -241,7 +246,8 @@ func newLevel(tab *compile.Compiled, n int, keyed bool) level {
 
 // levelTables holds one Classify call's levels for n = 2 … limit; at
 // builds each on first use and shares it with every scan after. keyed
-// says a store is attached, so each level needs its fingerprint.
+// says a store is attached, so each level needs its fingerprint. It is
+// used by the one goroutine that runs the call's scans.
 type levelTables struct {
 	t     spec.Type
 	keyed bool
@@ -249,8 +255,8 @@ type levelTables struct {
 }
 
 type lazyLevel struct {
-	once sync.Once
-	l    level
+	built bool
+	l     level
 }
 
 func (e *Engine) levels(t spec.Type, limit int) levelTables {
@@ -263,15 +269,15 @@ func (e *Engine) levels(t spec.Type, limit int) levelTables {
 // automorphism group, each under its own fingerprint.
 func (lt levelTables) at(n int) level {
 	x := &lt.lv[n]
-	x.once.Do(func() {
+	if !x.built {
 		var tab *compile.Compiled
 		if _, hasN := lt.t.(spec.OpsForN); hasN || n == 2 {
 			tab, _ = compile.Table(lt.t, n)
 		} else {
 			tab = lt.at(2).tab
 		}
-		x.l = newLevel(tab, n, lt.keyed)
-	})
+		x.l, x.built = newLevel(tab, n, lt.keyed), true
+	}
 	return x.l
 }
 
@@ -434,20 +440,25 @@ func (f *orbitFilter) first(q0 uint16, counts []int) bool {
 }
 
 // maxLevel scans property p for n = 2 … limit over the levels lt, with
-// checker.ScanMax's downward-closure early stop.
-func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit int, lt levelTables) (checker.MaxLevel, error) {
+// checker.ScanMax's downward-closure early stop. Every level above
+// bound is answered "no witness" without a search.
+func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit, bound int, lt levelTables) (checker.MaxLevel, error) {
 	return checker.ScanMax(limit, func(n int) (*checker.Witness, error) {
+		if n > bound {
+			return nil, nil
+		}
 		return e.search(ctx, t, p, n, lt.at(n))
 	})
 }
 
 // Classify derives type t's cons/rcons bands exactly like
 // checker.Classify, with every level search sharded over the worker
-// slots. The two property scans run concurrently when the engine is
-// idle, with the recording scan on a second goroutine, and one after
-// the other on the caller's goroutine otherwise. Each table is built
-// once, when a scan first needs it, and shared by both scans (see
-// levelTables.at).
+// slots. It runs the discerning scan, then the recording scan on the
+// levels up to disc.Max: an n-recording type is n-discerning
+// (Observation 5 of the paper), so every level above disc.Max has no
+// recording witness, and is answered so without a search or a store
+// read. Each table is built once, when a scan first needs it, and
+// shared by both scans (see levelTables.at).
 func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.Classification, error) {
 	if limit < 2 {
 		return checker.Classification{}, fmt.Errorf("checker: classification limit must be ≥ 2, got %d", limit)
@@ -457,31 +468,14 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 	span.SetAttr("limit", strconv.Itoa(limit))
 	defer span.End()
 	lt := e.levels(t, limit)
-	var (
-		disc, rec  checker.MaxLevel
-		dErr, rErr error
-	)
-	if e.workers > 1 && len(e.sem) == 0 {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			rec, rErr = e.maxLevel(ctx, t, Recording, limit, lt)
-		}()
-		disc, dErr = e.maxLevel(ctx, t, Discerning, limit, lt)
-		<-done
-	} else {
-		disc, dErr = e.maxLevel(ctx, t, Discerning, limit, lt)
-		if dErr == nil {
-			rec, rErr = e.maxLevel(ctx, t, Recording, limit, lt)
-		}
+	disc, err := e.maxLevel(ctx, t, Discerning, limit, limit, lt)
+	var rec checker.MaxLevel
+	if err == nil {
+		rec, err = e.maxLevel(ctx, t, Recording, limit, disc.Max, lt)
 	}
-	if dErr != nil {
+	if err != nil {
 		span.MarkError()
-		return checker.Classification{}, fmt.Errorf("classify %s: %w", t.Name(), dErr)
-	}
-	if rErr != nil {
-		span.MarkError()
-		return checker.Classification{}, fmt.Errorf("classify %s: %w", t.Name(), rErr)
+		return checker.Classification{}, fmt.Errorf("classify %s: %w", t.Name(), err)
 	}
 	c, err := checker.Derive(t, disc, rec)
 	if err == nil {

@@ -3,6 +3,10 @@ package engine
 import (
 	"context"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"rcons/internal/checker"
@@ -183,5 +187,79 @@ func TestParseProperty(t *testing.T) {
 	}
 	if Recording.String() != "recording" || Discerning.String() != "discerning" {
 		t.Error("Property.String mismatch")
+	}
+}
+
+// levelPersist is a Persist that stores nothing and records the key of
+// every Get: with it attached, each search the engine computes reads
+// the store once first, under its fingerprint/property/level key.
+type levelPersist struct {
+	mu   sync.Mutex
+	keys []string
+}
+
+func (p *levelPersist) Get(_ context.Context, _, key string) ([]byte, bool, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.keys = append(p.keys, key)
+	return nil, false, nil
+}
+
+func (p *levelPersist) Put(context.Context, string, string, []byte) error { return nil }
+
+// levels returns the levels at which property prop was read, in order.
+func (p *levelPersist) levels(t *testing.T, prop Property) []int {
+	t.Helper()
+	var out []int
+	for _, key := range p.keys {
+		parts := strings.Split(key, "/")
+		if parts[len(parts)-2] != prop.String() {
+			continue
+		}
+		n, err := strconv.Atoi(parts[len(parts)-1])
+		if err != nil {
+			t.Fatalf("key %q: %v", key, err)
+		}
+		out = append(out, n)
+	}
+	return out
+}
+
+// TestClassifySkipsRecordingAboveDiscerning: an n-recording type is
+// n-discerning (Observation 5 of the paper), so Classify searches the
+// recording property only at the levels up to disc.Max. On types whose
+// two maxima are equal and below the limit, it searches recording at
+// every level from 2 to disc.Max and at none above, reads the store at
+// no level above, and still equals checker.Classify.
+func TestClassifySkipsRecordingAboveDiscerning(t *testing.T) {
+	const limit = 5
+	for _, typ := range []spec.Type{types.NewRegister(), types.NewSn(2), types.NewSn(3)} {
+		want, err := checker.Classify(typ, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disc := want.Discerning.Max
+		if want.Recording.Max != disc || want.Discerning.AtLimit {
+			t.Fatalf("%s: recording max %d, discerning %v; want equal maxima below %d",
+				typ.Name(), want.Recording.Max, want.Discerning, limit)
+		}
+		p := &levelPersist{}
+		got, err := New(Options{Workers: 2, Persist: p}).Classify(context.Background(), typ, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: engine classification differs\n got: %+v\nwant: %+v", typ.Name(), got, want)
+		}
+		var wantLevels []int
+		for n := 2; n <= disc; n++ {
+			wantLevels = append(wantLevels, n)
+		}
+		if got := p.levels(t, Recording); !slices.Equal(got, wantLevels) {
+			t.Fatalf("%s: recording searched at levels %v, want %v (discerning max %d)", typ.Name(), got, wantLevels, disc)
+		}
+		if got := p.levels(t, Discerning); !slices.Equal(got, append(wantLevels, disc+1)) {
+			t.Fatalf("%s: discerning searched at levels %v", typ.Name(), got)
+		}
 	}
 }
