@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 
 	"rcons/internal/atlas"
 	"rcons/internal/checker"
@@ -96,13 +97,16 @@ func rowFromClassification(c checker.Classification, source, dims string) Row {
 // levelKey renders the recording/discerning co-occurrence cell of a row,
 // e.g. "rec=2,disc=3" or "rec=3+,disc=3+" when a scan hit the limit.
 func (r Row) levelKey() string {
-	suffix := func(at bool) string {
-		if at {
-			return "+"
-		}
-		return ""
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], "rec="...), int64(r.RecMax), 10)
+	if r.RecAtLimit {
+		b = append(b, '+')
 	}
-	return fmt.Sprintf("rec=%d%s,disc=%d%s", r.RecMax, suffix(r.RecAtLimit), r.DiscMax, suffix(r.DiscAtLimit))
+	b = strconv.AppendInt(append(b, ",disc="...), int64(r.DiscMax), 10)
+	if r.DiscAtLimit {
+		b = append(b, '+')
+	}
+	return string(b)
 }
 
 // ZooEntry is one built-in zoo type's bands at the census limit.

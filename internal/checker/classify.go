@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"strconv"
 
 	"rcons/internal/spec"
 	"rcons/internal/types"
@@ -108,16 +109,13 @@ func Derive(t spec.Type, disc, rec MaxLevel) (Classification, error) {
 
 // BandString renders a [lo, hi] band, e.g. "3", "2–3" or "≥5".
 func BandString(lo, hi, limit int) string {
-	if hi >= Unbounded {
-		if lo >= limit {
-			return fmt.Sprintf("≥%d", limit)
-		}
-		return fmt.Sprintf("≥%d", lo)
+	switch {
+	case hi >= Unbounded:
+		return "≥" + strconv.Itoa(min(lo, limit))
+	case lo == hi:
+		return strconv.Itoa(lo)
 	}
-	if lo == hi {
-		return fmt.Sprintf("%d", lo)
-	}
-	return fmt.Sprintf("%d–%d", lo, hi)
+	return strconv.Itoa(lo) + "–" + strconv.Itoa(hi)
 }
 
 // ConsBand renders the consensus-number band of c.

@@ -40,6 +40,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"strconv"
 	"sync"
@@ -88,14 +89,12 @@ func ParseProperty(s string) (Property, error) {
 	return 0, fmt.Errorf("engine: unknown property %q (want recording or discerning)", s)
 }
 
-func (p Property) verify() (checker.VerifyFunc, error) {
-	switch p {
-	case Recording:
-		return checker.VerifyRecording, nil
-	case Discerning:
-		return checker.VerifyDiscerning, nil
+// verify returns the interpreted verifier of p, a valid property.
+func (p Property) verify() checker.VerifyFunc {
+	if p == Recording {
+		return checker.VerifyRecording
 	}
-	return nil, fmt.Errorf("engine: invalid property %d", int(p))
+	return checker.VerifyDiscerning
 }
 
 // Options configures an Engine. The zero value gives one worker per CPU.
@@ -285,9 +284,8 @@ func (lt levelTables) at(n int) level {
 // search runs the shard loop on l's table, or the sequential search
 // when l has no searchable table.
 func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l level) (*checker.Witness, error) {
-	verify, err := p.verify()
-	if err != nil {
-		return nil, err
+	if p != Recording && p != Discerning {
+		return nil, fmt.Errorf("engine: invalid property %d", int(p))
 	}
 	persisted := e.persist != nil && l.fp != ""
 	if persisted {
@@ -301,24 +299,38 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	span.SetAttr("property", p.String())
 	span.SetAttr("n", strconv.Itoa(n))
 	defer span.End()
-	var w *checker.Witness
+	var (
+		w   *checker.Witness
+		err error
+	)
 	if l.tab != nil && l.tab.Searchable() == nil {
 		w, err = e.searchShards(sctx, l.tab, n, p == Recording)
 	} else {
-		e.fanOut(1, func() { w, err = checker.Search(sctx, t, n, verify) })
+		w, err = e.searchSequential(sctx, t, p, n)
 	}
 	if err != nil {
 		span.MarkError()
 		return nil, err
 	}
 	// Persist hits return above untouched; only genuinely computed
-	// searches are worth a (debug-level, usually discarded) log line.
-	obs.LoggerFrom(ctx).Debug("engine search computed",
-		"type", t.Name(), "property", p.String(), "n", n, "witness", w != nil)
+	// searches are worth a debug-level log line, and its arguments are
+	// boxed only when the logger keeps debug records.
+	if logger := obs.LoggerFrom(ctx); logger.Enabled(ctx, slog.LevelDebug) {
+		logger.Debug("engine search computed",
+			"type", t.Name(), "property", p.String(), "n", n, "witness", w != nil)
+	}
 	if persisted {
 		e.persistPut(sctx, l.fp, p, n, w)
 	}
 	return w, nil
+}
+
+// searchSequential runs the interpreted sequential search of (t, n) for
+// p on one worker slot, for a level with no searchable table.
+func (e *Engine) searchSequential(ctx context.Context, t spec.Type, p Property, n int) (w *checker.Witness, err error) {
+	verify := p.verify()
+	e.fanOut(1, func() { w, err = checker.Search(ctx, t, n, verify) })
+	return w, err
 }
 
 // fanOut runs work on the calling goroutine, which takes a sem slot

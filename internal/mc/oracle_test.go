@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"rcons/internal/sim"
@@ -117,7 +118,7 @@ func enumerate(tgt Target, maxDepth, crashBudget int) (prefixes int, err error) 
 		if err != nil {
 			return err
 		}
-		live := liveProcs(out)
+		live := appendLive(nil, out)
 		if len(live) == 0 {
 			return nil
 		}
@@ -140,7 +141,7 @@ func enumerate(tgt Target, maxDepth, crashBudget int) (prefixes int, err error) 
 			if a.Kind != sim.ActStep {
 				c++
 			}
-			if err := extend(appendAction(script, a), c); err != nil {
+			if err := extend(append(slices.Clip(script), a), c); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,31 +77,36 @@ func (s *search) snapshotStats() Stats {
 	}
 }
 
-// execution is one run of the target, paused at the end of its script:
-// the inputs and memory the checker reads, and the runner that extends
-// it by one more action or finishes it with the fair completion.
-type execution struct {
-	inputs []sim.Value
-	m      *sim.Memory
-	r      *sim.Runner
-}
-
 // worker is what one search goroutine keeps across the executions it
-// starts: its pool of coroutines, and the one instance of the target it
+// starts: its pool of coroutines, the one instance of the target it
 // builds with Target.Factory on its first execution and resets for
-// every later one.
+// every later one, and the one runner that executes on that instance,
+// built on the first execution and reset for every later one. The
+// worker never closes the runner: whoever starts or continues an
+// execution closes it when done with it (dfs, expand and dedupRoots on
+// return, visit on a violation), so between nodes the runner is always
+// finished, and the pool's Close, when the worker's goroutine ends,
+// ends the idle coroutines.
 type worker struct {
 	pool   sim.Pool
 	m      *sim.Memory
 	bodies []sim.Body
 	inputs []sim.Value
+	r      *sim.Runner
+	// live is a stack of the undecided processes of the dfs nodes on
+	// the current path, each node's run above its parent's.
+	live []int
+	// visited is the fingerprint set of the root dfs in flight, cleared
+	// for each root.
+	visited map[Fingerprint]uint64
 }
 
 // instance returns the worker's target instance, ready for a new
 // execution: built and marked on first use, reset to the mark after.
 // The worker runs one execution at a time — dfs closes every run before
-// a later sibling starts fresh — and Memory.Reset checks that rather
-// than trusting it, panicking while the previous execution is paused.
+// a later sibling starts fresh — and Memory.Reset and Runner.Reset check
+// that rather than trusting it, panicking while the previous execution
+// is paused.
 func (w *worker) instance(tgt Target) (*sim.Memory, []sim.Body, []sim.Value) {
 	if w.m == nil {
 		w.m, w.bodies, w.inputs = tgt.Factory()
@@ -112,44 +118,49 @@ func (w *worker) instance(tgt Target) (*sim.Memory, []sim.Body, []sim.Value) {
 }
 
 // fresh executes script from the start on w's target instance, reset
-// to its initial contents, on coroutines from w's pool, and pauses it at
-// the script's end (sim.Runner.Start). It is the search's only way to
-// begin an execution, and the executions it begins are what
-// Stats.Replays counts. Run on the paused runner extends the prefix
-// with the deterministic crash-free fair completion. The incremental
-// fingerprint needs only the O(1) rolling digests; a test oracle
-// (Options.fingerprintOracle) gets the full event trace. On an error
-// the runner has already been torn down.
-func (s *search) fresh(w *worker, script []sim.Action) (*execution, *sim.Outcome, error) {
+// to its initial contents, with w's runner, reset likewise, on
+// coroutines from w's pool, and pauses it at the script's end
+// (sim.Runner.Start). It is the search's only way to begin an
+// execution, and the executions it begins are what Stats.Replays
+// counts. Run on the paused runner extends the prefix with the
+// deterministic crash-free fair completion. The incremental fingerprint
+// needs only the O(1) rolling digests; a test oracle
+// (Options.fingerprintOracle) gets the full event trace. The outcome is
+// the runner's pause view. On an error the runner has already been torn
+// down.
+func (s *search) fresh(w *worker, script []sim.Action) (*sim.Outcome, error) {
 	s.replays.Add(1)
-	m, bodies, inputs := w.instance(s.tgt)
-	cfg := sim.Config{
+	m, bodies, _ := w.instance(s.tgt)
+	if w.r != nil {
+		w.r.Reset(script)
+		return w.r.Start()
+	}
+	w.r = w.pool.NewRunner(m, bodies, sim.Config{
 		Model:              s.tgt.Model,
 		Script:             script,
 		FairCompletion:     true,
 		DecideRequiresStep: true,
 		MaxSteps:           s.opts.MaxSteps,
-	}
-	r := w.pool.NewRunner(m, bodies, cfg)
+	})
 	if s.opts.fingerprintOracle != nil {
-		r.RecordTrace()
+		w.r.RecordTrace()
 	} else {
-		r.RecordDigests()
+		w.r.RecordDigests()
 	}
-	r.RecordSchedule()
-	out, err := r.Start()
-	return &execution{inputs: inputs, m: m, r: r}, out, err
+	w.r.RecordSchedule()
+	return w.r.Start()
 }
 
-// violation reports how ex failed to reach out: a simulator error, or
-// else the target's checker rejecting the outcome. It returns nil for a
-// correct execution.
-func (s *search) violation(ex *execution, out *sim.Outcome, err error) *violation {
+// violation reports how w's execution failed to reach out: a simulator
+// error, or else the target's checker rejecting the outcome. It returns
+// nil for a correct execution. The violation keeps a copy of the
+// schedule, since the runner reuses its buffer.
+func (s *search) violation(w *worker, out *sim.Outcome, err error) *violation {
 	if err == nil {
-		err = s.tgt.Check(ex.inputs, ex.m, out)
+		err = s.tgt.Check(w.inputs, w.m, out)
 	}
 	if err != nil {
-		return &violation{schedule: out.Schedule, err: err}
+		return &violation{schedule: slices.Clone(out.Schedule), err: err}
 	}
 	return nil
 }
@@ -232,7 +243,7 @@ func (s *search) round(ctx context.Context, depth int) (*violation, bool, error)
 	return nil, closed, nil
 }
 
-// node holds one root prefix together with its crash usage.
+// node is a schedule prefix together with its crash usage.
 type node struct {
 	script  []sim.Action
 	crashes int
@@ -275,86 +286,97 @@ func (s *search) enumerateRoots(ctx context.Context, w *worker, depth int) ([]no
 // one-action extensions (empty when all processes decided or the node
 // budget ran out — roots are never pruned, see dfs).
 func (s *search) expand(ctx context.Context, w *worker, nd node) ([]node, *violation, error) {
-	ex, out, v, err := s.visit(ctx.Err, w, nd, nil)
-	if ex == nil || v != nil {
+	out, v, err := s.visit(ctx.Err, w, nd.script, false)
+	if out == nil || v != nil {
 		return nil, v, err
 	}
-	ex.r.Close()
-	live := liveProcs(out)
+	w.r.Close()
+	live := appendLive(nil, out)
 	if len(live) == 0 {
 		s.completions.Add(1)
 		return nil, nil, nil
 	}
-	return s.extensions(nd, live), nil, nil
+	var ext []node
+	for i := 0; ; i++ {
+		act, ok := s.extension(live, nd.crashes, i)
+		if !ok {
+			return ext, nil, nil
+		}
+		script := append(slices.Clip(nd.script), act)
+		ext = append(ext, node{script: script, crashes: nd.crashes + crashCost(act)})
+	}
 }
 
-// visit counts one search node, executes its prefix and checks it. The
-// execution continues parent — paused at nd's prefix minus its last
-// action — by that action, or starts fresh on w when parent is nil.
-// It returns a nil execution when the node is not executed: with stop's
-// error when stop reports one (the context died, or the root became
-// obsolete), with none when the node budget is exhausted. A node the
-// budget refuses is not counted. With a violation the runner is already
-// closed; otherwise the caller owns the returned execution and must
-// close its runner.
-func (s *search) visit(stop func() error, w *worker, nd node, parent *execution) (*execution, *sim.Outcome, *violation, error) {
+// visit counts one search node, executes its prefix on w's runner and
+// checks it. With cont set the execution continues w's run — paused at
+// script minus its last action — by that action; otherwise it starts
+// fresh. It returns a nil outcome when the node is not executed: with
+// stop's error when stop reports one (the context died, or the root
+// became obsolete), with none when the node budget is exhausted. A node
+// the budget refuses is not counted. With a violation the runner is
+// already closed; otherwise the caller must close it. The outcome is
+// the runner's pause view.
+func (s *search) visit(stop func() error, w *worker, script []sim.Action, cont bool) (*sim.Outcome, *violation, error) {
 	if err := stop(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if s.nodes.Add(1) > int64(s.opts.NodeBudget) {
 		s.nodes.Add(-1)
 		s.exceeded.Store(true)
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
-	s.observeDepth(len(nd.script))
+	s.observeDepth(len(script))
 
-	ex := parent
 	var (
 		out *sim.Outcome
 		err error
 	)
-	if ex != nil {
-		out, err = ex.r.Extend(nd.script[len(nd.script)-1])
+	if cont {
+		out, err = w.r.Extend(script[len(script)-1])
 	} else {
-		ex, out, err = s.fresh(w, nd.script)
+		out, err = s.fresh(w, script)
 	}
-	v := s.violation(ex, out, err)
+	v := s.violation(w, out, err)
 	if v != nil {
 		// A violation ends the branch, and the checker may reject a
 		// prefix while processes are still parked.
-		ex.r.Close()
+		w.r.Close()
 	}
-	return ex, out, v, nil
+	return out, v, nil
 }
 
-// extensions lists nd's one-action continuations in canonical order:
-// steps of every live process first, then crash placements while budget
-// remains. Exploring all step extensions before any crash extension
-// biases the first violation found toward fewer crashes — the implicit
-// crash-budget deepening companion to the explicit depth deepening.
-func (s *search) extensions(nd node, live []int) []node {
-	var out []node
-	for _, p := range live {
-		out = append(out, node{script: appendAction(nd.script, sim.Step(p)), crashes: nd.crashes})
+// extension returns the i-th one-action continuation of a node whose
+// undecided processes are live, having used crashes crash events, and
+// false past the last. The canonical order is steps of every live
+// process first, then crash placements while budget remains. Exploring
+// all step extensions before any crash extension biases the first
+// violation found toward fewer crashes — the implicit crash-budget
+// deepening companion to the explicit depth deepening.
+func (s *search) extension(live []int, crashes, i int) (sim.Action, bool) {
+	k := len(live)
+	switch {
+	case i < k:
+		return sim.Step(live[i]), true
+	case crashes >= s.opts.CrashBudget:
+		return sim.Action{}, false
+	case s.tgt.Model == sim.Simultaneous:
+		return sim.CrashAll(), i == k
+	case i < 2*k:
+		return sim.Crash(live[i-k]), true
 	}
-	if nd.crashes < s.opts.CrashBudget {
-		if s.tgt.Model == sim.Simultaneous {
-			out = append(out, node{script: appendAction(nd.script, sim.CrashAll()), crashes: nd.crashes + 1})
-		} else {
-			for _, p := range live {
-				out = append(out, node{script: appendAction(nd.script, sim.Crash(p)), crashes: nd.crashes + 1})
-			}
-		}
-	}
-	return out
+	return sim.Action{}, false
 }
 
-func appendAction(script []sim.Action, a sim.Action) []sim.Action {
-	return append(append(make([]sim.Action, 0, len(script)+1), script...), a)
+// crashCost is the crash budget an action uses.
+func crashCost(act sim.Action) int {
+	if act.Kind == sim.ActStep {
+		return 0
+	}
+	return 1
 }
 
-func liveProcs(out *sim.Outcome) []int {
-	var live []int
+// appendLive appends the processes out has not seen decide.
+func appendLive(live []int, out *sim.Outcome) []int {
 	for i, d := range out.Decided {
 		if !d {
 			live = append(live, i)
@@ -399,15 +421,15 @@ func (s *search) dedupRoots(ctx context.Context, w *worker, roots []node) ([]nod
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ex, o, err := s.fresh(w, nd.script)
-		ex.r.Close()
+		o, err := s.fresh(w, nd.script)
 		if err != nil {
 			// A violating root must survive to be (re)discovered and
 			// reported by dfs in canonical order.
 			out = append(out, nd)
 			continue
 		}
-		key := rootKey{fp: s.fingerprint(o, ex.m, nd.crashes), crashes: nd.crashes}
+		key := rootKey{fp: s.fingerprint(o, w.m, nd.crashes), crashes: nd.crashes}
+		w.r.Close()
 		if seen[key] {
 			s.pruned.Add(1)
 			continue
@@ -456,10 +478,18 @@ func (s *search) searchRoots(ctx context.Context, roots []node, depth int) (*vio
 				}
 				return nil
 			}
+			// The root's subtree builds every script in place on one
+			// stack, each child's action over its previous sibling's.
+			root := roots[i]
+			root.script = append(make([]sim.Action, 0, depth+1), root.script...)
+			if w.visited == nil {
+				w.visited = map[Fingerprint]uint64{}
+			}
+			clear(w.visited)
 			// dfs fails only when stop fires: the root became obsolete,
 			// which is not a failure, or the context died, which Result
 			// reports.
-			v, _ := s.dfs(stop, w, roots[i], depth, map[Fingerprint]uint64{}, nil)
+			v, _ := s.dfs(stop, w, root, depth, false)
 			s.frontier.Add(-1)
 			if v != nil {
 				run.Finish(i, v, nil)
@@ -507,54 +537,71 @@ func fanOut(workers int, work func(w *worker)) {
 // leaf's exact completion might never be simulated.
 //
 // The search does not replay every prefix from scratch. nd's execution
-// continues parent's paused run by nd's last action when parent is
-// non-nil; nd hands its own paused run to its first extension, and a
+// continues the paused run of its parent by nd's last action when cont
+// is set; nd hands its own paused run to its first extension, and a
 // depth-bound leaf finishes it with the fair completion. Later siblings
-// start fresh on w. This is sound for the same reason pruning is: an
-// execution is a pure function of its script, so a continued run
+// start fresh on w's runner. This is sound for the same reason pruning
+// is: an execution is a pure function of its script, so a continued run
 // reaches exactly the configuration and outcome a fresh replay would
-// (TestContinuedRunMatchesReplay). Every dfs closes the runner it used
-// on return; a child continuing it closes it too, and Close is
-// idempotent.
-func (s *search) dfs(stop func() error, w *worker, nd node, depth int, visited map[Fingerprint]uint64, parent *execution) (*violation, error) {
-	ex, out, v, err := s.visit(stop, w, nd, parent)
-	if ex == nil || v != nil {
+// (TestContinuedRunMatchesReplay). Every dfs closes w's runner on
+// return: it still runs nd's execution, or a child closed it already,
+// and Close is idempotent.
+//
+// Nothing here allocates per node: a child's script is nd's script
+// plus one action, written in place past nd's (the root's stack has room
+// for the whole depth, and a later sibling's action overwrites an
+// earlier one's once its subtree is done); nd's live processes go on
+// w's stack; and the runner's pause view is read before the first child
+// acts.
+func (s *search) dfs(stop func() error, w *worker, nd node, depth int, cont bool) (*violation, error) {
+	out, v, err := s.visit(stop, w, nd.script, cont)
+	if out == nil || v != nil {
 		return v, err
 	}
-	defer ex.r.Close()
-	live := liveProcs(out)
+	defer w.r.Close()
+	base := len(w.live)
+	w.live = appendLive(w.live, out)
+	defer w.popLive(base)
+	live := w.live[base:]
 	if len(live) == 0 {
 		s.completions.Add(1)
 		return nil, nil
 	}
 
 	remaining := depth - len(nd.script)
-	fp := s.fingerprint(out, ex.m, nd.crashes)
+	fp := s.fingerprint(out, w.m, nd.crashes)
 	// visited holds a bitmask of remaining depths already explored for
 	// each configuration (remaining < 64 always: depths are small).
 	bit := uint64(1) << uint(remaining)
-	if visited[fp]&bit != 0 {
+	if w.visited[fp]&bit != 0 {
 		s.pruned.Add(1)
 		return nil, nil
 	}
-	visited[fp] |= bit
+	w.visited[fp] |= bit
 
 	if remaining <= 0 {
 		s.boundaryHits.Add(1)
 		s.completions.Add(1)
-		out, err := ex.r.Run()
-		return s.violation(ex, out, err), nil
+		out, err := w.r.Run()
+		return s.violation(w, out, err), nil
 	}
-	cont := ex
-	for _, ext := range s.extensions(nd, live) {
-		v, err := s.dfs(stop, w, ext, depth, visited, cont)
+	cont = true
+	for i := 0; ; i++ {
+		act, ok := s.extension(live, nd.crashes, i)
+		if !ok {
+			return nil, nil
+		}
+		child := node{script: append(nd.script, act), crashes: nd.crashes + crashCost(act)}
+		v, err := s.dfs(stop, w, child, depth, cont)
 		if err != nil || v != nil {
 			return v, err
 		}
 		if s.exceeded.Load() {
 			return nil, nil
 		}
-		cont = nil
+		cont = false
 	}
-	return nil, nil
 }
+
+// popLive drops the live processes dfs pushed above base.
+func (w *worker) popLive(base int) { w.live = w.live[:base] }

@@ -38,7 +38,7 @@ func (s *search) swarm(ctx context.Context) (*violation, error) {
 // swarmOne executes one randomized schedule on w's target instance and
 // returns its violation, if any.
 func (s *search) swarmOne(w *worker, idx int64) *violation {
-	m, bodies, inputs := w.instance(s.tgt)
+	m, bodies, _ := w.instance(s.tgt)
 	cfg := sim.Config{
 		Seed:               s.opts.SwarmSeed + idx,
 		Model:              s.tgt.Model,
@@ -50,11 +50,5 @@ func (s *search) swarmOne(w *worker, idx int64) *violation {
 	r := w.pool.NewRunner(m, bodies, cfg)
 	r.RecordSchedule()
 	out, err := r.Run()
-	if err != nil {
-		return &violation{schedule: out.Schedule, err: err}
-	}
-	if cerr := s.tgt.Check(inputs, m, out); cerr != nil {
-		return &violation{schedule: out.Schedule, err: cerr}
-	}
-	return nil
+	return s.violation(w, out, err)
 }

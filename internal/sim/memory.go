@@ -30,6 +30,15 @@
 // keep no state of their own from one invocation to the next: all state
 // that survives an execution must live in the Memory, as the model's
 // non-volatile memory does.
+//
+// So can a runner. Runner.Reset re-arms a finished runner for a new
+// script with the same memory, bodies, config and recording switches,
+// keeping its buffers, and panics while its execution is paused. A
+// runner that pauses (Start, Extend) reports a view it owns and refills
+// at every pause, valid until its next action or Reset; Run reports a
+// snapshot. A caller driving many paused executions through one runner
+// thus allocates nothing per pause once the buffers have grown, and
+// copies what it keeps of a view.
 package sim
 
 import (

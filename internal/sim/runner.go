@@ -147,7 +147,12 @@ func Crash(p int) Action { return Action{Kind: ActCrash, Proc: p} }
 // CrashAll returns a scripted simultaneous crash.
 func CrashAll() Action { return Action{Kind: ActCrashAll} }
 
-// Outcome summarizes a finished execution.
+// Outcome summarizes an execution. Run's outcome is a snapshot of the
+// finished execution: nothing the runner does later changes it. The
+// outcome Start and Extend return at a pause is a view the runner owns
+// and refills at every pause: it stays valid until the runner's next
+// action (Extend or Run) or Reset, and a caller that needs it longer
+// copies what it keeps.
 type Outcome struct {
 	// Decisions holds each process's output; Decided reports whether the
 	// process produced one (with a finite crash budget and fair
@@ -217,6 +222,8 @@ type Runner struct {
 	procs []*procState
 	live  int // processes that have not decided
 
+	view Outcome // what Start and Extend return; refilled at every pause
+
 	trace          []TraceEvent
 	recordTrace    bool
 	schedule       []Action
@@ -256,9 +263,9 @@ func (pl *Pool) NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
 	if cfg.MaxStepsPerRun == 0 {
 		cfg.MaxStepsPerRun = 100_000
 	}
-	// Extend appends to the script; clipping makes the first append copy
-	// it, so the runner never writes into the caller's slice.
-	cfg.Script = slices.Clip(cfg.Script)
+	// Extend appends to the script and Reset overwrites it, so the
+	// runner keeps a copy of its own.
+	cfg.Script = slices.Clone(cfg.Script)
 	r := &Runner{
 		mem:         mem,
 		cfg:         cfg,
@@ -271,6 +278,39 @@ func (pl *Pool) NewRunner(mem *Memory, bodies []Body, cfg Config) *Runner {
 		r.procs = append(r.procs, &procState{proc: p, body: body})
 	}
 	return r
+}
+
+// Reset re-arms a finished runner for a new execution of the given
+// script, with the same memory, bodies, config and recording switches,
+// as Memory.Reset does for the memory. The runner keeps its processes
+// and its script, schedule, trace and digest buffers, so executions run
+// one after another on one runner allocate nothing once those buffers
+// have grown. The memory is not touched: a caller that wants the
+// execution to start from the memory's marked contents resets it too.
+// An execution after Reset equals one on a runner built anew by
+// NewRunner (or the same Pool's NewRunner) with the same arguments and
+// script. Reset also accepts a runner that never started; it panics on
+// a paused runner, whose execution must first end by Run, Close or an
+// error.
+func (r *Runner) Reset(script []Action) {
+	if r.started && !r.finished {
+		panic("sim: Reset of a paused runner")
+	}
+	r.cfg.Script = append(r.cfg.Script[:0], script...)
+	r.rng = nil
+	r.trace = r.trace[:0]
+	r.schedule = r.schedule[:0]
+	clear(r.evHash)
+	clear(r.ckHash)
+	r.eventPos = 0
+	r.started, r.finished = false, false
+	r.scriptPos, r.stepCount, r.rrNext = 0, 0, 0
+	r.crashBudget = r.cfg.MaxCrashes
+	r.failure = nil
+	for _, ps := range r.procs {
+		*ps.proc = Proc{id: ps.proc.id, runner: r}
+		ps.parked, ps.decided, ps.out = false, false, ""
+	}
 }
 
 // rand returns the scheduling RNG, constructing it on first use.
@@ -327,11 +367,12 @@ func (r *Runner) Run() (*Outcome, error) {
 
 // Start starts the processes and executes the whole script — whatever
 // HaltAtScriptEnd says — then pauses with every undecided process parked
-// at a scheduling point. The outcome is a snapshot: later actions do not
-// change it. A paused runner is continued by Extend, finished by Run
-// (which applies the post-script policy of the Config) or torn down by
-// Close. On an error the execution is torn down exactly as Run would,
-// and its outcome and error are returned.
+// at a scheduling point. The outcome is the runner's pause view (see
+// Outcome): the runner's next action or Reset overwrites it. A paused
+// runner is continued by Extend, finished by Run (which applies the
+// post-script policy of the Config) or torn down by Close. On an error
+// the execution is torn down exactly as Run would, and its outcome — a
+// snapshot, as Run's — and error are returned.
 func (r *Runner) Start() (*Outcome, error) {
 	if r.started {
 		panic("sim: Start on a runner that already started")
@@ -342,9 +383,10 @@ func (r *Runner) Start() (*Outcome, error) {
 
 // Extend executes one more action on a paused runner and pauses again.
 // The action is validated and executed exactly as if the script had
-// ended with it, so the snapshot equals a HaltAtScriptEnd run of the
+// ended with it, so the outcome equals a HaltAtScriptEnd run of the
 // extended script on a fresh instance; errors tear the execution down
-// as in Start.
+// as in Start. Like Start's, the outcome is the runner's pause view,
+// which this call has refilled.
 func (r *Runner) Extend(act Action) (*Outcome, error) {
 	if !r.started || r.finished {
 		panic("sim: Extend on a runner that is not paused")
@@ -430,12 +472,24 @@ func (r *Runner) exec(act Action) {
 }
 
 // pause ends Start and Extend: a failed execution is torn down, a
-// healthy one stays parked and reports a snapshot.
+// healthy one stays parked and reports the refilled pause view.
 func (r *Runner) pause(err error) (*Outcome, error) {
 	if err != nil || r.failure != nil {
 		return r.finish(err)
 	}
-	return r.outcome(), nil
+	v := &r.view
+	if v.Decided == nil {
+		n := len(r.procs)
+		counts := make([]int, 2*n)
+		v.Decisions, v.Decided = make([]Value, n), make([]bool, n)
+		v.Crashes, v.Runs = counts[:n:n], counts[n:]
+	}
+	r.fill(v)
+	// The digests change only with actions and Reset, which end the
+	// view's validity, so it shows the runner's own (nil unless
+	// recorded).
+	v.EventHashes, v.ClockHashes = r.evHash, r.ckHash
+	return v, nil
 }
 
 // finish tears the execution down and assembles the outcome.
@@ -463,11 +517,9 @@ func (r *Runner) stop() {
 	r.mem.release(r)
 }
 
-// outcome assembles the execution's outcome so far. It shares nothing
-// the runner mutates: per-process slices are copied, and Schedule and
-// Trace are cut at their current length and capacity, so the appends of
-// later actions never show through. The per-process slices of one
-// element type share one backing array, each cut at its own capacity.
+// outcome assembles a snapshot of the execution: it shares nothing the
+// runner reuses. The per-process slices of one element type share one
+// backing array, each cut at its own capacity.
 func (r *Runner) outcome() *Outcome {
 	n := len(r.procs)
 	counts := make([]int, 2*n)
@@ -476,23 +528,42 @@ func (r *Runner) outcome() *Outcome {
 		Decided:   make([]bool, n),
 		Crashes:   counts[:n:n],
 		Runs:      counts[n:],
-		Steps:     r.stepCount,
-		Trace:     r.trace[:len(r.trace):len(r.trace)],
-		Schedule:  r.schedule[:len(r.schedule):len(r.schedule)],
 	}
-	for i, ps := range r.procs {
-		if ps.decided {
-			out.Decided[i] = true
-			out.Decisions[i] = ps.out
-		}
-		out.Crashes[i] = ps.proc.crashes
-		out.Runs[i] = ps.proc.runs
-	}
+	r.fill(out)
+	out.Schedule, out.Trace = slices.Clone(out.Schedule), slices.Clone(out.Trace)
 	if r.recordDigest {
 		hashes := append(append(make([]uint64, 0, 2*n), r.evHash...), r.ckHash...)
 		out.EventHashes, out.ClockHashes = hashes[:n:n], hashes[n:]
 	}
 	return out
+}
+
+// fill writes the execution's state so far into out, whose per-process
+// slices hold one element per process: decisions, crash and run counts,
+// steps, and the schedule and trace.
+func (r *Runner) fill(out *Outcome) {
+	for i, ps := range r.procs {
+		out.Decided[i] = ps.decided
+		out.Decisions[i] = ""
+		if ps.decided {
+			out.Decisions[i] = ps.out
+		}
+		out.Crashes[i] = ps.proc.crashes
+		out.Runs[i] = ps.proc.runs
+	}
+	out.Steps = r.stepCount
+	out.Trace = cut(r.trace)
+	out.Schedule = cut(r.schedule)
+}
+
+// cut returns s cut at its length and capacity, so a caller's appends
+// never write into the runner's buffer, or nil when it is empty, as it
+// is on a new runner.
+func cut[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
 }
 
 func (r *Runner) validateAction(act Action) error {
@@ -535,15 +606,17 @@ func (r *Runner) fairAction() Action {
 
 // randomAction picks the next scheduling decision from the seeded RNG:
 // a uniformly random live process, crashed with probability CrashProb
-// while budget remains.
+// while budget remains. Every undecided process is parked when the
+// scheduler picks an action (see fairAction), so the draw is over the
+// r.live undecided processes in process order.
 func (r *Runner) randomAction() Action {
-	var liveIDs []int
-	for id, ps := range r.procs {
-		if ps.parked && !ps.decided {
-			liveIDs = append(liveIDs, id)
+	k := r.rand().Intn(r.live)
+	id := 0
+	for ; r.procs[id].decided || k > 0; id++ {
+		if !r.procs[id].decided {
+			k--
 		}
 	}
-	id := liveIDs[r.rand().Intn(len(liveIDs))]
 	if r.crashBudget > 0 && r.cfg.CrashProb > 0 && r.rand().Float64() < r.cfg.CrashProb {
 		r.crashBudget--
 		if r.cfg.Model == Simultaneous {

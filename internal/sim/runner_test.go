@@ -115,6 +115,7 @@ func teardownCases() []teardownCase {
 	}
 	return []teardownCase{
 		{name: "all-decided", bodies: []Body{reader, reader}, cfg: Config{Seed: 1}},
+		{name: "random-crashes", bodies: []Body{reader, reader}, cfg: Config{Seed: 3, CrashProb: 0.5, MaxCrashes: 2}},
 		{name: "halt-at-script-end", bodies: []Body{reader, reader},
 			cfg: Config{Script: []Action{Step(0)}, HaltAtScriptEnd: true}},
 		{name: "script-error", bodies: []Body{reader, reader},
@@ -156,6 +157,11 @@ func (tc teardownCase) run(newRunner func(*Memory, []Body, Config) *Runner, reco
 		r.RecordSchedule()
 		r.RecordDigests()
 	}
+	return tc.execute(r)
+}
+
+// execute drives r as the case says.
+func (tc teardownCase) execute(r *Runner) (*Outcome, error) {
 	if tc.drive == nil {
 		return r.Run()
 	}
@@ -246,5 +252,77 @@ func TestPooledRunsMatchFreshRuns(t *testing.T) {
 	pool.Close()
 	if n := runtime.NumGoroutine(); n != base {
 		t.Fatalf("goroutines: %d before the pool, %d after Close", base, n)
+	}
+}
+
+// TestRunnerResetMatchesFresh runs each teardown case again and again
+// on one runner, reset between executions together with its marked
+// memory, so each execution follows one that ended by a decision, a
+// stop, a budget failure, a script error or a body panic. The scripts
+// alternate between the case's own, none and a single step of p1, and
+// each outcome and error must equal those of a runner built anew with
+// the same script. Close of the runners' pool must end every coroutine.
+func TestRunnerResetMatchesFresh(t *testing.T) {
+	base := settledGoroutines()
+	pool := new(Pool)
+	record := func(r *Runner) *Runner {
+		r.RecordTrace()
+		r.RecordSchedule()
+		r.RecordDigests()
+		return r
+	}
+	for _, tc := range teardownCases() {
+		m := newTestMemory()
+		m.Mark()
+		r := record(pool.NewRunner(m, tc.bodies, tc.cfg))
+		for i, script := range [][]Action{tc.cfg.Script, nil, {Step(1)}, tc.cfg.Script, nil} {
+			if i > 0 {
+				m.Reset()
+				r.Reset(script)
+			}
+			cfg := tc.cfg
+			cfg.Script = script
+			fresh := record(NewRunner(newTestMemory(), tc.bodies, cfg))
+			want, wantErr := tc.execute(fresh)
+			got, gotErr := tc.execute(r)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s, execution %d (script %s): reset err %v, fresh err %v", tc.name, i, FormatScript(script), gotErr, wantErr)
+			}
+			if (got == nil) != (want == nil) || got != nil && !reflect.DeepEqual(*got, *want) {
+				t.Fatalf("%s, execution %d (script %s): reset outcome\n%+v\nfresh outcome\n%+v", tc.name, i, FormatScript(script), got, want)
+			}
+			// A paused case leaves both runners paused at the same point.
+			fresh.Close()
+			r.Close()
+		}
+	}
+	pool.Close()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("goroutines: %d before the pool, %d after Close", base, n)
+	}
+}
+
+// TestResetPausedRunnerPanics checks that Reset refuses a runner whose
+// execution is paused, and accepts it once the execution is closed.
+func TestResetPausedRunnerPanics(t *testing.T) {
+	resetPanics := func(r *Runner) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		r.Reset(nil)
+		return false
+	}
+	r := NewRunner(newTestMemory(), []Body{func(p *Proc) Value { return p.Read("R") }}, Config{})
+	defer r.Close()
+	if resetPanics(r) {
+		t.Fatal("Reset of a runner that never started panicked")
+	}
+	if _, err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if !resetPanics(r) {
+		t.Fatal("Reset of a paused runner did not panic")
+	}
+	r.Close()
+	if resetPanics(r) {
+		t.Fatal("Reset after the execution was closed panicked")
 	}
 }
