@@ -2,9 +2,12 @@
 // reports no wall-clock numbers — it is a solvability paper — so the
 // benches measure this reproduction's own cost of (a) mechanically
 // re-verifying its claims and (b) executing each algorithm under crash
-// injection. The figure-level experiments (harness.All) and the model
-// checker's fingerprint are timed by cmd/rcbench, as its harness/E* and
-// mc/fingerprint-incremental entries.
+// injection. The end-to-end numbers of record come from rcperf
+// (BENCHMARK.json), which CI compares with the parent commit in paired
+// runs; the figure-level experiments (harness.All) are checked by
+// TestAllExperimentsPass, and the packages keep their own benchmarks
+// (the model checker's fingerprint is BenchmarkFingerprintIncremental in
+// internal/mc).
 package rcons_test
 
 import (

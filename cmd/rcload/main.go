@@ -2,8 +2,7 @@
 // GET/POST/batch workload (or a single-route one) at a target rate and
 // reports throughput plus tail latency (p50/p99/p999) so serving
 // regressions show up as numbers, not anecdotes. The same traffic
-// engine (internal/load) backs the rcbench serve/* entries and the CI
-// smoke job.
+// engine (internal/load) backs the CI smoke job.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,127 @@ import (
 	"rcons/internal/spec"
 	"rcons/internal/types"
 )
+
+// This file provides brute-force reference implementations of the Q_X
+// and R_{X,j} sets, enumerating every permutation of every subset of
+// distinct processes directly from Definitions 2 and 4 — no counts
+// abstraction, no memoization. They are exponentially slower than QSet
+// and RSet but obviously correct, and the property tests cross-validate
+// the fast implementations against them on randomly generated types
+// (below). They also serve as executable statements of the definitions
+// for readers of the code.
+
+// qSetBrute computes Q_X by enumerating all sequences of distinct
+// processes whose first process is on team x, applying Definitions 4's
+// construction literally.
+func qSetBrute(t spec.Type, w Witness, x int) (map[spec.State]bool, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	out := map[spec.State]bool{}
+	n := w.N()
+	used := make([]bool, n)
+	var rec func(s spec.State, depth int) error
+	rec = func(s spec.State, depth int) error {
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			if depth == 0 && w.Teams[i] != x {
+				continue // the first process must be on team x
+			}
+			ns, _, err := t.Apply(s, w.Ops[i])
+			if err != nil {
+				return fmt.Errorf("checker: brute Q: %w", err)
+			}
+			out[ns] = true
+			used[i] = true
+			if err := rec(ns, depth+1); err != nil {
+				used[i] = false
+				return err
+			}
+			used[i] = false
+		}
+		return nil
+	}
+	if err := rec(w.Q0, 0); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// rSetBrute computes R_{X,j} by enumerating all sequences of distinct
+// processes that include j and start with a process on team x, recording
+// the pair (response of op_j, final state) for every such sequence.
+func rSetBrute(t spec.Type, w Witness, x, j int) (map[RPair]bool, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	if j < 0 || j >= w.N() {
+		return nil, fmt.Errorf("checker: process index %d out of range", j)
+	}
+	out := map[RPair]bool{}
+	n := w.N()
+	used := make([]bool, n)
+	var rec func(s spec.State, depth int, jResp spec.Response, jUsed bool) error
+	rec = func(s spec.State, depth int, jResp spec.Response, jUsed bool) error {
+		if jUsed {
+			out[RPair{Resp: jResp, State: s}] = true
+		}
+		for i := 0; i < n; i++ {
+			if used[i] {
+				continue
+			}
+			if depth == 0 && w.Teams[i] != x {
+				continue
+			}
+			ns, r, err := t.Apply(s, w.Ops[i])
+			if err != nil {
+				return fmt.Errorf("checker: brute R: %w", err)
+			}
+			nResp, nUsed := jResp, jUsed
+			if i == j {
+				nResp, nUsed = r, true
+			}
+			used[i] = true
+			if err := rec(ns, depth+1, nResp, nUsed); err != nil {
+				used[i] = false
+				return err
+			}
+			used[i] = false
+		}
+		return nil
+	}
+	if err := rec(w.Q0, 0, "", false); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// verifyRecordingBrute is VerifyRecording computed from the brute-force
+// Q sets.
+func verifyRecordingBrute(t spec.Type, w Witness) (Result, error) {
+	qa, err := qSetBrute(t, w, TeamA)
+	if err != nil {
+		return Result{}, err
+	}
+	qb, err := qSetBrute(t, w, TeamB)
+	if err != nil {
+		return Result{}, err
+	}
+	for s := range qa {
+		if qb[s] {
+			return fail("condition 1: state %q is in both Q_A and Q_B", s), nil
+		}
+	}
+	if qa[w.Q0] && w.TeamSize(TeamB) != 1 {
+		return fail("condition 2: q0 ∈ Q_A but |B| ≠ 1"), nil
+	}
+	if qb[w.Q0] && w.TeamSize(TeamA) != 1 {
+		return fail("condition 3: q0 ∈ Q_B but |A| ≠ 1"), nil
+	}
+	return Result{OK: true}, nil
+}
 
 // newRandomType draws a random deterministic readable type from the
 // shared generator in internal/atlas — the SAME sampler the census
@@ -80,7 +202,7 @@ func TestQSetMatchesBruteOnRandomTypes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			brute, err := QSetBrute(typ, w, team)
+			brute, err := qSetBrute(typ, w, team)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +227,7 @@ func TestRSetMatchesBruteOnRandomTypes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			brute, err := RSetBrute(typ, w, team, j)
+			brute, err := rSetBrute(typ, w, team, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +249,7 @@ func TestVerifyRecordingMatchesBrute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		brute, err := VerifyRecordingBrute(typ, w)
+		brute, err := verifyRecordingBrute(typ, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +318,7 @@ func TestQSetBruteAgreesOnZooWitnesses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			brute, err := QSetBrute(c.typ, c.w, team)
+			brute, err := qSetBrute(c.typ, c.w, team)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +337,7 @@ func TestQuickWitnessEquivalence(t *testing.T) {
 		typ := newRandomType(rng, 2+rng.Intn(3), 1+rng.Intn(2))
 		w := randomWitness(rng, typ, 2+rng.Intn(3))
 		fast, err1 := VerifyRecording(typ, w)
-		brute, err2 := VerifyRecordingBrute(typ, w)
+		brute, err2 := verifyRecordingBrute(typ, w)
 		return err1 == nil && err2 == nil && fast.OK == brute.OK
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {

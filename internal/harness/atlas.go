@@ -86,9 +86,18 @@ func AtlasCensus(opts Options) (*Report, error) {
 		}
 		r.Rows = append(r.Rows, []string{band, fmt.Sprintf("%d", a.RconsBands[band]), example})
 	}
+	// Each stage's new types, by row source; enumerated classes are never
+	// duplicates, so the rest of Generated came from the mutant stage.
+	kept := map[string]int{}
+	for _, row := range a.Rows {
+		kept[row.Source]++
+	}
+	mutants := a.Generated - kept["enum"] - a.Random
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("universe: %d raw tables → %d distinct types (%d duplicates) at limit %d",
-			a.Raw, a.Types, a.Duplicates, a.Limit),
+		fmt.Sprintf("exhaustive block (%s): %d raw tables → %d classes; random stage: %d tables → %d new types; mutant stage: %d tables → %d new types",
+			a.Bounds, a.Raw, kept["enum"], a.Random, kept["random"], mutants, kept["mutant"]),
+		fmt.Sprintf("universe: %d generated → %d distinct types (%d duplicates) at limit %d",
+			a.Generated, a.Types, a.Duplicates, a.Limit),
 		fmt.Sprintf("zoo comparison: %d types; novel rcons bands: %v", len(a.Zoo), a.NovelRconsBands),
 		fmt.Sprintf("cons>rcons gap gallery: %d entries", len(a.Extremal.Gaps)))
 	if len(a.NovelRconsBands) > 0 {

@@ -32,7 +32,7 @@ func waitState(t *testing.T, m *Manager, id string, want State) Info {
 	return Info{}
 }
 
-func drain(t *testing.T, m *Manager) {
+func drain(t testing.TB, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -1,10 +1,9 @@
 // Package load is the traffic engine behind cmd/rcload: a workload
 // generator for rcserve that drives mixed GET/POST/batch traffic at a
 // target rate and reports throughput plus tail latency (p50/p99/p999)
-// from a fine-grained histogram. The same engine backs the rcbench
-// serve/* entries, so the serving tail is covered by the regression
-// gate, and the CI smoke job, so the counters it provokes (coalescing,
-// rate limiting) are scraped from a live server on every push.
+// from a fine-grained histogram. The same engine backs the CI smoke
+// job, so the counters it provokes (coalescing, rate limiting) are
+// scraped from a live server on every push.
 package load
 
 import (

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"rcons/internal/sim"
 )
 
 // safeChecks are the three exhaustive safe checks rcperf's mc-safe
@@ -54,5 +56,40 @@ func BenchmarkCheckSafe(b *testing.B) {
 		if err := round(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// teamSNProbe is the fingerprint fixture: the Figure 2 target over S_2
+// at a fixed prefix that contains a crash.
+func teamSNProbe(tb testing.TB) *fingerprintProbe {
+	script := []sim.Action{
+		sim.Step(0), sim.Step(1), sim.Step(0), sim.Crash(0),
+		sim.Step(0), sim.Step(1), sim.Step(0),
+	}
+	p, err := newFingerprintProbe(mustTarget(tb, "team-sn", 2), script, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkFingerprintIncremental times the configuration fingerprint
+// alone, on a prefix executed once before the loop.
+func BenchmarkFingerprintIncremental(b *testing.B) {
+	p := teamSNProbe(b)
+	for b.Loop() {
+		p.incremental()
+	}
+}
+
+// TestFingerprintIncrementalAllocs pins the fingerprint, computed at
+// every search node, to no allocation.
+func TestFingerprintIncrementalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	p := teamSNProbe(t)
+	if allocs := testing.AllocsPerRun(100, func() { p.incremental() }); allocs != 0 {
+		t.Fatalf("incremental fingerprint allocated %.1f times per call, want 0", allocs)
 	}
 }

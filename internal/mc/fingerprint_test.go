@@ -116,9 +116,9 @@ func TestFingerprintProbeParity(t *testing.T) {
 		{sim.Step(0), sim.Crash(0), sim.Step(0)},
 		{sim.Step(0), sim.Step(0), sim.Step(1)},
 	}
-	probes := make([]*FingerprintProbe, len(prefixes))
+	probes := make([]*fingerprintProbe, len(prefixes))
 	for i, p := range prefixes {
-		probe, err := NewFingerprintProbe(tgt, p, Options{})
+		probe, err := newFingerprintProbe(tgt, p, Options{})
 		if err != nil {
 			t.Fatalf("prefix %s: %v", sim.FormatScript(p), err)
 		}
@@ -126,7 +126,7 @@ func TestFingerprintProbeParity(t *testing.T) {
 	}
 	for i := range probes {
 		for j := range probes {
-			incEq := probes[i].Incremental() == probes[j].Incremental()
+			incEq := probes[i].incremental() == probes[j].incremental()
 			legEq := probes[i].legacy() == probes[j].legacy()
 			if incEq != legEq {
 				t.Errorf("parity broken between %s and %s: incremental equal=%v, legacy equal=%v",
@@ -135,11 +135,11 @@ func TestFingerprintProbeParity(t *testing.T) {
 		}
 	}
 	for i, p := range prefixes {
-		again, err := NewFingerprintProbe(tgt, p, Options{})
+		again, err := newFingerprintProbe(tgt, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.Incremental() != probes[i].Incremental() {
+		if again.incremental() != probes[i].incremental() {
 			t.Errorf("incremental fingerprint of %s not reproducible across executions",
 				sim.FormatScript(p))
 		}
@@ -163,11 +163,11 @@ func TestClockSensitiveFingerprintDistinguishesPositions(t *testing.T) {
 	b := []sim.Action{sim.Step(0), sim.Step(1), sim.Step(2)}
 
 	fp := func(tgt Target, script []sim.Action) (Fingerprint, Fingerprint) {
-		p, err := NewFingerprintProbe(tgt, script, Options{})
+		p, err := newFingerprintProbe(tgt, script, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Incremental(), p.legacy()
+		return p.incremental(), p.legacy()
 	}
 	for _, tc := range []struct {
 		name string

@@ -83,8 +83,8 @@ func FuzzFingerprintParity(f *testing.F) {
 		tgts := fuzzTargetList(t)
 		tgt := tgts[int(tgtSel)%len(tgts)]
 
-		probe := func(raw []byte) *FingerprintProbe {
-			p, err := NewFingerprintProbe(tgt, decodeSchedule(raw, tgt.Model), Options{})
+		probe := func(raw []byte) *fingerprintProbe {
+			p, err := newFingerprintProbe(tgt, decodeSchedule(raw, tgt.Model), Options{})
 			if err != nil {
 				if errors.Is(err, sim.ErrScript) {
 					return nil // inadmissible prefix (e.g. steps a decided process)
@@ -98,7 +98,7 @@ func FuzzFingerprintParity(f *testing.F) {
 			return
 		}
 
-		incEq := pa.Incremental() == pb.Incremental()
+		incEq := pa.incremental() == pb.incremental()
 		legEq := pa.legacy() == pb.legacy()
 		if incEq != legEq {
 			t.Fatalf("fingerprint parity broken on %s:\n  a=%s\n  b=%s\n  incremental equal=%v, legacy equal=%v",
@@ -110,7 +110,7 @@ func FuzzFingerprintParity(f *testing.F) {
 
 		// Reproducibility: a second independent execution of prefix A
 		// must land on the identical incremental fingerprint.
-		if again := probe(rawA); again == nil || again.Incremental() != pa.Incremental() {
+		if again := probe(rawA); again == nil || again.incremental() != pa.incremental() {
 			t.Fatalf("incremental fingerprint of %v not reproducible", rawA)
 		}
 	})

@@ -16,7 +16,7 @@ import (
 	"rcons/internal/universal"
 )
 
-func mustTarget(t *testing.T, name string, n int) Target {
+func mustTarget(t testing.TB, name string, n int) Target {
 	t.Helper()
 	tgt, err := TargetByName(name, n)
 	if err != nil {

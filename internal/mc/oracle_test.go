@@ -56,9 +56,65 @@ func legacyFingerprint(tgt Target, out *sim.Outcome, m *sim.Memory, crashesUsed 
 	}
 }
 
+// fingerprintProbe holds the executed state of one schedule prefix of a
+// target — memory, outcome, crash usage — with both the rolling digests
+// the incremental fingerprint reads and the full event trace recorded,
+// so the parity tests and FuzzFingerprintParity can compare it with the
+// textual reference fingerprint on exactly the same configuration.
+// BenchmarkFingerprintIncremental times incremental on it; the search
+// itself records only the digests.
+type fingerprintProbe struct {
+	s       *search
+	m       *sim.Memory
+	out     *sim.Outcome
+	crashes int
+}
+
+// newFingerprintProbe executes the schedule prefix against a fresh
+// instance of tgt (halting at the script's end, exactly like a search
+// node) and captures the reached configuration. Inadmissible scripts
+// surface as errors wrapping sim.ErrScript.
+func newFingerprintProbe(tgt Target, script []sim.Action, opts Options) (*fingerprintProbe, error) {
+	if tgt.Factory == nil || tgt.Check == nil {
+		return nil, fmt.Errorf("mc: Target.Factory and Target.Check must be set")
+	}
+	if tgt.Model == 0 {
+		tgt.Model = sim.Independent
+	}
+	s := &search{tgt: tgt, opts: opts.filled()}
+	m, bodies, _ := tgt.Factory()
+	cfg := sim.Config{
+		Model:              tgt.Model,
+		Script:             script,
+		HaltAtScriptEnd:    true,
+		DecideRequiresStep: true,
+		MaxSteps:           s.opts.MaxSteps,
+	}
+	r := sim.NewRunner(m, bodies, cfg)
+	r.RecordTrace()
+	r.RecordDigests()
+	out, err := r.Run()
+	if err != nil {
+		return nil, err
+	}
+	crashes := 0
+	for _, a := range script {
+		if a.Kind != sim.ActStep {
+			crashes++
+		}
+	}
+	return &fingerprintProbe{s: s, m: m, out: out, crashes: crashes}, nil
+}
+
+// incremental computes the configuration fingerprint with the default
+// pipeline: Memory.Digest plus the per-process rolling event hashes.
+func (p *fingerprintProbe) incremental() Fingerprint {
+	return p.s.incrementalFingerprint(p.out, p.m, p.crashes)
+}
+
 // legacy fingerprints the probe's configuration with the reference
 // pipeline.
-func (p *FingerprintProbe) legacy() Fingerprint {
+func (p *fingerprintProbe) legacy() Fingerprint {
 	return legacyFingerprint(p.s.tgt, p.out, p.m, p.crashes)
 }
 

@@ -88,7 +88,7 @@ func NewRegistry() *Registry {
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry, used by binaries that have
-// no per-server registry of their own (rcons, rcatlas, rcbench).
+// no per-server registry of their own (rcons, rcatlas).
 func Default() *Registry { return defaultRegistry }
 
 // family returns (creating if needed) the named family, enforcing that
@@ -314,28 +314,6 @@ func (s *series) value() float64 {
 		return float64(s.hist.Count())
 	}
 	return 0
-}
-
-// Snapshot flattens every series into a map keyed by the rendered
-// series name (name{k="v",...}; histograms contribute _count and _sum).
-// It is the machine-readable sibling of WritePrometheus, used by
-// rcbench to embed telemetry in BENCH artifacts and by tests.
-func (r *Registry) Snapshot() map[string]float64 {
-	out := map[string]float64{}
-	for _, f := range r.sortedFamilies() {
-		f.mu.RLock()
-		for _, s := range f.series {
-			id := renderSeriesName(f.name, f.labels, s.values)
-			if s.hist != nil {
-				out[renderSeriesName(f.name+"_count", f.labels, s.values)] = float64(s.hist.Count())
-				out[renderSeriesName(f.name+"_sum", f.labels, s.values)] = s.hist.Sum()
-				continue
-			}
-			out[id] = s.value()
-		}
-		f.mu.RUnlock()
-	}
-	return out
 }
 
 // sortedFamilies returns the families in name order.

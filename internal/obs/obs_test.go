@@ -95,28 +95,6 @@ func TestReRegistrationConflictPanics(t *testing.T) {
 	r.Gauge("rc_x_total", "")
 }
 
-func TestSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("rc_a_total", "", "op").With("get").Add(3)
-	r.Gauge("rc_b", "").With().Set(1.5)
-	h := r.Histogram("rc_lat_seconds", "", []float64{1, 2}).With()
-	h.Observe(0.5)
-	h.Observe(3)
-
-	snap := r.Snapshot()
-	want := map[string]float64{
-		`rc_a_total{op="get"}`: 3,
-		`rc_b`:                 1.5,
-		`rc_lat_seconds_count`: 2,
-		`rc_lat_seconds_sum`:   3.5,
-	}
-	for k, v := range want {
-		if got := snap[k]; got != v {
-			t.Errorf("snapshot[%q] = %v, want %v", k, got, v)
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindCounter.String() != "counter" || KindGauge.String() != "gauge" ||
 		KindHistogram.String() != "histogram" {

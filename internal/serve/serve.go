@@ -51,8 +51,8 @@
 // token bucket — over-budget requests get 429 with Retry-After
 // (rc_http_rate_limited_total), distinct from 503 shedding, which
 // signals server saturation. cmd/rcload drives all of this as a load
-// generator; the rcbench serve/* entries keep throughput and p99 under
-// the regression gate.
+// generator; rcperf's serve-warm and serve-cold workloads keep
+// throughput and latency under the paired benchmark gate.
 //
 // With -store DIR, results persist in a crash-safe content-addressed
 // store under DIR: the engine's search results, census rows and

@@ -46,7 +46,7 @@ func storeHandler(s *Store) http.Handler {
 	return mux
 }
 
-func newPeerFixture(t *testing.T) (*Store, *httptest.Server) {
+func newPeerFixture(t testing.TB) (*Store, *httptest.Server) {
 	t.Helper()
 	remote := mustOpen(t, t.TempDir(), Options{CacheEntries: -1})
 	srv := httptest.NewServer(storeHandler(remote))

@@ -15,7 +15,7 @@ import (
 	"testing"
 )
 
-func mustOpen(t *testing.T, dir string, opts Options) *Store {
+func mustOpen(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
 	s, err := Open(dir, opts)
 	if err != nil {
