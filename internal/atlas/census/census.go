@@ -84,9 +84,9 @@ func rowStoreKey(key string, limit int) string {
 // brute-force differential tests.
 var DefaultRandomBounds = atlas.Bounds{States: 4, Ops: 3, Resps: 3}
 
-// classify classifies one census item. It is a variable so that tests
-// can make a classification fail mid-run.
-var classify = (*engine.Engine).Classify
+// classify classifies one census item on its worker. It is a variable
+// so that tests can make a classification fail mid-run.
+var classify = (*engine.Worker).Classify
 
 // item is one generated candidate awaiting classification.
 type item struct {
@@ -219,56 +219,50 @@ func Run(ctx context.Context, o Options) (*Artifact, error) {
 	})
 	defer stopProgress()
 
-	// Workers claim todo[i] through one atomic index, and stop at the
-	// first error or once ctx is done.
+	// The engine's batch loop claims todo[i] in order; its goroutines
+	// stop at the first error or once ctx is done. Each goroutine times
+	// its items with its own reusable deadline.
 	var (
 		mu       sync.Mutex
 		skipped  []string
 		firstErr error
-		next     atomic.Int64
-		wg       sync.WaitGroup
+		failed   atomic.Bool
 	)
-	for range min(workers, len(todo)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(todo) {
-					return
-				}
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop || ctx.Err() != nil {
-					return
-				}
-				it := todo[i]
-				ictx, cancel := context.WithTimeout(ctx, o.Timeout)
-				c, err := classify(eng, ictx, it.typ, o.Limit)
-				cancel()
-				rowsDone.Add(1)
-				var row Row
-				if err == nil {
-					row = rowFromClassification(c, it.source, it.dims)
-					putRow(it.key, row) // store I/O outside the artifact mutex
-				}
-				mu.Lock()
-				switch {
-				case err == nil:
-					art.Rows[it.key] = row
-				case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-					skipped = append(skipped, it.key)
-				default:
-					if firstErr == nil {
-						firstErr = fmt.Errorf("census: classify %s: %w", it.typ.Name(), err)
-					}
-				}
-				mu.Unlock()
-			}
-		}()
+	deadlines := make([]*itemDeadline, min(workers, len(todo)))
+	for k := range deadlines {
+		deadlines[k] = newItemDeadline(ctx)
 	}
-	wg.Wait()
+	eng.Each(workers, len(todo), func(w *engine.Worker, i int) bool {
+		if failed.Load() || ctx.Err() != nil {
+			return false
+		}
+		it, d := todo[i], deadlines[w.Index()]
+		c, err := classify(w, d.start(o.Timeout), it.typ, o.Limit)
+		d.finish()
+		rowsDone.Add(1)
+		var row Row
+		if err == nil {
+			row = rowFromClassification(c, it.source, it.dims)
+			putRow(it.key, row) // store I/O outside the artifact mutex
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err == nil:
+			art.Rows[it.key] = row
+		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
+			skipped = append(skipped, it.key)
+		default:
+			if firstErr == nil {
+				firstErr = fmt.Errorf("census: classify %s: %w", it.typ.Name(), err)
+			}
+			failed.Store(true)
+		}
+		return true
+	})
+	for _, d := range deadlines {
+		d.stop()
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -231,16 +231,56 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkRun runs whole censuses on the census benchmark's inputs:
-// the 3-state, 2-op, 2-response block plus 300 seeded random tables at
-// limit 3, each on a fresh engine.
+// benchOptions are the census benchmark's inputs: the 3-state, 2-op,
+// 2-response block plus 300 seeded random tables at limit 3.
+func benchOptions() Options {
+	return Options{Bounds: atlas.Bounds{States: 3, Ops: 2, Resps: 2}, Random: 300, RandomBounds: DefaultRandomBounds, Seed: 3, Limit: 3}
+}
+
+// BenchmarkRun runs whole censuses on the census benchmark's inputs,
+// each on a fresh engine.
 func BenchmarkRun(b *testing.B) {
 	b.ReportAllocs()
-	o := Options{Bounds: atlas.Bounds{States: 3, Ops: 2, Resps: 2}, Random: 300, Seed: 3, Limit: 3}
+	o := benchOptions()
 	for b.Loop() {
 		o.Engine = engine.New(engine.Options{})
 		if _, err := Run(context.Background(), o); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestClassifyAllocs pins the allocations of classifying the census
+// benchmark's types on a warm worker, as TestCheckAllocs does for mc.
+// The worker reuses its tables, cursor, ordered run, orbit set and
+// shard scratch, so what remains is each found witness and each search's
+// helper goroutine: on two worker slots, one per search. About 6.7 per
+// type; a census used to make about 63.
+func TestClassifyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const perType = 10 // ceiling per classified type
+	o := benchOptions()
+	items, _, _, err := generate(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	engine.New(engine.Options{Workers: 2}).Each(1, 1, func(w *engine.Worker, _ int) bool {
+		pass := func() {
+			for _, it := range items {
+				if _, err := w.Classify(ctx, it.typ, o.Limit); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pass()
+		if got := testing.AllocsPerRun(3, pass) / float64(len(items)); got > perType {
+			t.Errorf("%.1f allocations per classified type over %d types, want ≤ %d", got, len(items), perType)
+		} else {
+			t.Logf("%.2f allocations per classified type over %d types", got, len(items))
+		}
+		return true
+	})
 }

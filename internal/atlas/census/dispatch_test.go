@@ -108,7 +108,7 @@ func TestCensusCancelledMidRun(t *testing.T) {
 func TestCensusStopsAtFirstError(t *testing.T) {
 	const failAt = 5
 	errInjected := errors.New("injected classification failure")
-	defer func(orig func(*engine.Engine, context.Context, spec.Type, int) (checker.Classification, error)) {
+	defer func(orig func(*engine.Worker, context.Context, spec.Type, int) (checker.Classification, error)) {
 		classify = orig
 	}(classify)
 	o := smallOpts()
@@ -120,14 +120,14 @@ func TestCensusStopsAtFirstError(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			ctx, cancel := context.WithCancel(context.Background())
 			var calls atomic.Int64
-			classify = func(e *engine.Engine, ctx context.Context, typ spec.Type, limit int) (checker.Classification, error) {
+			classify = func(w *engine.Worker, ctx context.Context, typ spec.Type, limit int) (checker.Classification, error) {
 				if calls.Add(1) == failAt {
 					if !cancelRun {
 						return checker.Classification{}, errInjected
 					}
 					cancel()
 				}
-				return e.Classify(context.WithoutCancel(ctx), typ, limit)
+				return w.Classify(context.WithoutCancel(ctx), typ, limit)
 			}
 			o.Workers = workers
 			o.Engine = engine.New(engine.Options{Workers: workers})

@@ -27,9 +27,9 @@ package checker
 // IndexSearch is the one entry point. Its alphabet slots are the
 // table's op indices, and it checks each candidate of an index shard
 // (as ShardCursor yields them) directly on its per-team slot count
-// vectors, in scratch buffers drawn from a sync.Pool, so a search
-// allocates nothing per candidate: a candidate only passes or fails,
-// and only the passing one becomes a Witness. A shard with more
+// vectors, in scratch buffers the searcher owns and keeps across Reset,
+// so a search allocates nothing per candidate: a candidate only passes
+// or fails, and only the passing one becomes a Witness. A shard with more
 // processes than the dense counts encoding supports, or with an empty
 // team, runs on the interpreted verifier on the table's source type,
 // and so does every shard of a searcher from NewInterpretedSearch (the
@@ -39,7 +39,6 @@ package checker
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"rcons/internal/compile"
 	"rcons/internal/spec"
@@ -86,24 +85,25 @@ func compiledShape(n int, aCounts []int) bool {
 // IndexSearch searches the index shards of one compiled table among n
 // processes for one property: the shards ShardCursor yields, each an
 // initial-state index and a team-A count per table op index, with team
-// B taking the rest of the n processes. A compiled searcher holds
-// pooled scratch from NewIndexSearch to Close, so once that scratch is
-// warm a witness-free shard allocates nothing; an interpreted one holds
-// none. An IndexSearch is used by one goroutine at a time.
+// B taking the rest of the n processes. A compiled searcher owns its
+// scratch and keeps it across Reset, so once that scratch is warm a
+// witness-free shard allocates nothing; an interpreted one holds none.
+// An IndexSearch is used by one goroutine at a time.
 type IndexSearch struct {
-	c         *compile.Compiled
-	n         int
-	recording bool
-	sc        *scratch // nil for an interpreted searcher
+	c           *compile.Compiled
+	n           int
+	recording   bool
+	interpreted bool
+	sc          scratch // unused by an interpreted searcher
 }
 
 // NewIndexSearch returns a compiled searcher over c among n processes
 // for the recording (recording=true) or discerning property. c must
 // pass Searchable and be the table of the alphabet at n.
 func NewIndexSearch(c *compile.Compiled, n int, recording bool) *IndexSearch {
-	sc := scratchPool.Get().(*scratch)
-	sc.setTable(c)
-	return &IndexSearch{c: c, n: n, recording: recording, sc: sc}
+	s := new(IndexSearch)
+	s.Reset(c, n, recording)
+	return s
 }
 
 // NewInterpretedSearch returns a searcher like NewIndexSearch's that
@@ -111,15 +111,16 @@ func NewIndexSearch(c *compile.Compiled, n int, recording bool) *IndexSearch {
 // so no compiled verification runs: the parity oracle that the
 // compiled core is checked against.
 func NewInterpretedSearch(c *compile.Compiled, n int, recording bool) *IndexSearch {
-	return &IndexSearch{c: c, n: n, recording: recording}
+	return &IndexSearch{c: c, n: n, recording: recording, interpreted: true}
 }
 
-// Close returns the searcher's scratch to the pool; the searcher must
-// not be used after.
-func (s *IndexSearch) Close() {
-	if s.sc != nil {
-		scratchPool.Put(s.sc)
-		s.sc = nil
+// Reset re-arms s for another search, over c among n processes, as
+// its constructor would build it: compiled or interpreted as before,
+// and keeping its scratch.
+func (s *IndexSearch) Reset(c *compile.Compiled, n int, recording bool) {
+	s.c, s.n, s.recording = c, n, recording
+	if !s.interpreted {
+		s.sc.setTable(c)
 	}
 }
 
@@ -136,7 +137,7 @@ var errStopped = errors.New("checker: shard search stopped")
 // exactly.
 func (s *IndexSearch) Search(q0 uint16, aCounts []int, stop func() bool) (*Witness, error) {
 	c, n := s.c, s.n
-	if s.sc == nil || !compiledShape(n, aCounts) {
+	if s.interpreted || !compiledShape(n, aCounts) {
 		verify := interpreted(s.recording)
 		sh := shard{q0: c.StateAt(q0), ops: c.Alphabet(), aCounts: aCounts, n: n}
 		w, err := searchShard(context.Background(), c.Source(), sh, func(t spec.Type, w Witness) (Result, error) {
@@ -156,11 +157,6 @@ func (s *IndexSearch) Search(q0 uint16, aCounts []int, stop func() bool) (*Witne
 	w := witnessFromCounts(c.StateAt(q0), c.Alphabet(), aCounts, s.sc.cnt[TeamB])
 	return &w, nil
 }
-
-// scratchPool recycles verification scratch across candidates, shards
-// and the engine's concurrent workers; each user holds its own scratch
-// between Get and Put.
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // scratch holds every buffer one compiled verification needs. Alphabet
 // slots are table op indices. cnt holds the current candidate's
@@ -204,8 +200,16 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// maxKeptVisitedWords bounds the visited set a scratch keeps for its
+// next table, 128 KiB: a long-lived searcher drops a bigger one, left by
+// a big table's DFS, rather than pin it.
+const maxKeptVisitedWords = 1 << 14
+
 // setTable sizes the slot buffers for c's alphabet.
 func (sc *scratch) setTable(c *compile.Compiled) {
+	if cap(sc.visited.bits) > maxKeptVisitedWords || sc.visited.m != nil {
+		*sc = scratch{}
+	}
 	m := c.NumOps()
 	sc.cnt[TeamA] = resize(sc.cnt[TeamA], m)
 	sc.cnt[TeamB] = resize(sc.cnt[TeamB], m)

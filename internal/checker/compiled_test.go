@@ -75,7 +75,6 @@ func TestCompiledShardSearchMatchesInterpreted(t *testing.T) {
 					}
 					searched++
 				}
-				s.Close()
 			}
 		}
 	}
@@ -119,7 +118,6 @@ func TestCompiledVerifierFallback(t *testing.T) {
 			if w, err := s.Search(q0, aCounts, func() bool { return true }); w != nil || err != nil {
 				t.Fatalf("stopped fallback on team-A counts %v returned (%v, %v)", aCounts, w, err)
 			}
-			s.Close()
 		}
 	}
 }
@@ -155,7 +153,6 @@ func TestCompiledShardSearchAllocs(t *testing.T) {
 			}
 		})
 		allocs := testing.AllocsPerRun(20, pass)
-		s.Close()
 		if allocs > cursorAllocs {
 			t.Errorf("%s n=%d (recording=%v): %v allocations per table pass, the cursor alone makes %v",
 				reg.Name(), n, recording, allocs, cursorAllocs)

@@ -14,7 +14,9 @@ import (
 // the index form of a string shard: the position of its initial state
 // in c.InitSeq() and a team-A count per table op index. The table's
 // alphabet is spec.CandidateOps in candidate order, so op index k is
-// the string shard's position k, and the cursor builds no strings. A ShardCursor is used by one goroutine at a time.
+// the string shard's position k, and the cursor builds no strings.
+//
+// A ShardCursor is used by one goroutine at a time.
 type ShardCursor struct {
 	inits  []uint16
 	n      int
@@ -27,10 +29,21 @@ type ShardCursor struct {
 // c's search among n processes; c must be the table of the alphabet at
 // n. Like Search, it rejects process counts below 2.
 func NewShardCursor(c *compile.Compiled, n int) (*ShardCursor, error) {
-	if err := checkN(n); err != nil {
+	cur := new(ShardCursor)
+	if err := cur.Reset(c, n); err != nil {
 		return nil, err
 	}
-	return &ShardCursor{inits: c.InitSeq(), n: n, counts: make([]int, c.NumOps())}, nil
+	return cur, nil
+}
+
+// Reset positions cur before the first shard of c's search among n
+// processes, as NewShardCursor does, reusing its counts buffer.
+func (cur *ShardCursor) Reset(c *compile.Compiled, n int) error {
+	if err := checkN(n); err != nil {
+		return err
+	}
+	*cur = ShardCursor{inits: c.InitSeq(), n: n, counts: resize(cur.counts, c.NumOps())}
+	return nil
 }
 
 func checkN(n int) error {

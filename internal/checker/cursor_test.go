@@ -124,7 +124,6 @@ func TestIndexSearchMatchesInterpreted(t *testing.T) {
 							typ.Name(), n, sh, recording, got, err, want)
 					}
 				}
-				s.Close()
 			}
 		}
 	}
@@ -164,7 +163,6 @@ func TestIndexSearchBeyondCompiledN(t *testing.T) {
 					n, sh, recording, got, err, want)
 			}
 		}
-		s.Close()
 	}
 }
 
@@ -181,7 +179,6 @@ func TestIndexSearchStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewIndexSearch(c, 2, true)
-	defer s.Close()
 	for cur.Next() {
 		if w, _ := s.Search(cur.Q0(), cur.ACounts(), never); w == nil {
 			continue
@@ -197,9 +194,8 @@ func TestIndexSearchStops(t *testing.T) {
 
 // TestIndexSearchAllocs: once an index search's scratch is warm,
 // searching a witness-free shard allocates nothing, however many
-// candidates it checks. The searcher keeps its scratch between shards,
-// so this holds under the race detector too, where sync.Pool drops
-// items at random.
+// candidates it checks. The searcher owns its scratch, so this holds
+// under the race detector too.
 func TestIndexSearchAllocs(t *testing.T) {
 	const n = 3
 	for _, recording := range []bool{true, false} {
@@ -215,7 +211,6 @@ func TestIndexSearchAllocs(t *testing.T) {
 				t.Fatalf("%s shard %+v has a witness", typ.Name(), sh)
 			}
 		})
-		s.Close()
 		if allocs != 0 {
 			t.Errorf("%s shard %+v (recording=%v): %v allocations per shard, want 0",
 				typ.Name(), sh, recording, allocs)

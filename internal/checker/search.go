@@ -56,7 +56,11 @@ func nextMultiset(counts []int) bool {
 // witnessFromCounts materializes a concrete witness from per-team
 // operation multisets: team A processes come first, then team B.
 func witnessFromCounts(q0 spec.State, ops []spec.Op, aCounts, bCounts []int) Witness {
-	w := Witness{Q0: q0}
+	n := 0
+	for k := range aCounts {
+		n += aCounts[k] + bCounts[k]
+	}
+	w := Witness{Q0: q0, Teams: make([]int, 0, n), Ops: make([]spec.Op, 0, n)}
 	for k, c := range aCounts {
 		for i := 0; i < c; i++ {
 			w.Teams = append(w.Teams, TeamA)

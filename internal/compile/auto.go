@@ -21,6 +21,8 @@
 package compile
 
 import (
+	"bytes"
+
 	"rcons/internal/atlas"
 )
 
@@ -59,50 +61,56 @@ func (g *Group) Elements() []Element { return g.elems }
 
 // Automorphisms returns the table's automorphism group, computing it on
 // first use and caching it. Tables beyond the brute-force caps get the
-// trivial group (sound: pruning just never activates).
+// trivial group (sound: pruning just never activates). A table rebuilt
+// by Reset computes its group into the previous one's storage.
 func (c *Compiled) Automorphisms() *Group {
-	c.autoOnce.Do(func() { c.auto = c.computeAutomorphisms() })
+	c.autoOnce.Do(func() { c.auto = c.computeAutomorphisms(c.auto) })
 	return c.auto
 }
 
-func (c *Compiled) computeAutomorphisms() *Group {
-	S, O := len(c.states), len(c.ops)
-	identity := func() *Group {
-		return &Group{elems: []Element{{State: identityPerm(S), Op: identityPerm(O)}}}
+// computeAutomorphisms fills g, or a new group when g is nil, with the
+// table's group.
+func (c *Compiled) computeAutomorphisms(g *Group) *Group {
+	if g == nil {
+		g = new(Group)
 	}
+	S, O := len(c.states), len(c.ops)
 	if S > autoMaxStates || O > autoMaxOps {
-		return identity()
+		g.elems = append(g.elems[:0], Element{State: identityPerm(S), Op: identityPerm(O)})
+		return g
 	}
 	statePerms := atlas.Permutations(S)
 	opPerms := atlas.Permutations(O)
 	if len(statePerms)*len(opPerms) > autoMaxCombos {
-		return identity()
+		// The lexicographically first permutations are the identities.
+		g.elems = append(g.elems[:0], Element{State: statePerms[0], Op: opPerms[0]})
+		return g
 	}
-	isInit := make([]bool, S)
+	var inits uint64 // bit s is set for an initial state s; S ≤ autoMaxStates
 	for _, i := range c.inits {
-		isInit[i] = true
+		inits |= 1 << i
 	}
-	var elems []Element
+	g.elems = g.elems[:0]
 	for _, ps := range statePerms {
-		if !preservesInits(ps, isInit) {
+		if !preservesInits(ps, inits) {
 			continue
 		}
 		for _, po := range opPerms {
 			if c.isAutomorphism(ps, po) {
-				elems = append(elems, Element{State: ps, Op: po})
+				g.elems = append(g.elems, Element{State: ps, Op: po})
 			}
 		}
 	}
 	// atlas.Permutations is lexicographic, so the identity pair is the
 	// first accepted element by construction.
-	return &Group{elems: elems}
+	return g
 }
 
-// preservesInits reports whether ps maps the initial-state set onto
-// itself.
-func preservesInits(ps []int, isInit []bool) bool {
-	for s, init := range isInit {
-		if init && !isInit[ps[s]] {
+// preservesInits reports whether ps maps the initial-state set, a bit
+// per state, onto itself.
+func preservesInits(ps []int, inits uint64) bool {
+	for s, p := range ps {
+		if inits&(1<<s) != 0 && inits&(1<<p) == 0 {
 			return false
 		}
 	}
@@ -132,37 +140,30 @@ func identityPerm(k int) []int {
 	return p
 }
 
+// ShardKey identifies a witness shard's orbit: two bytes for the
+// initial state, then two per op for the team-A counts.
+type ShardKey [2 + 2*autoMaxOps]byte
+
 // CanonicalShardKey returns a key identifying the orbit of the witness
 // shard (q0, team-A op multiset) under the group: the lexicographically
 // minimal encoding of (π(q0), counts∘σ⁻¹) over all group elements. Two
 // shards get the same key exactly when some automorphism maps one to
 // the other; keeping only the first shard of each orbit preserves every
 // search verdict. counts must have NumOps entries (the per-op team-A
-// multiplicities in table op order).
-func (g *Group) CanonicalShardKey(q0 uint16, counts []int) string {
-	cand := make([]byte, 2+2*len(counts))
-	var best []byte
-	for _, el := range g.elems {
+// multiplicities in table op order), and a nontrivial group's table has
+// at most autoMaxOps ops.
+func (g *Group) CanonicalShardKey(q0 uint16, counts []int) ShardKey {
+	var cand, best ShardKey
+	for i, el := range g.elems {
 		q := el.State[q0]
 		cand[0], cand[1] = byte(q), byte(q>>8)
 		for o, c := range counts {
 			no := el.Op[o]
 			cand[2+2*no], cand[3+2*no] = byte(c), byte(c>>8)
 		}
-		if best == nil || lexLess(cand, best) {
-			best = append(best[:0], cand...)
+		if i == 0 || bytes.Compare(cand[:], best[:]) < 0 {
+			best = cand
 		}
 	}
-	return string(best)
-}
-
-// lexLess reports a < b lexicographically; lengths are equal by
-// construction.
-func lexLess(a, b []byte) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return best
 }

@@ -43,8 +43,9 @@ const StateCap = 1 << 14
 // States, ops and responses are assigned indices once at compile time;
 // the transition function is the array pair next/resp with
 // next[s*numOps+o] the successor state index and resp[s*numOps+o] the
-// response index. All slices are immutable after Compile returns, so a
-// Compiled value is safe for concurrent use.
+// response index. All slices are immutable after Compile returns, and
+// until a Reset rebuilds the table, so a Compiled value is safe for
+// concurrent use.
 type Compiled struct {
 	src      spec.Type
 	states   []spec.State
@@ -55,6 +56,10 @@ type Compiled struct {
 	initSeq  []uint16 // indices of src.InitialStates(), in its order
 	inits    []uint16 // sorted unique indices of src.InitialStates()
 	readable bool
+
+	// scratch holds assemble's order, rank and response renumbering;
+	// only a table rebuilt by Reset keeps it.
+	scratch []uint16
 
 	autoOnce sync.Once
 	auto     *Group
@@ -116,10 +121,28 @@ var _ Dense = (*atlas.Table)(nil)
 // exceed StateCap, so it succeeds on every type whose fingerprint is
 // defined — including tables the compiled search rejects.
 func Table(t spec.Type, n int) (*Compiled, error) {
+	c := new(Compiled)
+	if err := c.Reset(t, n); err != nil {
+		return nil, err
+	}
+	c.scratch = nil
+	return c, nil
+}
+
+// Reset makes c the table Table builds for t among n processes,
+// reusing c's storage and its automorphism group's, so rebuilding a
+// table of the same size or smaller allocates nothing when t is Dense.
+// Nothing may use c, its group or any slice either returned once Reset
+// starts, and after an error c holds no table.
+func (c *Compiled) Reset(t spec.Type, n int) error {
+	c.autoOnce, c.searchOnce, c.indexOnce = sync.Once{}, sync.Once{}, sync.Once{}
+	c.searchErr = nil
+	c.stateIdx, c.opIdx = nil, nil
 	if d, ok := t.(Dense); ok {
 		if _, hasN := t.(spec.OpsForN); !hasN {
 			states, ops, resps, next, resp := d.DenseTable()
-			return assemble(t, states, ops, next, resp, resps, nil), nil
+			assemble(c, t, states, ops, next, resp, resps, nil)
+			return nil
 		}
 	}
 	ops := spec.CandidateOps(t, n)
@@ -140,11 +163,11 @@ func Table(t spec.Type, n int) (*Compiled, error) {
 		bfs = append(bfs, s)
 		return uint16(len(bfs) - 1), nil
 	}
-	initSeq := make([]uint16, len(initial))
+	initSeq := resize(c.initSeq, len(initial))
 	for i, q0 := range initial {
 		j, err := visit(q0)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		initSeq[i] = j
 	}
@@ -157,11 +180,11 @@ func Table(t spec.Type, n int) (*Compiled, error) {
 		for _, op := range ops {
 			ns, r, err := t.Apply(bfs[i], op)
 			if err != nil {
-				return nil, fmt.Errorf("compile %s: apply %s to %q: %w", t.Name(), op, bfs[i], err)
+				return fmt.Errorf("compile %s: apply %s to %q: %w", t.Name(), op, bfs[i], err)
 			}
 			j, err := visit(ns)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ri, ok := respIdx[r]
 			if !ok {
@@ -173,54 +196,61 @@ func Table(t spec.Type, n int) (*Compiled, error) {
 			rids = append(rids, ri)
 		}
 	}
-	return assemble(t, bfs, ops, nexts, rids, resps, initSeq), nil
+	assemble(c, t, bfs, ops, nexts, rids, resps, initSeq)
+	return nil
 }
 
-// assemble builds t's Compiled from a table whose states are numbered
+// resize returns s with length n, reallocating only when it lacks the
+// capacity; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// assemble makes c t's table from a table whose states are numbered
 // in any order: labels[i] names state i, and nexts/rids hold its row
 // (width len(ops)) of successors and response ids, which index
-// respLabels. initSeq numbers t's initial states, in their order; nil
-// means every state, in index order.
+// respLabels. initSeq numbers t's initial states, in their order, in
+// storage c may keep; nil means every state, in index order. The
+// table's slices reuse c's storage.
 //
 // The states are sorted by label, and responses renumbered by first
 // occurrence in the sorted row-major order, so the result depends only
 // on the table, not on the order it was numbered in.
-func assemble[I uint8 | uint16](t spec.Type, labels []spec.State, ops []spec.Op, nexts, rids []I,
-	respLabels []spec.Response, initSeq []uint16) *Compiled {
+func assemble[I uint8 | uint16](c *Compiled, t spec.Type, labels []spec.State, ops []spec.Op, nexts, rids []I,
+	respLabels []spec.Response, initSeq []uint16) {
 	// order[k] is the number of the k-th smallest state, and rank its
-	// inverse.
-	order := make([]uint16, len(labels))
+	// inverse; renum[r] is response r's new number plus one, or 0
+	// before its first occurrence.
+	S := len(labels)
+	c.scratch = resize(c.scratch, 2*S+len(respLabels))
+	order, rank, renum := c.scratch[:S], c.scratch[S:2*S], c.scratch[2*S:]
 	for i := range order {
 		order[i] = uint16(i)
 	}
 	slices.SortFunc(order, func(a, b uint16) int { return strings.Compare(string(labels[a]), string(labels[b])) })
-	rank := make([]uint16, len(labels))
-	states := make([]spec.State, len(labels))
+	c.states = resize(c.states, S)
 	for k, i := range order {
 		rank[i] = uint16(k)
-		states[k] = labels[i]
+		c.states[k] = labels[i]
 	}
 	if initSeq == nil {
-		initSeq = rank
+		initSeq = append(c.initSeq[:0], rank...)
 	} else {
 		for i, j := range initSeq {
 			initSeq[i] = rank[j]
 		}
 	}
-	w, cells := len(ops), len(labels)*len(ops)
-	tabs := make([]uint16, 2*cells)
-	c := &Compiled{
-		src:      t,
-		states:   states,
-		ops:      ops,
-		nextTab:  tabs[:cells:cells],
-		respTab:  tabs[cells:],
-		initSeq:  initSeq,
-		readable: types.Readable(t),
-	}
-	// renum[r] is response r's new number plus one, or 0 before its
-	// first occurrence.
-	renum := make([]uint16, len(respLabels))
+	w, cells := len(ops), S*len(ops)
+	// nextTab and respTab share one array, which nextTab's capacity
+	// spans so that the next Reset finds it.
+	tabs := resize(c.nextTab[:cap(c.nextTab)], 2*cells)
+	c.src, c.ops, c.readable = t, ops, types.Readable(t)
+	c.nextTab, c.respTab, c.initSeq = tabs[:cells], tabs[cells:], initSeq
+	c.resps = c.resps[:0]
+	clear(renum)
 	for k, i := range order {
 		for o := range w {
 			cell := int(i)*w + o
@@ -233,10 +263,9 @@ func assemble[I uint8 | uint16](t spec.Type, labels []spec.State, ops []spec.Op,
 			c.respTab[k*w+o] = renum[r] - 1
 		}
 	}
-	c.inits = slices.Clone(initSeq)
+	c.inits = append(c.inits[:0], initSeq...)
 	slices.Sort(c.inits)
 	c.inits = slices.Compact(c.inits)
-	return c
 }
 
 // Searchable reports why the compiled search cannot run on c, or nil
@@ -263,12 +292,17 @@ func (c *Compiled) searchable() error {
 			return fmt.Errorf("compile %s: %w", name, err)
 		}
 	}
-	sorted := slices.Clone(c.ops)
-	slices.Sort(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return fmt.Errorf("compile %s: duplicate operation %q in candidate alphabet", name, sorted[i])
+	// The alphabet holds a handful of ops: compare every pair, and name
+	// the least duplicated one.
+	var dup spec.Op
+	found := false
+	for i, op := range c.ops {
+		if (!found || op < dup) && slices.Contains(c.ops[:i], op) {
+			dup, found = op, true
 		}
+	}
+	if found {
+		return fmt.Errorf("compile %s: duplicate operation %q in candidate alphabet", name, dup)
 	}
 	return nil
 }

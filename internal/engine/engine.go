@@ -17,6 +17,15 @@
 // type, whose alphabet is the same at every n. The table supplies the
 // store key, the symmetry-pruning group and the search itself.
 //
+// Search state is owned, not pooled. A Worker holds one goroutine's
+// level tables (built into storage the Worker keeps), its current
+// search's cursor, ordered run and orbit set, and resets each per use,
+// as sim.Runner.Reset does for mc; each worker slot carries the
+// searcher scratch of whichever goroutine holds it. Each, the engine's
+// one batch loop, gives every goroutine it runs a Worker, so a
+// ClassifyEach batch or a census classifies type after type without
+// allocating search state; a direct Classify call builds its Worker.
+//
 // Classify runs its two scans one after the other, the discerning scan
 // first. An n-recording type is n-discerning (Observation 5 of the
 // paper), so the recording scan searches only the levels up to the
@@ -128,13 +137,14 @@ type Options struct {
 // rcserve requests) so that its worker slots bound them all.
 type Engine struct {
 	workers int
-	// sem holds the engine-wide worker slots; the bound covers every
-	// search at once, not each one. A search's caller takes a slot if
-	// one is free and searches either way, and helpers start only on
+	// slots holds the engine-wide worker slots that are free, each with
+	// the shard scratch its holder checks shards with; the bound covers
+	// every search at once, not each one. A search's caller takes a slot
+	// if one is free and searches either way, and helpers start only on
 	// slots free at that moment, so the goroutines searching never
 	// exceed the callers plus `workers`, and a busy engine (a census, a
 	// batch) runs each search on its caller alone.
-	sem     chan struct{}
+	slots   chan *shardScratch
 	persist Persist // nil when no persistent store is attached
 	pstats  persistStats
 	// classified counts the classifications Classify has derived.
@@ -150,11 +160,27 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{
+	e := &Engine{
 		workers:     w,
-		sem:         make(chan struct{}, w),
+		slots:       make(chan *shardScratch, w),
 		persist:     opts.Persist,
 		interpreted: opts.Interpreted,
+	}
+	for range w {
+		e.slots <- new(shardScratch)
+	}
+	return e
+}
+
+// takeSlot takes a free worker slot, or returns nil when none is free.
+// The holder checks shards with the slot's scratch and gives the slot
+// back by sending it on e.slots.
+func (e *Engine) takeSlot() *shardScratch {
+	select {
+	case sc := <-e.slots:
+		return sc
+	default:
+		return nil
 	}
 }
 
@@ -221,8 +247,31 @@ func (e *Engine) PublishProgress(interval time.Duration, sink obs.Sink, trace st
 // Search itself memoizes nothing.
 func (e *Engine) Search(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
 	tab, _ := compile.Table(t, n)
-	return e.search(ctx, t, p, n, newLevel(tab, n, e.persist != nil))
+	return e.worker(0).search(ctx, t, p, n, newLevel(tab, n, e.persist != nil))
 }
+
+// Worker is the search state of one goroutine classifying on an
+// engine: its current Classify call's levels and their tables, its
+// current search's shared state, and the shard scratch it checks
+// shards with while it holds no worker slot. It resets each of them per
+// use, so a warm Worker classifies a Dense type without allocating
+// beyond the witnesses it returns. A Worker is used by one goroutine at
+// a time: Each gives one to each of its goroutines, and Engine.Classify
+// builds one per call.
+type Worker struct {
+	e      *Engine
+	index  int
+	levels levelTables
+	shards shardSearch
+	own    shardScratch
+}
+
+func (e *Engine) worker(index int) *Worker { return &Worker{e: e, index: index} }
+
+// Index returns w's position among the goroutines of its Each call, so
+// that a caller can keep state per goroutine; it is 0 for a Worker
+// built by Engine.Classify.
+func (w *Worker) Index() int { return w.index }
 
 // level is one process count's compiled table and, when a key needs
 // it, its exact fingerprint. tab is nil when the type has no table (the
@@ -245,8 +294,10 @@ func newLevel(tab *compile.Compiled, n int, keyed bool) level {
 
 // levelTables holds one Classify call's levels for n = 2 … limit; at
 // builds each on first use and shares it with every scan after. keyed
-// says a store is attached, so each level needs its fingerprint. It is
-// used by the one goroutine that runs the call's scans.
+// says a store is attached, so each level needs its fingerprint. Its
+// Worker resets it per call, and each level's table is built into
+// storage that the level keeps for the Worker's later calls: nothing
+// outside the call holds a table.
 type levelTables struct {
 	t     spec.Type
 	keyed bool
@@ -256,22 +307,34 @@ type levelTables struct {
 type lazyLevel struct {
 	built bool
 	l     level
+	tab   compile.Compiled // the storage of l.tab, when the level built one
 }
 
-func (e *Engine) levels(t spec.Type, limit int) levelTables {
-	return levelTables{t: t, keyed: e.persist != nil, lv: make([]lazyLevel, max(limit+1, 0))}
+// reset readies lt for a Classify call of t up to limit.
+func (lt *levelTables) reset(t spec.Type, limit int, keyed bool) {
+	lt.t, lt.keyed = t, keyed
+	if cap(lt.lv) < limit+1 {
+		lt.lv = make([]lazyLevel, limit+1)
+		return
+	}
+	lt.lv = lt.lv[:limit+1]
+	for i := range lt.lv {
+		lt.lv[i].built = false
+	}
 }
 
 // at returns the level at n, building it once. A type without
 // spec.OpsForN has the same alphabet, so the same table, at every n:
 // its levels above 2 share level 2's table, and with it one
 // automorphism group, each under its own fingerprint.
-func (lt levelTables) at(n int) level {
+func (lt *levelTables) at(n int) level {
 	x := &lt.lv[n]
 	if !x.built {
 		var tab *compile.Compiled
 		if _, hasN := lt.t.(spec.OpsForN); hasN || n == 2 {
-			tab, _ = compile.Table(lt.t, n)
+			if x.tab.Reset(lt.t, n) == nil {
+				tab = &x.tab
+			}
 		} else {
 			tab = lt.at(2).tab
 		}
@@ -283,7 +346,8 @@ func (lt levelTables) at(n int) level {
 // search is Search on an already built level l of (t, n). A computed
 // search runs the shard loop on l's table, or the sequential search
 // when l has no searchable table.
-func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l level) (*checker.Witness, error) {
+func (w *Worker) search(ctx context.Context, t spec.Type, p Property, n int, l level) (*checker.Witness, error) {
+	e := w.e
 	if p != Recording && p != Discerning {
 		return nil, fmt.Errorf("engine: invalid property %d", int(p))
 	}
@@ -300,13 +364,13 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	span.SetAttr("n", strconv.Itoa(n))
 	defer span.End()
 	var (
-		w   *checker.Witness
+		wit *checker.Witness
 		err error
 	)
 	if l.tab != nil && l.tab.Searchable() == nil {
-		w, err = e.searchShards(sctx, l.tab, n, p == Recording)
+		wit, err = w.searchShards(sctx, l.tab, n, p == Recording)
 	} else {
-		w, err = e.searchSequential(sctx, t, p, n)
+		wit, err = e.searchSequential(sctx, t, p, n)
 	}
 	if err != nil {
 		span.MarkError()
@@ -317,101 +381,142 @@ func (e *Engine) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	// boxed only when the logger keeps debug records.
 	if logger := obs.LoggerFrom(ctx); logger.Enabled(ctx, slog.LevelDebug) {
 		logger.Debug("engine search computed",
-			"type", t.Name(), "property", p.String(), "n", n, "witness", w != nil)
+			"type", t.Name(), "property", p.String(), "n", n, "witness", wit != nil)
 	}
 	if persisted {
-		e.persistPut(sctx, l.fp, p, n, w)
+		e.persistPut(sctx, l.fp, p, n, wit)
 	}
-	return w, nil
+	return wit, nil
 }
 
 // searchSequential runs the interpreted sequential search of (t, n) for
-// p on one worker slot, for a level with no searchable table.
-func (e *Engine) searchSequential(ctx context.Context, t spec.Type, p Property, n int) (w *checker.Witness, err error) {
-	verify := p.verify()
-	e.fanOut(1, func() { w, err = checker.Search(ctx, t, n, verify) })
+// p on the caller's goroutine, holding a worker slot when one is free,
+// for a level with no searchable table.
+func (e *Engine) searchSequential(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
+	slot := e.takeSlot()
+	w, err := checker.Search(ctx, t, n, p.verify())
+	if slot != nil {
+		e.slots <- slot
+	}
 	return w, err
 }
 
-// fanOut runs work on the calling goroutine, which takes a sem slot
-// when one is free and works either way, plus one helper for each
-// further slot free at this moment, up to count−1, and returns when
-// all have returned. So a busy engine runs a search on its caller's
-// goroutine, whose stack is already grown, and an idle one fans it out.
-func (e *Engine) fanOut(count int, work func()) {
-	held := false
-	select {
-	case e.sem <- struct{}{}:
-		held = true
+// shardScratch is what one goroutine checks shards with: a searcher it
+// re-arms per search and the claimed shard's team-A counts.
+type shardScratch struct {
+	s      *checker.IndexSearch
+	counts []int
+}
+
+// searcher returns sc's searcher re-armed for c among n processes,
+// building it on first use: compiled, or interpreted when interpreted
+// is set, which stays the same for every use of one engine's scratch.
+func (sc *shardScratch) searcher(c *compile.Compiled, n int, recording, interpreted bool) *checker.IndexSearch {
+	switch {
+	case sc.s != nil:
+		sc.s.Reset(c, n, recording)
+	case interpreted:
+		sc.s = checker.NewInterpretedSearch(c, n, recording)
 	default:
+		sc.s = checker.NewIndexSearch(c, n, recording)
 	}
-	var wg sync.WaitGroup
-helpers:
-	for h := 1; h < count; h++ {
-		select {
-		case e.sem <- struct{}{}:
-		default:
-			break helpers
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-			<-e.sem
-		}()
+	if cap(sc.counts) < c.NumOps() {
+		sc.counts = make([]int, c.NumOps())
 	}
-	work()
-	if held {
-		<-e.sem
-	}
-	wg.Wait()
+	sc.counts = sc.counts[:c.NumOps()]
+	return sc.s
+}
+
+// shardSearch is the state that one search's goroutines share: the
+// table, the cursor they claim shards from under the run's lock, the
+// orbit filter that screens the cursor's shards, and the ordered run.
+// Its Worker resets it per search.
+type shardSearch struct {
+	c           *compile.Compiled
+	n           int
+	recording   bool
+	interpreted bool
+	cur         checker.ShardCursor
+	orbits      orbitFilter
+	run         ordered.Run[*checker.Witness]
+	helpers     sync.WaitGroup
 }
 
 // searchShards is the engine's shard loop: it searches c's index shards
 // among n processes on an ordered.Run. A compiled engine keeps only the
 // first shard of each symmetry orbit; an interpreted one checks every
 // shard with the interpreted verifier.
-func (e *Engine) searchShards(ctx context.Context, c *compile.Compiled, n int, recording bool) (*checker.Witness, error) {
-	cur, err := checker.NewShardCursor(c, n)
-	if err != nil {
+//
+// The search runs on the calling goroutine, which takes a worker slot
+// when one is free and searches either way, plus one helper for each
+// further slot free at this moment, up to one per shard. So a busy
+// engine runs a search on its caller's goroutine, whose stack is
+// already grown, and an idle one fans it out. Each goroutine checks
+// shards with its slot's scratch, or the caller with w's own when it
+// holds no slot.
+func (w *Worker) searchShards(ctx context.Context, c *compile.Compiled, n int, recording bool) (*checker.Witness, error) {
+	e, s := w.e, &w.shards
+	if err := s.cur.Reset(c, n); err != nil {
 		return nil, err
 	}
-	r := ordered.New[*checker.Witness](ctx)
-	newSearch := checker.NewInterpretedSearch
-	var orbits *orbitFilter
-	if !e.interpreted {
-		newSearch, orbits = checker.NewIndexSearch, newOrbitFilter(c)
+	s.c, s.n, s.recording, s.interpreted = c, n, recording, e.interpreted
+	s.orbits.reset(c, !e.interpreted)
+	s.run.Reset(ctx)
+	held := e.takeSlot()
+	for h := 1; h < s.cur.Len(); h++ {
+		slot := e.takeSlot()
+		if slot == nil {
+			break
+		}
+		s.helpers.Add(1)
+		go s.help(e, slot)
 	}
-	e.fanOut(cur.Len(), func() {
-		s := newSearch(c, n, recording)
-		defer s.Close()
-		var (
-			i      int
-			q0     uint16
-			counts = make([]int, c.NumOps())
-		)
-		advance := func(int) bool {
-			for cur.Next() {
-				if orbits.first(cur.Q0(), cur.ACounts()) {
-					q0 = cur.Q0()
-					copy(counts, cur.ACounts())
-					return true
-				}
+	if held != nil {
+		s.work(held)
+		e.slots <- held
+	} else {
+		s.work(&w.own)
+	}
+	s.helpers.Wait()
+	return s.run.Result()
+}
+
+// help runs a helper's share of s on the worker slot sc, then frees it.
+func (s *shardSearch) help(e *Engine, sc *shardScratch) {
+	defer s.helpers.Done()
+	s.work(sc)
+	e.slots <- sc
+}
+
+// work claims and checks shards of s with sc until the run has none
+// left to claim.
+func (s *shardSearch) work(sc *shardScratch) {
+	is := sc.searcher(s.c, s.n, s.recording, s.interpreted)
+	var (
+		i      int
+		q0     uint16
+		counts = sc.counts
+	)
+	advance := func(int) bool {
+		for s.cur.Next() {
+			if s.orbits.first(s.cur.Q0(), s.cur.ACounts()) {
+				q0 = s.cur.Q0()
+				copy(counts, s.cur.ACounts())
+				return true
 			}
-			return false
 		}
-		stop := func() bool { return r.Obsolete(i) }
-		for {
-			var ok bool
-			if i, ok = r.Claim(advance); !ok {
-				return
-			}
-			if w, err := s.Search(q0, counts, stop); w != nil || err != nil {
-				r.Finish(i, w, err)
-			}
+		return false
+	}
+	stop := func() bool { return s.run.Obsolete(i) }
+	for {
+		var ok bool
+		if i, ok = s.run.Claim(advance); !ok {
+			return
 		}
-	})
-	return r.Result()
+		if w, err := is.Search(q0, counts, stop); w != nil || err != nil {
+			s.run.Finish(i, w, err)
+		}
+	}
 }
 
 // orbitFilter keeps the first index shard of each orbit under a
@@ -423,24 +528,29 @@ func (e *Engine) searchShards(ctx context.Context, c *compile.Compiled, n int, r
 // never dropped, and every shard before it is witness-free with or
 // without pruning.
 type orbitFilter struct {
-	g    *compile.Group
-	seen map[string]struct{}
+	g    *compile.Group // nil: every shard is kept
+	seen map[compile.ShardKey]struct{}
 }
 
-// newOrbitFilter returns c's filter, or nil when c's group is trivial
-// and every shard is kept.
-func newOrbitFilter(c *compile.Compiled) *orbitFilter {
-	g := c.Automorphisms()
-	if !g.Nontrivial() {
-		return nil
+// reset readies f for a search of c: with prune set and a nontrivial
+// automorphism group, f keeps the first shard of each orbit, and
+// otherwise every shard.
+func (f *orbitFilter) reset(c *compile.Compiled, prune bool) {
+	f.g = nil
+	if !prune || !c.Automorphisms().Nontrivial() {
+		return
 	}
-	return &orbitFilter{g: g, seen: map[string]struct{}{}}
+	f.g = c.Automorphisms()
+	if f.seen == nil {
+		f.seen = map[compile.ShardKey]struct{}{}
+	}
+	clear(f.seen)
 }
 
 // first reports whether shard (q0, counts) is the first of its orbit
 // the filter has seen, recording it.
 func (f *orbitFilter) first(q0 uint16, counts []int) bool {
-	if f == nil {
+	if f.g == nil {
 		return true
 	}
 	key := f.g.CanonicalShardKey(q0, counts)
@@ -451,15 +561,15 @@ func (f *orbitFilter) first(q0 uint16, counts []int) bool {
 	return true
 }
 
-// maxLevel scans property p for n = 2 … limit over the levels lt, with
+// maxLevel scans property p for n = 2 … limit over w's levels, with
 // checker.ScanMax's downward-closure early stop. Every level above
 // bound is answered "no witness" without a search.
-func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit, bound int, lt levelTables) (checker.MaxLevel, error) {
+func (w *Worker) maxLevel(ctx context.Context, t spec.Type, p Property, limit, bound int) (checker.MaxLevel, error) {
 	return checker.ScanMax(limit, func(n int) (*checker.Witness, error) {
 		if n > bound {
 			return nil, nil
 		}
-		return e.search(ctx, t, p, n, lt.at(n))
+		return w.search(ctx, t, p, n, w.levels.at(n))
 	})
 }
 
@@ -470,8 +580,14 @@ func (e *Engine) maxLevel(ctx context.Context, t spec.Type, p Property, limit, b
 // (Observation 5 of the paper), so every level above disc.Max has no
 // recording witness, and is answered so without a search or a store
 // read. Each table is built once, when a scan first needs it, and
-// shared by both scans (see levelTables.at).
+// shared by both scans (see levelTables.at). Classify builds the search
+// state of one call; Each reuses one Worker's across calls.
 func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.Classification, error) {
+	return e.worker(0).Classify(ctx, t, limit)
+}
+
+// Classify is Engine.Classify on w's search state.
+func (w *Worker) Classify(ctx context.Context, t spec.Type, limit int) (checker.Classification, error) {
 	if limit < 2 {
 		return checker.Classification{}, fmt.Errorf("checker: classification limit must be ≥ 2, got %d", limit)
 	}
@@ -479,11 +595,11 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 	span.SetAttr("type", t.Name())
 	span.SetAttr("limit", strconv.Itoa(limit))
 	defer span.End()
-	lt := e.levels(t, limit)
-	disc, err := e.maxLevel(ctx, t, Discerning, limit, limit, lt)
+	w.levels.reset(t, limit, w.e.persist != nil)
+	disc, err := w.maxLevel(ctx, t, Discerning, limit, limit)
 	var rec checker.MaxLevel
 	if err == nil {
-		rec, err = e.maxLevel(ctx, t, Recording, limit, disc.Max, lt)
+		rec, err = w.maxLevel(ctx, t, Recording, limit, disc.Max)
 	}
 	if err != nil {
 		span.MarkError()
@@ -491,43 +607,56 @@ func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 	}
 	c, err := checker.Derive(t, disc, rec)
 	if err == nil {
-		e.classified.Add(1)
+		w.e.classified.Add(1)
 	}
 	return c, err
 }
 
-// ClassifyEach classifies every type in ts on up to Workers goroutines,
-// each claiming the next unclassified item, and reports each item's
-// outcome independently: errs[i] is non-nil exactly when out[i] is not
-// valid. One bad item (a table a theorem rejects, a per-item failure)
-// does not poison the rest of the batch — this is the per-item contract
-// behind rcserve's POST /v1/classify/batch. Both slices keep the order
-// of ts.
-func (e *Engine) ClassifyEach(ctx context.Context, ts []spec.Type, limit int) (out []checker.Classification, errs []error) {
-	out = make([]checker.Classification, len(ts))
-	errs = make([]error, len(ts))
+// Each is the engine's batch loop: it calls item(w, i) for i = 0 …
+// n−1 on min(workers, n) goroutines (workers ≤ 0 means Workers), each
+// with its own Worker w, which item classifies on, and returns when
+// they all have. The goroutines claim indices in order from one
+// counter, and each stops once item returns false or no index is left.
+// w.Index() is below min(workers, n).
+func (e *Engine) Each(workers, n int, item func(w *Worker, i int) bool) {
+	if workers <= 0 {
+		workers = e.workers
+	}
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	for range min(e.workers, len(ts)) {
+	for k := range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := e.worker(k)
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= len(ts) {
+				if i >= n || !item(w, i) {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i], errs[i] = e.Classify(ctx, ts[i], limit)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// ClassifyEach classifies every type in ts on Each's goroutines, and
+// reports each item's outcome independently: errs[i] is non-nil exactly
+// when out[i] is not valid. One bad item (a table a theorem rejects, a
+// per-item failure) does not poison the rest of the batch — this is the
+// per-item contract behind rcserve's POST /v1/classify/batch. Both
+// slices keep the order of ts.
+func (e *Engine) ClassifyEach(ctx context.Context, ts []spec.Type, limit int) (out []checker.Classification, errs []error) {
+	out = make([]checker.Classification, len(ts))
+	errs = make([]error, len(ts))
+	e.Each(e.workers, len(ts), func(w *Worker, i int) bool {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			out[i], errs[i] = w.Classify(ctx, ts[i], limit)
+		}
+		return true
+	})
 	return out, errs
 }
 

@@ -41,7 +41,8 @@ func cursorShards(t *testing.T, c *compile.Compiled, n int) (all, kept []indexSh
 	if err != nil {
 		t.Fatal(err)
 	}
-	orbits := newOrbitFilter(c)
+	var orbits orbitFilter
+	orbits.reset(c, true)
 	for cur.Next() {
 		s := indexShard{q0: cur.Q0(), counts: slices.Clone(cur.ACounts())}
 		all = append(all, s)

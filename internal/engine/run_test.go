@@ -35,8 +35,8 @@ func TestSearchWitnessAcrossWorkers(t *testing.T) {
 			engines["workers="+strconv.Itoa(w)] = New(Options{Workers: w, Interpreted: interp})
 		}
 		held := New(Options{Workers: 3, Interpreted: interp})
-		for range cap(held.sem) {
-			held.sem <- struct{}{}
+		for range cap(held.slots) {
+			<-held.slots
 		}
 		engines["slots held"] = held
 		for _, typ := range types.Zoo() {
@@ -56,8 +56,8 @@ func TestSearchWitnessAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
-		if len(held.sem) != cap(held.sem) {
-			t.Fatalf("searches on a full engine changed its slots: %d of %d held", len(held.sem), cap(held.sem))
+		if len(held.slots) != 0 {
+			t.Fatalf("searches on a full engine changed its slots: %d of %d free", len(held.slots), cap(held.slots))
 		}
 	}
 }
@@ -151,7 +151,7 @@ func checkCancelled(t *testing.T, e *Engine, typ spec.Type, n int) {
 	if after := goroutinesReach(before); after != before {
 		t.Fatalf("%s: goroutines: %d before the search, %d after", name, before, after)
 	}
-	if len(e.sem) != 0 {
-		t.Fatalf("%s: %d worker slots still held", name, len(e.sem))
+	if held := cap(e.slots) - len(e.slots); held != 0 {
+		t.Fatalf("%s: %d worker slots still held", name, held)
 	}
 }

@@ -38,9 +38,17 @@ type Run[T any] struct {
 // New returns a Run that stops claiming, and makes every item obsolete,
 // once ctx is done.
 func New[T any](ctx context.Context) *Run[T] {
-	r := &Run[T]{ctx: ctx, done: ctx.Done()}
-	r.best.Store(math.MaxInt64)
+	r := new(Run[T])
+	r.Reset(ctx)
 	return r
+}
+
+// Reset makes r a fresh run under ctx, as New does, for a caller that
+// keeps one Run across searches. No goroutine may be working on r.
+func (r *Run[T]) Reset(ctx context.Context) {
+	var zero T
+	r.ctx, r.done, r.next, r.v, r.err = ctx, ctx.Done(), 0, zero, nil
+	r.best.Store(math.MaxInt64)
 }
 
 // Obsolete reports whether item i can no longer change the result: a
