@@ -14,6 +14,12 @@ import (
 // channel is replaced only after a fired deadline closed it, and the
 // parent's cancellation reaches every item through one context.AfterFunc
 // registered for the worker's lifetime.
+//
+// Each start hands out d as a new item's context, so Done may return a
+// different channel from one item to the next: an item must not keep
+// its context once it has returned, and the census's classify does
+// not. Against a context.WithTimeout per item, this raised census-cold
+// work_per_s 15% (10 of 10 alternating pairs at 15 s, 2 vCPUs).
 type itemDeadline struct {
 	parent     context.Context
 	timer      *time.Timer // nil until the first start

@@ -200,16 +200,8 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// maxKeptVisitedWords bounds the visited set a scratch keeps for its
-// next table, 128 KiB: a long-lived searcher drops a bigger one, left by
-// a big table's DFS, rather than pin it.
-const maxKeptVisitedWords = 1 << 14
-
 // setTable sizes the slot buffers for c's alphabet.
 func (sc *scratch) setTable(c *compile.Compiled) {
-	if cap(sc.visited.bits) > maxKeptVisitedWords || sc.visited.m != nil {
-		*sc = scratch{}
-	}
 	m := c.NumOps()
 	sc.cnt[TeamA] = resize(sc.cnt[TeamA], m)
 	sc.cnt[TeamB] = resize(sc.cnt[TeamB], m)

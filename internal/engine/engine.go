@@ -17,14 +17,17 @@
 // type, whose alphabet is the same at every n. The table supplies the
 // store key, the symmetry-pruning group and the search itself.
 //
-// Search state is owned, not pooled. A Worker holds one goroutine's
+// All search state belongs to Workers. A Worker holds one goroutine's
 // level tables (built into storage the Worker keeps), its current
-// search's cursor, ordered run and orbit set, and resets each per use,
-// as sim.Runner.Reset does for mc; each worker slot carries the
-// searcher scratch of whichever goroutine holds it. Each, the engine's
-// one batch loop, gives every goroutine it runs a Worker, so a
+// search's cursor, ordered run and orbit set, and the shard scratch
+// that it and its search's helpers check shards with, and resets each
+// per use, as sim.Runner.Reset does for mc. Each, the engine's one
+// batch loop, holds a Worker per goroutine for the whole batch, so a
 // ClassifyEach batch or a census classifies type after type without
-// allocating search state; a direct Classify call builds its Worker.
+// allocating search state; a direct Classify or Search call holds one
+// for the call. A Worker not in use waits in the engine's idle pool (a
+// sync.Pool), where a later call takes it up, or the garbage collector
+// frees it if none does.
 //
 // Classify runs its two scans one after the other, the discerning scan
 // first. An n-recording type is n-discerning (Observation 5 of the
@@ -137,15 +140,15 @@ type Options struct {
 // rcserve requests) so that its worker slots bound them all.
 type Engine struct {
 	workers int
-	// slots holds the engine-wide worker slots that are free, each with
-	// the shard scratch its holder checks shards with; the bound covers
-	// every search at once, not each one. A search's caller takes a slot
-	// if one is free and searches either way, and helpers start only on
-	// slots free at that moment, so the goroutines searching never
-	// exceed the callers plus `workers`, and a busy engine (a census, a
-	// batch) runs each search on its caller alone.
-	slots   chan *shardScratch
-	persist Persist // nil when no persistent store is attached
+	// slots holds a token per free engine-wide worker slot; the bound
+	// covers every search at once, not each one. A search's caller takes
+	// a slot if one is free and searches either way, and helpers start
+	// only on slots free at that moment, so the goroutines searching
+	// never exceed the callers plus `workers`, and a busy engine (a
+	// census, a batch) runs each search on its caller alone.
+	slots   chan struct{}
+	idle    sync.Pool // *Worker, each not in use
+	persist Persist   // nil when no persistent store is attached
 	pstats  persistStats
 	// classified counts the classifications Classify has derived.
 	classified atomic.Int64
@@ -162,27 +165,28 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{
 		workers:     w,
-		slots:       make(chan *shardScratch, w),
+		slots:       make(chan struct{}, w),
 		persist:     opts.Persist,
 		interpreted: opts.Interpreted,
 	}
 	for range w {
-		e.slots <- new(shardScratch)
+		e.slots <- struct{}{}
 	}
 	return e
 }
 
-// takeSlot takes a free worker slot, or returns nil when none is free.
-// The holder checks shards with the slot's scratch and gives the slot
-// back by sending it on e.slots.
-func (e *Engine) takeSlot() *shardScratch {
+// takeSlot takes a free worker slot and reports whether one was free.
+// The holder gives it back with freeSlot.
+func (e *Engine) takeSlot() bool {
 	select {
-	case sc := <-e.slots:
-		return sc
+	case <-e.slots:
+		return true
 	default:
-		return nil
+		return false
 	}
 }
+
+func (e *Engine) freeSlot() { e.slots <- struct{}{} }
 
 // CacheStats reports the engine's cumulative classification count and
 // the persistent store's search counters.
@@ -247,30 +251,42 @@ func (e *Engine) PublishProgress(interval time.Duration, sink obs.Sink, trace st
 // Search itself memoizes nothing.
 func (e *Engine) Search(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
 	tab, _ := compile.Table(t, n)
-	return e.worker(0).search(ctx, t, p, n, newLevel(tab, n, e.persist != nil))
+	w := e.hold(0)
+	defer e.idle.Put(w)
+	return w.search(ctx, t, p, n, newLevel(tab, n, e.persist != nil))
 }
 
 // Worker is the search state of one goroutine classifying on an
 // engine: its current Classify call's levels and their tables, its
-// current search's shared state, and the shard scratch it checks
-// shards with while it holds no worker slot. It resets each of them per
-// use, so a warm Worker classifies a Dense type without allocating
-// beyond the witnesses it returns. A Worker is used by one goroutine at
-// a time: Each gives one to each of its goroutines, and Engine.Classify
-// builds one per call.
+// current search's shared state, and the shard scratch that it and its
+// search's helpers check shards with. It resets each of them per use,
+// so a warm Worker classifies a Dense type without allocating beyond
+// the witnesses it returns. A Worker is held by one goroutine at a
+// time: Each holds one per goroutine, and Engine.Classify and Search
+// one per call.
 type Worker struct {
 	e      *Engine
 	index  int
 	levels levelTables
 	shards shardSearch
-	own    shardScratch
+	// scratch[0] is the caller's; scratch[h] is helper h's, for the
+	// at most `workers` helpers of one search.
+	scratch []shardScratch
 }
 
-func (e *Engine) worker(index int) *Worker { return &Worker{e: e, index: index} }
+// hold takes an idle Worker of e, or builds one, for the goroutine at
+// index; the holder puts it back in e.idle once done with it.
+func (e *Engine) hold(index int) *Worker {
+	w, _ := e.idle.Get().(*Worker)
+	if w == nil {
+		w = &Worker{e: e, scratch: make([]shardScratch, e.workers+1)}
+	}
+	w.index = index
+	return w
+}
 
 // Index returns w's position among the goroutines of its Each call, so
-// that a caller can keep state per goroutine; it is 0 for a Worker
-// built by Engine.Classify.
+// that a caller can keep state per goroutine.
 func (w *Worker) Index() int { return w.index }
 
 // level is one process count's compiled table and, when a key needs
@@ -393,10 +409,10 @@ func (w *Worker) search(ctx context.Context, t spec.Type, p Property, n int, l l
 // p on the caller's goroutine, holding a worker slot when one is free,
 // for a level with no searchable table.
 func (e *Engine) searchSequential(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
-	slot := e.takeSlot()
+	held := e.takeSlot()
 	w, err := checker.Search(ctx, t, n, p.verify())
-	if slot != nil {
-		e.slots <- slot
+	if held {
+		e.freeSlot()
 	}
 	return w, err
 }
@@ -410,7 +426,7 @@ type shardScratch struct {
 
 // searcher returns sc's searcher re-armed for c among n processes,
 // building it on first use: compiled, or interpreted when interpreted
-// is set, which stays the same for every use of one engine's scratch.
+// is set, which stays the same for every use of one engine's Worker.
 func (sc *shardScratch) searcher(c *compile.Compiled, n int, recording, interpreted bool) *checker.IndexSearch {
 	switch {
 	case sc.s != nil:
@@ -451,9 +467,8 @@ type shardSearch struct {
 // when one is free and searches either way, plus one helper for each
 // further slot free at this moment, up to one per shard. So a busy
 // engine runs a search on its caller's goroutine, whose stack is
-// already grown, and an idle one fans it out. Each goroutine checks
-// shards with its slot's scratch, or the caller with w's own when it
-// holds no slot.
+// already grown, and an idle one fans it out. The caller checks shards
+// with w.scratch[0] and helper h with w.scratch[h].
 func (w *Worker) searchShards(ctx context.Context, c *compile.Compiled, n int, recording bool) (*checker.Witness, error) {
 	e, s := w.e, &w.shards
 	if err := s.cur.Reset(c, n); err != nil {
@@ -463,29 +478,24 @@ func (w *Worker) searchShards(ctx context.Context, c *compile.Compiled, n int, r
 	s.orbits.reset(c, !e.interpreted)
 	s.run.Reset(ctx)
 	held := e.takeSlot()
-	for h := 1; h < s.cur.Len(); h++ {
-		slot := e.takeSlot()
-		if slot == nil {
-			break
-		}
+	for h := 1; h < min(s.cur.Len(), len(w.scratch)) && e.takeSlot(); h++ {
 		s.helpers.Add(1)
-		go s.help(e, slot)
+		go s.help(e, &w.scratch[h])
 	}
-	if held != nil {
-		s.work(held)
-		e.slots <- held
-	} else {
-		s.work(&w.own)
+	s.work(&w.scratch[0])
+	if held {
+		e.freeSlot()
 	}
 	s.helpers.Wait()
 	return s.run.Result()
 }
 
-// help runs a helper's share of s on the worker slot sc, then frees it.
+// help runs a helper's share of s with sc on the worker slot taken
+// for it, then frees the slot.
 func (s *shardSearch) help(e *Engine, sc *shardScratch) {
 	defer s.helpers.Done()
 	s.work(sc)
-	e.slots <- sc
+	e.freeSlot()
 }
 
 // work claims and checks shards of s with sc until the run has none
@@ -580,10 +590,12 @@ func (w *Worker) maxLevel(ctx context.Context, t spec.Type, p Property, limit, b
 // (Observation 5 of the paper), so every level above disc.Max has no
 // recording witness, and is answered so without a search or a store
 // read. Each table is built once, when a scan first needs it, and
-// shared by both scans (see levelTables.at). Classify builds the search
-// state of one call; Each reuses one Worker's across calls.
+// shared by both scans (see levelTables.at). Classify holds an idle
+// Worker for the call; Each holds one per goroutine across calls.
 func (e *Engine) Classify(ctx context.Context, t spec.Type, limit int) (checker.Classification, error) {
-	return e.worker(0).Classify(ctx, t, limit)
+	w := e.hold(0)
+	defer e.idle.Put(w)
+	return w.Classify(ctx, t, limit)
 }
 
 // Classify is Engine.Classify on w's search state.
@@ -613,15 +625,12 @@ func (w *Worker) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 }
 
 // Each is the engine's batch loop: it calls item(w, i) for i = 0 …
-// n−1 on min(workers, n) goroutines (workers ≤ 0 means Workers), each
-// with its own Worker w, which item classifies on, and returns when
-// they all have. The goroutines claim indices in order from one
-// counter, and each stops once item returns false or no index is left.
-// w.Index() is below min(workers, n).
+// n−1 on min(workers, n) goroutines, each holding its own Worker w,
+// which item classifies on, and returns when they all have. The
+// goroutines claim indices in order from one counter, and each stops
+// once item returns false or no index is left. w.Index() is below
+// min(workers, n).
 func (e *Engine) Each(workers, n int, item func(w *Worker, i int) bool) {
-	if workers <= 0 {
-		workers = e.workers
-	}
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -630,7 +639,8 @@ func (e *Engine) Each(workers, n int, item func(w *Worker, i int) bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := e.worker(k)
+			w := e.hold(k)
+			defer e.idle.Put(w)
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= n || !item(w, i) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"rcons/internal/atlas"
@@ -40,7 +41,7 @@ func twoStarts() *types.Custom {
 // one it would mis-prune, and ends with its first type again. It runs on
 // compiled and interpreted engines of one worker slot, where the worker
 // checks every shard itself, and of three, where helpers check shards
-// with their slots' scratch.
+// with the worker's helper scratch.
 func TestWorkerReuseMatchesFresh(t *testing.T) {
 	next, resp := make([]uint8, 12), make([]uint8, 12)
 	for i := range next {
@@ -109,6 +110,44 @@ func TestWorkerReuseMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentClassifyMatchesSequential: direct Classify calls from
+// several goroutines at once on one engine pass idle Workers from call
+// to call, and each answer, witnesses included, must still equal
+// checker.Classify's. Run it under -race: a Worker that two calls held
+// at once, or a result that aliased a Worker put back idle, shows here.
+func TestConcurrentClassifyMatchesSequential(t *testing.T) {
+	zoo := types.Zoo()
+	want := make([][]byte, len(zoo))
+	for i, typ := range zoo {
+		c, err := checker.Classify(typ, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = encodeJSON(t, c)
+	}
+	e := New(Options{Workers: 2})
+	const callers = 4
+	var wg sync.WaitGroup
+	for k := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range zoo {
+				i := (j + k*len(zoo)/callers) % len(zoo)
+				c, err := e.Classify(context.Background(), zoo[i], 3)
+				if err != nil {
+					t.Errorf("%s: %v", zoo[i].Name(), err)
+					return
+				}
+				if got, _ := json.Marshal(c); !bytes.Equal(got, want[i]) {
+					t.Errorf("%s: concurrent engine %s, sequential %s", zoo[i].Name(), got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func encodeJSON(t *testing.T, v any) []byte {
