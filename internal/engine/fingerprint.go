@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
@@ -138,6 +139,22 @@ const (
 // labels) share a canonical fingerprint even though their exact
 // Fingerprints differ.
 //
+// The encoding is the text
+//
+//	n_ops=<ops>\ninit=<id>,<id>,…,\n<i>.<j>-><next id>/<resp id>\n…
+//
+// with one row per (discovered state i, op position j), and its
+// SHA-256 is the fingerprint. Every candidate ordering discovers the
+// same number of states, so the header and every "i.j->" prefix sit at
+// the same offsets in every candidate's text; only the ids vary, and
+// each is followed by ',', '/' or newline, which all sort below '0'.
+// Comparing two texts byte by byte is therefore comparing their id
+// sequences element by element in decimal-string order (decimalCmp).
+// The search builds each candidate as that id sequence, abandons it at
+// its first id above the least sequence so far, and renders the text
+// once, for the winner — byte-identical to rendering and comparing
+// every candidate's text.
+//
 // It deliberately does NOT replace Fingerprint as the engine's store
 // key: stored witnesses name concrete states and operations, so serving
 // a witness computed for an isomorphic-but-differently-labelled type
@@ -147,37 +164,54 @@ const (
 //
 // ok is false when the type cannot be canonicalized: an oversized state
 // space, a transition error, or more operations/initial states than the
-// permutation caps allow.
+// permutation caps allow. The caps are checked on the type's alphabet
+// and initial states, before its table is built.
 func CanonicalFingerprint(t spec.Type, n int) (fp string, ok bool) {
+	nOps, nInits := len(spec.CandidateOps(t, n)), len(t.InitialStates())
+	if nOps == 0 || nInits == 0 || nOps > canonicalOpCap || nInits > canonicalInitCap ||
+		factorial(nOps)*factorial(nInits) > canonicalComboCap {
+		return "", false
+	}
 	c, err := compile.Table(t, n)
 	if err != nil {
 		return "", false
 	}
 	inits := c.InitSeq()
-	nOps := c.NumOps()
-	if nOps == 0 || len(inits) == 0 ||
-		nOps > canonicalOpCap || len(inits) > canonicalInitCap {
-		return "", false
-	}
-	if factorial(nOps)*factorial(len(inits)) > canonicalComboCap {
-		return "", false
-	}
 	stateID := make([]int32, c.NumStates())   // discovery number, -1 if unseen
 	respID := make([]int32, c.NumResps())     // first-occurrence number, -1 if unseen
 	order := make([]uint16, 0, c.NumStates()) // states in discovery order
-	intern := func(s uint16) int64 {
+	intern := func(s uint16) int32 {
 		if stateID[s] < 0 {
 			stateID[s] = int32(len(order))
 			order = append(order, s)
 		}
-		return int64(stateID[s])
+		return stateID[s]
 	}
-	var enc, best []byte
+	// A candidate is its id sequence: the initial states' ids, then each
+	// row's next-state and response ids. best is the least complete
+	// candidate so far (nil before the first), and below is set once
+	// cand sorts below it, after which the rest of cand needs no
+	// comparison.
+	cand := make([]int32, 0, len(inits)+2*nOps*c.NumStates())
+	var best []int32
+	below := false
+	// push appends id to cand, reporting false once cand sorts above best.
+	push := func(id int32) bool {
+		if !below {
+			switch decimalCmp(id, best[len(cand)]) {
+			case 1:
+				return false
+			case -1:
+				below = true
+			}
+		}
+		cand = append(cand, id)
+		return true
+	}
+	initPerms := atlas.Permutations(len(inits))
 	for _, opPerm := range atlas.Permutations(nOps) {
-		for _, initPerm := range atlas.Permutations(len(inits)) {
-			// Render the table reachable from the initial states in
-			// initPerm's order under the ops in opPerm's order, using only
-			// discovery indices: no label survives into the encoding.
+	candidates:
+		for _, initPerm := range initPerms {
 			for i := range stateID {
 				stateID[i] = -1
 			}
@@ -186,38 +220,61 @@ func CanonicalFingerprint(t spec.Type, n int) (fp string, ok bool) {
 			}
 			order = order[:0]
 			resps := int32(0)
-			enc = append(enc[:0], "n_ops="...)
-			enc = strconv.AppendInt(enc, int64(nOps), 10)
-			enc = append(enc, "\ninit="...)
+			cand, below = cand[:0], best == nil
 			for _, j := range initPerm {
-				enc = strconv.AppendInt(enc, intern(inits[j]), 10)
-				enc = append(enc, ',')
+				if !push(intern(inits[j])) {
+					continue candidates
+				}
 			}
-			enc = append(enc, '\n')
 			for i := 0; i < len(order); i++ { // order grows as states are discovered
-				for j, o := range opPerm {
+				for _, o := range opPerm {
 					ns, r := c.Apply(order[i], uint16(o))
 					if respID[r] < 0 {
 						respID[r] = resps
 						resps++
 					}
-					enc = strconv.AppendInt(enc, int64(i), 10)
-					enc = append(enc, '.')
-					enc = strconv.AppendInt(enc, int64(j), 10)
-					enc = append(enc, '-', '>')
-					enc = strconv.AppendInt(enc, intern(ns), 10)
-					enc = append(enc, '/')
-					enc = strconv.AppendInt(enc, int64(respID[r]), 10)
-					enc = append(enc, '\n')
+					if !push(intern(ns)) || !push(respID[r]) {
+						continue candidates
+					}
 				}
 			}
-			if best == nil || bytes.Compare(enc, best) < 0 {
-				best = append(best[:0], enc...)
+			if below {
+				cand, best = best[:0], cand
 			}
 		}
 	}
-	sum := sha256.Sum256(best)
+
+	buf := make([]byte, 0, 16+8*len(best))
+	buf = append(buf, "n_ops="...)
+	buf = strconv.AppendInt(buf, int64(nOps), 10)
+	buf = append(buf, "\ninit="...)
+	for _, id := range best[:len(inits)] {
+		buf = strconv.AppendInt(buf, int64(id), 10)
+		buf = append(buf, ',')
+	}
+	buf = append(buf, '\n')
+	for k, rows := 0, best[len(inits):]; 2*k < len(rows); k++ {
+		buf = strconv.AppendInt(buf, int64(k/nOps), 10)
+		buf = append(buf, '.')
+		buf = strconv.AppendInt(buf, int64(k%nOps), 10)
+		buf = append(buf, '-', '>')
+		buf = strconv.AppendInt(buf, int64(rows[2*k]), 10)
+		buf = append(buf, '/')
+		buf = strconv.AppendInt(buf, int64(rows[2*k+1]), 10)
+		buf = append(buf, '\n')
+	}
+	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:]), true
+}
+
+// decimalCmp compares the non-negative a and b the way their decimal
+// strings compare byte by byte ("1" < "10" < "2").
+func decimalCmp(a, b int32) int {
+	if a < 10 && b < 10 {
+		return cmp.Compare(a, b)
+	}
+	var x, y [10]byte
+	return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
 }
 
 func factorial(k int) int {

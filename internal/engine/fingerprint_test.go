@@ -334,6 +334,86 @@ func checkFingerprints(t *testing.T, typ spec.Type, n int) {
 	}
 }
 
+// multiDigitCustom builds the seeded random custom table of
+// TestCanonicalFingerprintMultiDigitIDs: 11–16 states, 2–3 ops, two
+// responses and 1–3 initial states (repeats allowed), so its canonical
+// encodings carry ids of two decimal digits.
+func multiDigitCustom(seed int64) *types.Custom {
+	rng := rand.New(rand.NewSource(seed))
+	states, ops, inits := 11+rng.Intn(6), 2+rng.Intn(2), 1+rng.Intn(3)
+	c := &types.Custom{TypeName: fmt.Sprintf("multi-digit-%d", seed), Transitions: map[string]map[string]types.CustomEdge{}}
+	for i := 0; i < states; i++ {
+		row := map[string]types.CustomEdge{}
+		for j := 0; j < ops; j++ {
+			row[fmt.Sprintf("op%d", j)] = types.CustomEdge{Next: fmt.Sprintf("s%d", rng.Intn(states)), Resp: fmt.Sprintf("r%d", rng.Intn(2))}
+		}
+		c.Transitions[fmt.Sprintf("s%d", i)] = row
+	}
+	for range inits {
+		c.Initial = append(c.Initial, fmt.Sprintf("s%d", rng.Intn(states)))
+	}
+	return c
+}
+
+// TestCanonicalFingerprintMultiDigitIDs checks the canonical
+// fingerprint against its reference on tables whose encodings hold ids
+// of 10 and above, where the text order ("10" < "2") and the numeric
+// order of ids differ. Seeds 956 and 990 are tables on which a search
+// comparing ids numerically picks a different minimum.
+func TestCanonicalFingerprintMultiDigitIDs(t *testing.T) {
+	wide := 0
+	for seed := range int64(1000) {
+		typ := multiDigitCustom(seed)
+		checkFingerprints(t, typ, 2)
+		if c, err := compile.Table(typ, 2); err == nil && c.NumStates() > 10 && len(c.InitSeq()) > 1 {
+			wide++
+		}
+	}
+	if wide == 0 {
+		t.Fatal("no table reaches more than 10 states from more than one initial state")
+	}
+}
+
+// TestCanonicalFingerprintStable pins canonical digests computed before
+// the encoding search was rewritten, so a format drift fails even if
+// referenceCanonicalFingerprint drifted with it: rcserve reports these
+// identities to API consumers.
+func TestCanonicalFingerprintStable(t *testing.T) {
+	var dupInit spec.Type
+	for _, typ := range fingerprintCorpus() {
+		if typ.Name() == "dup-init" {
+			dupInit = typ
+		}
+	}
+	for _, tc := range []struct {
+		typ  spec.Type
+		n    int
+		want string
+	}{
+		{types.NewCAS(), 3, "0814cfa18d77c9c3f92a500f0affa6f5d0c2495a7dd74334dcbe1277ce9ead6d"},
+		{types.NewQueue(4), 3, "07bd715fca9276e83de8b7f4373860eddbaf2d700ec4317198b8530e6130a5c4"},
+		{types.NewSn(3), 3, "eeedcd3df28cce4693d1e87449304eafee88b25a969e03ce4c8f711cd0cced49"},
+		{dupInit, 2, "a618c0dd877e2e20a1bfac93b6b8a1d3038ea8736b496f7462f5672a6c033b28"},
+	} {
+		if got, ok := CanonicalFingerprint(tc.typ, tc.n); !ok || got != tc.want {
+			t.Errorf("CanonicalFingerprint(%s, %d) = %q, %v; want %q", tc.typ.Name(), tc.n, got, ok, tc.want)
+		}
+	}
+}
+
+// TestDecimalCmp checks decimalCmp against the byte order of the
+// decimal strings it stands for.
+func TestDecimalCmp(t *testing.T) {
+	for a := range int32(1200) {
+		for _, b := range []int32{0, 1, 2, 9, 10, 11, 12, 19, 20, 99, 100, 101, 110, 119, 120, 999, 1000, 1100, 1199} {
+			want := strings.Compare(strconv.Itoa(int(a)), strconv.Itoa(int(b)))
+			if got := decimalCmp(a, b); got != want {
+				t.Fatalf("decimalCmp(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
 // TestFingerprintStable pins one concrete digest so an accidental
 // format change (which would orphan every persisted store entry) fails
 // loudly, not just relative to an in-repo oracle.

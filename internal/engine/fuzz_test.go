@@ -11,41 +11,49 @@ import (
 	"rcons/internal/types"
 )
 
-// fuzzTable decodes fuzz bytes into a small total transition table:
-// nStates ∈ 1..4, nOps ∈ 1..3, responses over an alphabet of ≤ 3, one
-// initial state. The same bytes always decode to the same table, so
-// fuzz findings are reproducible.
+// fuzzTable decodes fuzz bytes into a total transition table:
+// nStates ∈ 1..16, nOps ∈ 1..3, responses over an alphabet of ≤ 3, and
+// 1..3 initial states (repeats allowed). Tables past 10 states give the
+// canonical encodings ids of two decimal digits. The same bytes always
+// decode to the same table, so fuzz findings are reproducible.
 type fuzzTable struct {
 	nStates, nOps, nResps int
 	next, resp            [][]int // [state][op]
-	init                  int
+	init                  []int
 }
 
+// decodeTable reads the sizes from the first three bytes (the third
+// also picks the number of initial states), the first initial state
+// from the fourth, then every row's (next, response) pairs and any
+// further initial states. Inputs of at least four bytes always decode:
+// bytes past the end wrap around to the start, so short inputs still
+// reach large tables.
 func decodeTable(data []byte) (*fuzzTable, bool) {
 	if len(data) < 4 {
 		return nil, false
 	}
+	at := func(i int) int { return int(data[i%len(data)]) }
 	ft := &fuzzTable{
-		nStates: int(data[0])%4 + 1,
-		nOps:    int(data[1])%3 + 1,
-		nResps:  int(data[2])%3 + 1,
+		nStates: at(0)%16 + 1,
+		nOps:    at(1)%3 + 1,
+		nResps:  at(2)%3 + 1,
 	}
-	ft.init = int(data[3]) % ft.nStates
-	need := ft.nStates * ft.nOps * 2
-	if len(data) < 4+need {
-		return nil, false
-	}
+	ft.init = []int{at(3) % ft.nStates}
 	pos := 4
 	for s := 0; s < ft.nStates; s++ {
 		nrow := make([]int, ft.nOps)
 		rrow := make([]int, ft.nOps)
 		for o := 0; o < ft.nOps; o++ {
-			nrow[o] = int(data[pos]) % ft.nStates
-			rrow[o] = int(data[pos+1]) % ft.nResps
+			nrow[o] = at(pos) % ft.nStates
+			rrow[o] = at(pos+1) % ft.nResps
 			pos += 2
 		}
 		ft.next = append(ft.next, nrow)
 		ft.resp = append(ft.resp, rrow)
+	}
+	for range at(2) / 3 % 3 {
+		ft.init = append(ft.init, at(pos)%ft.nStates)
+		pos++
 	}
 	return ft, true
 }
@@ -65,20 +73,21 @@ func (ft *fuzzTable) build(name string, state, op, resp func(int) string) *types
 		}
 		tr[state(s)] = row
 	}
-	return &types.Custom{
-		TypeName:    name,
-		Initial:     []string{state(ft.init)},
-		Transitions: tr,
+	c := &types.Custom{TypeName: name, Transitions: tr}
+	for _, s := range ft.init {
+		c.Initial = append(c.Initial, state(s))
 	}
+	return c
 }
 
-// perm3 derives a permutation of 0..k-1 (k ≤ 4) from one fuzz byte.
+// permFromByte derives a permutation of 0..k-1 from one fuzz byte.
 func permFromByte(b byte, k int) []int {
 	p := make([]int, k)
 	for i := range p {
 		p[i] = i
 	}
-	// Fisher–Yates driven by the byte (enough entropy for k ≤ 4).
+	// Fisher–Yates driven by the byte: every permutation for k ≤ 5,
+	// some of them beyond.
 	x := int(b)
 	for i := k - 1; i > 0; i-- {
 		j := x % (i + 1)
@@ -101,6 +110,12 @@ func FuzzFingerprint(f *testing.F) {
 		"\x00\x01\x01\x02\x02\x00" +
 		"\x03\x00\x00\x00\x01\x01" +
 		"\x02\x02\x03\x01\x00\x00"))
+	// 16 states, 2 ops, 2 responses and 3 initial states (0, 5, 11).
+	wide := []byte{15, 1, 7, 0}
+	for s := range 16 {
+		wide = append(wide, byte(s+1), 0, byte(3*s+1), byte(s))
+	}
+	f.Add(append(wide, 5, 11))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ft, ok := decodeTable(data)
 		if !ok {
