@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"rcons/internal/atlas"
@@ -271,14 +270,8 @@ func (s *Server) zooJob(ctx context.Context, raw json.RawMessage) (json.RawMessa
 // the job snapshot: 202 for a newly queued execution, 200 when the
 // submission coalesced onto an existing job or a stored result.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
-		} else {
-			writeError(w, http.StatusBadRequest, "could not read request body")
-		}
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	var req jobSubmitRequest

@@ -86,7 +86,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -318,8 +317,9 @@ type Server struct {
 	// sized by -cache; nil when -cache is not positive.
 	items *lru.Cache[string, []byte]
 
-	// parseTable decodes the custom table a /v1/classify POST carries;
-	// tests substitute it to observe the type a request classifies.
+	// parseTable decodes the custom table a /v1/classify POST or a
+	// batch item carries; tests substitute it to observe the type a
+	// request classifies.
 	parseTable func(body []byte) (spec.Type, error)
 }
 
@@ -650,15 +650,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case http.MethodPost:
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
-			} else {
-				writeError(w, http.StatusBadRequest, "could not read request body")
-			}
+		if body, ok = s.readBody(w, r); !ok {
 			return
 		}
 	default:
@@ -1018,6 +1010,29 @@ func marshalJSON(v any) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// readBody reads the request body, at most -max-body bytes of it. When
+// it cannot, it answers the request itself (413 for a body over the
+// cap, 400 for one that could not be read) and returns false. A body
+// that declares its length within the cap is read into a buffer of
+// that size: io.ReadAll grows its buffer from 512 bytes, which for a
+// 12 KB batch body allocates five times the body in 11 steps.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.cfg.maxBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.maxBody)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+		} else {
+			writeError(w, http.StatusBadRequest, "could not read request body")
+		}
+		return nil, false
+	}
+	return buf.Bytes(), true
 }
 
 func writeRawJSON(w http.ResponseWriter, status int, payload []byte) {

@@ -10,10 +10,7 @@ package serve
 // recomputed searches. Compaction, in contrast, is an operator action
 // and goes through the normal limits.
 
-import (
-	"io"
-	"net/http"
-)
+import "net/http"
 
 // handleStoreGet serves GET /v1/store/{kind}/{addr}: the verified raw
 // envelope bytes at that address, 404 when absent (or when this replica
@@ -44,9 +41,8 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "this replica has no local store")
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "envelope too large or unreadable")
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	if err := s.store.PutRaw(r.PathValue("kind"), r.PathValue("addr"), data); err != nil {

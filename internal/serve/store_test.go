@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"rcons/internal/store"
@@ -66,6 +68,39 @@ func TestStoreRoutes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("tampered PUT accepted: %d", resp.StatusCode)
+	}
+}
+
+// TestBodyReadErrors: every handler that reads a body answers 413 for
+// one past -max-body and 400 for one that cannot be read, the store
+// PUT included (it used to answer 413 for both).
+func TestBodyReadErrors(t *testing.T) {
+	cfg, err := parseFlags([]string{"-store", t.TempDir(), "-log-level", "error"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.maxBody = 256
+	s, _ := testServerFromConfig(t, cfg)
+	h := s.Handler()
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/classify?limit=3"},
+		{http.MethodPost, "/v1/classify/batch"},
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodPut, "/v1/store/search/" + entryAddr(t, s, "search", "k")},
+	} {
+		for _, tc := range []struct {
+			body io.Reader
+			want int
+		}{
+			{iotest.ErrReader(errors.New("connection reset")), http.StatusBadRequest},
+			{strings.NewReader(strings.Repeat("x", 1024)), http.StatusRequestEntityTooLarge},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(route.method, route.path, tc.body))
+			if rec.Code != tc.want {
+				t.Errorf("%s %s: %d %s, want %d", route.method, route.path, rec.Code, rec.Body, tc.want)
+			}
+		}
 	}
 }
 

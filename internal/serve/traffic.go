@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -160,6 +159,9 @@ type batchItem struct {
 	Table json.RawMessage `json:"table,omitempty"`
 }
 
+// batchRequest is a batch body, read by decodeBatchRequest; its json
+// tags are what the reader matches (and what FuzzBatchRequest's
+// json.Unmarshal oracle decodes).
 type batchRequest struct {
 	Limit int         `json:"limit"`
 	Items []batchItem `json:"items"`
@@ -187,18 +189,17 @@ type batchResult struct {
 // than B round trips; each item reports its own error or its
 // classification (canonical fingerprint included).
 func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
-		} else {
-			writeError(w, http.StatusBadRequest, "could not read request body")
-		}
+	body, read := s.readBody(w, r)
+	if !read {
 		return
 	}
-	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeBatchRequest(body, batchMaxItems)
+	if errors.Is(err, errTooManyItems) {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch exceeds this server's cap of %d items", batchMaxItems))
+		return
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid batch request: %v", err))
 		return
 	}
@@ -213,11 +214,6 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Items) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch: provide at least one item")
-		return
-	}
-	if len(req.Items) > batchMaxItems {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d items exceeds this server's cap of %d", len(req.Items), batchMaxItems))
 		return
 	}
 
@@ -250,7 +246,7 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		if item.Type != "" {
 			t, err = types.ByName(item.Type)
 		} else {
-			t, err = types.NewCustomFromJSON(item.Table)
+			t, err = s.parseTable(item.Table)
 		}
 		if err != nil {
 			results[i] = batchResult{Error: err.Error()}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -9,10 +10,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rcons/internal/engine"
+	"rcons/internal/spec"
 	"rcons/internal/types"
 )
 
@@ -219,15 +222,19 @@ func TestClassifyBatch(t *testing.T) {
 func TestClassifyBatchRequestErrors(t *testing.T) {
 	_, ts := testServer(t)
 
-	tooMany := `{"items": [` + strings.Repeat(`{"type":"S_3"},`, batchMaxItems) + `{"type":"S_3"}]}`
+	capFull := `{"items": [` + strings.Repeat(`{"type":"S_3"},`, batchMaxItems)
 	for name, body := range map[string]string{
-		"malformed":      `{not json`,
-		"empty items":    `{"items": []}`,
-		"no items":       `{"limit": 3}`,
-		"limit too big":  `{"limit": 99, "items": [{"type":"S_3"}]}`,
-		"limit too low":  `{"limit": 1, "items": [{"type":"S_3"}]}`,
-		"over item cap":  tooMany,
-		"type and table": `{"items": [{"type":"S_3","table":{}}]}`,
+		"malformed":     `{not json`,
+		"empty items":   `{"items": []}`,
+		"no items":      `{"limit": 3}`,
+		"limit too big": `{"limit": 99, "items": [{"type":"S_3"}]}`,
+		"limit too low": `{"limit": 1, "items": [{"type":"S_3"}]}`,
+		"limit 3.0":     `{"limit": 3.0, "items": [{"type":"S_3"}]}`,
+		"over item cap": capFull + `{"type":"S_3"}]}`,
+		// The read stops at item batchMaxItems+1: what follows is
+		// never looked at, so the cap, not the syntax, is reported.
+		"over item cap, then malformed": capFull + `{"type":"S_3"}, {not json`,
+		"type and table":                `{"items": [{"type":"S_3","table":{}}]}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/classify/batch", "application/json", strings.NewReader(body))
@@ -254,7 +261,71 @@ func TestClassifyBatchRequestErrors(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("batch %q = %d, want 400", name, resp.StatusCode)
 			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if over := strings.HasPrefix(name, "over item cap"); over != strings.Contains(e.Error, "cap of "+strconv.Itoa(batchMaxItems)) {
+				t.Fatalf("batch %q: error %q", name, e.Error)
+			}
 		})
+	}
+}
+
+// TestClassifyBatchMemo pins the item memo's key: a table's bytes as
+// the client sent them, whitespace and newlines included. A repeated
+// batch is answered byte for byte from the memo without parsing any
+// table, and so is a single POST of one of its tables' bytes.
+func TestClassifyBatchMemo(t *testing.T) {
+	cfg, err := parseFlags([]string{"-workers", "4", "-log-level", "error"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parses atomic.Int64
+	s.parseTable = func(b []byte) (spec.Type, error) {
+		parses.Add(1)
+		return types.NewCustomFromJSON(b)
+	}
+	ts := startTestServer(t, s)
+
+	tables := []string{
+		"{ \"name\": \"a\",\n  \"initial\": [\"q0\"],\n  \"transitions\": {\"q0\": {\"op\": {\"next\": \"q1\", \"resp\": \"x\"}},\n                  \"q1\": {\"op\": {\"next\": \"q1\", \"resp\": \"y\"}}}\n}",
+		"{\"name\":\"b\",\t\"initial\":[\"q0\"],\r\n\"transitions\":{\"q0\":{\"op\":{\"next\":\"q0\",\"resp\":\"x\"}}}}",
+	}
+	body := "{\"limit\": 3, \"items\": [\n  {\"type\": \"S_3\"},\n  {\"table\": " + tables[0] + "},\n  {\"table\":" + tables[1] + "  }\n]}"
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d: %s", path, resp.StatusCode, out)
+		}
+		return out
+	}
+
+	first := post("/v1/classify/batch", body)
+	if n := parses.Load(); n != int64(len(tables)) {
+		t.Fatalf("first batch parsed %d tables, want %d", n, len(tables))
+	}
+	if second := post("/v1/classify/batch", body); !bytes.Equal(second, first) {
+		t.Fatalf("repeated batch differs:\n%s\n%s", first, second)
+	}
+	post("/v1/classify?limit=3", tables[0])
+	if n := parses.Load(); n != int64(len(tables)) {
+		t.Fatalf("repeats parsed %d more tables, want 0", n-int64(len(tables)))
 	}
 }
 
