@@ -2,8 +2,11 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"rcons/internal/checker"
@@ -227,4 +230,117 @@ func TestCanonicalFingerprintZoo(t *testing.T) {
 	if fps["S_2"] == fps["S_3"] {
 		t.Fatal("S_2 and S_3 share a canonical fingerprint")
 	}
+}
+
+// searchResultSeeds cover the corners where readSearchResult could part
+// from encoding/json: folded and repeated keys, nulls in every
+// position, a repeated witness merging into the first, arrays decoding
+// over earlier ones, numbers that are not ints, escapes, invalid UTF-8,
+// trailing data and nesting.
+var searchResultSeeds = []string{
+	`{"found":true,"witness":{"q0":"s1","teams":[0,1],"ops":["o0","o1"]}}`,
+	`{"found":true,"witness":{"q0":"s1","teams":[0,1,0],"ops":["o0","o1","o0"]}}`,
+	`{"found":false}`,
+	` { "found" : false , "witness" : null } `,
+	`null`,
+
+	// Keys: folded (K U+212A folds to k, ſ to s), and near misses.
+	`{"FOUND":true,"Witness":{"Q0":"s","TEAMS":[0,1],"oPs":["a","b"]}}`,
+	`{"found":true,"witneſſ":{"q0":"s","teamſ":[0,1],"opſ":["a","b"]}}`,
+	`{"found":true,"witness":{"q0":"s","teams":[0,1],"ops":["a","b"]},"founds":false,"found ":false}`,
+	`{"f\u006fund":true,"witness":{"\u00710":"s","teams":[0,1],"ops":["a","b"]}}`,
+
+	// Repeated keys: last wins, a repeated witness decodes into the
+	// first, and a repeated array over the earlier one's elements.
+	`{"found":false,"found":true,"witness":{"q0":"s","teams":[0,1],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"q0":"s","teams":[0,1]},"witness":{"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"q0":"s","teams":[0,1],"ops":["a","b"]},"witness":null}`,
+	`{"found":true,"witness":{"teams":[1,0,1],"teams":[0],"teams":[null,null],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[1,0,1],"teams":[],"teams":[null,null],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[0,1],"ops":["a","b","c"],"ops":["x"],"ops":[null,null]}}`,
+	`{"found":true,"witness":{"teams":[0,1],"ops":["a","b"],"ops":null}}`,
+
+	// Nulls and values of the wrong type.
+	`{"found":null,"witness":{"q0":null,"teams":[0,1],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"q0":null,"teams":null,"ops":null}}`,
+	`{"found":1}`,
+	`{"found":"true"}`,
+	`{"found":true,"witness":[]}`,
+	`{"found":true,"witness":"w"}`,
+	`{"found":true,"witness":{"q0":1,"teams":[0,1],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":{},"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[0,1],"ops":[1,2]}}`,
+	`[]`,
+	`"x"`,
+	`true`,
+
+	// Team labels and numbers.
+	`{"found":true,"witness":{"teams":[0,2],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[-1,1],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[1.0,0],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[1e0,0],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[-0,1],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[9223372036854775808,1],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[01,1],"ops":["a","b"]}}`,
+
+	// Escapes and invalid UTF-8.
+	`{"found":true,"witness":{"q0":"a\"b\\c\u00e9\ud83d\ude00","teams":[0,1],"ops":["\u0061","b\/"]}}`,
+	`{"found":true,"witness":{"q0":"\ud800","teams":[0,1],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"q0":"\x","teams":[0,1],"ops":["a","b"]}}`,
+	"{\"found\":true,\"witness\":{\"q0\":\"\xff\",\"teams\":[0,1],\"ops\":[\"\xc3\",\"b\"]}}",
+	"{\"found\":true,\"witness\":{\"q0\":\"a\x01\",\"teams\":[0,1],\"ops\":[\"a\",\"b\"]}}",
+
+	// Trailing data, trailing commas, truncations.
+	`{"found":false} x`,
+	`{"found":false}}`,
+	`{"found":false,}`,
+	`{"found":true,"witness":{"teams":[0,1,],"ops":["a","b"]}}`,
+	`{"found":true,"witness":{"teams":[0,1],"ops":["a","b"]`,
+	``,
+	`{`,
+
+	// Nesting in an unknown field.
+	`{"x":` + strings.Repeat(`[{"a":`, 40) + `[]` + strings.Repeat("}]", 40) + `,"found":false}`,
+	`{"x":` + strings.Repeat(`[{"a":`, 40) + `[}` + strings.Repeat("}]", 40) + `,"found":false}`,
+}
+
+// FuzzSearchResult holds readSearchResult to json.Unmarshal into a
+// persistedSearch: the same entries accepted, and on those the same
+// found flag and witness; and decodeSearchResult to that decode plus
+// its checks.
+func FuzzSearchResult(f *testing.F) {
+	for _, s := range searchResultSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want persistedSearch
+		wantErr := json.Unmarshal(data, &want)
+		found, w, err := readSearchResult(data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%.200q:\nreader error: %v\njson.Unmarshal error: %v", data, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		var ww *checker.Witness
+		if want.Witness != nil {
+			ww = &checker.Witness{Q0: spec.State(want.Witness.Q0), Teams: want.Witness.Teams}
+			if want.Witness.Ops != nil {
+				ww.Ops = make([]spec.Op, len(want.Witness.Ops))
+				for i, op := range want.Witness.Ops {
+					ww.Ops[i] = spec.Op(op)
+				}
+			}
+		}
+		if found != want.Found || !reflect.DeepEqual(w, ww) {
+			t.Fatalf("%.200q: decoded found=%v %#v, want found=%v %#v", data, found, w, want.Found, ww)
+		}
+		for n := 2; n <= 3; n++ {
+			wantOK := !want.Found || ww != nil && len(ww.Teams) == n && len(ww.Ops) == n &&
+				!slices.ContainsFunc(ww.Teams, func(t int) bool { return t != checker.TeamA && t != checker.TeamB })
+			if got, ok := decodeSearchResult(data, n); ok != wantOK || ok && want.Found != (got != nil) {
+				t.Fatalf("%.200q at n=%d: ok=%v witness=%v, want ok=%v", data, n, ok, got, wantOK)
+			}
+		}
+	})
 }

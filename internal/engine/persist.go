@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"rcons/internal/checker"
+	"rcons/internal/jsonread"
 	"rcons/internal/obs"
 	"rcons/internal/spec"
 )
@@ -80,24 +81,90 @@ func encodeSearchResult(w *checker.Witness) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// decodeSearchResult parses a stored search outcome; ok is false for
-// an undecodable entry.
-func decodeSearchResult(data []byte) (w *checker.Witness, ok bool) {
-	var p persistedSearch
-	if json.Unmarshal(data, &p) != nil {
+// decodeSearchResult parses a stored search outcome of a search at n
+// processes. ok is false for an entry json.Unmarshal into a
+// persistedSearch would reject, for found:true without a witness, and
+// for a witness that is not n processes on TeamA and TeamB: a checksum
+// proves only that a store or peer kept what some writer wrote, so a
+// misfiled or malformed witness is a miss.
+func decodeSearchResult(data []byte, n int) (w *checker.Witness, ok bool) {
+	found, w, err := readSearchResult(data)
+	if err != nil {
 		return nil, false
 	}
-	if !p.Found {
+	if !found {
 		return nil, true
 	}
-	if p.Witness == nil || len(p.Witness.Teams) != len(p.Witness.Ops) {
+	if w == nil || len(w.Teams) != n || len(w.Ops) != n {
 		return nil, false
 	}
-	w = &checker.Witness{Q0: spec.State(p.Witness.Q0), Teams: p.Witness.Teams}
-	for _, op := range p.Witness.Ops {
-		w.Ops = append(w.Ops, spec.Op(op))
+	for _, t := range w.Teams {
+		if t != checker.TeamA && t != checker.TeamB {
+			return nil, false
+		}
 	}
 	return w, true
+}
+
+// readSearchResult decodes a persistedSearch in one pass, straight into
+// a checker.Witness, accepting and decoding what json.Unmarshal does
+// (FuzzSearchResult holds it to that).
+func readSearchResult(data []byte) (found bool, w *checker.Witness, err error) {
+	r := jsonread.NewReader(data)
+	witness := func(key []byte) error {
+		switch {
+		case jsonread.FieldIs(key, "q0"):
+			s, ok, err := r.String(`"q0"`)
+			if ok {
+				w.Q0 = spec.State(s)
+			}
+			return err
+		case jsonread.FieldIs(key, "teams"):
+			return jsonread.Slice(&r, &w.Teams, `"teams"`, func(_ int, v *int) error {
+				t, ok, err := r.Int("a team")
+				if ok {
+					*v = t
+				}
+				return err
+			})
+		case jsonread.FieldIs(key, "ops"):
+			return jsonread.Slice(&r, &w.Ops, `"ops"`, func(_ int, v *spec.Op) error {
+				s, ok, err := r.String("an op")
+				if ok {
+					*v = spec.Op(s)
+				}
+				return err
+			})
+		}
+		return r.Skip()
+	}
+	err = r.Struct("a search result", func(key []byte) error {
+		switch {
+		case jsonread.FieldIs(key, "found"):
+			b, ok, err := r.Bool(`"found"`)
+			if ok {
+				found = b
+			}
+			return err
+		case jsonread.FieldIs(key, "witness"):
+			switch r.Peek() {
+			case 'n':
+				w = nil
+				return r.Literal("null")
+			case '{':
+				if w == nil {
+					w = &checker.Witness{}
+				}
+				return r.Object(witness)
+			}
+			return r.WrongType(`"witness"`, "an object")
+		}
+		return r.Skip()
+	})
+	if err == nil {
+		err = r.End()
+	}
+	return found, w, err
 }
 
 // persistGet consults the store for a previously computed search
@@ -117,7 +184,7 @@ func (e *Engine) persistGet(ctx context.Context, fp string, p Property, n int) (
 		span.SetAttr("hit", "false")
 		return nil, false
 	}
-	w, ok := decodeSearchResult(data)
+	w, ok := decodeSearchResult(data, n)
 	if !ok {
 		e.pstats.misses.Add(1)
 		span.SetAttr("hit", "false")

@@ -6,9 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
+	"rcons/internal/checker"
+	"rcons/internal/spec"
 	"rcons/internal/store"
 	"rcons/internal/types"
 )
@@ -161,7 +165,7 @@ func TestPersistCorruptEntryIsMiss(t *testing.T) {
 	if !ok {
 		t.Fatal("write-through did not heal the entry")
 	}
-	if r, ok := decodeSearchResult(healed); !ok || r == nil {
+	if r, ok := decodeSearchResult(healed, 3); !ok || r == nil {
 		t.Fatalf("healed entry undecodable: %s", healed)
 	}
 }
@@ -239,7 +243,7 @@ func TestSearchResultCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				back, ok := decodeSearchResult(data)
+				back, ok := decodeSearchResult(data, n)
 				if !ok {
 					t.Fatalf("%s %s n=%d: round-trip decode failed: %s", typ.Name(), prop, n, data)
 				}
@@ -256,13 +260,20 @@ func TestDecodeSearchResultRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		`not json`,
 		`{"found":true}`, // found without witness
-		`{"found":true,"witness":{"teams":[0],"ops":["a","b"]}}`, // length mismatch
+		`{"found":true,"witness":{"teams":[0],"ops":["a","b"]}}`,             // length mismatch
+		`{"found":true,"witness":{"teams":[0,1,0],"ops":["a","b","a"]}}`,     // not the key's n
+		`{"found":true,"witness":{"teams":[0,2],"ops":["a","b"]}}`,           // not a team
+		`{"found":true,"witness":{"teams":[-1,1],"ops":["a","b"]}}`,          // not a team
+		`{"found":true,"witness":{"q0":"s","teams":[0,1],"ops":["a","b"]}}x`, // trailing data
 	} {
-		if _, ok := decodeSearchResult([]byte(bad)); ok {
+		if _, ok := decodeSearchResult([]byte(bad), 2); ok {
 			t.Errorf("decoded garbage %s", bad)
 		}
 	}
-	if w, ok := decodeSearchResult([]byte(`{"found":false}`)); !ok || w != nil {
+	if w, ok := decodeSearchResult([]byte(`{"found":true,"witness":{"q0":"s","teams":[0,1],"ops":["a","b"]}}`), 2); !ok || w == nil {
+		t.Error("a witness of 2 processes failed to decode at n=2")
+	}
+	if w, ok := decodeSearchResult([]byte(`{"found":false}`), 2); !ok || w != nil {
 		t.Error("negative result failed to decode")
 	}
 }
@@ -284,4 +295,88 @@ func TestPersistKeysAreDistinct(t *testing.T) {
 		t.Fatalf("key schema collides: %d distinct keys, want 8", len(keys))
 	}
 	_ = fmt.Sprintf("%v", keys)
+}
+
+// lyingPersist answers every search read with a checksummed-looking
+// entry that bad builds from the key's n, and keeps no writes: a store
+// or peer holding misfiled or malformed witnesses.
+type lyingPersist struct {
+	mu   sync.Mutex
+	bad  func(n int) string
+	gets int
+}
+
+func (l *lyingPersist) Get(_ context.Context, kind, key string) ([]byte, bool, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.gets++
+	n, err := strconv.Atoi(key[strings.LastIndexByte(key, '/')+1:])
+	if err != nil {
+		return nil, false, err
+	}
+	return []byte(l.bad(n)), true, nil
+}
+
+func (l *lyingPersist) Put(context.Context, string, string, []byte) error { return nil }
+
+// TestPersistRejectsMalformedWitness: a stored witness of the wrong
+// length for its key, with a label that is no team, or a found:true
+// without one is a miss. The engine recomputes, so the classification
+// is the one an engine without a store derives.
+func TestPersistRejectsMalformedWitness(t *testing.T) {
+	ctx := context.Background()
+	typ := types.NewSn(3)
+	want, err := New(Options{Workers: 2}).Classify(ctx, typ, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	witness := func(teams []int) string {
+		ops := make([]string, len(teams))
+		for i := range ops {
+			ops[i] = "op"
+		}
+		data, err := json.Marshal(persistedSearch{Found: true, Witness: &persistedWitness{Q0: "q", Teams: teams, Ops: ops}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for name, bad := range map[string]func(n int) string{
+		"one-process-too-many":  func(n int) string { return witness(append(make([]int, n), 1)) },
+		"one-process-too-few":   func(n int) string { return witness(append(make([]int, n-2), 1)) },
+		"not-a-team":            func(n int) string { return witness(append(make([]int, n-1), 2)) },
+		"found-without-witness": func(int) string { return `{"found":true}` },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := &lyingPersist{bad: bad}
+			e := New(Options{Workers: 2, Persist: p})
+			got, err := e.Classify(ctx, typ, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("classification changed:\n%+v\nwant\n%+v", got, want)
+			}
+			s := e.Stats()
+			if s.PersistHits != 0 || s.PersistMisses == 0 || s.PersistMisses != int64(p.gets) {
+				t.Fatalf("persist stats %+v after %d reads, want every read a miss", s, p.gets)
+			}
+		})
+	}
+}
+
+// BenchmarkSearchResultDecode is what a persist hit pays to read a
+// stored witness of 3 processes.
+func BenchmarkSearchResultDecode(b *testing.B) {
+	data, err := encodeSearchResult(&checker.Witness{Q0: "s1", Teams: []int{0, 1, 0}, Ops: []spec.Op{"o0", "o1", "o0"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if w, ok := decodeSearchResult(data, 3); !ok || w == nil {
+			b.Fatal("decode failed")
+		}
+	}
 }

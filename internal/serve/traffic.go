@@ -277,36 +277,44 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 		s.itemPut(keys[j], payload)
 		results[i] = batchResult{OK: true, Classification: json.RawMessage(payload)}
 	}
-	ok := 0
-	for _, res := range results {
-		if res.OK {
-			ok++
-		}
-	}
 	// Assemble the response by hand: the item payloads are JSON we
 	// marshaled ourselves, so splicing them verbatim skips a full
 	// re-encode (and re-compaction) of what is by far the largest part
 	// of the body. The envelope counters deliberately precede the items
 	// array — clients that only want the tallies (rcload) can stop
-	// parsing before the bulk.
+	// parsing before the bulk. Every item's bytes are known before the
+	// body is written, so the buffer grows once, to the body's size.
+	const okPrefix = `{"ok":true,"classification":`
+	items := make([][]byte, len(results))
+	ok, size := 0, 64
+	for i, res := range results {
+		item := res.Classification
+		if res.OK {
+			ok++
+			size += len(okPrefix) + len("}")
+		} else {
+			var err error
+			if item, err = marshalJSON(res); err != nil {
+				writeError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
+		}
+		items[i] = bytes.TrimSuffix(item, []byte("\n"))
+		size += len(items[i]) + len(",")
+	}
 	var buf bytes.Buffer
-	buf.Grow(64 + len(results)*1024)
+	buf.Grow(size)
 	fmt.Fprintf(&buf, `{"limit":%d,"count":%d,"ok":%d,"items":[`, limit, len(results), ok)
-	for i := range results {
+	for i, item := range items {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
 		if results[i].OK {
-			buf.WriteString(`{"ok":true,"classification":`)
-			buf.Write(bytes.TrimSuffix(results[i].Classification, []byte("\n")))
+			buf.WriteString(okPrefix)
+			buf.Write(item)
 			buf.WriteByte('}')
 		} else {
-			item, err := marshalJSON(results[i])
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			buf.Write(bytes.TrimSuffix(item, []byte("\n")))
+			buf.Write(item)
 		}
 	}
 	buf.WriteString("]}\n")

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -83,6 +84,23 @@ func BenchmarkPeerHit(b *testing.B) {
 	for b.Loop() {
 		if _, ok, err := p.Get(ctx, "search", "bench-key"); !ok || err != nil {
 			b.Fatalf("peer get: ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// BenchmarkEnvelopeDecode is the verification every disk hit pays: one
+// pass over an envelope holding a search result under a
+// fingerprint-shaped key, with its payload checksum.
+func BenchmarkEnvelopeDecode(b *testing.B) {
+	data, _, err := encodeEnvelope("search", strings.Repeat("3f", 32)+"/recording/3", benchPayload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := decodeEnvelope(data); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

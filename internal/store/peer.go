@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -136,14 +135,13 @@ func (p *Peer) Get(ctx context.Context, kind, key string) ([]byte, bool, error) 
 		return fail(fmt.Errorf("store: peer %s: envelope exceeds %d bytes", p.base, maxPeerEnvelope))
 	}
 	// Checksum re-verified on receipt: trust nothing a wire delivered.
-	var env envelope
-	if json.Unmarshal(data, &env) != nil || env.Version != Version ||
-		env.Kind != kind || env.Key != key || env.Checksum != checksum(env.Payload) {
+	e, err := decodeEnvelope(data)
+	if err != nil || string(e.kind) != kind || string(e.key) != key {
 		return fail(fmt.Errorf("store: peer %s served a corrupt or mismatched envelope for %s", p.base, kind))
 	}
 	p.hits.Add(1)
 	span.SetAttr("hit", "true")
-	return append([]byte(nil), env.Payload...), true, nil
+	return e.payload, true, nil
 }
 
 // Put ships (kind, key, payload) to the peer as a canonical envelope

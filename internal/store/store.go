@@ -107,6 +107,7 @@ import (
 	"strings"
 	"sync"
 
+	"rcons/internal/jsonread"
 	"rcons/internal/lru"
 	"rcons/internal/obs"
 )
@@ -724,7 +725,7 @@ func addr(kind, key string) string {
 
 // rawAddr derives the content address of (kind, key): a SHA-256 over
 // both. It keys the index and stands in every record's frame.
-func rawAddr(kind, key string) [32]byte {
+func rawAddr[S string | []byte](kind, key S) [32]byte {
 	var buf [256]byte
 	return sha256.Sum256(append(append(append(buf[:0], kind...), 0), key...))
 }
@@ -786,21 +787,94 @@ func encodeEnvelope(kind, key string, payload []byte) (data []byte, env envelope
 	return data, env, nil
 }
 
-// decodeEnvelope parses and verifies envelope bytes: the current
-// version and a payload matching its checksum. Identity is the caller's
-// to check.
-func decodeEnvelope(data []byte) (envelope, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return env, fmt.Errorf("store: not an envelope: %w", err)
+// entry is an envelope as decodeEnvelope reads it: its kind and key,
+// and its payload as a subslice of the envelope bytes.
+type entry struct {
+	kind, key, payload []byte
+}
+
+// decodeEnvelope parses and verifies envelope bytes in one pass: the
+// current version and a payload matching its checksum. Identity is the
+// caller's to check. It accepts what json.Unmarshal into an envelope,
+// followed by those checks, accepts (FuzzEnvelope); a kind or key that
+// needs no unquoting and the payload are read in place, not copied.
+func decodeEnvelope(data []byte) (entry, error) {
+	var (
+		e       entry
+		version int
+		sum     []byte
+	)
+	r := jsonread.NewReader(data)
+	str := func(dst *[]byte, what string) error {
+		s, ok, err := r.String(what)
+		if ok {
+			*dst = s
+		}
+		return err
 	}
-	if env.Version != Version {
-		return env, fmt.Errorf("store: envelope has version %d, want %d", env.Version, Version)
+	err := r.Struct("an envelope", func(k []byte) error {
+		switch {
+		case jsonread.FieldIs(k, "version"):
+			n, ok, err := r.Int(`"version"`)
+			if ok {
+				version = n
+			}
+			return err
+		case jsonread.FieldIs(k, "kind"):
+			return str(&e.kind, `"kind"`)
+		case jsonread.FieldIs(k, "key"):
+			return str(&e.key, `"key"`)
+		case jsonread.FieldIs(k, "checksum"):
+			return str(&sum, `"checksum"`)
+		case jsonread.FieldIs(k, "payload"):
+			raw, err := r.Raw()
+			if err == nil {
+				e.payload = raw
+			}
+			return err
+		}
+		return r.Skip()
+	})
+	if err == nil {
+		err = r.End()
 	}
-	if env.Checksum != checksum(env.Payload) {
-		return env, fmt.Errorf("store: envelope checksum mismatch for %s/%s", env.Kind, env.Key)
+	if err != nil {
+		// encoding/json words the error, as it did when it decoded.
+		if jerr := json.Unmarshal(data, new(envelope)); jerr != nil {
+			err = jerr
+		}
+		return entry{}, fmt.Errorf("store: not an envelope: %w", err)
 	}
-	return env, nil
+	if version != Version {
+		return entry{}, fmt.Errorf("store: envelope has version %d, want %d", version, Version)
+	}
+	if !sumMatches(sum, e.payload) {
+		return entry{}, fmt.Errorf("store: envelope checksum mismatch for %s/%s", e.kind, e.key)
+	}
+	return e, nil
+}
+
+// sumMatches reports whether sum is checksum(payload), comparing the
+// 32 digest bytes it spells rather than rendering the expected text.
+func sumMatches(sum, payload []byte) bool {
+	const prefix = "sha256:"
+	var want [sha256.Size]byte
+	if len(sum) != len(prefix)+2*len(want) || string(sum[:len(prefix)]) != prefix {
+		return false
+	}
+	for i, h := range sum[len(prefix):] {
+		var v byte
+		switch {
+		case '0' <= h && h <= '9':
+			v = h - '0'
+		case 'a' <= h && h <= 'f': // lowercase only, as checksum writes it
+			v = h - 'a' + 10
+		default:
+			return false
+		}
+		want[i/2] = want[i/2]<<4 | v
+	}
+	return sha256.Sum256(payload) == want
 }
 
 // read returns the verified envelope stored at address a, and its raw
@@ -808,7 +882,7 @@ func decodeEnvelope(data []byte) (envelope, error) {
 // Store looking for what other writers appended. A record that fails
 // verification — its frame, its address, its envelope, or match, the
 // caller's identity check — is quarantined and reported absent.
-func (s *Store) read(a *[32]byte, match func(*envelope) bool) (*rec, envelope, []byte, bool, error) {
+func (s *Store) read(a *[32]byte, match func(*entry) bool) (*rec, entry, []byte, bool, error) {
 	wl := s.writeLock(a)
 	wl.Lock()
 	defer wl.Unlock()
@@ -817,13 +891,13 @@ func (s *Store) read(a *[32]byte, match func(*envelope) bool) (*rec, envelope, [
 	s.mu.Unlock()
 	if r == nil {
 		if err := s.lookAgain(); err != nil {
-			return nil, envelope{}, nil, false, err
+			return nil, entry{}, nil, false, err
 		}
 		s.mu.Lock()
 		r = s.idx.get(*a)
 		s.mu.Unlock()
 		if r == nil {
-			return nil, envelope{}, nil, false, nil
+			return nil, entry{}, nil, false, nil
 		}
 	}
 	buf := make([]byte, frameHeader+r.size)
@@ -833,16 +907,16 @@ func (s *Store) read(a *[32]byte, match func(*envelope) bool) (*rec, envelope, [
 		s.mu.Lock()
 		s.idx.remove(r)
 		s.mu.Unlock()
-		return nil, envelope{}, nil, false, nil
+		return nil, entry{}, nil, false, nil
 	}
 	fr, n, ok, _ := parseFrame(buf)
 	if ok && n == len(buf) && fr.typ == typeRecord && fr.addr == *a {
-		if env, err := decodeEnvelope(fr.body); err == nil && match(&env) {
-			return r, env, fr.body, true, nil
+		if e, err := decodeEnvelope(fr.body); err == nil && match(&e) {
+			return r, e, fr.body, true, nil
 		}
 	}
 	s.quarantineRec(r, buf)
-	return nil, envelope{}, nil, false, nil
+	return nil, entry{}, nil, false, nil
 }
 
 // quarantineRec moves the record r aside after a read failed to verify
@@ -893,7 +967,7 @@ func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error)
 		}
 		s.mu.Unlock()
 	}
-	r, env, _, ok, err := s.read(&a, func(env *envelope) bool { return env.Kind == kind && env.Key == key })
+	r, e, _, ok, err := s.read(&a, func(e *entry) bool { return string(e.kind) == kind && string(e.key) == key })
 	if err != nil {
 		span.MarkError()
 		return nil, false, err
@@ -906,10 +980,10 @@ func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error)
 	s.mu.Lock()
 	s.stats.DiskHits++
 	s.idx.touch(r)
-	s.rememberLocked(a, env.Payload)
+	s.rememberLocked(a, e.payload)
 	s.mu.Unlock()
 	span.SetAttr("tier", "disk")
-	return env.Payload, true, nil
+	return e.payload, true, nil
 }
 
 // GetRaw returns the verified raw envelope bytes stored at (kind,
@@ -924,11 +998,11 @@ func (s *Store) GetRaw(kind, address string) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, fmt.Errorf("store: invalid address %q (want 64 lowercase hex)", address)
 	}
-	r, env, raw, ok, err := s.read(&a, func(env *envelope) bool { return rawAddr(env.Kind, env.Key) == a })
+	r, e, raw, ok, err := s.read(&a, func(e *entry) bool { return rawAddr(e.kind, e.key) == a })
 	if err != nil {
 		return nil, false, err
 	}
-	if !ok || env.Kind != kind { // a sound record of another kind is no hit
+	if !ok || string(e.kind) != kind { // a sound record of another kind is no hit
 		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false, nil
 	}
@@ -1003,18 +1077,18 @@ func (s *Store) holds(r *rec, data []byte) bool {
 // the payload under its recorded identity via the normal Put path, so
 // the stored record is byte-identical to a locally computed one.
 func (s *Store) PutRaw(kind, addrHint string, data []byte) error {
-	env, err := decodeEnvelope(data)
+	e, err := decodeEnvelope(data)
 	if err != nil {
 		return err
 	}
-	if env.Kind != kind {
-		return fmt.Errorf("store: raw entry kind %q does not match route kind %q", env.Kind, kind)
+	if string(e.kind) != kind {
+		return fmt.Errorf("store: raw entry kind %q does not match route kind %q", e.kind, kind)
 	}
-	a := rawAddr(env.Kind, env.Key)
+	a := rawAddr(e.kind, e.key)
 	if hexAddr := hex.EncodeToString(a[:]); addrHint != "" && hexAddr != addrHint {
 		return fmt.Errorf("store: raw entry identity hashes to %s, not %s", hexAddr, addrHint)
 	}
-	return s.put(a, env.Kind, env.Key, env.Payload)
+	return s.put(a, kind, string(e.key), e.payload)
 }
 
 // Dir returns the store's root directory.

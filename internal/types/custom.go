@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rcons/internal/jsonread"
 	"rcons/internal/spec"
 )
 
@@ -53,16 +54,116 @@ var (
 	_ NonReadable = (*Custom)(nil)
 )
 
-// NewCustomFromJSON parses and validates a JSON transition table.
+// NewCustomFromJSON parses and validates a JSON transition table. It
+// reads the table in one pass (decodeCustom), accepting exactly what
+// json.Unmarshal into a Custom accepts; a rejected table reports
+// encoding/json's error.
 func NewCustomFromJSON(data []byte) (*Custom, error) {
-	var c Custom
-	if err := json.Unmarshal(data, &c); err != nil {
+	c := new(Custom)
+	if err := decodeCustom(data, c); err != nil {
+		if jerr := json.Unmarshal(data, new(Custom)); jerr != nil {
+			err = jerr
+		}
 		return nil, fmt.Errorf("types: parse custom type: %w", err)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &c, nil
+	return c, nil
+}
+
+// decodeCustom decodes data over c as json.Unmarshal does, filling its
+// maps as it reads (FuzzCustomFromJSON holds it to that). A repeated
+// "transitions" key merges into the map the earlier one built, and a
+// repeated state or operation replaces its entry.
+func decodeCustom(data []byte, c *Custom) error {
+	d := customReader{r: jsonread.NewReader(data)}
+	if err := d.r.Struct("a custom type", d.custom(c)); err != nil {
+		return err
+	}
+	return d.r.End()
+}
+
+// customReader is decodeCustom's cursor, with the strings it has made:
+// a table names each of its states, operations and responses many
+// times, and equal names share one string.
+type customReader struct {
+	r     jsonread.Reader
+	seen  [32]string
+	nseen int
+}
+
+func (d *customReader) intern(b []byte) string {
+	for _, s := range d.seen[:d.nseen] {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	if d.nseen < len(d.seen) {
+		d.seen[d.nseen] = s
+		d.nseen++
+	}
+	return s
+}
+
+func (d *customReader) str(dst *string, what string) error {
+	b, ok, err := d.r.String(what)
+	if ok {
+		*dst = d.intern(b)
+	}
+	return err
+}
+
+// custom returns the member reader of a Custom object.
+func (d *customReader) custom(c *Custom) func(key []byte) error {
+	return func(key []byte) error {
+		switch {
+		case jsonread.FieldIs(key, "name"):
+			return d.str(&c.TypeName, `"name"`)
+		case jsonread.FieldIs(key, "initial"):
+			return jsonread.Slice(&d.r, &c.Initial, `"initial"`, func(_ int, v *string) error {
+				return d.str(v, "an initial state")
+			})
+		case jsonread.FieldIs(key, "transitions"):
+			return jsonread.Map(&d.r, &c.Transitions, `"transitions"`, d.intern, d.row)
+		case jsonread.FieldIs(key, "readable"):
+			b, ok, err := d.r.Bool(`"readable"`)
+			switch {
+			case err != nil:
+				return err
+			case !ok:
+				c.ReadableFlag = nil
+			case c.ReadableFlag == nil:
+				c.ReadableFlag = &b
+			default:
+				*c.ReadableFlag = b
+			}
+			return nil
+		}
+		return d.r.Skip()
+	}
+}
+
+// row reads a state's row: a map from operation to transition.
+func (d *customReader) row() (map[string]CustomEdge, error) {
+	var row map[string]CustomEdge
+	err := jsonread.Map(&d.r, &row, "a state's row", d.intern, d.edge)
+	return row, err
+}
+
+func (d *customReader) edge() (CustomEdge, error) {
+	var e CustomEdge
+	err := d.r.Struct("a transition", func(key []byte) error {
+		switch {
+		case jsonread.FieldIs(key, "next"):
+			return d.str(&e.Next, `"next"`)
+		case jsonread.FieldIs(key, "resp"):
+			return d.str(&e.Resp, `"resp"`)
+		}
+		return d.r.Skip()
+	})
+	return e, err
 }
 
 // Validate checks the table is non-empty, total, and closed.

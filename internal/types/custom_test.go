@@ -99,3 +99,18 @@ func TestCustomDefaultInitialStatesAreAllStates(t *testing.T) {
 		t.Fatalf("initial states = %v, want both", got)
 	}
 }
+
+// benchCustomTable is a random 3-state, 2-op, 2-response table as
+// json.Marshal renders an atlas table: the upload rcperf's serve-cold
+// POSTs.
+var benchCustomTable = []byte(`{"name":"random(3,2)","initial":["s0","s1","s2"],"transitions":{"s0":{"o0":{"next":"s2","resp":"r1"},"o1":{"next":"s2","resp":"r1"}},"s1":{"o0":{"next":"s1","resp":"r0"},"o1":{"next":"s1","resp":"r0"}},"s2":{"o0":{"next":"s1","resp":"r0"},"o1":{"next":"s2","resp":"r1"}}},"readable":null}`)
+
+func BenchmarkCustomFromJSON(b *testing.B) {
+	b.SetBytes(int64(len(benchCustomTable)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewCustomFromJSON(benchCustomTable); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
