@@ -22,12 +22,13 @@
 // search's cursor, ordered run and orbit set, and the shard scratch
 // that it and its search's helpers check shards with, and resets each
 // per use, as sim.Runner.Reset does for mc. Each, the engine's one
-// batch loop, holds a Worker per goroutine for the whole batch, so a
-// ClassifyEach batch or a census classifies type after type without
-// allocating search state; a direct Classify or Search call holds one
-// for the call. A Worker not in use waits in the engine's idle pool (a
-// sync.Pool), where a later call takes it up, or the garbage collector
-// frees it if none does.
+// batch loop, holds a Worker, and a worker slot when one is free, per
+// goroutine for the whole batch, so a ClassifyEach batch or a census
+// classifies type after type without allocating search state or
+// starting helpers on its own goroutines' slots; a direct Classify or
+// Search call holds a Worker for the call. A Worker not in use waits in
+// the engine's idle pool (a sync.Pool), where a later call takes it up,
+// or the garbage collector frees it if none does.
 //
 // Classify runs its two scans one after the other, the discerning scan
 // first. An n-recording type is n-discerning (Observation 5 of the
@@ -112,10 +113,12 @@ func (p Property) verify() checker.VerifyFunc {
 // Options configures an Engine. The zero value gives one worker per CPU.
 type Options struct {
 	// Workers is the engine-wide number of worker slots, shared by all
-	// concurrent searches; ≤ 0 means runtime.GOMAXPROCS(0). A search
-	// runs on its calling goroutine, which takes a slot when one is
-	// free, plus a helper for each further slot free when it starts.
-	// ClassifyEach runs up to Workers classifications at once.
+	// concurrent searches; ≤ 0 means runtime.GOMAXPROCS(0). A goroutine
+	// of Each holds a slot, when one is free as it starts, for its whole
+	// batch. A search runs on its calling goroutine, which otherwise
+	// takes a slot for the search when one is free, plus a helper for
+	// each further slot free when it starts. ClassifyEach runs up to
+	// Workers classifications at once.
 	Workers int
 	// Persist, when non-nil, is a persistent result store for the
 	// per-(property, n) searches: each search consults it before
@@ -141,17 +144,23 @@ type Options struct {
 type Engine struct {
 	workers int
 	// slots holds a token per free engine-wide worker slot; the bound
-	// covers every search at once, not each one. A search's caller takes
-	// a slot if one is free and searches either way, and helpers start
-	// only on slots free at that moment, so the goroutines searching
-	// never exceed the callers plus `workers`, and a busy engine (a
-	// census, a batch) runs each search on its caller alone.
+	// covers every search at once, not each one. A goroutine of Each
+	// takes a slot, if one is free, before it starts and frees it when
+	// it ends; any other search's caller takes one for the search if one
+	// is free. Either way the caller searches, and helpers start only on
+	// slots free when its search starts, so the goroutines searching
+	// never exceed the callers plus `workers`, and a full-width batch (a
+	// census, ClassifyEach on an otherwise idle engine) runs each search
+	// on its caller alone.
 	slots   chan struct{}
 	idle    sync.Pool // *Worker, each not in use
 	persist Persist   // nil when no persistent store is attached
 	pstats  persistStats
 	// classified counts the classifications Classify has derived.
 	classified atomic.Int64
+	// helpers counts the helper goroutines searches have started; only
+	// tests read it.
+	helpers atomic.Int64
 
 	// interpreted checks shards with the interpreted verifier.
 	interpreted bool
@@ -272,6 +281,9 @@ type Worker struct {
 	// scratch[0] is the caller's; scratch[h] is helper h's, for the
 	// at most `workers` helpers of one search.
 	scratch []shardScratch
+	// slot says w's goroutine holds a worker slot for its whole Each
+	// batch, so its searches take none of their own.
+	slot bool
 }
 
 // hold takes an idle Worker of e, or builds one, for the goroutine at
@@ -386,7 +398,7 @@ func (w *Worker) search(ctx context.Context, t spec.Type, p Property, n int, l l
 	if l.tab != nil && l.tab.Searchable() == nil {
 		wit, err = w.searchShards(sctx, l.tab, n, p == Recording)
 	} else {
-		wit, err = e.searchSequential(sctx, t, p, n)
+		wit, err = w.searchSequential(sctx, t, p, n)
 	}
 	if err != nil {
 		span.MarkError()
@@ -406,15 +418,16 @@ func (w *Worker) search(ctx context.Context, t spec.Type, p Property, n int, l l
 }
 
 // searchSequential runs the interpreted sequential search of (t, n) for
-// p on the caller's goroutine, holding a worker slot when one is free,
-// for a level with no searchable table.
-func (e *Engine) searchSequential(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
-	held := e.takeSlot()
-	w, err := checker.Search(ctx, t, n, p.verify())
+// p on the caller's goroutine, for a level with no searchable table.
+// Unless the goroutine holds a batch slot, it holds a worker slot for
+// the search when one is free.
+func (w *Worker) searchSequential(ctx context.Context, t spec.Type, p Property, n int) (*checker.Witness, error) {
+	held := !w.slot && w.e.takeSlot()
+	wit, err := checker.Search(ctx, t, n, p.verify())
 	if held {
-		e.freeSlot()
+		w.e.freeSlot()
 	}
-	return w, err
+	return wit, err
 }
 
 // shardScratch is what one goroutine checks shards with: a searcher it
@@ -463,12 +476,13 @@ type shardSearch struct {
 // first shard of each symmetry orbit; an interpreted one checks every
 // shard with the interpreted verifier.
 //
-// The search runs on the calling goroutine, which takes a worker slot
-// when one is free and searches either way, plus one helper for each
-// further slot free at this moment, up to one per shard. So a busy
-// engine runs a search on its caller's goroutine, whose stack is
-// already grown, and an idle one fans it out. The caller checks shards
-// with w.scratch[0] and helper h with w.scratch[h].
+// The search runs on the calling goroutine, which holds a worker slot
+// for its batch or takes one for the search when one is free, and
+// searches either way, plus one helper for each further slot free at
+// this moment, up to one per shard. So a busy engine runs a search on
+// its caller's goroutine, whose stack is already grown, and an idle one
+// fans it out. The caller checks shards with w.scratch[0] and helper h
+// with w.scratch[h].
 func (w *Worker) searchShards(ctx context.Context, c *compile.Compiled, n int, recording bool) (*checker.Witness, error) {
 	e, s := w.e, &w.shards
 	if err := s.cur.Reset(c, n); err != nil {
@@ -477,8 +491,9 @@ func (w *Worker) searchShards(ctx context.Context, c *compile.Compiled, n int, r
 	s.c, s.n, s.recording, s.interpreted = c, n, recording, e.interpreted
 	s.orbits.reset(c, !e.interpreted)
 	s.run.Reset(ctx)
-	held := e.takeSlot()
+	held := !w.slot && e.takeSlot()
 	for h := 1; h < min(s.cur.Len(), len(w.scratch)) && e.takeSlot(); h++ {
+		e.helpers.Add(1)
 		s.helpers.Add(1)
 		go s.help(e, &w.scratch[h])
 	}
@@ -630,17 +645,34 @@ func (w *Worker) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 // goroutines claim indices in order from one counter, and each stops
 // once item returns false or no index is left. w.Index() is below
 // min(workers, n).
+//
+// Each takes a worker slot for each goroutine, when one is free, before
+// it starts that goroutine, and the goroutine frees it when it ends: its
+// searches take no slot of their own, and start helpers only on slots
+// free besides. Taking the slots first keeps a goroutine's first search
+// from starting a helper on a slot meant for a goroutine not yet
+// started. So a full-width batch on an otherwise idle engine searches
+// on its goroutines alone, and fans out only on the slots its ended
+// goroutines free, or that a narrower batch leaves free.
 func (e *Engine) Each(workers, n int, item func(w *Worker, i int) bool) {
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
 	for k := range min(workers, n) {
+		held := e.takeSlot()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			w := e.hold(k)
-			defer e.idle.Put(w)
+			w.slot = held
+			defer func() {
+				if held {
+					e.freeSlot()
+				}
+				w.slot = false
+				e.idle.Put(w)
+			}()
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= n || !item(w, i) {

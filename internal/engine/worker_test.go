@@ -158,3 +158,63 @@ func encodeJSON(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// TestEachHoldsItsSlots pins the engine's slot rule with its helper
+// count. A full-width Each, one goroutine per slot, holds every slot
+// while all of its goroutines are in the batch, so none of its searches
+// starts a helper: each goroutine classifies the zoo, then waits in its
+// item until every other has too. A narrower Each leaves a slot free
+// that its searches fan out on, and so does a direct Classify on an
+// idle engine. Every slot is free again once Each or Classify returns.
+func TestEachHoldsItsSlots(t *testing.T) {
+	ctx := context.Background()
+	zoo := types.Zoo()
+	classifyZoo := func(w *Worker) {
+		for _, typ := range zoo {
+			if _, err := w.Classify(ctx, typ, 3); err != nil {
+				t.Errorf("%s: %v", typ.Name(), err)
+			}
+		}
+	}
+	freeSlots := func(e *Engine) {
+		t.Helper()
+		if got := len(e.slots); got != e.workers {
+			t.Fatalf("%d of %d slots free after the calls returned", got, e.workers)
+		}
+	}
+
+	for _, width := range []int{2, 3} {
+		e := New(Options{Workers: width})
+		var classified sync.WaitGroup
+		classified.Add(width)
+		e.Each(width, width, func(w *Worker, _ int) bool {
+			classifyZoo(w)
+			classified.Done()
+			classified.Wait()
+			return true
+		})
+		if got := e.helpers.Load(); got != 0 {
+			t.Errorf("Each(%d, …) on a %d-slot engine started %d helpers, want 0", width, width, got)
+		}
+		freeSlots(e)
+	}
+
+	narrow := New(Options{Workers: 2})
+	narrow.Each(1, 1, func(w *Worker, _ int) bool {
+		classifyZoo(w)
+		return true
+	})
+	if narrow.helpers.Load() == 0 {
+		t.Error("Each(1, …) on a 2-slot engine started no helper")
+	}
+	freeSlots(narrow)
+
+	idle := New(Options{Workers: 2})
+	if _, err := idle.Classify(ctx, types.NewCAS(), 3); err != nil {
+		t.Fatal(err)
+	}
+	if idle.helpers.Load() == 0 {
+		t.Error("a direct Classify on an idle 2-slot engine started no helper")
+	}
+	freeSlots(idle)
+}

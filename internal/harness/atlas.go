@@ -48,9 +48,8 @@ func AtlasCensus(opts Options) (*Report, error) {
 	}
 
 	// Determinism: a single-worker rerun must reproduce the artifact
-	// byte-for-byte. The rerun gets a FRESH engine — reusing opts.eng
-	// would serve every classification from the first run's memoization
-	// cache and make the assertion vacuous.
+	// byte-for-byte. The rerun gets a fresh one-slot engine, so each of
+	// its searches runs on the census's one goroutine, with no helper.
 	co2 := co
 	co2.Workers = 1
 	co2.Engine = engine.New(engine.Options{Workers: 1})

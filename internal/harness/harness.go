@@ -31,9 +31,10 @@ type Options struct {
 	// batch experiments (E8/E9); 0 means one worker per CPU.
 	Workers int
 
-	// eng is the shared classification engine, created by filled() so a
-	// RunAll invocation reuses one memoization cache across experiments
-	// (E9 is largely served from E8's zoo scan).
+	// eng is the shared classification engine, created by filled() so
+	// that the experiments of a RunAll invocation share its worker slots
+	// and the search state of its idle Workers. It keeps no memo: E9
+	// classifies its sets again after E8's zoo scan.
 	eng *engine.Engine
 }
 
@@ -158,7 +159,7 @@ func All() []Experiment {
 
 // RunAll executes every experiment and returns the reports. Options are
 // filled once up front so all experiments share one classification
-// engine (and thus one memoization cache).
+// engine, and with it one bound on the searches running at once.
 func RunAll(opts Options) ([]*Report, error) {
 	opts = opts.filled()
 	var out []*Report
