@@ -364,7 +364,7 @@ func runCompact(args []string, stdout io.Writer) error {
 	if *dir == "" {
 		return fmt.Errorf("compact needs -store <dir>")
 	}
-	opts := store.Options{CacheEntries: -1}
+	var opts store.Options
 	if *budget != "" {
 		b, err := store.ParseSize(*budget)
 		if err != nil {

@@ -114,8 +114,8 @@ func (p Property) verify() checker.VerifyFunc {
 type Options struct {
 	// Workers is the engine-wide number of worker slots, shared by all
 	// concurrent searches; ≤ 0 means runtime.GOMAXPROCS(0). A goroutine
-	// of Each holds a slot, when one is free as it starts, for its whole
-	// batch. A search runs on its calling goroutine, which otherwise
+	// of Each holds a slot, when one was free as Each began, for its
+	// whole batch. A search runs on its calling goroutine, which otherwise
 	// takes a slot for the search when one is free, plus a helper for
 	// each further slot free when it starts. ClassifyEach runs up to
 	// Workers classifications at once.
@@ -144,14 +144,15 @@ type Options struct {
 type Engine struct {
 	workers int
 	// slots holds a token per free engine-wide worker slot; the bound
-	// covers every search at once, not each one. A goroutine of Each
-	// takes a slot, if one is free, before it starts and frees it when
-	// it ends; any other search's caller takes one for the search if one
-	// is free. Either way the caller searches, and helpers start only on
-	// slots free when its search starts, so the goroutines searching
-	// never exceed the callers plus `workers`, and a full-width batch (a
-	// census, ClassifyEach on an otherwise idle engine) runs each search
-	// on its caller alone.
+	// covers every search at once, not each one. Each takes a slot for
+	// each of its goroutines, as many as are free, before it starts any
+	// of them, and a goroutine frees its slot when it ends; any other
+	// search's caller takes one for the search if one is free. Either
+	// way the caller searches, and helpers start only on slots free when
+	// its search starts, so the goroutines searching never exceed the
+	// callers plus `workers`, and a full-width batch (a census,
+	// ClassifyEach on an otherwise idle engine) runs each search on its
+	// caller alone.
 	slots   chan struct{}
 	idle    sync.Pool // *Worker, each not in use
 	persist Persist   // nil when no persistent store is attached
@@ -646,21 +647,28 @@ func (w *Worker) Classify(ctx context.Context, t spec.Type, limit int) (checker.
 // once item returns false or no index is left. w.Index() is below
 // min(workers, n).
 //
-// Each takes a worker slot for each goroutine, when one is free, before
-// it starts that goroutine, and the goroutine frees it when it ends: its
-// searches take no slot of their own, and start helpers only on slots
-// free besides. Taking the slots first keeps a goroutine's first search
-// from starting a helper on a slot meant for a goroutine not yet
-// started. So a full-width batch on an otherwise idle engine searches
-// on its goroutines alone, and fans out only on the slots its ended
-// goroutines free, or that a narrower batch leaves free.
+// Each first takes a worker slot for each of its goroutines, as many as
+// are free, and only then starts them; a goroutine that got a slot
+// frees it when it ends. Their searches take no slot of their own, and
+// start helpers only on slots free besides. Taking every slot before
+// any goroutine starts keeps a goroutine's first search from starting a
+// helper on a slot meant for a goroutine not yet started. So a
+// full-width batch on an otherwise idle engine searches on its
+// goroutines alone, and fans out only on the slots its ended goroutines
+// free, or that a narrower batch leaves free.
 func (e *Engine) Each(workers, n int, item func(w *Worker, i int) bool) {
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	for k := range min(workers, n) {
-		held := e.takeSlot()
+	width, taken := min(workers, n), 0
+	for range width {
+		if e.takeSlot() {
+			taken++
+		}
+	}
+	for k := range width {
+		held := k < taken
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

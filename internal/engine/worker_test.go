@@ -161,11 +161,11 @@ func encodeJSON(t *testing.T, v any) []byte {
 
 // TestEachHoldsItsSlots pins the engine's slot rule with its helper
 // count. A full-width Each, one goroutine per slot, holds every slot
-// while all of its goroutines are in the batch, so none of its searches
-// starts a helper: each goroutine classifies the zoo, then waits in its
-// item until every other has too. A narrower Each leaves a slot free
-// that its searches fan out on, and so does a direct Classify on an
-// idle engine. Every slot is free again once Each or Classify returns.
+// before any of its goroutines runs an item and while all of them are
+// in the batch, so none of its searches starts a helper: each goroutine
+// classifies the zoo, then waits in its item until every other has
+// too. A narrower Each leaves a slot free that its searches fan out on,
+// and so does a direct Classify on an idle engine. Every slot is free again once Each or Classify returns.
 func TestEachHoldsItsSlots(t *testing.T) {
 	ctx := context.Background()
 	zoo := types.Zoo()
@@ -188,6 +188,9 @@ func TestEachHoldsItsSlots(t *testing.T) {
 		var classified sync.WaitGroup
 		classified.Add(width)
 		e.Each(width, width, func(w *Worker, _ int) bool {
+			if free := len(e.slots); free != 0 {
+				t.Errorf("Each(%d, …) on a %d-slot engine ran an item with %d slots still free", width, width, free)
+			}
 			classifyZoo(w)
 			classified.Done()
 			classified.Wait()

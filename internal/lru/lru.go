@@ -1,6 +1,5 @@
 // Package lru is the repository's one bounded least-recently-used cache.
-// rcserve's response and atlas memos and the result store's in-memory
-// front use it.
+// rcserve's response and atlas memos use it.
 package lru
 
 import (
@@ -15,11 +14,10 @@ import (
 // caching mutable values (byte slices) copy them themselves. Safe for
 // concurrent use.
 type Cache[K comparable, V any] struct {
-	mu        sync.Mutex
-	max       int
-	entries   map[K]*list.Element
-	order     *list.List // front = most recently used
-	evictions int64
+	mu      sync.Mutex
+	max     int
+	entries map[K]*list.Element
+	order   *list.List // front = most recently used
 }
 
 // entry is the list payload.
@@ -66,7 +64,6 @@ func (l *Cache[K, V]) Put(key K, val V) {
 		}
 		l.order.Remove(back)
 		delete(l.entries, back.Value.(*entry[K, V]).key)
-		l.evictions++
 	}
 	l.entries[key] = l.order.PushFront(&entry[K, V]{key: key, val: val})
 }
@@ -76,11 +73,4 @@ func (l *Cache[K, V]) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.entries)
-}
-
-// Evictions returns the cumulative eviction count.
-func (l *Cache[K, V]) Evictions() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evictions
 }

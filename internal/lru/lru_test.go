@@ -2,12 +2,13 @@ package lru
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
-// TestLRUBasics pins the Cache's contract: recency-refreshing
-// gets, one-at-a-time eviction of the least recently used entry (never
-// a wholesale wipe), and accurate counters.
+// TestLRUBasics pins the Cache's contract: recency-refreshing gets,
+// one-at-a-time eviction of the least recently used entry (never a
+// wholesale wipe), in-place overwrites, and the capacity bound.
 func TestLRUBasics(t *testing.T) {
 	l := New[string, int](3)
 	l.Put("a", 1)
@@ -28,16 +29,50 @@ func TestLRUBasics(t *testing.T) {
 	if n := l.Len(); n != 3 {
 		t.Fatalf("Len = %d, want 3", n)
 	}
-	if ev := l.Evictions(); ev != 1 {
-		t.Fatalf("Evictions = %d, want 1", ev)
-	}
-	// Overwriting refreshes in place without eviction.
+	// Overwriting refreshes in place without eviction: every key stays
+	// and the count holds.
 	l.Put("a", 10)
 	if v, _ := l.Get("a"); v != 10 {
 		t.Fatalf("a = %d after overwrite, want 10", v)
 	}
-	if ev := l.Evictions(); ev != 1 {
-		t.Fatalf("Evictions after overwrite = %d, want 1", ev)
+	for _, k := range []string{"a", "c", "d"} {
+		if _, ok := l.Get(k); !ok {
+			t.Fatalf("%s evicted by an overwrite", k)
+		}
+	}
+	if n := l.Len(); n != 3 {
+		t.Fatalf("Len = %d after overwrite, want 3", n)
+	}
+	// The gets above left recency a, c, d (oldest first): two inserts
+	// evict exactly a, then c.
+	l.Put("e", 5)
+	if _, ok := l.Get("a"); ok {
+		t.Fatal("a should have been the first victim")
+	}
+	l.Put("f", 6)
+	if _, ok := l.Get("c"); ok {
+		t.Fatal("c should have been the second victim")
+	}
+	for _, k := range []string{"d", "e", "f"} {
+		if _, ok := l.Get(k); !ok {
+			t.Fatalf("%s evicted out of recency order", k)
+		}
+	}
+	if n := l.Len(); n != 3 {
+		t.Fatalf("Len = %d, want the capacity 3", n)
+	}
+}
+
+// TestLRUMinimumCapacity: a non-positive capacity holds one entry.
+func TestLRUMinimumCapacity(t *testing.T) {
+	l := New[string, int](0)
+	l.Put("a", 1)
+	l.Put("b", 2)
+	if _, ok := l.Get("a"); ok || l.Len() != 1 {
+		t.Fatalf("capacity-0 cache holds %d entries (a present: %v), want 1", l.Len(), ok)
+	}
+	if v, ok := l.Get("b"); !ok || v != 2 {
+		t.Fatal("newest entry lost")
 	}
 }
 
@@ -57,4 +92,27 @@ func TestLRUSpamDoesNotWipeHotEntry(t *testing.T) {
 	if l.Len() != 64 {
 		t.Fatalf("Len = %d, want capacity 64", l.Len())
 	}
+}
+
+// TestLRUConcurrentUse drives one Cache from several goroutines, as the
+// response and atlas memos are driven by request goroutines; run it
+// under -race. The capacity bound holds throughout.
+func TestLRUConcurrentUse(t *testing.T) {
+	l := New[int, int](16)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 500 {
+				k := (g*31 + i) % 40
+				l.Put(k, i)
+				l.Get(k)
+				if n := l.Len(); n > 16 {
+					t.Errorf("Len = %d, over the capacity 16", n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

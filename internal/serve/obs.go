@@ -133,8 +133,6 @@ func (s *Server) setupMetrics() {
 
 	// Content-addressed store counters (only with -store).
 	if st := s.store; st != nil {
-		r.CounterFunc("rc_store_hits_total", "Store gets served from the memory front.",
-			func() float64 { return float64(st.Stats().MemHits) }, "tier", "mem")
 		r.CounterFunc("rc_store_hits_total", "Store gets served from disk.",
 			func() float64 { return float64(st.Stats().DiskHits) }, "tier", "disk")
 		sctr := func(name, help string, f func(store.Stats) int64) {
@@ -146,11 +144,9 @@ func (s *Server) setupMetrics() {
 			func(t store.Stats) int64 { return t.Puts })
 		sctr("rc_store_put_noops_total", "Store puts skipped as identical.",
 			func(t store.Stats) int64 { return t.PutNoops })
-		sctr("rc_store_evictions_total", "Memory-front entries evicted.",
-			func(t store.Stats) int64 { return t.Evictions })
 		sctr("rc_store_quarantined_total", "Corrupt store entries quarantined.",
 			func(t store.Stats) int64 { return t.Quarantined })
-		sctr("rc_store_disk_evictions_total", "Entry files deleted to respect the disk budget.",
+		sctr("rc_store_disk_evictions_total", "Records tombstoned to respect the disk budget.",
 			func(t store.Stats) int64 { return t.DiskEvictions })
 		sctr("rc_store_compactions_total", "Completed store compaction passes.",
 			func(t store.Stats) int64 { return t.Compactions })
@@ -239,12 +235,10 @@ func (s *Server) storeStatsFromRegistry() store.Stats {
 	return store.Stats{
 		Entries:       int64(v("rc_store_entries")),
 		Bytes:         int64(v("rc_store_bytes")),
-		MemHits:       int64(v("rc_store_hits_total", "mem")),
 		DiskHits:      int64(v("rc_store_hits_total", "disk")),
 		Misses:        int64(v("rc_store_misses_total")),
 		Puts:          int64(v("rc_store_puts_total")),
 		PutNoops:      int64(v("rc_store_put_noops_total")),
-		Evictions:     int64(v("rc_store_evictions_total")),
 		DiskEvictions: int64(v("rc_store_disk_evictions_total")),
 		Quarantined:   int64(v("rc_store_quarantined_total")),
 		Compactions:   int64(v("rc_store_compactions_total")),

@@ -14,7 +14,8 @@ import (
 var benchPayload = []byte(`{"found":true,"witness":{"q0":"q1","teams":[0,1,0],"ops":["a","b","a"]}}`)
 
 // BenchmarkGetHit is the steady-state read a warm replica pays per
-// lookup: the entry sits in the in-memory LRU front.
+// lookup: one pread of the indexed frame, then its CRC, address,
+// envelope and payload checksum verified before the payload is served.
 func BenchmarkGetHit(b *testing.B) {
 	s := mustOpen(b, b.TempDir(), Options{})
 	ctx := context.Background()
@@ -47,7 +48,7 @@ func BenchmarkPut(b *testing.B) {
 func BenchmarkEvict(b *testing.B) {
 	// The budget holds about 64 entries of this fixed-shape payload.
 	payload := []byte(`{"row":1234567,"pad":"xxxxxxxxxxxxxxxx"}`)
-	s := mustOpen(b, b.TempDir(), Options{CacheEntries: -1, BudgetBytes: 64 * 256})
+	s := mustOpen(b, b.TempDir(), Options{BudgetBytes: 64 * 256})
 	ctx := context.Background()
 	for i := 0; i < 100; i++ {
 		if err := s.Put(ctx, "census-row", fmt.Sprintf("prefill-%08d", i), payload); err != nil {

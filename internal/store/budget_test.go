@@ -27,9 +27,31 @@ func entrySize(t *testing.T, kind, key string, payload []byte) int64 {
 // records it finds.
 func liveEntries(t *testing.T, dir string) int64 {
 	t.Helper()
-	s := mustOpen(t, dir, Options{CacheEntries: -1})
+	s := mustOpen(t, dir, Options{})
 	defer s.Close()
 	return s.Stats().Entries
+}
+
+// TestEvictedEntryMissesEveryTier: once the budget evicts a record,
+// Get, GetRaw (what the peer route serves) and Stats all agree that it
+// is gone.
+func TestEvictedEntryMissesEveryTier(t *testing.T) {
+	payload := []byte(`{"v":"0123456789abcdef"}`)
+	s := mustOpen(t, t.TempDir(), Options{BudgetBytes: entrySize(t, "search", "k1", payload)})
+	for _, k := range []string{"k1", "k2"} {
+		if err := s.Put(context.Background(), "search", k, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok, _ := s.Get(context.Background(), "search", "k1"); ok {
+		t.Fatalf("Get served the evicted k1: %s", got)
+	}
+	if got, ok, _ := s.GetRaw("search", Addr("search", "k1")); ok {
+		t.Fatalf("GetRaw served the evicted k1: %s", got)
+	}
+	if st := s.Stats(); st.Entries != 1 || st.DiskEvictions != 1 {
+		t.Fatalf("stats after one eviction: %+v", st)
+	}
 }
 
 func TestBudgetEvictsLRUOnPut(t *testing.T) {
@@ -57,9 +79,9 @@ func TestBudgetEvictsLRUOnPut(t *testing.T) {
 	if st.DiskEvictions != 1 || st.Entries != 3 || st.Bytes != 3*one {
 		t.Fatalf("stats after over-budget put: %+v", st)
 	}
-	// A fresh handle (no warm front) confirms k1 was evicted from disk
-	// and k0, k2, k3 survive.
-	s2 := mustOpen(t, dir, Options{CacheEntries: -1})
+	// A fresh handle confirms k1 was evicted from disk and k0, k2, k3
+	// survive.
+	s2 := mustOpen(t, dir, Options{})
 	if _, ok, _ := s2.Get(context.Background(), "search", "k1"); ok {
 		t.Fatal("evicted entry served from disk")
 	}
@@ -84,7 +106,7 @@ func TestEvictedOverwriteStaysDead(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	s.Close()
-	s2 := mustOpen(t, dir, Options{CacheEntries: -1})
+	s2 := mustOpen(t, dir, Options{})
 	if got, ok, _ := s2.Get(context.Background(), "search", "k"); ok {
 		t.Fatalf("evicted entry came back as %s", got)
 	}
@@ -124,7 +146,7 @@ func TestOpenEnforcesBudget(t *testing.T) {
 	}
 	s.Close() // the writer is gone: its records are the next Open's to evict
 
-	s2 := mustOpen(t, dir, Options{CacheEntries: -1, BudgetBytes: 3 * one})
+	s2 := mustOpen(t, dir, Options{BudgetBytes: 3 * one})
 	st := s2.Stats()
 	if st.Entries != 3 || st.Bytes != 3*one || st.DiskEvictions != 3 {
 		t.Fatalf("stats after budgeted reopen: %+v", st)
@@ -158,8 +180,8 @@ func TestOpenRejectsNegativeBudget(t *testing.T) {
 // reclaimed, and another live handle's pack is left untouched.
 func TestCompactDropsQuarantineAndReconciles(t *testing.T) {
 	dir := t.TempDir()
-	a := mustOpen(t, dir, Options{CacheEntries: -1})
-	b := mustOpen(t, dir, Options{CacheEntries: -1})
+	a := mustOpen(t, dir, Options{})
+	b := mustOpen(t, dir, Options{})
 	for i := 0; i < 3; i++ {
 		mustPut(t, a, "job", fmt.Sprintf("a%d", i), `{"w":"a"}`)
 	}
@@ -241,9 +263,9 @@ func TestCompactEvictsToBudget(t *testing.T) {
 	dir := t.TempDir()
 	payload := []byte(`{"v":"0123456789abcdef"}`)
 	one := entrySize(t, "search", "k0", payload)
-	budgeted := mustOpen(t, dir, Options{CacheEntries: -1, BudgetBytes: 2 * one})
+	budgeted := mustOpen(t, dir, Options{BudgetBytes: 2 * one})
 	// A second, unbudgeted writer floods the directory.
-	flooder := mustOpen(t, dir, Options{CacheEntries: -1})
+	flooder := mustOpen(t, dir, Options{})
 	for i := 0; i < 5; i++ {
 		if err := flooder.Put(context.Background(), "search", fmt.Sprintf("k%d", i), payload); err != nil {
 			t.Fatal(err)
@@ -298,7 +320,7 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 	one := entrySize(t, "search", "k0", payload)
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
-		s := mustOpen(t, dir, Options{CacheEntries: -1})
+		s := mustOpen(t, dir, Options{})
 		for i := 0; i < 6; i++ {
 			if err := s.Put(context.Background(), "search", fmt.Sprintf("k%d", i), payload); err != nil {
 				t.Fatal(err)
@@ -321,7 +343,7 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 	// compacted writes the pack a compaction of dir to 3 entries would
 	// link: the newest records, copied frame by frame.
 	compacted := func(t *testing.T, dir string) []byte {
-		s := mustOpen(t, dir, Options{CacheEntries: -1})
+		s := mustOpen(t, dir, Options{})
 		defer s.Close()
 		data, err := os.ReadFile(onlyPack(t, dir))
 		if err != nil {
@@ -367,7 +389,7 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 		t.Run(cp.name, func(t *testing.T) {
 			dir := build(t)
 			cp.crash(t, dir)
-			s, err := Open(dir, Options{CacheEntries: -1, BudgetBytes: 3 * one})
+			s, err := Open(dir, Options{BudgetBytes: 3 * one})
 			if err != nil {
 				t.Fatalf("Open after crash: %v", err)
 			}
@@ -427,7 +449,7 @@ func TestCompactUnderTraffic(t *testing.T) {
 	dir := t.TempDir()
 	payload := func(k, v int) string { return fmt.Sprintf(`{"k":%d,"v":%d}`, k, v) }
 	one := entrySize(t, "job", "k00", []byte(payload(0, 0)))
-	s := mustOpen(t, dir, Options{CacheEntries: 8, BudgetBytes: 12 * one})
+	s := mustOpen(t, dir, Options{BudgetBytes: 12 * one})
 	var wg sync.WaitGroup
 	for w := range 3 {
 		wg.Add(1)
@@ -542,7 +564,7 @@ func TestKillAfterAnotherHandleCompacts(t *testing.T) {
 	newK := fmt.Sprintf(`{"v":"new","pad":%q}`, strings.Repeat("x", 200))
 	fits := int64(len(envelopeOf(t, "job", "k", `{"v":"old"}`)) + len(envelopeOf(t, "job", "j", `{"v":"j"}`)) +
 		len(envelopeOf(t, "job", "first", `{}`)))
-	a := mustOpen(t, dir, Options{CacheEntries: -1, BudgetBytes: fits})
+	a := mustOpen(t, dir, Options{BudgetBytes: fits})
 	mustPut(t, a, "job", "first", `{}`) // a's pack sorts before the compacted one
 
 	c := mustOpen(t, dir, Options{})
@@ -553,7 +575,7 @@ func TestKillAfterAnotherHandleCompacts(t *testing.T) {
 
 	// The larger overwrite evicts both other records to fit the budget.
 	mustPut(t, a, "job", "k", newK)
-	for _, h := range []*Store{a, mustOpen(t, dir, Options{CacheEntries: -1})} {
+	for _, h := range []*Store{a, mustOpen(t, dir, Options{})} {
 		if got, ok, _ := h.Get(context.Background(), "job", "k"); !ok || string(got) != newK {
 			t.Fatalf("k reads %s, %v; want the overwrite", got, ok)
 		}
@@ -580,7 +602,7 @@ func TestMissReleasesCompactedPack(t *testing.T) {
 	mustPut(t, w, "job", "j", `{"v":"j"}`)
 	w.Close()
 
-	a := mustOpen(t, dir, Options{CacheEntries: -1})
+	a := mustOpen(t, dir, Options{})
 	old := a.idx.get(rawAddr("job", "k")).p
 	b := mustOpen(t, dir, Options{})
 	if _, err := b.Compact(ctx); err != nil {
@@ -608,9 +630,9 @@ func TestMissReleasesCompactedPack(t *testing.T) {
 	}
 }
 
-// TestClosedStore: a closed Store holds no files, misses every Get
-// (also what its memory front holds), and refuses writes and
-// compaction; its pack is then another handle's to evict.
+// TestClosedStore: a closed Store holds no files, misses every Get,
+// and refuses writes and compaction; its pack is then another handle's
+// to evict.
 func TestClosedStore(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -656,7 +678,7 @@ func TestOverwritesDuringCompaction(t *testing.T) {
 		mustPut(t, p, "job", fmt.Sprint(i), `{"v":"old"}`)
 	}
 	p.Close()
-	a := mustOpen(t, dir, Options{CacheEntries: -1})
+	a := mustOpen(t, dir, Options{})
 	mustPut(t, a, "job", "first", `{}`)
 
 	var wg sync.WaitGroup
@@ -679,7 +701,7 @@ func TestOverwritesDuringCompaction(t *testing.T) {
 		mustPut(t, a, "job", fmt.Sprint(i), `{"v":"new"}`)
 	}
 	wg.Wait()
-	r := mustOpen(t, dir, Options{CacheEntries: -1})
+	r := mustOpen(t, dir, Options{})
 	for i := 0; i < n; i++ {
 		if got, ok, _ := r.Get(context.Background(), "job", fmt.Sprint(i)); !ok || string(got) != `{"v":"new"}` {
 			t.Fatalf("record %d reads %s, %v after a restart; want the overwrite", i, got, ok)

@@ -19,7 +19,7 @@ import (
 func TestIdentityMismatchQuarantinesEntry(t *testing.T) {
 	dir := t.TempDir()
 	writePack(t, dir, 0, recordFrame("search", "imposter", envelopeOf(t, "search", "honest", `{"n":1}`)))
-	s := mustOpen(t, dir, Options{CacheEntries: -1})
+	s := mustOpen(t, dir, Options{})
 	if st := s.Stats(); st.Entries != 1 {
 		t.Fatalf("Open indexed %d records, want the misplaced one", st.Entries)
 	}
@@ -44,7 +44,7 @@ func TestIdentityMismatchQuarantinesEntry(t *testing.T) {
 		t.Fatalf("after second Get: %+v", st)
 	}
 	s.Close()
-	s2 := mustOpen(t, dir, Options{CacheEntries: -1})
+	s2 := mustOpen(t, dir, Options{})
 	if _, ok, _ := s2.Get(context.Background(), "search", "imposter"); ok {
 		t.Fatal("misplaced entry served after a restart")
 	}
@@ -58,7 +58,7 @@ func TestIdentityMismatchQuarantinesEntry(t *testing.T) {
 func TestGetRawQuarantinesMisplacedEntry(t *testing.T) {
 	dir := t.TempDir()
 	writePack(t, dir, 0, recordFrame("search", "imposter", envelopeOf(t, "search", "honest", `{"n":1}`)))
-	s := mustOpen(t, dir, Options{CacheEntries: -1})
+	s := mustOpen(t, dir, Options{})
 	if _, ok, err := s.GetRaw("search", Addr("search", "imposter")); ok || err != nil {
 		t.Fatalf("misplaced entry served raw: ok=%v err=%v", ok, err)
 	}
@@ -102,7 +102,7 @@ func TestEscapedKeysRoundTrip(t *testing.T) {
 		mustPut(t, s, "search", k, fmt.Sprintf(`{"i":%d}`, i))
 	}
 	s.Close()
-	s2 := mustOpen(t, dir, Options{CacheEntries: -1})
+	s2 := mustOpen(t, dir, Options{})
 	for i, k := range keys {
 		if got, ok, err := s2.Get(context.Background(), "search", k); !ok || err != nil || string(got) != fmt.Sprintf(`{"i":%d}`, i) {
 			t.Fatalf("key %q: %s, %v, %v", k, got, ok, err)
@@ -118,7 +118,7 @@ func TestEscapedKeysRoundTrip(t *testing.T) {
 // kept — nothing is overwritten.
 func TestQuarantineNameCollision(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{CacheEntries: -1})
+	s := mustOpen(t, dir, Options{})
 	var rots [][]byte
 	for i := range 2 {
 		mustPut(t, s, "search", "k", `{"n":1}`)
@@ -261,7 +261,7 @@ func FuzzPackOpen(f *testing.F) {
 				}
 			}
 		}
-		s2, err := Open(dir, Options{CacheEntries: -1})
+		s2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("Open of a damaged pack: %v", err)
 		}
@@ -272,7 +272,7 @@ func FuzzPackOpen(f *testing.F) {
 		}
 		check(s2, "compacted")
 		s2.Close()
-		s3 := mustOpen(t, dir, Options{CacheEntries: -1})
+		s3 := mustOpen(t, dir, Options{})
 		check(s3, "reopened after compaction")
 	})
 }

@@ -48,7 +48,7 @@ func storeHandler(s *Store) http.Handler {
 
 func newPeerFixture(t testing.TB) (*Store, *httptest.Server) {
 	t.Helper()
-	remote := mustOpen(t, t.TempDir(), Options{CacheEntries: -1})
+	remote := mustOpen(t, t.TempDir(), Options{})
 	srv := httptest.NewServer(storeHandler(remote))
 	t.Cleanup(srv.Close)
 	return remote, srv
@@ -237,7 +237,7 @@ func TestChainReadThroughAndHealing(t *testing.T) {
 	if err := remote.Put(context.Background(), "search", "warm", []byte(`{"n":42}`)); err != nil {
 		t.Fatal(err)
 	}
-	local := mustOpen(t, t.TempDir(), Options{CacheEntries: -1})
+	local := mustOpen(t, t.TempDir(), Options{})
 	p, err := NewPeer(srv.URL, time.Second)
 	if err != nil {
 		t.Fatal(err)

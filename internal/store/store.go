@@ -28,8 +28,9 @@
 // replaces an earlier one, and a tombstoned record is dropped. A Get is
 // one pread of the indexed frame, which must pass its CRC, carry the
 // address asked for, and hold an envelope of the current version whose
-// kind, key and payload checksum match before it is served. A bounded
-// in-memory LRU front answers repeats without the pread.
+// kind, key and payload checksum match before it is served. The
+// recency list is the store's one recency mechanism, which the budget
+// evicts by.
 //
 // Crash safety: a pack is the recoverable log of its writer. Put
 // appends whole frames and syncs the pack before it returns, so an
@@ -108,7 +109,6 @@ import (
 	"sync"
 
 	"rcons/internal/jsonread"
-	"rcons/internal/lru"
 	"rcons/internal/obs"
 )
 
@@ -132,9 +132,6 @@ type envelope struct {
 
 // Options configures a Store.
 type Options struct {
-	// CacheEntries bounds the in-memory LRU front; 0 means 1024,
-	// negative disables the front entirely (every Get reads disk).
-	CacheEntries int
 	// BudgetBytes caps the envelope bytes of the live records this
 	// Store may evict (see the package doc); 0 means unlimited. Open
 	// enforces it immediately and every Put maintains it by size-aware
@@ -153,24 +150,24 @@ type Stats struct {
 	// records another writer added, rebuilt by Compact.
 	Entries int64 `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// MemHits are Gets served by the LRU front; DiskHits read and
-	// verified a record; Misses found nothing.
-	MemHits  int64 `json:"memHits"`
+	// DiskHits read and verified a record; Misses found nothing.
 	DiskHits int64 `json:"diskHits"`
 	Misses   int64 `json:"misses"`
 	// Puts wrote a new or changed entry; PutNoops skipped a write
 	// because an identical entry was already stored.
 	Puts     int64 `json:"puts"`
 	PutNoops int64 `json:"putNoops"`
-	// Evictions counts LRU-front entries dropped for the size bound;
 	// DiskEvictions counts records dropped to respect BudgetBytes.
-	Evictions     int64 `json:"evictions"`
 	DiskEvictions int64 `json:"diskEvictions"`
 	// Quarantined counts damaged records, byte ranges and packs moved
 	// aside (at Open, Get or Compact).
 	Quarantined int64 `json:"quarantined"`
 	// Compactions counts completed Compact passes.
 	Compactions int64 `json:"compactions"`
+	// MemHits is always 0: the store has no memory front. It stays only
+	// because rcperf's store.mem_hit_ratio metric reads it, and goes
+	// when that metric does.
+	MemHits int64 `json:"-"`
 }
 
 // Store is a content-addressed result store rooted at one directory.
@@ -200,9 +197,8 @@ type Store struct {
 	// every pack but own.
 	rmu sync.Mutex
 
-	mu    sync.Mutex
-	front *lru.Cache[[32]byte, []byte] // nil when the memory front is disabled
-	idx   *index
+	mu  sync.Mutex
+	idx *index
 	// dead maps the positions tombstones have killed to the addresses
 	// of the records they held.
 	dead map[pos][32]byte
@@ -247,12 +243,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	var err error
 	if s.packsDir, err = os.Open(s.packs); err != nil {
 		return nil, fmt.Errorf("store: init %s: %w", dir, err)
-	}
-	switch {
-	case opts.CacheEntries == 0:
-		s.front = lru.New[[32]byte, []byte](1024)
-	case opts.CacheEntries > 0:
-		s.front = lru.New[[32]byte, []byte](opts.CacheEntries)
 	}
 	if _, err := s.refresh(true); err != nil {
 		s.Close()
@@ -944,8 +934,8 @@ func (s *Store) quarantineRec(r *rec, frameBytes []byte) {
 // reported as absent, never as an error — the caller recomputes and Put
 // heals the store. The context only feeds tracing (local I/O is never
 // cancelled mid-entry): a traced request gets a "store.local" span
-// whose tier attr says whether the memory front, the disk, or nothing
-// answered.
+// whose tier attr says whether the disk or nothing answered. The
+// payload is the caller's own: each Get reads into a fresh buffer.
 func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error) {
 	_, span := obs.StartSpan(ctx, "store.local")
 	defer span.End()
@@ -954,19 +944,6 @@ func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error)
 		return nil, false, errKind(kind)
 	}
 	a := rawAddr(kind, key)
-	if s.front != nil {
-		s.mu.Lock()
-		if payload, ok := s.front.Get(a); ok && !s.closed {
-			s.stats.MemHits++
-			if r := s.idx.get(a); r != nil {
-				s.idx.touch(r) // keep disk recency in step with the front
-			}
-			s.mu.Unlock()
-			span.SetAttr("tier", "mem")
-			return append([]byte(nil), payload...), true, nil
-		}
-		s.mu.Unlock()
-	}
 	r, e, _, ok, err := s.read(&a, func(e *entry) bool { return string(e.kind) == kind && string(e.key) == key })
 	if err != nil {
 		span.MarkError()
@@ -980,7 +957,6 @@ func (s *Store) Get(ctx context.Context, kind, key string) ([]byte, bool, error)
 	s.mu.Lock()
 	s.stats.DiskHits++
 	s.idx.touch(r)
-	s.rememberLocked(a, e.payload)
 	s.mu.Unlock()
 	span.SetAttr("tier", "disk")
 	return e.payload, true, nil
@@ -1026,7 +1002,7 @@ func (s *Store) Put(_ context.Context, kind, key string, payload []byte) error {
 
 // put is Put with the address of (kind, key) already derived.
 func (s *Store) put(a [32]byte, kind, key string, payload []byte) error {
-	data, env, err := encodeEnvelope(kind, key, payload)
+	data, _, err := encodeEnvelope(kind, key, payload)
 	if err != nil {
 		return err
 	}
@@ -1044,7 +1020,6 @@ func (s *Store) put(a [32]byte, kind, key string, payload []byte) error {
 		if s.idx.get(a) == old { // not evicted meanwhile
 			s.stats.PutNoops++
 			s.idx.touch(old)
-			s.rememberLocked(a, env.Payload)
 			s.mu.Unlock()
 			return nil
 		}
@@ -1056,9 +1031,6 @@ func (s *Store) put(a [32]byte, kind, key string, payload []byte) error {
 	if err := s.evictLocked(appendFrame(nil, typeRecord, &a, data), r); err != nil {
 		return fmt.Errorf("store: write %s/%s: %w", kind, key, err)
 	}
-	s.mu.Lock()
-	s.rememberLocked(a, env.Payload)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -1106,17 +1078,5 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Entries, st.Bytes = int64(s.idx.len()), s.idx.bytes
-	if s.front != nil {
-		st.Evictions = s.front.Evictions()
-	}
 	return st
-}
-
-// rememberLocked caches a private copy of payload in the memory front
-// (when enabled) under address a, so later caller mutations of either
-// slice cannot reach the cache. Callers hold s.mu.
-func (s *Store) rememberLocked(a [32]byte, payload []byte) {
-	if s.front != nil {
-		s.front.Put(a, append([]byte(nil), payload...))
-	}
 }

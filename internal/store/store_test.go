@@ -136,8 +136,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, ok, _ := s.Get(context.Background(), "census-row", "fp-1"); ok {
 		t.Fatal("kinds must not share a namespace")
 	}
+	// A caller mutating a returned payload cannot change a later read.
+	got[0] = 'X'
+	again, ok, _ := s.Get(context.Background(), "search", "fp-1")
+	if !ok || string(again) != `{"found":true,"n":3}` {
+		t.Fatalf("caller mutation reached a later read: %s", again)
+	}
 	st := s.Stats()
-	if st.Entries != 1 || st.Puts != 1 || st.MemHits != 1 || st.Misses != 2 {
+	if st.Entries != 1 || st.Puts != 1 || st.DiskHits != 2 || st.Misses != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -181,7 +187,7 @@ func TestPutIdempotentNoop(t *testing.T) {
 		t.Fatalf("stats after overwrite: %+v", st)
 	}
 	// And a restart serves the new payload, not the overwritten one.
-	s2 := mustOpen(t, dir, Options{CacheEntries: -1})
+	s2 := mustOpen(t, dir, Options{})
 	if got, ok, _ := s2.Get(context.Background(), "job", "id"); !ok || string(got) != `{"a":1,"b":3}` {
 		t.Fatalf("after reopen: %s, %v", got, ok)
 	}
@@ -255,7 +261,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	for cut := start + 1; cut < end; cut++ {
 		dir := t.TempDir()
 		path := writePack(t, dir, 0, whole[packHeader:cut])
-		s := mustOpen(t, dir, Options{CacheEntries: -1})
+		s := mustOpen(t, dir, Options{})
 		if got, ok, _ := s.Get(context.Background(), "search", "first"); !ok || string(got) != `{"v":1}` {
 			t.Fatalf("cut at %d: whole frame before the cut lost: %s, %v", cut, got, ok)
 		}
@@ -293,7 +299,7 @@ func TestBitFlipNeverServed(t *testing.T) {
 		data := bytes.Clone(whole)
 		data[bit/8] ^= 1 << (bit % 8)
 		writePack(t, dir, 0, data[packHeader:])
-		s := mustOpen(t, dir, Options{CacheEntries: -1})
+		s := mustOpen(t, dir, Options{})
 		if _, ok, _ := s.Get(context.Background(), "job", "flipped"); ok {
 			t.Fatalf("bit %d: damaged frame served", bit)
 		}
@@ -392,8 +398,7 @@ func TestCorruptEntryQuarantineOnOpen(t *testing.T) {
 // damage stays contained across a restart.
 func TestCorruptEntryQuarantineOnGet(t *testing.T) {
 	dir := t.TempDir()
-	// Disable the memory front so Get actually re-reads the disk.
-	s := mustOpen(t, dir, Options{CacheEntries: -1})
+	s := mustOpen(t, dir, Options{})
 	mustPut(t, s, "search", "fp", `{"v":1}`)
 	mustPut(t, s, "search", "next", `{"v":2}`)
 	path, off, _ := frameAt(t, s, "search", "fp")
@@ -406,7 +411,7 @@ func TestCorruptEntryQuarantineOnGet(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	s.Close()
-	s2 := mustOpen(t, dir, Options{CacheEntries: -1})
+	s2 := mustOpen(t, dir, Options{})
 	if _, ok, _ := s2.Get(context.Background(), "search", "fp"); ok {
 		t.Fatal("rotten entry served after a restart")
 	}
@@ -432,7 +437,7 @@ func TestConcurrentOpenSharedDir(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stores[i], errs[i] = Open(dir, Options{CacheEntries: 4})
+			stores[i], errs[i] = Open(dir, Options{})
 		}()
 	}
 	wg.Wait()
@@ -528,54 +533,13 @@ func TestOpenWritesNothing(t *testing.T) {
 	}
 }
 
-func TestLRUFrontBehavior(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{CacheEntries: 2})
-	for i := 0; i < 3; i++ {
-		mustPut(t, s, "search", fmt.Sprintf("k%d", i), `{}`)
-	}
-	if st := s.Stats(); st.Evictions != 1 {
-		t.Fatalf("3 puts into a 2-entry front: %+v", st)
-	}
-	// k0 was evicted from the front but survives on disk.
-	if _, ok, _ := s.Get(context.Background(), "search", "k0"); !ok {
-		t.Fatal("evicted entry lost from disk")
-	}
-	st := s.Stats()
-	if st.DiskHits != 1 || st.MemHits != 0 {
-		t.Fatalf("front eviction stats: %+v", st)
-	}
-	// Reading k0 promoted it; k2 stays, k1 is now the LRU victim.
-	if _, ok, _ := s.Get(context.Background(), "search", "k2"); !ok {
-		t.Fatal("k2 lost")
-	}
-	if st := s.Stats(); st.MemHits != 1 {
-		t.Fatalf("k2 should be a memory hit: %+v", st)
-	}
-	if _, ok, _ := s.Get(context.Background(), "search", "k1"); !ok {
-		t.Fatal("k1 lost")
-	}
-	if st := s.Stats(); st.DiskHits != 2 {
-		t.Fatalf("k1 should have been the LRU victim (disk hit): %+v", st)
-	}
-	// Mutating a returned payload must not corrupt the cached copy.
-	got, _, _ := s.Get(context.Background(), "search", "k1")
-	if len(got) > 0 {
-		got[0] = 'X'
-	}
-	again, _, _ := s.Get(context.Background(), "search", "k1")
-	if string(again) != "{}" {
-		t.Fatalf("caller mutation corrupted the front: %s", again)
-	}
-}
-
 // TestEnvelopeIdentity checks the defense against serving a record
 // whose address matches but whose recorded identity does not (e.g. a
 // frame copied by hand between stores, or an address collision).
 func TestEnvelopeIdentity(t *testing.T) {
 	dir := t.TempDir()
 	writePack(t, dir, 0, recordFrame("search", "other", envelopeOf(t, "search", "fp", `{"v":1}`)))
-	s := mustOpen(t, dir, Options{CacheEntries: -1})
+	s := mustOpen(t, dir, Options{})
 	if _, ok, _ := s.Get(context.Background(), "search", "other"); ok {
 		t.Fatal("entry with mismatched identity served")
 	}
@@ -675,15 +639,15 @@ func TestEnvelopeOnDiskShape(t *testing.T) {
 // overwrite even though the other pack sorts later.
 func TestOverwriteAcrossPacks(t *testing.T) {
 	dir := t.TempDir()
-	a := mustOpen(t, dir, Options{CacheEntries: -1})
+	a := mustOpen(t, dir, Options{})
 	mustPut(t, a, "job", "first", `{}`) // a's pack sorts first
-	b := mustOpen(t, dir, Options{CacheEntries: -1})
+	b := mustOpen(t, dir, Options{})
 	mustPut(t, b, "job", "k", `{"v":"old"}`)
 	if _, ok, _ := a.Get(context.Background(), "job", "k"); !ok {
 		t.Fatal("a does not see b's record")
 	}
 	mustPut(t, a, "job", "k", `{"v":"new"}`)
-	r := mustOpen(t, dir, Options{CacheEntries: -1})
+	r := mustOpen(t, dir, Options{})
 	if got, ok, _ := r.Get(context.Background(), "job", "k"); !ok || string(got) != `{"v":"new"}` {
 		t.Fatalf("after the overwrite a fresh handle reads %s, %v", got, ok)
 	}
@@ -694,16 +658,16 @@ func TestOverwriteAcrossPacks(t *testing.T) {
 // matches what a fresh Open would index.
 func TestMissKeepsPackOrder(t *testing.T) {
 	dir := t.TempDir()
-	a := mustOpen(t, dir, Options{CacheEntries: -1})
+	a := mustOpen(t, dir, Options{})
 	mustPut(t, a, "job", "first", `{}`) // a's pack sorts first
-	b := mustOpen(t, dir, Options{CacheEntries: -1})
+	b := mustOpen(t, dir, Options{})
 	mustPut(t, b, "job", "k", `{"v":"b"}`)
-	r := mustOpen(t, dir, Options{CacheEntries: -1})
+	r := mustOpen(t, dir, Options{})
 	mustPut(t, a, "job", "k", `{"v":"a"}`) // unaware of b's record
 	if _, ok, _ := r.Get(context.Background(), "job", "absent"); ok {
 		t.Fatal("absent key served")
 	}
-	fresh := mustOpen(t, dir, Options{CacheEntries: -1})
+	fresh := mustOpen(t, dir, Options{})
 	want, _, _ := fresh.Get(context.Background(), "job", "k")
 	if got, ok, _ := r.Get(context.Background(), "job", "k"); !ok || !bytes.Equal(got, want) {
 		t.Fatalf("after a miss re-read the packs: %s, %v; a fresh handle reads %s", got, ok, want)
